@@ -200,13 +200,18 @@ def _make_solution(
     converged: bool,
     iterations: int,
     floored: list[int] | None = None,
+    rotation: np.ndarray | None = None,
 ) -> FactorSolution:
-    L = apply_sign_convention(loadings)
+    """Assemble a solution; ``rotation`` (identity when unrotated) follows the sign flips."""
+    if rotation is None:
+        L, rotation = apply_sign_convention(loadings), np.eye(loadings.shape[1])
+    else:
+        L, rotation = apply_sign_convention(loadings, rotation)
     ss, cumulative, proportion = variance_table(L)
     return FactorSolution(
         loadings=L,
         uniquenesses=np.asarray(uniquenesses, dtype=float),
-        rotation=np.eye(L.shape[1]),
+        rotation=rotation,
         communalities=(L**2).sum(axis=1),
         ss_loadings=ss,
         cumulative_variance=cumulative,
@@ -252,33 +257,36 @@ def comparative_fit_index(
     return 1.0 - num / den if den > 0 else 1.0
 
 
-def _fit_statistics(
-    R: np.ndarray, implied: np.ndarray, fmin: float, n: int, p: int, m: int
+def fit_indices(
+    chi_square: float,
+    df: int,
+    null_chi_square: float,
+    null_df: int,
+    n: int,
+    S: np.ndarray,
+    implied: np.ndarray,
 ) -> FitStatistics:
-    df = ((p - m) ** 2 - p - m) // 2
-    bartlett = n - 1 - (2 * p + 5) / 6 - 2 * m / 3
-    chi_square = max(bartlett, 0.0) * max(fmin, 0.0)
-    sign, logdet = np.linalg.slogdet(R)
-    f_null = -logdet if sign > 0 else float("inf")
-    chi_null = max(n - 1 - (2 * p + 5) / 6, 0.0) * f_null
-    df_null = p * (p - 1) // 2
+    """Full fit-statistics block from precomputed chi-squares.
+
+    A saturated model (df = 0) has TLI undefined and RMSEA zero when its
+    chi-square vanishes.
+    """
     if df > 0:
-        tli, rmsea = efa_fit_indices(chi_square, df, chi_null, df_null, n)
+        tli, rmsea = efa_fit_indices(chi_square, df, null_chi_square, null_df, n)
     else:
         tli = float("nan")
         rmsea = 0.0 if chi_square <= 1e-8 else float("nan")
-    cfi = comparative_fit_index(chi_square, df, chi_null, df_null)
     return FitStatistics(
         chi_square=chi_square,
         df=df,
         n=n,
         tli=tli,
         rmsea=rmsea,
-        cfi=cfi,
-        srmr=srmr(R, implied),
+        cfi=comparative_fit_index(chi_square, df, null_chi_square, null_df),
+        srmr=srmr(S, implied),
         bic=chi_square - df * math.log(n),
-        chi_square_null=chi_null,
-        df_null=df_null,
+        chi_square_null=null_chi_square,
+        df_null=null_df,
     )
 
 
@@ -366,7 +374,12 @@ def efa_ml(
         floored=floored,
     )
     implied = solution.loadings @ solution.loadings.T + np.diag(psi)
-    return solution, _fit_statistics(R, implied, fmin, n, p, m)
+    # Bartlett-corrected chi-squares; the null model is the identity
+    df = ((p - m) ** 2 - p - m) // 2
+    chi_square = max(n - 1 - (2 * p + 5) / 6 - 2 * m / 3, 0.0) * max(fmin, 0.0)
+    sign, logdet = np.linalg.slogdet(R)
+    chi_null = max(n - 1 - (2 * p + 5) / 6, 0.0) * (-logdet if sign > 0 else float("inf"))
+    return solution, fit_indices(chi_square, df, chi_null, p * (p - 1) // 2, n, R, implied)
 
 
 def efa_principal_axis(
@@ -469,20 +482,14 @@ def rotate_solution(solution: FactorSolution, normalize: bool = True) -> FactorS
         rotated = L @ rotation
     else:
         rotated, rotation = varimax(L)
-    rotated, rotation = apply_sign_convention(rotated, rotation)
-    ss, cumulative, proportion = variance_table(rotated)
-    return FactorSolution(
-        loadings=rotated,
-        uniquenesses=solution.uniquenesses.copy(),
-        rotation=solution.rotation @ rotation,
-        communalities=(rotated**2).sum(axis=1),
-        ss_loadings=ss,
-        cumulative_variance=cumulative,
-        proportion_explained=proportion,
+    return _make_solution(
+        rotated,
+        solution.uniquenesses.copy(),
         method=solution.method,
         converged=solution.converged,
         iterations=solution.iterations,
         floored=list(solution.floored),
+        rotation=solution.rotation @ rotation,
     )
 
 

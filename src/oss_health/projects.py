@@ -156,12 +156,10 @@ def resolve_repo(
 def mark_duplicates(resolutions: Iterable[RepoResolution]) -> list[RepoResolution]:
     """Demote later (worse-ranked) projects resolving to an already-taken repo.
 
-    Input order is preserved; the highest-ranked (lowest ``cmc_rank``)
-    project keeps the repository.
+    Rows come back sorted by ``cmc_rank`` (stable for ties); the
+    highest-ranked (lowest ``cmc_rank``) project keeps the repository.
     """
-    ordered = sorted(
-        (r for r in resolutions), key=lambda r: r.project.cmc_rank
-    )
+    ordered = sorted(resolutions, key=lambda r: r.project.cmc_rank)
     taken: dict[str, str] = {}
     out: list[RepoResolution] = []
     for res in ordered:

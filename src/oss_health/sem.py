@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.stats import norm
 
-from .factor import FitStatistics, comparative_fit_index, efa_fit_indices, srmr
+from .factor import FitStatistics, fit_indices
 
 
 class SemParseError(ValueError):
@@ -93,12 +93,16 @@ class SemModel:
                     raise SemSpecError(f"structural path references unknown latent {name!r}")
         self._check_acyclic()
         observed = set(self.observed)
+        pairs: set[frozenset[str]] = set()
         for a, b in self.residual_covariances:
             if a == b:
                 raise SemSpecError(f"cov({a},{a}) is a variance, not a residual covariance")
             for name in (a, b):
                 if name not in observed:
                     raise SemSpecError(f"residual covariance references unknown indicator {name!r}")
+            if frozenset((a, b)) in pairs:
+                raise SemSpecError(f"residual covariance cov({a},{b}) is specified twice")
+            pairs.add(frozenset((a, b)))
 
     def _check_acyclic(self) -> None:
         graph: dict[str, list[str]] = {latent: [] for latent in self.latents}
@@ -217,23 +221,28 @@ def parse_model(text: str) -> SemModel:
             for term in terms:
                 regressions.append((lhs, term))
 
-    try:
-        return SemModel(
-            latents=latents,
-            measurement=measurement,
-            structural=regressions,
-            residual_covariances=covariances,
-        )
-    except SemSpecError:
-        raise
+    return SemModel(
+        latents=latents,
+        measurement=measurement,
+        structural=regressions,
+        residual_covariances=covariances,
+    )
 
 
 # ---------------------------------------------------------------------------
 # covariance structure
 
 
+_DIRECTED = ("loading", "path")
+
+
 class _Layout:
-    """Index bookkeeping: coordinates of every parameter in A and S."""
+    """Index bookkeeping: the one map from parameter values to A and S.
+
+    Fixed values sit in the templates ``A0``/``S0``; free parameters are
+    written by :meth:`matrices` through precomputed index arrays, which
+    the gradient reads back in the same order.
+    """
 
     def __init__(self, model: SemModel):
         self.model = model
@@ -244,30 +253,45 @@ class _Layout:
         self.t = len(self.variables)
         self.params = model.parameters()
         self.free = [prm for prm in self.params if prm.free]
-        self.coords: dict[str, tuple[str, int, int]] = {}
+        self.A0 = np.zeros((self.t, self.t))
+        self.S0 = np.zeros((self.t, self.t))
         for prm in self.params:
-            i = self.index[prm.target]
-            j = self.index[prm.source]
-            matrix = "A" if prm.kind in ("loading", "path") else "S"
-            self.coords[prm.name] = (matrix, i, j)
+            if not prm.free:
+                i, j = self.index[prm.target], self.index[prm.source]
+                if prm.kind in _DIRECTED:
+                    self.A0[i, j] = prm.fixed_value
+                else:
+                    self.S0[i, j] = self.S0[j, i] = prm.fixed_value
+        directed = np.array([prm.kind in _DIRECTED for prm in self.free], dtype=bool)
+        cells = np.array(
+            [(self.index[prm.target], self.index[prm.source]) for prm in self.free], dtype=int
+        ).reshape(-1, 2)
+        self.a_free = np.flatnonzero(directed)
+        self.a_cells = tuple(cells[directed].T)
+        self.s_free = np.flatnonzero(~directed)
+        self.s_cells = tuple(cells[~directed].T)
+        # dF/dS_ij counts both symmetric cells off the diagonal
+        self.s_scale = np.where(self.s_cells[0] == self.s_cells[1], 1.0, 2.0)
 
-    def build(self, values: Mapping[str, float]) -> tuple[np.ndarray, np.ndarray]:
-        A = np.zeros((self.t, self.t))
-        S = np.zeros((self.t, self.t))
-        for prm in self.params:
-            if prm.free:
-                if prm.name not in values:
-                    raise KeyError(f"missing value for parameter {prm.name}")
-                value = values[prm.name]
-            else:
-                value = prm.fixed_value
-            matrix, i, j = self.coords[prm.name]
-            if matrix == "A":
-                A[i, j] = value
-            else:
-                S[i, j] = value
-                S[j, i] = value
+    def vector(self, values: Mapping[str, float]) -> np.ndarray:
+        """Free-parameter vector, in model order, from a name -> value map."""
+        for prm in self.free:
+            if prm.name not in values:
+                raise KeyError(f"missing value for parameter {prm.name}")
+        return np.array([values[prm.name] for prm in self.free], dtype=float)
+
+    def matrices(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        A = self.A0.copy()
+        S = self.S0.copy()
+        A[self.a_cells] = theta[self.a_free]
+        S[self.s_cells] = theta[self.s_free]
+        S[self.s_cells[::-1]] = theta[self.s_free]
         return A, S
+
+    def implied(self, theta: np.ndarray) -> np.ndarray:
+        A, S = self.matrices(theta)
+        sigma, _, _ = _implied_from_matrices(A, S, self.p)
+        return (sigma + sigma.T) / 2
 
 
 def _implied_from_matrices(
@@ -287,9 +311,7 @@ def _implied_from_matrices(
 def implied_covariance(model: SemModel, params: Mapping[str, float]) -> np.ndarray:
     """Model-implied covariance of the observed variables."""
     layout = _Layout(model)
-    A, S = layout.build(params)
-    sigma, _, _ = _implied_from_matrices(A, S, layout.p)
-    return (sigma + sigma.T) / 2
+    return layout.implied(layout.vector(params))
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +344,11 @@ class SemFit:
         return {name: est.value for name, est in self.estimates.items()}
 
 
-def _discrepancy_terms(S: np.ndarray) -> tuple[float, int]:
+def _discrepancy_terms(S: np.ndarray) -> float:
     sign, logdet = np.linalg.slogdet(S)
     if sign <= 0:
         raise ValueError("sample covariance matrix is not positive definite")
-    return logdet, S.shape[0]
+    return logdet
 
 
 def default_start_values(model: SemModel, S: np.ndarray) -> dict[str, float]:
@@ -352,34 +374,10 @@ def default_start_values(model: SemModel, S: np.ndarray) -> dict[str, float]:
 
 def _objective_factory(layout: _Layout, S_sample: np.ndarray):
     p = layout.p
-    logdet_s, _ = _discrepancy_terms(S_sample)
-    free = layout.free
-    a_params = [(k, layout.coords[prm.name]) for k, prm in enumerate(free) if prm.kind in ("loading", "path")]
-    s_var = [(k, layout.coords[prm.name]) for k, prm in enumerate(free) if prm.kind == "variance"]
-    s_cov = [(k, layout.coords[prm.name]) for k, prm in enumerate(free) if prm.kind == "covariance"]
-    fixed = [(layout.coords[prm.name], prm.fixed_value) for prm in layout.params if not prm.free]
-    t = layout.t
-
-    def unpack(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        A = np.zeros((t, t))
-        Smat = np.zeros((t, t))
-        for (matrix, i, j), value in fixed:
-            if matrix == "A":
-                A[i, j] = value
-            else:
-                Smat[i, j] = value
-                Smat[j, i] = value
-        for k, (_, i, j) in a_params:
-            A[i, j] = theta[k]
-        for k, (_, i, j) in s_var:
-            Smat[i, j] = theta[k]
-        for k, (_, i, j) in s_cov:
-            Smat[i, j] = theta[k]
-            Smat[j, i] = theta[k]
-        return A, Smat
+    logdet_s = _discrepancy_terms(S_sample)
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        A, Smat = unpack(theta)
+        A, Smat = layout.matrices(theta)
         try:
             sigma, B, G = _implied_from_matrices(A, Smat, p)
         except StructuralSingularityError:
@@ -398,31 +396,29 @@ def _objective_factory(layout: _Layout, S_sample: np.ndarray):
         M = G.T @ W @ G  # gradient block for S-parameters
         Z = B @ Smat @ M  # gradient block for A-parameters
         grad = np.zeros_like(theta)
-        for k, (_, i, j) in a_params:
-            grad[k] = 2.0 * Z[j, i]
-        for k, (_, i, j) in s_var:
-            grad[k] = M[i, i]
-        for k, (_, i, j) in s_cov:
-            grad[k] = 2.0 * M[i, j]
+        grad[layout.a_free] = 2.0 * Z[layout.a_cells[::-1]]
+        grad[layout.s_free] = layout.s_scale * M[layout.s_cells]
         return value, grad
 
-    return objective, unpack
+    return objective
+
+
+def _evaluate(
+    model: SemModel, params: Mapping[str, float], S: np.ndarray
+) -> tuple[float, np.ndarray]:
+    layout = _Layout(model)
+    objective = _objective_factory(layout, np.asarray(S, dtype=float))
+    return objective(layout.vector(params))
 
 
 def ml_discrepancy(model: SemModel, params: Mapping[str, float], S: np.ndarray) -> float:
     """F_ML of one parameter vector against a sample covariance matrix."""
-    layout = _Layout(model)
-    objective, _ = _objective_factory(layout, np.asarray(S, dtype=float))
-    theta = np.array([params[prm.name] for prm in layout.free])
-    return objective(theta)[0]
+    return _evaluate(model, params, S)[0]
 
 
 def ml_gradient(model: SemModel, params: Mapping[str, float], S: np.ndarray) -> np.ndarray:
     """Analytic gradient of F_ML, ordered as the model's free parameters."""
-    layout = _Layout(model)
-    objective, _ = _objective_factory(layout, np.asarray(S, dtype=float))
-    theta = np.array([params[prm.name] for prm in layout.free])
-    return objective(theta)[1]
+    return _evaluate(model, params, S)[1]
 
 
 def _numeric_hessian(func, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -438,64 +434,6 @@ def _numeric_hessian(func, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return (H + H.T) / 2
 
 
-def fit_indices(
-    chi_square: float,
-    df: int,
-    null_chi_square: float,
-    null_df: int,
-    n: int,
-    S: np.ndarray,
-    implied: np.ndarray,
-) -> FitStatistics:
-    """Full fit-statistics block from precomputed chi-squares."""
-    if df > 0:
-        tli, rmsea = efa_fit_indices(chi_square, df, null_chi_square, null_df, n)
-    else:
-        tli = float("nan")
-        rmsea = 0.0 if chi_square <= 1e-8 else float("nan")
-    return FitStatistics(
-        chi_square=chi_square,
-        df=df,
-        n=n,
-        tli=tli,
-        rmsea=rmsea,
-        cfi=comparative_fit_index(chi_square, df, null_chi_square, null_df),
-        srmr=srmr(S, implied),
-        bic=chi_square - df * math.log(n),
-        chi_square_null=null_chi_square,
-        df_null=null_df,
-    )
-
-
-def _fit_statistics_sem(
-    S: np.ndarray, implied: np.ndarray, fmin: float, n: int, df: int
-) -> FitStatistics:
-    p = S.shape[0]
-    chi_square = max(n - 1, 1) * max(fmin, 0.0)
-    # independence null: implied covariance diag(S)
-    logdet_s, _ = _discrepancy_terms(S)
-    f_null = float(np.sum(np.log(np.diag(S)))) - logdet_s
-    chi_null = max(n - 1, 1) * max(f_null, 0.0)
-    df_null = p * (p - 1) // 2
-    if df > 0:
-        tli, rmsea = efa_fit_indices(chi_square, df, chi_null, df_null, n)
-    else:
-        tli = float("nan")
-        rmsea = 0.0 if chi_square <= 1e-8 else float("nan")
-    return FitStatistics(
-        chi_square=chi_square,
-        df=df,
-        n=n,
-        tli=tli,
-        rmsea=rmsea,
-        cfi=comparative_fit_index(chi_square, df, chi_null, df_null),
-        srmr=srmr(S, implied),
-        bic=chi_square - df * math.log(n),
-        chi_square_null=chi_null,
-        df_null=df_null,
-    )
-
-
 def fit_ml(
     model: SemModel,
     S: np.ndarray,
@@ -505,17 +443,17 @@ def fit_ml(
 ) -> SemFit:
     """Maximum-likelihood fit of a model to a sample covariance matrix.
 
-    Standard errors come from the inverse expected information with the
-    Hessian of the discrepancy obtained by central differences of the
-    analytic gradient.  Negative variance estimates are reported in
-    ``heywood`` rather than prevented.
+    Standard errors come from the inverse observed information,
+    (n - 1)/2 times the Hessian of F_ML at the estimate, with the Hessian
+    obtained by central differences of the analytic gradient.  Negative
+    variance estimates are reported in ``heywood`` rather than prevented.
     """
     S = np.asarray(S, dtype=float)
     layout = _Layout(model)
     p = layout.p
     if S.shape != (p, p):
         raise ValueError(f"sample covariance is {S.shape}, model observes {p} variables")
-    _discrepancy_terms(S)  # PD check
+    logdet_s = _discrepancy_terms(S)  # PD check
     n_free = len(layout.free)
     df = p * (p + 1) // 2 - n_free
     if df < 0:
@@ -524,9 +462,9 @@ def fit_ml(
     start_values = default_start_values(model, S)
     if start:
         start_values.update(start)
-    theta0 = np.array([start_values[prm.name] for prm in layout.free])
+    theta0 = layout.vector(start_values)
 
-    objective, _ = _objective_factory(layout, S)
+    objective = _objective_factory(layout, S)
     result = minimize(
         objective,
         theta0,
@@ -537,10 +475,9 @@ def fit_ml(
     theta = result.x
     fmin, _ = objective(theta)
 
-    values = {prm.name: float(v) for prm, v in zip(layout.free, theta)}
-    implied = implied_covariance(model, values)
+    implied = layout.implied(theta)
 
-    # standard errors via expected information
+    # standard errors via observed information
     H = _numeric_hessian(objective, theta)
     info = max(n - 1, 1) / 2.0 * H
     try:
@@ -553,7 +490,7 @@ def fit_ml(
     k = 0
     for prm in layout.params:
         if prm.free:
-            value = values[prm.name]
+            value = float(theta[k])
             se = math.sqrt(se_diag[k]) if se_diag[k] > 0 else float("nan")
             z = value / se if se and not math.isnan(se) and se > 0 else float("nan")
             p_value = 2 * float(norm.sf(abs(z))) if not math.isnan(z) else float("nan")
@@ -564,24 +501,22 @@ def fit_ml(
                 float(prm.fixed_value), 0.0, float("nan"), float("nan"), False
             )
 
-    heywood = [
-        prm.name
-        for prm in layout.params
-        if prm.kind == "variance" and estimates[prm.name].value < 0
-    ]
-
+    chi_square = max(n - 1, 1) * max(fmin, 0.0)
+    # independence null: implied covariance diag(S)
+    chi_null = max(n - 1, 1) * max(float(np.sum(np.log(np.diag(S)))) - logdet_s, 0.0)
     fit = SemFit(
         model=model,
         estimates=estimates,
         standardized={},
         implied=implied,
         sample=S,
-        fit=_fit_statistics_sem(S, implied, fmin, n, df),
-        heywood=heywood,
+        fit=fit_indices(chi_square, df, chi_null, p * (p - 1) // 2, n, S, implied),
+        heywood=[],
         converged=bool(result.success),
         fmin=float(fmin),
         n=n,
     )
+    fit.heywood = detect_heywood(fit)
     try:
         fit.standardized = standardize(fit)
     except ValueError:
@@ -599,9 +534,10 @@ def standardize(fit: SemFit) -> dict[str, float]:
     the variable's implied variance.
     """
     layout = _Layout(fit.model)
-    A, Smat = layout.build({name: est.value for name, est in fit.estimates.items() if est.free})
-    t = layout.t
-    B = np.linalg.inv(np.eye(t) - A)
+    A, Smat = layout.matrices(
+        layout.vector({name: est.value for name, est in fit.estimates.items() if est.free})
+    )
+    B = np.linalg.inv(np.eye(layout.t) - A)
     V = B @ Smat @ B.T
     variances = np.diag(V)
     if np.any(variances <= 0):

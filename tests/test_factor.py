@@ -278,6 +278,17 @@ class TestFitIndices:
         R = efa_population_correlation()
         assert srmr(R, R) == 0.0
 
+    def test_saturated_efa_block(self):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((384, 1)) * [0.8, 0.7, 0.6]
+        X += rng.standard_normal((384, 3)) * [0.6, 0.71, 0.8]
+        _, stats = efa_ml(correlation_matrix(X), n=384, m=1)
+        assert stats.df == 0
+        assert np.isnan(stats.tli)
+        assert stats.rmsea == 0.0
+        assert stats.cfi == pytest.approx(1.0, abs=1e-9)
+        assert stats.bic == stats.chi_square
+
 
 class TestReliability:
     def test_alpha_identical_items(self):

@@ -138,3 +138,9 @@ class TestMarkDuplicates:
         a = resolve_repo(entry(name="A", cmc_rank=1), [], {"A": "a/a"})
         b = resolve_repo(entry(name="B", cmc_rank=2), [], {"B": "b/b"})
         assert all(r.status is ResolutionStatus.RESOLVED for r in mark_duplicates([a, b]))
+
+    def test_output_in_rank_order(self):
+        second = resolve_repo(entry(name="B", cmc_rank=2), [], {"B": "b/b"})
+        first = resolve_repo(entry(name="A", cmc_rank=1), [], {"A": "a/a"})
+        marked = mark_duplicates([second, first])
+        assert [r.project.cmc_rank for r in marked] == [1, 2]

@@ -115,6 +115,11 @@ class TestParseModel:
         with pytest.raises(SemSpecError):
             SemModel(latents=["A"], measurement={"A": []})
 
+    @pytest.mark.parametrize("second", ["a ~~ d", "d ~~ a"])
+    def test_repeated_residual_covariance_rejected(self, second):
+        with pytest.raises(SemSpecError, match="twice"):
+            parse_model(SMALL_MODEL + "a ~~ d\n" + second + "\n")
+
 
 class TestImpliedCovariance:
     def test_single_unit_indicator(self):
@@ -331,6 +336,17 @@ class TestFitIndicesAndReport:
         assert stats.cfi == 1.0
         assert stats.srmr == 0.0
         assert stats.rmsea == 0.0
+
+    def test_saturated_model_block(self):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((384, 1)) * [0.8, 0.7, 0.6]
+        X += rng.standard_normal((384, 3)) * [0.6, 0.71, 0.8]
+        stats = fit_ml(parse_model("F =~ a + b + c"), np.cov(X, rowvar=False), n=384).fit
+        assert stats.df == 0
+        assert np.isnan(stats.tli)
+        assert stats.rmsea == 0.0
+        assert stats.cfi == pytest.approx(1.0, abs=1e-9)
+        assert stats.bic == stats.chi_square
 
     def test_report_contains_estimates_and_fit_line(self):
         model = parse_model(SMALL_MODEL)
