@@ -7,8 +7,16 @@ records: a big-endian uint32 byte length, then the record as canonical
 UTF-8 JSON (sorted keys).  Appends are serialised per partition by the
 caller; readers are always safe.
 
-An optional dedup key -- ``(repo_id, created_at, actor, event_type,
-payload hash)`` -- makes re-ingesting the same archive idempotent.
+An optional dedup key -- one 16-byte BLAKE2b digest of ``(repo_id,
+created_at, actor, event_type, payload)`` -- makes re-ingesting the same
+archive idempotent.  An ``EventStore`` reads each partition's keys at most
+once and keeps them in memory, so it assumes it is the only writer under
+its root for as long as it lives.
+
+An append interrupted part-way leaves a torn tail: a partial length
+prefix, record or magic header.  Reads reject it; the next append to that
+partition cuts it back to the end of the last complete record before it
+writes.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -43,8 +51,6 @@ class StoreWriteError(StoreError):
 class AppendReceipt:
     count: int = 0
     duplicates_skipped: int = 0
-    #: partition name -> (start byte, end byte) of the appended range
-    byte_ranges: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
 def _month_key(created_at: int) -> str:
@@ -86,23 +92,54 @@ def _record_from_json(blob: bytes) -> EventRecord:
     )
 
 
-def dedup_key(record: EventRecord) -> str:
-    payload = json.dumps(
-        [record.action, record.texts, record.counts, record.number],
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    payload_hash = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    raw = "\x00".join(
+def dedup_key(record: EventRecord) -> bytes:
+    """Identity of an event for dedup; ``tz_offset`` is not part of it."""
+    fields = json.dumps(
         [
             record.repo_id,
-            str(record.created_at),
+            record.created_at,
             record.actor,
             record.event_type.value,
-            payload_hash,
-        ]
+            record.action,
+            record.texts,
+            record.counts,
+            record.number,
+        ],
+        separators=(",", ":"),
     )
-    return hashlib.sha256(raw.encode("utf-8")).hexdigest()
+    return hashlib.blake2b(fields.encode("utf-8"), digest_size=16).digest()
+
+
+def _repair_tail(path: Path, dedup: bool) -> set[bytes] | None:
+    """Cut ``path`` back to the end of its last complete record.
+
+    Returns the dedup keys of the records kept, or ``None`` when ``dedup``
+    does not ask for them.  An absent or (now) empty partition has the
+    empty key set, so a partition this store creates is never read.
+    """
+    try:
+        handle = open(path, "r+b")
+    except FileNotFoundError:
+        return set()
+    with handle:
+        data = handle.read()
+        if len(data) < len(MAGIC) and MAGIC.startswith(data):
+            end, keys = 0, set()
+        elif data.startswith(MAGIC):
+            end, keys = len(MAGIC), (set() if dedup else None)
+            while end + _LEN.size <= len(data):
+                (length,) = _LEN.unpack_from(data, end)
+                stop = end + _LEN.size + length
+                if stop > len(data):
+                    break
+                if keys is not None:
+                    keys.add(dedup_key(_record_from_json(data[end + _LEN.size : stop])))
+                end = stop
+        else:
+            raise StoreError(f"{path}: bad magic header {data[: len(MAGIC)]!r}")
+        if end < len(data):
+            handle.truncate(end)
+    return keys
 
 
 class EventStore:
@@ -111,6 +148,10 @@ class EventStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._repo_dirs: set[Path] = set()
+        #: partitions appended to so far -> their dedup keys, or None while
+        #: only non-dedup appends have touched a partition that existed before
+        self._keys: dict[Path, set[bytes] | None] = {}
 
     # -- write ---------------------------------------------------------
 
@@ -126,32 +167,34 @@ class EventStore:
             by_partition.setdefault((event.repo_id, _month_key(event.created_at)), []).append(event)
 
         for (repo_id, month), batch in sorted(by_partition.items()):
-            path = self.root / _partition_dir_name(repo_id) / f"{month}.events"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            seen: set[str] = set()
-            if dedup and path.exists():
-                seen = {dedup_key(r) for r in self._read_partition(path)}
+            repo_dir = self.root / _partition_dir_name(repo_id)
+            if repo_dir not in self._repo_dirs:
+                repo_dir.mkdir(parents=True, exist_ok=True)
+                self._repo_dirs.add(repo_dir)
+            path = repo_dir / f"{month}.events"
+            keys = self._keys.get(path)
+            # first append here, or first dedup one after plain appends
+            if keys is None and (dedup or path not in self._keys):
+                keys = self._keys[path] = _repair_tail(path, dedup)
             try:
                 with open(path, "ab") as handle:
                     if handle.tell() == 0:
                         handle.write(MAGIC)
-                    start = handle.tell()
                     for record in batch:
-                        if dedup:
+                        if keys is not None:
                             key = dedup_key(record)
-                            if key in seen:
+                            if dedup and key in keys:
                                 receipt.duplicates_skipped += 1
                                 continue
-                            seen.add(key)
+                            keys.add(key)
                         blob = _record_to_json(record)
                         handle.write(_LEN.pack(len(blob)))
                         handle.write(blob)
                         receipt.count += 1
                     handle.flush()
-                    end = handle.tell()
             except OSError as exc:
+                del self._keys[path]
                 raise StoreWriteError(f"append to {path} failed: {exc}", receipt.count) from exc
-            receipt.byte_ranges[f"{_partition_dir_name(repo_id)}/{month}"] = (start, end)
         return receipt
 
     # -- read ----------------------------------------------------------

@@ -19,7 +19,15 @@ from oss_health.events import (
     parse_archive_stream,
     parse_event_line,
 )
-from oss_health.store import AppendReceipt, EventStore, dedup_key
+from oss_health import store as store_module
+from oss_health.store import (
+    MAGIC,
+    AppendReceipt,
+    EventStore,
+    StoreError,
+    StoreWriteError,
+    dedup_key,
+)
 
 
 class TestParseEventLine:
@@ -210,6 +218,98 @@ class TestEventStore:
         b = make_event(texts=["two"])
         assert dedup_key(a) != dedup_key(b)
         assert dedup_key(a) == dedup_key(make_event(texts=["one"]))
+
+    def test_dedup_key_ignores_tz_offset(self):
+        assert dedup_key(make_event(tz_offset=60)) == dedup_key(make_event(tz_offset=-300))
+
+    def test_duplicate_within_one_batch_stored_once(self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        a, b = self._events(2)
+        receipt = store.append([a, b, a], dedup=True)
+        assert (receipt.count, receipt.duplicates_skipped) == (2, 1)
+        assert store.read("bitcoin/bitcoin") == [a, b]
+
+    def test_plain_append_feeds_later_dedup(self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        events = self._events()
+        store.append(events)
+        receipt = store.append(events, dedup=True)
+        assert (receipt.count, receipt.duplicates_skipped) == (0, 10)
+        assert store.read("bitcoin/bitcoin") == events
+
+    def test_partition_read_at_most_once_per_store(self, tmp_path, monkeypatch):
+        read_calls = []
+        opened_to_read = []
+        read_partition = EventStore._read_partition
+
+        def counted_read(path):
+            read_calls.append(path)
+            return read_partition(path)
+
+        def counted_open(file, mode="r", *args, **kwargs):
+            handle = open(file, mode, *args, **kwargs)
+            if "a" not in mode:
+                opened_to_read.append(file)
+            return handle
+
+        monkeypatch.setattr(EventStore, "_read_partition", staticmethod(counted_read))
+        monkeypatch.setattr(store_module, "open", counted_open, raising=False)
+        store = EventStore(tmp_path / "store")
+        events = self._events()
+        receipts = [store.append(events[i : i + 4], dedup=True) for i in range(0, 10, 2)]
+        assert [r.count for r in receipts] == [4, 2, 2, 2, 0]
+        assert [r.duplicates_skipped for r in receipts] == [0, 2, 2, 2, 2]
+        assert len(read_calls) <= 1
+        assert opened_to_read == []  # the store created this partition
+        monkeypatch.undo()
+        assert store.read("bitcoin/bitcoin") == events
+
+    def test_failed_append_rereads_partition(self, tmp_path, monkeypatch):
+        store = EventStore(tmp_path / "store")
+        events = self._events(6)
+        store.append(events[:3], dedup=True)
+        encode = store_module._record_to_json
+        calls = []
+
+        def fail_second(record):
+            calls.append(record)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return encode(record)
+
+        monkeypatch.setattr(store_module, "_record_to_json", fail_second)
+        with pytest.raises(StoreWriteError) as failure:
+            store.append(events[3:], dedup=True)
+        assert failure.value.partial_count == 1
+        monkeypatch.setattr(store_module, "_record_to_json", encode)
+        receipt = store.append(events[3:], dedup=True)
+        assert (receipt.count, receipt.duplicates_skipped) == (2, 1)
+        assert store.read("bitcoin/bitcoin") == events
+
+    @pytest.mark.parametrize("dedup", [True, False])
+    @pytest.mark.parametrize("cut", ["record_body", "length_prefix", "magic_header"])
+    def test_torn_tail_repaired_by_next_append(self, tmp_path, cut, dedup):
+        events = self._events(8)
+        kept, torn, new = events[:5], events[5], events[6:]
+        writer = EventStore(tmp_path / "store")
+        writer.append(kept)
+        path = tmp_path / "store" / "bitcoin__bitcoin" / "2016-12.events"
+        intact = path.stat().st_size
+        writer.append([torn])
+        full = path.read_bytes()
+        if cut == "record_body":
+            path.write_bytes(full[: intact + 4 + 3])
+        elif cut == "length_prefix":
+            path.write_bytes(full[: intact + 2])
+        else:
+            kept = []
+            path.write_bytes(MAGIC[:5])
+        with pytest.raises(StoreError):
+            EventStore(tmp_path / "store").read("bitcoin/bitcoin")
+        store = EventStore(tmp_path / "store")
+        receipt = store.append(new, dedup=dedup)
+        assert receipt.count == len(new)
+        assert store.read("bitcoin/bitcoin") == kept + new
 
     @given(
         st.lists(
