@@ -261,7 +261,6 @@ class TestEventStore:
         assert [r.duplicates_skipped for r in receipts] == [0, 2, 2, 2, 2]
         assert len(read_calls) <= 1
         assert opened_to_read == []  # the store created this partition
-        monkeypatch.undo()
         assert store.read("bitcoin/bitcoin") == events
 
     def test_failed_append_rereads_partition(self, tmp_path, monkeypatch):
