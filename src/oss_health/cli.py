@@ -34,7 +34,7 @@ from urllib.parse import urlparse
 import numpy as np
 
 from . import __version__, dataset, factor, metrics, projects, sem
-from .events import EventType, parse_archive_file
+from .events import EventRecord, EventType, has_contribution, parse_archive_file
 from .store import EventStore
 
 log = logging.getLogger("oss_health")
@@ -222,28 +222,57 @@ def _load_ranks(path: str) -> dict[str, dict]:
     return out
 
 
-def _store_candidates(store: EventStore, entry: projects.ProjectEntry):
+def _stage_reader(store: EventStore, before: int | None):
+    """``read(repo_id, keep=True)``: one repository's events before ``before``.
+
+    Each repository is read from the store at most once per reader; with
+    ``keep`` its events stay in memory for later calls.  ``before=None``
+    keeps every event.
+    """
+    kept: dict[str, list[EventRecord]] = {}
+
+    def read(repo_id: str, keep: bool = True) -> list[EventRecord]:
+        events = kept.get(repo_id)
+        if events is None:
+            events = store.read(repo_id)
+            if before is not None:
+                events = [e for e in events if e.created_at < before]
+            if keep:
+                kept[repo_id] = events
+        return events
+
+    return read
+
+
+def _store_candidates(owner_repos: dict[str, list[str]], read, entry: projects.ProjectEntry):
     """Candidate repositories for one project, derived from the store.
 
     The owner segment of a GitHub source URL selects every stored
-    repository under that owner; stars are counted from the stored
-    events.  A non-empty URL with no stored repositories reads as gone.
+    repository under that owner (``owner_repos`` maps lower-cased owners
+    to repo ids); stars are counted from ``read``.  A non-empty URL with
+    no stored repositories reads as gone.
     """
     parsed = urlparse(entry.source_location or "")
     path_parts = [p for p in parsed.path.split("/") if p]
     if not path_parts:
         return []
-    owner = path_parts[0].lower()
-    found = []
-    for repo_id in store.iter_repo_ids():
-        if repo_id.split("/", 1)[0].lower() == owner:
-            found.append(
-                projects.Candidate(repo_id=repo_id, stars=metrics.count_stars(store.read(repo_id)))
-            )
-    return found
+    return [
+        projects.Candidate(repo_id=repo_id, stars=metrics.count_stars(read(repo_id)))
+        for repo_id in owner_repos.get(path_parts[0].lower(), [])
+    ]
 
 
 def cmd_metrics(config: PipelineConfig) -> int:
+    """Write ``metrics.csv`` and its audit sidecar in one pass over the store.
+
+    The store is listed once and each repository read at most once; only
+    the repositories under a listed project's owner, and those a project
+    resolves to, stay in memory.  Metrics see only events before ``as_of``.
+    Without a configured ``as_of`` it is the latest stored event, every
+    event counts, and finding it takes one more pass.  The push corpus is
+    built and tokenised once, and only when some retained project has no
+    mentions in the ranks file.
+    """
     if not config.projects:
         raise UserError("no project list configured (key: projects)")
     project_path = Path(config.projects)
@@ -260,52 +289,56 @@ def cmd_metrics(config: PipelineConfig) -> int:
     )
     store = EventStore(config.store_dir)
     as_of = _parse_as_of(config.as_of) if config.as_of else _latest_event(store)
+    # a derived as_of is the latest stored event, which must itself count
+    read = _stage_reader(store, before=as_of if config.as_of else None)
+    repo_ids = list(store.iter_repo_ids())
+    owner_repos: dict[str, list[str]] = {}
+    for repo_id in repo_ids:
+        owner_repos.setdefault(repo_id.split("/", 1)[0].lower(), []).append(repo_id)
 
     entries = projects.load_project_list(project_path)
     resolutions = [
-        projects.resolve_repo(entry, _store_candidates(store, entry), overrides)
+        projects.resolve_repo(entry, _store_candidates(owner_repos, read, entry), overrides)
         for entry in entries
     ]
     resolutions = projects.mark_duplicates(resolutions)
-    histories = {
-        res.repo_id: store.has_history(res.repo_id)
-        for res in resolutions
-        if res.status is projects.ResolutionStatus.RESOLVED and res.repo_id
-    }
-    retained, report = dataset.apply_exclusions(resolutions, histories)
-    log.info("exclusions: %s", report.as_dict())
-
     repo_rank = {
         res.repo_id: res.project
         for res in resolutions
         if res.status is projects.ResolutionStatus.RESOLVED and res.repo_id
     }
-    histograms = {
-        repo_id: metrics.timezone_histogram(
-            store.read(repo_id), (as_of - 6 * metrics.MONTH_SECONDS, as_of)
-        )
-        for repo_id in retained
-    }
-    reference = metrics.median_distribution(list(histograms.values()))
-    corpus = [
-        text
-        for repo_id in store.iter_repo_ids()
-        for event in store.read(repo_id)
-        if event.event_type is EventType.PUSH
-        for text in event.texts
-    ]
+    histories = {repo_id: has_contribution(read(repo_id)) for repo_id in repo_rank}
+    retained, report = dataset.apply_exclusions(resolutions, histories)
+    log.info("exclusions: %s", report.as_dict())
+    if not retained:
+        counts = ", ".join(f"{name} {count}" for name, count in report.as_dict().items())
+        raise UserError(f"no project left after exclusions ({counts})")
+
+    window = (as_of - 6 * metrics.MONTH_SECONDS, as_of)
+    reference = metrics.median_distribution(
+        [metrics.timezone_histogram(read(repo_id), window) for repo_id in retained]
+    )
+    mentions = {repo_id: ranks.get(repo_id, {}).get("mentions") for repo_id in retained}
+    counted = [repo_id for repo_id in retained if mentions[repo_id] is None]
+    if counted:
+        corpus = [
+            text
+            for repo_id in repo_ids
+            for event in read(repo_id, keep=False)
+            if event.event_type is EventType.PUSH
+            for text in event.texts
+        ]
+        aliases = [{repo_rank[r].name, repo_rank[r].symbol} for r in counted]
+        mentions.update(zip(counted, metrics.mention_counts(corpus, aliases)))
     rows = []
     for repo_id in retained:
         entry = repo_rank[repo_id]
         external = ranks.get(repo_id, {})
-        events = store.read(repo_id)
-        mentions = external.get("mentions")
-        if mentions is None:
-            mentions = metrics.count_mentions(corpus, {entry.name, entry.symbol})
+        events = read(repo_id)
         externals = metrics.ExternalInputs(
             cmc_rank=external.get("cmc_rank", entry.cmc_rank),
             alexa_rank=external.get("alexa_rank", entry.alexa_rank),
-            mentions=mentions,
+            mentions=mentions[repo_id],
             criticality=(
                 metrics.default_criticality_signals(events, as_of, crit_config)
                 if crit_config

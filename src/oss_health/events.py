@@ -310,3 +310,8 @@ def apply_event_window(
     if start > end:
         raise ValueError(f"window start {start} after end {end}")
     return [e for e in events if start <= e.created_at < end]
+
+
+def has_contribution(events: Iterable[EventRecord]) -> bool:
+    """Whether any event is contribution activity (``CONTRIBUTION_TYPES``)."""
+    return any(e.event_type in CONTRIBUTION_TYPES for e in events)

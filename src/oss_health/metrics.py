@@ -72,13 +72,15 @@ def timezone_histogram(
 def median_distribution(histograms: Sequence[TimezoneHistogram]) -> TimezoneHistogram:
     """Per-bin median across histograms, renormalised to sum one.
 
-    Zero-total inputs carry no information and are excluded.
+    Zero-total inputs carry no information and are excluded.  When every
+    input has zero total the result is the zero histogram with ``total``
+    zero, so ``geo_rmse`` of any such input against it is 0.
     """
     if not histograms:
         raise ValueError("median_distribution requires at least one histogram")
     active = [h for h in histograms if h.total > 0]
     if not active:
-        raise ValueError("median_distribution requires at least one non-empty histogram")
+        return TimezoneHistogram()
     stacked = np.vstack([h.bins for h in active])
     med = np.median(stacked, axis=0)
     total = sum(h.total for h in active)
@@ -114,18 +116,41 @@ def count_mentions(corpus_texts: Iterable[str], aliases: Iterable[str]) -> int:
     """Whole-token, case-insensitive occurrences of any alias in the corpus.
 
     Tokens split on non-alphanumerics, so "bitcoind" never matches the
-    alias "bitcoin".  Multi-word aliases match as token runs.
+    alias "bitcoin".  Multi-word aliases match as token runs.  Aliases
+    that tokenise alike ("Neo", "NEO") are one alias, so a run counts once.
     """
-    alias_tokens = [tuple(_tokens(a)) for a in aliases if _tokens(a)]
-    if not alias_tokens:
-        raise ValueError("count_mentions requires at least one non-empty alias")
-    total = 0
+    return mention_counts(corpus_texts, [aliases])[0]
+
+
+def mention_counts(
+    corpus_texts: Iterable[str], alias_sets: Sequence[Iterable[str]]
+) -> list[int]:
+    """``count_mentions`` for each alias set, in one tokenisation of the corpus.
+
+    Only token runs that some alias spells are counted, so memory grows
+    with the aliases, not with the corpus vocabulary.
+    """
+    wanted: list[set[str]] = []
+    for aliases in alias_sets:
+        runs = {" ".join(toks) for toks in map(_tokens, aliases) if toks}
+        if not runs:
+            raise ValueError("count_mentions requires at least one non-empty alias")
+        wanted.append(runs)
+    counts = {run: 0 for runs in wanted for run in runs}
+    # first token -> lengths of the wanted runs it starts
+    starts: dict[str, set[int]] = {}
+    for run in counts:
+        first, *rest = run.split(" ")
+        starts.setdefault(first, set()).add(1 + len(rest))
     for text in corpus_texts:
         toks = _tokens(text)
-        for alias in alias_tokens:
-            k = len(alias)
-            total += sum(1 for i in range(len(toks) - k + 1) if tuple(toks[i : i + k]) == alias)
-    return total
+        for i, tok in enumerate(toks):
+            for k in starts.get(tok, ()):
+                if i + k <= len(toks):
+                    run = " ".join(toks[i : i + k])
+                    if run in counts:
+                        counts[run] += 1
+    return [sum(counts[run] for run in runs) for runs in wanted]
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .events import EventRecord, EventType
+from .events import EventRecord, EventType, has_contribution
 
 MAGIC = b"OSHEVT01"
 _LEN = struct.Struct(">I")
+#: canonical JSON for records and dedup keys; ``json.dumps`` with these
+#: arguments would build a new encoder on every call
+_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class StoreError(IOError):
@@ -74,7 +77,7 @@ def _record_to_json(record: EventRecord) -> bytes:
         "counts": record.counts,
         "number": record.number,
     }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _JSON.encode(doc).encode("utf-8")
 
 
 def _record_from_json(blob: bytes) -> EventRecord:
@@ -94,7 +97,7 @@ def _record_from_json(blob: bytes) -> EventRecord:
 
 def dedup_key(record: EventRecord) -> bytes:
     """Identity of an event for dedup; ``tz_offset`` is not part of it."""
-    fields = json.dumps(
+    fields = _JSON.encode(
         [
             record.repo_id,
             record.created_at,
@@ -104,8 +107,7 @@ def dedup_key(record: EventRecord) -> bytes:
             record.texts,
             record.counts,
             record.number,
-        ],
-        separators=(",", ":"),
+        ]
     )
     return hashlib.blake2b(fields.encode("utf-8"), digest_size=16).digest()
 
@@ -233,6 +235,4 @@ class EventStore:
                 yield entry.name.replace("__", "/", 1)
 
     def has_history(self, repo_id: str) -> bool:
-        from .events import CONTRIBUTION_TYPES
-
-        return any(e.event_type in CONTRIBUTION_TYPES for e in self.read(repo_id))
+        return has_contribution(self.read(repo_id))

@@ -10,6 +10,7 @@ import pytest
 from conftest import FIXTURE_LINES, sem_population_covariance
 from oss_health import cli
 from oss_health.cli import PipelineConfig, UserError, load_config, parse_config_text
+from oss_health.store import EventStore
 
 MODEL_FILE = "models/health.sem"
 REDUCED_MODEL_FILE = "models/health_reduced.sem"
@@ -202,6 +203,78 @@ class TestMetrics:
         first = (workspace / "out" / "metrics.csv").read_bytes()
         run(workspace, "metrics")
         assert (workspace / "out" / "metrics.csv").read_bytes() == first
+
+    def test_events_after_as_of_are_ignored(self, workspace):
+        self._rows(workspace)
+        before = (workspace / "out" / "metrics.csv").read_bytes()
+        late = [
+            _extra_repo_line(
+                "yann",
+                "2017-01-05T09:00:00Z",
+                event_type="PushEvent",
+                payload={"commits": [{"message": "late fix"}]},
+            ),
+            _extra_repo_line("zack", "2017-01-06T09:00:00Z"),
+        ]
+        with gzip.open(workspace / "archives" / "2017-01-05-9.json.gz", "wt") as handle:
+            handle.write("\n".join(late) + "\n")
+        assert self._rows(workspace)
+        assert (workspace / "out" / "metrics.csv").read_bytes() == before
+
+    def test_no_timezone_data_in_window(self, workspace):
+        run(workspace, "ingest")
+        # every fixture event is older than six months at this as_of
+        assert run(workspace, "metrics", "--as-of", "2017-08-01T00:00:00Z") == 0
+        with open(workspace / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 2
+        assert {float(row["geo_rmse"]) for row in rows} == {0.0}
+
+    def test_no_retained_project_names_exclusions(self, workspace):
+        run(workspace, "ingest")
+        (workspace / "projects.csv").write_text(
+            "name,symbol,cmc_rank,website,source_location,alexa_rank\n"
+            "Shadow,SHD,3,https://shadow.example,,\n"
+            "Foreign,FRN,4,https://foreign.example,https://gitlab.com/foreign/node,\n"
+        )
+        config = load_config(str(workspace / "run.cfg"), {})
+        with pytest.raises(UserError, match="not_listed 1, foreign_host 1"):
+            cli.cmd_metrics(config)
+
+    @pytest.mark.parametrize("supplied", [True, False])
+    def test_one_pass_over_the_store(self, workspace, monkeypatch, supplied):
+        other = json.dumps(
+            {
+                "type": "PushEvent",
+                "repo": {"name": "someone/else"},
+                "actor": {"login": "quinn"},
+                "created_at": "2016-12-10T09:00:00Z",
+                "payload": {"commits": [{"message": "bitcoin fork"}]},
+            }
+        )
+        with gzip.open(workspace / "archives" / "2016-12-10-9.json.gz", "wt") as handle:
+            handle.write(other + "\n")
+        if not supplied:
+            (workspace / "ranks.csv").write_text("repo_id,cmc_rank,alexa_rank\n")
+        run(workspace, "ingest")
+        reads, lists = [], []
+        read, iter_repo_ids = EventStore.read, EventStore.iter_repo_ids
+
+        def counted_read(self, repo_id):
+            reads.append(repo_id)
+            return read(self, repo_id)
+
+        def counted_iter(self):
+            lists.append(1)
+            return iter_repo_ids(self)
+
+        monkeypatch.setattr(EventStore, "read", counted_read)
+        monkeypatch.setattr(EventStore, "iter_repo_ids", counted_iter)
+        assert run(workspace, "metrics") == 0
+        assert len(lists) == 1
+        assert len(reads) == len(set(reads))
+        listed_owners = {"bitcoin/bitcoin", "ethereum/go-ethereum"}
+        assert set(reads) == (listed_owners if supplied else listed_owners | {"someone/else"})
 
 
 class TestEfa:

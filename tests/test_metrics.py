@@ -1,6 +1,7 @@
 """Indicator metrics: hand-computed oracles and invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from oss_health.metrics import (
     issue_response_times,
     longevity,
     median_distribution,
+    mention_counts,
     months_since_update,
     parse_criticality_config,
     timezone_histogram,
@@ -58,6 +60,35 @@ class TestMentions:
     def test_empty_alias_set_rejected(self):
         with pytest.raises(ValueError):
             count_mentions(["text"], set())
+
+    def test_aliases_that_tokenise_alike_count_once(self):
+        assert count_mentions(["neo rises"], {"Neo", "NEO"}) == 1
+
+    @staticmethod
+    def _reference(corpus, aliases):
+        """Sliding-window count per distinct alias token run."""
+        runs = {tuple(re.findall(r"[0-9a-z]+", a.lower())) for a in aliases} - {()}
+        total = 0
+        for text in corpus:
+            toks = re.findall(r"[0-9a-z]+", text.lower())
+            for run in runs:
+                k = len(run)
+                total += sum(tuple(toks[i : i + k]) == run for i in range(len(toks) - k + 1))
+        return total
+
+    _WORDS = ["bitcoin", "Bitcoin", "bitcoind", "basic", "attention", "token", "neo", "NEO", "x1"]
+    _phrase = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
+    _text = st.lists(
+        st.sampled_from(_WORDS + ["", " ", "-", "basic attention token", "bitcoin!"]), max_size=12
+    ).map(" ".join)
+
+    @given(
+        st.lists(_text, max_size=6),
+        st.lists(st.lists(_phrase, min_size=1, max_size=3), min_size=1, max_size=4),
+    )
+    def test_many_sets_match_per_alias_reference(self, corpus, alias_sets):
+        expected = [self._reference(corpus, aliases) for aliases in alias_sets]
+        assert mention_counts(corpus, alias_sets) == expected
 
 
 class TestCriticality:
@@ -149,6 +180,12 @@ class TestMedianDistribution:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             median_distribution([])
+
+    def test_all_empty_is_zero_histogram(self):
+        med = median_distribution([TimezoneHistogram(), TimezoneHistogram()])
+        assert med.total == 0
+        assert not med.bins.any()
+        assert geo_rmse(TimezoneHistogram(), med) == 0.0
 
 
 class TestGeoRmse:
