@@ -269,9 +269,9 @@ def cmd_metrics(config: PipelineConfig) -> int:
     the repositories under a listed project's owner, and those a project
     resolves to, stay in memory.  Metrics see only events before ``as_of``.
     Without a configured ``as_of`` it is the latest stored event, every
-    event counts, and finding it takes one more pass.  The push corpus is
-    built and tokenised once, and only when some retained project has no
-    mentions in the ranks file.
+    event counts, and finding it reads only the latest month's partitions.
+    The push corpus is built and tokenised once, and only when some
+    retained project has no mentions in the ranks file.
     """
     if not config.projects:
         raise UserError("no project list configured (key: projects)")
@@ -288,7 +288,12 @@ def cmd_metrics(config: PipelineConfig) -> int:
         else None
     )
     store = EventStore(config.store_dir)
-    as_of = _parse_as_of(config.as_of) if config.as_of else _latest_event(store)
+    if config.as_of:
+        as_of = _parse_as_of(config.as_of)
+    else:
+        as_of = store.latest_created_at()
+        if as_of is None:
+            raise UserError("event store is empty and no as_of timestamp configured")
     # a derived as_of is the latest stored event, which must itself count
     read = _stage_reader(store, before=as_of if config.as_of else None)
     repo_ids = list(store.iter_repo_ids())
@@ -365,17 +370,6 @@ def cmd_metrics(config: PipelineConfig) -> int:
     return 0
 
 
-def _latest_event(store: EventStore) -> int:
-    latest = None
-    for repo_id in store.iter_repo_ids():
-        for event in store.read(repo_id):
-            if latest is None or event.created_at > latest:
-                latest = event.created_at
-    if latest is None:
-        raise UserError("event store is empty and no as_of timestamp configured")
-    return latest
-
-
 # ---------------------------------------------------------------------------
 # EFA
 
@@ -444,6 +438,8 @@ def _efa_block(matrix: dataset.MetricMatrix, config: PipelineConfig) -> dict:
         "cumulative_variance": rotated.cumulative_variance.tolist(),
         "proportion_explained": rotated.proportion_explained.tolist(),
         "converged": rotated.converged,
+        "iterations": rotated.iterations,
+        "floored": [names[i] for i in rotated.floored],
         "fit": stats.as_dict(),
         "assignment": {str(k): v for k, v in assignment.items()},
         "dropped": dropped,

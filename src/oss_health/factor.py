@@ -44,23 +44,44 @@ def correlation_matrix(X: np.ndarray, names: Sequence[str] | None = None) -> np.
     return (R + R.T) / 2
 
 
+def _noise_correlations(n: int, p: int, n_sims: int, seed: int) -> np.ndarray:
+    """Correlation matrices of ``n_sims`` standard-normal n-by-p draws, stacked.
+
+    Draw i is what ``default_rng(child).standard_normal((n, p))`` gives for
+    the i-th child of ``SeedSequence(seed)``; the draws are written into one
+    (n_sims, n, p) array and reduced to correlations in batched operations.
+    """
+    noise = np.empty((n_sims, n, p))
+    for child, out in zip(np.random.SeedSequence(seed).spawn(n_sims), noise):
+        np.random.default_rng(child).standard_normal(out=out)
+    noise -= noise.mean(axis=1, keepdims=True)
+    R = np.swapaxes(noise, 1, 2) @ noise
+    sd = np.sqrt(np.diagonal(R, axis1=1, axis2=2))
+    R /= sd[:, :, None] * sd[:, None, :]
+    diagonal = np.arange(p)
+    R[:, diagonal, diagonal] = 1.0
+    return (R + np.swapaxes(R, 1, 2)) / 2
+
+
 def eigenvalues(R: np.ndarray) -> np.ndarray:
-    """Real spectrum of a symmetric matrix, descending."""
+    """Real spectrum of a symmetric matrix, or of each in a stack, descending."""
     R = np.asarray(R, dtype=float)
-    if not np.allclose(R, R.T, atol=1e-10):
+    if not np.allclose(R, np.swapaxes(R, -1, -2), atol=1e-10):
         raise ValueError("matrix is not symmetric")
-    return np.sort(np.linalg.eigvalsh(R))[::-1]
+    return np.linalg.eigvalsh(R)[..., ::-1]  # eigvalsh is ascending
 
 
 def squared_multiple_correlations(R: np.ndarray) -> np.ndarray:
-    """SMC of each variable on all others: 1 - 1/diag(R^-1)."""
-    return 1.0 - 1.0 / np.diag(np.linalg.inv(R))
+    """SMC of each variable on all others: 1 - 1/diag(R^-1), per matrix of a stack."""
+    return 1.0 - 1.0 / np.diagonal(np.linalg.inv(R), axis1=-2, axis2=-1)
 
 
 def _reduced_eigenvalues(R: np.ndarray) -> np.ndarray:
+    """Descending spectrum with SMCs on the diagonal, per matrix of a stack."""
     reduced = R.copy()
-    np.fill_diagonal(reduced, squared_multiple_correlations(R))
-    return np.sort(np.linalg.eigvalsh(reduced))[::-1]
+    diagonal = np.arange(R.shape[-1])
+    reduced[..., diagonal, diagonal] = squared_multiple_correlations(R)
+    return np.linalg.eigvalsh(reduced)[..., ::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +126,12 @@ def parallel_analysis(
     a high simulated per-rank quantile as the retention threshold
     (the mean comparison is selectable but retains spurious factors on
     noise about half the time).
+
+    The simulations are batched: each child seed still draws the same
+    numbers it would alone, but all draws sit in one (n_sims, n, p) array
+    and the correlations, SMC inverses and eigendecompositions run stacked.
+    That array is n_sims * n * p floats: 2.7 MB at 100 x 384 x 9, about
+    22 MB at n = 3,000.
     """
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
@@ -116,11 +143,7 @@ def parallel_analysis(
     n, p = X.shape
     eig = _reduced_eigenvalues if basis == "reduced" else eigenvalues
     observed = eig(correlation_matrix(X))
-    seeds = np.random.SeedSequence(seed).spawn(n_sims)
-    sims = np.empty((n_sims, p))
-    for i, child in enumerate(seeds):
-        noise = np.random.default_rng(child).standard_normal((n, p))
-        sims[i] = eig(correlation_matrix(noise))
+    sims = eig(_noise_correlations(n, p, n_sims, seed))
     mean = sims.mean(axis=0)
     qtl = np.quantile(sims, quantile, axis=0)
     threshold = mean if comparison == "mean" else qtl

@@ -229,6 +229,24 @@ class EventStore:
             records.extend(self._read_partition(path))
         return records
 
+    def latest_created_at(self) -> int | None:
+        """``created_at`` of the latest stored event; ``None`` for an empty store.
+
+        Partitions are UTC months, so only the latest month's partitions are
+        read, and the next month down's when those hold no complete record.
+        """
+        months: dict[str, list[Path]] = {}
+        for path in self.root.glob("*__*/*.events"):
+            months.setdefault(path.stem, []).append(path)
+        for month in sorted(months, reverse=True):
+            latest = max(
+                (e.created_at for path in months[month] for e in self._read_partition(path)),
+                default=None,
+            )
+            if latest is not None:
+                return latest
+        return None
+
     def iter_repo_ids(self) -> Iterator[str]:
         for entry in sorted(self.root.iterdir()):
             if entry.is_dir() and "__" in entry.name:

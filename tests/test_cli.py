@@ -10,7 +10,7 @@ import pytest
 from conftest import FIXTURE_LINES, sem_population_covariance
 from oss_health import cli
 from oss_health.cli import PipelineConfig, UserError, load_config, parse_config_text
-from oss_health.store import EventStore
+from oss_health.store import MAGIC, EventStore
 
 MODEL_FILE = "models/health.sem"
 REDUCED_MODEL_FILE = "models/health_reduced.sem"
@@ -276,6 +276,51 @@ class TestMetrics:
         listed_owners = {"bitcoin/bitcoin", "ethereum/go-ethereum"}
         assert set(reads) == (listed_owners if supplied else listed_owners | {"someone/else"})
 
+    def test_derived_as_of_reads_only_the_latest_month(self, workspace, monkeypatch):
+        other = json.dumps(
+            {
+                "type": "WatchEvent",
+                "repo": {"name": "someone/else"},
+                "actor": {"login": "quinn"},
+                "created_at": "2017-01-02T09:00:00Z",
+                "payload": {},
+            }
+        )
+        late = [other, _extra_repo_line("zack", "2017-01-06T09:00:00Z")]
+        with gzip.open(workspace / "archives" / "2017-01-06-9.json.gz", "wt") as handle:
+            handle.write("\n".join(late) + "\n")
+        run(workspace, "ingest")
+        store_dir = workspace / "out" / "store"
+        # a later month whose only partition holds no record: the month below decides
+        (store_dir / "bitcoin__bitcoin" / "2017-02.events").write_bytes(MAGIC)
+        reads = []
+        read_partition = EventStore._read_partition
+
+        def counted_read(path):
+            reads.append(path.relative_to(store_dir).as_posix())
+            return read_partition(path)
+
+        monkeypatch.setattr(EventStore, "_read_partition", staticmethod(counted_read))
+        assert run(workspace, "metrics", "--as-of", "") == 0
+        stage = [
+            p.relative_to(store_dir).as_posix()
+            for owner in ("bitcoin", "ethereum")
+            for p in store_dir.glob(f"{owner}__*/*.events")
+        ]
+        latest = [
+            "bitcoin__bitcoin/2017-02.events",
+            "ethereum__go-ethereum/2017-01.events",
+            "someone__else/2017-01.events",
+        ]
+        assert sorted(reads) == sorted(stage + latest)
+        with open(workspace / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
+            assert {row["as_of"] for row in csv.DictReader(handle)} == {"2017-01-06T09:00:00Z"}
+
+    def test_derived_as_of_on_empty_store_is_user_error(self, workspace, caplog):
+        (workspace / "out" / "store").mkdir(parents=True)
+        assert run(workspace, "metrics", "--as-of", "") == 1
+        assert "event store is empty and no as_of timestamp configured" in caplog.text
+
 
 class TestEfa:
     def test_report_written(self, workspace):
@@ -302,6 +347,15 @@ class TestEfa:
         report = json.loads((workspace / "out" / "efa_report.json").read_text())
         assert report["train"]["n"] + report["test"]["n"] == 250
         assert isinstance(report["structure_equivalent"], bool)
+
+    def test_optimiser_diagnostics_in_every_block(self, workspace):
+        write_synthetic_metrics(workspace / "out")
+        assert run(workspace, "efa", "--cross-validate") == 0
+        report = json.loads((workspace / "out" / "efa_report.json").read_text())
+        for name in ("full", "train", "test"):
+            block = report[name]
+            assert isinstance(block["iterations"], int) and block["iterations"] >= 1
+            assert set(block["floored"]) <= set(block["columns"])
 
     def test_constant_column_is_user_error(self, workspace, caplog):
         out = workspace / "out"

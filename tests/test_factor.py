@@ -73,11 +73,40 @@ class TestEigenvalues:
             eigenvalues(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
+def per_simulation_reference(X, n_sims, seed, basis, quantile):
+    """Parallel analysis's simulated (mean, quantile) eigenvalues, one draw at a time."""
+    n, p = X.shape
+    sims = []
+    for child in np.random.SeedSequence(seed).spawn(n_sims):
+        R = correlation_matrix(np.random.default_rng(child).standard_normal((n, p)))
+        if basis == "reduced":
+            np.fill_diagonal(R, 1.0 - 1.0 / np.diag(np.linalg.inv(R)))
+        sims.append(np.sort(np.linalg.eigvalsh(R))[::-1])
+    return np.mean(sims, axis=0), np.quantile(sims, quantile, axis=0)
+
+
 class TestParallelAnalysis:
     def _factor_data(self, seed, n=384):
         R = efa_population_correlation()
         rng = np.random.default_rng(seed)
         return rng.standard_normal((n, 9)) @ np.linalg.cholesky(R).T
+
+    @pytest.mark.parametrize("basis", ["full", "reduced"])
+    @pytest.mark.parametrize("comparison", ["mean", "quantile"])
+    @pytest.mark.parametrize("p, n_sims", [(9, 100), (9, 1), (3, 40)])
+    def test_batched_matches_per_simulation_loop(self, basis, comparison, p, n_sims):
+        X = self._factor_data(7, n=150)[:, :p]
+        result = parallel_analysis(X, n_sims=n_sims, seed=4, basis=basis, comparison=comparison)
+        mean, qtl = per_simulation_reference(X, n_sims, 4, basis, result.quantile)
+        np.testing.assert_allclose(result.simulated_mean_eigenvalues, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.simulated_quantile_eigenvalues, qtl, rtol=0, atol=1e-12)
+        threshold = mean if comparison == "mean" else qtl
+        expected = 0
+        for obs, thr in zip(result.observed_eigenvalues, threshold):
+            if obs <= thr:
+                break
+            expected += 1
+        assert result.suggested_factors == expected
 
     def test_deterministic(self):
         X = self._factor_data(0)
