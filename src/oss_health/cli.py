@@ -174,7 +174,7 @@ def cmd_ingest(config: PipelineConfig) -> int:
     total_events = 0
     for path in paths:
         records, stats = parse_archive_file(path)
-        receipt = store.append(records, dedup=True)
+        receipt = store.append(records)
         total_events += receipt.count
         per_file.append(
             {
@@ -365,6 +365,10 @@ def cmd_metrics(config: PipelineConfig) -> int:
                 cells.append("" if value is None else value)
             writer.writerow(cells)
     matrix = dataset.matrix_from_metrics(rows)
+    for j, name in enumerate(matrix.column_names):
+        # efa reports a column with no value at all; here it has no imputed cell
+        if not np.isnan(matrix.values[:, j]).all():
+            matrix = dataset.impute_mean(matrix, name)
     dataset.write_audit_sidecar(config.out_dir / "metrics_audit.jsonl", matrix, report)
     log.info("wrote %s (%d rows)", out_csv, len(rows))
     return 0

@@ -12,7 +12,6 @@ logged with their byte offset.
 from __future__ import annotations
 
 import gzip
-import io
 import json
 import logging
 from dataclasses import dataclass, field
@@ -264,18 +263,18 @@ def parse_archive_stream(
     """
     if stats is None:
         stats = ParseStats()
-    raw: IO[bytes] = gzip.GzipFile(fileobj=source) if compressed else source
-    reader = io.TextIOWrapper(raw, encoding="utf-8", errors="replace")
+    reader: IO[bytes] = gzip.GzipFile(fileobj=source) if compressed else source
     offset = 0
     while True:
         try:
-            line = reader.readline()
+            raw = reader.readline()
         except (OSError, EOFError) as exc:
             raise ArchiveStreamError(f"decompression failed: {exc}", offset) from exc
-        if not line:
+        if not raw:
             break
         line_offset = offset
-        offset += len(line.encode("utf-8", errors="replace"))
+        offset += len(raw)
+        line = raw.decode("utf-8", errors="replace")
         if not line.strip():
             continue
         stats.lines_in += 1

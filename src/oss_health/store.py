@@ -7,11 +7,11 @@ records: a big-endian uint32 byte length, then the record as canonical
 UTF-8 JSON (sorted keys).  Appends are serialised per partition by the
 caller; readers are always safe.
 
-An optional dedup key -- one 16-byte BLAKE2b digest of ``(repo_id,
-created_at, actor, event_type, payload)`` -- makes re-ingesting the same
-archive idempotent.  An ``EventStore`` reads each partition's keys at most
-once and keeps them in memory, so it assumes it is the only writer under
-its root for as long as it lives.
+Every append deduplicates on one 16-byte BLAKE2b digest of ``(repo_id,
+created_at, actor, event_type, payload)``, so re-ingesting the same
+archive is idempotent.  An ``EventStore`` reads each partition's keys at
+most once and keeps them in memory, so it assumes it is the only writer
+under its root for as long as it lives.
 
 An append interrupted part-way leaves a torn tail: a partial length
 prefix, record or magic header.  Reads reject it; the next append to that
@@ -36,6 +36,8 @@ _LEN = struct.Struct(">I")
 #: canonical JSON for records and dedup keys; ``json.dumps`` with these
 #: arguments would build a new encoder on every call
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: stored ``event_type`` value -> kind, cheaper than ``EventType(value)``
+_EVENT_TYPES = {kind.value: kind for kind in EventType}
 
 
 class StoreError(IOError):
@@ -83,15 +85,15 @@ def _record_to_json(record: EventRecord) -> bytes:
 def _record_from_json(blob: bytes) -> EventRecord:
     doc = json.loads(blob.decode("utf-8"))
     return EventRecord(
-        repo_id=doc["repo_id"],
-        event_type=EventType(doc["event_type"]),
-        actor=doc["actor"],
-        created_at=doc["created_at"],
-        tz_offset=doc.get("tz_offset"),
-        action=doc.get("action"),
-        texts=doc.get("texts") or [],
-        counts=doc.get("counts"),
-        number=doc.get("number"),
+        doc["repo_id"],
+        _EVENT_TYPES[doc["event_type"]],
+        doc["actor"],
+        doc["created_at"],
+        doc["tz_offset"],
+        doc["action"],
+        doc["texts"],
+        doc["counts"],
+        doc["number"],
     )
 
 
@@ -112,12 +114,33 @@ def dedup_key(record: EventRecord) -> bytes:
     return hashlib.blake2b(fields.encode("utf-8"), digest_size=16).digest()
 
 
-def _repair_tail(path: Path, dedup: bool) -> set[bytes] | None:
+def _frames(path: Path, data: bytes) -> tuple[list[bytes], int]:
+    """Record bodies of a partition's bytes, and where the last whole one ends.
+
+    A partial magic header ends at 0; any other bad header raises.
+    """
+    if not data.startswith(MAGIC):
+        if MAGIC.startswith(data):
+            return [], 0
+        raise StoreError(f"{path}: bad magic header {data[: len(MAGIC)]!r}")
+    bodies = []
+    end = len(MAGIC)
+    while end + _LEN.size <= len(data):
+        (length,) = _LEN.unpack_from(data, end)
+        stop = end + _LEN.size + length
+        if stop > len(data):
+            break
+        bodies.append(data[end + _LEN.size : stop])
+        end = stop
+    return bodies, end
+
+
+def _repair_tail(path: Path) -> set[bytes]:
     """Cut ``path`` back to the end of its last complete record.
 
-    Returns the dedup keys of the records kept, or ``None`` when ``dedup``
-    does not ask for them.  An absent or (now) empty partition has the
-    empty key set, so a partition this store creates is never read.
+    Returns the dedup keys of the records kept.  An absent or (now) empty
+    partition has the empty key set, so a partition this store creates is
+    never read.
     """
     try:
         handle = open(path, "r+b")
@@ -125,23 +148,10 @@ def _repair_tail(path: Path, dedup: bool) -> set[bytes] | None:
         return set()
     with handle:
         data = handle.read()
-        if len(data) < len(MAGIC) and MAGIC.startswith(data):
-            end, keys = 0, set()
-        elif data.startswith(MAGIC):
-            end, keys = len(MAGIC), (set() if dedup else None)
-            while end + _LEN.size <= len(data):
-                (length,) = _LEN.unpack_from(data, end)
-                stop = end + _LEN.size + length
-                if stop > len(data):
-                    break
-                if keys is not None:
-                    keys.add(dedup_key(_record_from_json(data[end + _LEN.size : stop])))
-                end = stop
-        else:
-            raise StoreError(f"{path}: bad magic header {data[: len(MAGIC)]!r}")
+        bodies, end = _frames(path, data)
         if end < len(data):
             handle.truncate(end)
-    return keys
+    return {dedup_key(_record_from_json(body)) for body in bodies}
 
 
 class EventStore:
@@ -151,17 +161,16 @@ class EventStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._repo_dirs: set[Path] = set()
-        #: partitions appended to so far -> their dedup keys, or None while
-        #: only non-dedup appends have touched a partition that existed before
-        self._keys: dict[Path, set[bytes] | None] = {}
+        #: partitions appended to so far -> their dedup keys
+        self._keys: dict[Path, set[bytes]] = {}
 
     # -- write ---------------------------------------------------------
 
-    def append(self, events: Iterable[EventRecord], dedup: bool = False) -> AppendReceipt:
+    def append(self, events: Iterable[EventRecord]) -> AppendReceipt:
         """Durably append events, partitioned by (repo, month).
 
-        With ``dedup`` enabled, records whose dedup key already exists in
-        the target partition are skipped and counted in the receipt.
+        Records whose dedup key already exists in the target partition are
+        skipped and counted in the receipt.
         """
         receipt = AppendReceipt()
         by_partition: dict[tuple[str, str], list[EventRecord]] = {}
@@ -175,20 +184,18 @@ class EventStore:
                 self._repo_dirs.add(repo_dir)
             path = repo_dir / f"{month}.events"
             keys = self._keys.get(path)
-            # first append here, or first dedup one after plain appends
-            if keys is None and (dedup or path not in self._keys):
-                keys = self._keys[path] = _repair_tail(path, dedup)
+            if keys is None:
+                keys = self._keys[path] = _repair_tail(path)
             try:
                 with open(path, "ab") as handle:
                     if handle.tell() == 0:
                         handle.write(MAGIC)
                     for record in batch:
-                        if keys is not None:
-                            key = dedup_key(record)
-                            if dedup and key in keys:
-                                receipt.duplicates_skipped += 1
-                                continue
-                            keys.add(key)
+                        key = dedup_key(record)
+                        if key in keys:
+                            receipt.duplicates_skipped += 1
+                            continue
+                        keys.add(key)
                         blob = _record_to_json(record)
                         handle.write(_LEN.pack(len(blob)))
                         handle.write(blob)
@@ -202,32 +209,18 @@ class EventStore:
     # -- read ----------------------------------------------------------
 
     @staticmethod
-    def _read_partition(path: Path) -> Iterator[EventRecord]:
-        with open(path, "rb") as handle:
-            magic = handle.read(len(MAGIC))
-            if magic != MAGIC:
-                raise StoreError(f"{path}: bad magic header {magic!r}")
-            while True:
-                head = handle.read(_LEN.size)
-                if not head:
-                    break
-                if len(head) < _LEN.size:
-                    raise StoreError(f"{path}: truncated length prefix")
-                (length,) = _LEN.unpack(head)
-                blob = handle.read(length)
-                if len(blob) < length:
-                    raise StoreError(f"{path}: truncated record")
-                yield _record_from_json(blob)
+    def _read_partition(path: Path) -> list[EventRecord]:
+        data = path.read_bytes()
+        bodies, end = _frames(path, data)
+        if not end or end < len(data):
+            raise StoreError(f"{path}: torn tail after byte {end}")
+        return [_record_from_json(body) for body in bodies]
 
     def read(self, repo_id: str) -> list[EventRecord]:
         """All events for one repository, in append order per month."""
         repo_dir = self.root / _partition_dir_name(repo_id)
-        records: list[EventRecord] = []
-        if not repo_dir.is_dir():
-            return records
-        for path in sorted(repo_dir.glob("*.events")):
-            records.extend(self._read_partition(path))
-        return records
+        # globbing a missing directory yields nothing
+        return [e for path in sorted(repo_dir.glob("*.events")) for e in self._read_partition(path)]
 
     def latest_created_at(self) -> int | None:
         """``created_at`` of the latest stored event; ``None`` for an empty store.

@@ -1,8 +1,8 @@
 """Acceptance criteria: one test and one printed pass/fail line per criterion.
 
 Every criterion is implemented at its stated tolerance.  Four are known
-to fail and are left failing honestly (see the repository notes for the
-full analyses):
+to fail and are left failing honestly; the analyses follow, and each
+test's printed ``criterion NN`` line gives the measured figures:
 
 * Criteria 1, 5, 6 -- at n=384 the sampling variability of rotated
   loadings (criterion 1) and standardized structural paths (criteria 5

@@ -192,6 +192,23 @@ class TestMetrics:
         assert head["not_listed"] == 1
         assert head["foreign_host"] == 1
 
+    def test_audit_sidecar_records_imputed_cells(self, workspace):
+        def imputed(alexa_ranks):
+            (workspace / "ranks.csv").write_text(
+                "repo_id,cmc_rank,alexa_rank,mentions\n"
+                f"bitcoin/bitcoin,1,{alexa_ranks[0]},40\n"
+                f"ethereum/go-ethereum,2,{alexa_ranks[1]},25\n"
+            )
+            self._rows(workspace)
+            lines = (workspace / "out" / "metrics_audit.jsonl").read_text().splitlines()
+            return [json.loads(line) for line in lines[1:]]
+
+        assert imputed(["", "1100"]) == [
+            {"kind": "imputed", "column": "alexa_rank", "row": "bitcoin/bitcoin"}
+        ]
+        # a column with no value at all has nothing to impute from; efa reports it
+        assert imputed(["", ""]) == []
+
     def test_missing_ranks_file_named(self, workspace, caplog):
         run(workspace, "ingest")
         missing = workspace / "no-such-ranks.csv"

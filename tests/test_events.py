@@ -3,6 +3,8 @@
 import gzip
 import io
 import json
+import logging
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -130,6 +132,23 @@ class TestParseArchiveStream:
         _, stats = parse_archive_file(archive_path)
         assert stats.lines_in == stats.records_out + stats.type_skipped + stats.malformed_skipped
 
+    def test_malformed_lines_logged_at_their_byte_offsets(self, caplog):
+        lines = [
+            FIXTURE_LINES[0].encode() + b"\r\n",
+            FIXTURE_LINES[1].encode() + b"\r\n",
+            b"{oops\n",
+            b"\xff\xfe not json\n",
+            b"[1]\n",
+        ]
+        data = b"".join(lines)
+        stats = ParseStats()
+        with caplog.at_level(logging.WARNING, logger="oss_health.events"):
+            records = list(parse_archive_stream(io.BytesIO(data), stats, compressed=False))
+        assert [r.actor for r in records] == ["alice", "bob"]
+        assert stats.malformed_skipped == 3
+        logged = [int(re.search(r"byte offset (\d+)", r.getMessage())[1]) for r in caplog.records]
+        assert logged == [data.index(line) for line in lines[2:]]
+
     def test_corrupt_gzip_raises_stream_error(self):
         broken = gzip.compress(b'{"type": "WatchEvent"}\n')[:-8] + b"garbage!"
         with pytest.raises(ArchiveStreamError):
@@ -186,11 +205,27 @@ class TestEventStore:
         store.append(events)
         assert store.read("bitcoin/bitcoin") == events
 
+    def test_round_trip_every_field(self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        event = EventRecord(
+            repo_id="owner/repo",
+            event_type=EventType.PULL_REQUEST,
+            actor="alice",
+            created_at=AS_OF - DAY,
+            tz_offset=-300,
+            action="opened",
+            texts=["title", "body"],
+            counts=3,
+            number=42,
+        )
+        store.append([event])
+        assert store.read("owner/repo") == [event]
+
     def test_dedup_skips_repeated_batch(self, tmp_path):
         store = EventStore(tmp_path / "store")
         events = self._events()
-        first = store.append(events, dedup=True)
-        second = store.append(events, dedup=True)
+        first = store.append(events)
+        second = store.append(events)
         assert first.count == 10
         assert second.count == 0
         assert second.duplicates_skipped == 10
@@ -225,17 +260,9 @@ class TestEventStore:
     def test_duplicate_within_one_batch_stored_once(self, tmp_path):
         store = EventStore(tmp_path / "store")
         a, b = self._events(2)
-        receipt = store.append([a, b, a], dedup=True)
+        receipt = store.append([a, b, a])
         assert (receipt.count, receipt.duplicates_skipped) == (2, 1)
         assert store.read("bitcoin/bitcoin") == [a, b]
-
-    def test_plain_append_feeds_later_dedup(self, tmp_path):
-        store = EventStore(tmp_path / "store")
-        events = self._events()
-        store.append(events)
-        receipt = store.append(events, dedup=True)
-        assert (receipt.count, receipt.duplicates_skipped) == (0, 10)
-        assert store.read("bitcoin/bitcoin") == events
 
     def test_partition_read_at_most_once_per_store(self, tmp_path, monkeypatch):
         read_calls = []
@@ -256,7 +283,7 @@ class TestEventStore:
         monkeypatch.setattr(store_module, "open", counted_open, raising=False)
         store = EventStore(tmp_path / "store")
         events = self._events()
-        receipts = [store.append(events[i : i + 4], dedup=True) for i in range(0, 10, 2)]
+        receipts = [store.append(events[i : i + 4]) for i in range(0, 10, 2)]
         assert [r.count for r in receipts] == [4, 2, 2, 2, 0]
         assert [r.duplicates_skipped for r in receipts] == [0, 2, 2, 2, 2]
         assert len(read_calls) <= 1
@@ -266,7 +293,7 @@ class TestEventStore:
     def test_failed_append_rereads_partition(self, tmp_path, monkeypatch):
         store = EventStore(tmp_path / "store")
         events = self._events(6)
-        store.append(events[:3], dedup=True)
+        store.append(events[:3])
         encode = store_module._record_to_json
         calls = []
 
@@ -278,16 +305,15 @@ class TestEventStore:
 
         monkeypatch.setattr(store_module, "_record_to_json", fail_second)
         with pytest.raises(StoreWriteError) as failure:
-            store.append(events[3:], dedup=True)
+            store.append(events[3:])
         assert failure.value.partial_count == 1
         monkeypatch.setattr(store_module, "_record_to_json", encode)
-        receipt = store.append(events[3:], dedup=True)
+        receipt = store.append(events[3:])
         assert (receipt.count, receipt.duplicates_skipped) == (2, 1)
         assert store.read("bitcoin/bitcoin") == events
 
-    @pytest.mark.parametrize("dedup", [True, False])
-    @pytest.mark.parametrize("cut", ["record_body", "length_prefix", "magic_header"])
-    def test_torn_tail_repaired_by_next_append(self, tmp_path, cut, dedup):
+    @pytest.mark.parametrize("cut", ["record_body", "length_prefix", "magic_header", "empty"])
+    def test_torn_tail_repaired_by_next_append(self, tmp_path, cut):
         events = self._events(8)
         kept, torn, new = events[:5], events[5], events[6:]
         writer = EventStore(tmp_path / "store")
@@ -302,11 +328,11 @@ class TestEventStore:
             path.write_bytes(full[: intact + 2])
         else:
             kept = []
-            path.write_bytes(MAGIC[:5])
+            path.write_bytes(MAGIC[:5] if cut == "magic_header" else b"")
         with pytest.raises(StoreError):
             EventStore(tmp_path / "store").read("bitcoin/bitcoin")
         store = EventStore(tmp_path / "store")
-        receipt = store.append(new, dedup=dedup)
+        receipt = store.append(new)
         assert receipt.count == len(new)
         assert store.read("bitcoin/bitcoin") == kept + new
 
@@ -327,7 +353,6 @@ class TestEventStore:
             for kind, ts, actor in batch
         ]
         store.append(events)
+        distinct = list({dedup_key(e): e for e in events}.values())
         read_back = store.read("owner/repo")
-        assert sorted(read_back, key=lambda e: (e.created_at, e.actor)) == sorted(
-            events, key=lambda e: (e.created_at, e.actor)
-        )
+        assert sorted(read_back, key=dedup_key) == sorted(distinct, key=dedup_key)
