@@ -66,13 +66,15 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.split_fraction < 1.0:
             raise UserError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
-        if self.cutoff <= 0:
+        if not self.cutoff > 0:  # NaN too
             raise UserError(f"cutoff must be positive, got {self.cutoff}")
         if self.factors != "auto":
             try:
-                int(self.factors)
+                count = int(self.factors)
             except ValueError:
-                raise UserError(f"factors must be 'auto' or an integer, got {self.factors!r}") from None
+                count = 0
+            if count < 1:
+                raise UserError(f"factors must be 'auto' or an integer >= 1, got {self.factors!r}")
 
     @property
     def out_dir(self) -> Path:
@@ -108,18 +110,16 @@ def load_config(path: str | None, overrides: dict[str, str]) -> PipelineConfig:
             raise UserError(f"config file not found: {cfg_path}")
         values.update(parse_config_text(cfg_path.read_text(encoding="utf-8")))
     values.update({k: v for k, v in overrides.items() if v is not None})
-    known = {f.name: f.type for f in fields(PipelineConfig)}
-    unknown = set(values) - set(known)
+    unknown = set(values) - {f.name for f in fields(PipelineConfig)}
     if unknown:
         raise UserError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-    kwargs: dict = {}
-    for key, value in values.items():
-        if key in ("split_fraction", "cutoff"):
-            kwargs[key] = float(value)
-        elif key == "seed":
-            kwargs[key] = int(value)
-        else:
-            kwargs[key] = value
+    kwargs: dict = dict(values)
+    for key, convert in (("split_fraction", float), ("cutoff", float), ("seed", int)):
+        if key in values:
+            try:
+                kwargs[key] = convert(values[key])
+            except ValueError:
+                raise UserError(f"{key}: expected {convert.__name__}, got {values[key]!r}") from None
     return PipelineConfig(**kwargs)
 
 
@@ -364,12 +364,9 @@ def cmd_metrics(config: PipelineConfig) -> int:
                 value = iso_as_of if column == "as_of" else getattr(row, column)
                 cells.append("" if value is None else value)
             writer.writerow(cells)
-    matrix = dataset.matrix_from_metrics(rows)
-    for j, name in enumerate(matrix.column_names):
-        # efa reports a column with no value at all; here it has no imputed cell
-        if not np.isnan(matrix.values[:, j]).all():
-            matrix = dataset.impute_mean(matrix, name)
-    dataset.write_audit_sidecar(config.out_dir / "metrics_audit.jsonl", matrix, report)
+    dataset.write_audit_sidecar(
+        config.out_dir / "metrics_audit.jsonl", dataset.matrix_from_metrics(rows), report
+    )
     log.info("wrote %s (%d rows)", out_csv, len(rows))
     return 0
 
@@ -392,9 +389,7 @@ def _prepared_matrix(config: PipelineConfig, metrics_csv: Path) -> dataset.Metri
         for row in reader:
             labels.append(row["repo_id"])
             values.append([float(row[c]) if row[c] != "" else np.nan for c in keep])
-    columns = [dataset.ColumnMeta(c, c in dataset.REVERSE_SCORED_COLUMNS) for c in keep]
-    matrix = dataset.MetricMatrix(labels, columns, np.array(values))
-    return dataset.prepare(matrix)
+    return dataset.prepare(dataset.MetricMatrix(labels, keep, np.array(values)))
 
 
 def _efa_block(matrix: dataset.MetricMatrix, config: PipelineConfig) -> dict:
@@ -501,16 +496,20 @@ def cmd_efa(config: PipelineConfig, cross_validate: bool = False) -> int:
 # SEM
 
 
+def _read_model(path: Path, role: str) -> sem.SemModel:
+    if not path.is_file():
+        raise UserError(f"{role} file not found: {path}")
+    try:
+        return sem.parse_model(path.read_text(encoding="utf-8"))
+    except (sem.SemParseError, sem.SemSpecError) as exc:
+        raise UserError(f"{path}: {exc}") from None
+
+
 def cmd_sem(config: PipelineConfig, compare_model: str | None = None) -> int:
     if not config.model:
         raise UserError("no model file configured (key: model)")
     model_path = Path(config.model)
-    if not model_path.is_file():
-        raise UserError(f"model file not found: {model_path}")
-    try:
-        model = sem.parse_model(model_path.read_text(encoding="utf-8"))
-    except (sem.SemParseError, sem.SemSpecError) as exc:
-        raise UserError(f"{model_path}: {exc}") from None
+    model = _read_model(model_path, "model")
     matrix = _prepared_matrix(config, config.out_dir / "metrics.csv")
     missing = [v for v in model.observed if v not in matrix.column_names]
     if missing:
@@ -533,10 +532,12 @@ def cmd_sem(config: PipelineConfig, compare_model: str | None = None) -> int:
     report["converged"] = fit.converged
     if compare_model:
         other_path = Path(compare_model)
-        if not other_path.is_file():
-            raise UserError(f"comparison model file not found: {other_path}")
-        other = sem.parse_model(other_path.read_text(encoding="utf-8"))
-        other_fit = sem.fit_ml(other, S, n)
+        other = _read_model(other_path, "comparison model")
+        if set(other.observed) != set(model.observed):
+            raise UserError(f"{other_path}: indicators differ from those of {model_path}")
+        # S is ordered by model.observed; the comparison needs its own order
+        other_S = np.cov(matrix.select(other.observed).values, rowvar=False)
+        other_fit = sem.fit_ml(other, other_S, n)
         d_chi, d_df, d_bic = sem.compare_models(fit, other_fit)
         report["comparison"] = {
             "other_model_file": other_path.name,

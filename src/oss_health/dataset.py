@@ -1,16 +1,19 @@
 """Preparation of the project-by-metric analysis matrix.
 
-Order of operations is fixed: exclusions, then mean imputation of absent
-cells, then reverse scoring of the flagged columns.  Reverse scoring uses
-the order-reversing, range-preserving affine map ``x' = max + min - x``,
-which is an involution and leaves correlation magnitudes intact.
+A matrix is row labels, column names and values, with NaN marking an
+absent cell.  Order of operations is fixed: exclusions, then mean
+imputation of absent cells, then reverse scoring of the columns named in
+``REVERSE_SCORED_COLUMNS``.  Reverse scoring uses the order-reversing,
+range-preserving affine map ``x' = max + min - x``, which is an involution
+and leaves correlation magnitudes intact.  The audit sidecar lists the
+absent cells of the raw matrix, which are the cells ``prepare`` fills.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -34,28 +37,17 @@ REVERSE_SCORED_COLUMNS = frozenset(
 
 
 @dataclass
-class ColumnMeta:
-    name: str
-    reverse_scored: bool = False
-    imputed_rows: set[int] = field(default_factory=set)
-
-
-@dataclass
 class MetricMatrix:
-    """n-by-p numeric dataset with per-column metadata; NaN marks absent."""
+    """n-by-p numeric dataset; NaN marks an absent cell."""
 
     row_labels: list[str]
-    columns: list[ColumnMeta]
+    column_names: list[str]
     values: np.ndarray
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (len(self.row_labels), len(self.columns)):
+        if self.values.shape != (len(self.row_labels), len(self.column_names)):
             raise ValueError("values shape does not match labels/columns")
-
-    @property
-    def column_names(self) -> list[str]:
-        return [c.name for c in self.columns]
 
     def column_index(self, name: str) -> int:
         try:
@@ -63,20 +55,10 @@ class MetricMatrix:
         except ValueError:
             raise KeyError(f"unknown column {name!r}") from None
 
-    def copy(self) -> "MetricMatrix":
-        return MetricMatrix(
-            row_labels=list(self.row_labels),
-            columns=[replace(c, imputed_rows=set(c.imputed_rows)) for c in self.columns],
-            values=self.values.copy(),
-        )
-
     def select(self, names: Sequence[str]) -> "MetricMatrix":
         idx = [self.column_index(n) for n in names]
-        return MetricMatrix(
-            row_labels=list(self.row_labels),
-            columns=[replace(self.columns[i], imputed_rows=set(self.columns[i].imputed_rows)) for i in idx],
-            values=self.values[:, idx].copy(),
-        )
+        # column indexing yields F order; the C-ordered copy keeps reductions' rounding
+        return MetricMatrix(list(self.row_labels), list(names), self.values[:, idx].copy())
 
 
 def matrix_from_metrics(
@@ -89,10 +71,7 @@ def matrix_from_metrics(
             value = getattr(row, name)
             if value is not None:
                 values[i, j] = float(value)
-    columns = [
-        ColumnMeta(name=n, reverse_scored=n in REVERSE_SCORED_COLUMNS) for n in column_names
-    ]
-    return MetricMatrix([r.repo_id for r in rows], columns, values)
+    return MetricMatrix([r.repo_id for r in rows], list(column_names), values)
 
 
 # ---------------------------------------------------------------------------
@@ -172,25 +151,22 @@ def reverse_score(values: np.ndarray) -> np.ndarray:
 
 def impute_mean(matrix: MetricMatrix, column: str) -> MetricMatrix:
     """Replace absent cells in one column by the mean of present cells."""
-    out = matrix.copy()
-    j = out.column_index(column)
-    col = out.values[:, j]
+    values = matrix.values.copy()
+    col = values[:, matrix.column_index(column)]
     missing = np.isnan(col)
     if missing.all():
         raise ValueError(f"column {column!r} has no present values to impute from")
-    if missing.any():
-        col[missing] = col[~missing].mean()
-        out.columns[j].imputed_rows |= set(np.flatnonzero(missing).tolist())
-    return out
+    col[missing] = col[~missing].mean()
+    return MetricMatrix(list(matrix.row_labels), list(matrix.column_names), values)
 
 
 def prepare(matrix: MetricMatrix) -> MetricMatrix:
-    """Impute every column, then reverse-score the flagged columns."""
+    """Impute every column, then reverse-score those in ``REVERSE_SCORED_COLUMNS``."""
     out = matrix
-    for meta in matrix.columns:
-        out = impute_mean(out, meta.name)
-    for j, meta in enumerate(out.columns):
-        if meta.reverse_scored:
+    for name in matrix.column_names:
+        out = impute_mean(out, name)
+    for j, name in enumerate(out.column_names):
+        if name in REVERSE_SCORED_COLUMNS:
             out.values[:, j] = reverse_score(out.values[:, j])
     return out
 
@@ -207,10 +183,10 @@ def describe(matrix: MetricMatrix) -> dict[str, dict[str, float]]:
     if len(matrix.row_labels) < 2:
         raise ValueError("describe requires at least two rows for the sd")
     stats: dict[str, dict[str, float]] = {}
-    for j, meta in enumerate(matrix.columns):
+    for j, name in enumerate(matrix.column_names):
         col = matrix.values[:, j]
         q1, q2, q3 = np.quantile(col, [0.25, 0.5, 0.75])
-        stats[meta.name] = {
+        stats[name] = {
             "mean": float(col.mean()),
             "sd": float(col.std(ddof=1)),
             "min": float(col.min()),
@@ -237,18 +213,8 @@ def split(
     test_idx = np.sort(order[n_train:])
 
     def take(idx: np.ndarray) -> MetricMatrix:
-        pos = {int(r): k for k, r in enumerate(idx)}
         return MetricMatrix(
-            row_labels=[matrix.row_labels[i] for i in idx],
-            columns=[
-                ColumnMeta(
-                    c.name,
-                    c.reverse_scored,
-                    {pos[r] for r in c.imputed_rows if r in pos},
-                )
-                for c in matrix.columns
-            ],
-            values=matrix.values[idx].copy(),
+            [matrix.row_labels[i] for i in idx], list(matrix.column_names), matrix.values[idx]
         )
 
     return take(train_idx), take(test_idx)
@@ -276,31 +242,27 @@ def read_matrix_csv(path: str | Path) -> MetricMatrix:
         for line in reader:
             labels.append(line[0])
             rows.append([float(v) if v != "" else np.nan for v in line[1:]])
-    columns = [ColumnMeta(n, n in REVERSE_SCORED_COLUMNS) for n in names]
     values = np.array(rows) if rows else np.empty((0, len(names)))
-    return MetricMatrix(labels, columns, values)
+    return MetricMatrix(labels, names, values)
 
 
-def write_audit_sidecar(
-    path: str | Path,
-    matrix: MetricMatrix,
-    report: ExclusionReport | None = None,
-) -> None:
-    """JSON-Lines audit: one line per imputed cell, one for exclusions."""
+def write_audit_sidecar(path: str | Path, matrix: MetricMatrix, report: ExclusionReport) -> None:
+    """JSON-Lines audit: one line for exclusions, then one per imputed cell.
+
+    ``matrix`` is the raw matrix, before imputation.  Its absent cells are
+    the ones ``prepare`` fills, listed in column then row order; a column
+    with no value at all has nothing to impute from and gets no line.
+    """
+    absent = np.isnan(matrix.values)
     with open(path, "w", encoding="utf-8") as handle:
-        if report is not None:
-            handle.write(
-                json.dumps({"kind": "exclusions", **report.as_dict()}, sort_keys=True) + "\n"
-            )
-        for meta in matrix.columns:
-            for row in sorted(meta.imputed_rows):
+        handle.write(json.dumps({"kind": "exclusions", **report.as_dict()}, sort_keys=True) + "\n")
+        for j, name in enumerate(matrix.column_names):
+            if absent[:, j].all():
+                continue
+            for i in np.flatnonzero(absent[:, j]):
                 handle.write(
                     json.dumps(
-                        {
-                            "kind": "imputed",
-                            "column": meta.name,
-                            "row": matrix.row_labels[row],
-                        },
+                        {"kind": "imputed", "column": name, "row": matrix.row_labels[i]},
                         sort_keys=True,
                     )
                     + "\n"

@@ -18,6 +18,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 PSI_FLOOR = 0.005
+#: Per-rank quantile of the simulated eigenvalues that parallel analysis
+#: takes as its retention threshold.
+PA_QUANTILE = 0.995
 
 
 class IdentificationError(ValueError):
@@ -115,7 +118,6 @@ def parallel_analysis(
     seed: int = 0,
     basis: str = "reduced",
     comparison: str = "quantile",
-    quantile: float = 0.995,
 ) -> ParallelAnalysisResult:
     """Factor-count suggestion against eigenvalues of random normal data.
 
@@ -123,7 +125,7 @@ def parallel_analysis(
     derived from ``seed`` so results are independent of scheduling.  The
     reduced basis replaces the diagonal with squared multiple
     correlations before eigendecomposition.  The default comparison takes
-    a high simulated per-rank quantile as the retention threshold
+    the simulated per-rank ``PA_QUANTILE`` as the retention threshold
     (the mean comparison is selectable but retains spurious factors on
     noise about half the time).
 
@@ -145,13 +147,13 @@ def parallel_analysis(
     observed = eig(correlation_matrix(X))
     sims = eig(_noise_correlations(n, p, n_sims, seed))
     mean = sims.mean(axis=0)
-    qtl = np.quantile(sims, quantile, axis=0)
+    qtl = np.quantile(sims, PA_QUANTILE, axis=0)
     threshold = mean if comparison == "mean" else qtl
     return ParallelAnalysisResult(
         observed_eigenvalues=observed,
         simulated_mean_eigenvalues=mean,
         simulated_quantile_eigenvalues=qtl,
-        quantile=quantile,
+        quantile=PA_QUANTILE,
         suggested_factors=_suggest(observed, threshold),
         basis=basis,
         comparison=comparison,
@@ -343,13 +345,7 @@ def _profiled_objective(R: np.ndarray, psi: np.ndarray, m: int) -> float:
     return float(np.sum(tail - np.log(tail)) - (len(psi) - m))
 
 
-def efa_ml(
-    R: np.ndarray,
-    n: int,
-    m: int,
-    psi_floor: float = PSI_FLOOR,
-    max_iter: int = 1000,
-) -> tuple[FactorSolution, FitStatistics]:
+def efa_ml(R: np.ndarray, n: int, m: int) -> tuple[FactorSolution, FitStatistics]:
     """Maximum-likelihood factor extraction on a correlation matrix.
 
     Returns the unrotated solution together with chi-square based fit
@@ -360,7 +356,7 @@ def efa_ml(
     _check_model_size(p, m)
 
     start = (1.0 - 0.5 * m / p) / np.diag(np.linalg.inv(R))
-    start = np.clip(start, psi_floor, 1.0)
+    start = np.clip(start, PSI_FLOOR, 1.0)
 
     def objective(log_psi: np.ndarray) -> tuple[float, np.ndarray]:
         psi = np.exp(log_psi)
@@ -376,13 +372,13 @@ def efa_ml(
         np.log(start),
         jac=True,
         method="L-BFGS-B",
-        bounds=[(math.log(psi_floor), 0.0)] * p,
-        options={"maxiter": max_iter, "ftol": 1e-12, "gtol": 1e-9},
+        bounds=[(math.log(PSI_FLOOR), 0.0)] * p,
+        options={"maxiter": 1000, "ftol": 1e-12, "gtol": 1e-9},
     )
     psi = np.exp(result.x)
     loadings = _loadings_from_psi(R, psi, m)
     fmin = _profiled_objective(R, psi, m)
-    floored = np.flatnonzero(psi <= psi_floor * (1 + 1e-9)).tolist()
+    floored = np.flatnonzero(psi <= PSI_FLOOR * (1 + 1e-9)).tolist()
     # a stalled line search at an already-stationary point still counts
     _, final_grad = objective(result.x)
     free = np.ones(p, dtype=bool)
@@ -405,9 +401,7 @@ def efa_ml(
     return solution, fit_indices(chi_square, df, chi_null, p * (p - 1) // 2, n, R, implied)
 
 
-def efa_principal_axis(
-    R: np.ndarray, m: int, max_iter: int = 200, tol: float = 1e-6
-) -> FactorSolution:
+def efa_principal_axis(R: np.ndarray, m: int) -> FactorSolution:
     """Iterated principal-axis extraction seeded with SMC communalities."""
     R = np.asarray(R, dtype=float)
     p = R.shape[0]
@@ -416,7 +410,7 @@ def efa_principal_axis(
     loadings = np.zeros((p, m))
     converged = False
     iteration = 0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, 201):
         reduced = R.copy()
         np.fill_diagonal(reduced, h2)
         vals, vecs = np.linalg.eigh(reduced)
@@ -424,7 +418,7 @@ def efa_principal_axis(
         lam = np.sqrt(np.maximum(vals[top], 0.0))
         loadings = vecs[:, top] * lam[None, :]
         h2_new = (loadings**2).sum(axis=1)
-        if np.max(np.abs(h2_new - h2)) < tol:
+        if np.max(np.abs(h2_new - h2)) < 1e-6:
             h2 = h2_new
             converged = True
             break
@@ -448,9 +442,7 @@ def varimax_criterion(loadings: np.ndarray) -> float:
     return float(np.sum((L2**2).mean(axis=0) - L2.mean(axis=0) ** 2))
 
 
-def varimax(
-    loadings: np.ndarray, tol: float = 1e-8, max_iter: int = 1000
-) -> tuple[np.ndarray, np.ndarray]:
+def varimax(loadings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonal varimax rotation by pairwise planar sweeps.
 
     Returns (rotated loadings, rotation matrix) with
@@ -463,7 +455,7 @@ def varimax(
     if m < 2:
         return L, rotation
     previous = varimax_criterion(L)
-    for _ in range(max_iter):
+    for _ in range(1000):
         for j in range(m - 1):
             for k in range(j + 1, m):
                 x, y = L[:, j], L[:, k]
@@ -483,30 +475,25 @@ def varimax(
                 L[:, [j, k]] = L[:, [j, k]] @ G
                 rotation[:, [j, k]] = rotation[:, [j, k]] @ G
         current = varimax_criterion(L)
-        if current - previous < tol:
+        if current - previous < 1e-8:
             break
         previous = current
     return L, rotation
 
 
-def rotate_solution(solution: FactorSolution, normalize: bool = True) -> FactorSolution:
-    """Varimax-rotate a solution; sign convention re-applied per column.
+def rotate_solution(solution: FactorSolution) -> FactorSolution:
+    """Kaiser-normalized varimax rotation; sign convention re-applied per column.
 
-    With ``normalize`` (the usual package default), the rotation angle is
-    chosen on rows scaled to unit communality so every variable weighs
-    equally in the criterion; the rotation is then applied to the raw
-    loadings, so communalities are unaffected either way.
+    The rotation angle is chosen on rows scaled to unit communality so
+    every variable weighs equally in the criterion; the rotation is then
+    applied to the raw loadings, so communalities are unaffected.
     """
     L = solution.loadings
-    if normalize:
-        h = np.sqrt((L**2).sum(axis=1))
-        h[h == 0] = 1.0
-        _, rotation = varimax(L / h[:, None])
-        rotated = L @ rotation
-    else:
-        rotated, rotation = varimax(L)
+    h = np.sqrt((L**2).sum(axis=1))
+    h[h == 0] = 1.0
+    _, rotation = varimax(L / h[:, None])
     return _make_solution(
-        rotated,
+        L @ rotation,
         solution.uniquenesses.copy(),
         method=solution.method,
         converged=solution.converged,

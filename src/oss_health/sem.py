@@ -340,9 +340,6 @@ class SemFit:
     fmin: float
     n: int
 
-    def parameter_values(self) -> dict[str, float]:
-        return {name: est.value for name, est in self.estimates.items()}
-
 
 def _discrepancy_terms(S: np.ndarray) -> float:
     sign, logdet = np.linalg.slogdet(S)
@@ -434,13 +431,7 @@ def _numeric_hessian(func, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return (H + H.T) / 2
 
 
-def fit_ml(
-    model: SemModel,
-    S: np.ndarray,
-    n: int,
-    start: Mapping[str, float] | None = None,
-    max_iter: int = 2000,
-) -> SemFit:
+def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
     """Maximum-likelihood fit of a model to a sample covariance matrix.
 
     Standard errors come from the inverse observed information,
@@ -459,10 +450,7 @@ def fit_ml(
     if df < 0:
         raise SemSpecError(f"model is not identified: {n_free} free parameters, df = {df}")
 
-    start_values = default_start_values(model, S)
-    if start:
-        start_values.update(start)
-    theta0 = layout.vector(start_values)
+    theta0 = layout.vector(default_start_values(model, S))
 
     objective = _objective_factory(layout, S)
     result = minimize(
@@ -470,7 +458,7 @@ def fit_ml(
         theta0,
         jac=True,
         method="L-BFGS-B",
-        options={"maxiter": max_iter, "ftol": 1e-13, "gtol": 1e-10},
+        options={"maxiter": 2000, "ftol": 1e-13, "gtol": 1e-10},
     )
     theta = result.x
     fmin, _ = objective(theta)
@@ -537,7 +525,7 @@ def standardize(fit: SemFit) -> dict[str, float]:
     A, Smat = layout.matrices(
         layout.vector({name: est.value for name, est in fit.estimates.items() if est.free})
     )
-    B = np.linalg.inv(np.eye(layout.t) - A)
+    _, B, _ = _implied_from_matrices(A, Smat, layout.p)
     V = B @ Smat @ B.T
     variances = np.diag(V)
     if np.any(variances <= 0):

@@ -3,6 +3,7 @@
 import csv
 import gzip
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +127,19 @@ class TestConfig:
     def test_bad_split_fraction(self):
         with pytest.raises(UserError):
             PipelineConfig(split_fraction=1.5)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("seed", "1.5"), ("cutoff", "high"), ("cutoff", "nan"), ("split_fraction", "half")],
+    )
+    def test_non_numeric_value_names_key(self, key, value):
+        with pytest.raises(UserError, match=key):
+            load_config(None, {key: value})
+
+    @pytest.mark.parametrize("factors", ["0", "-2"])
+    def test_factors_below_one_rejected(self, factors):
+        with pytest.raises(UserError, match="factors"):
+            PipelineConfig(factors=factors)
 
     def test_digest_changes_with_values(self):
         assert PipelineConfig(seed=0).digest() != PipelineConfig(seed=1).digest()
@@ -424,6 +438,39 @@ class TestSem:
         report = json.loads((workspace / "out" / "sem_report.json").read_text())
         assert report["comparison"]["delta_df"] == -1
         assert report["comparison"]["other_model_file"] == "health_reduced.sem"
+
+    def test_comparison_fitted_in_its_own_indicator_order(self, workspace, tmp_path):
+        write_synthetic_metrics(workspace / "out")
+        lines = Path(REDUCED_MODEL_FILE).read_text(encoding="utf-8").splitlines()
+        interest, robustness, engagement = [line for line in lines if "=~" in line]
+        reordered = tmp_path / "reordered.sem"
+        reordered.write_text(
+            "\n".join([engagement, interest, robustness] + [l for l in lines if "=~" not in l])
+        )
+        blocks = []
+        for other in (REDUCED_MODEL_FILE, str(reordered)):
+            assert run(workspace, "sem", "--model", MODEL_FILE, "--compare", other) == 0
+            report = json.loads((workspace / "out" / "sem_report.json").read_text())
+            blocks.append(report["comparison"])
+        reference, shuffled = blocks
+        assert shuffled["delta_df"] == reference["delta_df"]
+        for key in ("delta_chi_square", "delta_bic"):
+            assert shuffled[key] == pytest.approx(reference[key], abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("F =~ forks\nnot a statement\n", "line 2"),
+            ("F =~ forks + stars + mentions\n", "indicators differ"),
+        ],
+    )
+    def test_bad_comparison_model_named(self, workspace, tmp_path, caplog, text, message):
+        write_synthetic_metrics(workspace / "out")
+        other = tmp_path / "other.sem"
+        other.write_text(text)
+        assert run(workspace, "sem", "--model", MODEL_FILE, "--compare", str(other)) == 1
+        assert f"{other}: " in caplog.text
+        assert message in caplog.text
 
     def test_missing_indicator_named(self, workspace, tmp_path, caplog):
         write_synthetic_metrics(workspace / "out")

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oss_health.dataset import (
-    ColumnMeta,
     MetricMatrix,
     apply_exclusions,
     describe,
@@ -34,7 +33,15 @@ def simple_matrix(values, names=None, labels=None):
     values = np.asarray(values, dtype=float)
     names = names or [f"c{j}" for j in range(values.shape[1])]
     labels = labels or [f"r{i}" for i in range(values.shape[0])]
-    return MetricMatrix(labels, [ColumnMeta(n) for n in names], values)
+    return MetricMatrix(labels, names, values)
+
+
+def audit_lines(tmp_path, matrix):
+    """The sidecar's lines after the exclusions line."""
+    _, report = apply_exclusions([], {})
+    path = tmp_path / "audit.jsonl"
+    write_audit_sidecar(path, matrix, report)
+    return [json.loads(line) for line in path.read_text().splitlines()[1:]]
 
 
 class TestApplyExclusions:
@@ -117,26 +124,29 @@ class TestReverseScore:
     def test_correlation_flips_sign(self, pairs):
         x = np.array([p[0] for p in pairs])
         y = np.array([p[1] for p in pairs])
-        if x.std() == 0 or y.std() == 0:
+        # reverse_score leaves a zero-range column unchanged, so its sign cannot flip
+        if np.ptp(x) == 0 or np.ptp(y) == 0:
             return
         before = np.corrcoef(x, y)[0, 1]
+        if not np.isfinite(before):  # e.g. x = [0, 0, 9.9e-191] underflows to NaN
+            return
         after = np.corrcoef(reverse_score(x), y)[0, 1]
         assert after == pytest.approx(-before, abs=1e-9)
 
 
 class TestImputeMean:
-    def test_fills_with_mean_and_records(self):
+    def test_fills_with_mean_and_records(self, tmp_path):
         matrix = simple_matrix([[1.0], [np.nan], [3.0]])
         out = impute_mean(matrix, "c0")
         assert out.values[:, 0].tolist() == [1.0, 2.0, 3.0]
-        assert out.columns[0].imputed_rows == {1}
         assert np.isnan(matrix.values[1, 0])  # input untouched
+        assert audit_lines(tmp_path, matrix) == [{"kind": "imputed", "column": "c0", "row": "r1"}]
 
-    def test_no_absent_cells_noop(self):
+    def test_no_absent_cells_noop(self, tmp_path):
         matrix = simple_matrix([[1.0], [2.0]])
         out = impute_mean(matrix, "c0")
-        assert out.columns[0].imputed_rows == set()
         assert np.array_equal(out.values, matrix.values)
+        assert audit_lines(tmp_path, matrix) == []
 
     def test_all_absent_rejected(self):
         with pytest.raises(ValueError):
@@ -149,17 +159,19 @@ class TestImputeMean:
 
 
 class TestPrepare:
-    def test_impute_then_reverse(self):
-        columns = [ColumnMeta("plain"), ColumnMeta("flipped", reverse_scored=True)]
-        matrix = MetricMatrix(
-            ["a", "b", "c"],
-            columns,
-            np.array([[1.0, 1.0], [np.nan, 2.0], [3.0, 3.0]]),
+    def test_impute_then_reverse(self, tmp_path):
+        matrix = simple_matrix(
+            [[1.0, 1.0], [np.nan, 2.0], [3.0, np.nan]], names=["plain", "cmc_rank"]
         )
         out = prepare(matrix)
         assert not np.isnan(out.values).any()
-        assert out.values[:, 1].tolist() == [3.0, 2.0, 1.0]
-        assert out.columns[0].imputed_rows == {1}
+        assert out.values[:, 0].tolist() == [1.0, 2.0, 3.0]
+        # imputed to the mean 1.5 first, then reverse-scored over [1, 2]
+        assert out.values[:, 1].tolist() == [2.0, 1.0, 1.5]
+        assert audit_lines(tmp_path, matrix) == [
+            {"kind": "imputed", "column": "plain", "row": "r1"},
+            {"kind": "imputed", "column": "cmc_rank", "row": "r2"},
+        ]
 
     def test_flags_from_metrics_rows(self):
         row = ProjectMetrics(
@@ -182,10 +194,13 @@ class TestPrepare:
             as_of=0,
         )
         matrix = matrix_from_metrics([row])
-        flags = {c.name: c.reverse_scored for c in matrix.columns}
-        for name, flagged in flags.items():
-            assert flagged == (name in REVERSE_SCORED_COLUMNS)
         assert np.isnan(matrix.values[0, matrix.column_index("alexa_rank")])
+        # the second row is higher in every column; prepare flips the reverse-scored ones
+        names = matrix.column_names
+        out = prepare(simple_matrix([[0.0] * len(names), [1.0] * len(names)], names=names))
+        flipped = {name for name, (first, second) in zip(names, out.values.T) if first > second}
+        assert flipped == REVERSE_SCORED_COLUMNS & set(names)
+        assert "alexa_rank" in flipped
 
 
 class TestDescribe:
@@ -242,16 +257,31 @@ class TestPersistence:
         write_matrix_csv(matrix, path)
         back = read_matrix_csv(path)
         assert back.row_labels == matrix.row_labels
-        assert back.columns[0].reverse_scored  # flag restored from the known set
+        assert back.column_names == ["months_since_update", "x"]
         assert np.isnan(back.values[0, 1])
         assert np.array_equal(back.values[1], matrix.values[1])
+        # a known reverse-scored name read back from the file is flipped
+        assert prepare(back).values[:, 0].tolist() == [2.25, 1.5]
 
     def test_audit_sidecar(self, tmp_path):
-        matrix = simple_matrix([[1.0], [np.nan], [3.0]])
-        out = impute_mean(matrix, "c0")
+        matrix = simple_matrix(
+            [
+                [1.0, np.nan, np.nan, 4.0],
+                [np.nan, 2.0, np.nan, np.nan],
+                [3.0, np.nan, np.nan, 5.0],
+            ],
+            names=["a", "b", "empty", "d"],
+        )
         _, report = apply_exclusions([], {})
         path = tmp_path / "audit.jsonl"
-        write_audit_sidecar(path, out, report)
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert lines[0]["kind"] == "exclusions"
-        assert lines[1] == {"kind": "imputed", "column": "c0", "row": "r1"}
+        write_audit_sidecar(path, matrix, report)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert lines[0] == {"kind": "exclusions", **report.as_dict()}
+        # column then row order; the all-absent column has nothing to impute from
+        assert [(line["column"], line["row"]) for line in lines[1:]] == [
+            ("a", "r1"),
+            ("b", "r0"),
+            ("b", "r2"),
+            ("d", "r1"),
+        ]
+        assert {line["kind"] for line in lines[1:]} == {"imputed"}
