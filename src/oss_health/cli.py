@@ -505,6 +505,16 @@ def _read_model(path: Path, role: str) -> sem.SemModel:
         raise UserError(f"{path}: {exc}") from None
 
 
+def _optimiser_fields(fit: sem.SemFit) -> dict:
+    return {
+        "converged": fit.converged,
+        "fmin": fit.fmin,
+        "iterations": fit.iterations,
+        "evaluations": fit.evaluations,
+        "max_abs_gradient": fit.max_abs_gradient,
+    }
+
+
 def cmd_sem(config: PipelineConfig, compare_model: str | None = None) -> int:
     if not config.model:
         raise UserError("no model file configured (key: model)")
@@ -529,7 +539,7 @@ def cmd_sem(config: PipelineConfig, compare_model: str | None = None) -> int:
     report["standardized"] = fit.standardized
     report["fit"] = fit.fit.as_dict()
     report["heywood"] = fit.heywood
-    report["converged"] = fit.converged
+    report.update(_optimiser_fields(fit))
     if compare_model:
         other_path = Path(compare_model)
         other = _read_model(other_path, "comparison model")
@@ -544,6 +554,7 @@ def cmd_sem(config: PipelineConfig, compare_model: str | None = None) -> int:
             "delta_chi_square": d_chi,
             "delta_df": d_df,
             "delta_bic": d_bic,
+            **_optimiser_fields(other_fit),
         }
     _write_json(config.out_dir / "sem_report.json", report)
     (config.out_dir / "sem_report.txt").write_text(

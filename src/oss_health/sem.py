@@ -7,7 +7,8 @@ Models are written in a small text language::
     forks      ~~ stars                        # residual covariance
 
 Estimation minimises the maximum-likelihood covariance-structure
-discrepancy.  The covariance implied by a parameter vector comes from the
+discrepancy by Fisher scoring on the analytic Jacobian of the implied
+covariance.  The covariance implied by a parameter vector comes from the
 path-matrix formulation ``Sigma = F (I - A)^-1 S (I - A)^-T F^T`` where
 ``A`` holds directed coefficients, ``S`` the variances and covariances of
 exogenous terms, and ``F`` selects observed variables.
@@ -25,8 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .factor import FitStatistics, fit_indices
 
@@ -293,6 +293,30 @@ class _Layout:
         sigma, _, _ = _implied_from_matrices(A, S, self.p)
         return (sigma + sigma.T) / 2
 
+    def delta(self, A: np.ndarray, S: np.ndarray) -> np.ndarray:
+        """(q, p, p) stack of dSigma/dtheta_k, in free-parameter order."""
+        _, B, G = _implied_from_matrices(A, S, self.p)
+        out = np.empty((len(self.free), self.p, self.p))
+        # A-cell (i, j): dG = G[:, i] B[j, :], so dSigma = dG S G^T + transpose
+        rows, cols = self.a_cells
+        d = G[:, rows].T[:, :, None] * (B @ S @ G.T)[cols, None, :]
+        out[self.a_free] = d + d.transpose(0, 2, 1)
+        # S-cell (i, j) sets both symmetric cells off the diagonal
+        rows, cols = self.s_cells
+        d = G[:, rows].T[:, :, None] * G[:, cols].T[:, None, :]
+        off = (rows != cols)[:, None, None]
+        out[self.s_free] = d + off * d.transpose(0, 2, 1)
+        return out
+
+    def information(self, theta: np.ndarray) -> np.ndarray:
+        """Expected Hessian of F_ML: H_ab = tr(Sigma^-1 D_a Sigma^-1 D_b)."""
+        A, S = self.matrices(theta)
+        sigma, _, _ = _implied_from_matrices(A, S, self.p)
+        # with Sigma = L L^T each term is <L^-1 D_a L^-T, L^-1 D_b L^-T>
+        root = np.linalg.inv(np.linalg.cholesky((sigma + sigma.T) / 2))
+        scaled = (root @ self.delta(A, S) @ root.T).reshape(len(self.free), -1)
+        return scaled @ scaled.T
+
 
 def _implied_from_matrices(
     A: np.ndarray, S: np.ndarray, p: int
@@ -339,6 +363,9 @@ class SemFit:
     converged: bool
     fmin: float
     n: int
+    iterations: int
+    evaluations: int
+    max_abs_gradient: float
 
 
 def _discrepancy_terms(S: np.ndarray) -> float:
@@ -418,25 +445,30 @@ def ml_gradient(model: SemModel, params: Mapping[str, float], S: np.ndarray) -> 
     return _evaluate(model, params, S)[1]
 
 
-def _numeric_hessian(func, theta: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central-difference Hessian from the analytic gradient."""
-    k = theta.size
-    H = np.zeros((k, k))
-    for i in range(k):
-        hi = np.zeros(k)
-        hi[i] = step
-        _, g_plus = func(theta + hi)
-        _, g_minus = func(theta - hi)
-        H[i] = (g_plus - g_minus) / (2 * step)
-    return (H + H.T) / 2
+# Fisher scoring: stopping rules, the convergence verdict and the
+# step-halving line search (see fit_ml)
+_GRADIENT_TOL = 1e-10
+_DECREASE_TOL = 1e-15
+CONVERGED_GRADIENT = 1e-6
+_MAX_ITERATIONS = 500
+_MAX_HALVINGS = 60
+_ARMIJO = 1e-4
 
 
 def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
     """Maximum-likelihood fit of a model to a sample covariance matrix.
 
-    Standard errors come from the inverse observed information,
-    (n - 1)/2 times the Hessian of F_ML at the estimate, with the Hessian
-    obtained by central differences of the analytic gradient.  Negative
+    F_ML is minimised by Fisher scoring (Lee & Jennrich 1979): each step
+    solves H step = grad, with H the expected Hessian of F_ML built from
+    the analytic Jacobian dSigma/dtheta (:meth:`_Layout.information`),
+    and is halved until F falls enough (Armijo).  Least squares solves
+    the system, so a singular H at the start values still gives a step.
+    Iteration stops when the largest absolute gradient entry is below
+    1e-10 or F falls by less than 1e-15; ``converged`` means that entry
+    is at most ``CONVERGED_GRADIENT`` (1e-6) at exit.
+
+    Standard errors come from the inverse expected information,
+    (n - 1)/2 times H at the estimate, as in lavaan's default.  Negative
     variance estimates are reported in ``heywood`` rather than prevented.
     """
     S = np.asarray(S, dtype=float)
@@ -450,39 +482,50 @@ def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
     if df < 0:
         raise SemSpecError(f"model is not identified: {n_free} free parameters, df = {df}")
 
-    theta0 = layout.vector(default_start_values(model, S))
-
     objective = _objective_factory(layout, S)
-    result = minimize(
-        objective,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 2000, "ftol": 1e-13, "gtol": 1e-10},
-    )
-    theta = result.x
-    fmin, _ = objective(theta)
+    theta = layout.vector(default_start_values(model, S))
+    fmin, grad = objective(theta)
+    iterations, evaluations = 0, 1
+    while iterations < _MAX_ITERATIONS and np.max(np.abs(grad)) >= _GRADIENT_TOL:
+        step = np.linalg.lstsq(layout.information(theta), grad, rcond=None)[0]
+        slope = float(grad @ step)
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = theta - alpha * step
+            value, trial_grad = objective(trial)
+            evaluations += 1
+            if value <= fmin - _ARMIJO * alpha * slope:
+                break
+            alpha /= 2
+        else:
+            break
+        iterations += 1
+        decrease = fmin - value
+        theta, fmin, grad = trial, value, trial_grad
+        if decrease < _DECREASE_TOL:
+            break
+    max_abs_gradient = float(np.max(np.abs(grad)))
 
     implied = layout.implied(theta)
 
-    # standard errors via observed information
-    H = _numeric_hessian(objective, theta)
-    info = max(n - 1, 1) / 2.0 * H
+    # standard errors via expected information
+    info = max(n - 1, 1) / 2.0 * layout.information(theta)
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(info)
     se_diag = np.diag(cov)
+    se = np.sqrt(np.where(se_diag > 0, se_diag, np.nan))
+    z = theta / se
+    p_values = 2 * ndtr(-np.abs(z))
 
     estimates: dict[str, ParamEstimate] = {}
     k = 0
     for prm in layout.params:
         if prm.free:
-            value = float(theta[k])
-            se = math.sqrt(se_diag[k]) if se_diag[k] > 0 else float("nan")
-            z = value / se if se and not math.isnan(se) and se > 0 else float("nan")
-            p_value = 2 * float(norm.sf(abs(z))) if not math.isnan(z) else float("nan")
-            estimates[prm.name] = ParamEstimate(value, se, z, p_value, True)
+            estimates[prm.name] = ParamEstimate(
+                float(theta[k]), float(se[k]), float(z[k]), float(p_values[k]), True
+            )
             k += 1
         else:
             estimates[prm.name] = ParamEstimate(
@@ -500,9 +543,12 @@ def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
         sample=S,
         fit=fit_indices(chi_square, df, chi_null, p * (p - 1) // 2, n, S, implied),
         heywood=[],
-        converged=bool(result.success),
+        converged=max_abs_gradient <= CONVERGED_GRADIENT,
         fmin=float(fmin),
         n=n,
+        iterations=iterations,
+        evaluations=evaluations,
+        max_abs_gradient=max_abs_gradient,
     )
     fit.heywood = detect_heywood(fit)
     try:

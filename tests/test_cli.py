@@ -439,6 +439,18 @@ class TestSem:
         assert report["comparison"]["delta_df"] == -1
         assert report["comparison"]["other_model_file"] == "health_reduced.sem"
 
+    def test_optimiser_diagnostics_for_both_fits(self, workspace):
+        write_synthetic_metrics(workspace / "out")
+        assert run(workspace, "sem", "--model", MODEL_FILE, "--compare", REDUCED_MODEL_FILE) == 0
+        report = json.loads((workspace / "out" / "sem_report.json").read_text())
+        for block in (report, report["comparison"]):
+            assert block["converged"]
+            assert isinstance(block["iterations"], int)
+            assert 1 <= block["iterations"] < block["evaluations"]
+            assert 0.0 <= block["max_abs_gradient"] <= 1e-6
+        # the reduced model is nested in the full one
+        assert 0.0 <= report["fmin"] <= report["comparison"]["fmin"]
+
     def test_comparison_fitted_in_its_own_indicator_order(self, workspace, tmp_path):
         write_synthetic_metrics(workspace / "out")
         lines = Path(REDUCED_MODEL_FILE).read_text(encoding="utf-8").splitlines()

@@ -12,7 +12,9 @@ from conftest import (
     sem_population_covariance,
 )
 from oss_health.sem import (
+    CONVERGED_GRADIENT,
     SemModel,
+    _Layout,
     SemParseError,
     SemSpecError,
     compare_models,
@@ -255,6 +257,83 @@ class TestGradient:
                 ) / (2 * eps)
                 scale = max(abs(numeric), 1.0)
                 assert abs(grad[idx] - numeric) / scale < 1e-4
+
+
+def _perturbed_thetas(layout, truth, count, seed):
+    rng = np.random.default_rng(seed)
+    base = layout.vector(truth)
+    return [base + rng.normal(0, 0.05, base.size) for _ in range(count)]
+
+
+class TestJacobian:
+    @pytest.mark.parametrize(
+        "text, truth",
+        [(SMALL_MODEL, SMALL_TRUE), (SEM_MODEL_TEXT, sem_generator_params())],
+        ids=["small", "reference"],
+    )
+    def test_delta_matches_central_differences(self, text, truth):
+        layout = _Layout(parse_model(text))
+        eps = 1e-6
+        for theta in _perturbed_thetas(layout, truth, 10, seed=23):
+            delta = layout.delta(*layout.matrices(theta))
+            for k in range(theta.size):
+                step = np.zeros_like(theta)
+                step[k] = eps
+                numeric = (layout.implied(theta + step) - layout.implied(theta - step)) / (2 * eps)
+                assert np.max(np.abs(delta[k] - numeric)) < 1e-6
+
+    def test_information_is_the_hessian_at_a_perfect_fit(self):
+        # at S = Sigma(theta) the observed and expected information agree
+        model = parse_model(SMALL_MODEL)
+        layout = _Layout(model)
+        theta = layout.vector(SMALL_TRUE)
+        sigma = layout.implied(theta)
+        names = [prm.name for prm in layout.free]
+        eps = 1e-6
+        numeric = np.empty((theta.size, theta.size))
+        for k in range(theta.size):
+            plus = dict(zip(names, theta))
+            minus = dict(plus)
+            plus[names[k]] += eps
+            minus[names[k]] -= eps
+            numeric[k] = (ml_gradient(model, plus, sigma) - ml_gradient(model, minus, sigma)) / (
+                2 * eps
+            )
+        assert np.max(np.abs(layout.information(theta) - numeric)) < 1e-6
+
+
+SAMPLING_SEEDS = 100
+
+
+@pytest.fixture(scope="module")
+def sampled_fits():
+    """Full and reduced fits on the acceptance criteria's sampling, n = 384."""
+    full = parse_model(SEM_MODEL_TEXT)
+    reduced = parse_model(SEM_REDUCED_MODEL_TEXT)
+    chol = np.linalg.cholesky(sem_population_covariance())
+    fits = []
+    for seed in range(SAMPLING_SEEDS):
+        rng = np.random.default_rng(seed)
+        S = np.cov(rng.standard_normal((384, 11)) @ chol.T, rowvar=False)
+        fits.append((fit_ml(full, S, 384), fit_ml(reduced, S, 384)))
+    return fits
+
+
+class TestOptimiser:
+    def test_every_sampled_fit_converges_and_nesting_holds(self, sampled_fits):
+        for seed, (full, reduced) in enumerate(sampled_fits):
+            for fit in (full, reduced):
+                assert fit.converged, seed
+                assert fit.max_abs_gradient <= CONVERGED_GRADIENT
+                assert 1 <= fit.iterations < fit.evaluations
+            assert full.fmin <= reduced.fmin + 1e-10, seed
+
+    def test_path_standard_errors_match_monte_carlo_spread(self, sampled_fits):
+        for name in SEM_PATHS:
+            values = np.array([full.estimates[name].value for full, _ in sampled_fits])
+            ses = np.array([full.estimates[name].se for full, _ in sampled_fits])
+            ratio = ses.mean() / values.std(ddof=1)
+            assert abs(ratio - 1.0) <= 0.15, (name, ratio)
 
 
 class TestHeywood:
