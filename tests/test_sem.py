@@ -14,9 +14,9 @@ from conftest import (
 from oss_health.sem import (
     CONVERGED_GRADIENT,
     SemModel,
-    _Layout,
     SemParseError,
     SemSpecError,
+    _Layout,
     compare_models,
     detect_heywood,
     fit_indices,
@@ -259,12 +259,6 @@ class TestGradient:
                 assert abs(grad[idx] - numeric) / scale < 1e-4
 
 
-def _perturbed_thetas(layout, truth, count, seed):
-    rng = np.random.default_rng(seed)
-    base = layout.vector(truth)
-    return [base + rng.normal(0, 0.05, base.size) for _ in range(count)]
-
-
 class TestJacobian:
     @pytest.mark.parametrize(
         "text, truth",
@@ -273,8 +267,10 @@ class TestJacobian:
     )
     def test_delta_matches_central_differences(self, text, truth):
         layout = _Layout(parse_model(text))
+        rng = np.random.default_rng(23)
         eps = 1e-6
-        for theta in _perturbed_thetas(layout, truth, 10, seed=23):
+        for _ in range(10):
+            theta = layout.vector(truth) + rng.normal(0, 0.05, len(layout.free))
             delta = layout.delta(*layout.matrices(theta))
             for k in range(theta.size):
                 step = np.zeros_like(theta)
@@ -302,9 +298,6 @@ class TestJacobian:
         assert np.max(np.abs(layout.information(theta) - numeric)) < 1e-6
 
 
-SAMPLING_SEEDS = 100
-
-
 @pytest.fixture(scope="module")
 def sampled_fits():
     """Full and reduced fits on the acceptance criteria's sampling, n = 384."""
@@ -312,7 +305,7 @@ def sampled_fits():
     reduced = parse_model(SEM_REDUCED_MODEL_TEXT)
     chol = np.linalg.cholesky(sem_population_covariance())
     fits = []
-    for seed in range(SAMPLING_SEEDS):
+    for seed in range(100):
         rng = np.random.default_rng(seed)
         S = np.cov(rng.standard_normal((384, 11)) @ chol.T, rowvar=False)
         fits.append((fit_ml(full, S, 384), fit_ml(reduced, S, 384)))
