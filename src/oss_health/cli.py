@@ -438,6 +438,7 @@ def _efa_block(matrix: dataset.MetricMatrix, config: PipelineConfig) -> dict:
         "proportion_explained": rotated.proportion_explained.tolist(),
         "converged": rotated.converged,
         "iterations": rotated.iterations,
+        "max_abs_gradient": rotated.max_abs_gradient,
         "floored": [names[i] for i in rotated.floored],
         "fit": stats.as_dict(),
         "assignment": {str(k): v for k, v in assignment.items()},

@@ -149,26 +149,29 @@ def reverse_score(values: np.ndarray) -> np.ndarray:
     return np.nanmax(values) + np.nanmin(values) - values
 
 
-def impute_mean(matrix: MetricMatrix, column: str) -> MetricMatrix:
-    """Replace absent cells in one column by the mean of present cells."""
-    values = matrix.values.copy()
-    col = values[:, matrix.column_index(column)]
+def _fill_with_mean(col: np.ndarray, column: str) -> None:
+    """Replace absent cells of ``col`` in place by the mean of its present cells."""
     missing = np.isnan(col)
     if missing.all():
         raise ValueError(f"column {column!r} has no present values to impute from")
     col[missing] = col[~missing].mean()
+
+
+def impute_mean(matrix: MetricMatrix, column: str) -> MetricMatrix:
+    """Replace absent cells in one column by the mean of present cells."""
+    values = matrix.values.copy()
+    _fill_with_mean(values[:, matrix.column_index(column)], column)
     return MetricMatrix(list(matrix.row_labels), list(matrix.column_names), values)
 
 
 def prepare(matrix: MetricMatrix) -> MetricMatrix:
     """Impute every column, then reverse-score those in ``REVERSE_SCORED_COLUMNS``."""
-    out = matrix
-    for name in matrix.column_names:
-        out = impute_mean(out, name)
-    for j, name in enumerate(out.column_names):
+    values = matrix.values.copy()
+    for j, name in enumerate(matrix.column_names):
+        _fill_with_mean(values[:, j], name)
         if name in REVERSE_SCORED_COLUMNS:
-            out.values[:, j] = reverse_score(out.values[:, j])
-    return out
+            values[:, j] = reverse_score(values[:, j])
+    return MetricMatrix(list(matrix.row_labels), list(matrix.column_names), values)
 
 
 # ---------------------------------------------------------------------------

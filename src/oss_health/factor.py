@@ -2,7 +2,8 @@
 
 Maximum-likelihood extraction profiles the loadings out by
 eigendecomposition at each value of the uniquenesses and optimises the
-uniquenesses on an unconstrained log scale with a quasi-Newton method.
+uniquenesses on a log scale by Fisher scoring with an active set (Newton
+steps on the exact Hessian where it is positive definite).
 Uniquenesses are floored at 0.005 to keep the EFA side free of Heywood
 collapse; hitting the floor is reported on the solution.
 """
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 PSI_FLOOR = 0.005
 #: Per-rank quantile of the simulated eigenvalues that parallel analysis
@@ -173,9 +173,10 @@ class FactorSolution:
     ss_loadings: np.ndarray  # m
     cumulative_variance: np.ndarray  # m
     proportion_explained: np.ndarray  # m
-    method: str  # "ml" | "principal_axis"
+    method: str  # "ml"
     converged: bool
     iterations: int
+    max_abs_gradient: float  # over the uniquenesses not held at a bound
     floored: list[int] = field(default_factory=list)  # indices at the psi floor
 
 
@@ -221,9 +222,9 @@ def apply_sign_convention(loadings: np.ndarray, rotation: np.ndarray | None = No
 def _make_solution(
     loadings: np.ndarray,
     uniquenesses: np.ndarray,
-    method: str,
     converged: bool,
     iterations: int,
+    max_abs_gradient: float,
     floored: list[int] | None = None,
     rotation: np.ndarray | None = None,
 ) -> FactorSolution:
@@ -241,9 +242,10 @@ def _make_solution(
         ss_loadings=ss,
         cumulative_variance=cumulative,
         proportion_explained=proportion,
-        method=method,
+        method="ml",
         converged=converged,
         iterations=iterations,
+        max_abs_gradient=max_abs_gradient,
         floored=floored or [],
     )
 
@@ -327,13 +329,16 @@ def _check_model_size(p: int, m: int) -> None:
         raise IdentificationError(f"{m} factors on {p} variables: df = {df} < 0")
 
 
-def _loadings_from_psi(R: np.ndarray, psi: np.ndarray, m: int) -> np.ndarray:
+def _loadings_from_psi(
+    R: np.ndarray, psi: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Loadings that minimise F at fixed uniquenesses, with the ascending
+    eigenvalues and eigenvectors of Psi^-1/2 R Psi^-1/2 they come from."""
     sc = 1.0 / np.sqrt(psi)
-    Rs = R * np.outer(sc, sc)
-    vals, vecs = np.linalg.eigh(Rs)
+    vals, vecs = np.linalg.eigh(R * np.outer(sc, sc))
     top = slice(-1, -m - 1, -1)
     lam = np.sqrt(np.maximum(vals[top] - 1.0, 0.0))
-    return np.sqrt(psi)[:, None] * vecs[:, top] * lam[None, :]
+    return np.sqrt(psi)[:, None] * vecs[:, top] * lam[None, :], vals, vecs
 
 
 def _profiled_objective(R: np.ndarray, psi: np.ndarray, m: int) -> float:
@@ -345,8 +350,61 @@ def _profiled_objective(R: np.ndarray, psi: np.ndarray, m: int) -> float:
     return float(np.sum(tail - np.log(tail)) - (len(psi) - m))
 
 
+def _curvatures(vals: np.ndarray, vecs: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(exact Hessian, expected information) of the profiled F in log psi.
+
+    ``vals``/``vecs`` are the ascending eigenpairs of Psi^-1/2 R Psi^-1/2:
+    W and g the p - m smallest, whose terms g - log g - 1 make up F, and V
+    and u the m largest.  The expected information (M o M) psi psi', with
+    M = Sigma^-1 - Sigma^-1 L (L' Sigma^-1 L)^-1 L' Sigma^-1, is (W W') o
+    (W W') in this basis (Jennrich & Robinson 1969).  The exact Hessian is
+    (W diag(g) W') o (W W') plus, for each pair k of W and l of V,
+    (g_k - 1)(g_k + u_l)/(g_k - u_l) (w_k o v_l)(w_k o v_l)'; it equals
+    the information where the model fits exactly (every g_k = 1).
+    """
+    p = vals.size
+    W, g = vecs[:, : p - m], vals[: p - m]
+    V, u = vecs[:, p - m :], vals[p - m :]
+    P = W @ W.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        C = (g[:, None] - 1.0) * (g[:, None] + u) / (g[:, None] - u)
+    X = (W[:, :, None] * V[:, None, :]).reshape(p, -1)
+    hessian = (W * g) @ W.T * P + (X * C.ravel()) @ X.T
+    return hessian, P * P
+
+
+def _positive_definite(H: np.ndarray) -> bool:
+    if not np.isfinite(H).all():
+        return False
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+# efa_ml's stopping rules, convergence verdict and step-halving line search
+_GRADIENT_TOL = 1e-10
+_DECREASE_TOL = 1e-15
+CONVERGED_GRADIENT = 1e-6
+_MAX_ITERATIONS = 500
+_MAX_HALVINGS = 60
+_ARMIJO = 1e-4
+
+
 def efa_ml(R: np.ndarray, n: int, m: int) -> tuple[FactorSolution, FitStatistics]:
     """Maximum-likelihood factor extraction on a correlation matrix.
+
+    The loadings are profiled out (:func:`_loadings_from_psi`) and F is
+    minimised over log psi in the box [log ``PSI_FLOOR``, 0].  Each step
+    solves H step = grad on the free uniquenesses, with H the exact
+    Hessian where it is positive definite there and the expected
+    information otherwise (Fisher scoring; Jennrich & Robinson 1969,
+    Joreskog 1967), and is clipped to the box and halved until F falls
+    enough (Armijo).  A uniqueness at a bound whose gradient points out of
+    the box is not free.  Iteration stops when the largest free gradient
+    entry is below 1e-10 or F falls by less than 1e-15; ``converged``
+    means that entry is at most ``CONVERGED_GRADIENT`` (1e-6) at exit.
 
     Returns the unrotated solution together with chi-square based fit
     statistics (Bartlett-corrected) and BIC = chi^2 - df*log(n).
@@ -355,42 +413,45 @@ def efa_ml(R: np.ndarray, n: int, m: int) -> tuple[FactorSolution, FitStatistics
     p = R.shape[0]
     _check_model_size(p, m)
 
+    lower, upper = math.log(PSI_FLOOR), 0.0
     start = (1.0 - 0.5 * m / p) / np.diag(np.linalg.inv(R))
-    start = np.clip(start, PSI_FLOOR, 1.0)
-
-    def objective(log_psi: np.ndarray) -> tuple[float, np.ndarray]:
+    log_psi = np.log(np.clip(start, PSI_FLOOR, 1.0))
+    fmin = _profiled_objective(R, np.exp(log_psi), m)
+    iterations, stalled = 0, False
+    while True:
         psi = np.exp(log_psi)
-        value = _profiled_objective(R, psi, m)
-        if not np.isfinite(value):
-            return 1e10, np.zeros_like(log_psi)
-        L = _loadings_from_psi(R, psi, m)
-        grad = np.diag(L @ L.T + np.diag(psi) - R) / psi
-        return value, grad
+        loadings, vals, vecs = _loadings_from_psi(R, psi, m)
+        grad = ((loadings**2).sum(axis=1) + psi - np.diag(R)) / psi
+        free = ~(((log_psi <= lower) & (grad > 0)) | ((log_psi >= upper) & (grad < 0)))
+        max_abs_gradient = float(np.abs(grad[free]).max(initial=0.0))
+        if stalled or iterations == _MAX_ITERATIONS or max_abs_gradient < _GRADIENT_TOL:
+            break
+        hessian, information = _curvatures(vals, vecs, m)
+        H = hessian[np.ix_(free, free)]
+        if not _positive_definite(H):
+            H = information[np.ix_(free, free)]
+        step = np.zeros(p)
+        step[free] = np.linalg.lstsq(H, grad[free], rcond=None)[0]
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = np.clip(log_psi - alpha * step, lower, upper)
+            value = _profiled_objective(R, np.exp(trial), m)
+            if value <= fmin - _ARMIJO * float(grad @ (log_psi - trial)):
+                break
+            alpha /= 2
+        else:
+            break
+        iterations += 1
+        stalled = fmin - value < _DECREASE_TOL
+        log_psi, fmin = trial, value
 
-    result = minimize(
-        objective,
-        np.log(start),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(math.log(PSI_FLOOR), 0.0)] * p,
-        options={"maxiter": 1000, "ftol": 1e-12, "gtol": 1e-9},
-    )
-    psi = np.exp(result.x)
-    loadings = _loadings_from_psi(R, psi, m)
-    fmin = _profiled_objective(R, psi, m)
-    floored = np.flatnonzero(psi <= PSI_FLOOR * (1 + 1e-9)).tolist()
-    # a stalled line search at an already-stationary point still counts
-    _, final_grad = objective(result.x)
-    free = np.ones(p, dtype=bool)
-    free[floored] = False
-    converged = bool(result.success) or float(np.abs(final_grad[free]).max(initial=0.0)) < 1e-6
     solution = _make_solution(
         loadings,
         psi,
-        method="ml",
-        converged=converged,
-        iterations=int(result.nit),
-        floored=floored,
+        converged=max_abs_gradient <= CONVERGED_GRADIENT,
+        iterations=iterations,
+        max_abs_gradient=max_abs_gradient,
+        floored=np.flatnonzero(psi <= PSI_FLOOR * (1 + 1e-9)).tolist(),
     )
     implied = solution.loadings @ solution.loadings.T + np.diag(psi)
     # Bartlett-corrected chi-squares; the null model is the identity
@@ -399,37 +460,6 @@ def efa_ml(R: np.ndarray, n: int, m: int) -> tuple[FactorSolution, FitStatistics
     sign, logdet = np.linalg.slogdet(R)
     chi_null = max(n - 1 - (2 * p + 5) / 6, 0.0) * (-logdet if sign > 0 else float("inf"))
     return solution, fit_indices(chi_square, df, chi_null, p * (p - 1) // 2, n, R, implied)
-
-
-def efa_principal_axis(R: np.ndarray, m: int) -> FactorSolution:
-    """Iterated principal-axis extraction seeded with SMC communalities."""
-    R = np.asarray(R, dtype=float)
-    p = R.shape[0]
-    _check_model_size(p, m)
-    h2 = np.clip(squared_multiple_correlations(R), 0.0, 1.0)
-    loadings = np.zeros((p, m))
-    converged = False
-    iteration = 0
-    for iteration in range(1, 201):
-        reduced = R.copy()
-        np.fill_diagonal(reduced, h2)
-        vals, vecs = np.linalg.eigh(reduced)
-        top = slice(-1, -m - 1, -1)
-        lam = np.sqrt(np.maximum(vals[top], 0.0))
-        loadings = vecs[:, top] * lam[None, :]
-        h2_new = (loadings**2).sum(axis=1)
-        if np.max(np.abs(h2_new - h2)) < 1e-6:
-            h2 = h2_new
-            converged = True
-            break
-        h2 = h2_new
-    return _make_solution(
-        loadings,
-        1.0 - h2,
-        method="principal_axis",
-        converged=converged,
-        iterations=iteration,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +525,9 @@ def rotate_solution(solution: FactorSolution) -> FactorSolution:
     return _make_solution(
         L @ rotation,
         solution.uniquenesses.copy(),
-        method=solution.method,
         converged=solution.converged,
         iterations=solution.iterations,
+        max_abs_gradient=solution.max_abs_gradient,
         floored=list(solution.floored),
         rotation=solution.rotation @ rotation,
     )

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .factor import FitStatistics, fit_indices
 
@@ -445,6 +444,11 @@ def ml_gradient(model: SemModel, params: Mapping[str, float], S: np.ndarray) -> 
     return _evaluate(model, params, S)[1]
 
 
+def two_sided_p(z: float) -> float:
+    """Two-sided normal tail probability P(|Z| >= |z|), NaN for NaN."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
+
+
 # Fisher scoring: stopping rules, the convergence verdict and the
 # step-halving line search (see fit_ml)
 _GRADIENT_TOL = 1e-10
@@ -517,14 +521,13 @@ def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
     se_diag = np.diag(cov)
     se = np.sqrt(np.where(se_diag > 0, se_diag, np.nan))
     z = theta / se
-    p_values = 2 * ndtr(-np.abs(z))
 
     estimates: dict[str, ParamEstimate] = {}
     k = 0
     for prm in layout.params:
         if prm.free:
             estimates[prm.name] = ParamEstimate(
-                float(theta[k]), float(se[k]), float(z[k]), float(p_values[k]), True
+                float(theta[k]), float(se[k]), float(z[k]), two_sided_p(float(z[k])), True
             )
             k += 1
         else:

@@ -3,6 +3,10 @@
 import csv
 import gzip
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +391,10 @@ class TestEfa:
             block = report[name]
             assert isinstance(block["iterations"], int) and block["iterations"] >= 1
             assert set(block["floored"]) <= set(block["columns"])
+            gradient = block["max_abs_gradient"]
+            assert isinstance(gradient, float) and math.isfinite(gradient)
+            if block["converged"]:
+                assert gradient <= 1e-6
 
     def test_constant_column_is_user_error(self, workspace, caplog):
         out = workspace / "out"
@@ -532,3 +540,41 @@ class TestEntryPoint:
 
     def test_missing_config_file_exits_one(self):
         assert cli.main(["efa", "--config", "/no/such/file.cfg"]) == 1
+
+
+#: Blocks every scipy import, then runs the efa and sem stages on argv's files.
+SCIPY_BLOCKED_RUN = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from oss_health import cli
+
+out, model, reduced = sys.argv[1:]
+assert cli.main(["efa", "--cross-validate", "--out", out]) == 0
+assert cli.main(["sem", "--model", model, "--compare", reduced, "--out", out]) == 0
+loaded = sorted(name for name in sys.modules if name.startswith("scipy"))
+assert not loaded, loaded
+"""
+
+
+def test_efa_and_sem_run_without_scipy(tmp_path):
+    write_synthetic_metrics(tmp_path)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED_RUN, str(tmp_path),
+         str(root / MODEL_FILE), str(root / REDUCED_MODEL_FILE)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "efa_report.json").is_file() and (tmp_path / "sem_report.json").is_file()

@@ -12,7 +12,12 @@ from conftest import (
     efa_population_correlation,
 )
 from oss_health.factor import (
+    CONVERGED_GRADIENT,
+    PSI_FLOOR,
     IdentificationError,
+    _curvatures,
+    _loadings_from_psi,
+    _profiled_objective,
     align_columns,
     assign_indicators,
     comparative_fit_index,
@@ -20,7 +25,6 @@ from oss_health.factor import (
     cronbach_alpha,
     efa_fit_indices,
     efa_ml,
-    efa_principal_axis,
     eigenvalues,
     mcdonald_omega,
     parallel_analysis,
@@ -172,11 +176,70 @@ class TestEfaMl:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((384, 9)) @ np.linalg.cholesky(efa_population_correlation()).T
         R = correlation_matrix(X)
-        _, fit = efa_ml(R, n=384, m=1)  # deliberately under-factored
+        solution, fit = efa_ml(R, n=384, m=1)  # deliberately under-factored
+        assert solution.converged and solution.iterations <= 50
         p, m = 9, 1
         assert fit.df == ((p - m) ** 2 - p - m) // 2
         assert fit.chi_square > fit.df  # misfit shows up
         assert fit.bic == pytest.approx(fit.chi_square - fit.df * math.log(384))
+
+    def test_criterion_one_samples_converge_in_few_iterations(self):
+        L = np.linalg.cholesky(efa_population_correlation())
+        for seed in range(100):
+            X = np.random.default_rng(seed).standard_normal((384, 9)) @ L.T
+            solution, _ = efa_ml(correlation_matrix(X), n=384, m=2)
+            assert solution.converged, seed
+            assert solution.max_abs_gradient <= CONVERGED_GRADIENT, seed
+            assert 1 <= solution.iterations <= 30, seed
+
+    @pytest.mark.parametrize("seed, m", [(0, 2), (1, 2), (2, 1), (3, 1)])
+    def test_no_free_uniqueness_move_lowers_f(self, seed, m):
+        X = np.random.default_rng(seed).standard_normal((384, 9))
+        R = correlation_matrix(X @ np.linalg.cholesky(efa_population_correlation()).T)
+        solution, _ = efa_ml(R, n=384, m=m)
+        psi = solution.uniquenesses
+        fmin = _profiled_objective(R, psi, m)
+        for i in set(range(9)) - set(solution.floored):
+            for h in (1e-4, -1e-4):
+                moved = psi.copy()
+                moved[i] *= math.exp(h)
+                if moved[i] <= 1.0:
+                    assert _profiled_objective(R, moved, m) > fmin, (i, h)
+
+    def test_heywood_variable_is_floored_and_converges(self):
+        # variable 0 has loading 1, so its ML uniqueness is 0, below the floor
+        L = np.array([[1.0], [0.8], [0.7], [0.6], [0.5], [0.4]])
+        R = L @ L.T
+        np.fill_diagonal(R, 1.0)
+        solution, _ = efa_ml(R, n=384, m=1)
+        assert solution.floored == [0]
+        assert solution.uniquenesses[0] == pytest.approx(PSI_FLOOR)
+        assert solution.converged
+        assert solution.max_abs_gradient <= CONVERGED_GRADIENT
+
+    def test_curvatures_match_finite_differences_and_closed_form(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((384, 9)) @ np.linalg.cholesky(efa_population_correlation()).T
+        R = correlation_matrix(X)
+        log_psi = np.log(rng.uniform(0.3, 0.8, 9))
+
+        def gradient(x):
+            psi = np.exp(x)
+            loadings = _loadings_from_psi(R, psi, 2)[0]
+            return ((loadings**2).sum(axis=1) + psi - 1.0) / psi
+
+        psi = np.exp(log_psi)
+        loadings, vals, vecs = _loadings_from_psi(R, psi, 2)
+        hessian, information = _curvatures(vals, vecs, 2)
+        steps = 1e-5 * np.eye(9)
+        numeric = np.column_stack(
+            [(gradient(log_psi + e) - gradient(log_psi - e)) / 2e-5 for e in steps]
+        )
+        assert np.allclose(hessian, numeric, atol=1e-8)
+        sigma_inv = np.linalg.inv(loadings @ loadings.T + np.diag(psi))
+        SL = sigma_inv @ loadings
+        M = sigma_inv - SL @ np.linalg.solve(loadings.T @ SL, SL.T)
+        assert np.allclose(information, M * M * np.outer(psi, psi), atol=1e-12)
 
     def test_doublet_exclusion_lowers_bic(self):
         # 9 generator variables plus an isolated response-time doublet:
@@ -192,26 +255,6 @@ class TestEfaMl:
         _, fit_full = efa_ml(R_full, n=384, m=2)
         _, fit_excl = efa_ml(R_full[:9, :9], n=384, m=2)
         assert fit_excl.bic < fit_full.bic
-
-
-class TestPrincipalAxis:
-    def test_zero_residual_recovery(self):
-        solution = efa_principal_axis(one_factor_population(), m=1)
-        assert np.allclose(solution.loadings[:, 0], 0.8, atol=1e-3)
-        assert solution.converged
-
-    def test_identity_has_no_common_variance(self):
-        solution = efa_principal_axis(np.eye(6), m=1)
-        assert np.all(np.abs(solution.loadings) < 0.05)
-
-    def test_agrees_with_ml_on_simulated_data(self):
-        rng = np.random.default_rng(12)
-        X = rng.standard_normal((384, 9)) @ np.linalg.cholesky(efa_population_correlation()).T
-        R = correlation_matrix(X)
-        ml = rotate_solution(efa_ml(R, n=384, m=2)[0])
-        paf = rotate_solution(efa_principal_axis(R, m=2))
-        aligned = align_columns(ml.loadings, paf.loadings)
-        assert np.max(np.abs(aligned - ml.loadings)) < 0.05
 
 
 class TestVarimax:

@@ -1,5 +1,7 @@
 """Model language, covariance structure, ML estimation, and diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from oss_health.sem import (
     ml_gradient,
     parse_model,
     standardize,
+    two_sided_p,
 )
 
 SMALL_MODEL = """
@@ -212,6 +215,17 @@ class TestFitMl:
         assert est.z == pytest.approx(est.value / est.se)
         assert 0.0 <= est.p_value <= 1.0
         assert est.p_value < 0.001  # a 0.5 path at n=384 is unmissable
+
+
+def test_two_sided_p():
+    assert two_sided_p(1.959963984540054) == pytest.approx(0.05, abs=1e-15)
+    assert two_sided_p(0.0) == 1.0
+    assert two_sided_p(-1.0) == two_sided_p(1.0)
+    # the tail stays resolved where 1 - Phi(|z|) would have cancelled to 0;
+    # at |z| = 40 it is 7e-350, below the smallest double, and reads 0
+    assert two_sided_p(37.0) > 0.0
+    assert two_sided_p(40.0) == 0.0
+    assert math.isnan(two_sided_p(float("nan")))
 
 
 class TestStandardize:
