@@ -424,9 +424,9 @@ def _efa_block(matrix: dataset.MetricMatrix, config: PipelineConfig) -> dict:
             "observed_eigenvalues": pa.observed_eigenvalues.tolist(),
             "simulated_mean_eigenvalues": pa.simulated_mean_eigenvalues.tolist(),
             "simulated_quantile_eigenvalues": pa.simulated_quantile_eigenvalues.tolist(),
-            "quantile": pa.quantile,
-            "basis": pa.basis,
-            "comparison": pa.comparison,
+            "quantile": factor.PA_QUANTILE,
+            "basis": "reduced",
+            "comparison": "quantile",
             "suggested_factors": pa.suggested_factors,
         },
         "scree_eigenvalues": factor.eigenvalues(R).tolist(),

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import EFA_COLUMNS, METRICS_COLUMNS, ProjectMetrics
+from .metrics import EFA_COLUMNS, ProjectMetrics
 from .projects import RepoResolution, ResolutionStatus
 
 #: Columns where a larger raw value means "less healthy"; flipped so that
@@ -149,56 +149,23 @@ def reverse_score(values: np.ndarray) -> np.ndarray:
     return np.nanmax(values) + np.nanmin(values) - values
 
 
-def _fill_with_mean(col: np.ndarray, column: str) -> None:
-    """Replace absent cells of ``col`` in place by the mean of its present cells."""
-    missing = np.isnan(col)
-    if missing.all():
-        raise ValueError(f"column {column!r} has no present values to impute from")
-    col[missing] = col[~missing].mean()
-
-
-def impute_mean(matrix: MetricMatrix, column: str) -> MetricMatrix:
-    """Replace absent cells in one column by the mean of present cells."""
-    values = matrix.values.copy()
-    _fill_with_mean(values[:, matrix.column_index(column)], column)
-    return MetricMatrix(list(matrix.row_labels), list(matrix.column_names), values)
-
-
 def prepare(matrix: MetricMatrix) -> MetricMatrix:
-    """Impute every column, then reverse-score those in ``REVERSE_SCORED_COLUMNS``."""
+    """Fill absent cells with their column's mean, then reverse-score the
+    columns in ``REVERSE_SCORED_COLUMNS``; a column with none present fails."""
     values = matrix.values.copy()
     for j, name in enumerate(matrix.column_names):
-        _fill_with_mean(values[:, j], name)
+        col = values[:, j]
+        missing = np.isnan(col)
+        if missing.all():
+            raise ValueError(f"column {name!r} has no present values to impute from")
+        col[missing] = col[~missing].mean()
         if name in REVERSE_SCORED_COLUMNS:
-            values[:, j] = reverse_score(values[:, j])
+            values[:, j] = reverse_score(col)
     return MetricMatrix(list(matrix.row_labels), list(matrix.column_names), values)
 
 
 # ---------------------------------------------------------------------------
-# description and splitting
-
-
-def describe(matrix: MetricMatrix) -> dict[str, dict[str, float]]:
-    """Per-column mean, sd (n-1), min, Q1, median, Q3, max.
-
-    Quartiles use linear interpolation between order statistics.
-    """
-    if len(matrix.row_labels) < 2:
-        raise ValueError("describe requires at least two rows for the sd")
-    stats: dict[str, dict[str, float]] = {}
-    for j, name in enumerate(matrix.column_names):
-        col = matrix.values[:, j]
-        q1, q2, q3 = np.quantile(col, [0.25, 0.5, 0.75])
-        stats[name] = {
-            "mean": float(col.mean()),
-            "sd": float(col.std(ddof=1)),
-            "min": float(col.min()),
-            "q1": float(q1),
-            "median": float(q2),
-            "q3": float(q3),
-            "max": float(col.max()),
-        }
-    return stats
+# splitting
 
 
 def split(
@@ -225,14 +192,6 @@ def split(
 
 # ---------------------------------------------------------------------------
 # persistence
-
-
-def write_matrix_csv(matrix: MetricMatrix, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["project"] + matrix.column_names)
-        for label, row in zip(matrix.row_labels, matrix.values):
-            writer.writerow([label] + ["" if np.isnan(v) else repr(float(v)) for v in row])
 
 
 def read_matrix_csv(path: str | Path) -> MetricMatrix:

@@ -2,8 +2,10 @@
 
 Maximum-likelihood extraction profiles the loadings out by
 eigendecomposition at each value of the uniquenesses and optimises the
-uniquenesses on a log scale by Fisher scoring with an active set (Newton
-steps on the exact Hessian where it is positive definite).
+uniquenesses on a log scale with :func:`newton_minimise`, the
+step-halving Newton minimiser with an active set that ``sem.fit_ml``
+also uses (here on the exact Hessian where it is positive definite and
+the expected information otherwise).
 Uniquenesses are floored at 0.005 to keep the EFA side free of Heywood
 collapse; hitting the floor is reported on the solution.
 """
@@ -13,11 +15,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 PSI_FLOOR = 0.005
+#: Random normal datasets that parallel analysis simulates.
+PA_SIMULATIONS = 100
 #: Per-rank quantile of the simulated eigenvalues that parallel analysis
 #: takes as its retention threshold.
 PA_QUANTILE = 0.995
@@ -47,15 +51,15 @@ def correlation_matrix(X: np.ndarray, names: Sequence[str] | None = None) -> np.
     return (R + R.T) / 2
 
 
-def _noise_correlations(n: int, p: int, n_sims: int, seed: int) -> np.ndarray:
-    """Correlation matrices of ``n_sims`` standard-normal n-by-p draws, stacked.
+def _noise_correlations(n: int, p: int, seed: int) -> np.ndarray:
+    """Correlation matrices of ``PA_SIMULATIONS`` standard-normal n-by-p draws, stacked.
 
     Draw i is what ``default_rng(child).standard_normal((n, p))`` gives for
     the i-th child of ``SeedSequence(seed)``; the draws are written into one
-    (n_sims, n, p) array and reduced to correlations in batched operations.
+    (PA_SIMULATIONS, n, p) array and reduced to correlations in batched operations.
     """
-    noise = np.empty((n_sims, n, p))
-    for child, out in zip(np.random.SeedSequence(seed).spawn(n_sims), noise):
+    noise = np.empty((PA_SIMULATIONS, n, p))
+    for child, out in zip(np.random.SeedSequence(seed).spawn(PA_SIMULATIONS), noise):
         np.random.default_rng(child).standard_normal(out=out)
     noise -= noise.mean(axis=1, keepdims=True)
     R = np.swapaxes(noise, 1, 2) @ noise
@@ -96,10 +100,7 @@ class ParallelAnalysisResult:
     observed_eigenvalues: np.ndarray
     simulated_mean_eigenvalues: np.ndarray
     simulated_quantile_eigenvalues: np.ndarray
-    quantile: float
     suggested_factors: int
-    basis: str  # "full" | "reduced"
-    comparison: str  # "mean" | "quantile"
 
 
 def _suggest(observed: np.ndarray, threshold: np.ndarray) -> int:
@@ -112,51 +113,32 @@ def _suggest(observed: np.ndarray, threshold: np.ndarray) -> int:
     return count
 
 
-def parallel_analysis(
-    X: np.ndarray,
-    n_sims: int = 100,
-    seed: int = 0,
-    basis: str = "reduced",
-    comparison: str = "quantile",
-) -> ParallelAnalysisResult:
+def parallel_analysis(X: np.ndarray, seed: int = 0) -> ParallelAnalysisResult:
     """Factor-count suggestion against eigenvalues of random normal data.
 
-    Simulated datasets share the observed shape; per-simulation seeds are
-    derived from ``seed`` so results are independent of scheduling.  The
-    reduced basis replaces the diagonal with squared multiple
-    correlations before eigendecomposition.  The default comparison takes
-    the simulated per-rank ``PA_QUANTILE`` as the retention threshold
-    (the mean comparison is selectable but retains spurious factors on
-    noise about half the time).
+    ``PA_SIMULATIONS`` datasets share the observed shape; per-simulation
+    seeds are derived from ``seed`` so results are independent of
+    scheduling.  Eigenvalues are taken on the reduced basis, with squared
+    multiple correlations on the diagonal, and the simulated per-rank
+    ``PA_QUANTILE`` is the retention threshold (the simulated mean retains
+    spurious factors on noise about half the time).
 
     The simulations are batched: each child seed still draws the same
-    numbers it would alone, but all draws sit in one (n_sims, n, p) array
-    and the correlations, SMC inverses and eigendecompositions run stacked.
-    That array is n_sims * n * p floats: 2.7 MB at 100 x 384 x 9, about
+    numbers it would alone, but all draws sit in one (100, n, p) array and
+    the correlations, SMC inverses and eigendecompositions run stacked.
+    That array is 100 * n * p floats: 2.7 MB at n = 384 and p = 9, about
     22 MB at n = 3,000.
     """
-    if n_sims < 1:
-        raise ValueError("n_sims must be >= 1")
-    if basis not in ("full", "reduced"):
-        raise ValueError(f"unknown basis {basis!r}")
-    if comparison not in ("mean", "quantile"):
-        raise ValueError(f"unknown comparison {comparison!r}")
     X = np.asarray(X, dtype=float)
     n, p = X.shape
-    eig = _reduced_eigenvalues if basis == "reduced" else eigenvalues
-    observed = eig(correlation_matrix(X))
-    sims = eig(_noise_correlations(n, p, n_sims, seed))
-    mean = sims.mean(axis=0)
+    observed = _reduced_eigenvalues(correlation_matrix(X))
+    sims = _reduced_eigenvalues(_noise_correlations(n, p, seed))
     qtl = np.quantile(sims, PA_QUANTILE, axis=0)
-    threshold = mean if comparison == "mean" else qtl
     return ParallelAnalysisResult(
         observed_eigenvalues=observed,
-        simulated_mean_eigenvalues=mean,
+        simulated_mean_eigenvalues=sims.mean(axis=0),
         simulated_quantile_eigenvalues=qtl,
-        quantile=PA_QUANTILE,
-        suggested_factors=_suggest(observed, threshold),
-        basis=basis,
-        comparison=comparison,
+        suggested_factors=_suggest(observed, qtl),
     )
 
 
@@ -173,7 +155,6 @@ class FactorSolution:
     ss_loadings: np.ndarray  # m
     cumulative_variance: np.ndarray  # m
     proportion_explained: np.ndarray  # m
-    method: str  # "ml"
     converged: bool
     iterations: int
     max_abs_gradient: float  # over the uniquenesses not held at a bound
@@ -242,7 +223,6 @@ def _make_solution(
         ss_loadings=ss,
         cumulative_variance=cumulative,
         proportion_explained=proportion,
-        method="ml",
         converged=converged,
         iterations=iterations,
         max_abs_gradient=max_abs_gradient,
@@ -318,6 +298,81 @@ def fit_indices(
 
 
 # ---------------------------------------------------------------------------
+# damped Newton minimisation
+
+# newton_minimise's stopping rules, convergence verdict and step-halving line search
+_GRADIENT_TOL = 1e-10
+_DECREASE_TOL = 1e-15
+CONVERGED_GRADIENT = 1e-6
+_MAX_ITERATIONS = 500
+_MAX_HALVINGS = 60
+_ARMIJO = 1e-4
+
+
+@dataclass
+class Minimum:
+    """Where :func:`newton_minimise` stopped."""
+
+    x: np.ndarray
+    value: float
+    iterations: int
+    evaluations: int  # objective calls, the start included
+    max_abs_gradient: float  # over the entries not held at a bound
+    converged: bool  # max_abs_gradient <= CONVERGED_GRADIENT
+
+
+def newton_minimise(
+    objective: Callable,
+    derivatives: Callable,
+    x: np.ndarray,
+    lower: float = -math.inf,
+    upper: float = math.inf,
+) -> Minimum:
+    """Minimise F over the box [lower, upper] by step-halving Newton steps.
+
+    ``objective(x)`` returns ``(F, extra)``; ``derivatives(x, extra)``
+    returns ``(gradient, curvature)``, with ``curvature(free)`` the matrix
+    H on the boolean mask ``free``, so a caller can reuse the objective's
+    work and pay for H only when a step is taken.  An entry at a bound
+    whose gradient points out of the box is held; the rest are free.  Each
+    step solves H step = grad on the free entries by least squares (a
+    singular H still gives a step), is clipped to the box and halved, at
+    most 60 times, until F <= F0 - 1e-4 grad.(x - trial) (Armijo).
+    Iteration stops when no halving passes, after 500 steps, when the
+    largest free |grad| entry is below 1e-10 (or is NaN), or when F falls
+    by less than 1e-15; ``converged`` means that entry is at most
+    ``CONVERGED_GRADIENT`` (1e-6) at exit.
+    """
+    x = np.asarray(x, dtype=float)
+    fmin, extra = objective(x)
+    iterations, evaluations, stalled = 0, 1, False
+    while True:
+        grad, curvature = derivatives(x, extra)
+        free = ~(((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0)))
+        max_abs_gradient = float(np.abs(grad[free]).max(initial=0.0))
+        if stalled or iterations == _MAX_ITERATIONS or not max_abs_gradient >= _GRADIENT_TOL:
+            break
+        step = np.zeros(x.size)
+        step[free] = np.linalg.lstsq(curvature(free), grad[free], rcond=None)[0]
+        alpha = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = np.clip(x - alpha * step, lower, upper)
+            value, trial_extra = objective(trial)
+            evaluations += 1
+            if value <= fmin - _ARMIJO * float(grad @ (x - trial)):
+                break
+            alpha /= 2
+        else:
+            break
+        iterations += 1
+        stalled = fmin - value < _DECREASE_TOL
+        x, fmin, extra = trial, value, trial_extra
+    return Minimum(
+        x, fmin, iterations, evaluations, max_abs_gradient, max_abs_gradient <= CONVERGED_GRADIENT
+    )
+
+
+# ---------------------------------------------------------------------------
 # maximum-likelihood extraction
 
 
@@ -383,28 +438,15 @@ def _positive_definite(H: np.ndarray) -> bool:
     return True
 
 
-# efa_ml's stopping rules, convergence verdict and step-halving line search
-_GRADIENT_TOL = 1e-10
-_DECREASE_TOL = 1e-15
-CONVERGED_GRADIENT = 1e-6
-_MAX_ITERATIONS = 500
-_MAX_HALVINGS = 60
-_ARMIJO = 1e-4
-
-
 def efa_ml(R: np.ndarray, n: int, m: int) -> tuple[FactorSolution, FitStatistics]:
     """Maximum-likelihood factor extraction on a correlation matrix.
 
-    The loadings are profiled out (:func:`_loadings_from_psi`) and F is
-    minimised over log psi in the box [log ``PSI_FLOOR``, 0].  Each step
-    solves H step = grad on the free uniquenesses, with H the exact
-    Hessian where it is positive definite there and the expected
+    The loadings are profiled out (:func:`_loadings_from_psi`) and
+    :func:`newton_minimise` minimises F over log psi in the box
+    [log ``PSI_FLOOR``, 0].  The curvature is the exact Hessian where it
+    is positive definite on the free uniquenesses and the expected
     information otherwise (Fisher scoring; Jennrich & Robinson 1969,
-    Joreskog 1967), and is clipped to the box and halved until F falls
-    enough (Armijo).  A uniqueness at a bound whose gradient points out of
-    the box is not free.  Iteration stops when the largest free gradient
-    entry is below 1e-10 or F falls by less than 1e-15; ``converged``
-    means that entry is at most ``CONVERGED_GRADIENT`` (1e-6) at exit.
+    Joreskog 1967).
 
     Returns the unrotated solution together with chi-square based fit
     statistics (Bartlett-corrected) and BIC = chi^2 - df*log(n).
@@ -413,50 +455,37 @@ def efa_ml(R: np.ndarray, n: int, m: int) -> tuple[FactorSolution, FitStatistics
     p = R.shape[0]
     _check_model_size(p, m)
 
-    lower, upper = math.log(PSI_FLOOR), 0.0
-    start = (1.0 - 0.5 * m / p) / np.diag(np.linalg.inv(R))
-    log_psi = np.log(np.clip(start, PSI_FLOOR, 1.0))
-    fmin = _profiled_objective(R, np.exp(log_psi), m)
-    iterations, stalled = 0, False
-    while True:
+    def objective(log_psi: np.ndarray) -> tuple[float, None]:
+        return _profiled_objective(R, np.exp(log_psi), m), None
+
+    def derivatives(log_psi: np.ndarray, _: None) -> tuple[np.ndarray, Callable]:
         psi = np.exp(log_psi)
         loadings, vals, vecs = _loadings_from_psi(R, psi, m)
-        grad = ((loadings**2).sum(axis=1) + psi - np.diag(R)) / psi
-        free = ~(((log_psi <= lower) & (grad > 0)) | ((log_psi >= upper) & (grad < 0)))
-        max_abs_gradient = float(np.abs(grad[free]).max(initial=0.0))
-        if stalled or iterations == _MAX_ITERATIONS or max_abs_gradient < _GRADIENT_TOL:
-            break
-        hessian, information = _curvatures(vals, vecs, m)
-        H = hessian[np.ix_(free, free)]
-        if not _positive_definite(H):
-            H = information[np.ix_(free, free)]
-        step = np.zeros(p)
-        step[free] = np.linalg.lstsq(H, grad[free], rcond=None)[0]
-        alpha = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = np.clip(log_psi - alpha * step, lower, upper)
-            value = _profiled_objective(R, np.exp(trial), m)
-            if value <= fmin - _ARMIJO * float(grad @ (log_psi - trial)):
-                break
-            alpha /= 2
-        else:
-            break
-        iterations += 1
-        stalled = fmin - value < _DECREASE_TOL
-        log_psi, fmin = trial, value
 
+        def curvature(free: np.ndarray) -> np.ndarray:
+            hessian, information = _curvatures(vals, vecs, m)
+            H = hessian[np.ix_(free, free)]
+            return H if _positive_definite(H) else information[np.ix_(free, free)]
+
+        return ((loadings**2).sum(axis=1) + psi - np.diag(R)) / psi, curvature
+
+    start = (1.0 - 0.5 * m / p) / np.diag(np.linalg.inv(R))
+    result = newton_minimise(
+        objective, derivatives, np.log(np.clip(start, PSI_FLOOR, 1.0)), math.log(PSI_FLOOR), 0.0
+    )
+    psi = np.exp(result.x)
     solution = _make_solution(
-        loadings,
+        _loadings_from_psi(R, psi, m)[0],
         psi,
-        converged=max_abs_gradient <= CONVERGED_GRADIENT,
-        iterations=iterations,
-        max_abs_gradient=max_abs_gradient,
+        converged=result.converged,
+        iterations=result.iterations,
+        max_abs_gradient=result.max_abs_gradient,
         floored=np.flatnonzero(psi <= PSI_FLOOR * (1 + 1e-9)).tolist(),
     )
     implied = solution.loadings @ solution.loadings.T + np.diag(psi)
     # Bartlett-corrected chi-squares; the null model is the identity
     df = ((p - m) ** 2 - p - m) // 2
-    chi_square = max(n - 1 - (2 * p + 5) / 6 - 2 * m / 3, 0.0) * max(fmin, 0.0)
+    chi_square = max(n - 1 - (2 * p + 5) / 6 - 2 * m / 3, 0.0) * max(result.value, 0.0)
     sign, logdet = np.linalg.slogdet(R)
     chi_null = max(n - 1 - (2 * p + 5) / 6, 0.0) * (-logdet if sign > 0 else float("inf"))
     return solution, fit_indices(chi_square, df, chi_null, p * (p - 1) // 2, n, R, implied)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -355,26 +355,8 @@ class ProjectMetrics:
     as_of: int
 
 
-#: Fixed CSV column order for metrics.csv.
-METRICS_COLUMNS = [
-    "repo_id",
-    "stars",
-    "forks",
-    "mentions",
-    "criticality",
-    "geo_rmse",
-    "longevity_days",
-    "months_since_update",
-    "median_response_days",
-    "average_response_days",
-    "cmc_rank",
-    "alexa_rank",
-    "commits_3mo",
-    "comments_3mo",
-    "pull_requests_3mo",
-    "authors_3mo",
-    "as_of",
-]
+#: Fixed CSV column order for metrics.csv: the fields of ``ProjectMetrics``.
+METRICS_COLUMNS = [f.name for f in fields(ProjectMetrics)]
 
 #: The eleven indicator variables entering exploratory factor analysis.
 EFA_COLUMNS = [

@@ -8,10 +8,11 @@ Models are written in a small text language::
 
 Estimation minimises the maximum-likelihood covariance-structure
 discrepancy by Fisher scoring on the analytic Jacobian of the implied
-covariance.  The covariance implied by a parameter vector comes from the
-path-matrix formulation ``Sigma = F (I - A)^-1 S (I - A)^-T F^T`` where
-``A`` holds directed coefficients, ``S`` the variances and covariances of
-exogenous terms, and ``F`` selects observed variables.
+covariance, with the EFA's minimiser (``factor.newton_minimise``).  The
+covariance implied by a parameter vector comes from the path-matrix
+formulation ``Sigma = F (I - A)^-1 S (I - A)^-T F^T`` where ``A`` holds
+directed coefficients, ``S`` the variances and covariances of exogenous
+terms, and ``F`` selects observed variables.
 
 Identification is by unit loading: the first indicator of every latent is
 fixed to one.  Variance parameters are left unconstrained during
@@ -27,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .factor import FitStatistics, fit_indices
+from .factor import CONVERGED_GRADIENT, FitStatistics, fit_indices, newton_minimise
 
 
 class SemParseError(ValueError):
@@ -355,8 +356,6 @@ class SemFit:
     model: SemModel
     estimates: dict[str, ParamEstimate]
     standardized: dict[str, float]
-    implied: np.ndarray
-    sample: np.ndarray
     fit: FitStatistics
     heywood: list[str]
     converged: bool
@@ -449,27 +448,14 @@ def two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-# Fisher scoring: stopping rules, the convergence verdict and the
-# step-halving line search (see fit_ml)
-_GRADIENT_TOL = 1e-10
-_DECREASE_TOL = 1e-15
-CONVERGED_GRADIENT = 1e-6
-_MAX_ITERATIONS = 500
-_MAX_HALVINGS = 60
-_ARMIJO = 1e-4
-
-
 def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
     """Maximum-likelihood fit of a model to a sample covariance matrix.
 
-    F_ML is minimised by Fisher scoring (Lee & Jennrich 1979): each step
-    solves H step = grad, with H the expected Hessian of F_ML built from
-    the analytic Jacobian dSigma/dtheta (:meth:`_Layout.information`),
-    and is halved until F falls enough (Armijo).  Least squares solves
-    the system, so a singular H at the start values still gives a step.
-    Iteration stops when the largest absolute gradient entry is below
-    1e-10 or F falls by less than 1e-15; ``converged`` means that entry
-    is at most ``CONVERGED_GRADIENT`` (1e-6) at exit.
+    F_ML is minimised by Fisher scoring (Lee & Jennrich 1979) with
+    :func:`factor.newton_minimise`, unbounded, on the expected Hessian of
+    F_ML from the analytic Jacobian dSigma/dtheta
+    (:meth:`_Layout.information`); ``converged`` means max |grad| <=
+    ``CONVERGED_GRADIENT`` (1e-6) at exit.
 
     Standard errors come from the inverse expected information,
     (n - 1)/2 times H at the estimate, as in lavaan's default.  Negative
@@ -486,31 +472,13 @@ def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
     if df < 0:
         raise SemSpecError(f"model is not identified: {n_free} free parameters, df = {df}")
 
-    objective = _objective_factory(layout, S)
-    theta = layout.vector(default_start_values(model, S))
-    fmin, grad = objective(theta)
-    iterations, evaluations = 0, 1
-    while iterations < _MAX_ITERATIONS and np.max(np.abs(grad)) >= _GRADIENT_TOL:
-        step = np.linalg.lstsq(layout.information(theta), grad, rcond=None)[0]
-        slope = float(grad @ step)
-        alpha = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = theta - alpha * step
-            value, trial_grad = objective(trial)
-            evaluations += 1
-            if value <= fmin - _ARMIJO * alpha * slope:
-                break
-            alpha /= 2
-        else:
-            break
-        iterations += 1
-        decrease = fmin - value
-        theta, fmin, grad = trial, value, trial_grad
-        if decrease < _DECREASE_TOL:
-            break
-    max_abs_gradient = float(np.max(np.abs(grad)))
-
-    implied = layout.implied(theta)
+    result = newton_minimise(
+        _objective_factory(layout, S),
+        # unbounded, so every entry is free and H is the whole information
+        lambda theta, grad: (grad, lambda free: layout.information(theta)),
+        layout.vector(default_start_values(model, S)),
+    )
+    theta = result.x
 
     # standard errors via expected information
     info = max(n - 1, 1) / 2.0 * layout.information(theta)
@@ -535,23 +503,21 @@ def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
                 float(prm.fixed_value), 0.0, float("nan"), float("nan"), False
             )
 
-    chi_square = max(n - 1, 1) * max(fmin, 0.0)
+    chi_square = max(n - 1, 1) * max(result.value, 0.0)
     # independence null: implied covariance diag(S)
     chi_null = max(n - 1, 1) * max(float(np.sum(np.log(np.diag(S)))) - logdet_s, 0.0)
     fit = SemFit(
         model=model,
         estimates=estimates,
         standardized={},
-        implied=implied,
-        sample=S,
-        fit=fit_indices(chi_square, df, chi_null, p * (p - 1) // 2, n, S, implied),
+        fit=fit_indices(chi_square, df, chi_null, p * (p - 1) // 2, n, S, layout.implied(theta)),
         heywood=[],
-        converged=max_abs_gradient <= CONVERGED_GRADIENT,
-        fmin=float(fmin),
+        converged=result.converged,
+        fmin=float(result.value),
         n=n,
-        iterations=iterations,
-        evaluations=evaluations,
-        max_abs_gradient=max_abs_gradient,
+        iterations=result.iterations,
+        evaluations=result.evaluations,
+        max_abs_gradient=result.max_abs_gradient,
     )
     fit.heywood = detect_heywood(fit)
     try:

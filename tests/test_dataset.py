@@ -9,15 +9,12 @@ from hypothesis import given, strategies as st
 from oss_health.dataset import (
     MetricMatrix,
     apply_exclusions,
-    describe,
-    impute_mean,
     matrix_from_metrics,
     prepare,
     read_matrix_csv,
     reverse_score,
     split,
     write_audit_sidecar,
-    write_matrix_csv,
     REVERSE_SCORED_COLUMNS,
 )
 from oss_health.metrics import ProjectMetrics
@@ -137,24 +134,24 @@ class TestReverseScore:
 class TestImputeMean:
     def test_fills_with_mean_and_records(self, tmp_path):
         matrix = simple_matrix([[1.0], [np.nan], [3.0]])
-        out = impute_mean(matrix, "c0")
+        out = prepare(matrix)
         assert out.values[:, 0].tolist() == [1.0, 2.0, 3.0]
         assert np.isnan(matrix.values[1, 0])  # input untouched
         assert audit_lines(tmp_path, matrix) == [{"kind": "imputed", "column": "c0", "row": "r1"}]
 
     def test_no_absent_cells_noop(self, tmp_path):
         matrix = simple_matrix([[1.0], [2.0]])
-        out = impute_mean(matrix, "c0")
+        out = prepare(matrix)
         assert np.array_equal(out.values, matrix.values)
         assert audit_lines(tmp_path, matrix) == []
 
     def test_all_absent_rejected(self):
-        with pytest.raises(ValueError):
-            impute_mean(simple_matrix([[np.nan], [np.nan]]), "c0")
+        with pytest.raises(ValueError, match="'c1' has no present values"):
+            prepare(simple_matrix([[1.0, np.nan], [2.0, np.nan]]))
 
     def test_mean_preserved(self):
         matrix = simple_matrix([[2.0], [np.nan], [4.0], [np.nan]])
-        out = impute_mean(matrix, "c0")
+        out = prepare(matrix)
         assert out.values[:, 0].mean() == pytest.approx(3.0)
 
 
@@ -203,24 +200,6 @@ class TestPrepare:
         assert "alexa_rank" in flipped
 
 
-class TestDescribe:
-    def test_simple_column(self):
-        stats = describe(simple_matrix([[1.0], [2.0], [3.0], [4.0]]))["c0"]
-        assert stats["mean"] == 2.5
-        assert stats["median"] == 2.5
-        assert stats["min"] == 1.0 and stats["max"] == 4.0
-        assert stats["sd"] == pytest.approx(np.std([1, 2, 3, 4], ddof=1))
-
-    def test_constant_column(self):
-        stats = describe(simple_matrix([[7.0], [7.0], [7.0]]))["c0"]
-        assert stats["sd"] == 0.0
-        assert stats["q1"] == stats["q3"] == 7.0
-
-    def test_single_row_rejected(self):
-        with pytest.raises(ValueError):
-            describe(simple_matrix([[1.0]]))
-
-
 class TestSplit:
     def test_sizes_384_051(self):
         matrix = simple_matrix(np.arange(384.0).reshape(384, 1))
@@ -254,7 +233,7 @@ class TestPersistence:
     def test_csv_round_trip_with_absent_cells(self, tmp_path):
         matrix = simple_matrix([[1.5, np.nan], [2.25, 4.0]], names=["months_since_update", "x"])
         path = tmp_path / "m.csv"
-        write_matrix_csv(matrix, path)
+        path.write_text("project,months_since_update,x\nr0,1.5,\nr1,2.25,4.0\n", encoding="utf-8")
         back = read_matrix_csv(path)
         assert back.row_labels == matrix.row_labels
         assert back.column_names == ["months_since_update", "x"]

@@ -13,6 +13,8 @@ from conftest import (
 )
 from oss_health.factor import (
     CONVERGED_GRADIENT,
+    PA_QUANTILE,
+    PA_SIMULATIONS,
     PSI_FLOOR,
     IdentificationError,
     _curvatures,
@@ -27,6 +29,7 @@ from oss_health.factor import (
     efa_ml,
     eigenvalues,
     mcdonald_omega,
+    newton_minimise,
     parallel_analysis,
     rotate_solution,
     srmr,
@@ -77,16 +80,15 @@ class TestEigenvalues:
             eigenvalues(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
-def per_simulation_reference(X, n_sims, seed, basis, quantile):
+def per_simulation_reference(X, seed):
     """Parallel analysis's simulated (mean, quantile) eigenvalues, one draw at a time."""
     n, p = X.shape
     sims = []
-    for child in np.random.SeedSequence(seed).spawn(n_sims):
+    for child in np.random.SeedSequence(seed).spawn(PA_SIMULATIONS):
         R = correlation_matrix(np.random.default_rng(child).standard_normal((n, p)))
-        if basis == "reduced":
-            np.fill_diagonal(R, 1.0 - 1.0 / np.diag(np.linalg.inv(R)))
+        np.fill_diagonal(R, 1.0 - 1.0 / np.diag(np.linalg.inv(R)))
         sims.append(np.sort(np.linalg.eigvalsh(R))[::-1])
-    return np.mean(sims, axis=0), np.quantile(sims, quantile, axis=0)
+    return np.mean(sims, axis=0), np.quantile(sims, PA_QUANTILE, axis=0)
 
 
 class TestParallelAnalysis:
@@ -95,18 +97,15 @@ class TestParallelAnalysis:
         rng = np.random.default_rng(seed)
         return rng.standard_normal((n, 9)) @ np.linalg.cholesky(R).T
 
-    @pytest.mark.parametrize("basis", ["full", "reduced"])
-    @pytest.mark.parametrize("comparison", ["mean", "quantile"])
-    @pytest.mark.parametrize("p, n_sims", [(9, 100), (9, 1), (3, 40)])
-    def test_batched_matches_per_simulation_loop(self, basis, comparison, p, n_sims):
+    @pytest.mark.parametrize("p", [9, 3])
+    def test_batched_matches_per_simulation_loop(self, p):
         X = self._factor_data(7, n=150)[:, :p]
-        result = parallel_analysis(X, n_sims=n_sims, seed=4, basis=basis, comparison=comparison)
-        mean, qtl = per_simulation_reference(X, n_sims, 4, basis, result.quantile)
+        result = parallel_analysis(X, seed=4)
+        mean, qtl = per_simulation_reference(X, 4)
         np.testing.assert_allclose(result.simulated_mean_eigenvalues, mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(result.simulated_quantile_eigenvalues, qtl, rtol=0, atol=1e-12)
-        threshold = mean if comparison == "mean" else qtl
         expected = 0
-        for obs, thr in zip(result.observed_eigenvalues, threshold):
+        for obs, thr in zip(result.observed_eigenvalues, qtl):
             if obs <= thr:
                 break
             expected += 1
@@ -121,33 +120,6 @@ class TestParallelAnalysis:
 
     def test_two_factor_data_suggests_two(self):
         assert parallel_analysis(self._factor_data(5), seed=1).suggested_factors == 2
-
-    def test_noise_mean_suggestion_small(self):
-        rng = np.random.default_rng(99)
-        suggested = [
-            parallel_analysis(
-                rng.standard_normal((200, 10)), n_sims=40, seed=s, basis="full"
-            ).suggested_factors
-            for s in range(20)
-        ]
-        assert np.mean(suggested) <= 1.0  # full basis, p=10: rarely above p/10
-
-    def test_mean_comparison_counts_exceedances(self):
-        result = parallel_analysis(self._factor_data(3), seed=2, comparison="mean")
-        expected = 0
-        for obs, sim in zip(result.observed_eigenvalues, result.simulated_mean_eigenvalues):
-            if obs > sim:
-                expected += 1
-            else:
-                break
-        assert result.suggested_factors == expected
-
-    def test_bad_arguments(self):
-        X = self._factor_data(0, n=50)
-        with pytest.raises(ValueError):
-            parallel_analysis(X, n_sims=0)
-        with pytest.raises(ValueError):
-            parallel_analysis(X, basis="bogus")
 
 
 class TestEfaMl:
@@ -360,6 +332,40 @@ class TestFitIndices:
         assert stats.rmsea == 0.0
         assert stats.cfi == pytest.approx(1.0, abs=1e-9)
         assert stats.bic == stats.chi_square
+
+
+class TestNewtonMinimise:
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+
+    def _quadratic(self, centre):
+        """F = (x - c)' A (x - c) / 2, its gradient A (x - c) and exact H = A."""
+
+        def objective(x):
+            return 0.5 * float((x - centre) @ self.A @ (x - centre)), None
+
+        def derivatives(x, _):
+            return self.A @ (x - centre), lambda free: self.A[np.ix_(free, free)]
+
+        return objective, derivatives
+
+    def test_unbounded_quadratic_in_one_step(self):
+        centre = np.array([2.0, 0.3])
+        result = newton_minimise(*self._quadratic(centre), np.zeros(2))
+        assert result.iterations == 1 and result.evaluations == 2
+        np.testing.assert_allclose(result.x, centre, rtol=0, atol=1e-12)
+        assert result.converged and result.max_abs_gradient <= CONVERGED_GRADIENT
+
+    def test_box_holds_the_entry_whose_gradient_points_out(self):
+        # the unconstrained minimum (2, 0.3) is above the box in x0; with
+        # x0 = 1 the minimum in x1 is 0.3 + 0.5 = 0.8, inside it
+        objective, derivatives = self._quadratic(np.array([2.0, 0.3]))
+        result = newton_minimise(objective, derivatives, np.zeros(2), -1.0, 1.0)
+        assert result.x[0] == 1.0
+        assert result.x[1] == pytest.approx(0.8, abs=1e-12)
+        grad, _ = derivatives(result.x, None)
+        assert grad[0] == pytest.approx(-1.75)  # F falls out of the box
+        assert result.max_abs_gradient == abs(grad[1]) <= CONVERGED_GRADIENT
+        assert result.converged
 
 
 class TestReliability:
