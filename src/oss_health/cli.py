@@ -68,6 +68,8 @@ class PipelineConfig:
             raise UserError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         if not self.cutoff > 0:  # NaN too
             raise UserError(f"cutoff must be positive, got {self.cutoff}")
+        if self.seed < 0:
+            raise UserError(f"seed must be a non-negative integer, got {self.seed}")
         if self.factors != "auto":
             try:
                 count = int(self.factors)

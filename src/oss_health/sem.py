@@ -7,8 +7,10 @@ Models are written in a small text language::
     forks      ~~ stars                        # residual covariance
 
 Estimation minimises the maximum-likelihood covariance-structure
-discrepancy by Fisher scoring on the analytic Jacobian of the implied
-covariance, with the EFA's minimiser (``factor.newton_minimise``).  The
+discrepancy by Fisher scoring, with the EFA's minimiser
+(``factor.newton_minimise``).  The gradient and the expected information
+both come from one analytic Jacobian of the implied covariance,
+``_Layout.delta``, the only code that differentiates it.  The
 covariance implied by a parameter vector comes from the path-matrix
 formulation ``Sigma = F (I - A)^-1 S (I - A)^-T F^T`` where ``A`` holds
 directed coefficients, ``S`` the variances and covariances of exogenous
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -40,10 +42,6 @@ class SemParseError(ValueError):
 
 class SemSpecError(ValueError):
     """Structurally invalid model (cycles, duplicate indicators, ...)."""
-
-
-class StructuralSingularityError(np.linalg.LinAlgError):
-    """(I - A) is singular for the given coefficients."""
 
 
 # ---------------------------------------------------------------------------
@@ -77,20 +75,24 @@ class SemModel:
     residual_covariances: list[tuple[str, str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        known = set(self.latents)
         seen: set[str] = set()
         for latent in self.latents:
             indicators = self.measurement.get(latent, [])
             if not indicators:
                 raise SemSpecError(f"latent {latent!r} has no indicators")
             for ind in indicators:
+                if ind in known:
+                    raise SemSpecError(f"latent {ind!r} is used as an indicator")
                 if ind in seen:
                     raise SemSpecError(f"indicator {ind!r} appears in two measurement equations")
                 seen.add(ind)
-        known = set(self.latents)
-        for dep, pred in self.structural:
+        for k, (dep, pred) in enumerate(self.structural):
             for name in (dep, pred):
                 if name not in known:
                     raise SemSpecError(f"structural path references unknown latent {name!r}")
+            if (dep, pred) in self.structural[:k]:
+                raise SemSpecError(f"structural path {dep} ~ {pred} is specified twice")
         self._check_acyclic()
         observed = set(self.observed)
         pairs: set[frozenset[str]] = set()
@@ -237,11 +239,12 @@ _DIRECTED = ("loading", "path")
 
 
 class _Layout:
-    """Index bookkeeping: the one map from parameter values to A and S.
+    """Index bookkeeping: the one map from parameter values to A and S,
+    and the one derivative of Sigma with respect to them.
 
     Fixed values sit in the templates ``A0``/``S0``; free parameters are
     written by :meth:`matrices` through precomputed index arrays, which
-    the gradient reads back in the same order.
+    :meth:`delta` reads back in the same order.
     """
 
     def __init__(self, model: SemModel):
@@ -270,8 +273,6 @@ class _Layout:
         self.a_cells = tuple(cells[directed].T)
         self.s_free = np.flatnonzero(~directed)
         self.s_cells = tuple(cells[~directed].T)
-        # dF/dS_ij counts both symmetric cells off the diagonal
-        self.s_scale = np.where(self.s_cells[0] == self.s_cells[1], 1.0, 2.0)
 
     def vector(self, values: Mapping[str, float]) -> np.ndarray:
         """Free-parameter vector, in model order, from a name -> value map."""
@@ -308,25 +309,28 @@ class _Layout:
         out[self.s_free] = d + off * d.transpose(0, 2, 1)
         return out
 
-    def information(self, theta: np.ndarray) -> np.ndarray:
-        """Expected Hessian of F_ML: H_ab = tr(Sigma^-1 D_a Sigma^-1 D_b)."""
-        A, S = self.matrices(theta)
-        sigma, _, _ = _implied_from_matrices(A, S, self.p)
-        # with Sigma = L L^T each term is <L^-1 D_a L^-T, L^-1 D_b L^-T>
-        root = np.linalg.inv(np.linalg.cholesky((sigma + sigma.T) / 2))
+    def derivatives(
+        self, A: np.ndarray, S: np.ndarray, sigma: np.ndarray, sample: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and expected Hessian of F_ML at Sigma = L L^T.
+
+        Both come from the scaled Jacobian D_k = L^-1 Delta_k L^-T: the
+        gradient <Sigma^-1 - Sigma^-1 S Sigma^-1, Delta_k> is
+        <I - L^-1 S L^-T, D_k>, and H_ab = tr(Sigma^-1 Delta_a Sigma^-1
+        Delta_b) is <D_a, D_b>.
+        """
+        root = np.linalg.inv(np.linalg.cholesky(sigma))
         scaled = (root @ self.delta(A, S) @ root.T).reshape(len(self.free), -1)
-        return scaled @ scaled.T
+        residual = np.eye(self.p) - root @ sample @ root.T
+        return scaled @ residual.ravel(), scaled @ scaled.T
 
 
 def _implied_from_matrices(
     A: np.ndarray, S: np.ndarray, p: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t = A.shape[0]
-    eye_minus = np.eye(t) - A
-    try:
-        B = np.linalg.inv(eye_minus)
-    except np.linalg.LinAlgError as exc:
-        raise StructuralSingularityError("(I - A) is singular") from exc
+    # indicators are never latents and the paths are acyclic, so I - A is
+    # unit triangular in a topological order and always invertible
+    B = np.linalg.inv(np.eye(A.shape[0]) - A)
     G = B[:p, :]
     sigma = G @ S @ G.T
     return sigma, B, G
@@ -353,7 +357,6 @@ class ParamEstimate:
 
 @dataclass
 class SemFit:
-    model: SemModel
     estimates: dict[str, ParamEstimate]
     standardized: dict[str, float]
     fit: FitStatistics
@@ -373,74 +376,53 @@ def _discrepancy_terms(S: np.ndarray) -> float:
     return logdet
 
 
-def default_start_values(model: SemModel, S: np.ndarray) -> dict[str, float]:
-    """Loadings 0.7, paths 0, variances seeded from sample diagonals."""
-    layout = _Layout(model)
-    diag = {name: S[i, i] for name, i in layout.index.items() if i < layout.p}
-    start: dict[str, float] = {}
-    for prm in layout.free:
+def default_start_values(layout: _Layout, S: np.ndarray) -> np.ndarray:
+    """Loadings 0.7, paths and covariances 0, variances half a sample
+    diagonal: the indicator's own, or a latent's scale-setting indicator's."""
+    start = np.zeros(len(layout.free))
+    for k, prm in enumerate(layout.free):
         if prm.kind == "loading":
-            start[prm.name] = 0.7
-        elif prm.kind == "path":
-            start[prm.name] = 0.0
+            start[k] = 0.7
         elif prm.kind == "variance":
-            if prm.target in diag:
-                start[prm.name] = 0.5 * diag[prm.target]
-            else:  # latent: half the variance of its scale-setting indicator
-                scale_ind = model.measurement[prm.target][0]
-                start[prm.name] = 0.5 * diag[scale_ind]
-        else:
-            start[prm.name] = 0.0
+            i = layout.index[layout.model.measurement.get(prm.target, [prm.target])[0]]
+            start[k] = 0.5 * S[i, i]
     return start
 
 
-def _objective_factory(layout: _Layout, S_sample: np.ndarray):
+def _objective_factory(layout: _Layout, S_sample: np.ndarray, logdet_s: float):
+    """F_ML(theta), with (A, S, Sigma) as the minimiser's ``extra``."""
     p = layout.p
-    logdet_s = _discrepancy_terms(S_sample)
 
-    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def objective(theta: np.ndarray) -> tuple[float, tuple | None]:
         A, Smat = layout.matrices(theta)
-        try:
-            sigma, B, G = _implied_from_matrices(A, Smat, p)
-        except StructuralSingularityError:
-            return 1e12, np.zeros_like(theta)
+        sigma, _, _ = _implied_from_matrices(A, Smat, p)
         sigma = (sigma + sigma.T) / 2
         try:
             chol = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:
             # an indefinite implied matrix can drive F below zero without
             # bound, so refuse the region outright
-            return 1e12, np.zeros_like(theta)
+            return 1e12, None
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        sigma_inv = np.linalg.inv(sigma)
-        value = logdet + float(np.trace(S_sample @ sigma_inv)) - logdet_s - p
-        W = sigma_inv - sigma_inv @ S_sample @ sigma_inv
-        M = G.T @ W @ G  # gradient block for S-parameters
-        Z = B @ Smat @ M  # gradient block for A-parameters
-        grad = np.zeros_like(theta)
-        grad[layout.a_free] = 2.0 * Z[layout.a_cells[::-1]]
-        grad[layout.s_free] = layout.s_scale * M[layout.s_cells]
-        return value, grad
+        value = logdet + float(np.trace(S_sample @ np.linalg.inv(sigma))) - logdet_s - p
+        return value, (A, Smat, sigma)
 
     return objective
 
 
-def _evaluate(
-    model: SemModel, params: Mapping[str, float], S: np.ndarray
-) -> tuple[float, np.ndarray]:
-    layout = _Layout(model)
-    objective = _objective_factory(layout, np.asarray(S, dtype=float))
-    return objective(layout.vector(params))
-
-
 def ml_discrepancy(model: SemModel, params: Mapping[str, float], S: np.ndarray) -> float:
     """F_ML of one parameter vector against a sample covariance matrix."""
-    return _evaluate(model, params, S)[0]
+    layout = _Layout(model)
+    S = np.asarray(S, dtype=float)
+    return _objective_factory(layout, S, _discrepancy_terms(S))(layout.vector(params))[0]
 
 
 def ml_gradient(model: SemModel, params: Mapping[str, float], S: np.ndarray) -> np.ndarray:
     """Analytic gradient of F_ML, ordered as the model's free parameters."""
-    return _evaluate(model, params, S)[1]
+    layout = _Layout(model)
+    theta = layout.vector(params)
+    sigma = layout.implied(theta)
+    return layout.derivatives(*layout.matrices(theta), sigma, np.asarray(S, dtype=float))[0]
 
 
 def two_sided_p(z: float) -> float:
@@ -452,14 +434,16 @@ def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
     """Maximum-likelihood fit of a model to a sample covariance matrix.
 
     F_ML is minimised by Fisher scoring (Lee & Jennrich 1979) with
-    :func:`factor.newton_minimise`, unbounded, on the expected Hessian of
-    F_ML from the analytic Jacobian dSigma/dtheta
-    (:meth:`_Layout.information`); ``converged`` means max |grad| <=
-    ``CONVERGED_GRADIENT`` (1e-6) at exit.
+    :func:`factor.newton_minimise`, unbounded.  The gradient and the
+    expected Hessian both come from the one analytic Jacobian
+    dSigma/dtheta (:meth:`_Layout.delta`, via :meth:`_Layout.derivatives`)
+    at each accepted iterate; trial points cost F alone.  ``converged``
+    means max |grad| <= ``CONVERGED_GRADIENT`` (1e-6) at exit.
 
     Standard errors come from the inverse expected information,
     (n - 1)/2 times H at the estimate, as in lavaan's default.  Negative
-    variance estimates are reported in ``heywood`` rather than prevented.
+    variance estimates are reported in ``heywood`` rather than prevented;
+    ``standardized`` is empty when an implied variance is not positive.
     """
     S = np.asarray(S, dtype=float)
     layout = _Layout(model)
@@ -472,16 +456,21 @@ def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
     if df < 0:
         raise SemSpecError(f"model is not identified: {n_free} free parameters, df = {df}")
 
-    result = newton_minimise(
-        _objective_factory(layout, S),
+    def derivatives(theta: np.ndarray, extra: tuple) -> tuple:
+        grad, info = layout.derivatives(*extra, S)
         # unbounded, so every entry is free and H is the whole information
-        lambda theta, grad: (grad, lambda free: layout.information(theta)),
-        layout.vector(default_start_values(model, S)),
+        return grad, lambda free: info
+
+    result = newton_minimise(
+        _objective_factory(layout, S, logdet_s), derivatives, default_start_values(layout, S)
     )
     theta = result.x
+    A, Smat = layout.matrices(theta)
+    sigma, B, _ = _implied_from_matrices(A, Smat, p)
+    sigma = (sigma + sigma.T) / 2
 
     # standard errors via expected information
-    info = max(n - 1, 1) / 2.0 * layout.information(theta)
+    info = max(n - 1, 1) / 2.0 * layout.derivatives(A, Smat, sigma, S)[1]
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
@@ -506,12 +495,15 @@ def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
     chi_square = max(n - 1, 1) * max(result.value, 0.0)
     # independence null: implied covariance diag(S)
     chi_null = max(n - 1, 1) * max(float(np.sum(np.log(np.diag(S)))) - logdet_s, 0.0)
-    fit = SemFit(
-        model=model,
+    return SemFit(
         estimates=estimates,
-        standardized={},
-        fit=fit_indices(chi_square, df, chi_null, p * (p - 1) // 2, n, S, layout.implied(theta)),
-        heywood=[],
+        standardized=_standardized(layout, A, Smat, B),
+        fit=fit_indices(chi_square, df, chi_null, p * (p - 1) // 2, n, S, sigma),
+        heywood=[
+            prm.name
+            for prm, value in zip(layout.free, theta)
+            if prm.kind == "variance" and value < 0
+        ],
         converged=result.converged,
         fmin=float(result.value),
         n=n,
@@ -519,55 +511,34 @@ def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
         evaluations=result.evaluations,
         max_abs_gradient=result.max_abs_gradient,
     )
-    fit.heywood = detect_heywood(fit)
-    try:
-        fit.standardized = standardize(fit)
-    except ValueError:
-        # improper solution with a non-positive implied variance; raw
-        # estimates and the heywood flags still describe what happened
-        fit.standardized = {}
-    return fit
 
 
-def standardize(fit: SemFit) -> dict[str, float]:
-    """Rescale estimates to unit-variance latents and indicators.
+def _standardized(
+    layout: _Layout, A: np.ndarray, S: np.ndarray, B: np.ndarray
+) -> dict[str, float]:
+    """Estimates rescaled to unit-variance latents and indicators.
 
     A directed coefficient x -> y becomes raw * sd(x) / sd(y) with
     model-implied standard deviations; variances become proportions of
-    the variable's implied variance.
+    the variable's implied variance.  An improper solution with a
+    non-positive implied variance gives {}: the raw estimates and the
+    heywood flags still describe it.
     """
-    layout = _Layout(fit.model)
-    A, Smat = layout.matrices(
-        layout.vector({name: est.value for name, est in fit.estimates.items() if est.free})
-    )
-    _, B, _ = _implied_from_matrices(A, Smat, layout.p)
-    V = B @ Smat @ B.T
-    variances = np.diag(V)
+    variances = np.diag(B @ S @ B.T)
     if np.any(variances <= 0):
-        bad = layout.variables[int(np.argmin(variances))]
-        raise ValueError(f"implied variance of {bad!r} is not positive")
+        return {}
     sd = np.sqrt(variances)
     out: dict[str, float] = {}
     for prm in layout.params:
-        value = fit.estimates[prm.name].value
         i = layout.index[prm.target]
         j = layout.index[prm.source]
-        if prm.kind in ("loading", "path"):
-            out[prm.name] = value * sd[j] / sd[i]
+        if prm.kind in _DIRECTED:
+            out[prm.name] = A[i, j] * sd[j] / sd[i]
         elif prm.kind == "variance":
-            out[prm.name] = value / variances[i]
+            out[prm.name] = S[i, i] / variances[i]
         else:
-            out[prm.name] = value / (sd[i] * sd[j])
+            out[prm.name] = S[i, j] / (sd[i] * sd[j])
     return out
-
-
-def detect_heywood(fit: SemFit) -> list[str]:
-    """Variance parameters with strictly negative estimates."""
-    return [
-        prm.name
-        for prm in fit.model.parameters()
-        if prm.kind == "variance" and fit.estimates[prm.name].value < 0
-    ]
 
 
 def compare_models(fit_a: SemFit, fit_b: SemFit) -> tuple[float, int, float]:

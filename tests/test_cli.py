@@ -145,6 +145,10 @@ class TestConfig:
         with pytest.raises(UserError, match="factors"):
             PipelineConfig(factors=factors)
 
+    def test_negative_seed_names_key(self):
+        with pytest.raises(UserError, match="seed"):
+            load_config(None, {"seed": "-1"})
+
     def test_digest_changes_with_values(self):
         assert PipelineConfig(seed=0).digest() != PipelineConfig(seed=1).digest()
 

@@ -20,7 +20,6 @@ from oss_health.sem import (
     SemSpecError,
     _Layout,
     compare_models,
-    detect_heywood,
     fit_indices,
     fit_ml,
     format_fit_report,
@@ -29,7 +28,6 @@ from oss_health.sem import (
     ml_discrepancy,
     ml_gradient,
     parse_model,
-    standardize,
     two_sided_p,
 )
 
@@ -124,6 +122,19 @@ class TestParseModel:
     def test_repeated_residual_covariance_rejected(self, second):
         with pytest.raises(SemSpecError, match="twice"):
             parse_model(SMALL_MODEL + "a ~~ d\n" + second + "\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [SMALL_MODEL + "F2 ~ F1\n", SMALL_MODEL.replace("F2 ~ F1", "F2 ~ F1 + F1")],
+        ids=["two-lines", "one-line"],
+    )
+    def test_repeated_structural_path_rejected(self, text):
+        with pytest.raises(SemSpecError, match="F2 ~ F1 is specified twice"):
+            parse_model(text)
+
+    def test_latent_as_indicator_rejected(self):
+        with pytest.raises(SemSpecError, match="latent 'F2' is used as an indicator"):
+            parse_model("F1 =~ a + F2\nF2 =~ b + c + d\n")
 
 
 class TestImpliedCovariance:
@@ -245,11 +256,6 @@ class TestStandardize:
         fit = fit_ml(model, implied_covariance(model, SMALL_TRUE), n=384)
         assert 0.0 < fit.standardized["F1=~a"] <= 1.0
 
-    def test_recompute_matches_stored(self):
-        model = parse_model(SMALL_MODEL)
-        fit = fit_ml(model, implied_covariance(model, SMALL_TRUE), n=384)
-        assert standardize(fit) == fit.standardized
-
 
 class TestGradient:
     def test_analytic_matches_central_differences(self):
@@ -309,7 +315,8 @@ class TestJacobian:
             numeric[k] = (ml_gradient(model, plus, sigma) - ml_gradient(model, minus, sigma)) / (
                 2 * eps
             )
-        assert np.max(np.abs(layout.information(theta) - numeric)) < 1e-6
+        information = layout.derivatives(*layout.matrices(theta), sigma, sigma)[1]
+        assert np.max(np.abs(information - numeric)) < 1e-6
 
 
 @pytest.fixture(scope="module")
@@ -347,19 +354,31 @@ class TestHeywood:
     def test_proper_solution_is_clean(self):
         model = parse_model(SMALL_MODEL)
         fit = fit_ml(model, implied_covariance(model, SMALL_TRUE), n=384)
-        assert detect_heywood(fit) == []
+        assert fit.heywood == []
 
     def test_crafted_doublet_goes_negative(self):
         model = parse_model("F1 =~ a + b + c\nF2 =~ d + e + f\n")
         fit = fit_ml(model, heywood_correlation(), n=384)
-        assert detect_heywood(fit) == ["var(a)"]
         assert fit.heywood == ["var(a)"]
 
     def test_freed_covariance_removes_heywood(self):
         model = parse_model("F1 =~ a + b + c\nF2 =~ d + e + f\n")
         freed = free_covariance(model, "a", "b")
         fit = fit_ml(freed, heywood_correlation(), n=384)
-        assert detect_heywood(fit) == []
+        assert fit.heywood == []
+
+    def test_negative_latent_variance_leaves_standardized_empty(self):
+        # equicorrelation -0.2 is fitted exactly by var(F) = -0.2, whose
+        # implied variance has no standard deviation to rescale by
+        R = np.full((3, 3), -0.2)
+        np.fill_diagonal(R, 1.0)
+        fit = fit_ml(parse_model("F =~ a + b + c"), R, n=200)
+        assert fit.converged
+        assert fit.estimates["var(F)"].value == pytest.approx(-0.2, abs=1e-6)
+        assert fit.heywood == ["var(F)"]
+        assert fit.standardized == {}
+        table = format_fit_report(fit).split("\n\n")[0].splitlines()[1:]
+        assert len(table) == 7 and all(row.split()[-1] == "nan" for row in table)
 
 
 class TestFreeCovariance:
