@@ -24,6 +24,10 @@ logger = logging.getLogger(__name__)
 
 TZ_OFFSET_MIN = -720
 TZ_OFFSET_MAX = 840
+#: epoch seconds of 0001-01-01 and 10000-01-01 UTC: ``datetime``'s range,
+#: and so that of ``created_at``, is ``EPOCH_MIN <= t < EPOCH_END``
+EPOCH_MIN = -62_135_596_800
+EPOCH_END = 253_402_300_800
 
 
 class EventType(Enum):
@@ -111,8 +115,14 @@ class ParseStats:
 
 
 def _parse_timestamp(value) -> tuple[int, int | None]:
-    """Return (epoch seconds UTC, tz offset minutes or None)."""
-    if isinstance(value, (int, float)):
+    """Return (epoch seconds UTC, tz offset minutes or None).
+
+    Numbers are epoch seconds.  A bool, NaN, an infinity, or any time
+    outside the years 1-9999 that ``datetime`` covers is malformed.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if not EPOCH_MIN <= value < EPOCH_END:  # also false for NaN
+            raise MalformedLineError(f"timestamp {value!r} outside the years 1-9999")
         return int(value), None
     if not isinstance(value, str):
         raise MalformedLineError(f"unparseable timestamp {value!r}")
@@ -131,7 +141,10 @@ def _parse_timestamp(value) -> tuple[int, int | None]:
         delta = dt.utcoffset()
         if delta is not None and delta.total_seconds() != 0:
             offset = int(delta.total_seconds() // 60)
-    return int(dt.timestamp()), offset
+    seconds = int(dt.timestamp())
+    if not EPOCH_MIN <= seconds < EPOCH_END:  # a UTC offset can push past the ends
+        raise MalformedLineError(f"timestamp {value!r} outside the years 1-9999")
+    return seconds, offset
 
 
 def _repo_id(obj: dict) -> str:

@@ -7,11 +7,14 @@ records: a big-endian uint32 byte length, then the record as canonical
 UTF-8 JSON (sorted keys).  Appends are serialised per partition by the
 caller; readers are always safe.
 
-Every append deduplicates on one 16-byte BLAKE2b digest of ``(repo_id,
-created_at, actor, event_type, payload)``, so re-ingesting the same
-archive is idempotent.  An ``EventStore`` reads each partition's keys at
-most once and keeps them in memory, so it assumes it is the only writer
-under its root for as long as it lives.
+Every append deduplicates on a 16-byte BLAKE2b digest of a record's stored
+bytes up to ``,"tz_offset":``, so re-ingesting the same archive is
+idempotent.  That prefix holds every field but ``tz_offset``, and the cut
+is exact: keys are sorted, so ``tz_offset`` is the last member, and ``,"``
+cannot occur inside a JSON string, where every ``"`` is escaped.  Keys
+live only in memory.  An ``EventStore`` reads each partition's keys at
+most once and keeps them, so it assumes it is the only writer under its
+root for as long as it lives.
 
 An append interrupted part-way leaves a torn tail: a partial length
 prefix, record or magic header.  Reads reject it; the next append to that
@@ -23,9 +26,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+import time
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -33,9 +37,14 @@ from .events import EventRecord, EventType, has_contribution
 
 MAGIC = b"OSHEVT01"
 _LEN = struct.Struct(">I")
-#: canonical JSON for records and dedup keys; ``json.dumps`` with these
-#: arguments would build a new encoder on every call
+#: canonical record JSON; ``json.dumps`` with these arguments would build a
+#: new encoder on every call
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: one decoder call per stored record, without ``json.loads``' whitespace
+#: scans; the caller checks that it consumed the whole body
+_DECODE = json.JSONDecoder().raw_decode
+#: where a stored record's last member starts; its dedup key ends there
+_TZ_MEMBER = b',"tz_offset":'
 #: stored ``event_type`` value -> kind, cheaper than ``EventType(value)``
 _EVENT_TYPES = {kind.value: kind for kind in EventType}
 
@@ -59,8 +68,8 @@ class AppendReceipt:
 
 
 def _month_key(created_at: int) -> str:
-    dt = datetime.fromtimestamp(created_at, tz=timezone.utc)
-    return f"{dt.year:04d}-{dt.month:02d}"
+    utc = time.gmtime(created_at)
+    return f"{utc.tm_year:04d}-{utc.tm_mon:02d}"
 
 
 def _partition_dir_name(repo_id: str) -> str:
@@ -79,42 +88,20 @@ def _record_to_json(record: EventRecord) -> bytes:
         "counts": record.counts,
         "number": record.number,
     }
-    return _JSON.encode(doc).encode("utf-8")
+    return _JSON.encode(doc).encode()
 
 
-def _record_from_json(blob: bytes) -> EventRecord:
-    doc = json.loads(blob.decode("utf-8"))
-    return EventRecord(
-        doc["repo_id"],
-        _EVENT_TYPES[doc["event_type"]],
-        doc["actor"],
-        doc["created_at"],
-        doc["tz_offset"],
-        doc["action"],
-        doc["texts"],
-        doc["counts"],
-        doc["number"],
-    )
+def _key(blob: bytes) -> bytes:
+    """Dedup key of a stored record body."""
+    return hashlib.blake2b(blob[: blob.rindex(_TZ_MEMBER)], digest_size=16).digest()
 
 
 def dedup_key(record: EventRecord) -> bytes:
     """Identity of an event for dedup; ``tz_offset`` is not part of it."""
-    fields = _JSON.encode(
-        [
-            record.repo_id,
-            record.created_at,
-            record.actor,
-            record.event_type.value,
-            record.action,
-            record.texts,
-            record.counts,
-            record.number,
-        ]
-    )
-    return hashlib.blake2b(fields.encode("utf-8"), digest_size=16).digest()
+    return _key(_record_to_json(record))
 
 
-def _frames(path: Path, data: bytes) -> tuple[list[bytes], int]:
+def _frames(path: str | Path, data: bytes) -> tuple[list[bytes], int]:
     """Record bodies of a partition's bytes, and where the last whole one ends.
 
     A partial magic header ends at 0; any other bad header raises.
@@ -135,7 +122,7 @@ def _frames(path: Path, data: bytes) -> tuple[list[bytes], int]:
     return bodies, end
 
 
-def _repair_tail(path: Path) -> set[bytes]:
+def _repair_tail(path: str) -> set[bytes]:
     """Cut ``path`` back to the end of its last complete record.
 
     Returns the dedup keys of the records kept.  An absent or (now) empty
@@ -151,7 +138,10 @@ def _repair_tail(path: Path) -> set[bytes]:
         bodies, end = _frames(path, data)
         if end < len(data):
             handle.truncate(end)
-    return {dedup_key(_record_from_json(body)) for body in bodies}
+    try:
+        return {_key(body) for body in bodies}
+    except ValueError as exc:
+        raise StoreError(f"{path}: a record has no tz_offset member to key it by") from exc
 
 
 class EventStore:
@@ -160,9 +150,10 @@ class EventStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._repo_dirs: set[Path] = set()
+        self._root = str(self.root)
+        self._repo_dirs: set[str] = set()
         #: partitions appended to so far -> their dedup keys
-        self._keys: dict[Path, set[bytes]] = {}
+        self._keys: dict[str, set[bytes]] = {}
 
     # -- write ---------------------------------------------------------
 
@@ -170,7 +161,8 @@ class EventStore:
         """Durably append events, partitioned by (repo, month).
 
         Records whose dedup key already exists in the target partition are
-        skipped and counted in the receipt.
+        skipped and counted in the receipt; a batch of nothing but
+        duplicates opens no file.
         """
         receipt = AppendReceipt()
         by_partition: dict[tuple[str, str], list[EventRecord]] = {}
@@ -178,29 +170,34 @@ class EventStore:
             by_partition.setdefault((event.repo_id, _month_key(event.created_at)), []).append(event)
 
         for (repo_id, month), batch in sorted(by_partition.items()):
-            repo_dir = self.root / _partition_dir_name(repo_id)
-            if repo_dir not in self._repo_dirs:
-                repo_dir.mkdir(parents=True, exist_ok=True)
-                self._repo_dirs.add(repo_dir)
-            path = repo_dir / f"{month}.events"
+            path = f"{self._root}/{_partition_dir_name(repo_id)}/{month}.events"
             keys = self._keys.get(path)
             if keys is None:
+                repo_dir = os.path.dirname(path)
+                if repo_dir not in self._repo_dirs:
+                    os.makedirs(repo_dir, exist_ok=True)
+                    self._repo_dirs.add(repo_dir)
                 keys = self._keys[path] = _repair_tail(path)
+            handle = None
             try:
-                with open(path, "ab") as handle:
-                    if handle.tell() == 0:
-                        handle.write(MAGIC)
+                try:
                     for record in batch:
-                        key = dedup_key(record)
+                        blob = _record_to_json(record)
+                        key = _key(blob)
                         if key in keys:
                             receipt.duplicates_skipped += 1
                             continue
+                        if handle is None:
+                            handle = open(path, "ab")
+                            if handle.tell() == 0:
+                                handle.write(MAGIC)
                         keys.add(key)
-                        blob = _record_to_json(record)
                         handle.write(_LEN.pack(len(blob)))
                         handle.write(blob)
                         receipt.count += 1
-                    handle.flush()
+                finally:
+                    if handle is not None:
+                        handle.close()
             except OSError as exc:
                 del self._keys[path]
                 raise StoreWriteError(f"append to {path} failed: {exc}", receipt.count) from exc
@@ -214,13 +211,28 @@ class EventStore:
         bodies, end = _frames(path, data)
         if not end or end < len(data):
             raise StoreError(f"{path}: torn tail after byte {end}")
-        return [_record_from_json(body) for body in bodies]
+        records = []
+        try:
+            for body in bodies:
+                text = body.decode()
+                doc, stop = _DECODE(text)
+                if stop != len(text):
+                    raise ValueError(f"extra data after char {stop}")
+                records.append(EventRecord(
+                    doc["repo_id"], _EVENT_TYPES[doc["event_type"]], doc["actor"], doc["created_at"],
+                    doc["tz_offset"], doc["action"], doc["texts"], doc["counts"], doc["number"],
+                ))
+        except (ValueError, KeyError, TypeError) as exc:
+            at = len(MAGIC) + sum(_LEN.size + len(body) for body in bodies[: len(records)])
+            raise StoreError(f"{path}: record at byte {at}: {type(exc).__name__}: {exc}") from exc
+        return records
 
     def read(self, repo_id: str) -> list[EventRecord]:
         """All events for one repository, in append order per month."""
-        repo_dir = self.root / _partition_dir_name(repo_id)
-        # globbing a missing directory yields nothing
-        return [e for path in sorted(repo_dir.glob("*.events")) for e in self._read_partition(path)]
+        repo_dir = f"{self._root}/{_partition_dir_name(repo_id)}"
+        names = sorted(os.listdir(repo_dir)) if os.path.isdir(repo_dir) else []
+        paths = [Path(repo_dir, name) for name in names if name.endswith(".events")]
+        return [e for path in paths for e in self._read_partition(path)]
 
     def latest_created_at(self) -> int | None:
         """``created_at`` of the latest stored event; ``None`` for an empty store.

@@ -5,12 +5,18 @@ import io
 import json
 import logging
 import re
+from dataclasses import replace
+from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import AS_OF, DAY, FIXTURE_LINES, make_event
 from oss_health.events import (
+    EPOCH_END,
+    EPOCH_MIN,
+    TZ_OFFSET_MAX,
+    TZ_OFFSET_MIN,
     ArchiveStreamError,
     EventRecord,
     EventType,
@@ -28,8 +34,17 @@ from oss_health.store import (
     EventStore,
     StoreError,
     StoreWriteError,
+    _frames,
+    _key,
+    _month_key,
     dedup_key,
 )
+
+
+def _watch_line(created_at: str) -> str:
+    """A Watch line whose ``created_at`` is the JSON text ``created_at``."""
+    head = '{"type": "WatchEvent", "repo": {"name": "a/b"}, "actor": {"login": "a"}'
+    return f'{head}, "created_at": {created_at}}}'
 
 
 class TestParseEventLine:
@@ -94,6 +109,28 @@ class TestParseEventLine:
         )
         assert parse_event_line(line).tz_offset is None
 
+    @pytest.mark.parametrize(
+        "created_at",
+        [
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            "1e300",
+            "99999999999999",
+            "-62135596801",
+            "true",
+            '"0001-01-01T00:00:00+01:00"',
+            '"9999-12-31T23:00:00-05:00"',
+        ],
+    )
+    def test_timestamp_outside_datetime_range_is_malformed(self, created_at):
+        with pytest.raises(MalformedLineError):
+            parse_event_line(_watch_line(created_at))
+
+    @pytest.mark.parametrize("created_at", [str(EPOCH_MIN), str(EPOCH_END - 1), "1480550400.5"])
+    def test_numeric_timestamp_in_range_kept(self, created_at):
+        assert parse_event_line(_watch_line(created_at)).created_at == int(float(created_at))
+
 
 class TestParseArchiveStream:
     def test_empty_stream(self):
@@ -149,6 +186,20 @@ class TestParseArchiveStream:
         logged = [int(re.search(r"byte offset (\d+)", r.getMessage())[1]) for r in caplog.records]
         assert logged == [data.index(line) for line in lines[2:]]
 
+    def test_bad_numeric_timestamp_skips_only_its_line(self, tmp_path, caplog):
+        good = [_watch_line('"2016-12-01T12:00:00Z"'), _watch_line("1480680000")]
+        lines = [good[0], _watch_line("NaN"), _watch_line("1e300"), _watch_line("99999999999999"), good[1]]
+        data = "".join(line + "\n" for line in lines).encode()
+        stats = ParseStats()
+        with caplog.at_level(logging.WARNING, logger="oss_health.events"):
+            records = list(parse_archive_stream(io.BytesIO(data), stats, compressed=False))
+        assert (stats.records_out, stats.malformed_skipped) == (2, 3)
+        logged = [int(re.search(r"byte offset (\d+)", r.getMessage())[1]) for r in caplog.records]
+        assert logged == [data.index(line.encode()) for line in lines[1:4]]
+        store = EventStore(tmp_path / "store")
+        assert store.append(records).count == 2
+        assert store.read("a/b") == records
+
     def test_corrupt_gzip_raises_stream_error(self):
         broken = gzip.compress(b'{"type": "WatchEvent"}\n')[:-8] + b"garbage!"
         with pytest.raises(ArchiveStreamError):
@@ -186,6 +237,16 @@ class TestApplyEventWindow:
         assert sorted(e.created_at for e in joined) == sorted(
             e.created_at for e in apply_event_window(events, a, c)
         )
+
+
+#: texts built from JSON's awkward characters and the literal the dedup key is cut at
+_TRICKY_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\U0001F600", ',"tz_offset":', r'\","tz_offset":0}']),
+        st.text(max_size=3),
+    ),
+    max_size=4,
+).map("".join)
 
 
 class TestEventStore:
@@ -265,29 +326,30 @@ class TestEventStore:
         assert store.read("bitcoin/bitcoin") == [a, b]
 
     def test_partition_read_at_most_once_per_store(self, tmp_path, monkeypatch):
-        read_calls = []
-        opened_to_read = []
-        read_partition = EventStore._read_partition
-
-        def counted_read(path):
-            read_calls.append(path)
-            return read_partition(path)
+        opened = []
 
         def counted_open(file, mode="r", *args, **kwargs):
             handle = open(file, mode, *args, **kwargs)
-            if "a" not in mode:
-                opened_to_read.append(file)
+            opened.append(mode)
             return handle
 
-        monkeypatch.setattr(EventStore, "_read_partition", staticmethod(counted_read))
+        def no_decode(path):
+            raise AssertionError(f"keying decoded {path}")
+
+        monkeypatch.setattr(EventStore, "_read_partition", staticmethod(no_decode))
         monkeypatch.setattr(store_module, "open", counted_open, raising=False)
         store = EventStore(tmp_path / "store")
         events = self._events()
         receipts = [store.append(events[i : i + 4]) for i in range(0, 10, 2)]
         assert [r.count for r in receipts] == [4, 2, 2, 2, 0]
         assert [r.duplicates_skipped for r in receipts] == [0, 2, 2, 2, 2]
-        assert len(read_calls) <= 1
-        assert opened_to_read == []  # the store created this partition
+        # the store created this partition, and the all-duplicate batch opens nothing
+        assert opened == ["ab"] * 4
+        opened.clear()
+        receipt = EventStore(tmp_path / "store").append(events)
+        assert (receipt.count, receipt.duplicates_skipped) == (0, 10)
+        assert opened == ["r+b"]  # a second store reads the partition's keys once
+        monkeypatch.undo()
         assert store.read("bitcoin/bitcoin") == events
 
     def test_failed_append_rereads_partition(self, tmp_path, monkeypatch):
@@ -311,6 +373,37 @@ class TestEventStore:
         receipt = store.append(events[3:])
         assert (receipt.count, receipt.duplicates_skipped) == (2, 1)
         assert store.read("bitcoin/bitcoin") == events
+
+    @pytest.mark.parametrize(
+        "corrupt", ["invalid_json", "trailing_data", "missing_field", "unknown_event_type"]
+    )
+    def test_corrupt_record_names_partition_and_offset(self, tmp_path, corrupt):
+        store = EventStore(tmp_path / "store")
+        good, bad = self._events(2)
+        store.append([good])
+        path = tmp_path / "store" / "bitcoin__bitcoin" / "2016-12.events"
+        offset = path.stat().st_size
+        blob = store_module._record_to_json(bad)
+        doc = json.loads(blob)
+        del doc["repo_id"]
+        body = {
+            "invalid_json": b"{oops",
+            "trailing_data": blob + b"{}",
+            "missing_field": json.dumps(doc).encode(),
+            "unknown_event_type": blob.replace(b'"event_type":"Push"', b'"event_type":"Bogus"'),
+        }[corrupt]
+        assert body != blob
+        with open(path, "ab") as handle:
+            handle.write(len(body).to_bytes(4, "big") + body)
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: record at byte {offset}: "):
+            store.read("bitcoin/bitcoin")
+
+    def test_unkeyable_record_names_partition(self, tmp_path):
+        path = tmp_path / "store" / "bitcoin__bitcoin" / "2016-12.events"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(MAGIC + (5).to_bytes(4, "big") + b"{oops")
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: "):
+            EventStore(tmp_path / "store").append(self._events(1))
 
     @pytest.mark.parametrize("cut", ["record_body", "length_prefix", "magic_header", "empty"])
     def test_torn_tail_repaired_by_next_append(self, tmp_path, cut):
@@ -356,3 +449,49 @@ class TestEventStore:
         distinct = list({dedup_key(e): e for e in events}.values())
         read_back = store.read("owner/repo")
         assert sorted(read_back, key=dedup_key) == sorted(distinct, key=dedup_key)
+
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(list(EventType)),
+                st.integers(min_value=0, max_value=40),
+                _TRICKY_TEXT,
+                st.one_of(st.none(), _TRICKY_TEXT),
+                st.lists(_TRICKY_TEXT, max_size=3),
+                st.one_of(st.none(), st.integers(TZ_OFFSET_MIN, TZ_OFFSET_MAX)),
+                st.one_of(st.none(), st.integers()),
+                st.one_of(st.none(), st.integers()),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_keys_from_stored_bytes_property(self, tmp_path_factory, batch):
+        root = tmp_path_factory.mktemp("store")
+        events = [
+            EventRecord("owner/repo", kind, actor, AS_OF - day * DAY, tz, action, texts, counts, number)
+            for kind, day, actor, action, texts, tz, counts, number in batch
+        ]
+        first = EventStore(root).append(events)
+        identities = {
+            (e.event_type, e.actor, e.created_at, e.action, tuple(e.texts), e.counts, e.number)
+            for e in events
+        }
+        assert first.count == len(identities)  # records that differ only in tz_offset are one
+        twins = [replace(e, tz_offset=None if e.tz_offset else 60) for e in events]
+        again = EventStore(root).append(events + twins)
+        assert (again.count, again.duplicates_skipped) == (0, 2 * len(events))
+        for path in root.glob("*/*.events"):
+            bodies, _ = _frames(path, path.read_bytes())
+            records = EventStore._read_partition(path)
+            assert [_key(body) for body in bodies] == [dedup_key(r) for r in records]
+
+    @given(st.integers(min_value=EPOCH_MIN, max_value=EPOCH_END - 1))
+    @example(EPOCH_MIN)
+    @example(EPOCH_END - 1)
+    @example(-1)
+    @example(AS_OF)
+    def test_month_key_matches_datetime(self, created_at):
+        utc = datetime.fromtimestamp(created_at, timezone.utc)
+        assert _month_key(created_at) == f"{utc.year:04d}-{utc.month:02d}"
