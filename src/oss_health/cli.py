@@ -215,11 +215,25 @@ def _load_ranks(path: str) -> dict[str, dict]:
         raise UserError(f"ranks file not found: {ranks_path}")
     out: dict[str, dict] = {}
     with open(ranks_path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
+        reader = csv.DictReader(handle)
+        for column in ("repo_id", "cmc_rank"):
+            if column not in (reader.fieldnames or ()):
+                raise UserError(f"{ranks_path}, line 1: no {column!r} column")
+
+        def rank(row: dict, column: str) -> int:
+            try:
+                return int(row.get(column))
+            except (TypeError, ValueError):  # a short row's missing cell is None
+                raise UserError(
+                    f"{ranks_path}, line {reader.line_num}, column {column!r}: "
+                    f"{row.get(column)!r} is not an integer"
+                ) from None
+
+        for row in reader:
             out[row["repo_id"]] = {
-                "cmc_rank": int(row["cmc_rank"]),
-                "alexa_rank": int(row["alexa_rank"]) if row.get("alexa_rank") else None,
-                "mentions": int(row["mentions"]) if row.get("mentions") else None,
+                "cmc_rank": rank(row, "cmc_rank"),
+                "alexa_rank": rank(row, "alexa_rank") if row.get("alexa_rank") else None,
+                "mentions": rank(row, "mentions") if row.get("mentions") else None,
             }
     return out
 

@@ -200,7 +200,7 @@ def _push_details(payload: dict) -> tuple[list[str], int, int | None]:
     else:
         count = 0
     size = payload.get("size")
-    if isinstance(size, int) and size >= 0:
+    if type(size) is int and size >= 0:  # not a bool, which is an int too
         count = max(count, size)
     return texts, count, tz
 
@@ -242,10 +242,10 @@ def parse_event_line(line: str) -> EventRecord | None:
     elif event_type in (EventType.ISSUES, EventType.PULL_REQUEST):
         for key in ("issue", "pull_request"):
             ref = payload.get(key)
-            if isinstance(ref, dict) and isinstance(ref.get("number"), int):
+            if isinstance(ref, dict) and type(ref.get("number")) is int:  # not a bool
                 number = ref["number"]
                 break
-        if number is None and isinstance(payload.get("number"), int):
+        if number is None and type(payload.get("number")) is int:
             number = payload["number"]
 
     if tz_offset is not None and not (TZ_OFFSET_MIN <= tz_offset <= TZ_OFFSET_MAX):

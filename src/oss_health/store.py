@@ -3,8 +3,14 @@
 Layout: ``<root>/<owner>__<repo>/<YYYY-MM>.events``, one file per
 repository and month.  Each file starts with an 8-byte magic header
 (``OSHEVT`` + two-digit format version) followed by length-prefixed
-records: a big-endian uint32 byte length, then the record as canonical
-UTF-8 JSON (sorted keys).  Appends are serialised per partition by the
+records: a big-endian uint32 byte length, then the record body.  A body
+is canonical JSON, ASCII only: one object with the members ``action``,
+``actor``, ``counts``, ``created_at``, ``event_type``, ``number``,
+``repo_id``, ``texts`` and ``tz_offset`` in that (sorted) order, ``,``
+and ``:`` as separators with no whitespace, and every character outside
+ASCII written as a ``\\uXXXX`` escape (a surrogate pair above U+FFFF).
+These are exactly the bytes of ``json.dumps(doc, sort_keys=True,
+separators=(",", ":"))``.  Appends are serialised per partition by the
 caller; readers are always safe.
 
 Every append deduplicates on a 16-byte BLAKE2b digest of a record's stored
@@ -40,6 +46,13 @@ _LEN = struct.Struct(">I")
 #: canonical record JSON; ``json.dumps`` with these arguments would build a
 #: new encoder on every call
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+#: a JSON string literal, non-ASCII as ``\\uXXXX``: what ``_JSON`` writes for a ``str``
+_STRING = json.encoder.encode_basestring_ascii
+#: a record body with its members in sorted order
+_BODY = (
+    '{"action":%s,"actor":%s,"counts":%s,"created_at":%s,"event_type":%s,'
+    '"number":%s,"repo_id":%s,"texts":%s,"tz_offset":%s}'
+)
 #: one decoder call per stored record, without ``json.loads``' whitespace
 #: scans; the caller checks that it consumed the whole body
 _DECODE = json.JSONDecoder().raw_decode
@@ -76,19 +89,37 @@ def _partition_dir_name(repo_id: str) -> str:
     return repo_id.replace("/", "__")
 
 
+def _json_int(value) -> str:
+    """JSON of an ``int | None`` field; another type is spelt by ``_JSON``."""
+    return "null" if value is None else int.__repr__(value) if type(value) is int else _JSON.encode(value)
+
+
+def _json_str(value) -> str:
+    """JSON of a ``str | None`` field; another type is spelt by ``_JSON``."""
+    return _STRING(value) if type(value) is str else "null" if value is None else _JSON.encode(value)
+
+
+def _json_texts(texts) -> str:
+    if type(texts) is list:
+        try:
+            return "[" + ",".join(map(_STRING, texts)) + "]"
+        except TypeError:  # an item that is not a string
+            pass
+    return _JSON.encode(texts)
+
+
 def _record_to_json(record: EventRecord) -> bytes:
-    doc = {
-        "repo_id": record.repo_id,
-        "event_type": record.event_type.value,
-        "actor": record.actor,
-        "created_at": record.created_at,
-        "tz_offset": record.tz_offset,
-        "action": record.action,
-        "texts": record.texts,
-        "counts": record.counts,
-        "number": record.number,
-    }
-    return _JSON.encode(doc).encode()
+    """The record's stored body, spelt field by field.
+
+    The ``type(...) is`` tests keep a bool (``int.__repr__(True)`` is
+    ``1``), a float or a subclass on ``_JSON``, so the result always equals
+    ``_JSON.encode(doc)`` of the record's fields.
+    """
+    return (_BODY % (
+        _json_str(record.action), _json_str(record.actor), _json_int(record.counts),
+        _json_int(record.created_at), _STRING(record.event_type.value), _json_int(record.number),
+        _json_str(record.repo_id), _json_texts(record.texts), _json_int(record.tz_offset),
+    )).encode()
 
 
 def _key(blob: bytes) -> bytes:
@@ -111,15 +142,25 @@ def _frames(path: str | Path, data: bytes) -> tuple[list[bytes], int]:
             return [], 0
         raise StoreError(f"{path}: bad magic header {data[: len(MAGIC)]!r}")
     bodies = []
+    size, head, unpack = len(data), _LEN.size, _LEN.unpack_from
     end = len(MAGIC)
-    while end + _LEN.size <= len(data):
-        (length,) = _LEN.unpack_from(data, end)
-        stop = end + _LEN.size + length
-        if stop > len(data):
+    while end + head <= size:
+        (length,) = unpack(data, end)
+        stop = end + head + length
+        if stop > size:
             break
-        bodies.append(data[end + _LEN.size : stop])
+        bodies.append(data[end + head : stop])
         end = stop
     return bodies, end
+
+
+def _partition_names(repo_dir: str) -> list[str]:
+    """A repository directory's partition file names, in month order."""
+    try:
+        names = os.listdir(repo_dir)
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+    return sorted(name for name in names if name.endswith(".events"))
 
 
 def _repair_tail(path: str) -> set[bytes]:
@@ -206,8 +247,9 @@ class EventStore:
     # -- read ----------------------------------------------------------
 
     @staticmethod
-    def _read_partition(path: Path) -> list[EventRecord]:
-        data = path.read_bytes()
+    def _read_partition(path: str | Path) -> list[EventRecord]:
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.read()
         bodies, end = _frames(path, data)
         if not end or end < len(data):
             raise StoreError(f"{path}: torn tail after byte {end}")
@@ -227,12 +269,15 @@ class EventStore:
             raise StoreError(f"{path}: record at byte {at}: {type(exc).__name__}: {exc}") from exc
         return records
 
+    def _repo_dir_names(self) -> list[str]:
+        """Names of the repository directories under the root, sorted."""
+        with os.scandir(self._root) as entries:
+            return sorted(entry.name for entry in entries if "__" in entry.name and entry.is_dir())
+
     def read(self, repo_id: str) -> list[EventRecord]:
         """All events for one repository, in append order per month."""
         repo_dir = f"{self._root}/{_partition_dir_name(repo_id)}"
-        names = sorted(os.listdir(repo_dir)) if os.path.isdir(repo_dir) else []
-        paths = [Path(repo_dir, name) for name in names if name.endswith(".events")]
-        return [e for path in paths for e in self._read_partition(path)]
+        return [e for name in _partition_names(repo_dir) for e in self._read_partition(f"{repo_dir}/{name}")]
 
     def latest_created_at(self) -> int | None:
         """``created_at`` of the latest stored event; ``None`` for an empty store.
@@ -240,9 +285,10 @@ class EventStore:
         Partitions are UTC months, so only the latest month's partitions are
         read, and the next month down's when those hold no complete record.
         """
-        months: dict[str, list[Path]] = {}
-        for path in self.root.glob("*__*/*.events"):
-            months.setdefault(path.stem, []).append(path)
+        months: dict[str, list[str]] = {}
+        for repo_dir in self._repo_dir_names():
+            for name in _partition_names(f"{self._root}/{repo_dir}"):
+                months.setdefault(name[: -len(".events")], []).append(f"{self._root}/{repo_dir}/{name}")
         for month in sorted(months, reverse=True):
             latest = max(
                 (e.created_at for path in months[month] for e in self._read_partition(path)),
@@ -253,9 +299,8 @@ class EventStore:
         return None
 
     def iter_repo_ids(self) -> Iterator[str]:
-        for entry in sorted(self.root.iterdir()):
-            if entry.is_dir() and "__" in entry.name:
-                yield entry.name.replace("__", "/", 1)
+        for name in self._repo_dir_names():
+            yield name.replace("__", "/", 1)
 
     def has_history(self, repo_id: str) -> bool:
         return has_contribution(self.read(repo_id))

@@ -237,6 +237,25 @@ class TestMetrics:
         assert run(workspace, "metrics", "--ranks", str(missing)) == 1
         assert "no-such-ranks.csv" in caplog.text
 
+    def test_ranks_without_cmc_rank_column_names_it(self, workspace, caplog):
+        run(workspace, "ingest")
+        (workspace / "ranks.csv").write_text("repo_id,alexa_rank\nbitcoin/bitcoin,900\n")
+        assert run(workspace, "metrics") == 1
+        assert f"{workspace / 'ranks.csv'}, line 1: no 'cmc_rank' column" in caplog.text
+
+    @pytest.mark.parametrize("row, column, cell", [
+        ("ethereum/go-ethereum,second,1100,25", "cmc_rank", "'second'"),
+        ("ethereum/go-ethereum,2,1100,many", "mentions", "'many'"),
+        ("ethereum/go-ethereum", "cmc_rank", "None"),
+    ])
+    def test_ranks_cell_not_an_integer_names_line_and_column(self, workspace, caplog, row, column, cell):
+        run(workspace, "ingest")
+        (workspace / "ranks.csv").write_text(
+            f"repo_id,cmc_rank,alexa_rank,mentions\nbitcoin/bitcoin,1,900,40\n{row}\n"
+        )
+        assert run(workspace, "metrics") == 1
+        assert f"{workspace / 'ranks.csv'}, line 3, column '{column}': {cell} is not an integer" in caplog.text
+
     def test_rerun_is_byte_identical(self, workspace):
         self._rows(workspace)
         first = (workspace / "out" / "metrics.csv").read_bytes()
@@ -336,7 +355,7 @@ class TestMetrics:
         read_partition = EventStore._read_partition
 
         def counted_read(path):
-            reads.append(path.relative_to(store_dir).as_posix())
+            reads.append(Path(path).relative_to(store_dir).as_posix())
             return read_partition(path)
 
         monkeypatch.setattr(EventStore, "_read_partition", staticmethod(counted_read))

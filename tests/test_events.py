@@ -93,6 +93,35 @@ class TestParseEventLine:
         assert record.texts == ["genesis block"]
         assert record.counts == 1
 
+    def test_boolean_size_is_not_a_commit_count(self):
+        line = json.dumps(
+            {
+                "type": "PushEvent",
+                "repo": {"name": "a/b"},
+                "actor": {"login": "a"},
+                "created_at": "2016-12-01T12:00:00Z",
+                "payload": {"size": True},
+            }
+        )
+        counts = parse_event_line(line).counts
+        assert counts == 0 and type(counts) is int
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"issue": {"number": True}}, {"pull_request": {"number": False}}, {"number": True}],
+    )
+    def test_boolean_number_is_no_number(self, payload):
+        line = json.dumps(
+            {
+                "type": "IssuesEvent",
+                "repo": {"name": "a/b"},
+                "actor": {"login": "a"},
+                "created_at": "2016-12-01T12:00:00Z",
+                "payload": {"action": "opened", **payload},
+            }
+        )
+        assert parse_event_line(line).number is None
+
     def test_unrecognisable_repository_is_malformed(self):
         with pytest.raises(MalformedLineError):
             parse_event_line(json.dumps({"type": "WatchEvent", "actor": {"login": "a"}}))
@@ -249,6 +278,64 @@ _TRICKY_TEXT = st.lists(
 ).map("".join)
 
 
+#: any text, lone surrogates included, or pieces JSON escapes specially
+_ANY_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=6),
+    st.lists(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\U0001F600", ',"tz_offset":']),
+        max_size=4,
+    ).map("".join),
+)
+#: what an ``int | None`` field may hold: bools, floats and huge ints too
+_ANY_NUMBER = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64), st.floats(),
+)
+
+
+def _canonical_json(record: EventRecord) -> bytes:
+    doc = {
+        "repo_id": record.repo_id,
+        "event_type": record.event_type.value,
+        "actor": record.actor,
+        "created_at": record.created_at,
+        "tz_offset": record.tz_offset,
+        "action": record.action,
+        "texts": record.texts,
+        "counts": record.counts,
+        "number": record.number,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
+class TestRecordToJson:
+    @given(
+        repo_id=_ANY_TEXT,
+        kind=st.sampled_from(list(EventType)),
+        actor=_ANY_TEXT,
+        created_at=_ANY_NUMBER,
+        tz_offset=st.one_of(st.none(), st.booleans(), st.integers(TZ_OFFSET_MIN, TZ_OFFSET_MAX)),
+        action=st.one_of(st.none(), _ANY_TEXT),
+        texts=st.lists(_ANY_TEXT, max_size=4),
+        counts=_ANY_NUMBER,
+        number=_ANY_NUMBER,
+    )
+    @example("a/b", EventType.PUSH, "a", 1, None, None, [], True, None)
+    @example("a/b", EventType.ISSUES, "a", False, True, "opened", [], None, 10**40)
+    @example("a/b", EventType.PUSH, "a", 1.5, None, None, ['\\","tz_offset":0}'], float("nan"), -0.0)
+    def test_matches_json_dumps(
+        self, repo_id, kind, actor, created_at, tz_offset, action, texts, counts, number
+    ):
+        record = EventRecord(repo_id, kind, actor, created_at, tz_offset, action, texts, counts, number)
+        assert store_module._record_to_json(record) == _canonical_json(record)
+
+    @pytest.mark.parametrize(
+        "texts", [("tuple", "of texts"), ["a", 1], ["a", None], [["nested"]], "not a list", None]
+    )
+    def test_texts_of_another_shape_match_json_dumps(self, texts):
+        record = make_event(texts=texts)
+        assert store_module._record_to_json(record) == _canonical_json(record)
+
+
 class TestEventStore:
     def _events(self, n=10):
         return [
@@ -301,6 +388,58 @@ class TestEventStore:
         store = EventStore(tmp_path / "store")
         store.append([make_event(repo_id="b/b"), make_event(repo_id="a/a")])
         assert list(store.iter_repo_ids()) == ["a/a", "b/b"]
+
+    def test_iter_repo_ids_sorted_by_directory_name(self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        repos = ["a/b_c", "a/b", "A/z", "a/b-c"]
+        store.append([make_event(repo_id=repo) for repo in repos])
+        (tmp_path / "store" / "loose__file").write_text("")
+        (tmp_path / "store" / "no-separator").mkdir()
+        assert list(store.iter_repo_ids()) == ["A/z", "a/b", "a/b-c", "a/b_c"]
+
+    def test_read_absent_repository_is_empty(self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        store.append([make_event()])
+        assert store.read("nobody/here") == []
+
+    def test_read_ignores_other_entries(self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        events = self._events(3)
+        store.append(events)
+        repo_dir = tmp_path / "store" / "bitcoin__bitcoin"
+        (repo_dir / "notes.txt").write_text("not a partition")
+        (repo_dir / "2016-12.events.tmp").write_bytes(b"garbage")
+        (repo_dir / "scratch").mkdir()
+        assert store.read("bitcoin/bitcoin") == events
+
+    def test_latest_created_at_latest_month_wins(self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        december = [make_event(repo_id="a/a", created_at=AS_OF - DAY * d) for d in (1, 3)]
+        november = [make_event(repo_id="b/b", created_at=AS_OF - DAY * d) for d in (40, 35)]
+        store.append(november + december)
+        assert store.latest_created_at() == AS_OF - DAY
+
+    def test_latest_created_at_skips_a_month_of_magic_only(self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        store.append([make_event(created_at=AS_OF - 2 * DAY), make_event(repo_id="b/b", created_at=AS_OF - DAY)])
+        (tmp_path / "store" / "bitcoin__bitcoin" / "2017-02.events").write_bytes(MAGIC)
+        assert store.latest_created_at() == AS_OF - DAY
+
+    def test_latest_created_at_of_empty_store_is_none(self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        assert store.latest_created_at() is None
+        path = tmp_path / "store" / "bitcoin__bitcoin" / "2017-01.events"
+        path.parent.mkdir()
+        path.write_bytes(MAGIC)
+        assert store.latest_created_at() is None
+
+    def test_latest_created_at_torn_partition_named(self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        store.append([make_event()])
+        path = tmp_path / "store" / "bitcoin__bitcoin" / "2017-01.events"
+        path.write_bytes(MAGIC + b"\x00\x00")
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: torn tail after byte {len(MAGIC)}$"):
+            store.latest_created_at()
 
     def test_has_history_needs_contribution_events(self, tmp_path):
         store = EventStore(tmp_path / "store")
