@@ -29,6 +29,7 @@ import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator
 from urllib.parse import urlparse
 
 import numpy as np
@@ -239,25 +240,32 @@ def _load_ranks(path: str) -> dict[str, dict]:
 
 
 def _stage_reader(store: EventStore, before: int | None):
-    """``read(repo_id, keep=True)``: one repository's events before ``before``.
+    """``read(repo_id)`` and ``push_texts(repo_id)``: one repository's events before ``before``.
 
-    Each repository is read from the store at most once per reader; with
-    ``keep`` its events stay in memory for later calls.  ``before=None``
-    keeps every event.
+    ``read`` reads each repository from the store at most once per reader
+    and keeps its events for later calls.  ``push_texts`` yields the texts
+    of the push events that ``read`` holds, and streams those of any other
+    repository from the store, keeping nothing.  ``before=None`` keeps
+    every event.
     """
     kept: dict[str, list[EventRecord]] = {}
 
-    def read(repo_id: str, keep: bool = True) -> list[EventRecord]:
+    def read(repo_id: str) -> list[EventRecord]:
         events = kept.get(repo_id)
         if events is None:
             events = store.read(repo_id)
             if before is not None:
                 events = [e for e in events if e.created_at < before]
-            if keep:
-                kept[repo_id] = events
+            kept[repo_id] = events
         return events
 
-    return read
+    def push_texts(repo_id: str) -> Iterator[str]:
+        events = kept.get(repo_id)
+        if events is None:
+            return store.push_texts(repo_id, before)
+        return (text for e in events if e.event_type is EventType.PUSH for text in e.texts)
+
+    return read, push_texts
 
 
 def _store_candidates(owner_repos: dict[str, list[str]], read, entry: projects.ProjectEntry):
@@ -286,8 +294,10 @@ def cmd_metrics(config: PipelineConfig) -> int:
     resolves to, stay in memory.  Metrics see only events before ``as_of``.
     Without a configured ``as_of`` it is the latest stored event, every
     event counts, and finding it reads only the latest month's partitions.
-    The push corpus is built and tokenised once, and only when some
-    retained project has no mentions in the ranks file.
+    Only when some retained project has no mentions in the ranks file is
+    the push corpus tokenised, once: it is streamed repository by
+    repository, from the events already held or, for every other
+    repository, from the store's push texts without building records.
     """
     if not config.projects:
         raise UserError("no project list configured (key: projects)")
@@ -311,7 +321,7 @@ def cmd_metrics(config: PipelineConfig) -> int:
         if as_of is None:
             raise UserError("event store is empty and no as_of timestamp configured")
     # a derived as_of is the latest stored event, which must itself count
-    read = _stage_reader(store, before=as_of if config.as_of else None)
+    read, push_texts = _stage_reader(store, before=as_of if config.as_of else None)
     repo_ids = list(store.iter_repo_ids())
     owner_repos: dict[str, list[str]] = {}
     for repo_id in repo_ids:
@@ -342,13 +352,7 @@ def cmd_metrics(config: PipelineConfig) -> int:
     mentions = {repo_id: ranks.get(repo_id, {}).get("mentions") for repo_id in retained}
     counted = [repo_id for repo_id in retained if mentions[repo_id] is None]
     if counted:
-        corpus = [
-            text
-            for repo_id in repo_ids
-            for event in read(repo_id, keep=False)
-            if event.event_type is EventType.PUSH
-            for text in event.texts
-        ]
+        corpus = (text for repo_id in repo_ids for text in push_texts(repo_id))
         aliases = [{repo_rank[r].name, repo_rank[r].symbol} for r in counted]
         mentions.update(zip(counted, metrics.mention_counts(corpus, aliases)))
     rows = []

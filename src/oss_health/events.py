@@ -92,10 +92,13 @@ class EventRecord:
     number: int | None = None  # issue / pull request number, when carried
 
     def __post_init__(self) -> None:
-        if self.tz_offset is not None and not (
-            TZ_OFFSET_MIN <= self.tz_offset <= TZ_OFFSET_MAX
-        ):
-            raise ValueError(f"tz_offset {self.tz_offset} outside [{TZ_OFFSET_MIN}, {TZ_OFFSET_MAX}]")
+        check_tz_offset(self.tz_offset)
+
+
+def check_tz_offset(tz_offset: int | None) -> None:
+    """Raise ``ValueError`` unless ``tz_offset`` is ``None`` or in range."""
+    if tz_offset is not None and not (TZ_OFFSET_MIN <= tz_offset <= TZ_OFFSET_MAX):
+        raise ValueError(f"tz_offset {tz_offset} outside [{TZ_OFFSET_MIN}, {TZ_OFFSET_MAX}]")
 
 
 @dataclass

@@ -8,9 +8,10 @@ without calendar context.
 from __future__ import annotations
 
 import math
-import re
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,7 +28,11 @@ DAY_SECONDS = 86_400
 MONTH_DAYS = 30.44
 MONTH_SECONDS = int(MONTH_DAYS * DAY_SECONDS)
 
-_TOKEN_RE = re.compile(r"[0-9a-z]+")
+#: byte -> itself for ``[0-9a-z]``, a space for every other byte
+_TOKEN_BYTES = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 for b in range(256))
+#: texts per tokenisation in ``mention_counts``: one call per text costs
+#: more than the scan, one call over the corpus holds all its tokens at once
+_CHUNK_TEXTS = 512
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +113,13 @@ def count_forks(events: Iterable[EventRecord]) -> int:
     return sum(1 for e in events if e.event_type is EventType.FORK)
 
 
-def _tokens(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+def _tokens(text: str) -> list[bytes]:
+    """The maximal runs of ``[0-9a-z]`` in ``text.lower()``, as ASCII bytes.
+
+    Any other character, each non-ASCII one too, separates tokens: it
+    encodes to ``?`` and then becomes a space.
+    """
+    return text.lower().encode("ascii", "replace").translate(_TOKEN_BYTES).split()
 
 
 def count_mentions(corpus_texts: Iterable[str], aliases: Iterable[str]) -> int:
@@ -127,29 +137,43 @@ def mention_counts(
 ) -> list[int]:
     """``count_mentions`` for each alias set, in one tokenisation of the corpus.
 
-    Only token runs that some alias spells are counted, so memory grows
-    with the aliases, not with the corpus vocabulary.
+    The corpus is read once, ``_CHUNK_TEXTS`` texts at a time, joined by a
+    token that no alias contains, so no run spans two texts and memory
+    grows with the chunk and the aliases, not with the corpus.
     """
-    wanted: list[set[str]] = []
+    wanted: list[set[bytes]] = []
     for aliases in alias_sets:
-        runs = {" ".join(toks) for toks in map(_tokens, aliases) if toks}
+        runs = {b" ".join(toks) for toks in map(_tokens, aliases) if toks}
         if not runs:
             raise ValueError("count_mentions requires at least one non-empty alias")
         wanted.append(runs)
     counts = {run: 0 for runs in wanted for run in runs}
-    # first token -> lengths of the wanted runs it starts
-    starts: dict[str, set[int]] = {}
+    # first token -> lengths of the wanted multi-token runs it starts
+    starts: dict[bytes, set[int]] = {}
     for run in counts:
-        first, *rest = run.split(" ")
-        starts.setdefault(first, set()).add(1 + len(rest))
-    for text in corpus_texts:
-        toks = _tokens(text)
-        for i, tok in enumerate(toks):
-            for k in starts.get(tok, ()):
-                if i + k <= len(toks):
-                    run = " ".join(toks[i : i + k])
-                    if run in counts:
-                        counts[run] += 1
+        first, *rest = run.split(b" ")
+        if rest:
+            starts.setdefault(first, set()).add(1 + len(rest))
+    tracked = {run for run in counts if b" " not in run} | starts.keys()
+    # a token longer than any wanted one, so no run contains it
+    longest = max(len(tok) for run in counts for tok in run.split(b" "))
+    separator = " " + "0" * (longest + 1) + " "
+    texts = iter(corpus_texts)
+    while chunk := list(islice(texts, _CHUNK_TEXTS)):
+        toks = _tokens(separator.join(chunk))
+        seen = Counter(filter(tracked.__contains__, toks))
+        for tok, n in seen.items():
+            if tok in counts:  # a single-token run
+                counts[tok] += n
+        for first, lengths in starts.items():
+            at = -1
+            for _ in range(seen[first]):
+                at = toks.index(first, at + 1)
+                for k in lengths:
+                    if at + k <= len(toks):
+                        run = b" ".join(toks[at : at + k])
+                        if run in counts:
+                            counts[run] += 1
     return [sum(counts[run] for run in runs) for runs in wanted]
 
 

@@ -36,10 +36,11 @@ import os
 import struct
 import time
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .events import EventRecord, EventType, has_contribution
+from .events import EventRecord, EventType, check_tz_offset, has_contribution
 
 MAGIC = b"OSHEVT01"
 _LEN = struct.Struct(">I")
@@ -154,6 +155,38 @@ def _frames(path: str | Path, data: bytes) -> tuple[list[bytes], int]:
     return bodies, end
 
 
+def _partition_fields(path: str | Path) -> list[tuple]:
+    """Every record of a partition as the argument tuple of its ``EventRecord``.
+
+    The store's one checked decode, behind ``read`` and ``push_texts``: a
+    torn tail, a body that is not one JSON object, a missing member, an
+    unknown ``event_type`` or a ``tz_offset`` out of range raises
+    ``StoreError`` naming the partition and the byte offset.
+    """
+    with open(path, "rb", buffering=0) as handle:
+        data = handle.read()
+    bodies, end = _frames(path, data)
+    if not end or end < len(data):
+        raise StoreError(f"{path}: torn tail after byte {end}")
+    records = []
+    try:
+        for body in bodies:
+            text = body.decode()
+            doc, stop = _DECODE(text)
+            if stop != len(text):
+                raise ValueError(f"extra data after char {stop}")
+            fields = (
+                doc["repo_id"], _EVENT_TYPES[doc["event_type"]], doc["actor"], doc["created_at"],
+                doc["tz_offset"], doc["action"], doc["texts"], doc["counts"], doc["number"],
+            )
+            check_tz_offset(fields[4])
+            records.append(fields)
+    except (ValueError, KeyError, TypeError) as exc:
+        at = len(MAGIC) + sum(_LEN.size + len(body) for body in bodies[: len(records)])
+        raise StoreError(f"{path}: record at byte {at}: {type(exc).__name__}: {exc}") from exc
+    return records
+
+
 def _partition_names(repo_dir: str) -> list[str]:
     """A repository directory's partition file names, in month order."""
     try:
@@ -248,26 +281,7 @@ class EventStore:
 
     @staticmethod
     def _read_partition(path: str | Path) -> list[EventRecord]:
-        with open(path, "rb", buffering=0) as handle:
-            data = handle.read()
-        bodies, end = _frames(path, data)
-        if not end or end < len(data):
-            raise StoreError(f"{path}: torn tail after byte {end}")
-        records = []
-        try:
-            for body in bodies:
-                text = body.decode()
-                doc, stop = _DECODE(text)
-                if stop != len(text):
-                    raise ValueError(f"extra data after char {stop}")
-                records.append(EventRecord(
-                    doc["repo_id"], _EVENT_TYPES[doc["event_type"]], doc["actor"], doc["created_at"],
-                    doc["tz_offset"], doc["action"], doc["texts"], doc["counts"], doc["number"],
-                ))
-        except (ValueError, KeyError, TypeError) as exc:
-            at = len(MAGIC) + sum(_LEN.size + len(body) for body in bodies[: len(records)])
-            raise StoreError(f"{path}: record at byte {at}: {type(exc).__name__}: {exc}") from exc
-        return records
+        return list(starmap(EventRecord, _partition_fields(path)))
 
     def _repo_dir_names(self) -> list[str]:
         """Names of the repository directories under the root, sorted."""
@@ -278,6 +292,19 @@ class EventStore:
         """All events for one repository, in append order per month."""
         repo_dir = f"{self._root}/{_partition_dir_name(repo_id)}"
         return [e for name in _partition_names(repo_dir) for e in self._read_partition(f"{repo_dir}/{name}")]
+
+    def push_texts(self, repo_id: str, before: int | None = None) -> Iterator[str]:
+        """Texts of one repository's push events before ``before``, in ``read`` order.
+
+        ``before=None`` takes every push.  Every record is decoded and
+        checked as ``read`` does, but no ``EventRecord`` is built.
+        """
+        push = EventType.PUSH
+        repo_dir = f"{self._root}/{_partition_dir_name(repo_id)}"
+        for name in _partition_names(repo_dir):
+            for _, kind, _, created_at, _, _, texts, _, _ in _partition_fields(f"{repo_dir}/{name}"):
+                if kind is push and (before is None or created_at < before):
+                    yield from texts
 
     def latest_created_at(self) -> int | None:
         """``created_at`` of the latest stored event; ``None`` for an empty store.

@@ -15,7 +15,8 @@ import pytest
 from conftest import FIXTURE_LINES, sem_population_covariance
 from oss_health import cli
 from oss_health.cli import PipelineConfig, UserError, load_config, parse_config_text
-from oss_health.store import MAGIC, EventStore
+from oss_health import store as store_module
+from oss_health.store import MAGIC, EventStore, StoreError
 
 MODEL_FILE = "models/health.sem"
 REDUCED_MODEL_FILE = "models/health_reduced.sem"
@@ -35,11 +36,11 @@ SEM_COLUMN_NAMES = [
 ]
 
 
-def _extra_repo_line(actor, created, event_type="WatchEvent", payload=None):
+def _extra_repo_line(actor, created, event_type="WatchEvent", payload=None, repo="ethereum/go-ethereum"):
     return json.dumps(
         {
             "type": event_type,
-            "repo": {"name": "ethereum/go-ethereum"},
+            "repo": {"name": repo},
             "actor": {"login": actor},
             "created_at": created,
             "payload": payload or {},
@@ -299,40 +300,87 @@ class TestMetrics:
         with pytest.raises(UserError, match="not_listed 1, foreign_host 1"):
             cli.cmd_metrics(config)
 
+    @staticmethod
+    def _corpus_only_push(workspace, created, message="bitcoin fork"):
+        """Archive one push to ``someone/else``, a repository no listed project owns."""
+        line = _extra_repo_line(
+            "quinn", created, "PushEvent", {"commits": [{"message": message}]}, repo="someone/else"
+        )
+        name = created[:13].replace("T", "-") + ".json.gz"
+        with gzip.open(workspace / "archives" / name, "wt") as handle:
+            handle.write(line + "\n")
+
     @pytest.mark.parametrize("supplied", [True, False])
     def test_one_pass_over_the_store(self, workspace, monkeypatch, supplied):
-        other = json.dumps(
-            {
-                "type": "PushEvent",
-                "repo": {"name": "someone/else"},
-                "actor": {"login": "quinn"},
-                "created_at": "2016-12-10T09:00:00Z",
-                "payload": {"commits": [{"message": "bitcoin fork"}]},
-            }
-        )
-        with gzip.open(workspace / "archives" / "2016-12-10-9.json.gz", "wt") as handle:
-            handle.write(other + "\n")
+        self._corpus_only_push(workspace, "2016-12-10T09:00:00Z")
         if not supplied:
             (workspace / "ranks.csv").write_text("repo_id,cmc_rank,alexa_rank\n")
         run(workspace, "ingest")
-        reads, lists = [], []
-        read, iter_repo_ids = EventStore.read, EventStore.iter_repo_ids
+        store_dir = workspace / "out" / "store"
+        opened, lists = [], []
+        partition_fields, iter_repo_ids = store_module._partition_fields, EventStore.iter_repo_ids
 
-        def counted_read(self, repo_id):
-            reads.append(repo_id)
-            return read(self, repo_id)
+        def counted_fields(path):
+            opened.append(Path(path).relative_to(store_dir).as_posix())
+            return partition_fields(path)
 
         def counted_iter(self):
             lists.append(1)
             return iter_repo_ids(self)
 
-        monkeypatch.setattr(EventStore, "read", counted_read)
+        monkeypatch.setattr(store_module, "_partition_fields", counted_fields)
         monkeypatch.setattr(EventStore, "iter_repo_ids", counted_iter)
         assert run(workspace, "metrics") == 0
         assert len(lists) == 1
-        assert len(reads) == len(set(reads))
-        listed_owners = {"bitcoin/bitcoin", "ethereum/go-ethereum"}
-        assert set(reads) == (listed_owners if supplied else listed_owners | {"someone/else"})
+        assert len(opened) == len(set(opened))
+        listed_owners = {"bitcoin__bitcoin", "ethereum__go-ethereum"}
+        read_repos = {path.split("/", 1)[0] for path in opened}
+        assert read_repos == (listed_owners if supplied else listed_owners | {"someone__else"})
+        if not supplied:  # counting mentions decodes every stored record
+            stored = [p.relative_to(store_dir).as_posix() for p in store_dir.glob("*/*.events")]
+            assert sorted(opened) == sorted(stored)
+
+    @pytest.mark.parametrize(
+        "corrupt", ["torn_tail", "not_json", "unknown_event_type", "tz_offset_out_of_range"]
+    )
+    def test_corrupt_corpus_record_fails_counted_mentions(self, workspace, caplog, corrupt):
+        self._corpus_only_push(workspace, "2016-12-10T09:00:00Z")
+        run(workspace, "ingest")
+        store_dir = workspace / "out" / "store"
+        path = store_dir / "someone__else" / "2016-12.events"
+        offset = path.stat().st_size
+        doc = json.loads(store_module._record_to_json(EventStore(store_dir).read("someone/else")[0]))
+        if corrupt == "unknown_event_type":
+            doc["event_type"] = "Bogus"
+        elif corrupt == "tz_offset_out_of_range":
+            doc["tz_offset"] = 841
+        body = b"{oops" if corrupt == "not_json" else json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+        frame = len(body).to_bytes(4, "big") + body
+        with open(path, "ab") as handle:
+            handle.write(frame[:14] if corrupt == "torn_tail" else frame)
+        with pytest.raises(StoreError) as expected:
+            EventStore(store_dir).read("someone/else")
+        where = "torn tail after byte" if corrupt == "torn_tail" else "record at byte"
+        assert str(expected.value).startswith(f"{path}: {where} {offset}")
+
+        assert run(workspace, "metrics") == 0  # supplied mentions never read the corpus
+        caplog.clear()
+        (workspace / "ranks.csv").write_text("repo_id,cmc_rank,alexa_rank\n")
+        assert run(workspace, "metrics") == 1
+        assert f"error: {expected.value}" in caplog.text
+
+    def test_corpus_push_at_as_of_not_counted(self, workspace):
+        (workspace / "ranks.csv").write_text("repo_id,cmc_rank,alexa_rank\n")
+        self._corpus_only_push(workspace, "2016-12-31T23:59:59Z")
+        self._corpus_only_push(workspace, "2017-01-01T00:00:00Z")  # the configured as_of
+        # two fixture pushes mention the whole token; the corpus-only push a second early adds one
+        assert int(self._rows(workspace)["bitcoin/bitcoin"]["mentions"]) == 3
+        # a derived as_of is the latest stored event, and that push counts too
+        assert run(workspace, "metrics", "--as-of", "") == 0
+        with open(workspace / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
+            rows = {row["repo_id"]: row for row in csv.DictReader(handle)}
+        assert rows["bitcoin/bitcoin"]["as_of"] == "2017-01-01T00:00:00Z"
+        assert int(rows["bitcoin/bitcoin"]["mentions"]) == 4
 
     def test_derived_as_of_reads_only_the_latest_month(self, workspace, monkeypatch):
         other = json.dumps(

@@ -514,7 +514,8 @@ class TestEventStore:
         assert store.read("bitcoin/bitcoin") == events
 
     @pytest.mark.parametrize(
-        "corrupt", ["invalid_json", "trailing_data", "missing_field", "unknown_event_type"]
+        "corrupt",
+        ["invalid_json", "trailing_data", "missing_field", "unknown_event_type", "tz_offset_out_of_range"],
     )
     def test_corrupt_record_names_partition_and_offset(self, tmp_path, corrupt):
         store = EventStore(tmp_path / "store")
@@ -530,12 +531,16 @@ class TestEventStore:
             "trailing_data": blob + b"{}",
             "missing_field": json.dumps(doc).encode(),
             "unknown_event_type": blob.replace(b'"event_type":"Push"', b'"event_type":"Bogus"'),
+            "tz_offset_out_of_range": blob.replace(b'"tz_offset":null', b'"tz_offset":-721'),
         }[corrupt]
         assert body != blob
         with open(path, "ab") as handle:
             handle.write(len(body).to_bytes(4, "big") + body)
-        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: record at byte {offset}: "):
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: record at byte {offset}: ") as failure:
             store.read("bitcoin/bitcoin")
+        with pytest.raises(StoreError) as push_failure:
+            list(store.push_texts("bitcoin/bitcoin"))
+        assert str(push_failure.value) == str(failure.value)
 
     def test_unkeyable_record_names_partition(self, tmp_path):
         path = tmp_path / "store" / "bitcoin__bitcoin" / "2016-12.events"

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import AS_OF, DAY, make_event
 from oss_health.events import EventType
@@ -13,6 +13,7 @@ from oss_health.metrics import (
     CriticalitySignals,
     ExternalInputs,
     MONTH_SECONDS,
+    _CHUNK_TEXTS,
     TimezoneHistogram,
     build_metrics_row,
     count_forks,
@@ -76,7 +77,13 @@ class TestMentions:
                 total += sum(tuple(toks[i : i + k]) == run for i in range(len(toks) - k + 1))
         return total
 
-    _WORDS = ["bitcoin", "Bitcoin", "bitcoind", "basic", "attention", "token", "neo", "NEO", "x1"]
+    # U+212A lowercases to "k" and U+0130 to "i" plus a combining dot;
+    # runs of "0" look like the token that keeps runs inside one text
+    _WORDS = [
+        "bitcoin", "Bitcoin", "bitcoind", "basic", "attention", "token", "neo", "NEO", "x1",
+        "\u212aelvin", "kelvin", "\u0130o", "io", "0", "0" * 12, "caf\u00e9x", "snake_case",
+        "tab\tnul\x00", "\ud800surrogate", "\U0001F600emoji",
+    ]
     _phrase = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
     _text = st.lists(
         st.sampled_from(_WORDS + ["", " ", "-", "basic attention token", "bitcoin!"]), max_size=12
@@ -85,10 +92,18 @@ class TestMentions:
     @given(
         st.lists(_text, max_size=6),
         st.lists(st.lists(_phrase, min_size=1, max_size=3), min_size=1, max_size=4),
+        st.sampled_from([1, 2, _CHUNK_TEXTS + 1]),
+        st.booleans(),
     )
-    def test_many_sets_match_per_alias_reference(self, corpus, alias_sets):
+    @example(["bitcoin", "bitcoin"], [["bitcoin bitcoin"]], 1, False)  # a run across two texts
+    @example(["a a a"], [["a a"]], 1, False)  # overlapping runs of one token
+    @example(["\u212aelvin \u0130O"], [["kelvin i o"], ["KELVIN", "io"]], 1, False)
+    @example(["0 00 " + "0" * 30], [["0"], ["0 0"]], _CHUNK_TEXTS + 1, True)
+    def test_many_sets_match_per_alias_reference(self, texts, alias_sets, copies, one_shot):
+        corpus = texts * copies  # _CHUNK_TEXTS + 1 copies fill more than one chunk
         expected = [self._reference(corpus, aliases) for aliases in alias_sets]
-        assert mention_counts(corpus, alias_sets) == expected
+        given_corpus = (text for text in corpus) if one_shot else corpus
+        assert mention_counts(given_corpus, alias_sets) == expected
 
 
 class TestCriticality:
