@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -399,26 +400,38 @@ def _prepared_matrix(config: PipelineConfig, metrics_csv: Path) -> dataset.Metri
     if not metrics_csv.is_file():
         raise UserError(f"metrics file not found: {metrics_csv}")
     with open(metrics_csv, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
+        header = next(reader, [])
         analysis = metrics.EFA_COLUMNS + metrics.ENGAGEMENT_COLUMNS
-        keep = [c for c in analysis if c in (reader.fieldnames or [])]
+        keep = [c for c in analysis if c in header]
         if len(keep) < 3:
             raise UserError(f"prepared matrix needs at least 3 analysis columns, found {len(keep)}")
+        if "repo_id" not in header:
+            raise UserError(f"{metrics_csv}, line 1: no 'repo_id' column")
+        label_at = header.index("repo_id")
+        columns = [header.index(c) for c in keep]
         labels: list[str] = []
         values: list[list[float]] = []
         for row in reader:
-            labels.append(row["repo_id"])
-            values.append([float(row[c]) if row[c] != "" else np.nan for c in keep])
+            labels.append(row[label_at])
+            values.append([float(row[i]) if row[i] != "" else np.nan for i in columns])
     return dataset.prepare(dataset.MetricMatrix(labels, keep, np.array(values)))
 
 
-def _efa_block(matrix: dataset.MetricMatrix, config: PipelineConfig) -> dict:
-    names = matrix.column_names
+def _correlations(matrix: dataset.MetricMatrix) -> np.ndarray:
     try:
-        R = factor.correlation_matrix(matrix.values, names)
+        return factor.correlation_matrix(matrix.values, matrix.column_names)
     except ValueError as exc:
         raise UserError(str(exc)) from None
-    pa = factor.parallel_analysis(matrix.values, seed=config.seed)
+
+
+def _efa_block(
+    matrix: dataset.MetricMatrix,
+    R: np.ndarray,
+    pa: factor.ParallelAnalysisResult,
+    config: PipelineConfig,
+) -> dict:
+    names = matrix.column_names
     if config.factors == "auto":
         m = max(pa.suggested_factors, 1)
     else:
@@ -500,13 +513,23 @@ def _efa_text(block: dict) -> str:
 
 
 def cmd_efa(config: PipelineConfig, cross_validate: bool = False) -> int:
+    """Fit the full sample and, with ``cross_validate``, its two split halves.
+
+    Parallel analysis runs once for all blocks, on one shared noise draw.
+    """
     matrix = _prepared_matrix(config, config.out_dir / "metrics.csv")
-    report = _report_envelope(config, "efa")
-    report["full"] = _efa_block(matrix, config)
+    blocks = {"full": matrix}
     if cross_validate:
-        train, test = dataset.split(matrix, config.split_fraction, config.seed)
-        report["train"] = _efa_block(train, config)
-        report["test"] = _efa_block(test, config)
+        blocks["train"], blocks["test"] = dataset.split(matrix, config.split_fraction, config.seed)
+    correlations = {name: _correlations(block) for name, block in blocks.items()}
+    analyses = factor.parallel_analysis(
+        [(correlations[name], len(block.row_labels)) for name, block in blocks.items()],
+        seed=config.seed,
+    )
+    report = _report_envelope(config, "efa")
+    for (name, block), pa in zip(blocks.items(), analyses):
+        report[name] = _efa_block(block, correlations[name], pa, config)
+    if cross_validate:
         report["structure_equivalent"] = report["train"]["assignment"] == report["test"]["assignment"]
     _write_json(config.out_dir / "efa_report.json", report)
     (config.out_dir / "efa_report.txt").write_text(_efa_text(report["full"]), encoding="utf-8")
@@ -628,7 +651,9 @@ class _Parser(argparse.ArgumentParser):
         raise UserError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared by later ``main`` calls."""
     parser = _Parser(prog="oss-health", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
     config_keys = [f.name for f in fields(PipelineConfig)]

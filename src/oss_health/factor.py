@@ -25,6 +25,8 @@ PA_SIMULATIONS = 100
 #: Per-rank quantile of the simulated eigenvalues that parallel analysis
 #: takes as its retention threshold.
 PA_QUANTILE = 0.995
+#: Simulations whose noise parallel analysis holds in memory at a time.
+PA_CHUNK = 10
 
 
 class IdentificationError(ValueError):
@@ -51,21 +53,13 @@ def correlation_matrix(X: np.ndarray, names: Sequence[str] | None = None) -> np.
     return (R + R.T) / 2
 
 
-def _noise_correlations(n: int, p: int, seed: int) -> np.ndarray:
-    """Correlation matrices of ``PA_SIMULATIONS`` standard-normal n-by-p draws, stacked.
-
-    Draw i is what ``default_rng(child).standard_normal((n, p))`` gives for
-    the i-th child of ``SeedSequence(seed)``; the draws are written into one
-    (PA_SIMULATIONS, n, p) array and reduced to correlations in batched operations.
-    """
-    noise = np.empty((PA_SIMULATIONS, n, p))
-    for child, out in zip(np.random.SeedSequence(seed).spawn(PA_SIMULATIONS), noise):
-        np.random.default_rng(child).standard_normal(out=out)
-    noise -= noise.mean(axis=1, keepdims=True)
-    R = np.swapaxes(noise, 1, 2) @ noise
+def _noise_correlations(noise: np.ndarray) -> np.ndarray:
+    """Correlation matrices of a (k, n, p) stack of draws, one per draw, in batched operations."""
+    centred = noise - noise.mean(axis=1, keepdims=True)
+    R = np.swapaxes(centred, 1, 2) @ centred
     sd = np.sqrt(np.diagonal(R, axis1=1, axis2=2))
     R /= sd[:, :, None] * sd[:, None, :]
-    diagonal = np.arange(p)
+    diagonal = np.arange(R.shape[-1])
     R[:, diagonal, diagonal] = 1.0
     return (R + np.swapaxes(R, 1, 2)) / 2
 
@@ -113,33 +107,58 @@ def _suggest(observed: np.ndarray, threshold: np.ndarray) -> int:
     return count
 
 
-def parallel_analysis(X: np.ndarray, seed: int = 0) -> ParallelAnalysisResult:
-    """Factor-count suggestion against eigenvalues of random normal data.
+def parallel_analysis(
+    blocks: Sequence[tuple[np.ndarray, int]], seed: int = 0
+) -> list[ParallelAnalysisResult]:
+    """Factor-count suggestions against eigenvalues of random normal data.
 
-    ``PA_SIMULATIONS`` datasets share the observed shape; per-simulation
-    seeds are derived from ``seed`` so results are independent of
-    scheduling.  Eigenvalues are taken on the reduced basis, with squared
-    multiple correlations on the diagonal, and the simulated per-rank
-    ``PA_QUANTILE`` is the retention threshold (the simulated mean retains
-    spurious factors on noise about half the time).
+    ``blocks`` holds (R, n) pairs: the correlation matrix of an n-row
+    sample and its row count, with every block on the same p variables
+    (an ``efa`` run passes the full sample and its two halves).  Each
+    block is compared with ``PA_SIMULATIONS`` standard-normal n-by-p
+    datasets; simulation i is what ``default_rng(child).standard_normal((n, p))``
+    gives for the i-th child of ``SeedSequence(seed)``, so results are
+    independent of scheduling and of the other blocks.  Eigenvalues are
+    taken on the reduced basis, with squared multiple correlations on the
+    diagonal, and the simulated per-rank ``PA_QUANTILE`` is the retention
+    threshold (the simulated mean retains spurious factors on noise about
+    half the time).
 
-    The simulations are batched: each child seed still draws the same
-    numbers it would alone, but all draws sit in one (100, n, p) array and
-    the correlations, SMC inverses and eigendecompositions run stacked.
-    That array is 100 * n * p floats: 2.7 MB at n = 384 and p = 9, about
-    22 MB at n = 3,000.
+    The noise is drawn once for all blocks: each child fills n_max rows,
+    n_max the largest row count, and a block of n rows is reduced from the
+    first n, which are the numbers that child draws for n rows alone.
+    Draws go ``PA_CHUNK`` simulations at a time into one reused
+    (PA_CHUNK, n_max, p) buffer, and each chunk's correlations, SMC
+    inverses and eigendecompositions run stacked, so memory does not grow
+    with ``PA_SIMULATIONS``.
     """
-    X = np.asarray(X, dtype=float)
-    n, p = X.shape
-    observed = _reduced_eigenvalues(correlation_matrix(X))
-    sims = _reduced_eigenvalues(_noise_correlations(n, p, seed))
-    qtl = np.quantile(sims, PA_QUANTILE, axis=0)
-    return ParallelAnalysisResult(
-        observed_eigenvalues=observed,
-        simulated_mean_eigenvalues=sims.mean(axis=0),
-        simulated_quantile_eigenvalues=qtl,
-        suggested_factors=_suggest(observed, qtl),
-    )
+    p = blocks[0][0].shape[0]
+    if any(R.shape != (p, p) for R, _ in blocks):
+        raise ValueError("parallel-analysis blocks must share their variables")
+    sizes = [n for _, n in blocks]
+    noise = np.empty((PA_CHUNK, max(sizes), p))
+    sims = np.empty((len(blocks), PA_SIMULATIONS, p))
+    children = np.random.SeedSequence(seed).spawn(PA_SIMULATIONS)
+    for start in range(0, PA_SIMULATIONS, PA_CHUNK):
+        batch = children[start : start + PA_CHUNK]
+        chunk = noise[: len(batch)]
+        for child, out in zip(batch, chunk):
+            np.random.default_rng(child).standard_normal(out=out)
+        for n, stack in zip(sizes, sims):
+            stack[start : start + len(batch)] = _reduced_eigenvalues(_noise_correlations(chunk[:, :n]))
+    results = []
+    for (R, _), stack in zip(blocks, sims):
+        observed = _reduced_eigenvalues(R)
+        qtl = np.quantile(stack, PA_QUANTILE, axis=0)
+        results.append(
+            ParallelAnalysisResult(
+                observed_eigenvalues=observed,
+                simulated_mean_eigenvalues=stack.mean(axis=0),
+                simulated_quantile_eigenvalues=qtl,
+                suggested_factors=_suggest(observed, qtl),
+            )
+        )
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +360,8 @@ def newton_minimise(
     Iteration stops when no halving passes, after 500 steps, when the
     largest free |grad| entry is below 1e-10 (or is NaN), or when F falls
     by less than 1e-15; ``converged`` means that entry is at most
-    ``CONVERGED_GRADIENT`` (1e-6) at exit.
+    ``CONVERGED_GRADIENT`` (1e-6) at exit.  The last ``derivatives`` call
+    is always at the returned x.
     """
     x = np.asarray(x, dtype=float)
     fmin, extra = objective(x)
@@ -454,11 +474,13 @@ def efa_ml(R: np.ndarray, n: int, m: int) -> tuple[FactorSolution, FitStatistics
     R = np.asarray(R, dtype=float)
     p = R.shape[0]
     _check_model_size(p, m)
+    loadings = None  # of the latest derivatives call, which is at the returned x
 
     def objective(log_psi: np.ndarray) -> tuple[float, None]:
         return _profiled_objective(R, np.exp(log_psi), m), None
 
     def derivatives(log_psi: np.ndarray, _: None) -> tuple[np.ndarray, Callable]:
+        nonlocal loadings
         psi = np.exp(log_psi)
         loadings, vals, vecs = _loadings_from_psi(R, psi, m)
 
@@ -475,7 +497,7 @@ def efa_ml(R: np.ndarray, n: int, m: int) -> tuple[FactorSolution, FitStatistics
     )
     psi = np.exp(result.x)
     solution = _make_solution(
-        _loadings_from_psi(R, psi, m)[0],
+        loadings,
         psi,
         converged=result.converged,
         iterations=result.iterations,

@@ -122,12 +122,13 @@ def test_criterion_02_zero_residual_exactness():
 def test_criterion_03_parallel_analysis():
     two = 0
     for seed in range(SEEDS):
-        pa = factor.parallel_analysis(_efa_sample(seed), seed=seed)
+        X = _efa_sample(seed)
+        pa = factor.parallel_analysis([(factor.correlation_matrix(X), len(X))], seed=seed)[0]
         two += pa.suggested_factors == 2
     zero = 0
     for seed in range(SEEDS):
         noise = np.random.default_rng(10_000 + seed).standard_normal((N, 9))
-        pa = factor.parallel_analysis(noise, seed=seed)
+        pa = factor.parallel_analysis([(factor.correlation_matrix(noise), N)], seed=seed)[0]
         zero += pa.suggested_factors == 0
     report(
         3,

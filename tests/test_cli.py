@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_LINES, sem_population_covariance
-from oss_health import cli
+from oss_health import cli, dataset, factor
 from oss_health.cli import PipelineConfig, UserError, load_config, parse_config_text
 from oss_health import store as store_module
 from oss_health.store import MAGIC, EventStore, StoreError
@@ -467,6 +467,72 @@ class TestEfa:
             if block["converged"]:
                 assert gradient <= 1e-6
 
+    def test_halves_parallel_analysis_equals_one_block_calls(self, workspace):
+        write_synthetic_metrics(workspace / "out")
+        assert run(workspace, "efa", "--cross-validate", "--seed", "5") == 0
+        report = json.loads((workspace / "out" / "efa_report.json").read_text())
+        config = load_config(str(workspace / "run.cfg"), {})
+        matrix = cli._prepared_matrix(config, workspace / "out" / "metrics.csv")
+        halves = dataset.split(matrix, config.split_fraction, 5)
+        for name, half in zip(("train", "test"), halves):
+            pa = factor.parallel_analysis(
+                [(factor.correlation_matrix(half.values), len(half.row_labels))], seed=5
+            )[0]
+            block = report[name]["parallel_analysis"]
+            assert block["observed_eigenvalues"] == pa.observed_eigenvalues.tolist()
+            assert block["simulated_mean_eigenvalues"] == pa.simulated_mean_eigenvalues.tolist()
+            assert (
+                block["simulated_quantile_eigenvalues"] == pa.simulated_quantile_eigenvalues.tolist()
+            )
+            assert block["suggested_factors"] == pa.suggested_factors
+
+    def test_one_noise_draw_per_cross_validated_run(self, workspace, monkeypatch):
+        spawned, child_generators = [], []
+        default_rng = np.random.default_rng
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawned.append(n_children)
+                return super().spawn(n_children)
+
+        def counting_default_rng(seed=None):
+            if isinstance(seed, np.random.SeedSequence):
+                child_generators.append(seed)
+            return default_rng(seed)
+
+        write_synthetic_metrics(workspace / "out")
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+        monkeypatch.setattr(np.random, "default_rng", counting_default_rng)
+        assert run(workspace, "efa", "--cross-validate") == 0
+        assert spawned == [factor.PA_SIMULATIONS]
+        assert len(child_generators) == factor.PA_SIMULATIONS
+
+    def test_csv_column_order_does_not_matter(self, workspace):
+        out = workspace / "out"
+        write_synthetic_metrics(out)
+        config = load_config(str(workspace / "run.cfg"), {})
+        expected = cli._prepared_matrix(config, out / "metrics.csv")
+        with open(out / "metrics.csv", newline="", encoding="utf-8") as handle:
+            header, *rows = list(csv.reader(handle))
+        order = list(reversed(range(len(header))))
+        with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["as_of", *(header[i] for i in order)])
+            writer.writerows(["2017-01-01T00:00:00Z", *(row[i] for i in order)] for row in rows)
+        matrix = cli._prepared_matrix(config, out / "metrics.csv")
+        assert matrix.row_labels == expected.row_labels
+        assert matrix.column_names == expected.column_names
+        assert np.array_equal(matrix.values, expected.values)
+
+    def test_missing_repo_id_column_is_user_error(self, workspace, caplog):
+        out = workspace / "out"
+        out.mkdir()
+        (out / "metrics.csv").write_text(
+            "stars,forks,mentions\n" + "".join(f"{i % 3},{i},{i * i}\n" for i in range(10))
+        )
+        assert run(workspace, "efa") == 1
+        assert "repo_id" in caplog.text
+
     def test_constant_column_is_user_error(self, workspace, caplog):
         out = workspace / "out"
         out.mkdir()
@@ -606,6 +672,18 @@ class TestReport:
 
 
 class TestEntryPoint:
+    def test_consecutive_calls_share_no_options(self, workspace):
+        out = workspace / "out"
+        write_synthetic_metrics(out)
+        assert run(workspace, "efa", "--cross-validate") == 0
+        assert run(workspace, "efa") == 0
+        report = json.loads((out / "efa_report.json").read_text())
+        assert "train" not in report and "test" not in report
+        assert run(workspace, "sem", "--model", MODEL_FILE, "--compare", REDUCED_MODEL_FILE) == 0
+        assert run(workspace, "sem", "--model", MODEL_FILE) == 0
+        assert "comparison" not in json.loads((out / "sem_report.json").read_text())
+        assert cli._build_parser() is cli._build_parser()
+
     def test_unknown_command_exits_one(self):
         assert cli.main(["frobnicate"]) == 1
 

@@ -1,6 +1,7 @@
 """Factor-analysis numerics: closed-form oracles and structural properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,16 @@ from conftest import (
 )
 from oss_health.factor import (
     CONVERGED_GRADIENT,
+    PA_CHUNK,
     PA_QUANTILE,
     PA_SIMULATIONS,
     PSI_FLOOR,
     IdentificationError,
     _curvatures,
     _loadings_from_psi,
+    _noise_correlations,
     _profiled_objective,
+    _reduced_eigenvalues,
     align_columns,
     assign_indicators,
     comparative_fit_index,
@@ -91,6 +95,27 @@ def per_simulation_reference(X, seed):
     return np.mean(sims, axis=0), np.quantile(sims, PA_QUANTILE, axis=0)
 
 
+def whole_draw_reference(n, p, seed):
+    """Simulated (mean, quantile) eigenvalues from all ``PA_SIMULATIONS`` draws in one array."""
+    noise = np.empty((PA_SIMULATIONS, n, p))
+    for child, out in zip(np.random.SeedSequence(seed).spawn(PA_SIMULATIONS), noise):
+        np.random.default_rng(child).standard_normal(out=out)
+    sims = _reduced_eigenvalues(_noise_correlations(noise))
+    return sims.mean(axis=0), np.quantile(sims, PA_QUANTILE, axis=0)
+
+
+def one_block(X, seed):
+    """Parallel analysis of one data matrix on its own."""
+    return parallel_analysis([(correlation_matrix(X), len(X))], seed=seed)[0]
+
+
+def assert_same_analysis(a, b):
+    assert np.array_equal(a.observed_eigenvalues, b.observed_eigenvalues)
+    assert np.array_equal(a.simulated_mean_eigenvalues, b.simulated_mean_eigenvalues)
+    assert np.array_equal(a.simulated_quantile_eigenvalues, b.simulated_quantile_eigenvalues)
+    assert a.suggested_factors == b.suggested_factors
+
+
 class TestParallelAnalysis:
     def _factor_data(self, seed, n=384):
         R = efa_population_correlation()
@@ -100,7 +125,7 @@ class TestParallelAnalysis:
     @pytest.mark.parametrize("p", [9, 3])
     def test_batched_matches_per_simulation_loop(self, p):
         X = self._factor_data(7, n=150)[:, :p]
-        result = parallel_analysis(X, seed=4)
+        result = one_block(X, 4)
         mean, qtl = per_simulation_reference(X, 4)
         np.testing.assert_allclose(result.simulated_mean_eigenvalues, mean, rtol=0, atol=1e-12)
         np.testing.assert_allclose(result.simulated_quantile_eigenvalues, qtl, rtol=0, atol=1e-12)
@@ -113,13 +138,48 @@ class TestParallelAnalysis:
 
     def test_deterministic(self):
         X = self._factor_data(0)
-        a = parallel_analysis(X, seed=11)
-        b = parallel_analysis(X, seed=11)
+        a = one_block(X, 11)
+        b = one_block(X, 11)
         assert a.suggested_factors == b.suggested_factors
         assert np.array_equal(a.simulated_mean_eigenvalues, b.simulated_mean_eigenvalues)
 
     def test_two_factor_data_suggests_two(self):
-        assert parallel_analysis(self._factor_data(5), seed=1).suggested_factors == 2
+        assert one_block(self._factor_data(5), 1).suggested_factors == 2
+
+    def test_blocks_share_one_draw_bitwise(self):
+        # the longest block is not first
+        X = self._factor_data(3, n=150)
+        blocks = [X[:77], X, X[77:]]
+        together = parallel_analysis([(correlation_matrix(B), len(B)) for B in blocks], seed=9)
+        assert len(together) == 3
+        for B, result in zip(blocks, together):
+            assert_same_analysis(result, one_block(B, 9))
+
+    @pytest.mark.parametrize("n", [150, 77, 73])
+    def test_one_block_equals_one_whole_draw(self, n):
+        X = self._factor_data(3, n=150)[:n]
+        mean, qtl = whole_draw_reference(n, 9, 9)
+        result = one_block(X, 9)
+        assert np.array_equal(result.simulated_mean_eigenvalues, mean)
+        assert np.array_equal(result.simulated_quantile_eigenvalues, qtl)
+
+    def test_peak_memory_is_one_chunk_of_noise(self):
+        n, p = 3000, 9
+        X = self._factor_data(3, n=n)
+        blocks = [(correlation_matrix(X[: n // 2]), n // 2), (correlation_matrix(X), n)]
+        tracemalloc.start()
+        try:
+            parallel_analysis(blocks, seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the chunk buffer plus one centred copy of it, far below all simulations' noise
+        assert peak < 3 * PA_CHUNK * n * p * 8 < PA_SIMULATIONS * n * p * 8
+
+    def test_blocks_on_different_variables_rejected(self):
+        X = self._factor_data(3, n=150)
+        with pytest.raises(ValueError, match="share their variables"):
+            parallel_analysis([(correlation_matrix(X), 150), (correlation_matrix(X[:, :5]), 150)])
 
 
 class TestEfaMl:
