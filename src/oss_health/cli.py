@@ -26,6 +26,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -93,6 +94,19 @@ class PipelineConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def _input_path(value: str | Path, role: str, key: str | None = None, directory: bool = False) -> Path:
+    """``value`` as a path to an existing file, or directory, named ``role`` in errors.
+
+    With ``key``, an empty ``value`` means the config key ``key`` is unset.
+    """
+    if key and not value:
+        raise UserError(f"no {role} configured (key: {key})")
+    path = Path(value)
+    if not (path.is_dir() if directory else path.is_file()):
+        raise UserError(f"{role} not found: {path}")
+    return path
+
+
 def parse_config_text(text: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -109,9 +123,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 def load_config(path: str | None, overrides: dict[str, str]) -> PipelineConfig:
     values: dict[str, str] = {}
     if path:
-        cfg_path = Path(path)
-        if not cfg_path.is_file():
-            raise UserError(f"config file not found: {cfg_path}")
+        cfg_path = _input_path(path, "config file")
         values.update(parse_config_text(cfg_path.read_text(encoding="utf-8")))
     values.update({k: v for k, v in overrides.items() if v is not None})
     unknown = set(values) - {f.name for f in fields(PipelineConfig)}
@@ -163,11 +175,7 @@ def _fmt(value: float) -> str:
 
 
 def cmd_ingest(config: PipelineConfig) -> int:
-    if not config.archives:
-        raise UserError("no archives directory configured (key: archives)")
-    archive_dir = Path(config.archives)
-    if not archive_dir.is_dir():
-        raise UserError(f"archives directory not found: {archive_dir}")
+    archive_dir = _input_path(config.archives, "archives directory", "archives", directory=True)
     paths = sorted(
         p for p in archive_dir.iterdir() if p.suffix == ".gz" or p.suffix in (".json", ".jsonl")
     )
@@ -210,32 +218,17 @@ def cmd_ingest(config: PipelineConfig) -> int:
 
 def _load_ranks(path: str) -> dict[str, dict]:
     """CSV of point-in-time externals: repo_id,cmc_rank,alexa_rank,mentions."""
-    if not path:
-        raise UserError("no ranks file configured (key: ranks)")
-    ranks_path = Path(path)
-    if not ranks_path.is_file():
-        raise UserError(f"ranks file not found: {ranks_path}")
+    ranks_path = _input_path(path, "ranks file", "ranks")
     out: dict[str, dict] = {}
     with open(ranks_path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        for column in ("repo_id", "cmc_rank"):
-            if column not in (reader.fieldnames or ()):
-                raise UserError(f"{ranks_path}, line 1: no {column!r} column")
-
-        def rank(row: dict, column: str) -> int:
-            try:
-                return int(row.get(column))
-            except (TypeError, ValueError):  # a short row's missing cell is None
-                raise UserError(
-                    f"{ranks_path}, line {reader.line_num}, column {column!r}: "
-                    f"{row.get(column)!r} is not an integer"
-                ) from None
+        projects.require_columns(ranks_path, reader, ("repo_id", "cmc_rank"))
 
         for row in reader:
+            line = reader.line_num
             out[row["repo_id"]] = {
-                "cmc_rank": rank(row, "cmc_rank"),
-                "alexa_rank": rank(row, "alexa_rank") if row.get("alexa_rank") else None,
-                "mentions": rank(row, "mentions") if row.get("mentions") else None,
+                column: projects.int_cell(ranks_path, line, row, column, optional=column != "cmc_rank")
+                for column in ("cmc_rank", "alexa_rank", "mentions")
             }
     return out
 
@@ -300,20 +293,14 @@ def cmd_metrics(config: PipelineConfig) -> int:
     repository, from the events already held or, for every other
     repository, from the store's push texts without building records.
     """
-    if not config.projects:
-        raise UserError("no project list configured (key: projects)")
-    project_path = Path(config.projects)
-    if not project_path.is_file():
-        raise UserError(f"project list not found: {project_path}")
+    project_path = _input_path(config.projects, "project list", "projects")
     ranks = _load_ranks(config.ranks)
-    overrides = (
-        projects.load_overrides(config.overrides) if config.overrides else {}
-    )
-    crit_config = (
-        metrics.parse_criticality_config(Path(config.criticality_config).read_text(encoding="utf-8"))
-        if config.criticality_config
-        else None
-    )
+    overrides, crit_config = {}, None
+    if config.overrides:
+        overrides = projects.load_overrides(_input_path(config.overrides, "overrides file"))
+    if config.criticality_config:
+        crit_path = _input_path(config.criticality_config, "criticality config file")
+        crit_config = metrics.parse_criticality_config(crit_path.read_text(encoding="utf-8"))
     store = EventStore(config.store_dir)
     if config.as_of:
         as_of = _parse_as_of(config.as_of)
@@ -360,18 +347,14 @@ def cmd_metrics(config: PipelineConfig) -> int:
     for repo_id in retained:
         entry = repo_rank[repo_id]
         external = ranks.get(repo_id, {})
-        events = read(repo_id)
         externals = metrics.ExternalInputs(
             cmc_rank=external.get("cmc_rank", entry.cmc_rank),
             alexa_rank=external.get("alexa_rank", entry.alexa_rank),
             mentions=mentions[repo_id],
-            criticality=(
-                metrics.default_criticality_signals(events, as_of, crit_config)
-                if crit_config
-                else None
-            ),
         )
-        rows.append(metrics.build_metrics_row(repo_id, events, externals, reference, as_of))
+        rows.append(
+            metrics.build_metrics_row(repo_id, read(repo_id), externals, reference, as_of, crit_config)
+        )
 
     config.out_dir.mkdir(parents=True, exist_ok=True)
     out_csv = config.out_dir / "metrics.csv"
@@ -396,9 +379,21 @@ def cmd_metrics(config: PipelineConfig) -> int:
 # EFA
 
 
-def _prepared_matrix(config: PipelineConfig, metrics_csv: Path) -> dataset.MetricMatrix:
-    if not metrics_csv.is_file():
-        raise UserError(f"metrics file not found: {metrics_csv}")
+def _matrix_cell(path: Path, line: int, column: str, text: str) -> float:
+    """One analysis cell of ``metrics.csv``: NaN when empty, else a finite number."""
+    if text == "":
+        return math.nan
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise UserError(f"{path}, line {line}, column {column!r}: {text!r} is not a finite number")
+
+
+def _prepared_matrix(metrics_csv: Path) -> dataset.MetricMatrix:
+    """The prepared analysis matrix of ``metrics.csv``; an empty cell is absent."""
+    metrics_csv = _input_path(metrics_csv, "metrics file")
     with open(metrics_csv, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
@@ -410,11 +405,15 @@ def _prepared_matrix(config: PipelineConfig, metrics_csv: Path) -> dataset.Metri
             raise UserError(f"{metrics_csv}, line 1: no 'repo_id' column")
         label_at = header.index("repo_id")
         columns = [header.index(c) for c in keep]
+        width = max(label_at, *columns) + 1
         labels: list[str] = []
         values: list[list[float]] = []
         for row in reader:
+            line = reader.line_num
+            if len(row) < width:
+                raise UserError(f"{metrics_csv}, line {line}, column {header[len(row)]!r}: no cell")
             labels.append(row[label_at])
-            values.append([float(row[i]) if row[i] != "" else np.nan for i in columns])
+            values.append([_matrix_cell(metrics_csv, line, c, row[i]) for c, i in zip(keep, columns)])
     return dataset.prepare(dataset.MetricMatrix(labels, keep, np.array(values)))
 
 
@@ -517,7 +516,7 @@ def cmd_efa(config: PipelineConfig, cross_validate: bool = False) -> int:
 
     Parallel analysis runs once for all blocks, on one shared noise draw.
     """
-    matrix = _prepared_matrix(config, config.out_dir / "metrics.csv")
+    matrix = _prepared_matrix(config.out_dir / "metrics.csv")
     blocks = {"full": matrix}
     if cross_validate:
         blocks["train"], blocks["test"] = dataset.split(matrix, config.split_fraction, config.seed)
@@ -540,9 +539,7 @@ def cmd_efa(config: PipelineConfig, cross_validate: bool = False) -> int:
 # SEM
 
 
-def _read_model(path: Path, role: str) -> sem.SemModel:
-    if not path.is_file():
-        raise UserError(f"{role} file not found: {path}")
+def _read_model(path: Path) -> sem.SemModel:
     try:
         return sem.parse_model(path.read_text(encoding="utf-8"))
     except (sem.SemParseError, sem.SemSpecError) as exc:
@@ -560,11 +557,9 @@ def _optimiser_fields(fit: sem.SemFit) -> dict:
 
 
 def cmd_sem(config: PipelineConfig, compare_model: str | None = None) -> int:
-    if not config.model:
-        raise UserError("no model file configured (key: model)")
-    model_path = Path(config.model)
-    model = _read_model(model_path, "model")
-    matrix = _prepared_matrix(config, config.out_dir / "metrics.csv")
+    model_path = _input_path(config.model, "model file", "model")
+    model = _read_model(model_path)
+    matrix = _prepared_matrix(config.out_dir / "metrics.csv")
     missing = [v for v in model.observed if v not in matrix.column_names]
     if missing:
         raise UserError(f"indicator(s) absent from data: {', '.join(missing)}")
@@ -585,8 +580,8 @@ def cmd_sem(config: PipelineConfig, compare_model: str | None = None) -> int:
     report["heywood"] = fit.heywood
     report.update(_optimiser_fields(fit))
     if compare_model:
-        other_path = Path(compare_model)
-        other = _read_model(other_path, "comparison model")
+        other_path = _input_path(compare_model, "comparison model file")
+        other = _read_model(other_path)
         if set(other.observed) != set(model.observed):
             raise UserError(f"{other_path}: indicators differ from those of {model_path}")
         # S is ordered by model.observed; the comparison needs its own order

@@ -88,17 +88,6 @@ class ExclusionReport:
     dead_no_history: int = 0
     retained: int = 0
 
-    def total(self) -> int:
-        return (
-            self.missing_404
-            + self.private_listed
-            + self.not_listed
-            + self.foreign_host
-            + self.duplicates
-            + self.dead_no_history
-            + self.retained
-        )
-
     def as_dict(self) -> dict:
         return dict(vars(self))
 

@@ -108,14 +108,6 @@ class ParseStats:
     type_skipped: int = 0
     malformed_skipped: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "lines_in": self.lines_in,
-            "records_out": self.records_out,
-            "type_skipped": self.type_skipped,
-            "malformed_skipped": self.malformed_skipped,
-        }
-
 
 def _parse_timestamp(value) -> tuple[int, int | None]:
     """Return (epoch seconds UTC, tz offset minutes or None).

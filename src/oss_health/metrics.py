@@ -355,7 +355,6 @@ class ExternalInputs:
     cmc_rank: int
     alexa_rank: int | None = None
     mentions: int | None = None  # corpus-wide count, computed upstream
-    criticality: CriticalitySignals | None = None
 
 
 @dataclass
@@ -407,21 +406,24 @@ def build_metrics_row(
     externals: ExternalInputs,
     reference: TimezoneHistogram,
     as_of: int,
+    criticality_config: Mapping[str, tuple[float, float]] | None = None,
 ) -> ProjectMetrics:
-    """Assemble one metrics row by delegating to the individual operations."""
+    """Assemble one metrics row by delegating to the individual operations.
+
+    Criticality weighs :func:`default_criticality_signals` by
+    ``criticality_config``, or by the default weights when it is None or empty.
+    """
     tz = timezone_histogram(events, (as_of - 6 * MONTH_SECONDS, as_of))
     median_days, average_days = issue_response_times(events)
     commits, comments, pull_requests, authors = engagement_metrics(events, as_of)
-    if externals.criticality is not None:
-        crit = criticality_score(externals.criticality)
-    else:
-        crit = criticality_score(default_criticality_signals(events, as_of))
     return ProjectMetrics(
         repo_id=repo_id,
         stars=count_stars(events),
         forks=count_forks(events),
         mentions=externals.mentions if externals.mentions is not None else 0,
-        criticality=crit,
+        criticality=criticality_score(
+            default_criticality_signals(events, as_of, criticality_config)
+        ),
         geo_rmse=geo_rmse(tz, reference),
         longevity_days=longevity(events),
         months_since_update=months_since_update(events, as_of),

@@ -78,19 +78,45 @@ def load_overrides(path: str | Path) -> dict[str, str]:
     return parse_overrides(Path(path).read_text(encoding="utf-8"))
 
 
+def require_columns(path: str | Path, reader: csv.DictReader, columns: Iterable[str]) -> None:
+    """ValueError naming the first of ``columns`` missing from the header of ``path``."""
+    for column in columns:
+        if column not in (reader.fieldnames or ()):
+            raise ValueError(f"{path}, line 1: no {column!r} column")
+
+
+def int_cell(path: str | Path, line: int, row: dict, column: str, optional: bool = False) -> int | None:
+    """``row[column]`` as an integer, or None for an empty ``optional`` cell;
+    ValueError naming the file, line and column otherwise."""
+    text = row.get(column)
+    if optional and not text:
+        return None
+    try:
+        return int(text)
+    except (TypeError, ValueError):  # a short row's missing cell is None
+        raise ValueError(f"{path}, line {line}, column {column!r}: {text!r} is not an integer") from None
+
+
 def load_project_list(path: str | Path) -> list[ProjectEntry]:
-    """Read the project CSV: ``name,symbol,cmc_rank,website,source_location,alexa_rank``."""
+    """Read the project CSV: ``name,symbol,cmc_rank,website,source_location,alexa_rank``.
+
+    ``alexa_rank`` is optional; a missing column or a rank that is not an
+    integer raises ``ValueError`` naming the file, line and column.
+    """
     entries: list[ProjectEntry] = []
     with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
+        reader = csv.DictReader(handle)
+        require_columns(path, reader, ("name", "symbol", "cmc_rank", "website", "source_location"))
+        for row in reader:
+            line = reader.line_num
             entries.append(
                 ProjectEntry(
                     name=row["name"],
                     symbol=row["symbol"],
-                    cmc_rank=int(row["cmc_rank"]),
+                    cmc_rank=int_cell(path, line, row, "cmc_rank"),
                     website=row["website"],
                     source_location=row["source_location"] or None,
-                    alexa_rank=int(row["alexa_rank"]) if row.get("alexa_rank") else None,
+                    alexa_rank=int_cell(path, line, row, "alexa_rank", optional=True),
                 )
             )
     ranks = [e.cmc_rank for e in entries]

@@ -8,13 +8,15 @@ Models are written in a small text language::
 
 Estimation minimises the maximum-likelihood covariance-structure
 discrepancy by Fisher scoring, with the EFA's minimiser
-(``factor.newton_minimise``).  The gradient and the expected information
-both come from one analytic Jacobian of the implied covariance,
-``_Layout.delta``, the only code that differentiates it.  The
-covariance implied by a parameter vector comes from the path-matrix
-formulation ``Sigma = F (I - A)^-1 S (I - A)^-T F^T`` where ``A`` holds
-directed coefficients, ``S`` the variances and covariances of exogenous
-terms, and ``F`` selects observed variables.
+(``factor.newton_minimise``).  The covariance implied by a parameter
+vector comes from the path-matrix formulation
+``Sigma = F (I - A)^-1 S (I - A)^-T F^T`` where ``A`` holds directed
+coefficients, ``S`` the variances and covariances of exogenous terms, and
+``F`` selects observed variables.  ``_Layout.implied`` evaluates it, once
+per parameter vector, and the objective hands its matrices to everything
+else at that vector.  The gradient and the expected information both come
+from one analytic Jacobian of the implied covariance, ``_Layout.delta``,
+the only code that differentiates it.
 
 Identification is by unit loading: the first indicator of every latent is
 fixed to one.  Variance parameters are left unconstrained during
@@ -168,13 +170,11 @@ class SemModel:
 
 
 def free_covariance(model: SemModel, a: str, b: str) -> SemModel:
-    """Return a model with the residual covariance (a, b) freed; idempotent."""
-    observed = set(model.observed)
-    if a == b:
-        raise ValueError(f"cov({a},{a}) is a variance, not a covariance")
-    for name in (a, b):
-        if name not in observed:
-            raise ValueError(f"unknown indicator {name!r}")
+    """Return a model with the residual covariance (a, b) freed; idempotent.
+
+    The new model is validated as any other: a variance or an unknown
+    indicator raises :class:`SemSpecError`.
+    """
     pair = tuple(sorted((a, b)))
     pairs = [tuple(sorted(p)) for p in model.residual_covariances]
     if pair in pairs:
@@ -239,12 +239,14 @@ _DIRECTED = ("loading", "path")
 
 
 class _Layout:
-    """Index bookkeeping: the one map from parameter values to A and S,
-    and the one derivative of Sigma with respect to them.
+    """Index bookkeeping: the one map from parameter values to A, S and
+    Sigma, and the one derivative of Sigma with respect to them.
 
     Fixed values sit in the templates ``A0``/``S0``; free parameters are
-    written by :meth:`matrices` through precomputed index arrays, which
-    :meth:`delta` reads back in the same order.
+    written by :meth:`implied` through precomputed index arrays, which
+    :meth:`delta` reads back in the same order.  :meth:`implied` is the
+    only place that inverts I - A: :meth:`delta` and :meth:`derivatives`
+    take its B = (I - A)^-1.
     """
 
     def __init__(self, model: SemModel):
@@ -281,22 +283,24 @@ class _Layout:
                 raise KeyError(f"missing value for parameter {prm.name}")
         return np.array([values[prm.name] for prm in self.free], dtype=float)
 
-    def matrices(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def implied(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(A, S, Sigma, B) at ``theta``, with B = (I - A)^-1 and Sigma
+        symmetric: everything later steps need at one parameter vector."""
         A = self.A0.copy()
         S = self.S0.copy()
         A[self.a_cells] = theta[self.a_free]
         S[self.s_cells] = theta[self.s_free]
         S[self.s_cells[::-1]] = theta[self.s_free]
-        return A, S
+        # indicators are never latents and the paths are acyclic, so I - A is
+        # unit triangular in a topological order and always invertible
+        B = np.linalg.inv(np.eye(self.t) - A)
+        G = B[: self.p]
+        sigma = G @ S @ G.T
+        return A, S, (sigma + sigma.T) / 2, B
 
-    def implied(self, theta: np.ndarray) -> np.ndarray:
-        A, S = self.matrices(theta)
-        sigma, _, _ = _implied_from_matrices(A, S, self.p)
-        return (sigma + sigma.T) / 2
-
-    def delta(self, A: np.ndarray, S: np.ndarray) -> np.ndarray:
+    def delta(self, B: np.ndarray, S: np.ndarray) -> np.ndarray:
         """(q, p, p) stack of dSigma/dtheta_k, in free-parameter order."""
-        _, B, G = _implied_from_matrices(A, S, self.p)
+        G = B[: self.p]
         out = np.empty((len(self.free), self.p, self.p))
         # A-cell (i, j): dG = G[:, i] B[j, :], so dSigma = dG S G^T + transpose
         rows, cols = self.a_cells
@@ -309,37 +313,26 @@ class _Layout:
         out[self.s_free] = d + off * d.transpose(0, 2, 1)
         return out
 
-    def derivatives(
-        self, A: np.ndarray, S: np.ndarray, sigma: np.ndarray, sample: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and expected Hessian of F_ML at Sigma = L L^T.
+    def derivatives(self, implied: tuple, sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and expected Hessian of F_ML against the sample
+        covariance S, at :meth:`implied`'s Sigma = L L^T.
 
         Both come from the scaled Jacobian D_k = L^-1 Delta_k L^-T: the
         gradient <Sigma^-1 - Sigma^-1 S Sigma^-1, Delta_k> is
         <I - L^-1 S L^-T, D_k>, and H_ab = tr(Sigma^-1 Delta_a Sigma^-1
         Delta_b) is <D_a, D_b>.
         """
+        _, Smat, sigma, B = implied
         root = np.linalg.inv(np.linalg.cholesky(sigma))
-        scaled = (root @ self.delta(A, S) @ root.T).reshape(len(self.free), -1)
+        scaled = (root @ self.delta(B, Smat) @ root.T).reshape(len(self.free), -1)
         residual = np.eye(self.p) - root @ sample @ root.T
         return scaled @ residual.ravel(), scaled @ scaled.T
-
-
-def _implied_from_matrices(
-    A: np.ndarray, S: np.ndarray, p: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # indicators are never latents and the paths are acyclic, so I - A is
-    # unit triangular in a topological order and always invertible
-    B = np.linalg.inv(np.eye(A.shape[0]) - A)
-    G = B[:p, :]
-    sigma = G @ S @ G.T
-    return sigma, B, G
 
 
 def implied_covariance(model: SemModel, params: Mapping[str, float]) -> np.ndarray:
     """Model-implied covariance of the observed variables."""
     layout = _Layout(model)
-    return layout.implied(layout.vector(params))
+    return layout.implied(layout.vector(params))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +383,13 @@ def default_start_values(layout: _Layout, S: np.ndarray) -> np.ndarray:
 
 
 def _objective_factory(layout: _Layout, S_sample: np.ndarray, logdet_s: float):
-    """F_ML(theta), with (A, S, Sigma) as the minimiser's ``extra``."""
+    """F_ML(theta), with :meth:`_Layout.implied`'s (A, S, Sigma, B) as the
+    minimiser's ``extra``."""
     p = layout.p
 
     def objective(theta: np.ndarray) -> tuple[float, tuple | None]:
-        A, Smat = layout.matrices(theta)
-        sigma, _, _ = _implied_from_matrices(A, Smat, p)
-        sigma = (sigma + sigma.T) / 2
+        implied = layout.implied(theta)
+        sigma = implied[2]
         try:
             chol = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError:
@@ -405,7 +398,7 @@ def _objective_factory(layout: _Layout, S_sample: np.ndarray, logdet_s: float):
             return 1e12, None
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         value = logdet + float(np.trace(S_sample @ np.linalg.inv(sigma))) - logdet_s - p
-        return value, (A, Smat, sigma)
+        return value, implied
 
     return objective
 
@@ -420,9 +413,7 @@ def ml_discrepancy(model: SemModel, params: Mapping[str, float], S: np.ndarray) 
 def ml_gradient(model: SemModel, params: Mapping[str, float], S: np.ndarray) -> np.ndarray:
     """Analytic gradient of F_ML, ordered as the model's free parameters."""
     layout = _Layout(model)
-    theta = layout.vector(params)
-    sigma = layout.implied(theta)
-    return layout.derivatives(*layout.matrices(theta), sigma, np.asarray(S, dtype=float))[0]
+    return layout.derivatives(layout.implied(layout.vector(params)), np.asarray(S, dtype=float))[0]
 
 
 def two_sided_p(z: float) -> float:
@@ -441,7 +432,8 @@ def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
     means max |grad| <= ``CONVERGED_GRADIENT`` (1e-6) at exit.
 
     Standard errors come from the inverse expected information,
-    (n - 1)/2 times H at the estimate, as in lavaan's default.  Negative
+    (n - 1)/2 times H at the estimate, as in lavaan's default; H is the
+    minimiser's last one, which is always at the returned estimate.  Negative
     variance estimates are reported in ``heywood`` rather than prevented;
     ``standardized`` is empty when an implied variance is not positive.
     """
@@ -456,8 +448,12 @@ def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
     if df < 0:
         raise SemSpecError(f"model is not identified: {n_free} free parameters, df = {df}")
 
+    last = ()  # (A, S, Sigma, B, H) of the latest derivatives call: at the returned x
+
     def derivatives(theta: np.ndarray, extra: tuple) -> tuple:
-        grad, info = layout.derivatives(*extra, S)
+        nonlocal last
+        grad, info = layout.derivatives(extra, S)
+        last = (*extra, info)
         # unbounded, so every entry is free and H is the whole information
         return grad, lambda free: info
 
@@ -465,12 +461,10 @@ def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
         _objective_factory(layout, S, logdet_s), derivatives, default_start_values(layout, S)
     )
     theta = result.x
-    A, Smat = layout.matrices(theta)
-    sigma, B, _ = _implied_from_matrices(A, Smat, p)
-    sigma = (sigma + sigma.T) / 2
+    A, Smat, sigma, B, H = last
 
     # standard errors via expected information
-    info = max(n - 1, 1) / 2.0 * layout.derivatives(A, Smat, sigma, S)[1]
+    info = max(n - 1, 1) / 2.0 * H
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:

@@ -222,9 +222,8 @@ class EventStore:
     """Partitioned append-only store rooted at a directory."""
 
     def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._root = str(self.root)
+        self._root = str(Path(root))
+        os.makedirs(self._root, exist_ok=True)
         self._repo_dirs: set[str] = set()
         #: partitions appended to so far -> their dedup keys
         self._keys: dict[str, set[bytes]] = {}

@@ -2,6 +2,7 @@
 
 import csv
 import gzip
+import importlib.util
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_LINES, sem_population_covariance
-from oss_health import cli, dataset, factor
+from oss_health import cli, dataset, factor, metrics, projects, sem
 from oss_health.cli import PipelineConfig, UserError, load_config, parse_config_text
 from oss_health import store as store_module
 from oss_health.store import MAGIC, EventStore, StoreError
@@ -257,6 +258,17 @@ class TestMetrics:
         assert run(workspace, "metrics") == 1
         assert f"{workspace / 'ranks.csv'}, line 3, column '{column}': {cell} is not an integer" in caplog.text
 
+    def test_default_criticality_config_changes_nothing(self, workspace):
+        self._rows(workspace)
+        first = (workspace / "out" / "metrics.csv").read_bytes()
+        crit = workspace / "criticality.cfg"
+        crit.write_text("".join(
+            f"{name} = {weight}, {threshold}\n"
+            for name, (weight, threshold) in metrics.DEFAULT_CRITICALITY_CONFIG.items()
+        ))
+        assert run(workspace, "metrics", "--criticality-config", str(crit)) == 0
+        assert (workspace / "out" / "metrics.csv").read_bytes() == first
+
     def test_rerun_is_byte_identical(self, workspace):
         self._rows(workspace)
         first = (workspace / "out" / "metrics.csv").read_bytes()
@@ -472,7 +484,7 @@ class TestEfa:
         assert run(workspace, "efa", "--cross-validate", "--seed", "5") == 0
         report = json.loads((workspace / "out" / "efa_report.json").read_text())
         config = load_config(str(workspace / "run.cfg"), {})
-        matrix = cli._prepared_matrix(config, workspace / "out" / "metrics.csv")
+        matrix = cli._prepared_matrix(workspace / "out" / "metrics.csv")
         halves = dataset.split(matrix, config.split_fraction, 5)
         for name, half in zip(("train", "test"), halves):
             pa = factor.parallel_analysis(
@@ -510,8 +522,7 @@ class TestEfa:
     def test_csv_column_order_does_not_matter(self, workspace):
         out = workspace / "out"
         write_synthetic_metrics(out)
-        config = load_config(str(workspace / "run.cfg"), {})
-        expected = cli._prepared_matrix(config, out / "metrics.csv")
+        expected = cli._prepared_matrix(out / "metrics.csv")
         with open(out / "metrics.csv", newline="", encoding="utf-8") as handle:
             header, *rows = list(csv.reader(handle))
         order = list(reversed(range(len(header))))
@@ -519,7 +530,7 @@ class TestEfa:
             writer = csv.writer(handle)
             writer.writerow(["as_of", *(header[i] for i in order)])
             writer.writerows(["2017-01-01T00:00:00Z", *(row[i] for i in order)] for row in rows)
-        matrix = cli._prepared_matrix(config, out / "metrics.csv")
+        matrix = cli._prepared_matrix(out / "metrics.csv")
         assert matrix.row_labels == expected.row_labels
         assert matrix.column_names == expected.column_names
         assert np.array_equal(matrix.values, expected.values)
@@ -543,8 +554,26 @@ class TestEfa:
         assert run(workspace, "efa") == 1
         assert "stars" in caplog.text
 
-    def test_missing_metrics_is_user_error(self, workspace):
+    def test_missing_metrics_is_user_error(self, workspace, caplog):
         assert run(workspace, "efa") == 1
+        assert f"metrics file not found: {workspace / 'out' / 'metrics.csv'}" in caplog.text
+
+    @pytest.mark.parametrize("row, column, message", [
+        ("r9,2,9", "mentions", "no cell"),
+        ("r9,x,9,81", "stars", "'x' is not a finite number"),
+        ("r9,2,inf,81", "forks", "'inf' is not a finite number"),
+        ("r9,2,9,nan", "mentions", "'nan' is not a finite number"),
+    ])
+    def test_bad_metrics_cell_names_line_and_column(self, workspace, caplog, row, column, message):
+        out = workspace / "out"
+        out.mkdir()
+        (out / "metrics.csv").write_text(
+            "repo_id,stars,forks,mentions\n"
+            + "".join(f"r{i},{i % 3},{i},{i * i}\n" for i in range(9))
+            + row + "\n"
+        )
+        assert run(workspace, "efa") == 1
+        assert f"{out / 'metrics.csv'}, line 11, column '{column}': {message}" in caplog.text
 
     def test_rerun_is_byte_identical(self, workspace):
         write_synthetic_metrics(workspace / "out")
@@ -689,6 +718,36 @@ class TestEntryPoint:
 
     def test_missing_config_file_exits_one(self):
         assert cli.main(["efa", "--config", "/no/such/file.cfg"]) == 1
+
+    @pytest.mark.parametrize("command, flag, role", [
+        ("ingest", "--archives", "archives directory"),
+        ("metrics", "--projects", "project list"),
+        ("metrics", "--ranks", "ranks file"),
+        ("metrics", "--overrides", "overrides file"),
+        ("metrics", "--criticality-config", "criticality config file"),
+        ("sem", "--model", "model file"),
+        ("sem", "--compare", "comparison model file"),
+    ])
+    def test_missing_input_names_its_role(self, workspace, caplog, command, flag, role):
+        write_synthetic_metrics(workspace / "out")
+        missing = workspace / "absent"
+        model = ["--model", MODEL_FILE] if flag == "--compare" else []
+        assert run(workspace, command, *model, flag, str(missing)) == 1
+        assert f"{role} not found: {missing}" in caplog.text
+
+
+def test_benchmark_traced_calls_exist(monkeypatch):
+    # the benchmark's tracer replaces these attributes by name, so a rename
+    # here would otherwise surface only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclass looks itself up
+    spec.loader.exec_module(tracing)
+    targets = tracing._targets((cli, store_module, projects, metrics, dataset, factor, sem))
+    assert len(targets) > 20
+    missing = [name for owner, attr, name, _ in targets if attr not in owner.__dict__]
+    assert missing == []
 
 
 #: Blocks every scipy import, then runs the efa and sem stages on argv's files.

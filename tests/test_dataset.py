@@ -75,7 +75,7 @@ class TestApplyExclusions:
         assert report.dead_no_history == 26
         assert report.retained == 384
         assert len(retained) == 384
-        assert report.total() == 600
+        assert sum(report.as_dict().values()) == 600
 
     def test_all_resolved_with_history(self):
         resolutions = [
@@ -84,7 +84,7 @@ class TestApplyExclusions:
         ]
         retained, report = apply_exclusions(resolutions, {f"o/r{i}": True for i in range(1, 4)})
         assert retained == ["o/r1", "o/r2", "o/r3"]
-        assert report.retained == 3 and report.total() == 3
+        assert report.retained == 3 and sum(report.as_dict().values()) == 3
 
 
 class TestReverseScore:

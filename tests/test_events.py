@@ -5,7 +5,7 @@ import io
 import json
 import logging
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
 import pytest
@@ -166,7 +166,7 @@ class TestParseArchiveStream:
         stats = ParseStats()
         records = list(parse_archive_stream(io.BytesIO(b""), stats, compressed=False))
         assert records == []
-        assert stats.as_dict() == {
+        assert asdict(stats) == {
             "lines_in": 0,
             "records_out": 0,
             "type_skipped": 0,

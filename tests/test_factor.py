@@ -12,6 +12,7 @@ from conftest import (
     EFA_VARIABLE_NAMES,
     efa_population_correlation,
 )
+from oss_health import factor as factor_module
 from oss_health.factor import (
     CONVERGED_GRADIENT,
     PA_CHUNK,
@@ -426,6 +427,58 @@ class TestNewtonMinimise:
         assert grad[0] == pytest.approx(-1.75)  # F falls out of the box
         assert result.max_abs_gradient == abs(grad[1]) <= CONVERGED_GRADIENT
         assert result.converged
+
+    # efa_ml and fit_ml keep the last derivatives call's work as the
+    # solution's, so it must be at the returned x on every way out
+
+    @staticmethod
+    def _run_recorded(objective, derivatives, x0):
+        """(result, the x of the last derivatives call)."""
+        seen = []
+
+        def recorded(x, extra):
+            seen.append(x.copy())
+            return derivatives(x, extra)
+
+        result = newton_minimise(objective, recorded, x0)
+        return result, seen[-1]
+
+    def test_last_derivatives_at_x_after_the_gradient_test(self):
+        result, last = self._run_recorded(*self._quadratic(np.array([2.0, 0.3])), np.zeros(2))
+        assert result.converged and result.iterations == 1
+        assert np.array_equal(last, result.x)
+
+    def test_last_derivatives_at_x_after_a_stalled_decrease(self):
+        # F = x falls by 1e-20 in the one accepted step, below the decrease tolerance
+        result, last = self._run_recorded(
+            lambda x: (float(x[0]), None),
+            lambda x, _: (np.ones(1), lambda free: np.array([[1e20]])),
+            np.zeros(1),
+        )
+        assert result.iterations == 1 and result.max_abs_gradient == 1.0
+        assert result.x[0] < 0 and np.array_equal(last, result.x)
+
+    def test_last_derivatives_at_x_after_a_failed_line_search(self):
+        # F rises at every trial point, so no halving passes
+        result, last = self._run_recorded(
+            lambda x: (float(x[0] != 0.0), None),
+            lambda x, _: (np.ones(1), lambda free: np.eye(1)),
+            np.zeros(1),
+        )
+        assert result.iterations == 0 and result.evaluations == 61
+        assert np.array_equal(last, result.x)
+
+    def test_last_derivatives_at_x_after_the_iteration_limit(self, monkeypatch):
+        # F = x^4: each exact Newton step keeps two thirds of x
+        monkeypatch.setattr(factor_module, "_MAX_ITERATIONS", 3)
+        result, last = self._run_recorded(
+            lambda x: (float(x[0] ** 4), None),
+            lambda x, _: (4 * x**3, lambda free: np.array([[12 * x[0] ** 2]])),
+            np.ones(1),
+        )
+        assert result.iterations == 3 and not result.converged
+        assert result.x[0] == pytest.approx((2 / 3) ** 3)
+        assert np.array_equal(last, result.x)
 
 
 class TestReliability:

@@ -65,6 +65,24 @@ class TestLoadProjectList:
         with pytest.raises(ValueError, match="unique"):
             load_project_list(path)
 
+    def test_bad_rank_names_line_and_column(self, tmp_path):
+        path = tmp_path / "projects.csv"
+        path.write_text(
+            "name,symbol,cmc_rank,website,source_location,alexa_rank\n"
+            "A,A,1,https://a.example,,\n"
+            "B,B,x,https://b.example,,\n"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            load_project_list(path)
+        assert str(excinfo.value) == f"{path}, line 3, column 'cmc_rank': 'x' is not an integer"
+
+    def test_missing_column_named_at_line_one(self, tmp_path):
+        path = tmp_path / "projects.csv"
+        path.write_text("name,symbol,cmc_rank,website\nA,A,1,https://a.example\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_project_list(path)
+        assert str(excinfo.value) == f"{path}, line 1: no 'source_location' column"
+
 
 class TestResolveRepo:
     def test_override_wins(self):

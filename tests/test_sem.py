@@ -1,6 +1,7 @@
 """Model language, covariance structure, ML estimation, and diagnostics."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,11 +292,14 @@ class TestJacobian:
         eps = 1e-6
         for _ in range(10):
             theta = layout.vector(truth) + rng.normal(0, 0.05, len(layout.free))
-            delta = layout.delta(*layout.matrices(theta))
+            _, S, _, B = layout.implied(theta)
+            delta = layout.delta(B, S)
             for k in range(theta.size):
                 step = np.zeros_like(theta)
                 step[k] = eps
-                numeric = (layout.implied(theta + step) - layout.implied(theta - step)) / (2 * eps)
+                numeric = (layout.implied(theta + step)[2] - layout.implied(theta - step)[2]) / (
+                    2 * eps
+                )
                 assert np.max(np.abs(delta[k] - numeric)) < 1e-6
 
     def test_information_is_the_hessian_at_a_perfect_fit(self):
@@ -303,7 +307,7 @@ class TestJacobian:
         model = parse_model(SMALL_MODEL)
         layout = _Layout(model)
         theta = layout.vector(SMALL_TRUE)
-        sigma = layout.implied(theta)
+        sigma = layout.implied(theta)[2]
         names = [prm.name for prm in layout.free]
         eps = 1e-6
         numeric = np.empty((theta.size, theta.size))
@@ -315,7 +319,7 @@ class TestJacobian:
             numeric[k] = (ml_gradient(model, plus, sigma) - ml_gradient(model, minus, sigma)) / (
                 2 * eps
             )
-        information = layout.derivatives(*layout.matrices(theta), sigma, sigma)[1]
+        information = layout.derivatives(layout.implied(theta), sigma)[1]
         assert np.max(np.abs(information - numeric)) < 1e-6
 
 
@@ -348,6 +352,22 @@ class TestOptimiser:
             ses = np.array([full.estimates[name].se for full, _ in sampled_fits])
             ratio = ses.mean() / values.std(ddof=1)
             assert abs(ratio - 1.0) <= 0.15, (name, ratio)
+
+
+    def test_standard_errors_are_a_fresh_information_at_the_estimate(self):
+        # fit_ml keeps the minimiser's last information rather than recomputing it
+        text = (Path(__file__).resolve().parents[1] / "models" / "health.sem").read_text()
+        model = parse_model(text)
+        chol = np.linalg.cholesky(sem_population_covariance())
+        rng = np.random.default_rng(5)
+        S = np.cov(rng.standard_normal((384, 11)) @ chol.T, rowvar=False)
+        fit = fit_ml(model, S, 384)
+        layout = _Layout(model)
+        theta = np.array([fit.estimates[prm.name].value for prm in layout.free])
+        H = layout.derivatives(layout.implied(theta), S)[1]
+        se = np.sqrt(np.diag(np.linalg.inv(383 / 2.0 * H)))
+        assert fit.converged
+        assert [fit.estimates[prm.name].se for prm in layout.free] == se.tolist()
 
 
 class TestHeywood:
