@@ -15,7 +15,7 @@ keys and every report embeds the artifact version and a hash of the
 resolved configuration.
 
 Exit codes: 0 success, 1 user error (bad input, missing files), 2
-internal error.
+internal error.  Each input file is checked once, where it is parsed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import functools
 import hashlib
 import json
 import logging
-import math
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
@@ -217,16 +216,20 @@ def cmd_ingest(config: PipelineConfig) -> int:
 
 
 def _load_ranks(path: str) -> dict[str, dict]:
-    """CSV of point-in-time externals: repo_id,cmc_rank,alexa_rank,mentions."""
+    """CSV of point-in-time externals: repo_id,cmc_rank,alexa_rank,mentions, one row per repo_id."""
     ranks_path = _input_path(path, "ranks file", "ranks")
     out: dict[str, dict] = {}
+    lines: dict[str, int] = {}
     with open(ranks_path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         projects.require_columns(ranks_path, reader, ("repo_id", "cmc_rank"))
-
         for row in reader:
-            line = reader.line_num
-            out[row["repo_id"]] = {
+            repo_id, line = row["repo_id"], reader.line_num
+            if repo_id in lines:
+                first = lines[repo_id]
+                raise ValueError(f"{ranks_path}, lines {first} and {line}: repo_id {repo_id!r} appears twice")
+            lines[repo_id] = line
+            out[repo_id] = {
                 column: projects.int_cell(ranks_path, line, row, column, optional=column != "cmc_rank")
                 for column in ("cmc_rank", "alexa_rank", "mentions")
             }
@@ -297,7 +300,8 @@ def cmd_metrics(config: PipelineConfig) -> int:
     ranks = _load_ranks(config.ranks)
     overrides, crit_config = {}, None
     if config.overrides:
-        overrides = projects.load_overrides(_input_path(config.overrides, "overrides file"))
+        overrides_path = _input_path(config.overrides, "overrides file")
+        overrides = projects.parse_overrides(overrides_path.read_text(encoding="utf-8"))
     if config.criticality_config:
         crit_path = _input_path(config.criticality_config, "criticality config file")
         crit_config = metrics.parse_criticality_config(crit_path.read_text(encoding="utf-8"))
@@ -379,42 +383,9 @@ def cmd_metrics(config: PipelineConfig) -> int:
 # EFA
 
 
-def _matrix_cell(path: Path, line: int, column: str, text: str) -> float:
-    """One analysis cell of ``metrics.csv``: NaN when empty, else a finite number."""
-    if text == "":
-        return math.nan
-    try:
-        if math.isfinite(value := float(text)):
-            return value
-    except ValueError:
-        pass
-    raise UserError(f"{path}, line {line}, column {column!r}: {text!r} is not a finite number")
-
-
 def _prepared_matrix(metrics_csv: Path) -> dataset.MetricMatrix:
     """The prepared analysis matrix of ``metrics.csv``; an empty cell is absent."""
-    metrics_csv = _input_path(metrics_csv, "metrics file")
-    with open(metrics_csv, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        analysis = metrics.EFA_COLUMNS + metrics.ENGAGEMENT_COLUMNS
-        keep = [c for c in analysis if c in header]
-        if len(keep) < 3:
-            raise UserError(f"prepared matrix needs at least 3 analysis columns, found {len(keep)}")
-        if "repo_id" not in header:
-            raise UserError(f"{metrics_csv}, line 1: no 'repo_id' column")
-        label_at = header.index("repo_id")
-        columns = [header.index(c) for c in keep]
-        width = max(label_at, *columns) + 1
-        labels: list[str] = []
-        values: list[list[float]] = []
-        for row in reader:
-            line = reader.line_num
-            if len(row) < width:
-                raise UserError(f"{metrics_csv}, line {line}, column {header[len(row)]!r}: no cell")
-            labels.append(row[label_at])
-            values.append([_matrix_cell(metrics_csv, line, c, row[i]) for c, i in zip(keep, columns)])
-    return dataset.prepare(dataset.MetricMatrix(labels, keep, np.array(values)))
+    return dataset.prepare(dataset.read_matrix_csv(_input_path(metrics_csv, "metrics file")))
 
 
 def _correlations(matrix: dataset.MetricMatrix) -> np.ndarray:

@@ -7,19 +7,21 @@ imputation of absent cells, then reverse scoring of the columns named in
 range-preserving affine map ``x' = max + min - x``, which is an involution
 and leaves correlation magnitudes intact.  The audit sidecar lists the
 absent cells of the raw matrix, which are the cells ``prepare`` fills.
+``read_matrix_csv`` reads and checks a matrix file shaped like ``metrics.csv``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import EFA_COLUMNS, ProjectMetrics
+from .metrics import EFA_COLUMNS, ENGAGEMENT_COLUMNS, ProjectMetrics
 from .projects import RepoResolution, ResolutionStatus
 
 #: Columns where a larger raw value means "less healthy"; flipped so that
@@ -183,18 +185,42 @@ def split(
 # persistence
 
 
+def _matrix_cell(path: str | Path, line: int, column: str, text: str) -> float:
+    """One analysis cell: NaN when empty, else a finite number."""
+    if text == "":
+        return math.nan
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{path}, line {line}, column {column!r}: {text!r} is not a finite number")
+
+
 def read_matrix_csv(path: str | Path) -> MetricMatrix:
+    """Rows labelled by ``repo_id``, with the analysis columns present (at least 3,
+    in ``EFA_COLUMNS + ENGAGEMENT_COLUMNS`` order); a bad header, a short row or a
+    cell neither empty nor finite raises ``ValueError`` naming the file and line."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
-        names = header[1:]
+        header = next(reader, [])
+        keep = [c for c in EFA_COLUMNS + ENGAGEMENT_COLUMNS if c in header]
+        if len(keep) < 3:
+            raise ValueError(f"{path}, line 1: needs at least 3 analysis columns, found {len(keep)}")
+        if "repo_id" not in header:
+            raise ValueError(f"{path}, line 1: no 'repo_id' column")
+        label_at = header.index("repo_id")
+        columns = [header.index(c) for c in keep]
+        width = max(label_at, *columns) + 1
         labels: list[str] = []
-        rows: list[list[float]] = []
-        for line in reader:
-            labels.append(line[0])
-            rows.append([float(v) if v != "" else np.nan for v in line[1:]])
-    values = np.array(rows) if rows else np.empty((0, len(names)))
-    return MetricMatrix(labels, names, values)
+        values: list[list[float]] = []
+        for row in reader:
+            line = reader.line_num
+            if len(row) < width:
+                raise ValueError(f"{path}, line {line}, column {header[len(row)]!r}: no cell")
+            labels.append(row[label_at])
+            values.append([_matrix_cell(path, line, c, row[i]) for c, i in zip(keep, columns)])
+    return MetricMatrix(labels, keep, np.array(values).reshape(len(labels), len(keep)))
 
 
 def write_audit_sidecar(path: str | Path, matrix: MetricMatrix, report: ExclusionReport) -> None:

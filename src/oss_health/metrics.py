@@ -2,7 +2,8 @@
 
 All operations are pure given their inputs.  Date arithmetic uses a fixed
 month length of 30.44 days so that month-based metrics are recomputable
-without calendar context.
+without calendar context.  A criticality config is checked once, by
+:func:`parse_criticality_config`.
 """
 
 from __future__ import annotations
@@ -181,19 +182,6 @@ def mention_counts(
 # criticality
 
 
-@dataclass
-class CriticalitySignals:
-    """Named signal values with per-signal weights and saturation thresholds."""
-
-    values: dict[str, float]
-    weights: dict[str, float]
-    thresholds: dict[str, float]
-
-    def __post_init__(self) -> None:
-        if set(self.values) != set(self.weights) or set(self.values) != set(self.thresholds):
-            raise ValueError("signals, weights and thresholds must name the same keys")
-
-
 DEFAULT_CRITICALITY_CONFIG: dict[str, tuple[float, float]] = {
     # signal -> (weight, threshold)
     "commit_frequency": (1.0, 1000.0),
@@ -204,32 +192,37 @@ DEFAULT_CRITICALITY_CONFIG: dict[str, tuple[float, float]] = {
 
 
 def parse_criticality_config(text: str) -> dict[str, tuple[float, float]]:
-    """Parse ``name = weight, threshold`` lines; ``#`` starts a comment."""
+    """Parse ``name = weight, threshold`` lines; ``#`` starts a comment.
+
+    Names are signals of ``DEFAULT_CRITICALITY_CONFIG``, and weights and
+    thresholds finite and positive; any other line raises ``ValueError``."""
     config: dict[str, tuple[float, float]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"criticality config line {lineno}: {raw!r}"
         try:
             name, rest = (part.strip() for part in line.split("=", 1))
-            weight_s, threshold_s = (part.strip() for part in rest.split(",", 1))
-            config[name] = (float(weight_s), float(threshold_s))
-        except ValueError as exc:
-            raise ValueError(f"criticality config line {lineno}: {raw!r}") from exc
+            weight, threshold = (float(part) for part in rest.split(",", 1))
+        except ValueError:
+            raise ValueError(f"{where}: expected name = weight, threshold") from None
+        if name not in DEFAULT_CRITICALITY_CONFIG:
+            raise ValueError(f"{where}: {name!r} is not one of {', '.join(DEFAULT_CRITICALITY_CONFIG)}")
+        if not (0 < weight < math.inf and 0 < threshold < math.inf):  # NaN fails too
+            raise ValueError(f"{where}: weight and threshold must be finite and positive")
+        config[name] = (weight, threshold)
     return config
 
 
-def criticality_score(signals: CriticalitySignals) -> float:
-    """Weighted log-saturated aggregate of project signals, in [0, 1]."""
-    if not signals.values:
+def criticality_score(values: Mapping[str, float], config: Mapping[str, tuple[float, float]]) -> float:
+    """Weighted log-saturated aggregate of the ``values`` that ``config`` names, in [0, 1];
+    ``config`` maps each to its (weight, threshold), as :func:`parse_criticality_config` returns."""
+    if not config:
         raise ValueError("criticality_score requires at least one signal")
-    total = 0.0
-    weight_sum = 0.0
-    for name, value in signals.values.items():
-        weight = signals.weights[name]
-        threshold = signals.thresholds[name]
-        if weight <= 0 or threshold <= 0:
-            raise ValueError(f"signal {name}: weight and threshold must be positive")
+    total = weight_sum = 0.0
+    for name, (weight, threshold) in config.items():
+        value = values[name]
         if value < 0:
             raise ValueError(f"signal {name}: value must be non-negative")
         total += weight * math.log1p(value) / math.log1p(max(value, threshold))
@@ -237,13 +230,8 @@ def criticality_score(signals: CriticalitySignals) -> float:
     return total / weight_sum
 
 
-def default_criticality_signals(
-    events: Sequence[EventRecord],
-    as_of: int,
-    config: Mapping[str, tuple[float, float]] | None = None,
-) -> CriticalitySignals:
-    """Event-store-derived stand-ins for the usual criticality signals."""
-    config = dict(config or DEFAULT_CRITICALITY_CONFIG)
+def criticality_signals(events: Sequence[EventRecord], as_of: int) -> dict[str, float]:
+    """Event-store-derived stand-ins for the signals of ``DEFAULT_CRITICALITY_CONFIG``."""
     year = apply_event_window(events, as_of - 12 * MONTH_SECONDS, as_of)
     commits = sum(e.counts or 0 for e in year if e.event_type is EventType.PUSH)
     recent = sum(
@@ -253,18 +241,12 @@ def default_criticality_signals(
     )
     contributors = len({e.actor for e in events if e.event_type in CONTRIBUTION_TYPES})
     comments = sum(1 for e in year if e.event_type in COMMENT_TYPES)
-    values = {
+    return {
         "commit_frequency": commits / 12.0,
         "recent_activity": float(recent),
         "contributor_count": float(contributors),
         "comment_frequency": comments / 12.0,
     }
-    values = {name: values.get(name, 0.0) for name in config}
-    return CriticalitySignals(
-        values=values,
-        weights={name: config[name][0] for name in config},
-        thresholds={name: config[name][1] for name in config},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +392,8 @@ def build_metrics_row(
 ) -> ProjectMetrics:
     """Assemble one metrics row by delegating to the individual operations.
 
-    Criticality weighs :func:`default_criticality_signals` by
-    ``criticality_config``, or by the default weights when it is None or empty.
+    Criticality weighs :func:`criticality_signals` by ``criticality_config``,
+    or by ``DEFAULT_CRITICALITY_CONFIG`` when it is None or empty.
     """
     tz = timezone_histogram(events, (as_of - 6 * MONTH_SECONDS, as_of))
     median_days, average_days = issue_response_times(events)
@@ -422,7 +404,7 @@ def build_metrics_row(
         forks=count_forks(events),
         mentions=externals.mentions if externals.mentions is not None else 0,
         criticality=criticality_score(
-            default_criticality_signals(events, as_of, criticality_config)
+            criticality_signals(events, as_of), criticality_config or DEFAULT_CRITICALITY_CONFIG
         ),
         geo_rmse=geo_rmse(tz, reference),
         longevity_days=longevity(events),

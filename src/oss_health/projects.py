@@ -5,13 +5,14 @@ Resolution mirrors a manual verification step: an overrides file
 as the reference / core / node implementation is preferred, then a
 contract repository, with ties broken by star count.  Non-GitHub hosts
 are rejected as foreign, and projects listing no source location at all
-are marked as such.
+are marked as such.  The overrides text and the project list are checked
+where they are parsed, by ``parse_overrides`` and ``load_project_list``.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -74,10 +75,6 @@ def parse_overrides(text: str) -> dict[str, str]:
     return overrides
 
 
-def load_overrides(path: str | Path) -> dict[str, str]:
-    return parse_overrides(Path(path).read_text(encoding="utf-8"))
-
-
 def require_columns(path: str | Path, reader: csv.DictReader, columns: Iterable[str]) -> None:
     """ValueError naming the first of ``columns`` missing from the header of ``path``."""
     for column in columns:
@@ -101,27 +98,31 @@ def load_project_list(path: str | Path) -> list[ProjectEntry]:
     """Read the project CSV: ``name,symbol,cmc_rank,website,source_location,alexa_rank``.
 
     ``alexa_rank`` is optional; a missing column or a rank that is not an
-    integer raises ``ValueError`` naming the file, line and column.
+    integer raises ``ValueError`` naming the file, line and column, and a
+    ``cmc_rank`` given twice one naming the file, the rank and both lines.
     """
     entries: list[ProjectEntry] = []
+    rank_lines: dict[int, int] = {}
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         require_columns(path, reader, ("name", "symbol", "cmc_rank", "website", "source_location"))
         for row in reader:
             line = reader.line_num
+            rank = int_cell(path, line, row, "cmc_rank")
+            if rank in rank_lines:
+                first = rank_lines[rank]
+                raise ValueError(f"{path}, lines {first} and {line}: cmc_rank {rank} is not unique")
+            rank_lines[rank] = line
             entries.append(
                 ProjectEntry(
                     name=row["name"],
                     symbol=row["symbol"],
-                    cmc_rank=int_cell(path, line, row, "cmc_rank"),
+                    cmc_rank=rank,
                     website=row["website"],
                     source_location=row["source_location"] or None,
                     alexa_rank=int_cell(path, line, row, "alexa_rank", optional=True),
                 )
             )
-    ranks = [e.cmc_rank for e in entries]
-    if len(set(ranks)) != len(ranks):
-        raise ValueError("cmc_rank values must be unique within one snapshot")
     return entries
 
 

@@ -258,6 +258,33 @@ class TestMetrics:
         assert run(workspace, "metrics") == 1
         assert f"{workspace / 'ranks.csv'}, line 3, column '{column}': {cell} is not an integer" in caplog.text
 
+    def test_duplicate_ranks_row_names_both_lines(self, workspace, caplog):
+        run(workspace, "ingest")
+        (workspace / "ranks.csv").write_text(
+            "repo_id,cmc_rank,alexa_rank,mentions\n"
+            "bitcoin/bitcoin,1,900,40\n"
+            "ethereum/go-ethereum,2,1100,25\n"
+            "bitcoin/bitcoin,1,900,41\n"
+        )
+        assert run(workspace, "metrics") == 1
+        assert f"{workspace / 'ranks.csv'}, lines 2 and 4: repo_id 'bitcoin/bitcoin' appears twice" in caplog.text
+        assert not (workspace / "out" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("line", [
+        "commit_frequncy = 1, 1000",
+        "commit_frequency = nan, 1000",
+        "recent_activity = 1, inf",
+        "recent_activity = 1, 0",
+        "recent_activity = 1 26",
+    ])
+    def test_bad_criticality_config_exits_one_before_the_store(self, workspace, caplog, monkeypatch, line):
+        crit = workspace / "criticality.cfg"
+        crit.write_text(f"contributor_count = 2, 5000\n{line}\n")
+        monkeypatch.setattr(cli, "EventStore", lambda *args: pytest.fail("store opened"))
+        assert run(workspace, "metrics", "--criticality-config", str(crit)) == 1
+        assert f"criticality config line 2: {line!r}" in caplog.text
+        assert not (workspace / "out" / "metrics.csv").exists()
+
     def test_default_criticality_config_changes_nothing(self, workspace):
         self._rows(workspace)
         first = (workspace / "out" / "metrics.csv").read_bytes()

@@ -231,16 +231,44 @@ class TestSplit:
 
 class TestPersistence:
     def test_csv_round_trip_with_absent_cells(self, tmp_path):
-        matrix = simple_matrix([[1.5, np.nan], [2.25, 4.0]], names=["months_since_update", "x"])
+        names = ["geo_rmse", "longevity_days", "months_since_update"]
+        matrix = simple_matrix([[1.5, np.nan, 7.0], [2.25, 4.0, 8.0]], names=names)
         path = tmp_path / "m.csv"
-        path.write_text("project,months_since_update,x\nr0,1.5,\nr1,2.25,4.0\n", encoding="utf-8")
+        path.write_text(
+            "repo_id,geo_rmse,longevity_days,months_since_update\nr0,1.5,,7\nr1,2.25,4.0,8\n",
+            encoding="utf-8",
+        )
         back = read_matrix_csv(path)
         assert back.row_labels == matrix.row_labels
-        assert back.column_names == ["months_since_update", "x"]
+        assert back.column_names == names
         assert np.isnan(back.values[0, 1])
         assert np.array_equal(back.values[1], matrix.values[1])
         # a known reverse-scored name read back from the file is flipped
         assert prepare(back).values[:, 0].tolist() == [2.25, 1.5]
+
+    @pytest.mark.parametrize("row, column, message", [
+        ("r2,1", "forks", "no cell"),
+        ("r2,1,x,3", "forks", "'x' is not a finite number"),
+        ("r2,1,2,nan", "mentions", "'nan' is not a finite number"),
+        ("r2,inf,2,3", "stars", "'inf' is not a finite number"),
+    ])
+    def test_bad_row_names_file_line_and_column(self, tmp_path, row, column, message):
+        path = tmp_path / "m.csv"
+        path.write_text(f"repo_id,stars,forks,mentions\nr0,1,2,3\nr1,4,,6\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read_matrix_csv(path)
+        assert str(excinfo.value) == f"{path}, line 4, column {column!r}: {message}"
+
+    @pytest.mark.parametrize("header, message", [
+        ("project,stars,forks,mentions", "no 'repo_id' column"),
+        ("repo_id,stars,x,forks", "needs at least 3 analysis columns, found 2"),
+    ])
+    def test_bad_header_named(self, tmp_path, header, message):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{header}\nr0,1,2,3\n", encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            read_matrix_csv(path)
+        assert str(excinfo.value) == f"{path}, line 1: {message}"
 
     def test_audit_sidecar(self, tmp_path):
         matrix = simple_matrix(

@@ -10,7 +10,6 @@ from hypothesis import example, given, strategies as st
 from conftest import AS_OF, DAY, make_event
 from oss_health.events import EventType
 from oss_health.metrics import (
-    CriticalitySignals,
     ExternalInputs,
     MONTH_SECONDS,
     _CHUNK_TEXTS,
@@ -108,27 +107,25 @@ class TestMentions:
 
 class TestCriticality:
     def _signals(self, values, weights=None, thresholds=None):
-        names = list(values)
-        return CriticalitySignals(
-            values=values,
-            weights=weights or {n: 1.0 for n in names},
-            thresholds=thresholds or {n: 10.0 for n in names},
-        )
+        """(values, config): the two arguments of ``criticality_score``."""
+        weights = weights or {n: 1.0 for n in values}
+        thresholds = thresholds or {n: 10.0 for n in values}
+        return values, {n: (weights[n], thresholds[n]) for n in values}
 
     def test_zero_signals_score_zero(self):
-        assert criticality_score(self._signals({"a": 0.0, "b": 0.0})) == 0.0
+        assert criticality_score(*self._signals({"a": 0.0, "b": 0.0})) == 0.0
 
     def test_saturated_signals_score_one(self):
-        score = criticality_score(self._signals({"a": 10.0, "b": 50.0}))
+        score = criticality_score(*self._signals({"a": 10.0, "b": 50.0}))
         assert score == pytest.approx(1.0)
 
     def test_closed_form_half(self):
         signals = self._signals({"a": 9.0}, thresholds={"a": 99.0})
-        assert criticality_score(signals) == pytest.approx(math.log(10) / math.log(100))
+        assert criticality_score(*signals) == pytest.approx(math.log(10) / math.log(100))
 
     def test_bad_weight_rejected(self):
-        with pytest.raises(ValueError):
-            criticality_score(self._signals({"a": 1.0}, weights={"a": -1.0}))
+        with pytest.raises(ValueError, match="line 1"):
+            parse_criticality_config("commit_frequency = -1, 10")
 
     @given(
         st.dictionaries(
@@ -138,12 +135,25 @@ class TestCriticality:
         )
     )
     def test_bounds_property(self, values):
-        score = criticality_score(self._signals(values))
+        score = criticality_score(*self._signals(values))
         assert 0.0 <= score <= 1.0 + 1e-12
 
     def test_config_parser(self):
         config = parse_criticality_config("# c\ncommit_frequency = 1, 1000\n")
         assert config == {"commit_frequency": (1.0, 1000.0)}
+
+    @pytest.mark.parametrize("line, reason", [
+        ("commit_frequncy = 1, 1000", "'commit_frequncy' is not one of commit_frequency, "),
+        ("commit_frequency = nan, 1000", "finite and positive"),
+        ("recent_activity = 1, inf", "finite and positive"),
+        ("recent_activity = 1, 0", "finite and positive"),
+        ("recent_activity = 1 26", "expected name = weight, threshold"),
+    ])
+    def test_bad_config_line_named(self, line, reason):
+        with pytest.raises(ValueError) as excinfo:
+            parse_criticality_config(f"# weights\ncontributor_count = 2, 5000\n{line}\n")
+        assert str(excinfo.value).startswith(f"criticality config line 3: {line!r}: ")
+        assert reason in str(excinfo.value)
 
 
 class TestTimezoneHistogram:

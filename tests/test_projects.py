@@ -60,10 +60,12 @@ class TestLoadProjectList:
         path.write_text(
             "name,symbol,cmc_rank,website,source_location,alexa_rank\n"
             "A,A,1,https://a.example,,\n"
-            "B,B,1,https://b.example,,\n"
+            "B,B,2,https://b.example,,\n"
+            "C,C,1,https://c.example,,\n"
         )
-        with pytest.raises(ValueError, match="unique"):
+        with pytest.raises(ValueError) as excinfo:
             load_project_list(path)
+        assert str(excinfo.value) == f"{path}, lines 2 and 4: cmc_rank 1 is not unique"
 
     def test_bad_rank_names_line_and_column(self, tmp_path):
         path = tmp_path / "projects.csv"
