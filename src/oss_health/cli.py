@@ -31,7 +31,6 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator
-from urllib.parse import urlparse
 
 import numpy as np
 
@@ -107,7 +106,10 @@ def _input_path(value: str | Path, role: str, key: str | None = None, directory:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
+    """``key = value`` lines; ``#`` starts a comment, and a key given twice
+    raises ``UserError`` naming both lines."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -115,6 +117,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise UserError(f"config line {lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise UserError(f"config lines {lines[key]} and {lineno}: {key!r} given twice")
+        lines[key] = lineno
         values[key] = value
     return values
 
@@ -236,24 +241,20 @@ def _load_ranks(path: str) -> dict[str, dict]:
     return out
 
 
-def _stage_reader(store: EventStore, before: int | None):
+def _stage_reader(store: EventStore, before: int):
     """``read(repo_id)`` and ``push_texts(repo_id)``: one repository's events before ``before``.
 
     ``read`` reads each repository from the store at most once per reader
     and keeps its events for later calls.  ``push_texts`` yields the texts
     of the push events that ``read`` holds, and streams those of any other
-    repository from the store, keeping nothing.  ``before=None`` keeps
-    every event.
+    repository from the store, keeping nothing.
     """
     kept: dict[str, list[EventRecord]] = {}
 
     def read(repo_id: str) -> list[EventRecord]:
         events = kept.get(repo_id)
         if events is None:
-            events = store.read(repo_id)
-            if before is not None:
-                events = [e for e in events if e.created_at < before]
-            kept[repo_id] = events
+            events = kept[repo_id] = [e for e in store.read(repo_id) if e.created_at < before]
         return events
 
     def push_texts(repo_id: str) -> Iterator[str]:
@@ -263,24 +264,6 @@ def _stage_reader(store: EventStore, before: int | None):
         return (text for e in events if e.event_type is EventType.PUSH for text in e.texts)
 
     return read, push_texts
-
-
-def _store_candidates(owner_repos: dict[str, list[str]], read, entry: projects.ProjectEntry):
-    """Candidate repositories for one project, derived from the store.
-
-    The owner segment of a GitHub source URL selects every stored
-    repository under that owner (``owner_repos`` maps lower-cased owners
-    to repo ids); stars are counted from ``read``.  A non-empty URL with
-    no stored repositories reads as gone.
-    """
-    parsed = urlparse(entry.source_location or "")
-    path_parts = [p for p in parsed.path.split("/") if p]
-    if not path_parts:
-        return []
-    return [
-        projects.Candidate(repo_id=repo_id, stars=metrics.count_stars(read(repo_id)))
-        for repo_id in owner_repos.get(path_parts[0].lower(), [])
-    ]
 
 
 def cmd_metrics(config: PipelineConfig) -> int:
@@ -312,8 +295,7 @@ def cmd_metrics(config: PipelineConfig) -> int:
         as_of = store.latest_created_at()
         if as_of is None:
             raise UserError("event store is empty and no as_of timestamp configured")
-    # a derived as_of is the latest stored event, which must itself count
-    read, push_texts = _stage_reader(store, before=as_of if config.as_of else None)
+    read, push_texts = _stage_reader(store, as_of if config.as_of else as_of + 1)
     repo_ids = list(store.iter_repo_ids())
     owner_repos: dict[str, list[str]] = {}
     for repo_id in repo_ids:
@@ -321,7 +303,14 @@ def cmd_metrics(config: PipelineConfig) -> int:
 
     entries = projects.load_project_list(project_path)
     resolutions = [
-        projects.resolve_repo(entry, _store_candidates(owner_repos, read, entry), overrides)
+        projects.resolve_repo(
+            entry,
+            [
+                projects.Candidate(repo_id, metrics.count_stars(read(repo_id)))
+                for repo_id in owner_repos.get(projects.source_owner(entry.source_location), [])
+            ],
+            overrides,
+        )
         for entry in entries
     ]
     resolutions = projects.mark_duplicates(resolutions)

@@ -63,17 +63,15 @@ class MetricMatrix:
         return MetricMatrix(list(self.row_labels), list(names), self.values[:, idx].copy())
 
 
-def matrix_from_metrics(
-    rows: Sequence[ProjectMetrics], column_names: Sequence[str] = EFA_COLUMNS
-) -> MetricMatrix:
-    """Build a matrix from metrics rows; missing optional fields become NaN."""
-    values = np.full((len(rows), len(column_names)), np.nan)
+def matrix_from_metrics(rows: Sequence[ProjectMetrics]) -> MetricMatrix:
+    """Build an ``EFA_COLUMNS`` matrix from metrics rows; missing optional fields become NaN."""
+    values = np.full((len(rows), len(EFA_COLUMNS)), np.nan)
     for i, row in enumerate(rows):
-        for j, name in enumerate(column_names):
+        for j, name in enumerate(EFA_COLUMNS):
             value = getattr(row, name)
             if value is not None:
                 values[i, j] = float(value)
-    return MetricMatrix([r.repo_id for r in rows], list(column_names), values)
+    return MetricMatrix([r.repo_id for r in rows], list(EFA_COLUMNS), values)
 
 
 # ---------------------------------------------------------------------------

@@ -300,13 +300,20 @@ def parse_archive_stream(
 
 
 def parse_archive_file(path: str | Path) -> tuple[list[EventRecord], ParseStats]:
-    """Parse one archive file, compressed or plain by file suffix."""
+    """Parse one archive file, compressed or plain by file suffix.
+
+    A decompression failure raises :class:`ArchiveStreamError` naming the
+    file and the decompressed byte offset reached."""
     path = Path(path)
     stats = ParseStats()
     with open(path, "rb") as handle:
-        records = list(
-            parse_archive_stream(handle, stats, compressed=path.suffix == ".gz")
-        )
+        try:
+            records = list(
+                parse_archive_stream(handle, stats, compressed=path.suffix == ".gz")
+            )
+        except ArchiveStreamError as exc:
+            reached = exc.bytes_consumed
+            raise ArchiveStreamError(f"{path}: at decompressed byte {reached}: {exc}", reached) from exc
     return records, stats
 
 

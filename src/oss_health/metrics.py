@@ -195,8 +195,10 @@ def parse_criticality_config(text: str) -> dict[str, tuple[float, float]]:
     """Parse ``name = weight, threshold`` lines; ``#`` starts a comment.
 
     Names are signals of ``DEFAULT_CRITICALITY_CONFIG``, and weights and
-    thresholds finite and positive; any other line raises ``ValueError``."""
+    thresholds finite and positive, each name once; any other line raises
+    ``ValueError``."""
     config: dict[str, tuple[float, float]] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -211,6 +213,9 @@ def parse_criticality_config(text: str) -> dict[str, tuple[float, float]]:
             raise ValueError(f"{where}: {name!r} is not one of {', '.join(DEFAULT_CRITICALITY_CONFIG)}")
         if not (0 < weight < math.inf and 0 < threshold < math.inf):  # NaN fails too
             raise ValueError(f"{where}: weight and threshold must be finite and positive")
+        if name in lines:
+            raise ValueError(f"criticality config lines {lines[name]} and {lineno}: {name!r} given twice")
+        lines[name] = lineno
         config[name] = (weight, threshold)
     return config
 

@@ -1,12 +1,15 @@
 """Project lists and resolution of listed projects to canonical repositories.
 
 Resolution mirrors a manual verification step: an overrides file
-(``name=owner/repo`` lines) always wins; otherwise the candidate labelled
-as the reference / core / node implementation is preferred, then a
-contract repository, with ties broken by star count.  Non-GitHub hosts
-are rejected as foreign, and projects listing no source location at all
-are marked as such.  The overrides text and the project list are checked
-where they are parsed, by ``parse_overrides`` and ``load_project_list``.
+(``name=owner/repo`` lines) always wins; otherwise the project takes the
+repository with the most stars under the GitHub owner its source location
+names, ties broken by the larger ``repo_id``.  A source location may be
+written with or without a scheme and a ``www.`` prefix
+(``https://github.com/bitcoin``, ``github.com/bitcoin/bitcoin``); its
+first path segment, in any case, is the owner.  Other hosts are rejected
+as foreign, and projects listing no source location at all are marked as
+such.  The overrides text and the project list are checked where they
+are parsed, by ``parse_overrides`` and ``load_project_list``.
 """
 
 from __future__ import annotations
@@ -17,9 +20,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 from urllib.parse import urlparse
-
-PREFERRED_LABELS = ("reference", "core", "node")
-FALLBACK_LABEL = "contract"
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,6 @@ class Candidate:
 
     repo_id: str
     stars: int
-    labels: frozenset[str] = frozenset()
 
 
 class ResolutionStatus(Enum):
@@ -55,13 +54,14 @@ class RepoResolution:
     project: ProjectEntry
     status: ResolutionStatus
     repo_id: str | None = None  # for RESOLVED / DUPLICATE(of)
-    host: str | None = None  # for FOREIGN_HOST
-    rationale: str = ""
 
 
 def parse_overrides(text: str) -> dict[str, str]:
-    """Parse ``name=owner/repo`` override lines; ``#`` starts a comment."""
+    """Parse ``name=owner/repo`` override lines; ``#`` starts a comment.
+
+    A name given twice raises ``ValueError`` naming both lines."""
     overrides: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -71,6 +71,9 @@ def parse_overrides(text: str) -> dict[str, str]:
         name, repo_id = (part.strip() for part in line.split("=", 1))
         if "/" not in repo_id:
             raise ValueError(f"overrides line {lineno}: {repo_id!r} is not owner/repo")
+        if name in lines:
+            raise ValueError(f"overrides lines {lines[name]} and {lineno}: {name!r} given twice")
+        lines[name] = lineno
         overrides[name] = repo_id
     return overrides
 
@@ -126,24 +129,21 @@ def load_project_list(path: str | Path) -> list[ProjectEntry]:
     return entries
 
 
-def _source_host(source_location: str) -> str:
-    parsed = urlparse(source_location)
-    host = parsed.netloc or source_location.split("/", 1)[0]
-    return host.lower().removeprefix("www.")
+def _host_and_owner(source_location: str) -> tuple[str, str]:
+    """(host without ``www.``, lower-cased first path segment) of a source
+    location, with or without a scheme; either is empty when absent."""
+    parsed = urlparse(source_location if "://" in source_location else "//" + source_location)
+    owner = next((part for part in parsed.path.split("/") if part), "")
+    return parsed.netloc.lower().removeprefix("www."), owner.lower()
 
 
-def _pick_candidate(candidates: Sequence[Candidate]) -> tuple[Candidate, str]:
-    preferred = [c for c in candidates if c.labels & set(PREFERRED_LABELS)]
-    if preferred:
-        pool, why = preferred, "labelled reference/core/node"
-    else:
-        contract = [c for c in candidates if FALLBACK_LABEL in c.labels]
-        if contract:
-            pool, why = contract, "labelled contract"
-        else:
-            pool, why = list(candidates), "max stars among unlabelled"
-    best = max(pool, key=lambda c: (c.stars, c.repo_id))
-    return best, why
+def source_owner(source_location: str | None) -> str | None:
+    """The lower-cased GitHub owner a source location names; ``None`` when
+    there is no location, it is not on github.com, or it names no owner."""
+    if not source_location:
+        return None
+    host, owner = _host_and_owner(source_location)
+    return owner if host == "github.com" and owner else None
 
 
 def resolve_repo(
@@ -159,25 +159,18 @@ def resolve_repo(
     """
     overrides = overrides or {}
     if entry.name in overrides:
-        repo_id = overrides[entry.name]
-        return RepoResolution(entry, ResolutionStatus.RESOLVED, repo_id, rationale="manual override")
+        return RepoResolution(entry, ResolutionStatus.RESOLVED, overrides[entry.name])
     if not entry.source_location:
-        return RepoResolution(entry, ResolutionStatus.NOT_LISTED, rationale="no source location listed")
-    host = _source_host(entry.source_location)
+        return RepoResolution(entry, ResolutionStatus.NOT_LISTED)
+    host, _ = _host_and_owner(entry.source_location)
     if host and host != "github.com":
-        return RepoResolution(
-            entry, ResolutionStatus.FOREIGN_HOST, host=host, rationale=f"hosted on {host}"
-        )
+        return RepoResolution(entry, ResolutionStatus.FOREIGN_HOST)
     if candidates is None:
-        return RepoResolution(
-            entry, ResolutionStatus.PRIVATE_LISTED, rationale="listed but not accessible"
-        )
+        return RepoResolution(entry, ResolutionStatus.PRIVATE_LISTED)
     if not candidates:
-        return RepoResolution(
-            entry, ResolutionStatus.MISSING_404, rationale="no repositories found at listed location"
-        )
-    best, why = _pick_candidate(candidates)
-    return RepoResolution(entry, ResolutionStatus.RESOLVED, best.repo_id, rationale=why)
+        return RepoResolution(entry, ResolutionStatus.MISSING_404)
+    best = max(candidates, key=lambda c: (c.stars, c.repo_id))
+    return RepoResolution(entry, ResolutionStatus.RESOLVED, best.repo_id)
 
 
 def mark_duplicates(resolutions: Iterable[RepoResolution]) -> list[RepoResolution]:
@@ -187,18 +180,13 @@ def mark_duplicates(resolutions: Iterable[RepoResolution]) -> list[RepoResolutio
     highest-ranked (lowest ``cmc_rank``) project keeps the repository.
     """
     ordered = sorted(resolutions, key=lambda r: r.project.cmc_rank)
-    taken: dict[str, str] = {}
+    taken: set[str] = set()
     out: list[RepoResolution] = []
     for res in ordered:
         if res.status is ResolutionStatus.RESOLVED and res.repo_id is not None:
             if res.repo_id in taken:
-                res = RepoResolution(
-                    res.project,
-                    ResolutionStatus.DUPLICATE,
-                    repo_id=res.repo_id,
-                    rationale=f"same code base as {taken[res.repo_id]}",
-                )
+                res = RepoResolution(res.project, ResolutionStatus.DUPLICATE, res.repo_id)
             else:
-                taken[res.repo_id] = res.project.name
+                taken.add(res.repo_id)
         out.append(res)
     return out

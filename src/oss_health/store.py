@@ -292,17 +292,17 @@ class EventStore:
         repo_dir = f"{self._root}/{_partition_dir_name(repo_id)}"
         return [e for name in _partition_names(repo_dir) for e in self._read_partition(f"{repo_dir}/{name}")]
 
-    def push_texts(self, repo_id: str, before: int | None = None) -> Iterator[str]:
+    def push_texts(self, repo_id: str, before: int) -> Iterator[str]:
         """Texts of one repository's push events before ``before``, in ``read`` order.
 
-        ``before=None`` takes every push.  Every record is decoded and
-        checked as ``read`` does, but no ``EventRecord`` is built.
+        Every record is decoded and checked as ``read`` does, but no
+        ``EventRecord`` is built.
         """
         push = EventType.PUSH
         repo_dir = f"{self._root}/{_partition_dir_name(repo_id)}"
         for name in _partition_names(repo_dir):
             for _, kind, _, created_at, _, _, texts, _, _ in _partition_fields(f"{repo_dir}/{name}"):
-                if kind is push and (before is None or created_at < before):
+                if kind is push and created_at < before:
                     yield from texts
 
     def latest_created_at(self) -> int | None:

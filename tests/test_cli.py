@@ -124,6 +124,11 @@ class TestConfig:
         with pytest.raises(UserError, match="archvies"):
             load_config(str(cfg), {})
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(UserError) as excinfo:
+            parse_config_text("seed = 1\nout = x\nseed = 2\n")
+        assert str(excinfo.value) == "config lines 1 and 3: 'seed' given twice"
+
     def test_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("seed = 1\n")
@@ -181,6 +186,16 @@ class TestIngest:
     def test_missing_archive_dir_is_user_error(self, workspace):
         assert run(workspace, "ingest", "--archives", str(workspace / "absent")) == 1
 
+    def test_truncated_archive_names_file_and_offset(self, workspace, caplog):
+        data = ("\n".join(FIXTURE_LINES[:3]) + "\n").encode()
+        truncated = workspace / "archives" / "2016-12-02-00.json.gz"
+        truncated.write_bytes(gzip.compress(data)[:-8])  # no CRC / size trailer
+        assert run(workspace, "ingest") == 1
+        assert (
+            f"error: {truncated}: at decompressed byte {len(data)}: decompression failed: "
+            "Compressed file ended before the end-of-stream marker was reached"
+        ) in caplog.text
+
 
 class TestMetrics:
     def _rows(self, workspace):
@@ -232,6 +247,56 @@ class TestMetrics:
         ]
         # a column with no value at all has nothing to impute from; efa reports it
         assert imputed(["", ""]) == []
+
+    def _with_bitcoin_source(self, workspace, location):
+        path = workspace / "projects.csv"
+        text = path.read_text()
+        path.write_text(text.replace("https://github.com/bitcoin,", f"{location},", 1))
+
+    @pytest.mark.parametrize("location", [
+        "github.com/bitcoin",
+        "www.github.com/bitcoin/bitcoin",
+        "http://GitHub.com/Bitcoin/",
+        "https://github.com/bitcoin",
+    ])
+    def test_source_location_forms_resolve(self, workspace, location):
+        self._with_bitcoin_source(workspace, location)
+        assert set(self._rows(workspace)) == {"bitcoin/bitcoin", "ethereum/go-ethereum"}
+
+    def test_foreign_host_reads_none_of_its_owners_repositories(self, workspace, monkeypatch):
+        # the Foreign project's owner also has a repository on GitHub
+        with gzip.open(workspace / "archives" / "2016-12-05-09.json.gz", "wt") as handle:
+            handle.write(_extra_repo_line("quinn", "2016-12-05T09:00:00Z", repo="foreign/node") + "\n")
+        run(workspace, "ingest")
+        reads, read = [], EventStore.read
+
+        def spied_read(self, repo_id):
+            reads.append(repo_id)
+            return read(self, repo_id)
+
+        monkeypatch.setattr(EventStore, "read", spied_read)
+        assert run(workspace, "metrics") == 0
+        assert "foreign/node" not in reads
+        assert sorted(set(reads)) == ["bitcoin/bitcoin", "ethereum/go-ethereum"]
+
+    def test_overrides_redirect_a_project(self, workspace):
+        self._corpus_only_push(workspace, "2016-12-10T09:00:00Z")
+        overrides = workspace / "overrides.txt"
+        overrides.write_text("# manual fix\nBitcoin = someone/else\n")
+        run(workspace, "ingest")
+        assert run(workspace, "metrics", "--overrides", str(overrides)) == 0
+        with open(workspace / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
+            rows = {row["repo_id"]: row for row in csv.DictReader(handle)}
+        assert set(rows) == {"someone/else", "ethereum/go-ethereum"}
+        assert int(rows["someone/else"]["cmc_rank"]) == 1  # the project's, as the ranks file has no row
+
+    def test_repeated_override_names_both_lines(self, workspace, caplog):
+        overrides = workspace / "overrides.txt"
+        overrides.write_text("Bitcoin = bitcoin/bitcoin\n\nBitcoin = someone/else\n")
+        run(workspace, "ingest")
+        assert run(workspace, "metrics", "--overrides", str(overrides)) == 1
+        assert "error: overrides lines 1 and 3: 'Bitcoin' given twice" in caplog.text
+        assert not (workspace / "out" / "metrics.csv").exists()
 
     def test_missing_ranks_file_named(self, workspace, caplog):
         run(workspace, "ingest")
@@ -763,18 +828,39 @@ class TestEntryPoint:
         assert f"{role} not found: {missing}" in caplog.text
 
 
+def _perfbench_module(monkeypatch, name):
+    """``perfbench/<name>.py``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_traced_calls_exist(monkeypatch):
     # the benchmark's tracer replaces these attributes by name, so a rename
     # here would otherwise surface only in a traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclass looks itself up
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench_module(monkeypatch, "tracing")
     targets = tracing._targets((cli, store_module, projects, metrics, dataset, factor, sem))
     assert len(targets) > 20
     missing = [name for owner, attr, name, _ in targets if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_resolution_matches_benchmark_oracle(monkeypatch, tmp_path):
+    # the benchmark checks metrics.csv against its generator's own resolution
+    # rule, so a resolution regression would otherwise surface only there
+    gen, worker = _perfbench_module(monkeypatch, "gen"), _perfbench_module(monkeypatch, "worker")
+    shape = gen.Shape(months=13, files_per_month=1, lines_per_file=120, repos=20, projects=8)
+    manifest = gen.generate("metrics", 61, tmp_path, shape)
+    out = tmp_path / "out"
+    assert cli.main(["ingest", "--archives", str(tmp_path / "archives"), "--out", str(out)]) == 0
+    for ranks in ("ranks.csv", "ranks_mentions.csv"):
+        argv = ["metrics", "--projects", str(tmp_path / "projects.csv"), "--ranks", str(tmp_path / ranks),
+                "--as-of", str(manifest["as_of"]), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert worker.check_metrics_csv(out / "metrics.csv", manifest) == []
 
 
 #: Blocks every scipy import, then runs the efa and sem stages on argv's files.

@@ -539,7 +539,7 @@ class TestEventStore:
         with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: record at byte {offset}: ") as failure:
             store.read("bitcoin/bitcoin")
         with pytest.raises(StoreError) as push_failure:
-            list(store.push_texts("bitcoin/bitcoin"))
+            list(store.push_texts("bitcoin/bitcoin", AS_OF))
         assert str(push_failure.value) == str(failure.value)
 
     def test_unkeyable_record_names_partition(self, tmp_path):

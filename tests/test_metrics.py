@@ -156,6 +156,12 @@ class TestCriticality:
         assert reason in str(excinfo.value)
 
 
+    def test_repeated_name_names_both_lines(self):
+        with pytest.raises(ValueError) as excinfo:
+            parse_criticality_config("recent_activity = 1, 26\ncommit_frequency = 1, 1000\nrecent_activity = 2, 26\n")
+        assert str(excinfo.value) == "criticality config lines 1 and 3: 'recent_activity' given twice"
+
+
 class TestTimezoneHistogram:
     def test_no_events(self):
         hist = timezone_histogram([], WINDOW)

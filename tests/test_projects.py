@@ -10,6 +10,7 @@ from oss_health.projects import (
     mark_duplicates,
     parse_overrides,
     resolve_repo,
+    source_owner,
 )
 
 
@@ -36,6 +37,11 @@ class TestOverrides:
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_overrides("not an assignment")
+
+    def test_repeated_name_names_both_lines(self):
+        with pytest.raises(ValueError) as excinfo:
+            parse_overrides("Bitcoin = a/b\n# again\nBitcoin = c/d\n")
+        assert str(excinfo.value) == "overrides lines 1 and 3: 'Bitcoin' given twice"
 
     def test_bad_repo_id_rejected(self):
         with pytest.raises(ValueError, match="owner/repo"):
@@ -92,26 +98,30 @@ class TestResolveRepo:
         assert res.status is ResolutionStatus.RESOLVED
         assert res.repo_id == "bitcoin/bitcoin"
 
-    def test_core_label_beats_stars(self):
-        candidates = [
-            Candidate("org/node-impl", 500, frozenset({"core"})),
-            Candidate("org/docs", 900),
-        ]
-        res = resolve_repo(entry(source_location="https://github.com/org"), candidates)
-        assert res.repo_id == "org/node-impl"
-
-    def test_contract_label_is_fallback(self):
-        candidates = [
-            Candidate("org/token-contract", 5, frozenset({"contract"})),
-            Candidate("org/website", 50),
-        ]
-        res = resolve_repo(entry(source_location="https://github.com/org"), candidates)
-        assert res.repo_id == "org/token-contract"
-
     def test_unlabelled_max_stars(self):
         candidates = [Candidate("org/a", 10), Candidate("org/b", 20)]
         res = resolve_repo(entry(source_location="https://github.com/org"), candidates)
         assert res.repo_id == "org/b"
+
+    def test_star_tie_goes_to_larger_repo_id(self):
+        candidates = [Candidate("org/b", 20), Candidate("org/a", 20)]
+        res = resolve_repo(entry(source_location="https://github.com/org"), candidates)
+        assert res.repo_id == "org/b"
+
+    @pytest.mark.parametrize("location, owner", [
+        ("https://github.com/Bitcoin", "bitcoin"),
+        ("github.com/bitcoin/bitcoin", "bitcoin"),
+        ("www.github.com/bitcoin", "bitcoin"),
+        ("HTTP://WWW.GitHub.com/bitcoin/", "bitcoin"),
+        ("https://gitlab.com/bitcoin/node", None),
+        ("gitlab.com/bitcoin/node", None),
+        ("https://github.com/", None),
+        ("github.com", None),
+        ("", None),
+        (None, None),
+    ])
+    def test_source_owner(self, location, owner):
+        assert source_owner(location) == owner
 
     def test_no_source_location(self):
         res = resolve_repo(entry(source_location=None), [])
@@ -120,7 +130,6 @@ class TestResolveRepo:
     def test_foreign_host(self):
         res = resolve_repo(entry(source_location="https://gitlab.com/group/project"), [])
         assert res.status is ResolutionStatus.FOREIGN_HOST
-        assert res.host == "gitlab.com"
 
     def test_private_listed(self):
         res = resolve_repo(entry(), None)
