@@ -14,6 +14,7 @@ The package is organised as a pipeline:
   analysis, rotation, reliability and fit indices.
 * :mod:`oss_health.sem` -- confirmatory factor / structural equation
   models over a small model-description language.
+* :mod:`oss_health.inputs` -- the rules every input-file reader shares.
 * :mod:`oss_health.cli` -- command line orchestration.
 """
 

@@ -15,7 +15,8 @@ keys and every report embeds the artifact version and a hash of the
 resolved configuration.
 
 Exit codes: 0 success, 1 user error (bad input, missing files), 2
-internal error.  Each input file is checked once, where it is parsed.
+internal error.  Each input file is checked once, where it is parsed, by
+the shared rules of :mod:`oss_health.inputs`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import __version__, dataset, factor, metrics, projects, sem
+from . import __version__, dataset, factor, inputs, metrics, projects, sem
 from .events import EventRecord, EventType, has_contribution, parse_archive_file
 from .store import EventStore
 
@@ -106,22 +107,8 @@ def _input_path(value: str | Path, role: str, key: str | None = None, directory:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """``key = value`` lines; ``#`` starts a comment, and a key given twice
-    raises ``UserError`` naming both lines."""
-    values: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UserError(f"config line {lineno}: expected key = value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in lines:
-            raise UserError(f"config lines {lines[key]} and {lineno}: {key!r} given twice")
-        lines[key] = lineno
-        values[key] = value
-    return values
+    """``key = value`` lines, read by the rules of :mod:`oss_health.inputs`."""
+    return {key: value for _, _, key, value in inputs.key_value_lines(text, "config")}
 
 
 def load_config(path: str | None, overrides: dict[str, str]) -> PipelineConfig:
@@ -186,33 +173,32 @@ def cmd_ingest(config: PipelineConfig) -> int:
     if not paths:
         raise UserError(f"no readable archives in {archive_dir}")
     store = EventStore(config.store_dir)
-    per_file = []
-    total_events = 0
-    for path in paths:
-        records, stats = parse_archive_file(path)
-        receipt = store.append(records)
-        total_events += receipt.count
-        per_file.append(
-            {
-                "file": path.name,
-                "parsed": stats.records_out,
-                "skipped_type": stats.type_skipped,
-                "skipped_malformed": stats.malformed_skipped,
-                "stored": receipt.count,
-                "duplicates_skipped": receipt.duplicates_skipped,
-            }
-        )
-        log.info(
-            "%s: parsed %d, skipped %d malformed, stored %d",
-            path.name,
-            stats.records_out,
-            stats.malformed_skipped,
-            receipt.count,
-        )
     report = _report_envelope(config, "ingest")
-    report["files"] = per_file
-    report["stored_events"] = total_events
-    _write_json(config.out_dir / "ingest_report.json", report)
+    report["files"], report["stored_events"] = [], 0
+    try:
+        for path in paths:
+            records, stats = parse_archive_file(path)
+            receipt = store.append(records)
+            report["stored_events"] += receipt.count
+            report["files"].append(
+                {
+                    "file": path.name,
+                    "parsed": stats.records_out,
+                    "skipped_type": stats.type_skipped,
+                    "skipped_malformed": stats.malformed_skipped,
+                    "stored": receipt.count,
+                    "duplicates_skipped": receipt.duplicates_skipped,
+                }
+            )
+            log.info(
+                "%s: parsed %d, skipped %d malformed, stored %d",
+                path.name,
+                stats.records_out,
+                stats.malformed_skipped,
+                receipt.count,
+            )
+    finally:  # a failing archive still leaves the report of those stored before it
+        _write_json(config.out_dir / "ingest_report.json", report)
     return 0
 
 
@@ -221,24 +207,17 @@ def cmd_ingest(config: PipelineConfig) -> int:
 
 
 def _load_ranks(path: str) -> dict[str, dict]:
-    """CSV of point-in-time externals: repo_id,cmc_rank,alexa_rank,mentions, one row per repo_id."""
+    """CSV of point-in-time externals: repo_id,cmc_rank,alexa_rank,mentions, keyed by repo_id."""
     ranks_path = _input_path(path, "ranks file", "ranks")
-    out: dict[str, dict] = {}
-    lines: dict[str, int] = {}
     with open(ranks_path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        projects.require_columns(ranks_path, reader, ("repo_id", "cmc_rank"))
-        for row in reader:
-            repo_id, line = row["repo_id"], reader.line_num
-            if repo_id in lines:
-                first = lines[repo_id]
-                raise ValueError(f"{ranks_path}, lines {first} and {line}: repo_id {repo_id!r} appears twice")
-            lines[repo_id] = line
-            out[repo_id] = {
-                column: projects.int_cell(ranks_path, line, row, column, optional=column != "cmc_rank")
+        _, rows = inputs.csv_table(handle, ranks_path, ("repo_id", "cmc_rank"), "repo_id")
+        return {
+            repo_id: {
+                column: inputs.int_cell(ranks_path, line, row, column, optional=column != "cmc_rank")
                 for column in ("cmc_rank", "alexa_rank", "mentions")
             }
-    return out
+            for line, repo_id, row in rows
+        }
 
 
 def _stage_reader(store: EventStore, before: int):

@@ -7,20 +7,20 @@ imputation of absent cells, then reverse scoring of the columns named in
 range-preserving affine map ``x' = max + min - x``, which is an involution
 and leaves correlation magnitudes intact.  The audit sidecar lists the
 absent cells of the raw matrix, which are the cells ``prepare`` fills.
-``read_matrix_csv`` reads and checks a matrix file shaped like ``metrics.csv``.
+``read_matrix_csv`` reads and checks a matrix file shaped like ``metrics.csv``,
+through the shared input rules of :mod:`oss_health.inputs`.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import inputs
 from .metrics import EFA_COLUMNS, ENGAGEMENT_COLUMNS, ProjectMetrics
 from .projects import RepoResolution, ResolutionStatus
 
@@ -183,42 +183,17 @@ def split(
 # persistence
 
 
-def _matrix_cell(path: str | Path, line: int, column: str, text: str) -> float:
-    """One analysis cell: NaN when empty, else a finite number."""
-    if text == "":
-        return math.nan
-    try:
-        if math.isfinite(value := float(text)):
-            return value
-    except ValueError:
-        pass
-    raise ValueError(f"{path}, line {line}, column {column!r}: {text!r} is not a finite number")
-
-
 def read_matrix_csv(path: str | Path) -> MetricMatrix:
     """Rows labelled by ``repo_id``, with the analysis columns present (at least 3,
-    in ``EFA_COLUMNS + ENGAGEMENT_COLUMNS`` order); a bad header, a short row or a
-    cell neither empty nor finite raises ``ValueError`` naming the file and line."""
+    in ``EFA_COLUMNS + ENGAGEMENT_COLUMNS`` order), read by the rules of
+    :mod:`oss_health.inputs`; an empty cell is absent (NaN)."""
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
+        header, rows = inputs.csv_table(handle, path, ("repo_id",), "repo_id")
         keep = [c for c in EFA_COLUMNS + ENGAGEMENT_COLUMNS if c in header]
         if len(keep) < 3:
             raise ValueError(f"{path}, line 1: needs at least 3 analysis columns, found {len(keep)}")
-        if "repo_id" not in header:
-            raise ValueError(f"{path}, line 1: no 'repo_id' column")
-        label_at = header.index("repo_id")
-        columns = [header.index(c) for c in keep]
-        width = max(label_at, *columns) + 1
-        labels: list[str] = []
-        values: list[list[float]] = []
-        for row in reader:
-            line = reader.line_num
-            if len(row) < width:
-                raise ValueError(f"{path}, line {line}, column {header[len(row)]!r}: no cell")
-            labels.append(row[label_at])
-            values.append([_matrix_cell(path, line, c, row[i]) for c, i in zip(keep, columns)])
-    return MetricMatrix(labels, keep, np.array(values).reshape(len(labels), len(keep)))
+        cells = {label: [inputs.number_cell(path, line, row, c) for c in keep] for line, label, row in rows}
+    return MetricMatrix(list(cells), keep, np.array(list(cells.values())).reshape(len(cells), len(keep)))
 
 
 def write_audit_sidecar(path: str | Path, matrix: MetricMatrix, report: ExclusionReport) -> None:

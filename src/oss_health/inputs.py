@@ -1,0 +1,98 @@
+"""Rules shared by every reader of a user-supplied input file.
+
+In a line file (run config, overrides, criticality config, model) ``#``
+starts a comment and blank lines are skipped; the keyed CSV tables
+(project list, ranks file, ``metrics.csv``) are read by :func:`csv_table`.
+A key given twice is an error naming both lines, and every error is a
+``ValueError`` naming the input and line, and for a CSV cell its column.
+"""
+
+from __future__ import annotations
+
+import csv
+import math
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, TextIO
+
+
+def _given_once(seen: dict, value: object, line: int, where: str, label: str = "") -> None:
+    """Record ``value`` as given on ``line``; ValueError naming both lines if it was given before."""
+    if value in seen:
+        raise ValueError(f"{where} lines {seen[value]} and {line}: {label}{value!r} given twice")
+    seen[value] = line
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, raw line, content) of each line of ``text`` that has
+    content once its ``#`` comment and surrounding blanks are dropped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            yield lineno, raw, content
+
+
+def key_value_lines(text: str, what: str) -> Iterator[tuple[int, str, str, str]]:
+    """(line number, raw line, key, value) of each ``key = value`` content
+    line; ``what`` names the input in errors."""
+    seen: dict[str, int] = {}
+    for lineno, raw, content in content_lines(text):
+        if "=" not in content:
+            raise ValueError(f"{what} line {lineno}: expected key = value, got {raw!r}")
+        key, value = (part.strip() for part in content.split("=", 1))
+        _given_once(seen, key, lineno, what)
+        yield lineno, raw, key, value
+
+
+def _text_cell(path: str | Path, line: int, row: dict, column: str) -> str:
+    if (text := row.get(column)) is None:  # a short row
+        raise ValueError(f"{path}, line {line}, column {column!r}: no cell")
+    return text
+
+
+def int_cell(path: str | Path, line: int, row: dict, column: str, optional: bool = False) -> int | None:
+    """``row[column]`` as an integer, or None for an empty ``optional`` cell."""
+    text = row.get(column)
+    if optional and not text:
+        return None
+    try:
+        return int(text)
+    except (TypeError, ValueError):  # a short row's missing cell is None
+        raise ValueError(f"{path}, line {line}, column {column!r}: {text!r} is not an integer") from None
+
+
+def number_cell(path: str | Path, line: int, row: dict, column: str) -> float:
+    """``row[column]`` as a finite number, or NaN when empty."""
+    text = _text_cell(path, line, row, column)
+    if text == "":
+        return math.nan
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{path}, line {line}, column {column!r}: {text!r} is not a finite number")
+
+
+def csv_table(
+    handle: TextIO, path: str | Path, columns: Iterable[str], key: str, key_cell: Callable = _text_cell
+) -> tuple[list[str], Iterator[tuple[int, object, dict]]]:
+    """The header and rows of the CSV file ``path``, open as ``handle``.
+
+    A header without one of ``columns`` raises at once.  Rows are read as
+    they are iterated, as (line number, ``key_cell(path, line, row, key)``,
+    row by column); a key given twice raises.
+    """
+    reader = csv.DictReader(handle)
+    header = list(reader.fieldnames or ())
+    for column in columns:
+        if column not in header:
+            raise ValueError(f"{path}, line 1: no {column!r} column")
+
+    def rows() -> Iterator[tuple[int, object, dict]]:
+        seen: dict[object, int] = {}
+        for row in reader:
+            line, value = reader.line_num, key_cell(path, reader.line_num, row, key)
+            _given_once(seen, value, line, f"{path},", f"{key} ")
+            yield line, value, row
+
+    return header, rows()

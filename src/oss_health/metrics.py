@@ -3,7 +3,8 @@
 All operations are pure given their inputs.  Date arithmetic uses a fixed
 month length of 30.44 days so that month-based metrics are recomputable
 without calendar context.  A criticality config is checked once, by
-:func:`parse_criticality_config`.
+:func:`parse_criticality_config`, through the shared input rules of
+:mod:`oss_health.inputs`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .events import (
     EventType,
     apply_event_window,
 )
+from .inputs import key_value_lines
 
 DAY_SECONDS = 86_400
 MONTH_DAYS = 30.44
@@ -192,20 +194,15 @@ DEFAULT_CRITICALITY_CONFIG: dict[str, tuple[float, float]] = {
 
 
 def parse_criticality_config(text: str) -> dict[str, tuple[float, float]]:
-    """Parse ``name = weight, threshold`` lines; ``#`` starts a comment.
+    """Parse ``name = weight, threshold`` lines, read by the rules of
+    :mod:`oss_health.inputs`.
 
     Names are signals of ``DEFAULT_CRITICALITY_CONFIG``, and weights and
-    thresholds finite and positive, each name once; any other line raises
-    ``ValueError``."""
+    thresholds finite and positive; any other value raises ``ValueError``."""
     config: dict[str, tuple[float, float]] = {}
-    lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, name, rest in key_value_lines(text, "criticality config"):
         where = f"criticality config line {lineno}: {raw!r}"
         try:
-            name, rest = (part.strip() for part in line.split("=", 1))
             weight, threshold = (float(part) for part in rest.split(",", 1))
         except ValueError:
             raise ValueError(f"{where}: expected name = weight, threshold") from None
@@ -213,9 +210,6 @@ def parse_criticality_config(text: str) -> dict[str, tuple[float, float]]:
             raise ValueError(f"{where}: {name!r} is not one of {', '.join(DEFAULT_CRITICALITY_CONFIG)}")
         if not (0 < weight < math.inf and 0 < threshold < math.inf):  # NaN fails too
             raise ValueError(f"{where}: weight and threshold must be finite and positive")
-        if name in lines:
-            raise ValueError(f"criticality config lines {lines[name]} and {lineno}: {name!r} given twice")
-        lines[name] = lineno
         config[name] = (weight, threshold)
     return config
 

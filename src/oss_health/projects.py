@@ -4,22 +4,27 @@ Resolution mirrors a manual verification step: an overrides file
 (``name=owner/repo`` lines) always wins; otherwise the project takes the
 repository with the most stars under the GitHub owner its source location
 names, ties broken by the larger ``repo_id``.  A source location may be
-written with or without a scheme and a ``www.`` prefix
-(``https://github.com/bitcoin``, ``github.com/bitcoin/bitcoin``); its
-first path segment, in any case, is the owner.  Other hosts are rejected
-as foreign, and projects listing no source location at all are marked as
-such.  The overrides text and the project list are checked where they
-are parsed, by ``parse_overrides`` and ``load_project_list``.
+written with or without a scheme, a ``www.`` prefix, a user or a port
+(``https://github.com/bitcoin``, ``github.com/bitcoin/bitcoin``,
+``github.com:443/bitcoin``), or in SSH form
+(``git@github.com:bitcoin/bitcoin.git``); its first path segment, in any
+case, is the owner.  Other hosts are rejected as foreign, and projects
+listing no source location at all are marked as such.  The overrides
+text and the project list are checked where they are parsed, by
+``parse_overrides`` and ``load_project_list``, through the shared input
+rules of :mod:`oss_health.inputs`.
 """
 
 from __future__ import annotations
 
-import csv
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 from urllib.parse import urlparse
+
+from . import inputs
 
 
 @dataclass(frozen=True)
@@ -57,84 +62,46 @@ class RepoResolution:
 
 
 def parse_overrides(text: str) -> dict[str, str]:
-    """Parse ``name=owner/repo`` override lines; ``#`` starts a comment.
-
-    A name given twice raises ``ValueError`` naming both lines."""
+    """Parse ``name = owner/repo`` override lines, read by the rules of
+    :mod:`oss_health.inputs`; a value not ``owner/repo`` raises ``ValueError``."""
     overrides: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"overrides line {lineno}: expected name=owner/repo, got {raw!r}")
-        name, repo_id = (part.strip() for part in line.split("=", 1))
+    for lineno, _, name, repo_id in inputs.key_value_lines(text, "overrides"):
         if "/" not in repo_id:
             raise ValueError(f"overrides line {lineno}: {repo_id!r} is not owner/repo")
-        if name in lines:
-            raise ValueError(f"overrides lines {lines[name]} and {lineno}: {name!r} given twice")
-        lines[name] = lineno
         overrides[name] = repo_id
     return overrides
-
-
-def require_columns(path: str | Path, reader: csv.DictReader, columns: Iterable[str]) -> None:
-    """ValueError naming the first of ``columns`` missing from the header of ``path``."""
-    for column in columns:
-        if column not in (reader.fieldnames or ()):
-            raise ValueError(f"{path}, line 1: no {column!r} column")
-
-
-def int_cell(path: str | Path, line: int, row: dict, column: str, optional: bool = False) -> int | None:
-    """``row[column]`` as an integer, or None for an empty ``optional`` cell;
-    ValueError naming the file, line and column otherwise."""
-    text = row.get(column)
-    if optional and not text:
-        return None
-    try:
-        return int(text)
-    except (TypeError, ValueError):  # a short row's missing cell is None
-        raise ValueError(f"{path}, line {line}, column {column!r}: {text!r} is not an integer") from None
 
 
 def load_project_list(path: str | Path) -> list[ProjectEntry]:
     """Read the project CSV: ``name,symbol,cmc_rank,website,source_location,alexa_rank``.
 
-    ``alexa_rank`` is optional; a missing column or a rank that is not an
-    integer raises ``ValueError`` naming the file, line and column, and a
-    ``cmc_rank`` given twice one naming the file, the rank and both lines.
+    ``alexa_rank`` is optional.  The file is read by the rules of
+    :mod:`oss_health.inputs`, keyed by ``cmc_rank`` as an integer.
     """
-    entries: list[ProjectEntry] = []
-    rank_lines: dict[int, int] = {}
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        require_columns(path, reader, ("name", "symbol", "cmc_rank", "website", "source_location"))
-        for row in reader:
-            line = reader.line_num
-            rank = int_cell(path, line, row, "cmc_rank")
-            if rank in rank_lines:
-                first = rank_lines[rank]
-                raise ValueError(f"{path}, lines {first} and {line}: cmc_rank {rank} is not unique")
-            rank_lines[rank] = line
-            entries.append(
-                ProjectEntry(
-                    name=row["name"],
-                    symbol=row["symbol"],
-                    cmc_rank=rank,
-                    website=row["website"],
-                    source_location=row["source_location"] or None,
-                    alexa_rank=int_cell(path, line, row, "alexa_rank", optional=True),
-                )
+        columns = ("name", "symbol", "cmc_rank", "website", "source_location")
+        _, rows = inputs.csv_table(handle, path, columns, "cmc_rank", inputs.int_cell)
+        return [
+            ProjectEntry(
+                name=row["name"],
+                symbol=row["symbol"],
+                cmc_rank=rank,
+                website=row["website"],
+                source_location=row["source_location"] or None,
+                alexa_rank=inputs.int_cell(path, line, row, "alexa_rank", optional=True),
             )
-    return entries
+            for line, rank, row in rows
+        ]
 
 
 def _host_and_owner(source_location: str) -> tuple[str, str]:
-    """(host without ``www.``, lower-cased first path segment) of a source
-    location, with or without a scheme; either is empty when absent."""
-    parsed = urlparse(source_location if "://" in source_location else "//" + source_location)
+    """(host without ``www.``, user or port, lower-cased first path segment)
+    of a source location, with or without a scheme, or in the scheme-less
+    SSH form ``[user@]host:path``; either is empty when absent."""
+    location = re.sub(r"^([^/:]*):(?!\d*(/|$))", r"\1/", source_location)  # host:path, not host:port
+    parsed = urlparse(location if "://" in location else "//" + location)
     owner = next((part for part in parsed.path.split("/") if part), "")
-    return parsed.netloc.lower().removeprefix("www."), owner.lower()
+    return (parsed.hostname or "").removeprefix("www."), owner.lower()
 
 
 def source_owner(source_location: str | None) -> str | None:

@@ -33,6 +33,7 @@ from typing import Mapping
 import numpy as np
 
 from .factor import CONVERGED_GRADIENT, FitStatistics, fit_indices, newton_minimise
+from .inputs import content_lines
 
 
 class SemParseError(ValueError):
@@ -193,10 +194,7 @@ def parse_model(text: str) -> SemModel:
     regressions: list[tuple[str, str]] = []
     covariances: list[tuple[str, str]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, raw, line in content_lines(text):
         for op in ("=~", "~~", "~"):
             if op in line:
                 left, _, right = line.partition(op)

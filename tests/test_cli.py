@@ -115,7 +115,7 @@ class TestConfig:
         assert parse_config_text("a = 1 # note\n\nb=x\n") == {"a": "1", "b": "x"}
 
     def test_bad_line_reports_number(self):
-        with pytest.raises(UserError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             parse_config_text("a = 1\nnope\n")
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -125,7 +125,7 @@ class TestConfig:
             load_config(str(cfg), {})
 
     def test_repeated_key_names_both_lines(self):
-        with pytest.raises(UserError) as excinfo:
+        with pytest.raises(ValueError) as excinfo:
             parse_config_text("seed = 1\nout = x\nseed = 2\n")
         assert str(excinfo.value) == "config lines 1 and 3: 'seed' given twice"
 
@@ -196,6 +196,17 @@ class TestIngest:
             "Compressed file ended before the end-of-stream marker was reached"
         ) in caplog.text
 
+    def test_failed_archive_leaves_report_of_those_stored(self, workspace, caplog):
+        truncated = workspace / "archives" / "2016-12-02-00.json.gz"
+        truncated.write_bytes(gzip.compress(("\n".join(FIXTURE_LINES[:3]) + "\n").encode())[:-8])
+        assert run(workspace, "ingest") == 1
+        assert f"error: {truncated}: " in caplog.text
+        report = json.loads((workspace / "out" / "ingest_report.json").read_text())
+        assert [entry["file"] for entry in report["files"]] == ["2016-12-01-12.json.gz"]
+        store = EventStore(workspace / "out" / "store")
+        held = sum(len(store.read(repo_id)) for repo_id in store.iter_repo_ids())
+        assert report["stored_events"] == held == 12
+
 
 class TestMetrics:
     def _rows(self, workspace):
@@ -258,6 +269,10 @@ class TestMetrics:
         "www.github.com/bitcoin/bitcoin",
         "http://GitHub.com/Bitcoin/",
         "https://github.com/bitcoin",
+        "git@github.com:bitcoin/bitcoin.git",
+        "github.com:443/bitcoin",
+        "https://github.com:443/bitcoin",
+        "ssh://git@github.com/bitcoin/bitcoin",
     ])
     def test_source_location_forms_resolve(self, workspace, location):
         self._with_bitcoin_source(workspace, location)
@@ -332,7 +347,7 @@ class TestMetrics:
             "bitcoin/bitcoin,1,900,41\n"
         )
         assert run(workspace, "metrics") == 1
-        assert f"{workspace / 'ranks.csv'}, lines 2 and 4: repo_id 'bitcoin/bitcoin' appears twice" in caplog.text
+        assert f"{workspace / 'ranks.csv'}, lines 2 and 4: repo_id 'bitcoin/bitcoin' given twice" in caplog.text
         assert not (workspace / "out" / "metrics.csv").exists()
 
     @pytest.mark.parametrize("line", [
@@ -826,6 +841,30 @@ class TestEntryPoint:
         model = ["--model", MODEL_FILE] if flag == "--compare" else []
         assert run(workspace, command, *model, flag, str(missing)) == 1
         assert f"{role} not found: {missing}" in caplog.text
+
+    @pytest.mark.parametrize("name, args", [
+        ("run.cfg", ["ingest"]),
+        ("overrides.txt", ["metrics", "--overrides"]),
+        ("criticality.cfg", ["metrics", "--criticality-config"]),
+        ("projects.csv", ["metrics"]),
+        ("ranks.csv", ["metrics"]),
+        ("out/metrics.csv", ["efa"]),
+        ("out/metrics.csv", ["sem", "--model", MODEL_FILE]),
+    ], ids=["config", "overrides", "criticality", "projects", "ranks", "metrics-efa", "metrics-sem"])
+    def test_key_given_twice_names_both_lines(self, workspace, caplog, name, args):
+        (workspace / "overrides.txt").write_text("Bitcoin = bitcoin/bitcoin\n")
+        (workspace / "criticality.cfg").write_text("recent_activity = 1, 26\n")
+        write_synthetic_metrics(workspace / "out")
+        assert run(workspace, "ingest") == 0
+        path = workspace / name
+        lines = path.read_text().splitlines(keepends=True)
+        first = 2 if path.suffix == ".csv" else 1  # below a CSV header
+        path.write_text("".join(lines) + lines[first - 1])
+        if args[-1].startswith("--"):
+            args = [*args, str(path)]
+        assert run(workspace, *args) == 1
+        assert f"lines {first} and {len(lines) + 1}: " in caplog.text
+        assert "given twice" in caplog.text
 
 
 def _perfbench_module(monkeypatch, name):

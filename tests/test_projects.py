@@ -71,7 +71,7 @@ class TestLoadProjectList:
         )
         with pytest.raises(ValueError) as excinfo:
             load_project_list(path)
-        assert str(excinfo.value) == f"{path}, lines 2 and 4: cmc_rank 1 is not unique"
+        assert str(excinfo.value) == f"{path}, lines 2 and 4: cmc_rank 1 given twice"
 
     def test_bad_rank_names_line_and_column(self, tmp_path):
         path = tmp_path / "projects.csv"
@@ -115,6 +115,11 @@ class TestResolveRepo:
         ("HTTP://WWW.GitHub.com/bitcoin/", "bitcoin"),
         ("https://gitlab.com/bitcoin/node", None),
         ("gitlab.com/bitcoin/node", None),
+        ("git@github.com:bitcoin/bitcoin.git", "bitcoin"),
+        ("github.com:443/bitcoin", "bitcoin"),
+        ("https://github.com:443/bitcoin", "bitcoin"),
+        ("ssh://git@github.com/bitcoin/bitcoin", "bitcoin"),
+        ("git@gitlab.com:foreign/node.git", None),
         ("https://github.com/", None),
         ("github.com", None),
         ("", None),
@@ -129,6 +134,10 @@ class TestResolveRepo:
 
     def test_foreign_host(self):
         res = resolve_repo(entry(source_location="https://gitlab.com/group/project"), [])
+        assert res.status is ResolutionStatus.FOREIGN_HOST
+
+    def test_foreign_host_in_ssh_form(self):
+        res = resolve_repo(entry(source_location="git@gitlab.com:foreign/node.git"), [])
         assert res.status is ResolutionStatus.FOREIGN_HOST
 
     def test_private_listed(self):
