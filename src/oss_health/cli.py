@@ -207,14 +207,19 @@ def cmd_ingest(config: PipelineConfig) -> int:
 
 
 def _load_ranks(path: str) -> dict[str, dict]:
-    """CSV of point-in-time externals: repo_id,cmc_rank,alexa_rank,mentions, keyed by repo_id."""
+    """CSV of point-in-time externals: repo_id,cmc_rank,alexa_rank,mentions, keyed by repo_id.
+
+    A repository's entry holds the columns the file has; ``alexa_rank`` and
+    ``mentions`` may be absent, and an empty cell of theirs is None.
+    """
     ranks_path = _input_path(path, "ranks file", "ranks")
     with open(ranks_path, newline="", encoding="utf-8") as handle:
-        _, rows = inputs.csv_table(handle, ranks_path, ("repo_id", "cmc_rank"), "repo_id")
+        header, rows = inputs.csv_table(handle, ranks_path, ("repo_id", "cmc_rank"), "repo_id")
+        columns = [column for column in ("cmc_rank", "alexa_rank", "mentions") if column in header]
         return {
             repo_id: {
                 column: inputs.int_cell(ranks_path, line, row, column, optional=column != "cmc_rank")
-                for column in ("cmc_rank", "alexa_rank", "mentions")
+                for column in columns
             }
             for line, repo_id, row in rows
         }
@@ -251,8 +256,9 @@ def cmd_metrics(config: PipelineConfig) -> int:
     The store is listed once and each repository read at most once; only
     the repositories under a listed project's owner, and those a project
     resolves to, stay in memory.  Metrics see only events before ``as_of``.
-    Without a configured ``as_of`` it is the latest stored event, every
-    event counts, and finding it reads only the latest month's partitions.
+    Without a configured ``as_of`` it is one second after the latest stored
+    event, so every event counts, and finding it reads only the latest
+    month's partitions.
     Only when some retained project has no mentions in the ranks file is
     the push corpus tokenised, once: it is streamed repository by
     repository, from the events already held or, for every other
@@ -270,11 +276,11 @@ def cmd_metrics(config: PipelineConfig) -> int:
     store = EventStore(config.store_dir)
     if config.as_of:
         as_of = _parse_as_of(config.as_of)
+    elif (latest := store.latest_created_at()) is None:
+        raise UserError("event store is empty and no as_of timestamp configured")
     else:
-        as_of = store.latest_created_at()
-        if as_of is None:
-            raise UserError("event store is empty and no as_of timestamp configured")
-    read, push_texts = _stage_reader(store, as_of if config.as_of else as_of + 1)
+        as_of = latest + 1
+    read, push_texts = _stage_reader(store, as_of)
     repo_ids = list(store.iter_repo_ids())
     owner_repos: dict[str, list[str]] = {}
     for repo_id in repo_ids:
@@ -363,6 +369,17 @@ def _correlations(matrix: dataset.MetricMatrix) -> np.ndarray:
         raise UserError(str(exc)) from None
 
 
+def _optimiser_fields(minimum: factor.Minimum) -> dict:
+    """The optimiser block of every fit in a report: where its minimisation stopped."""
+    return {
+        "converged": minimum.converged,
+        "evaluations": minimum.evaluations,
+        "fmin": minimum.value,
+        "iterations": minimum.iterations,
+        "max_abs_gradient": minimum.max_abs_gradient,
+    }
+
+
 def _efa_block(
     matrix: dataset.MetricMatrix,
     R: np.ndarray,
@@ -407,9 +424,7 @@ def _efa_block(
         "ss_loadings": rotated.ss_loadings.tolist(),
         "cumulative_variance": rotated.cumulative_variance.tolist(),
         "proportion_explained": rotated.proportion_explained.tolist(),
-        "converged": rotated.converged,
-        "iterations": rotated.iterations,
-        "max_abs_gradient": rotated.max_abs_gradient,
+        **_optimiser_fields(rotated.minimum),
         "floored": [names[i] for i in rotated.floored],
         "fit": stats.as_dict(),
         "assignment": {str(k): v for k, v in assignment.items()},
@@ -436,13 +451,7 @@ def _efa_text(block: dict) -> str:
     pa = block["parallel_analysis"]
     for obs, thr in zip(pa["observed_eigenvalues"], pa["simulated_quantile_eigenvalues"]):
         lines.append(f"  {_fmt(obs):>8} / {_fmt(thr)}")
-    fit = block["fit"]
-    lines.append("")
-    lines.append(
-        f"chi2 {_fmt(fit['chi_square'])} on {fit['df']} df; TLI {_fmt(fit['tli'])}, "
-        f"RMSEA {_fmt(fit['rmsea'])}, CFI {_fmt(fit['cfi'])}, SRMR {_fmt(fit['srmr'])}, "
-        f"BIC {_fmt(fit['bic'])}"
-    )
+    lines += ["", factor.FitStatistics(**block["fit"]).summary()]
     for j, members in sorted(block["assignment"].items()):
         lines.append(f"factor {int(j) + 1}: {', '.join(members) if members else '(empty)'}")
     if block["dropped"]:
@@ -485,16 +494,6 @@ def _read_model(path: Path) -> sem.SemModel:
         raise UserError(f"{path}: {exc}") from None
 
 
-def _optimiser_fields(fit: sem.SemFit) -> dict:
-    return {
-        "converged": fit.converged,
-        "fmin": fit.fmin,
-        "iterations": fit.iterations,
-        "evaluations": fit.evaluations,
-        "max_abs_gradient": fit.max_abs_gradient,
-    }
-
-
 def cmd_sem(config: PipelineConfig, compare_model: str | None = None) -> int:
     model_path = _input_path(config.model, "model file", "model")
     model = _read_model(model_path)
@@ -517,7 +516,7 @@ def cmd_sem(config: PipelineConfig, compare_model: str | None = None) -> int:
     report["standardized"] = fit.standardized
     report["fit"] = fit.fit.as_dict()
     report["heywood"] = fit.heywood
-    report.update(_optimiser_fields(fit))
+    report.update(_optimiser_fields(fit.minimum))
     if compare_model:
         other_path = _input_path(compare_model, "comparison model file")
         other = _read_model(other_path)
@@ -532,7 +531,7 @@ def cmd_sem(config: PipelineConfig, compare_model: str | None = None) -> int:
             "delta_chi_square": d_chi,
             "delta_df": d_df,
             "delta_bic": d_bic,
-            **_optimiser_fields(other_fit),
+            **_optimiser_fields(other_fit.minimum),
         }
     _write_json(config.out_dir / "sem_report.json", report)
     (config.out_dir / "sem_report.txt").write_text(
@@ -564,11 +563,7 @@ def cmd_report(config: PipelineConfig) -> int:
             for j, members in sorted(full["assignment"].items()):
                 lines.append(f"factor {int(j) + 1}: {', '.join(members)}")
         else:
-            fit = payload["fit"]
-            lines.append(
-                f"chi2 {_fmt(fit['chi_square'])} on {fit['df']} df; CFI {_fmt(fit['cfi'])}, "
-                f"TLI {_fmt(fit['tli'])}, RMSEA {_fmt(fit['rmsea'])}, SRMR {_fmt(fit['srmr'])}"
-            )
+            lines.append(factor.FitStatistics(**payload["fit"]).summary())
             if payload["heywood"]:
                 lines.append("heywood: " + ", ".join(payload["heywood"]))
     print("\n".join(lines))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -170,14 +170,24 @@ class FactorSolution:
     loadings: np.ndarray  # p x m
     uniquenesses: np.ndarray  # p
     rotation: np.ndarray  # m x m orthogonal (identity when unrotated)
-    communalities: np.ndarray  # p
-    ss_loadings: np.ndarray  # m
-    cumulative_variance: np.ndarray  # m
-    proportion_explained: np.ndarray  # m
-    converged: bool
-    iterations: int
-    max_abs_gradient: float  # over the uniquenesses not held at a bound
-    floored: list[int] = field(default_factory=list)  # indices at the psi floor
+    minimum: Minimum  # where the minimisation over the log uniquenesses stopped
+    floored: list[int]  # indices at the psi floor
+
+    @property
+    def communalities(self) -> np.ndarray:  # p
+        return (self.loadings**2).sum(axis=1)
+
+    @property
+    def ss_loadings(self) -> np.ndarray:  # m
+        return variance_table(self.loadings)[0]
+
+    @property
+    def cumulative_variance(self) -> np.ndarray:  # m
+        return variance_table(self.loadings)[1]
+
+    @property
+    def proportion_explained(self) -> np.ndarray:  # m
+        return variance_table(self.loadings)[2]
 
 
 @dataclass
@@ -196,6 +206,14 @@ class FitStatistics:
     def as_dict(self) -> dict:
         return {k: (float(v) if not isinstance(v, int) else v) for k, v in vars(self).items()}
 
+    def summary(self) -> str:
+        """The one fit line of every report."""
+        return (
+            f"chi2 {self.chi_square:.3f} on {self.df} df, n {self.n}; "
+            f"CFI {self.cfi:.3f}, TLI {self.tli:.3f}, "
+            f"RMSEA {self.rmsea:.3f}, SRMR {self.srmr:.3f}, BIC {self.bic:.3f}"
+        )
+
 
 def variance_table(loadings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(SS loadings, cumulative variance over p, proportion of explained)."""
@@ -208,45 +226,12 @@ def variance_table(loadings: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return ss, cumulative, proportion
 
 
-def apply_sign_convention(loadings: np.ndarray, rotation: np.ndarray | None = None):
-    """Flip each column so its largest-magnitude entry is positive."""
-    L = np.asarray(loadings, dtype=float).copy()
+def apply_sign_convention(loadings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(loadings with each column flipped so its largest-magnitude entry is positive, column signs)."""
+    L = np.asarray(loadings, dtype=float)
     signs = np.sign(L[np.abs(L).argmax(axis=0), np.arange(L.shape[1])])
     signs[signs == 0] = 1.0
-    L *= signs
-    if rotation is not None:
-        return L, rotation * signs
-    return L
-
-
-def _make_solution(
-    loadings: np.ndarray,
-    uniquenesses: np.ndarray,
-    converged: bool,
-    iterations: int,
-    max_abs_gradient: float,
-    floored: list[int] | None = None,
-    rotation: np.ndarray | None = None,
-) -> FactorSolution:
-    """Assemble a solution; ``rotation`` (identity when unrotated) follows the sign flips."""
-    if rotation is None:
-        L, rotation = apply_sign_convention(loadings), np.eye(loadings.shape[1])
-    else:
-        L, rotation = apply_sign_convention(loadings, rotation)
-    ss, cumulative, proportion = variance_table(L)
-    return FactorSolution(
-        loadings=L,
-        uniquenesses=np.asarray(uniquenesses, dtype=float),
-        rotation=rotation,
-        communalities=(L**2).sum(axis=1),
-        ss_loadings=ss,
-        cumulative_variance=cumulative,
-        proportion_explained=proportion,
-        converged=converged,
-        iterations=iterations,
-        max_abs_gradient=max_abs_gradient,
-        floored=floored or [],
-    )
+    return L * signs, signs
 
 
 def srmr(S: np.ndarray, implied: np.ndarray) -> float:
@@ -496,15 +481,9 @@ def efa_ml(R: np.ndarray, n: int, m: int) -> tuple[FactorSolution, FitStatistics
         objective, derivatives, np.log(np.clip(start, PSI_FLOOR, 1.0)), math.log(PSI_FLOOR), 0.0
     )
     psi = np.exp(result.x)
-    solution = _make_solution(
-        loadings,
-        psi,
-        converged=result.converged,
-        iterations=result.iterations,
-        max_abs_gradient=result.max_abs_gradient,
-        floored=np.flatnonzero(psi <= PSI_FLOOR * (1 + 1e-9)).tolist(),
-    )
-    implied = solution.loadings @ solution.loadings.T + np.diag(psi)
+    L = apply_sign_convention(loadings)[0]
+    solution = FactorSolution(L, psi, np.eye(m), result, np.flatnonzero(psi <= PSI_FLOOR * (1 + 1e-9)).tolist())
+    implied = L @ L.T + np.diag(psi)
     # Bartlett-corrected chi-squares; the null model is the identity
     df = ((p - m) ** 2 - p - m) // 2
     chi_square = max(n - 1 - (2 * p + 5) / 6 - 2 * m / 3, 0.0) * max(result.value, 0.0)
@@ -573,15 +552,8 @@ def rotate_solution(solution: FactorSolution) -> FactorSolution:
     h = np.sqrt((L**2).sum(axis=1))
     h[h == 0] = 1.0
     _, rotation = varimax(L / h[:, None])
-    return _make_solution(
-        L @ rotation,
-        solution.uniquenesses.copy(),
-        converged=solution.converged,
-        iterations=solution.iterations,
-        max_abs_gradient=solution.max_abs_gradient,
-        floored=list(solution.floored),
-        rotation=solution.rotation @ rotation,
-    )
+    L, signs = apply_sign_convention(L @ rotation)
+    return replace(solution, loadings=L, rotation=solution.rotation @ rotation * signs)
 
 
 # ---------------------------------------------------------------------------

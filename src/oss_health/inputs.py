@@ -51,12 +51,12 @@ def _text_cell(path: str | Path, line: int, row: dict, column: str) -> str:
 
 def int_cell(path: str | Path, line: int, row: dict, column: str, optional: bool = False) -> int | None:
     """``row[column]`` as an integer, or None for an empty ``optional`` cell."""
-    text = row.get(column)
+    text = _text_cell(path, line, row, column)
     if optional and not text:
         return None
     try:
         return int(text)
-    except (TypeError, ValueError):  # a short row's missing cell is None
+    except ValueError:
         raise ValueError(f"{path}, line {line}, column {column!r}: {text!r} is not an integer") from None
 
 

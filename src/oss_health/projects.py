@@ -75,12 +75,14 @@ def parse_overrides(text: str) -> dict[str, str]:
 def load_project_list(path: str | Path) -> list[ProjectEntry]:
     """Read the project CSV: ``name,symbol,cmc_rank,website,source_location,alexa_rank``.
 
-    ``alexa_rank`` is optional.  The file is read by the rules of
-    :mod:`oss_health.inputs`, keyed by ``cmc_rank`` as an integer.
+    The ``alexa_rank`` column is optional, and so is its cell.  The file is
+    read by the rules of :mod:`oss_health.inputs`, keyed by ``cmc_rank`` as
+    an integer.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         columns = ("name", "symbol", "cmc_rank", "website", "source_location")
-        _, rows = inputs.csv_table(handle, path, columns, "cmc_rank", inputs.int_cell)
+        header, rows = inputs.csv_table(handle, path, columns, "cmc_rank", inputs.int_cell)
+        has_alexa_rank = "alexa_rank" in header
         return [
             ProjectEntry(
                 name=row["name"],
@@ -88,7 +90,7 @@ def load_project_list(path: str | Path) -> list[ProjectEntry]:
                 cmc_rank=rank,
                 website=row["website"],
                 source_location=row["source_location"] or None,
-                alexa_rank=inputs.int_cell(path, line, row, "alexa_rank", optional=True),
+                alexa_rank=inputs.int_cell(path, line, row, "alexa_rank", optional=True) if has_alexa_rank else None,
             )
             for line, rank, row in rows
         ]

@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .factor import CONVERGED_GRADIENT, FitStatistics, fit_indices, newton_minimise
+from .factor import CONVERGED_GRADIENT, FitStatistics, Minimum, fit_indices, newton_minimise
 from .inputs import content_lines
 
 
@@ -352,12 +352,13 @@ class SemFit:
     standardized: dict[str, float]
     fit: FitStatistics
     heywood: list[str]
-    converged: bool
-    fmin: float
     n: int
-    iterations: int
-    evaluations: int
-    max_abs_gradient: float
+    minimum: Minimum  # where F_ML's minimisation stopped
+
+    @property
+    def converged(self) -> bool:
+        """``minimum.converged``, the one verdict callers and tracers read off a fit."""
+        return self.minimum.converged
 
 
 def _discrepancy_terms(S: np.ndarray) -> float:
@@ -496,12 +497,8 @@ def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
             for prm, value in zip(layout.free, theta)
             if prm.kind == "variance" and value < 0
         ],
-        converged=result.converged,
-        fmin=float(result.value),
         n=n,
-        iterations=result.iterations,
-        evaluations=result.evaluations,
-        max_abs_gradient=result.max_abs_gradient,
+        minimum=result,
     )
 
 
@@ -561,13 +558,7 @@ def format_fit_report(fit: SemFit) -> str:
         lines.append(
             f"{name:<32}{est.value:>10.3f}{se:>9}{z:>8}{p_value:>8}{std:>9.3f}"
         )
-    stats = fit.fit
-    lines.append("")
-    lines.append(
-        f"chi2 {stats.chi_square:.3f} on {stats.df} df, n {stats.n}; "
-        f"CFI {stats.cfi:.3f}, TLI {stats.tli:.3f}, "
-        f"RMSEA {stats.rmsea:.3f}, SRMR {stats.srmr:.3f}, BIC {stats.bic:.3f}"
-    )
+    lines += ["", fit.fit.summary()]
     if fit.heywood:
         lines.append("improper solution: negative variance for " + ", ".join(fit.heywood))
     return "\n".join(lines)

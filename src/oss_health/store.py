@@ -158,10 +158,10 @@ def _frames(path: str | Path, data: bytes) -> tuple[list[bytes], int]:
 def _partition_fields(path: str | Path) -> list[tuple]:
     """Every record of a partition as the argument tuple of its ``EventRecord``.
 
-    The store's one checked decode, behind ``read`` and ``push_texts``: a
-    torn tail, a body that is not one JSON object, a missing member, an
-    unknown ``event_type`` or a ``tz_offset`` out of range raises
-    ``StoreError`` naming the partition and the byte offset.
+    The store's one checked decode, behind ``read``, ``push_texts`` and
+    ``latest_created_at``: a torn tail, a body that is not one JSON object,
+    a missing member, an unknown ``event_type`` or a ``tz_offset`` out of
+    range raises ``StoreError`` naming the partition and the byte offset.
     """
     with open(path, "rb", buffering=0) as handle:
         data = handle.read()
@@ -278,10 +278,6 @@ class EventStore:
 
     # -- read ----------------------------------------------------------
 
-    @staticmethod
-    def _read_partition(path: str | Path) -> list[EventRecord]:
-        return list(starmap(EventRecord, _partition_fields(path)))
-
     def _repo_dir_names(self) -> list[str]:
         """Names of the repository directories under the root, sorted."""
         with os.scandir(self._root) as entries:
@@ -290,7 +286,8 @@ class EventStore:
     def read(self, repo_id: str) -> list[EventRecord]:
         """All events for one repository, in append order per month."""
         repo_dir = f"{self._root}/{_partition_dir_name(repo_id)}"
-        return [e for name in _partition_names(repo_dir) for e in self._read_partition(f"{repo_dir}/{name}")]
+        paths = (f"{repo_dir}/{name}" for name in _partition_names(repo_dir))
+        return [e for path in paths for e in starmap(EventRecord, _partition_fields(path))]
 
     def push_texts(self, repo_id: str, before: int) -> Iterator[str]:
         """Texts of one repository's push events before ``before``, in ``read`` order.
@@ -310,6 +307,7 @@ class EventStore:
 
         Partitions are UTC months, so only the latest month's partitions are
         read, and the next month down's when those hold no complete record.
+        Records are decoded and checked as ``read`` does, but not built.
         """
         months: dict[str, list[str]] = {}
         for repo_dir in self._repo_dir_names():
@@ -317,7 +315,7 @@ class EventStore:
                 months.setdefault(name[: -len(".events")], []).append(f"{self._root}/{repo_dir}/{name}")
         for month in sorted(months, reverse=True):
             latest = max(
-                (e.created_at for path in months[month] for e in self._read_partition(path)),
+                (created_at for path in months[month] for _, _, _, created_at, *_ in _partition_fields(path)),
                 default=None,
             )
             if latest is not None:

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -325,10 +326,15 @@ class TestMetrics:
         assert run(workspace, "metrics") == 1
         assert f"{workspace / 'ranks.csv'}, line 1: no 'cmc_rank' column" in caplog.text
 
+    def test_ranks_without_alexa_rank_column_keep_the_project_lists(self, workspace):
+        (workspace / "ranks.csv").write_text("repo_id,cmc_rank,mentions\nbitcoin/bitcoin,1,40\n")
+        rows = self._rows(workspace)
+        assert [rows[r]["alexa_rank"] for r in ("bitcoin/bitcoin", "ethereum/go-ethereum")] == ["900", "1100"]
+
     @pytest.mark.parametrize("row, column, cell", [
         ("ethereum/go-ethereum,second,1100,25", "cmc_rank", "'second'"),
         ("ethereum/go-ethereum,2,1100,many", "mentions", "'many'"),
-        ("ethereum/go-ethereum", "cmc_rank", "None"),
+        ("ethereum/go-ethereum", "cmc_rank", None),  # a short row
     ])
     def test_ranks_cell_not_an_integer_names_line_and_column(self, workspace, caplog, row, column, cell):
         run(workspace, "ingest")
@@ -336,7 +342,8 @@ class TestMetrics:
             f"repo_id,cmc_rank,alexa_rank,mentions\nbitcoin/bitcoin,1,900,40\n{row}\n"
         )
         assert run(workspace, "metrics") == 1
-        assert f"{workspace / 'ranks.csv'}, line 3, column '{column}': {cell} is not an integer" in caplog.text
+        fault = f"{cell} is not an integer" if cell else "no cell"
+        assert f"{workspace / 'ranks.csv'}, line 3, column '{column}': {fault}" in caplog.text
 
     def test_duplicate_ranks_row_names_both_lines(self, workspace, caplog):
         run(workspace, "ingest")
@@ -494,11 +501,11 @@ class TestMetrics:
         self._corpus_only_push(workspace, "2017-01-01T00:00:00Z")  # the configured as_of
         # two fixture pushes mention the whole token; the corpus-only push a second early adds one
         assert int(self._rows(workspace)["bitcoin/bitcoin"]["mentions"]) == 3
-        # a derived as_of is the latest stored event, and that push counts too
+        # a derived as_of is one second after the latest stored event, so that push counts too
         assert run(workspace, "metrics", "--as-of", "") == 0
         with open(workspace / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
             rows = {row["repo_id"]: row for row in csv.DictReader(handle)}
-        assert rows["bitcoin/bitcoin"]["as_of"] == "2017-01-01T00:00:00Z"
+        assert rows["bitcoin/bitcoin"]["as_of"] == "2017-01-01T00:00:01Z"
         assert int(rows["bitcoin/bitcoin"]["mentions"]) == 4
 
     def test_derived_as_of_reads_only_the_latest_month(self, workspace, monkeypatch):
@@ -519,13 +526,13 @@ class TestMetrics:
         # a later month whose only partition holds no record: the month below decides
         (store_dir / "bitcoin__bitcoin" / "2017-02.events").write_bytes(MAGIC)
         reads = []
-        read_partition = EventStore._read_partition
+        partition_fields = store_module._partition_fields
 
         def counted_read(path):
             reads.append(Path(path).relative_to(store_dir).as_posix())
-            return read_partition(path)
+            return partition_fields(path)
 
-        monkeypatch.setattr(EventStore, "_read_partition", staticmethod(counted_read))
+        monkeypatch.setattr(store_module, "_partition_fields", counted_read)
         assert run(workspace, "metrics", "--as-of", "") == 0
         stage = [
             p.relative_to(store_dir).as_posix()
@@ -539,7 +546,22 @@ class TestMetrics:
         ]
         assert sorted(reads) == sorted(stage + latest)
         with open(workspace / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
-            assert {row["as_of"] for row in csv.DictReader(handle)} == {"2017-01-06T09:00:00Z"}
+            assert {row["as_of"] for row in csv.DictReader(handle)} == {"2017-01-06T09:00:01Z"}
+
+    def test_derived_as_of_is_one_second_after_the_last_event(self, workspace):
+        last = "2017-01-03T09:00:00Z"
+        push = _extra_repo_line("yann", last, "PushEvent", {"size": 5, "commits": []}, repo="bitcoin/bitcoin")
+        with gzip.open(workspace / "archives" / "2017-01-03-9.json.gz", "wt") as handle:
+            handle.write(push + "\n")
+        run(workspace, "ingest")
+        epoch = int(datetime.fromisoformat(last.replace("Z", "+00:00")).timestamp())
+        outputs = []
+        for as_of in ("", str(epoch + 1), str(epoch)):
+            assert run(workspace, "metrics", "--as-of", as_of) == 0
+            outputs.append([(workspace / "out" / name).read_bytes() for name in ("metrics.csv", "metrics_audit.jsonl")])
+        derived, after_last, at_last = outputs
+        assert derived == after_last
+        assert derived != at_last  # the last push counts in the windowed metrics
 
     def test_derived_as_of_on_empty_store_is_user_error(self, workspace, caplog):
         (workspace / "out" / "store").mkdir(parents=True)
@@ -885,6 +907,25 @@ def test_benchmark_traced_calls_exist(monkeypatch):
     assert len(targets) > 20
     missing = [name for owner, attr, name, _ in targets if attr not in owner.__dict__]
     assert missing == []
+
+
+def test_benchmark_tracer_runs_every_stage(workspace, monkeypatch):
+    # the tracer also reads each traced call's result, so a changed result
+    # type would otherwise surface only in a traced benchmark run
+    tracing = _perfbench_module(monkeypatch, "tracing")
+    tracer = tracing.Tracer((cli, store_module, projects, metrics, dataset, factor, sem))
+    tracer.install()
+    try:
+        assert run(workspace, "ingest") == 0
+        assert run(workspace, "metrics") == 0
+        write_synthetic_metrics(workspace / "out")
+        assert run(workspace, "efa", "--cross-validate") == 0
+        assert run(workspace, "sem", "--model", MODEL_FILE, "--compare", REDUCED_MODEL_FILE) == 0
+    finally:
+        tracer.uninstall()
+    for name, calls in (("store.append", 1), ("sem.fit_ml", 2)):
+        counts = [span.counts for span in tracer.spans if span.name == name]
+        assert len(counts) == calls and all(counts), name
 
 
 def test_resolution_matches_benchmark_oracle(monkeypatch, tmp_path):

@@ -475,7 +475,7 @@ class TestEventStore:
         def no_decode(path):
             raise AssertionError(f"keying decoded {path}")
 
-        monkeypatch.setattr(EventStore, "_read_partition", staticmethod(no_decode))
+        monkeypatch.setattr(store_module, "_partition_fields", no_decode)
         monkeypatch.setattr(store_module, "open", counted_open, raising=False)
         store = EventStore(tmp_path / "store")
         events = self._events()
@@ -628,7 +628,7 @@ class TestEventStore:
         assert (again.count, again.duplicates_skipped) == (0, 2 * len(events))
         for path in root.glob("*/*.events"):
             bodies, _ = _frames(path, path.read_bytes())
-            records = EventStore._read_partition(path)
+            records = [EventRecord(*fields) for fields in store_module._partition_fields(path)]
             assert [_key(body) for body in bodies] == [dedup_key(r) for r in records]
 
     @given(st.integers(min_value=EPOCH_MIN, max_value=EPOCH_END - 1))

@@ -190,7 +190,7 @@ class TestEfaMl:
         assert np.allclose(solution.loadings[:, 0], 0.8, atol=1e-4)
         assert np.allclose(solution.uniquenesses, 0.36, atol=1e-4)
         assert fit.chi_square < 1e-6
-        assert solution.converged
+        assert solution.minimum.converged
 
     def test_identification_error(self):
         with pytest.raises(IdentificationError):
@@ -210,7 +210,7 @@ class TestEfaMl:
         X = rng.standard_normal((384, 9)) @ np.linalg.cholesky(efa_population_correlation()).T
         R = correlation_matrix(X)
         solution, fit = efa_ml(R, n=384, m=1)  # deliberately under-factored
-        assert solution.converged and solution.iterations <= 50
+        assert solution.minimum.converged and solution.minimum.iterations <= 50
         p, m = 9, 1
         assert fit.df == ((p - m) ** 2 - p - m) // 2
         assert fit.chi_square > fit.df  # misfit shows up
@@ -221,9 +221,9 @@ class TestEfaMl:
         for seed in range(100):
             X = np.random.default_rng(seed).standard_normal((384, 9)) @ L.T
             solution, _ = efa_ml(correlation_matrix(X), n=384, m=2)
-            assert solution.converged, seed
-            assert solution.max_abs_gradient <= CONVERGED_GRADIENT, seed
-            assert 1 <= solution.iterations <= 30, seed
+            assert solution.minimum.converged, seed
+            assert solution.minimum.max_abs_gradient <= CONVERGED_GRADIENT, seed
+            assert 1 <= solution.minimum.iterations <= 30, seed
 
     @pytest.mark.parametrize("seed, m", [(0, 2), (1, 2), (2, 1), (3, 1)])
     def test_no_free_uniqueness_move_lowers_f(self, seed, m):
@@ -247,8 +247,8 @@ class TestEfaMl:
         solution, _ = efa_ml(R, n=384, m=1)
         assert solution.floored == [0]
         assert solution.uniquenesses[0] == pytest.approx(PSI_FLOOR)
-        assert solution.converged
-        assert solution.max_abs_gradient <= CONVERGED_GRADIENT
+        assert solution.minimum.converged
+        assert solution.minimum.max_abs_gradient <= CONVERGED_GRADIENT
 
     def test_curvatures_match_finite_differences_and_closed_form(self):
         rng = np.random.default_rng(3)

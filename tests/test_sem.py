@@ -342,9 +342,9 @@ class TestOptimiser:
         for seed, (full, reduced) in enumerate(sampled_fits):
             for fit in (full, reduced):
                 assert fit.converged, seed
-                assert fit.max_abs_gradient <= CONVERGED_GRADIENT
-                assert 1 <= fit.iterations < fit.evaluations
-            assert full.fmin <= reduced.fmin + 1e-10, seed
+                assert fit.minimum.max_abs_gradient <= CONVERGED_GRADIENT
+                assert 1 <= fit.minimum.iterations < fit.minimum.evaluations
+            assert full.minimum.value <= reduced.minimum.value + 1e-10, seed
 
     def test_path_standard_errors_match_monte_carlo_spread(self, sampled_fits):
         for name in SEM_PATHS:
