@@ -192,7 +192,7 @@ def read_matrix_csv(path: str | Path) -> MetricMatrix:
         keep = [c for c in EFA_COLUMNS + ENGAGEMENT_COLUMNS if c in header]
         if len(keep) < 3:
             raise ValueError(f"{path}, line 1: needs at least 3 analysis columns, found {len(keep)}")
-        cells = {label: [inputs.number_cell(path, line, row, c) for c in keep] for line, label, row in rows}
+        cells = {label: inputs.number_cells(path, line, row, keep) for line, label, row in rows}
     return MetricMatrix(list(cells), keep, np.array(list(cells.values())).reshape(len(cells), len(keep)))
 
 

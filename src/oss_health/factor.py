@@ -306,7 +306,7 @@ def fit_indices(
 
 # newton_minimise's stopping rules, convergence verdict and step-halving line search
 _GRADIENT_TOL = 1e-10
-_DECREASE_TOL = 1e-15
+_ROUNDING_FLOOR = 3e-15  # times 1 + |F|: a predicted decrease below it is lost in F's rounding
 CONVERGED_GRADIENT = 1e-6
 _MAX_ITERATIONS = 500
 _MAX_HALVINGS = 60
@@ -340,41 +340,41 @@ def newton_minimise(
     work and pay for H only when a step is taken.  An entry at a bound
     whose gradient points out of the box is held; the rest are free.  Each
     step solves H step = grad on the free entries by least squares (a
-    singular H still gives a step), is clipped to the box and halved, at
-    most 60 times, until F <= F0 - 1e-4 grad.(x - trial) (Armijo).
-    Iteration stops when no halving passes, after 500 steps, when the
-    largest free |grad| entry is below 1e-10 (or is NaN), or when F falls
-    by less than 1e-15; ``converged`` means that entry is at most
-    ``CONVERGED_GRADIENT`` (1e-6) at exit.  The last ``derivatives`` call
-    is always at the returned x.
+    singular H still gives a step).  Iteration stops after 500 steps, when
+    the largest free |grad| entry is below 1e-10, or when the predicted
+    decrease grad.step/2 is below F's rounding floor 3e-15 (1 + |F|), each
+    also on NaN; else the step is clipped to the box and halved until F <
+    F0 - 1e-4 grad.(x - trial) (Armijo, which a trial rounded back to x
+    fails), and iteration stops if 60 halvings fail.  ``converged`` means
+    max free |grad| <= ``CONVERGED_GRADIENT`` (1e-6) at exit.  The last
+    ``derivatives`` call is always at the returned x.
     """
     x = np.asarray(x, dtype=float)
     fmin, extra = objective(x)
-    iterations, evaluations, stalled = 0, 1, False
+    iterations, evaluations = 0, 1
     while True:
         grad, curvature = derivatives(x, extra)
         free = ~(((x <= lower) & (grad > 0)) | ((x >= upper) & (grad < 0)))
         max_abs_gradient = float(np.abs(grad[free]).max(initial=0.0))
-        if stalled or iterations == _MAX_ITERATIONS or not max_abs_gradient >= _GRADIENT_TOL:
+        if iterations == _MAX_ITERATIONS or not max_abs_gradient >= _GRADIENT_TOL:
             break
         step = np.zeros(x.size)
         step[free] = np.linalg.lstsq(curvature(free), grad[free], rcond=None)[0]
+        if not float(grad @ step) / 2 >= _ROUNDING_FLOOR * (1 + abs(fmin)):
+            break
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = np.clip(x - alpha * step, lower, upper)
             value, trial_extra = objective(trial)
             evaluations += 1
-            if value <= fmin - _ARMIJO * float(grad @ (x - trial)):
+            if value < fmin - _ARMIJO * float(grad @ (x - trial)):
                 break
             alpha /= 2
         else:
             break
         iterations += 1
-        stalled = fmin - value < _DECREASE_TOL
         x, fmin, extra = trial, value, trial_extra
-    return Minimum(
-        x, fmin, iterations, evaluations, max_abs_gradient, max_abs_gradient <= CONVERGED_GRADIENT
-    )
+    return Minimum(x, fmin, iterations, evaluations, max_abs_gradient, max_abs_gradient <= CONVERGED_GRADIENT)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 
 def _given_once(seen: dict, value: object, line: int, where: str, label: str = "") -> None:
@@ -43,15 +43,24 @@ def key_value_lines(text: str, what: str) -> Iterator[tuple[int, str, str, str]]
         yield lineno, raw, key, value
 
 
-def _text_cell(path: str | Path, line: int, row: dict, column: str) -> str:
-    if (text := row.get(column)) is None:  # a short row
+class Row(NamedTuple):
+    """One CSV row: its cells, and the header's position of each column."""
+
+    cells: list[str]
+    index: dict[str, int]
+
+
+def text_cell(path: str | Path, line: int, row: Row, column: str) -> str:
+    """``row[column]`` as it is written; ValueError when the row is too short to have it."""
+    position = row.index.get(column, len(row.cells))
+    if position >= len(row.cells):
         raise ValueError(f"{path}, line {line}, column {column!r}: no cell")
-    return text
+    return row.cells[position]
 
 
-def int_cell(path: str | Path, line: int, row: dict, column: str, optional: bool = False) -> int | None:
+def int_cell(path: str | Path, line: int, row: Row, column: str, optional: bool = False) -> int | None:
     """``row[column]`` as an integer, or None for an empty ``optional`` cell."""
-    text = _text_cell(path, line, row, column)
+    text = text_cell(path, line, row, column)
     if optional and not text:
         return None
     try:
@@ -60,9 +69,9 @@ def int_cell(path: str | Path, line: int, row: dict, column: str, optional: bool
         raise ValueError(f"{path}, line {line}, column {column!r}: {text!r} is not an integer") from None
 
 
-def number_cell(path: str | Path, line: int, row: dict, column: str) -> float:
+def number_cell(path: str | Path, line: int, row: Row, column: str) -> float:
     """``row[column]`` as a finite number, or NaN when empty."""
-    text = _text_cell(path, line, row, column)
+    text = text_cell(path, line, row, column)
     if text == "":
         return math.nan
     try:
@@ -73,26 +82,42 @@ def number_cell(path: str | Path, line: int, row: dict, column: str) -> float:
     raise ValueError(f"{path}, line {line}, column {column!r}: {text!r} is not a finite number")
 
 
+def number_cells(path: str | Path, line: int, row: Row, columns: Sequence[str]) -> list[float]:
+    """:func:`number_cell` of each of ``columns``, in one pass over a row whose cells are all finite numbers."""
+    cells, index = row
+    try:
+        values = [float(cells[index[column]]) for column in columns]
+        if math.isfinite(sum(values)):
+            return values
+    except (IndexError, ValueError):  # a short row, or a cell that is empty or not a number
+        pass
+    return [number_cell(path, line, row, column) for column in columns]
+
+
 def csv_table(
-    handle: TextIO, path: str | Path, columns: Iterable[str], key: str, key_cell: Callable = _text_cell
-) -> tuple[list[str], Iterator[tuple[int, object, dict]]]:
+    handle: TextIO, path: str | Path, columns: Iterable[str], key: str, key_cell: Callable = text_cell
+) -> tuple[list[str], Iterator[tuple[int, object, Row]]]:
     """The header and rows of the CSV file ``path``, open as ``handle``.
 
     A header without one of ``columns`` raises at once.  Rows are read as
-    they are iterated, as (line number, ``key_cell(path, line, row, key)``,
-    row by column); a key given twice raises.
+    they are iterated, blank lines skipped, as (line number,
+    ``key_cell(path, line, row, key)``, :class:`Row`); a key given twice
+    raises.  A column named twice in the header is read from its last place.
     """
-    reader = csv.DictReader(handle)
-    header = list(reader.fieldnames or ())
+    reader = csv.reader(handle)
+    header = next(reader, [])
+    index = {column: position for position, column in enumerate(header)}
     for column in columns:
-        if column not in header:
+        if column not in index:
             raise ValueError(f"{path}, line 1: no {column!r} column")
 
-    def rows() -> Iterator[tuple[int, object, dict]]:
+    def rows() -> Iterator[tuple[int, object, Row]]:
         seen: dict[object, int] = {}
-        for row in reader:
-            line, value = reader.line_num, key_cell(path, reader.line_num, row, key)
-            _given_once(seen, value, line, f"{path},", f"{key} ")
-            yield line, value, row
+        for cells in reader:
+            if cells:
+                row = Row(cells, index)
+                line, value = reader.line_num, key_cell(path, reader.line_num, row, key)
+                _given_once(seen, value, line, f"{path},", f"{key} ")
+                yield line, value, row
 
     return header, rows()

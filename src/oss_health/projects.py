@@ -85,11 +85,11 @@ def load_project_list(path: str | Path) -> list[ProjectEntry]:
         has_alexa_rank = "alexa_rank" in header
         return [
             ProjectEntry(
-                name=row["name"],
-                symbol=row["symbol"],
+                name=inputs.text_cell(path, line, row, "name"),
+                symbol=inputs.text_cell(path, line, row, "symbol"),
                 cmc_rank=rank,
-                website=row["website"],
-                source_location=row["source_location"] or None,
+                website=inputs.text_cell(path, line, row, "website"),
+                source_location=inputs.text_cell(path, line, row, "source_location") or None,
                 alexa_rank=inputs.int_cell(path, line, row, "alexa_rank", optional=True) if has_alexa_rank else None,
             )
             for line, rank, row in rows

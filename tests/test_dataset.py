@@ -259,6 +259,17 @@ class TestPersistence:
             read_matrix_csv(path)
         assert str(excinfo.value) == f"{path}, line 4, column {column!r}: {message}"
 
+    def test_rows_read_as_the_csv_module_splits_them(self, tmp_path):
+        # cells whose sum overflows are still finite, a blank line is skipped
+        # but counted, and the cells past the header are ignored
+        path = tmp_path / "m.csv"
+        path.write_text("repo_id,stars,forks,mentions\nr0,1e308,1e308,1\n\nr1,1,2,3,extra\nr1,4,5,6\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_matrix_csv(path)
+        assert str(excinfo.value) == f"{path}, lines 4 and 5: repo_id 'r1' given twice"
+        path.write_text("repo_id,stars,forks,mentions\nr0,1e308,1e308,1\n\nr1,1,2,3,extra\n")
+        assert read_matrix_csv(path).values.tolist() == [[1e308, 1e308, 1.0], [1.0, 2.0, 3.0]]
+
     @pytest.mark.parametrize("header, message", [
         ("project,stars,forks,mentions", "no 'repo_id' column"),
         ("repo_id,stars,x,forks", "needs at least 3 analysis columns, found 2"),

@@ -225,6 +225,26 @@ class TestEfaMl:
             assert solution.minimum.max_abs_gradient <= CONVERGED_GRADIENT, seed
             assert 1 <= solution.minimum.iterations <= 30, seed
 
+    def test_criterion_one_samples_stop_well_inside_converged(self):
+        # a rounding floor set too loose would stop fits with |grad| near the verdict's bound
+        L = np.linalg.cholesky(efa_population_correlation())
+        for seed in range(50):
+            X = np.random.default_rng(seed).standard_normal((384, 9)) @ L.T
+            minimum = efa_ml(correlation_matrix(X), n=384, m=2)[0].minimum
+            assert minimum.converged and minimum.max_abs_gradient <= CONVERGED_GRADIENT / 4, seed
+
+    @pytest.mark.parametrize("seed, first", [(0, 0), (3, 3)])
+    def test_saturated_three_indicator_fit_stops_at_f_zero(self, seed, first):
+        # one factor on 3 indicators has df = 0; F reaches 0, where every
+        # further step is below F's rounding and no halving can pass
+        X = np.random.default_rng(seed).standard_normal((384, 9))
+        R = correlation_matrix(X @ np.linalg.cholesky(efa_population_correlation()).T)
+        block = slice(first, first + 3)
+        solution, _ = efa_ml(R[block, block], n=384, m=1)
+        assert solution.floored == [] and solution.minimum.value == 0.0
+        assert solution.minimum.converged
+        assert solution.minimum.evaluations <= solution.minimum.iterations + 5
+
     @pytest.mark.parametrize("seed, m", [(0, 2), (1, 2), (2, 1), (3, 1)])
     def test_no_free_uniqueness_move_lowers_f(self, seed, m):
         X = np.random.default_rng(seed).standard_normal((384, 9))
@@ -448,15 +468,29 @@ class TestNewtonMinimise:
         assert result.converged and result.iterations == 1
         assert np.array_equal(last, result.x)
 
-    def test_last_derivatives_at_x_after_a_stalled_decrease(self):
-        # F = x falls by 1e-20 in the one accepted step, below the decrease tolerance
+    def test_last_derivatives_at_x_after_the_rounding_floor_exit(self):
+        # F = x with H = 1e20: the step's predicted decrease, 5e-21, is below F's rounding floor
+        trials = []
+
+        def objective(x):
+            trials.append(x.copy())
+            return float(x[0]), None
+
         result, last = self._run_recorded(
-            lambda x: (float(x[0]), None),
-            lambda x, _: (np.ones(1), lambda free: np.array([[1e20]])),
-            np.zeros(1),
+            objective, lambda x, _: (np.ones(1), lambda free: np.array([[1e20]])), np.zeros(1)
         )
-        assert result.iterations == 1 and result.max_abs_gradient == 1.0
-        assert result.x[0] < 0 and np.array_equal(last, result.x)
+        assert len(trials) == 1 and result.evaluations == 1  # the start only: no trial point
+        assert result.iterations == 0 and result.max_abs_gradient == 1.0 and not result.converged
+        assert result.x[0] == 0.0 and np.array_equal(last, result.x)
+
+    def test_a_step_lost_in_the_rounding_of_x_is_no_decrease(self):
+        # F is flat, so the halvings shrink the step until x - alpha step rounds to x;
+        # that trial is refused, not taken as a step, and the line search fails
+        result, last = self._run_recorded(
+            lambda x: (0.0, None), lambda x, _: (np.ones(1), lambda free: np.eye(1)), np.full(1, 1e6)
+        )
+        assert result.iterations == 0 and result.evaluations == 61
+        assert np.array_equal(last, result.x)
 
     def test_last_derivatives_at_x_after_a_failed_line_search(self):
         # F rises at every trial point, so no halving passes

@@ -84,6 +84,15 @@ class TestLoadProjectList:
             load_project_list(path)
         assert str(excinfo.value) == f"{path}, line 3, column 'cmc_rank': 'x' is not an integer"
 
+    @pytest.mark.parametrize("alexa_rank", ["", ",alexa_rank"])
+    def test_short_row_names_its_first_missing_cell(self, tmp_path, alexa_rank):
+        # with or without the optional column in the header
+        path = tmp_path / "projects.csv"
+        path.write_text(f"name,symbol,cmc_rank,website,source_location{alexa_rank}\nA,A,1\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_project_list(path)
+        assert str(excinfo.value) == f"{path}, line 2, column 'website': no cell"
+
     def test_missing_column_named_at_line_one(self, tmp_path):
         path = tmp_path / "projects.csv"
         path.write_text("name,symbol,cmc_rank,website\nA,A,1,https://a.example\n")

@@ -346,6 +346,17 @@ class TestOptimiser:
                 assert 1 <= fit.minimum.iterations < fit.minimum.evaluations
             assert full.minimum.value <= reduced.minimum.value + 1e-10, seed
 
+    def test_first_sampled_fits_take_no_halving_at_the_rounding_floor(self, sampled_fits):
+        for seed, fits in enumerate(sampled_fits[:3]):
+            for fit in fits:
+                assert fit.minimum.evaluations <= fit.minimum.iterations + 3, seed
+
+    def test_sampled_fits_stop_well_inside_converged(self, sampled_fits):
+        # a rounding floor set too loose would stop fits with |grad| near the verdict's bound
+        for seed, fits in enumerate(sampled_fits[:50]):
+            for fit in fits:
+                assert fit.converged and fit.minimum.max_abs_gradient <= CONVERGED_GRADIENT / 4, seed
+
     def test_path_standard_errors_match_monte_carlo_spread(self, sampled_fits):
         for name in SEM_PATHS:
             values = np.array([full.estimates[name].value for full, _ in sampled_fits])
