@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__, dataset, factor, inputs, metrics, projects, sem
 from .events import EventRecord, EventType, has_contribution, parse_archive_file
-from .store import EventStore
+from .store import EventStore, archive_digest
 
 log = logging.getLogger("oss_health")
 
@@ -177,26 +177,30 @@ def cmd_ingest(config: PipelineConfig) -> int:
     report["files"], report["stored_events"] = [], 0
     try:
         for path in paths:
-            records, stats = parse_archive_file(path)
-            receipt = store.append(records)
-            report["stored_events"] += receipt.count
+            data = path.read_bytes()
+            digest = archive_digest(data)
+            counts = store.ingested(digest)
+            if counts is None:
+                records, stats = parse_archive_file(path, data)
+                receipt = store.append(records)
+                counts = stats.records_out, stats.type_skipped, stats.malformed_skipped
+                stored, duplicates = receipt.count, receipt.duplicates_skipped
+            else:  # ingested whole before: a re-parse would find every event stored
+                stored, duplicates = 0, counts[0]
+            parsed, skipped_type, skipped_malformed = counts
+            report["stored_events"] += stored
             report["files"].append(
                 {
                     "file": path.name,
-                    "parsed": stats.records_out,
-                    "skipped_type": stats.type_skipped,
-                    "skipped_malformed": stats.malformed_skipped,
-                    "stored": receipt.count,
-                    "duplicates_skipped": receipt.duplicates_skipped,
+                    "parsed": parsed,
+                    "skipped_type": skipped_type,
+                    "skipped_malformed": skipped_malformed,
+                    "stored": stored,
+                    "duplicates_skipped": duplicates,
                 }
             )
-            log.info(
-                "%s: parsed %d, skipped %d malformed, stored %d",
-                path.name,
-                stats.records_out,
-                stats.malformed_skipped,
-                receipt.count,
-            )
+            log.info("%s: parsed %d, skipped %d malformed, stored %d", path.name, parsed, skipped_malformed, stored)
+            store.mark_ingested(digest, counts)
     finally:  # a failing archive still leaves the report of those stored before it
         _write_json(config.out_dir / "ingest_report.json", report)
     return 0

@@ -12,6 +12,7 @@ logged with their byte offset.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import logging
 from dataclasses import dataclass, field
@@ -299,14 +300,15 @@ def parse_archive_stream(
         yield record
 
 
-def parse_archive_file(path: str | Path) -> tuple[list[EventRecord], ParseStats]:
+def parse_archive_file(path: str | Path, data: bytes | None = None) -> tuple[list[EventRecord], ParseStats]:
     """Parse one archive file, compressed or plain by file suffix.
 
-    A decompression failure raises :class:`ArchiveStreamError` naming the
+    ``data``, when given, is the file's bytes, already read.  A
+    decompression failure raises :class:`ArchiveStreamError` naming the
     file and the decompressed byte offset reached."""
     path = Path(path)
     stats = ParseStats()
-    with open(path, "rb") as handle:
+    with open(path, "rb") if data is None else io.BytesIO(data) as handle:
         try:
             records = list(
                 parse_archive_stream(handle, stats, compressed=path.suffix == ".gz")

@@ -25,11 +25,28 @@ root for as long as it lives.
 An append interrupted part-way leaves a torn tail: a partial length
 prefix, record or magic header.  Reads reject it; the next append to that
 partition cuts it back to the end of the last complete record before it
-writes.
+writes.  Writes are not fsynced: what an append or the ledger wrote
+survives an interrupted process, but not a power loss or an OS crash.
+
+The ledger ``<root>/archives.ledger`` lists the archives ingested whole.
+It starts with the 8-byte magic ``OSHARC01``, then holds fixed-size
+records of ``struct`` format ``>16sQQQ``: the 16-byte BLAKE2b digest of
+an archive file's bytes, then the archive's parsed, type-skipped and
+malformed-skipped counts.  A record asserts that every event those bytes
+parse to is stored under this root, so an archive found in the ledger can
+be skipped unparsed: re-parsing it could only store nothing and count
+every parsed event a duplicate.  A record is written only after the
+archive's append has returned.  A partial record at the end (a torn tail)
+is ignored on read and cut off before the next record is written; a
+partial magic header reads as an empty ledger.  The ledger's name has no
+``__``, so it is never taken for a repository directory.  The records
+hold what this version's parser makes of an archive: to re-parse the
+same archives with a changed parser, ingest into a new store.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -44,6 +61,11 @@ from .events import EventRecord, EventType, check_tz_offset, has_contribution
 
 MAGIC = b"OSHEVT01"
 _LEN = struct.Struct(">I")
+#: the ledger of archives ingested whole, at the store root
+LEDGER = "archives.ledger"
+LEDGER_MAGIC = b"OSHARC01"
+#: archive digest, then its parsed, type-skipped and malformed-skipped counts
+_LEDGER_RECORD = struct.Struct(">16sQQQ")
 #: canonical record JSON; ``json.dumps`` with these arguments would build a
 #: new encoder on every call
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -81,9 +103,16 @@ class AppendReceipt:
     duplicates_skipped: int = 0
 
 
-def _month_key(created_at: int) -> str:
-    utc = time.gmtime(created_at)
+@functools.lru_cache(maxsize=1 << 12)
+def _day_month(day: int) -> str:
+    """``YYYY-MM`` of the UTC day ``day`` days after the epoch."""
+    utc = time.gmtime(day * 86400)
     return f"{utc.tm_year:04d}-{utc.tm_mon:02d}"
+
+
+def _month_key(created_at: int) -> str:
+    """UTC month of ``created_at``, memoised by UTC day, as UTC days nest in UTC months."""
+    return _day_month(created_at // 86400)
 
 
 def _partition_dir_name(repo_id: str) -> str:
@@ -121,6 +150,31 @@ def _record_to_json(record: EventRecord) -> bytes:
         _json_int(record.created_at), _STRING(record.event_type.value), _json_int(record.number),
         _json_str(record.repo_id), _json_texts(record.texts), _json_int(record.tz_offset),
     )).encode()
+
+
+def archive_digest(data: bytes) -> bytes:
+    """Identity of an archive file's bytes in the ledger."""
+    return hashlib.blake2b(data, digest_size=16).digest()
+
+
+def _read_ledger(path: str) -> tuple[dict[bytes, tuple[int, int, int]], int]:
+    """The ledger's counts by archive digest, and where its last whole record ends.
+
+    An absent ledger or a partial magic header ends at 0; any other bad
+    header raises.
+    """
+    try:
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.read()
+    except FileNotFoundError:
+        return {}, 0
+    if not data.startswith(LEDGER_MAGIC):
+        if LEDGER_MAGIC.startswith(data):
+            return {}, 0
+        raise StoreError(f"{path}: bad magic header {data[: len(LEDGER_MAGIC)]!r}")
+    end = len(data) - (len(data) - len(LEDGER_MAGIC)) % _LEDGER_RECORD.size
+    records = _LEDGER_RECORD.iter_unpack(memoryview(data)[len(LEDGER_MAGIC) : end])
+    return {digest: tuple(counts) for digest, *counts in records}, end
 
 
 def _key(blob: bytes) -> bytes:
@@ -227,15 +281,22 @@ class EventStore:
         self._repo_dirs: set[str] = set()
         #: partitions appended to so far -> their dedup keys
         self._keys: dict[str, set[bytes]] = {}
+        self._ledger = f"{self._root}/{LEDGER}"
+        #: the ledger's records, read at first use
+        self._archives: dict[bytes, tuple[int, int, int]] | None = None
+        #: where the ledger's last whole record ends, until this store first writes to it
+        self._ledger_end: int | None = None
 
     # -- write ---------------------------------------------------------
 
     def append(self, events: Iterable[EventRecord]) -> AppendReceipt:
-        """Durably append events, partitioned by (repo, month).
+        """Append events, partitioned by (repo, month).
 
-        Records whose dedup key already exists in the target partition are
-        skipped and counted in the receipt; a batch of nothing but
-        duplicates opens no file.
+        Every record is written before this returns, but not fsynced: it
+        survives an interrupted process, not a power loss.  Records whose
+        dedup key already exists in the target partition are skipped and
+        counted in the receipt; a batch of nothing but duplicates opens no
+        file.
         """
         receipt = AppendReceipt()
         by_partition: dict[tuple[str, str], list[EventRecord]] = {}
@@ -275,6 +336,30 @@ class EventStore:
                 del self._keys[path]
                 raise StoreWriteError(f"append to {path} failed: {exc}", receipt.count) from exc
         return receipt
+
+    def ingested(self, digest: bytes) -> tuple[int, int, int] | None:
+        """The ledger's (parsed, skipped_type, skipped_malformed) counts of the
+        archive with ``digest``, or None when it was not ingested whole."""
+        if self._archives is None:
+            self._archives, self._ledger_end = _read_ledger(self._ledger)
+        return self._archives.get(digest)
+
+    def mark_ingested(self, digest: bytes, counts: tuple[int, int, int]) -> None:
+        """Add a ledger record: every event of the archive with ``digest`` is stored.
+
+        Call it only once the archive's ``append`` has returned.  The first
+        record this store writes cuts the ledger's torn tail first.
+        """
+        if self.ingested(digest) is not None:
+            return
+        with open(self._ledger, "ab") as handle:
+            if self._ledger_end is not None:
+                handle.truncate(self._ledger_end)
+                if self._ledger_end == 0:
+                    handle.write(LEDGER_MAGIC)
+                self._ledger_end = None
+            handle.write(_LEDGER_RECORD.pack(digest, *counts))
+        self._archives[digest] = counts
 
     # -- read ----------------------------------------------------------
 

@@ -208,6 +208,63 @@ class TestIngest:
         held = sum(len(store.read(repo_id)) for repo_id in store.iter_repo_ids())
         assert report["stored_events"] == held == 12
 
+    @staticmethod
+    def _parsed(monkeypatch):
+        """Names of the archives ``ingest`` parses from here on."""
+        names, parse = [], cli.parse_archive_file
+
+        def spied(path, *args):
+            names.append(Path(path).name)
+            return parse(path, *args)
+
+        monkeypatch.setattr(cli, "parse_archive_file", spied)
+        return names
+
+    def test_reingest_from_ledger_writes_the_report_of_a_reparse(self, workspace, monkeypatch):
+        # an archive holding one event twice counts a duplicate in its own first ingest
+        with gzip.open(workspace / "archives" / "2016-12-02-00.json.gz", "wt") as handle:
+            handle.write("\n".join([_extra_repo_line("zoe", "2016-12-02T09:00:00Z")] * 2) + "\n")
+        assert run(workspace, "ingest") == 0
+        report = workspace / "out" / "ingest_report.json"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an archive in the ledger was parsed or appended")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "parse_archive_file", refuse)
+            patched.setattr(EventStore, "append", refuse)
+            assert run(workspace, "ingest") == 0
+        from_ledger = report.read_bytes()
+        (workspace / "out" / "store" / store_module.LEDGER).unlink()
+        assert run(workspace, "ingest") == 0
+        assert report.read_bytes() == from_ledger
+        assert [(f["parsed"], f["stored"], f["duplicates_skipped"]) for f in json.loads(from_ledger)["files"]] == [
+            (12, 0, 12),
+            (2, 0, 2),
+        ]
+
+    def test_one_archive_under_two_names_is_all_duplicates_the_second_time(self, workspace, monkeypatch):
+        archives = workspace / "archives"
+        (archives / "2016-12-01-13.json.gz").write_bytes((archives / "2016-12-01-12.json.gz").read_bytes())
+        parsed = self._parsed(monkeypatch)
+        assert run(workspace, "ingest") == 0
+        assert parsed == ["2016-12-01-12.json.gz"]
+        first, second = json.loads((workspace / "out" / "ingest_report.json").read_text())["files"]
+        assert (first["stored"], first["duplicates_skipped"]) == (12, 0)
+        assert second == {**first, "file": "2016-12-01-13.json.gz", "stored": 0, "duplicates_skipped": 12}
+
+    def test_new_bytes_under_an_old_name_are_parsed(self, workspace, monkeypatch):
+        assert run(workspace, "ingest") == 0
+        archive = workspace / "archives" / "2016-12-01-12.json.gz"
+        with gzip.open(archive, "at") as handle:  # a second gzip member
+            handle.write(_extra_repo_line("xavier", "2016-12-06T09:00:00Z") + "\n")
+        parsed = self._parsed(monkeypatch)
+        assert run(workspace, "ingest") == 0
+        assert parsed == [archive.name]
+        (entry,) = json.loads((workspace / "out" / "ingest_report.json").read_text())["files"]
+        assert (entry["parsed"], entry["stored"], entry["duplicates_skipped"]) == (13, 1, 12)
+        assert "xavier" in {e.actor for e in EventStore(workspace / "out" / "store").read("ethereum/go-ethereum")}
+
 
 class TestMetrics:
     def _rows(self, workspace):

@@ -5,6 +5,7 @@ import io
 import json
 import logging
 import re
+import time
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 
@@ -27,8 +28,10 @@ from oss_health.events import (
     parse_archive_stream,
     parse_event_line,
 )
-from oss_health import store as store_module
+from oss_health import cli, store as store_module
 from oss_health.store import (
+    LEDGER,
+    LEDGER_MAGIC,
     MAGIC,
     AppendReceipt,
     EventStore,
@@ -37,6 +40,7 @@ from oss_health.store import (
     _frames,
     _key,
     _month_key,
+    archive_digest,
     dedup_key,
 )
 
@@ -639,3 +643,110 @@ class TestEventStore:
     def test_month_key_matches_datetime(self, created_at):
         utc = datetime.fromtimestamp(created_at, timezone.utc)
         assert _month_key(created_at) == f"{utc.year:04d}-{utc.month:02d}"
+
+    @pytest.mark.parametrize(
+        "created_at",
+        [
+            EPOCH_MIN,
+            EPOCH_END - 1,
+            -1,
+            0,
+            -DAY,
+            -DAY - 1,
+            -31 * DAY,  # 1969-12-01T00:00:00Z
+            -31 * DAY - 1,
+            AS_OF - 1,
+            AS_OF,
+            1_488_326_399,  # 2017-02-28T23:59:59Z
+            1_488_326_400,  # 2017-03-01T00:00:00Z
+            951_782_400,  # 2000-02-29T00:00:00Z
+            951_868_799,  # 2000-02-29T23:59:59Z
+            951_868_800,  # 2000-03-01T00:00:00Z
+        ],
+    )
+    def test_month_key_equals_gmtime_spelling(self, created_at):
+        utc = time.gmtime(created_at)
+        assert _month_key(created_at) == f"{utc.tm_year:04d}-{utc.tm_mon:02d}"
+
+
+class TestArchiveLedger:
+    """``ingest`` skips an archive the store's ledger says it holds whole."""
+
+    @pytest.fixture
+    def archives(self, tmp_path):
+        archives = tmp_path / "archives"
+        archives.mkdir()
+        for hour, lines in (("00", FIXTURE_LINES), ("01", FIXTURE_LINES[:4] + [_watch_line('"2016-12-20T00:00:00Z"')])):
+            with gzip.open(archives / f"2016-12-01-{hour}.json.gz", "wt", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+        return archives
+
+    @staticmethod
+    def _ingest(archives, monkeypatch):
+        """(exit code, the archives parsed, the report's file entries) of one ``ingest``."""
+        parsed, parse = [], cli.parse_archive_file
+
+        def spied(path, *args):
+            parsed.append(path.name)
+            return parse(path, *args)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "parse_archive_file", spied)
+            code = cli.main(["ingest", "--archives", str(archives), "--out", str(archives.parent / "out")])
+        report = json.loads((archives.parent / "out" / "ingest_report.json").read_text())
+        return code, parsed, report["files"]
+
+    def test_torn_tail_reparses_the_archive_and_is_repaired(self, archives, monkeypatch):
+        code, parsed, fresh = self._ingest(archives, monkeypatch)
+        assert (code, parsed) == (0, ["2016-12-01-00.json.gz", "2016-12-01-01.json.gz"])
+        ledger = archives.parent / "out" / "store" / LEDGER
+        whole = ledger.read_bytes()
+        size = store_module._LEDGER_RECORD.size
+        assert len(whole) == len(LEDGER_MAGIC) + 2 * size
+        again = [{**entry, "stored": 0, "duplicates_skipped": entry["parsed"]} for entry in fresh]
+        for cut in range(size):
+            ledger.write_bytes(whole[: len(whole) - size + cut])
+            assert self._ingest(archives, monkeypatch) == (0, ["2016-12-01-01.json.gz"], again)
+            assert ledger.read_bytes() == whole
+            assert self._ingest(archives, monkeypatch) == (0, [], again)
+
+    @pytest.mark.parametrize("kept", [0, 3, len(LEDGER_MAGIC) - 1])
+    def test_partial_magic_header_reads_as_empty(self, archives, monkeypatch, kept):
+        _, _, fresh = self._ingest(archives, monkeypatch)
+        ledger = archives.parent / "out" / "store" / LEDGER
+        whole = ledger.read_bytes()
+        ledger.write_bytes(LEDGER_MAGIC[:kept])
+        code, parsed, _ = self._ingest(archives, monkeypatch)
+        assert (code, len(parsed)) == (0, 2)
+        assert ledger.read_bytes() == whole
+
+    def test_bad_magic_header_names_the_ledger(self, tmp_path):
+        ledger = tmp_path / "store" / LEDGER
+        ledger.parent.mkdir()
+        ledger.write_bytes(b"NOTALEDGER")
+        with pytest.raises(StoreError, match=f"^{re.escape(str(ledger))}: bad magic header "):
+            EventStore(tmp_path / "store").ingested(archive_digest(b""))
+
+    def test_truncated_archive_gets_no_record_until_fixed(self, archives, monkeypatch):
+        broken = archives / "2016-12-01-02.json.gz"
+        whole = gzip.compress(("\n".join(FIXTURE_LINES[:3]) + "\n").encode())
+        broken.write_bytes(whole[:-8])
+        code, parsed, _ = self._ingest(archives, monkeypatch)
+        assert (code, parsed[-1]) == (1, broken.name)
+        store = archives.parent / "out" / "store"
+        assert EventStore(store).ingested(archive_digest(broken.read_bytes())) is None
+        broken.write_bytes(whole)
+        code, parsed, files = self._ingest(archives, monkeypatch)
+        assert (code, parsed) == (0, [broken.name])
+        assert files[-1]["parsed"] == 3
+        assert EventStore(store).ingested(archive_digest(whole)) == (3, 0, 0)
+        assert self._ingest(archives, monkeypatch)[:2] == (0, [])
+
+    def test_ledger_is_no_repository(self, archives, monkeypatch):
+        self._ingest(archives, monkeypatch)
+        root = archives.parent / "out" / "store"
+        assert (root / LEDGER).is_file()
+        with_ledger = list(EventStore(root).iter_repo_ids()), EventStore(root).latest_created_at()
+        (root / LEDGER).unlink()
+        assert with_ledger == (list(EventStore(root).iter_repo_ids()), EventStore(root).latest_created_at())
+        assert with_ledger == (["a/b", "bitcoin/bitcoin"], 1_482_192_000)  # 2016-12-20T00:00:00Z
