@@ -31,13 +31,12 @@ import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from . import __version__, dataset, factor, inputs, metrics, projects, sem
-from .events import EventRecord, EventType, has_contribution, parse_archive_file
-from .store import EventStore, archive_digest
+from .events import EventRecord, has_contribution, parse_archive_file
+from .store import CorpusReceipt, EventStore, archive_digest
 
 log = logging.getLogger("oss_health")
 
@@ -230,12 +229,10 @@ def _load_ranks(path: str) -> dict[str, dict]:
 
 
 def _stage_reader(store: EventStore, before: int):
-    """``read(repo_id)`` and ``push_texts(repo_id)``: one repository's events before ``before``.
+    """``read(repo_id)``: one repository's events before ``before``.
 
     ``read`` reads each repository from the store at most once per reader
-    and keeps its events for later calls.  ``push_texts`` yields the texts
-    of the push events that ``read`` holds, and streams those of any other
-    repository from the store, keeping nothing.
+    and keeps its events for later calls.
     """
     kept: dict[str, list[EventRecord]] = {}
 
@@ -245,13 +242,7 @@ def _stage_reader(store: EventStore, before: int):
             events = kept[repo_id] = [e for e in store.read(repo_id) if e.created_at < before]
         return events
 
-    def push_texts(repo_id: str) -> Iterator[str]:
-        events = kept.get(repo_id)
-        if events is None:
-            return store.push_texts(repo_id, before)
-        return (text for e in events if e.event_type is EventType.PUSH for text in e.texts)
-
-    return read, push_texts
+    return read
 
 
 def cmd_metrics(config: PipelineConfig) -> int:
@@ -264,9 +255,10 @@ def cmd_metrics(config: PipelineConfig) -> int:
     event, so every event counts, and finding it reads only the latest
     month's partitions.
     Only when some retained project has no mentions in the ranks file is
-    the push corpus tokenised, once: it is streamed repository by
-    repository, from the events already held or, for every other
-    repository, from the store's push texts without building records.
+    the push corpus tokenised, once: it is streamed month by month from
+    the store's push-text log, and only the records no logged range
+    covers are decoded from their partitions.  How many texts came from
+    the log and how many partitions were decoded is logged.
     """
     project_path = _input_path(config.projects, "project list", "projects")
     ranks = _load_ranks(config.ranks)
@@ -284,7 +276,7 @@ def cmd_metrics(config: PipelineConfig) -> int:
         raise UserError("event store is empty and no as_of timestamp configured")
     else:
         as_of = latest + 1
-    read, push_texts = _stage_reader(store, as_of)
+    read = _stage_reader(store, as_of)
     repo_ids = list(store.iter_repo_ids())
     owner_repos: dict[str, list[str]] = {}
     for repo_id in repo_ids:
@@ -322,9 +314,14 @@ def cmd_metrics(config: PipelineConfig) -> int:
     mentions = {repo_id: ranks.get(repo_id, {}).get("mentions") for repo_id in retained}
     counted = [repo_id for repo_id in retained if mentions[repo_id] is None]
     if counted:
-        corpus = (text for repo_id in repo_ids for text in push_texts(repo_id))
+        receipt = CorpusReceipt()
+        corpus = store.push_corpus(repo_ids, as_of, receipt)
         aliases = [{repo_rank[r].name, repo_rank[r].symbol} for r in counted]
         mentions.update(zip(counted, metrics.mention_counts(corpus, aliases)))
+        log.info(
+            "mentions: %d corpus texts from the push-text log, %d partitions decoded",
+            receipt.logged_texts, receipt.decoded_partitions,
+        )
     rows = []
     for repo_id in retained:
         entry = repo_rank[repo_id]

@@ -42,6 +42,35 @@ partial magic header reads as an empty ledger.  The ledger's name has no
 ``__``, so it is never taken for a repository directory.  The records
 hold what this version's parser makes of an archive: to re-parse the
 same archives with a changed parser, ingest into a new store.
+
+The push-text log holds the texts of the stored push events, so that
+counting mentions need not decode the store.  It is one file per month,
+``<root>/corpus/<YYYY-MM>.texts``, for the partitions of that month.  A
+file starts with the 8-byte magic ``OSHTXT01``, followed by frames, one
+per append that stored records in the month: a big-endian uint32 byte
+length, then the body.  The body holds ``n`` entries, one per partition
+the append wrote to, and the ``m`` push texts of the records it stored
+there, in partition order.  It starts with the big-endian numbers
+(``struct`` format ``>II``, then ``>{n}Q{n}Q{n}I{m}q``) ``n`` and ``m``;
+each entry's start ``S`` and end ``E``, the bytes ``[S, E)`` of the
+partition that the append wrote; each entry's number of texts; and each
+text's ``created_at``.  Canonical JSON (spelt as a record's) follows:
+``[names, texts]``, where ``names`` are the entries' repository
+directories (the month is the file's) and ``texts`` the texts.  An
+append writes one frame to each month file once every partition it
+wrote to is closed.  A partition's logged ranges cover it when they tile
+it from the end of its magic header to its end; then its texts come from
+the log alone.  Records that no range covers are decoded from the
+partition as ``read`` decodes them: every record of a store older than
+the log, those of an append cut off before its log write, and bytes
+appended behind the store's back.  A partition whose ranges overlap or
+pass its end was replaced behind the store's back: it is decoded whole
+and its logged texts are left out.  A partial frame at the end of a log
+file (a torn tail) is ignored on read and cut off before this store
+first writes to that file; a whole frame that is not such a body raises
+naming the file and the byte offset.  The directory's name has no
+``__``, so it is never taken for a repository.  A store written before
+the log still reads right, but counting its mentions decodes it whole.
 """
 
 from __future__ import annotations
@@ -53,9 +82,9 @@ import os
 import struct
 import time
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import accumulate, starmap
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .events import EventRecord, EventType, check_tz_offset, has_contribution
 
@@ -66,6 +95,11 @@ LEDGER = "archives.ledger"
 LEDGER_MAGIC = b"OSHARC01"
 #: archive digest, then its parsed, type-skipped and malformed-skipped counts
 _LEDGER_RECORD = struct.Struct(">16sQQQ")
+#: the push-text log's directory at the root, one ``<YYYY-MM>.texts`` file per month
+CORPUS = "corpus"
+CORPUS_MAGIC = b"OSHTXT01"
+#: a log frame's entry and text counts
+_LOG_HEAD = struct.Struct(">II")
 #: canonical record JSON; ``json.dumps`` with these arguments would build a
 #: new encoder on every call
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -101,6 +135,14 @@ class StoreWriteError(StoreError):
 class AppendReceipt:
     count: int = 0
     duplicates_skipped: int = 0
+
+
+@dataclass
+class CorpusReceipt:
+    """Where ``EventStore.push_corpus`` took its texts from."""
+
+    logged_texts: int = 0
+    decoded_partitions: int = 0
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -187,18 +229,18 @@ def dedup_key(record: EventRecord) -> bytes:
     return _key(_record_to_json(record))
 
 
-def _frames(path: str | Path, data: bytes) -> tuple[list[bytes], int]:
-    """Record bodies of a partition's bytes, and where the last whole one ends.
+def _frames(path: str | Path, data: bytes, magic: bytes = MAGIC) -> tuple[list[bytes], int]:
+    """Frame bodies of a partition's (or a log file's) bytes, and where the last whole one ends.
 
     A partial magic header ends at 0; any other bad header raises.
     """
-    if not data.startswith(MAGIC):
-        if MAGIC.startswith(data):
+    if not data.startswith(magic):
+        if magic.startswith(data):
             return [], 0
-        raise StoreError(f"{path}: bad magic header {data[: len(MAGIC)]!r}")
+        raise StoreError(f"{path}: bad magic header {data[: len(magic)]!r}")
     bodies = []
     size, head, unpack = len(data), _LEN.size, _LEN.unpack_from
-    end = len(MAGIC)
+    end = len(magic)
     while end + head <= size:
         (length,) = unpack(data, end)
         stop = end + head + length
@@ -209,11 +251,14 @@ def _frames(path: str | Path, data: bytes) -> tuple[list[bytes], int]:
     return bodies, end
 
 
-def _partition_fields(path: str | Path) -> list[tuple]:
+def _partition_fields(path: str | Path, covered: Sequence[tuple[int, int]] = ()) -> list[tuple]:
     """Every record of a partition as the argument tuple of its ``EventRecord``.
 
-    The store's one checked decode, behind ``read``, ``push_texts`` and
-    ``latest_created_at``: a torn tail, a body that is not one JSON object,
+    With ``covered``, byte ranges ``[start, stop)`` of the partition, only
+    the records that start in none of them; a range that does not start
+    and stop on record boundaries raises.
+    The store's one checked decode, behind ``read``, ``latest_created_at``
+    and ``push_corpus``: a torn tail, a body that is not one JSON object,
     a missing member, an unknown ``event_type`` or a ``tz_offset`` out of
     range raises ``StoreError`` naming the partition and the byte offset.
     """
@@ -222,6 +267,15 @@ def _partition_fields(path: str | Path) -> list[tuple]:
     bodies, end = _frames(path, data)
     if not end or end < len(data):
         raise StoreError(f"{path}: torn tail after byte {end}")
+    starts = None
+    if covered:
+        starts = list(accumulate((_LEN.size + len(body) for body in bodies), initial=len(MAGIC)))
+        bounds = set(starts)
+        for start, stop in covered:
+            if start not in bounds or stop not in bounds:
+                raise StoreError(f"{path}: logged range [{start}, {stop}) is not whole records")
+        kept = [i for i, at in enumerate(starts[:-1]) if not any(a <= at < b for a, b in covered)]
+        starts, bodies = [starts[i] for i in kept], [bodies[i] for i in kept]
     records = []
     try:
         for body in bodies:
@@ -236,9 +290,103 @@ def _partition_fields(path: str | Path) -> list[tuple]:
             check_tz_offset(fields[4])
             records.append(fields)
     except (ValueError, KeyError, TypeError) as exc:
-        at = len(MAGIC) + sum(_LEN.size + len(body) for body in bodies[: len(records)])
+        n = len(records)
+        at = starts[n] if starts else len(MAGIC) + sum(_LEN.size + len(body) for body in bodies[:n])
         raise StoreError(f"{path}: record at byte {at}: {type(exc).__name__}: {exc}") from exc
     return records
+
+
+def _log_frames(path: str) -> tuple[list[bytes], int]:
+    """Frame bodies of a push-text log file, and where the last whole one ends.
+
+    An absent file or a partial magic header ends at 0.
+    """
+    try:
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.read()
+    except FileNotFoundError:
+        data = b""
+    return _frames(path, data, CORPUS_MAGIC)
+
+
+def _log_numbers(entries: int, texts: int) -> struct.Struct:
+    """The numbers of a log frame of ``entries`` entries and ``texts`` texts."""
+    return struct.Struct(f">{entries}Q{entries}Q{entries}I{texts}q")
+
+
+def _log_frame(entries: list[tuple]) -> bytes:
+    """One append's length-prefixed log frame for a month, from its
+    ``(repository, start, end, created_at, texts)`` entries."""
+    repositories, starts, ends, created, texts = zip(*entries)
+    times = [at for batch in created for at in batch]
+    counts = [len(batch) for batch in texts]
+    body = b"".join((
+        _LOG_HEAD.pack(len(entries), len(times)),
+        _log_numbers(len(entries), len(times)).pack(*starts, *ends, *counts, *times),
+        _JSON.encode([repositories, [text for batch in texts for text in batch]]).encode(),
+    ))
+    return _LEN.pack(len(body)) + body
+
+
+def _append_cut(path: str, cut: int | None, magic: bytes, data: bytes) -> None:
+    """Append ``data`` to the ledger or a log file, first cutting it back to
+    ``cut``, the end of its last whole record, unless that is None; a file
+    cut to nothing gets its ``magic`` header again."""
+    with open(path, "ab") as handle:
+        if cut is not None:
+            handle.truncate(cut)
+            if cut == 0:
+                handle.write(magic)
+        handle.write(data)
+
+
+def _read_log(path: str) -> tuple[dict[str, list[tuple[int, int]]], list[tuple[list, list, list, list]]]:
+    """A month's log: the logged byte ranges by repository directory, in
+    log order, and each frame's repository names, text counts, text
+    creation times and texts.
+
+    An absent file has none and a torn tail is ignored; a whole frame that
+    is not a log frame body raises ``StoreError`` naming the file and the
+    byte offset.
+    """
+    ranges: dict[str, list[tuple[int, int]]] = {}
+    frames = []
+    at = len(CORPUS_MAGIC)
+    for body in _log_frames(path)[0]:
+        try:
+            entries, count = _LOG_HEAD.unpack_from(body)
+            numbers = _log_numbers(entries, count)
+            if _LOG_HEAD.size + numbers.size > len(body):
+                raise ValueError(f"{entries} entries and {count} texts pass the frame's end")
+            values = numbers.unpack_from(body, _LOG_HEAD.size)
+            starts, ends = values[:entries], values[entries : 2 * entries]
+            counts, created = values[2 * entries : 3 * entries], values[3 * entries :]
+            repositories, texts = json.loads(body[_LOG_HEAD.size + numbers.size :].decode("ascii"))
+            if type(repositories) is not list or type(texts) is not list:
+                raise TypeError("the names and the texts are not two lists")
+            "".join(repositories), "".join(texts)  # raise TypeError unless every item is a string
+            if len(repositories) != entries or len(texts) != count or sum(counts) != count:
+                raise ValueError("the names or the texts do not match their counts")
+            if min(starts, default=len(MAGIC)) < len(MAGIC) or not all(map(int.__lt__, starts, ends)):
+                raise ValueError("a byte range is empty or starts in the magic header")
+        except (ValueError, TypeError, struct.error) as exc:
+            raise StoreError(f"{path}: frame at byte {at}: {type(exc).__name__}: {exc}") from exc
+        for repo_dir, bounds in zip(repositories, zip(starts, ends)):
+            ranges.setdefault(repo_dir, []).append(bounds)
+        frames.append((repositories, counts, created, texts))
+        at += _LEN.size + len(body)
+    return ranges, frames
+
+
+def _covered_bytes(ranges: Sequence[tuple[int, int]], size: int) -> int | None:
+    """How many bytes of a partition of ``size`` bytes its logged ``ranges``
+    cover; None when one starts before the last ends or passes its end."""
+    covered, stop = 0, len(MAGIC)
+    for start, end in ranges:
+        if start < stop:
+            return None
+        covered, stop = covered + end - start, end
+    return covered if stop <= size else None
 
 
 def _partition_names(repo_dir: str) -> list[str]:
@@ -286,6 +434,9 @@ class EventStore:
         self._archives: dict[bytes, tuple[int, int, int]] | None = None
         #: where the ledger's last whole record ends, until this store first writes to it
         self._ledger_end: int | None = None
+        self._corpus = f"{self._root}/{CORPUS}"
+        #: log files this store has written to, their torn tails cut
+        self._logs: set[str] = set()
 
     # -- write ---------------------------------------------------------
 
@@ -296,23 +447,29 @@ class EventStore:
         survives an interrupted process, not a power loss.  Records whose
         dedup key already exists in the target partition are skipped and
         counted in the receipt; a batch of nothing but duplicates opens no
-        file.
+        file.  Once every partition is written and closed, the push texts
+        of the records stored go to the push-text log, one write per month.
         """
         receipt = AppendReceipt()
         by_partition: dict[tuple[str, str], list[EventRecord]] = {}
         for event in events:
             by_partition.setdefault((event.repo_id, _month_key(event.created_at)), []).append(event)
 
+        push = EventType.PUSH
+        logs: dict[str, list[tuple]] = {}
         for (repo_id, month), batch in sorted(by_partition.items()):
-            path = f"{self._root}/{_partition_dir_name(repo_id)}/{month}.events"
+            name = _partition_dir_name(repo_id)
+            repo_dir = f"{self._root}/{name}"
+            path = f"{repo_dir}/{month}.events"
             keys = self._keys.get(path)
             if keys is None:
-                repo_dir = os.path.dirname(path)
                 if repo_dir not in self._repo_dirs:
                     os.makedirs(repo_dir, exist_ok=True)
                     self._repo_dirs.add(repo_dir)
                 keys = self._keys[path] = _repair_tail(path)
             handle = None
+            created: list[int] = []
+            texts: list[str] = []
             try:
                 try:
                     for record in batch:
@@ -323,18 +480,38 @@ class EventStore:
                             continue
                         if handle is None:
                             handle = open(path, "ab")
-                            if handle.tell() == 0:
+                            start = handle.tell()
+                            if start == 0:
                                 handle.write(MAGIC)
+                                start = len(MAGIC)
+                            end = start
                         keys.add(key)
                         handle.write(_LEN.pack(len(blob)))
                         handle.write(blob)
+                        end += _LEN.size + len(blob)
                         receipt.count += 1
+                        if record.event_type is push:
+                            created += [record.created_at] * len(record.texts)
+                            texts += record.texts
+                    if handle is not None:
+                        logs.setdefault(month, []).append((name, start, end, created, texts))
                 finally:
                     if handle is not None:
                         handle.close()
             except OSError as exc:
                 del self._keys[path]
                 raise StoreWriteError(f"append to {path} failed: {exc}", receipt.count) from exc
+        for month, entries in sorted(logs.items()):
+            path = f"{self._corpus}/{month}.texts"
+            try:
+                cut = None
+                if path not in self._logs:
+                    os.makedirs(self._corpus, exist_ok=True)
+                    cut = _log_frames(path)[1]
+                _append_cut(path, cut, CORPUS_MAGIC, _log_frame(entries))
+            except OSError as exc:
+                raise StoreWriteError(f"append to {path} failed: {exc}", receipt.count) from exc
+            self._logs.add(path)
         return receipt
 
     def ingested(self, digest: bytes) -> tuple[int, int, int] | None:
@@ -352,13 +529,8 @@ class EventStore:
         """
         if self.ingested(digest) is not None:
             return
-        with open(self._ledger, "ab") as handle:
-            if self._ledger_end is not None:
-                handle.truncate(self._ledger_end)
-                if self._ledger_end == 0:
-                    handle.write(LEDGER_MAGIC)
-                self._ledger_end = None
-            handle.write(_LEDGER_RECORD.pack(digest, *counts))
+        _append_cut(self._ledger, self._ledger_end, LEDGER_MAGIC, _LEDGER_RECORD.pack(digest, *counts))
+        self._ledger_end = None
         self._archives[digest] = counts
 
     # -- read ----------------------------------------------------------
@@ -374,18 +546,55 @@ class EventStore:
         paths = (f"{repo_dir}/{name}" for name in _partition_names(repo_dir))
         return [e for path in paths for e in starmap(EventRecord, _partition_fields(path))]
 
-    def push_texts(self, repo_id: str, before: int) -> Iterator[str]:
-        """Texts of one repository's push events before ``before``, in ``read`` order.
+    def push_corpus(self, repo_ids: Iterable[str], before: int, receipt: CorpusReceipt) -> Iterator[str]:
+        """Texts of the push events before ``before`` of the repositories ``repo_ids``.
 
-        Every record is decoded and checked as ``read`` does, but no
-        ``EventRecord`` is built.
+        Each repository directory is listed once and each partition
+        stat'ed once.  Month by month, the texts of the records a
+        partition's logged ranges cover come from that month's log file,
+        read whole, and the other records are decoded from the partition
+        and checked as ``read`` does.  ``receipt`` counts the texts taken
+        from the log and the partitions decoded.
         """
-        push = EventType.PUSH
-        repo_dir = f"{self._root}/{_partition_dir_name(repo_id)}"
-        for name in _partition_names(repo_dir):
-            for _, kind, _, created_at, _, _, texts, _, _ in _partition_fields(f"{repo_dir}/{name}"):
-                if kind is push and created_at < before:
-                    yield from texts
+        months: dict[str, list[str]] = {}
+        for repo_id in repo_ids:
+            repo_dir = _partition_dir_name(repo_id)
+            for name in _partition_names(f"{self._root}/{repo_dir}"):
+                months.setdefault(name[: -len(".events")], []).append(repo_dir)
+        for month in sorted(months):
+            yield from self._month_texts(month, months[month], before, receipt)
+
+    def _month_texts(
+        self, month: str, repo_dirs: list[str], before: int, receipt: CorpusReceipt
+    ) -> Iterator[str]:
+        """``push_corpus`` of one month's partitions, those of ``repo_dirs``.
+
+        The month's log is held only while this runs, so the corpus read
+        holds one month at a time.
+        """
+        ranges, frames = _read_log(f"{self._corpus}/{month}.texts")
+        dropped = set(ranges).difference(repo_dirs)  # logged partitions deleted since
+        for repo_dir in repo_dirs:
+            path = f"{self._root}/{repo_dir}/{month}.events"
+            size = os.stat(path).st_size
+            logged = ranges.get(repo_dir, ())
+            covered = _covered_bytes(logged, size)
+            if covered is None:  # the partition was replaced: decode it whole
+                dropped.add(repo_dir)
+                logged, covered = (), 0
+            if covered != size - len(MAGIC):
+                receipt.decoded_partitions += 1
+                for _, kind, _, created_at, _, _, texts, _, _ in _partition_fields(path, logged):
+                    if kind is EventType.PUSH and created_at < before:
+                        yield from texts
+        for repositories, counts, created, texts in frames:
+            if dropped or created and not max(created) < before:
+                owners = (repo_dir for repo_dir, count in zip(repositories, counts) for _ in range(count))
+                texts = [
+                    text for owner, at, text in zip(owners, created, texts) if at < before and owner not in dropped
+                ]
+            receipt.logged_texts += len(texts)
+            yield from texts
 
     def latest_created_at(self) -> int | None:
         """``created_at`` of the latest stored event; ``None`` for an empty store.

@@ -4,8 +4,11 @@ import csv
 import gzip
 import importlib.util
 import json
+import logging
 import math
 import os
+import shutil
+import struct
 import subprocess
 import sys
 from datetime import datetime
@@ -18,7 +21,7 @@ from conftest import FIXTURE_LINES, sem_population_covariance
 from oss_health import cli, dataset, factor, metrics, projects, sem
 from oss_health.cli import PipelineConfig, UserError, load_config, parse_config_text
 from oss_health import store as store_module
-from oss_health.store import MAGIC, EventStore, StoreError
+from oss_health.store import CORPUS_MAGIC, LEDGER, MAGIC, EventStore, StoreError
 
 MODEL_FILE = "models/health.sem"
 REDUCED_MODEL_FILE = "models/health_reduced.sem"
@@ -48,6 +51,12 @@ def _extra_repo_line(actor, created, event_type="WatchEvent", payload=None, repo
             "payload": payload or {},
         }
     )
+
+
+def _log_body(numbers=(8, 90, 1, 1), tail=b'[["someone__else"],["bitcoin"]]'):
+    """A push-text log frame body of one entry and one text: its start, end,
+    text count and text time, then the JSON of its names and texts."""
+    return struct.pack(">II", 1, 1) + struct.pack(">QQIq", *numbers) + tail
 
 
 @pytest.fixture
@@ -515,13 +524,11 @@ class TestMetrics:
         monkeypatch.setattr(EventStore, "iter_repo_ids", counted_iter)
         assert run(workspace, "metrics") == 0
         assert len(lists) == 1
-        assert len(opened) == len(set(opened))
+        # the push-text log covers the store, so counted mentions decode no
+        # partition: counted and supplied mentions open the listed owners' only
         listed_owners = {"bitcoin__bitcoin", "ethereum__go-ethereum"}
-        read_repos = {path.split("/", 1)[0] for path in opened}
-        assert read_repos == (listed_owners if supplied else listed_owners | {"someone__else"})
-        if not supplied:  # counting mentions decodes every stored record
-            stored = [p.relative_to(store_dir).as_posix() for p in store_dir.glob("*/*.events")]
-            assert sorted(opened) == sorted(stored)
+        stored = [p.relative_to(store_dir).as_posix() for p in store_dir.glob("*/*.events")]
+        assert sorted(opened) == sorted(p for p in stored if p.split("/", 1)[0] in listed_owners)
 
     @pytest.mark.parametrize(
         "corrupt", ["torn_tail", "not_json", "unknown_event_type", "tz_offset_out_of_range"]
@@ -552,18 +559,176 @@ class TestMetrics:
         assert run(workspace, "metrics") == 1
         assert f"error: {expected.value}" in caplog.text
 
-    def test_corpus_push_at_as_of_not_counted(self, workspace):
+    def test_corpus_push_at_as_of_not_counted(self, workspace, caplog):
+        caplog.set_level(logging.INFO, logger="oss_health")
         (workspace / "ranks.csv").write_text("repo_id,cmc_rank,alexa_rank\n")
         self._corpus_only_push(workspace, "2016-12-31T23:59:59Z")
         self._corpus_only_push(workspace, "2017-01-01T00:00:00Z")  # the configured as_of
         # two fixture pushes mention the whole token; the corpus-only push a second early adds one
         assert int(self._rows(workspace)["bitcoin/bitcoin"]["mentions"]) == 3
+        # the log holds the push at as_of, and leaves it out as the decode does
+        assert "from the push-text log, 0 partitions decoded" in caplog.text
+        logged = self._metrics_outputs(workspace)
+        shutil.rmtree(workspace / "out" / "store" / "corpus")
+        assert self._metrics_outputs(workspace) == logged
         # a derived as_of is one second after the latest stored event, so that push counts too
         assert run(workspace, "metrics", "--as-of", "") == 0
         with open(workspace / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
             rows = {row["repo_id"]: row for row in csv.DictReader(handle)}
         assert rows["bitcoin/bitcoin"]["as_of"] == "2017-01-01T00:00:01Z"
         assert int(rows["bitcoin/bitcoin"]["mentions"]) == 4
+
+    @staticmethod
+    def _metrics_outputs(workspace, out=None):
+        """The bytes of metrics.csv and its sidecar from a metrics run on the store under ``out``."""
+        out = out or workspace / "out"
+        assert run(workspace, "metrics", "--out", str(out)) == 0
+        return [(out / name).read_bytes() for name in ("metrics.csv", "metrics_audit.jsonl")]
+
+    def _clean_outputs(self, workspace):
+        """``_metrics_outputs`` of a fresh store ingested from the archives in one uninterrupted run."""
+        clean = workspace / "clean"
+        assert run(workspace, "ingest", "--out", str(clean)) == 0
+        return self._metrics_outputs(workspace, clean)
+
+    @staticmethod
+    def _decoded(caplog) -> int:
+        """The number of partitions the last metrics run logged it decoded to count mentions."""
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("mentions: ")]
+        return int(lines[-1].split(", ")[1].split()[0])
+
+    @pytest.fixture
+    def counted(self, workspace, caplog):
+        """The workspace with the mentions counted and one push to a repository no project owns."""
+        caplog.set_level(logging.INFO, logger="oss_health")
+        (workspace / "ranks.csv").write_text("repo_id,cmc_rank,alexa_rank\n")
+        self._corpus_only_push(workspace, "2016-12-10T09:00:00Z")
+        return workspace
+
+    def test_push_counted_when_its_log_write_fails(self, counted, monkeypatch, caplog):
+        append_cut = store_module._append_cut
+
+        def fail_on_corpus_push(path, cut, magic, data):
+            if magic == CORPUS_MAGIC and b"someone__else" in data:
+                raise OSError("disk full")
+            append_cut(path, cut, magic, data)
+
+        monkeypatch.setattr(store_module, "_append_cut", fail_on_corpus_push)
+        assert run(counted, "ingest") == 1
+        assert f"{counted / 'out' / 'store' / 'corpus' / '2016-12.texts'} failed: disk full" in caplog.text
+        monkeypatch.undo()
+        outputs = self._metrics_outputs(counted)
+        assert self._decoded(caplog) == 1  # the partition written before the failed log write
+        assert outputs == self._clean_outputs(counted)
+        assert self._decoded(caplog) == 0
+
+    def test_torn_append_counted_once_after_reingest(self, counted, monkeypatch, caplog):
+        assert run(counted, "ingest") == 0
+        lines = [
+            _extra_repo_line(
+                "quinn", created, "PushEvent", {"commits": [{"message": "bitcoin"}]}, repo="someone/else"
+            )
+            for created in ("2016-12-11T09:00:00Z", "2016-12-11T09:30:00Z")
+        ]
+        with gzip.open(counted / "archives" / "2016-12-11-09.json.gz", "wt") as handle:
+            handle.write("\n".join(lines) + "\n")
+        # an ingest cut off inside its second record, before its log write
+        append_cut = store_module._append_cut
+
+        def cut_off(path, cut, magic, data):
+            if magic == CORPUS_MAGIC:
+                raise OSError("interrupted")
+            append_cut(path, cut, magic, data)
+
+        monkeypatch.setattr(store_module, "_append_cut", cut_off)
+        assert run(counted, "ingest") == 1
+        monkeypatch.undo()
+        path = counted / "out" / "store" / "someone__else" / "2016-12.events"
+        path.write_bytes(path.read_bytes()[:-5])
+        assert run(counted, "ingest") == 0  # keeps the first record, appends the second again
+        outputs = self._metrics_outputs(counted)
+        assert self._decoded(caplog) == 1
+        with open(counted / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
+            rows = {row["repo_id"]: row for row in csv.DictReader(handle)}
+        assert int(rows["bitcoin/bitcoin"]["mentions"]) == 5  # 2 fixture pushes and 3 corpus-only ones
+        assert outputs == self._clean_outputs(counted)
+
+    def test_metrics_without_the_log_identical(self, counted, caplog):
+        assert run(counted, "ingest") == 0
+        logged = self._metrics_outputs(counted)
+        assert self._decoded(caplog) == 0
+        shutil.rmtree(counted / "out" / "store" / "corpus")  # a store older than the log
+        assert self._metrics_outputs(counted) == logged
+        assert self._decoded(caplog) == len(list((counted / "out" / "store").glob("*/*.events")))
+
+    def test_reingest_without_ledger_does_not_double(self, counted):
+        assert run(counted, "ingest") == 0
+        corpus = counted / "out" / "store" / "corpus"
+        logged = self._metrics_outputs(counted), sorted(p.read_bytes() for p in corpus.iterdir())
+        (counted / "out" / "store" / LEDGER).unlink()
+        assert run(counted, "ingest") == 0  # every event a duplicate: nothing appended
+        assert (self._metrics_outputs(counted), sorted(p.read_bytes() for p in corpus.iterdir())) == logged
+
+    def test_torn_log_tail_ignored_then_cut(self, counted, caplog):
+        assert run(counted, "ingest") == 0
+        log_path = counted / "out" / "store" / "corpus" / "2016-12.texts"
+        intact = log_path.read_bytes()
+        logged = self._metrics_outputs(counted)
+        with open(log_path, "ab") as handle:
+            handle.write((100).to_bytes(4, "big") + b'{"end":')
+        assert self._metrics_outputs(counted) == logged
+        assert self._decoded(caplog) == 0
+        self._corpus_only_push(counted, "2016-12-12T09:00:00Z")
+        assert run(counted, "ingest") == 0
+        data = log_path.read_bytes()
+        assert data.startswith(intact)
+        assert store_module._frames(log_path, data, CORPUS_MAGIC)[1] == len(data) > len(intact)
+        self._metrics_outputs(counted)
+        assert self._decoded(caplog) == 0
+        assert self._metrics_outputs(counted) == self._clean_outputs(counted)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            _log_body(tail=b"{oops"),
+            struct.pack(">II", 1000, 0) + b"[[],[]]",
+            _log_body(numbers=(8, 8, 1, 1)),
+            _log_body(numbers=(4, 90, 1, 1)),
+            _log_body(numbers=(8, 90, 2, 1)),
+            _log_body(tail=b'[["someone__else"],[2]]'),
+            _log_body(tail=b'["someone__else",["bitcoin"]]'),
+        ],
+        ids=["not_json", "counts_pass_the_end", "empty_range", "range_in_magic_header", "count_mismatch",
+             "text_not_a_string", "names_not_a_list"],
+    )
+    def test_malformed_log_frame_fails_counted_mentions(self, counted, caplog, body):
+        assert run(counted, "ingest") == 0
+        log_path = counted / "out" / "store" / "corpus" / "2016-12.texts"
+        offset = log_path.stat().st_size
+        with open(log_path, "ab") as handle:
+            handle.write(len(body).to_bytes(4, "big") + body)
+        caplog.clear()
+        assert run(counted, "metrics") == 1
+        assert f"error: {log_path}: frame at byte {offset}: " in caplog.text
+
+    def test_log_bytes_independent_of_hash_seed(self, counted):
+        for created in ("2016-11-20T09:00:00Z", "2017-01-02T09:00:00Z"):
+            self._corpus_only_push(counted, created, "zcash")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        logs = []
+        for seed in ("1", "2"):
+            out = counted / f"out-{seed}"
+            result = subprocess.run(
+                [sys.executable, "-m", "oss_health.cli", "ingest",
+                 "--archives", str(counted / "archives"), "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            logs.append({p.name: p.read_bytes() for p in (out / "store" / "corpus").glob("*.texts")})
+        assert sorted(logs[0]) == ["2016-11.texts", "2016-12.texts", "2017-01.texts"]
+        assert logs[0] == logs[1]
 
     def test_derived_as_of_reads_only_the_latest_month(self, workspace, monkeypatch):
         other = json.dumps(

@@ -30,10 +30,12 @@ from oss_health.events import (
 )
 from oss_health import cli, store as store_module
 from oss_health.store import (
+    CORPUS_MAGIC,
     LEDGER,
     LEDGER_MAGIC,
     MAGIC,
     AppendReceipt,
+    CorpusReceipt,
     EventStore,
     StoreError,
     StoreWriteError,
@@ -473,7 +475,7 @@ class TestEventStore:
 
         def counted_open(file, mode="r", *args, **kwargs):
             handle = open(file, mode, *args, **kwargs)
-            opened.append(mode)
+            opened.append((str(file).rsplit(".", 1)[1], mode))
             return handle
 
         def no_decode(path):
@@ -486,12 +488,13 @@ class TestEventStore:
         receipts = [store.append(events[i : i + 4]) for i in range(0, 10, 2)]
         assert [r.count for r in receipts] == [4, 2, 2, 2, 0]
         assert [r.duplicates_skipped for r in receipts] == [0, 2, 2, 2, 2]
-        # the store created this partition, and the all-duplicate batch opens nothing
-        assert opened == ["ab"] * 4
+        # the store created this partition and its month's log file (which it
+        # then never reads again), and the all-duplicate batch opens nothing
+        assert opened == [("events", "ab"), ("texts", "ab")] * 4
         opened.clear()
         receipt = EventStore(tmp_path / "store").append(events)
         assert (receipt.count, receipt.duplicates_skipped) == (0, 10)
-        assert opened == ["r+b"]  # a second store reads the partition's keys once
+        assert opened == [("events", "r+b")]  # a second store reads the partition's keys once
         monkeypatch.undo()
         assert store.read("bitcoin/bitcoin") == events
 
@@ -542,9 +545,43 @@ class TestEventStore:
             handle.write(len(body).to_bytes(4, "big") + body)
         with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: record at byte {offset}: ") as failure:
             store.read("bitcoin/bitcoin")
+        # the bytes lie outside the range the log covers, so counting mentions decodes them
         with pytest.raises(StoreError) as push_failure:
-            list(store.push_texts("bitcoin/bitcoin", AS_OF))
+            list(store.push_corpus(["bitcoin/bitcoin"], AS_OF, CorpusReceipt()))
         assert str(push_failure.value) == str(failure.value)
+
+    @staticmethod
+    def _corpus(root):
+        """The sorted push corpus of the store at ``root``, and the partitions it decoded."""
+        store, receipt = EventStore(root), CorpusReceipt()
+        return sorted(store.push_corpus(store.iter_repo_ids(), AS_OF, receipt)), receipt.decoded_partitions
+
+    @pytest.mark.parametrize("change", ["deleted_and_rewritten", "restored_shorter"])
+    def test_push_corpus_decodes_a_replaced_partition_whole(self, tmp_path, change):
+        events = [replace(e, texts=[e.actor]) for e in self._events(6)]
+        root, path = tmp_path / "store", tmp_path / "store" / "bitcoin__bitcoin" / "2016-12.events"
+        store = EventStore(root)
+        store.append(events[:2])
+        size = path.stat().st_size
+        store.append(events[2:4])
+        assert self._corpus(root) == ([e.actor for e in events[:4]], 0)
+        if change == "deleted_and_rewritten":  # its new range overlaps the old ones
+            path.unlink()
+            EventStore(root).append(events[3:])
+            assert self._corpus(root) == ([e.actor for e in events[3:]], 1)
+        else:  # the last range passes its end
+            path.write_bytes(path.read_bytes()[:size])
+            assert self._corpus(root) == ([e.actor for e in events[:2]], 1)
+
+    def test_push_corpus_rejects_a_range_off_record_boundaries(self, tmp_path):
+        root = tmp_path / "store"
+        EventStore(root).append(self._events(2))
+        frame = store_module._log_frame([["bitcoin__bitcoin", len(MAGIC), 20, [], []]])
+        (root / "corpus" / "2016-12.texts").write_bytes(CORPUS_MAGIC + frame)
+        path = root / "bitcoin__bitcoin" / "2016-12.events"
+        message = f"^{re.escape(str(path))}: logged range \\[8, 20\\) is not whole records"
+        with pytest.raises(StoreError, match=message):
+            self._corpus(root)
 
     def test_unkeyable_record_names_partition(self, tmp_path):
         path = tmp_path / "store" / "bitcoin__bitcoin" / "2016-12.events"
