@@ -151,9 +151,9 @@ def _report_envelope(config: PipelineConfig, kind: str) -> dict:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
+    # one write: ``json.dump`` hands the file one fragment per token
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _fmt(value: float) -> str:

@@ -41,6 +41,12 @@ class EventType(Enum):
     PR_REVIEW_COMMENT = "PullRequestReviewComment"
     ISSUES = "Issues"
 
+    # Members are singletons compared by identity, so identity hashing agrees
+    # with equality; it runs in C, where ``Enum.__hash__`` hashes the name in
+    # Python behind every kind-set membership test and kind-keyed lookup.
+    # Nothing iterates a set of kinds to produce output.
+    __hash__ = object.__hash__
+
 
 #: Archive ``type`` field -> event kind.  Issues events are ingested in
 #: addition to the seven activity kinds because issue response times are
@@ -213,7 +219,9 @@ def parse_event_line(line: str) -> EventRecord | None:
         raise MalformedLineError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedLineError("line is not a JSON object")
-    event_type = ARCHIVE_TYPE_MAP.get(obj.get("type"))
+    kind = obj.get("type")
+    # an array or object is unhashable: skipped as an unknown type, as a number is
+    event_type = ARCHIVE_TYPE_MAP.get(kind) if type(kind) is str else None
     if event_type is None:
         return None
 

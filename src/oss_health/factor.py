@@ -128,26 +128,30 @@ def parallel_analysis(
     n_max the largest row count, and a block of n rows is reduced from the
     first n, which are the numbers that child draws for n rows alone.
     Draws go ``PA_CHUNK`` simulations at a time into one reused
-    (PA_CHUNK, n_max, p) buffer, and each chunk's correlations, SMC
-    inverses and eigendecompositions run stacked, so memory does not grow
-    with ``PA_SIMULATIONS``.
+    (PA_CHUNK, n_max, p) buffer, so the noise held does not grow with
+    ``PA_SIMULATIONS``.  Each chunk's correlations run stacked into one
+    (PA_SIMULATIONS, p, p) array per distinct row count, and the SMC
+    inverses and eigendecompositions run once per row count on that
+    array: blocks of equal size, such as the halves of an even sample,
+    share their simulations.
     """
     p = blocks[0][0].shape[0]
     if any(R.shape != (p, p) for R, _ in blocks):
         raise ValueError("parallel-analysis blocks must share their variables")
-    sizes = [n for _, n in blocks]
-    noise = np.empty((PA_CHUNK, max(sizes), p))
-    sims = np.empty((len(blocks), PA_SIMULATIONS, p))
+    correlations = {n: np.empty((PA_SIMULATIONS, p, p)) for _, n in blocks}
+    noise = np.empty((PA_CHUNK, max(correlations), p))
     children = np.random.SeedSequence(seed).spawn(PA_SIMULATIONS)
     for start in range(0, PA_SIMULATIONS, PA_CHUNK):
         batch = children[start : start + PA_CHUNK]
         chunk = noise[: len(batch)]
         for child, out in zip(batch, chunk):
             np.random.default_rng(child).standard_normal(out=out)
-        for n, stack in zip(sizes, sims):
-            stack[start : start + len(batch)] = _reduced_eigenvalues(_noise_correlations(chunk[:, :n]))
+        for n, stack in correlations.items():
+            stack[start : start + len(batch)] = _noise_correlations(chunk[:, :n])
+    sims = {n: _reduced_eigenvalues(stack) for n, stack in correlations.items()}
     results = []
-    for (R, _), stack in zip(blocks, sims):
+    for R, n in blocks:
+        stack = sims[n]
         observed = _reduced_eigenvalues(R)
         qtl = np.quantile(stack, PA_QUANTILE, axis=0)
         results.append(

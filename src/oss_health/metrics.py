@@ -2,7 +2,10 @@
 
 All operations are pure given their inputs.  Date arithmetic uses a fixed
 month length of 30.44 days so that month-based metrics are recomputable
-without calendar context.  A criticality config is checked once, by
+without calendar context.  Each operation counts only the event kinds
+it names and ignores the rest, so :func:`build_metrics_row` splits a
+project's events by kind once and hands each operation only the kinds it
+reads.  A criticality config is checked once, by
 :func:`parse_criticality_config`, through the shared input rules of
 :mod:`oss_health.inputs`.
 """
@@ -254,17 +257,21 @@ def criticality_signals(events: Sequence[EventRecord], as_of: int) -> dict[str, 
 
 def longevity(events: Iterable[EventRecord]) -> float:
     """Mean per-actor active span in days over contribution events."""
-    spans: dict[str, tuple[int, int]] = {}
+    first: dict[str, int] = {}
+    last: dict[str, int] = {}
     for event in events:
         if event.event_type not in CONTRIBUTION_TYPES:
             continue
-        first, last = spans.get(event.actor, (event.created_at, event.created_at))
-        spans[event.actor] = (min(first, event.created_at), max(last, event.created_at))
-    if not spans:
+        actor, at = event.actor, event.created_at
+        if actor not in first:
+            first[actor] = last[actor] = at
+        elif at < first[actor]:
+            first[actor] = at
+        elif at > last[actor]:
+            last[actor] = at
+    if not first:
         return 0.0
-    return float(
-        statistics.mean((last - first) / DAY_SECONDS for first, last in spans.values())
-    )
+    return float(statistics.mean((last[actor] - at) / DAY_SECONDS for actor, at in first.items()))
 
 
 def months_since_update(events: Iterable[EventRecord], as_of: int) -> int | None:
@@ -381,6 +388,26 @@ EFA_COLUMNS = [
 ENGAGEMENT_COLUMNS = ["commits_3mo", "comments_3mo", "pull_requests_3mo", "authors_3mo"]
 
 
+def _split(events: Iterable[EventRecord]) -> tuple[list[EventRecord], list[EventRecord], int, int]:
+    """A project's contribution events and issue events, each in stored
+    order, and its star and fork counts, in one walk over ``events``."""
+    contribution: list[EventRecord] = []
+    issues: list[EventRecord] = []
+    stars = forks = 0
+    watch, fork, issue = EventType.WATCH, EventType.FORK, EventType.ISSUES
+    for event in events:
+        kind = event.event_type
+        if kind in CONTRIBUTION_TYPES:
+            contribution.append(event)
+        elif kind is watch:
+            stars += 1
+        elif kind is fork:
+            forks += 1
+        elif kind is issue:
+            issues.append(event)
+    return contribution, issues, stars, forks
+
+
 def build_metrics_row(
     repo_id: str,
     events: Sequence[EventRecord],
@@ -391,23 +418,32 @@ def build_metrics_row(
 ) -> ProjectMetrics:
     """Assemble one metrics row by delegating to the individual operations.
 
+    The events are split once, in stored order: :func:`timezone_histogram`
+    reads them all; :func:`issue_response_times` reads the Issues events;
+    :func:`engagement_metrics`, :func:`criticality_signals`,
+    :func:`longevity` and :func:`months_since_update` read the contribution
+    events (``CONTRIBUTION_TYPES``), which hold every push, pull request
+    and comment they count; stars and forks are counted in the split.
+    Each operation ignores the kinds it is not given, so the row is the one
+    the operations give on the whole list.
     Criticality weighs :func:`criticality_signals` by ``criticality_config``,
     or by ``DEFAULT_CRITICALITY_CONFIG`` when it is None or empty.
     """
+    contribution, issues, stars, forks = _split(events)
     tz = timezone_histogram(events, (as_of - 6 * MONTH_SECONDS, as_of))
-    median_days, average_days = issue_response_times(events)
-    commits, comments, pull_requests, authors = engagement_metrics(events, as_of)
+    median_days, average_days = issue_response_times(issues)
+    commits, comments, pull_requests, authors = engagement_metrics(contribution, as_of)
     return ProjectMetrics(
         repo_id=repo_id,
-        stars=count_stars(events),
-        forks=count_forks(events),
+        stars=stars,
+        forks=forks,
         mentions=externals.mentions if externals.mentions is not None else 0,
         criticality=criticality_score(
-            criticality_signals(events, as_of), criticality_config or DEFAULT_CRITICALITY_CONFIG
+            criticality_signals(contribution, as_of), criticality_config or DEFAULT_CRITICALITY_CONFIG
         ),
         geo_rmse=geo_rmse(tz, reference),
-        longevity_days=longevity(events),
-        months_since_update=months_since_update(events, as_of),
+        longevity_days=longevity(contribution),
+        months_since_update=months_since_update(contribution, as_of),
         median_response_days=median_days,
         average_response_days=average_days,
         cmc_rank=externals.cmc_rank,

@@ -82,9 +82,9 @@ import os
 import struct
 import time
 from dataclasses import dataclass
-from itertools import accumulate, starmap
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .events import EventRecord, EventType, check_tz_offset, has_contribution
 
@@ -251,9 +251,22 @@ def _frames(path: str | Path, data: bytes, magic: bytes = MAGIC) -> tuple[list[b
     return bodies, end
 
 
-def _partition_fields(path: str | Path, covered: Sequence[tuple[int, int]] = ()) -> list[tuple]:
-    """Every record of a partition as the argument tuple of its ``EventRecord``.
+def _checked_fields(*fields) -> tuple:
+    """``EventRecord``'s argument tuple, its ``tz_offset`` checked as
+    ``EventRecord`` checks it, for readers that build no record."""
+    check_tz_offset(fields[4])
+    return fields
 
+
+def _partition_fields(
+    path: str | Path, covered: Sequence[tuple[int, int]] = (), build: Callable = _checked_fields
+) -> list:
+    """Every record of a partition, built by ``build`` from the arguments of its ``EventRecord``.
+
+    ``read`` passes ``EventRecord``, whose ``__post_init__`` is then the one
+    check of a record's ``tz_offset``; the default builds the argument
+    tuple and makes that check itself.  Each record is built once, inside
+    the checked loop.
     With ``covered``, byte ranges ``[start, stop)`` of the partition, only
     the records that start in none of them; a range that does not start
     and stop on record boundaries raises.
@@ -283,12 +296,10 @@ def _partition_fields(path: str | Path, covered: Sequence[tuple[int, int]] = ())
             doc, stop = _DECODE(text)
             if stop != len(text):
                 raise ValueError(f"extra data after char {stop}")
-            fields = (
+            records.append(build(
                 doc["repo_id"], _EVENT_TYPES[doc["event_type"]], doc["actor"], doc["created_at"],
                 doc["tz_offset"], doc["action"], doc["texts"], doc["counts"], doc["number"],
-            )
-            check_tz_offset(fields[4])
-            records.append(fields)
+            ))
     except (ValueError, KeyError, TypeError) as exc:
         n = len(records)
         at = starts[n] if starts else len(MAGIC) + sum(_LEN.size + len(body) for body in bodies[:n])
@@ -544,7 +555,7 @@ class EventStore:
         """All events for one repository, in append order per month."""
         repo_dir = f"{self._root}/{_partition_dir_name(repo_id)}"
         paths = (f"{repo_dir}/{name}" for name in _partition_names(repo_dir))
-        return [e for path in paths for e in starmap(EventRecord, _partition_fields(path))]
+        return [e for path in paths for e in _partition_fields(path, build=EventRecord)]
 
     def push_corpus(self, repo_ids: Iterable[str], before: int, receipt: CorpusReceipt) -> Iterator[str]:
         """Texts of the push events before ``before`` of the repositories ``repo_ids``.

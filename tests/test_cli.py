@@ -188,6 +188,17 @@ class TestIngest:
         assert report["stored_events"] == 0
         assert report["files"][0]["duplicates_skipped"] == 12
 
+    def test_type_that_is_not_a_string_is_type_skipped(self, workspace):
+        archives = workspace / "plain"
+        archives.mkdir()
+        lines = [_extra_repo_line("zoe", "2016-12-03T09:00:00Z", event_type=kind) for kind in (["x"], {"a": 1})]
+        lines.append(_extra_repo_line("yann", "2016-12-04T09:00:00Z"))
+        (archives / "2016-12-03-09.json").write_text("\n".join(lines) + "\n")
+        assert run(workspace, "ingest", "--archives", str(archives)) == 0
+        report = json.loads((workspace / "out" / "ingest_report.json").read_text())
+        (entry,) = report["files"]
+        assert (entry["skipped_type"], entry["skipped_malformed"], entry["stored"]) == (2, 0, 1)
+
     def test_empty_archive_dir_is_user_error(self, workspace):
         empty = workspace / "nothing"
         empty.mkdir()
@@ -512,9 +523,9 @@ class TestMetrics:
         opened, lists = [], []
         partition_fields, iter_repo_ids = store_module._partition_fields, EventStore.iter_repo_ids
 
-        def counted_fields(path):
+        def counted_fields(path, *args, **kwargs):
             opened.append(Path(path).relative_to(store_dir).as_posix())
-            return partition_fields(path)
+            return partition_fields(path, *args, **kwargs)
 
         def counted_iter(self):
             lists.append(1)
@@ -750,9 +761,9 @@ class TestMetrics:
         reads = []
         partition_fields = store_module._partition_fields
 
-        def counted_read(path):
+        def counted_read(path, *args, **kwargs):
             reads.append(Path(path).relative_to(store_dir).as_posix())
-            return partition_fields(path)
+            return partition_fields(path, *args, **kwargs)
 
         monkeypatch.setattr(store_module, "_partition_fields", counted_read)
         assert run(workspace, "metrics", "--as-of", "") == 0

@@ -4,6 +4,7 @@ import gzip
 import io
 import json
 import logging
+import pickle
 import re
 import time
 from dataclasses import asdict, replace
@@ -14,6 +15,8 @@ from hypothesis import example, given, strategies as st
 
 from conftest import AS_OF, DAY, FIXTURE_LINES, make_event
 from oss_health.events import (
+    COMMENT_TYPES,
+    CONTRIBUTION_TYPES,
     EPOCH_END,
     EPOCH_MIN,
     TZ_OFFSET_MAX,
@@ -28,7 +31,7 @@ from oss_health.events import (
     parse_archive_stream,
     parse_event_line,
 )
-from oss_health import cli, store as store_module
+from oss_health import cli, events as events_module, store as store_module
 from oss_health.store import (
     CORPUS_MAGIC,
     LEDGER,
@@ -62,6 +65,24 @@ class TestParseEventLine:
 
     def test_uninteresting_type_returns_none(self):
         assert parse_event_line(FIXTURE_LINES[10]) is None
+
+    @pytest.mark.parametrize("kind", [["WatchEvent"], {"a": 1}, 7, None])
+    def test_type_that_is_not_a_string_returns_none(self, kind):
+        line = json.loads(FIXTURE_LINES[0])
+        line["type"] = kind
+        assert parse_event_line(json.dumps(line)) is None
+
+    def test_event_type_membership_survives_pickle_and_lookup_by_value(self):
+        kinds = list(EventType)
+        copies = pickle.loads(pickle.dumps(kinds))
+        as_set, as_dict = set(kinds), {kind: kind.value for kind in kinds}
+        for kind, copy in zip(kinds, copies):
+            by_value = EventType(kind.value)
+            assert copy is kind and by_value is kind
+            assert copy in as_set and by_value in as_set
+            assert as_dict[copy] == as_dict[by_value] == kind.value
+        assert EventType("Push") in CONTRIBUTION_TYPES and EventType("Watch") not in CONTRIBUTION_TYPES
+        assert pickle.loads(pickle.dumps(EventType.ISSUE_COMMENT)) in COMMENT_TYPES
 
     def test_malformed_json_raises(self):
         with pytest.raises(MalformedLineError):
@@ -549,6 +570,22 @@ class TestEventStore:
         with pytest.raises(StoreError) as push_failure:
             list(store.push_corpus(["bitcoin/bitcoin"], AS_OF, CorpusReceipt()))
         assert str(push_failure.value) == str(failure.value)
+
+    def test_read_checks_each_tz_offset_once(self, tmp_path, monkeypatch):
+        store = EventStore(tmp_path / "store")
+        events = self._events()
+        store.append(events)
+        calls = []
+
+        def counted(tz_offset):
+            calls.append(tz_offset)
+            return check(tz_offset)
+
+        check = events_module.check_tz_offset
+        monkeypatch.setattr(events_module, "check_tz_offset", counted)
+        monkeypatch.setattr(store_module, "check_tz_offset", counted)
+        assert store.read("bitcoin/bitcoin") == events
+        assert len(calls) == len(events)
 
     @staticmethod
     def _corpus(root):

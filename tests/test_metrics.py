@@ -10,8 +10,10 @@ from hypothesis import example, given, strategies as st
 from conftest import AS_OF, DAY, make_event
 from oss_health.events import EventType
 from oss_health.metrics import (
+    DEFAULT_CRITICALITY_CONFIG,
     ExternalInputs,
     MONTH_SECONDS,
+    ProjectMetrics,
     _CHUNK_TEXTS,
     TimezoneHistogram,
     build_metrics_row,
@@ -19,6 +21,7 @@ from oss_health.metrics import (
     count_mentions,
     count_stars,
     criticality_score,
+    criticality_signals,
     engagement_metrics,
     geo_rmse,
     issue_response_times,
@@ -383,3 +386,70 @@ class TestBuildMetricsRow:
         first = build_metrics_row("a/b", events, externals, self._reference(), AS_OF)
         second = build_metrics_row("a/b", events, externals, self._reference(), AS_OF)
         assert first == second
+
+    @staticmethod
+    def _row_from_parts(repo_id, events, externals, reference, as_of):
+        """The row each operation gives on the whole event list."""
+        tz = timezone_histogram(events, (as_of - 6 * MONTH_SECONDS, as_of))
+        median_days, average_days = issue_response_times(events)
+        commits, comments, pull_requests, authors = engagement_metrics(events, as_of)
+        return ProjectMetrics(
+            repo_id=repo_id,
+            stars=count_stars(events),
+            forks=count_forks(events),
+            mentions=externals.mentions if externals.mentions is not None else 0,
+            criticality=criticality_score(criticality_signals(events, as_of), DEFAULT_CRITICALITY_CONFIG),
+            geo_rmse=geo_rmse(tz, reference),
+            longevity_days=longevity(events),
+            months_since_update=months_since_update(events, as_of),
+            median_response_days=median_days,
+            average_response_days=average_days,
+            cmc_rank=externals.cmc_rank,
+            alexa_rank=externals.alexa_rank,
+            commits_3mo=commits,
+            comments_3mo=comments,
+            pull_requests_3mo=pull_requests,
+            authors_3mo=authors,
+            as_of=as_of,
+        )
+
+    # the window edges of every operation, each side, and ties among them
+    _TIMES = st.one_of(
+        st.sampled_from(
+            [
+                AS_OF - edge + side
+                for edge in (1, 90 * DAY, 3 * MONTH_SECONDS, 6 * MONTH_SECONDS, 12 * MONTH_SECONDS)
+                for side in (-1, 0, 1)
+            ]
+        ),
+        st.integers(min_value=AS_OF - 13 * MONTH_SECONDS, max_value=AS_OF),
+    )
+    _EVENTS = st.lists(
+        st.builds(
+            make_event,
+            event_type=st.sampled_from(list(EventType)),
+            actor=st.sampled_from(["alice", "bob", "carol"]),
+            created_at=_TIMES,
+            tz_offset=st.sampled_from([None, -720, -30, 0, 330, 840]),
+            action=st.sampled_from([None, "opened", "closed", "reopened"]),
+            counts=st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+            number=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
+        ),
+        max_size=40,
+    )
+
+    @given(events=_EVENTS, mentions=st.one_of(st.none(), st.integers(min_value=0, max_value=9)))
+    @example(  # an issue opened and closed at one time counts 0 days only in stored order
+        events=[
+            make_event(event_type=EventType.ISSUES, action="opened", number=1, created_at=AS_OF - 3 * DAY),
+            make_event(event_type=EventType.ISSUES, action="opened", number=2, created_at=AS_OF - DAY),
+            make_event(event_type=EventType.ISSUES, action="closed", number=2, created_at=AS_OF - DAY),
+            make_event(event_type=EventType.ISSUES, action="closed", number=1, created_at=AS_OF - DAY),
+        ],
+        mentions=None,
+    )
+    def test_split_row_equals_row_from_whole_list(self, events, mentions):
+        externals = ExternalInputs(cmc_rank=3, alexa_rank=None, mentions=mentions)
+        reference = TimezoneHistogram(bins=np.full(24, 1 / 24), total=24)
+        row = build_metrics_row("a/b", events, externals, reference, AS_OF)
+        assert row == self._row_from_parts("a/b", events, externals, reference, AS_OF)
