@@ -308,9 +308,8 @@ def cmd_metrics(config: PipelineConfig) -> int:
         raise UserError(f"no project left after exclusions ({counts})")
 
     window = (as_of - 6 * metrics.MONTH_SECONDS, as_of)
-    reference = metrics.median_distribution(
-        [metrics.timezone_histogram(read(repo_id), window) for repo_id in retained]
-    )
+    histograms = [metrics.timezone_histogram(read(repo_id), window) for repo_id in retained]
+    reference = metrics.median_distribution(histograms)
     mentions = {repo_id: ranks.get(repo_id, {}).get("mentions") for repo_id in retained}
     counted = [repo_id for repo_id in retained if mentions[repo_id] is None]
     if counted:
@@ -323,7 +322,7 @@ def cmd_metrics(config: PipelineConfig) -> int:
             receipt.logged_texts, receipt.decoded_partitions,
         )
     rows = []
-    for repo_id in retained:
+    for repo_id, histogram in zip(retained, histograms):
         entry = repo_rank[repo_id]
         external = ranks.get(repo_id, {})
         externals = metrics.ExternalInputs(
@@ -332,7 +331,9 @@ def cmd_metrics(config: PipelineConfig) -> int:
             mentions=mentions[repo_id],
         )
         rows.append(
-            metrics.build_metrics_row(repo_id, read(repo_id), externals, reference, as_of, crit_config)
+            metrics.build_metrics_row(
+                repo_id, read(repo_id), externals, reference, as_of, crit_config, histogram=histogram
+            )
         )
 
     config.out_dir.mkdir(parents=True, exist_ok=True)

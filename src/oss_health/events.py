@@ -15,6 +15,7 @@ import gzip
 import io
 import json
 import logging
+import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -22,6 +23,13 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 logger = logging.getLogger(__name__)
+
+#: one decoder call per line; ``json.loads`` would add a Python-level wrapper
+_DECODE = json.JSONDecoder().decode
+#: what a failed read of a stream raises; ``zlib.error`` is corrupt deflate data
+_STREAM_ERRORS = (OSError, EOFError, zlib.error)
+#: decompressed bytes per read of a compressed archive; bounds the memory a parse holds
+_CHUNK = 1 << 16
 
 TZ_OFFSET_MIN = -720
 TZ_OFFSET_MAX = 840
@@ -214,8 +222,10 @@ def parse_event_line(line: str) -> EventRecord | None:
     type.  Raises :class:`MalformedLineError` for anything unsalvageable.
     """
     try:
-        obj = json.loads(line)
+        obj = _DECODE(line)
     except json.JSONDecodeError as exc:
+        if line.startswith("\ufeff"):  # what ``json.loads`` says of a leading BOM
+            exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
         raise MalformedLineError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedLineError("line is not a JSON object")
@@ -228,9 +238,13 @@ def parse_event_line(line: str) -> EventRecord | None:
     repo_id = _repo_id(obj)
     actor = _actor(obj)
     created_at, tz_offset = _parse_timestamp(obj.get("created_at"))
-    payload = obj.get("payload") if isinstance(obj.get("payload"), dict) else {}
+    payload = obj.get("payload")
+    if not isinstance(payload, dict):
+        payload = {}
 
-    action = payload.get("action") if isinstance(payload.get("action"), str) else None
+    action = payload.get("action")
+    if not isinstance(action, str):
+        action = None
     texts: list[str] = []
     counts: int | None = None
     number: int | None = None
@@ -255,17 +269,7 @@ def parse_event_line(line: str) -> EventRecord | None:
     if tz_offset is not None and not (TZ_OFFSET_MIN <= tz_offset <= TZ_OFFSET_MAX):
         tz_offset = None
 
-    return EventRecord(
-        repo_id=repo_id,
-        event_type=event_type,
-        actor=actor,
-        created_at=created_at,
-        tz_offset=tz_offset,
-        action=action,
-        texts=texts,
-        counts=counts,
-        number=number,
-    )
+    return EventRecord(repo_id, event_type, actor, created_at, tz_offset, action, texts, counts, number)
 
 
 def parse_archive_stream(
@@ -275,37 +279,68 @@ def parse_archive_stream(
 
     ``stats`` is updated in place as the stream is consumed, so skip
     accounting is available to the caller once iteration finishes.  A bad
-    line never aborts the stream; a decompression failure raises
-    :class:`ArchiveStreamError` carrying the bytes consumed so far.
+    line never aborts the stream; a failed read (a truncated stream,
+    corrupt deflate data) raises :class:`ArchiveStreamError` carrying the
+    decompressed bytes of the whole lines read before it.
+
+    A compressed stream's lines are read through a C-level buffered reader
+    over the ``GzipFile``, ``_CHUNK`` decompressed bytes at a time.  A
+    failure loses the chunk that reader was filling: its lines are neither
+    parsed nor logged.  The failure and its offset are then found again by
+    re-reading ``source``, from where it was at the call, line by line
+    through ``GzipFile.readline``, counting bytes only, so nothing is
+    logged twice.  A compressed ``source`` must be seekable, as a file or a
+    ``BytesIO`` is.
     """
     if stats is None:
         stats = ParseStats()
-    reader: IO[bytes] = gzip.GzipFile(fileobj=source) if compressed else source
+    if compressed:
+        start = source.tell()
+        reader: IO[bytes] = io.BufferedReader(gzip.GzipFile(fileobj=source), _CHUNK)
+    else:
+        reader = source
     offset = 0
-    while True:
-        try:
-            raw = reader.readline()
-        except (OSError, EOFError) as exc:
-            raise ArchiveStreamError(f"decompression failed: {exc}", offset) from exc
-        if not raw:
-            break
-        line_offset = offset
-        offset += len(raw)
-        line = raw.decode("utf-8", errors="replace")
-        if not line.strip():
-            continue
-        stats.lines_in += 1
-        try:
-            record = parse_event_line(line)
-        except MalformedLineError as exc:
-            stats.malformed_skipped += 1
-            logger.warning("skipping malformed line at byte offset %d: %s", line_offset, exc)
-            continue
-        if record is None:
-            stats.type_skipped += 1
-            continue
-        stats.records_out += 1
-        yield record
+    try:
+        for raw in reader:  # never empty
+            line_offset = offset
+            offset += len(raw)
+            line = raw.decode("utf-8", "replace")
+            if line.isspace():  # the whitespace that ``str.strip`` removes, without a copy
+                continue
+            stats.lines_in += 1
+            try:
+                record = parse_event_line(line)
+            except MalformedLineError as exc:
+                stats.malformed_skipped += 1
+                logger.warning("skipping malformed line at byte offset %d: %s", line_offset, exc)
+                continue
+            if record is None:
+                stats.type_skipped += 1
+                continue
+            stats.records_out += 1
+            yield record
+    except _STREAM_ERRORS as exc:
+        if compressed:
+            exc, offset = _reread_failure(source, start, exc)
+        raise ArchiveStreamError(f"decompression failed: {exc}", offset) from exc
+
+
+def _reread_failure(source: IO[bytes], start: int, exc: Exception) -> tuple[Exception, int]:
+    """The failure of a compressed stream read line by line from ``start``,
+    and the decompressed bytes of the whole lines read before it.
+
+    Only bytes are counted: no line is parsed or logged again.  Should the
+    re-read not fail, ``exc`` is kept with the offset where the re-read ended.
+    """
+    source.seek(start)
+    reader = gzip.GzipFile(fileobj=source)
+    offset = 0
+    try:
+        while raw := reader.readline():
+            offset += len(raw)
+    except _STREAM_ERRORS as again:
+        return again, offset
+    return exc, offset
 
 
 def parse_archive_file(path: str | Path, data: bytes | None = None) -> tuple[list[EventRecord], ParseStats]:

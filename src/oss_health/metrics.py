@@ -415,11 +415,16 @@ def build_metrics_row(
     reference: TimezoneHistogram,
     as_of: int,
     criticality_config: Mapping[str, tuple[float, float]] | None = None,
+    *,
+    histogram: TimezoneHistogram | None = None,
 ) -> ProjectMetrics:
     """Assemble one metrics row by delegating to the individual operations.
 
-    The events are split once, in stored order: :func:`timezone_histogram`
-    reads them all; :func:`issue_response_times` reads the Issues events;
+    ``histogram`` is the events' :func:`timezone_histogram` over the six
+    months before ``as_of``; it is computed from them all unless the
+    caller, which needs it for the reference too, passes it in.
+    The events are split once, in stored order:
+    :func:`issue_response_times` reads the Issues events;
     :func:`engagement_metrics`, :func:`criticality_signals`,
     :func:`longevity` and :func:`months_since_update` read the contribution
     events (``CONTRIBUTION_TYPES``), which hold every push, pull request
@@ -430,7 +435,8 @@ def build_metrics_row(
     or by ``DEFAULT_CRITICALITY_CONFIG`` when it is None or empty.
     """
     contribution, issues, stars, forks = _split(events)
-    tz = timezone_histogram(events, (as_of - 6 * MONTH_SECONDS, as_of))
+    if histogram is None:
+        histogram = timezone_histogram(events, (as_of - 6 * MONTH_SECONDS, as_of))
     median_days, average_days = issue_response_times(issues)
     commits, comments, pull_requests, authors = engagement_metrics(contribution, as_of)
     return ProjectMetrics(
@@ -441,7 +447,7 @@ def build_metrics_row(
         criticality=criticality_score(
             criticality_signals(contribution, as_of), criticality_config or DEFAULT_CRITICALITY_CONFIG
         ),
-        geo_rmse=geo_rmse(tz, reference),
+        geo_rmse=geo_rmse(histogram, reference),
         longevity_days=longevity(contribution),
         months_since_update=months_since_update(contribution, as_of),
         median_response_days=median_days,

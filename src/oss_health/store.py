@@ -22,11 +22,15 @@ live only in memory.  An ``EventStore`` reads each partition's keys at
 most once and keeps them, so it assumes it is the only writer under its
 root for as long as it lives.
 
-An append interrupted part-way leaves a torn tail: a partial length
-prefix, record or magic header.  Reads reject it; the next append to that
-partition cuts it back to the end of the last complete record before it
-writes.  Writes are not fsynced: what an append or the ledger wrote
-survives an interrupted process, but not a power loss or an OS crash.
+An append writes each partition it stores records in once: their
+length-prefixed records (the magic header first, for a new partition)
+encoded into one buffer, written by one unbuffered ``write`` call, which
+is repeated only after a short write.  An append interrupted part-way
+leaves a torn tail: a partial length prefix, record or magic header.
+Reads reject it; the next append to that partition cuts it back to the
+end of the last complete record before it writes.  Writes are not
+fsynced: what an append or the ledger wrote survives an interrupted
+process, but not a power loss or an OS crash.
 
 The ledger ``<root>/archives.ledger`` lists the archives ingested whole.
 It starts with the 8-byte magic ``OSHARC01``, then holds fixed-size
@@ -75,6 +79,7 @@ the log still reads right, but counting its mentions decodes it whole.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import json
@@ -117,6 +122,8 @@ _DECODE = json.JSONDecoder().raw_decode
 _TZ_MEMBER = b',"tz_offset":'
 #: stored ``event_type`` value -> kind, cheaper than ``EventType(value)``
 _EVENT_TYPES = {kind.value: kind for kind in EventType}
+#: kind -> its stored ``event_type`` JSON, without ``Enum.value``'s Python-level lookup
+_KIND_JSON = {kind: _STRING(kind.value) for kind in EventType}
 
 
 class StoreError(IOError):
@@ -124,7 +131,12 @@ class StoreError(IOError):
 
 
 class StoreWriteError(StoreError):
-    """Raised when an append fails part-way; carries the partial count."""
+    """Raised when an append fails part-way.
+
+    ``partial_count`` counts the records the append wrote whole before the
+    failure, in every partition; a record cut off in the failed write is a
+    torn tail, not counted.
+    """
 
     def __init__(self, message: str, partial_count: int):
         super().__init__(message)
@@ -189,7 +201,7 @@ def _record_to_json(record: EventRecord) -> bytes:
     """
     return (_BODY % (
         _json_str(record.action), _json_str(record.actor), _json_int(record.counts),
-        _json_int(record.created_at), _STRING(record.event_type.value), _json_int(record.number),
+        _json_int(record.created_at), _KIND_JSON[record.event_type], _json_int(record.number),
         _json_str(record.repo_id), _json_texts(record.texts), _json_int(record.tz_offset),
     )).encode()
 
@@ -339,6 +351,28 @@ def _log_frame(entries: list[tuple]) -> bytes:
     return _LEN.pack(len(body)) + body
 
 
+def _write_frames(path: str, frames: list[bytes], receipt: AppendReceipt) -> tuple[int, int]:
+    """Append length-prefixed records to a partition with one ``write``, the
+    magic header first when it is empty; return the byte range they fill.
+
+    ``receipt.count`` gains the records written whole, also when the write
+    fails part-way and leaves the rest as a torn tail.
+    """
+    with open(path, "ab", buffering=0) as handle:
+        start = handle.tell()  # the end: append mode starts there
+        head = 0 if start else len(MAGIC)
+        data = b"".join((MAGIC, *frames) if head else frames)
+        written = 0
+        try:
+            while written < len(data):  # a short write goes on from where it stopped
+                written += handle.write(memoryview(data)[written:])
+        except OSError:
+            receipt.count += bisect.bisect(list(accumulate(map(len, frames))), written - head)
+            raise
+    receipt.count += len(frames)
+    return start + head, start + written
+
+
 def _append_cut(path: str, cut: int | None, magic: bytes, data: bytes) -> None:
     """Append ``data`` to the ledger or a log file, first cutting it back to
     ``cut``, the end of its last whole record, unless that is None; a file
@@ -458,15 +492,23 @@ class EventStore:
         survives an interrupted process, not a power loss.  Records whose
         dedup key already exists in the target partition are skipped and
         counted in the receipt; a batch of nothing but duplicates opens no
-        file.  Once every partition is written and closed, the push texts
-        of the records stored go to the push-text log, one write per month.
+        file.  Partitions are written in (repository, month) order, each
+        by one write of its new records.  Once every partition is written
+        and closed, the push texts of the records stored go to the
+        push-text log, one write per month.
+
+        A failed encode or write raises, once the records encoded before it
+        are written: ``StoreWriteError`` for an ``OSError``, its
+        ``partial_count`` the records written whole.  The failed
+        partition's keys are dropped, so its next append re-reads them from
+        what is on disk.
         """
         receipt = AppendReceipt()
         by_partition: dict[tuple[str, str], list[EventRecord]] = {}
         for event in events:
             by_partition.setdefault((event.repo_id, _month_key(event.created_at)), []).append(event)
 
-        push = EventType.PUSH
+        push, blake2b = EventType.PUSH, hashlib.blake2b
         logs: dict[str, list[tuple]] = {}
         for (repo_id, month), batch in sorted(by_partition.items()):
             name = _partition_dir_name(repo_id)
@@ -478,37 +520,28 @@ class EventStore:
                     os.makedirs(repo_dir, exist_ok=True)
                     self._repo_dirs.add(repo_dir)
                 keys = self._keys[path] = _repair_tail(path)
-            handle = None
+            frames: list[bytes] = []
             created: list[int] = []
             texts: list[str] = []
             try:
                 try:
                     for record in batch:
                         blob = _record_to_json(record)
-                        key = _key(blob)
+                        # the dedup key, inline: ``_key(blob)``
+                        key = blake2b(blob[: blob.rindex(_TZ_MEMBER)], digest_size=16).digest()
                         if key in keys:
                             receipt.duplicates_skipped += 1
                             continue
-                        if handle is None:
-                            handle = open(path, "ab")
-                            start = handle.tell()
-                            if start == 0:
-                                handle.write(MAGIC)
-                                start = len(MAGIC)
-                            end = start
                         keys.add(key)
-                        handle.write(_LEN.pack(len(blob)))
-                        handle.write(blob)
-                        end += _LEN.size + len(blob)
-                        receipt.count += 1
+                        frames.append(_LEN.pack(len(blob)) + blob)
                         if record.event_type is push:
                             created += [record.created_at] * len(record.texts)
                             texts += record.texts
-                    if handle is not None:
-                        logs.setdefault(month, []).append((name, start, end, created, texts))
-                finally:
-                    if handle is not None:
-                        handle.close()
+                finally:  # what was encoded before a failure is written too
+                    if frames:
+                        span = _write_frames(path, frames, receipt)
+                if frames:
+                    logs.setdefault(month, []).append((name, *span, created, texts))
             except OSError as exc:
                 del self._keys[path]
                 raise StoreWriteError(f"append to {path} failed: {exc}", receipt.count) from exc

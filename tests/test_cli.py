@@ -217,6 +217,17 @@ class TestIngest:
             "Compressed file ended before the end-of-stream marker was reached"
         ) in caplog.text
 
+    def test_corrupt_deflate_data_names_file_and_offset(self, workspace, caplog):
+        corrupt = bytearray(gzip.compress(("\n".join(FIXTURE_LINES[:3]) + "\n").encode()))
+        corrupt[10] = 0xFF  # the first deflate block: final, of the reserved type 3
+        path = workspace / "archives" / "2016-12-02-00.json.gz"
+        path.write_bytes(corrupt)
+        assert run(workspace, "ingest") == 1
+        assert (
+            f"error: {path}: at decompressed byte 0: decompression failed: "
+            "Error -3 while decompressing data: invalid block type"
+        ) in caplog.text
+
     def test_failed_archive_leaves_report_of_those_stored(self, workspace, caplog):
         truncated = workspace / "archives" / "2016-12-02-00.json.gz"
         truncated.write_bytes(gzip.compress(("\n".join(FIXTURE_LINES[:3]) + "\n").encode())[:-8])
@@ -540,6 +551,20 @@ class TestMetrics:
         listed_owners = {"bitcoin__bitcoin", "ethereum__go-ethereum"}
         stored = [p.relative_to(store_dir).as_posix() for p in store_dir.glob("*/*.events")]
         assert sorted(opened) == sorted(p for p in stored if p.split("/", 1)[0] in listed_owners)
+
+    def test_each_timezone_histogram_computed_once(self, workspace, monkeypatch):
+        run(workspace, "ingest")
+        clean = self._metrics_outputs(workspace)
+        calls, timezone_histogram = [], metrics.timezone_histogram
+
+        def counted(events, window):
+            calls.append(window)
+            return timezone_histogram(events, window)
+
+        monkeypatch.setattr(metrics, "timezone_histogram", counted)
+        assert self._metrics_outputs(workspace) == clean
+        with open(workspace / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
+            assert len(calls) == len(list(csv.DictReader(handle)))  # one per retained project
 
     @pytest.mark.parametrize(
         "corrupt", ["torn_tail", "not_json", "unknown_event_type", "tz_offset_out_of_range"]

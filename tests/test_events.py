@@ -6,12 +6,18 @@ import json
 import logging
 import pickle
 import re
+import tempfile
 import time
+import zlib
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
+from itertools import accumulate
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import AS_OF, DAY, FIXTURE_LINES, make_event
 from oss_health.events import (
@@ -262,6 +268,136 @@ class TestParseArchiveStream:
             list(parse_archive_stream(io.BytesIO(broken), compressed=True))
 
 
+def _reference_parse(data: bytes, compressed: bool):
+    """The line-by-line ``GzipFile.readline`` parse, as a comparison: the
+    records, the counts, the logged ``(offset, reason)`` pairs and the
+    ``(message, offset)`` of a decompression failure, or None."""
+    stats, records, logged = ParseStats(), [], []
+    reader = gzip.GzipFile(fileobj=io.BytesIO(data)) if compressed else io.BytesIO(data)
+    offset = 0
+    while True:
+        try:
+            raw = reader.readline()
+        except (OSError, EOFError, zlib.error) as exc:
+            return records, stats, logged, (f"decompression failed: {exc}", offset)
+        if not raw:
+            return records, stats, logged, None
+        line_offset = offset
+        offset += len(raw)
+        line = raw.decode("utf-8", errors="replace")
+        if not line.strip():
+            continue
+        stats.lines_in += 1
+        try:
+            record = parse_event_line(line)
+        except MalformedLineError as exc:
+            stats.malformed_skipped += 1
+            logged.append((line_offset, str(exc)))
+            continue
+        if record is None:
+            stats.type_skipped += 1
+        else:
+            stats.records_out += 1
+            records.append(record)
+
+
+#: line bodies: events, blank and Unicode-whitespace lines, invalid UTF-8, a BOM, bad JSON
+_LINE = st.one_of(
+    st.sampled_from(FIXTURE_LINES).map(str.encode),
+    st.sampled_from(["", " ", "\t", "\x1c", "\u2028", "\xa0", " \u2028\x1c\xa0 ", "\x0b\x0c"]).map(str.encode),
+    st.sampled_from([b"\xff\xfe not json", b"\xef\xbb\xbf" + FIXTURE_LINES[0].encode(), b"{oops", b"[1]"]),
+    st.binary(max_size=12),
+)
+
+
+@st.composite
+def _archives(draw):
+    """An archive's bytes and whether they are gzip-compressed."""
+    lines = [body + draw(st.sampled_from([b"\n", b"\r\n"])) for body in draw(st.lists(_LINE, max_size=30))]
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip(b"\r\n")  # no final newline
+    data = b"".join(lines)
+    container = draw(st.sampled_from(["plain", "gzip", "multi_member"]))
+    if container == "plain":
+        return data, False
+    if container == "gzip":
+        return gzip.compress(data), True
+    cut = draw(st.integers(0, len(data)))
+    return gzip.compress(data[:cut]) + gzip.compress(data[cut:]), True
+
+
+class TestLineReader:
+    """``parse_archive_stream``'s buffered line reader against a ``GzipFile.readline`` loop."""
+
+    @staticmethod
+    def _parse(archive: bytes, compressed: bool, chunk: int):
+        stats, records, logged = ParseStats(), [], []
+        handler = logging.Handler()
+        handler.emit = lambda record: logged.append(record.args)
+        logger = logging.getLogger("oss_health.events")
+        logger.addHandler(handler)
+        try:
+            with mock.patch.object(events_module, "_CHUNK", chunk):
+                stream = parse_archive_stream(io.BytesIO(archive), stats, compressed=compressed)
+                try:
+                    records.extend(stream)
+                except ArchiveStreamError as exc:
+                    return records, stats, logged, (str(exc), exc.bytes_consumed)
+        finally:
+            logger.removeHandler(handler)
+        return records, stats, logged, None
+
+    @given(_archives(), st.sampled_from([1, 7, 100, 1 << 16]))
+    @example((gzip.compress("\x1c\n\u2028 \n\xa0\r\n{oops".encode()), True), 1 << 16)
+    def test_same_records_counts_and_offsets(self, archive, chunk):
+        data, compressed = archive
+        records, stats, logged, failure = self._parse(data, compressed, chunk)
+        expected = _reference_parse(data, compressed)
+        assert failure is None and expected[3] is None
+        assert (records, stats) == expected[:2]
+        assert [(offset, str(reason)) for offset, reason in logged] == expected[2]
+
+    @given(_archives(), st.sampled_from([7, 100, 1 << 16]), st.data())
+    def test_damaged_stream_fails_as_the_reference_does(self, archive, chunk, data):
+        archive, compressed = archive
+        assume(compressed)
+        damage = data.draw(st.sampled_from(["truncate", "flip"]))
+        at = data.draw(st.integers(0, len(archive) - 1))
+        if damage == "truncate":
+            archive = archive[:at]
+        else:
+            archive = archive[:at] + bytes([archive[at] ^ data.draw(st.integers(1, 255))]) + archive[at + 1 :]
+        records, stats, logged, failure = self._parse(archive, True, chunk)
+        expected_records, _, expected_logged, expected_failure = _reference_parse(archive, True)
+        assert failure == expected_failure
+        # the lines of the chunk being read when it failed are neither parsed nor logged
+        logged = [(offset, str(reason)) for offset, reason in logged]
+        assert logged == expected_logged[: len(logged)]
+        assert records == expected_records[: len(records)]
+
+    def test_error_keeps_the_reference_offset_past_the_first_chunk(self):
+        data = "".join(line + "\n" for line in FIXTURE_LINES * 400).encode()
+        assert len(data) > 2 * events_module._CHUNK
+        truncated = gzip.compress(data)[:-8]
+        message = "decompression failed: Compressed file ended before the end-of-stream marker was reached"
+        assert self._parse(truncated, True, events_module._CHUNK)[3] == (message, len(data))
+
+    def test_corrupt_deflate_data_is_a_stream_error(self):
+        data = b"".join(b'{"type": "WatchEvent", "n": %d}\n' % i for i in range(2000))
+        compressed = bytearray(gzip.compress(data))
+        compressed[10] = 0xFF  # the first deflate block: final, of the reserved type 3
+        failure = self._parse(bytes(compressed), True, 1 << 16)[3]
+        assert failure == _reference_parse(bytes(compressed), True)[3]
+        assert failure[0].startswith("decompression failed: Error -3 while decompressing data")
+
+    @pytest.mark.parametrize("text", ["\ufeff{}", "{oops", "[1] x", "", "\ufeff", '{"a": 1}}'])
+    def test_invalid_json_reason_is_json_loads_reason(self, text):
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        with pytest.raises(MalformedLineError, match=f"^{re.escape(f'invalid JSON: {expected.value}')}$"):
+            parse_event_line(text)
+
+
 class TestApplyEventWindow:
     def test_empty_window(self):
         events = [make_event(created_at=AS_OF)]
@@ -405,6 +541,88 @@ class TestEventStore:
         assert second.count == 0
         assert second.duplicates_skipped == 10
         assert store.read("bitcoin/bitcoin") == events
+
+    @staticmethod
+    @contextmanager
+    def _partition_writes(write=lambda handle, data: handle.write(data)):
+        """Route every write to a partition through ``write(handle, data)``;
+        yield the ``(path, data)`` of each write call."""
+        calls = []
+
+        class Handle:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._handle.close()
+
+            def write(self, data):
+                calls.append((self._handle.name, bytes(data)))
+                return write(self._handle, data)
+
+        def spied_open(file, mode="r", *args, **kwargs):
+            handle = open(file, mode, *args, **kwargs)
+            return Handle(handle) if str(file).endswith(".events") and "a" in mode else handle
+
+        with mock.patch.object(store_module, "open", spied_open, create=True):
+            yield calls
+
+    def test_append_writes_each_partition_once(self, tmp_path):
+        store = EventStore(tmp_path / "store")
+        december = self._events(6)
+        january = [replace(e, created_at=e.created_at + 31 * DAY) for e in december]
+        with self._partition_writes() as calls:
+            receipt = store.append(december[:4] + january)
+        assert (receipt.count, receipt.duplicates_skipped) == (10, 0)
+        months = [Path(path).name for path, _ in calls]
+        assert months == ["2016-12.events", "2017-01.events"]
+        assert calls[0][1].startswith(MAGIC)
+        with self._partition_writes() as calls:
+            receipt = store.append(december)
+        assert (receipt.count, receipt.duplicates_skipped) == (2, 4)
+        assert [Path(path).name for path, _ in calls] == ["2016-12.events"]
+        assert store.read("bitcoin/bitcoin") == december + january
+
+    @given(st.booleans(), st.integers(1, 6), st.floats(0, 1, exclude_max=True), st.booleans())
+    def test_cut_write_leaves_a_torn_tail_the_next_append_cuts(self, existing, k, fraction, fresh):
+        events = self._events(6 + k)
+        before, batch = (events[:6], events[6:]) if existing else ([], events[6:])
+        ends = list(accumulate(4 + len(store_module._record_to_json(e)) for e in batch))
+        head = 0 if existing else len(MAGIC)
+        cut = int(fraction * (head + ends[-1]))
+        whole = sum(end <= cut - head for end in ends)
+        left = cut
+
+        def cut_off(handle, data):
+            """A short write of the first ``cut`` bytes, then a write that raises
+            having written nothing, as ``write(2)`` does."""
+            nonlocal left
+            if not left:
+                raise OSError("disk full")
+            written = handle.write(data[:left])
+            left -= written
+            return written
+
+        with tempfile.TemporaryDirectory() as root:
+            store = EventStore(root)
+            store.append(before)
+            path = Path(root) / "bitcoin__bitcoin" / "2016-12.events"
+            intact = path.stat().st_size if existing else 0
+            with self._partition_writes(cut_off), pytest.raises(StoreWriteError) as failure:
+                store.append(batch)
+            assert failure.value.partial_count == whole
+            assert path.stat().st_size == intact + cut
+            with self._partition_writes() as calls:
+                receipt = (EventStore(root) if fresh else store).append(batch)
+            assert len(calls) == (whole < k)
+            assert (receipt.count, receipt.duplicates_skipped) == (k - whole, whole)
+            assert EventStore(root).read("bitcoin/bitcoin") == before + batch
 
     def test_partition_layout(self, tmp_path):
         store = EventStore(tmp_path / "store")
