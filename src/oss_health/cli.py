@@ -12,7 +12,7 @@ Configuration is a flat ``key = value`` text file; every key can be
 overridden by a command flag of the same name.  All outputs are
 deterministic for a fixed config and seed: JSON is written with sorted
 keys and every report embeds the artifact version and a hash of the
-resolved configuration.
+resolved settings that are not paths.
 
 Exit codes: 0 success, 1 user error (bad input, missing files), 2
 internal error.  Each input file is checked once, where it is parsed, by
@@ -47,6 +47,10 @@ class UserError(Exception):
 
 # ---------------------------------------------------------------------------
 # configuration
+
+
+#: The ``PipelineConfig`` fields that are not paths: those ``digest`` hashes.
+_HASHED_SETTINGS = ("as_of", "split_fraction", "seed", "factors", "cutoff")
 
 
 @dataclass
@@ -88,7 +92,9 @@ class PipelineConfig:
         return self.out_dir / "store"
 
     def digest(self) -> str:
-        blob = "\n".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        """Hash of the settings that are not paths, so that where the inputs
+        and outputs live does not change a report's bytes."""
+        blob = "\n".join(f"{name}={getattr(self, name)}" for name in _HASHED_SETTINGS)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
@@ -400,10 +406,12 @@ def _efa_block(
     reliability = {}
     for j, members in assignment.items():
         if len(members) >= 2:
-            sub = matrix.select(members)
-            one, _ = factor.efa_ml(factor.correlation_matrix(sub.values, members), n=n, m=1)
+            # each factor's one-factor model on its members' block of R,
+            # started at their uniquenesses in the m-factor solution
+            at = [names.index(name) for name in members]
+            one, _ = factor.efa_ml(R[np.ix_(at, at)], n=n, m=1, start=solution.uniquenesses[at])
             reliability[str(j)] = {
-                "alpha": factor.cronbach_alpha(sub.values),
+                "alpha": factor.cronbach_alpha(matrix.select(members).values),
                 "omega": factor.mcdonald_omega(one.loadings[:, 0], one.uniquenesses),
             }
     return {
@@ -526,7 +534,10 @@ def cmd_sem(config: PipelineConfig, compare_model: str | None = None) -> int:
             raise UserError(f"{other_path}: indicators differ from those of {model_path}")
         # S is ordered by model.observed; the comparison needs its own order
         other_S = np.cov(matrix.select(other.observed).values, rowvar=False)
-        other_fit = sem.fit_ml(other, other_S, n)
+        # a nested model's estimates sit near the full model's, so a
+        # converged full fit is the comparison fit's start
+        start = {name: est.value for name, est in fit.estimates.items() if est.free} if fit.converged else None
+        other_fit = sem.fit_ml(other, other_S, n, start=start)
         d_chi, d_df, d_bic = sem.compare_models(fit, other_fit)
         report["comparison"] = {
             "other_model_file": other_path.name,

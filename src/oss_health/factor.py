@@ -54,9 +54,17 @@ def correlation_matrix(X: np.ndarray, names: Sequence[str] | None = None) -> np.
 
 
 def _noise_correlations(noise: np.ndarray) -> np.ndarray:
-    """Correlation matrices of a (k, n, p) stack of draws, one per draw, in batched operations."""
-    centred = noise - noise.mean(axis=1, keepdims=True)
-    R = np.swapaxes(centred, 1, 2) @ centred
+    """Correlation matrices of a (k, n, p) stack of draws, one per draw, in batched operations.
+
+    Each draw's centred cross-product is its uncentred Gram matrix minus
+    the rank-one mean term s s'/n, s the column sums, so no centred copy
+    of the stack is made.  The noise is standard normal, so its means are
+    near zero and the subtraction loses no significant digits.
+    """
+    n = noise.shape[1]
+    sums = np.ones(n) @ noise
+    R = np.swapaxes(noise, 1, 2) @ noise
+    R -= sums[:, :, None] * sums[:, None, :] / n
     sd = np.sqrt(np.diagonal(R, axis1=1, axis2=2))
     R /= sd[:, :, None] * sd[:, None, :]
     diagonal = np.arange(R.shape[-1])
@@ -447,15 +455,18 @@ def _positive_definite(H: np.ndarray) -> bool:
     return True
 
 
-def efa_ml(R: np.ndarray, n: int, m: int) -> tuple[FactorSolution, FitStatistics]:
+def efa_ml(
+    R: np.ndarray, n: int, m: int, start: np.ndarray | None = None
+) -> tuple[FactorSolution, FitStatistics]:
     """Maximum-likelihood factor extraction on a correlation matrix.
 
     The loadings are profiled out (:func:`_loadings_from_psi`) and
     :func:`newton_minimise` minimises F over log psi in the box
-    [log ``PSI_FLOOR``, 0].  The curvature is the exact Hessian where it
-    is positive definite on the free uniquenesses and the expected
-    information otherwise (Fisher scoring; Jennrich & Robinson 1969,
-    Joreskog 1967).
+    [log ``PSI_FLOOR``, 0], from the uniquenesses ``start`` when given
+    and else from (1 - m/2p) / diag(R^-1), either clipped to the box.
+    The curvature is the exact Hessian where it is positive definite on
+    the free uniquenesses and the expected information otherwise (Fisher
+    scoring; Jennrich & Robinson 1969, Joreskog 1967).
 
     Returns the unrotated solution together with chi-square based fit
     statistics (Bartlett-corrected) and BIC = chi^2 - df*log(n).
@@ -480,7 +491,8 @@ def efa_ml(R: np.ndarray, n: int, m: int) -> tuple[FactorSolution, FitStatistics
 
         return ((loadings**2).sum(axis=1) + psi - np.diag(R)) / psi, curvature
 
-    start = (1.0 - 0.5 * m / p) / np.diag(np.linalg.inv(R))
+    if start is None:
+        start = (1.0 - 0.5 * m / p) / np.diag(np.linalg.inv(R))
     result = newton_minimise(
         objective, derivatives, np.log(np.clip(start, PSI_FLOOR, 1.0)), math.log(PSI_FLOOR), 0.0
     )

@@ -420,12 +420,19 @@ def two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
+def fit_ml(
+    model: SemModel, S: np.ndarray, n: int, start: Mapping[str, float] | None = None
+) -> SemFit:
     """Maximum-likelihood fit of a model to a sample covariance matrix.
 
     F_ML is minimised by Fisher scoring (Lee & Jennrich 1979) with
-    :func:`factor.newton_minimise`, unbounded.  The gradient and the
-    expected Hessian both come from the one analytic Jacobian
+    :func:`factor.newton_minimise`, unbounded.  It starts from
+    :func:`default_start_values`, with each free parameter that ``start``
+    names (a name -> value map, such as a nested model's estimates) set to
+    its value there; names that are not free parameters of ``model`` are
+    ignored.  A ``start`` whose implied covariance is not positive
+    definite is not used.  The gradient and the expected Hessian both
+    come from the one analytic Jacobian
     dSigma/dtheta (:meth:`_Layout.delta`, via :meth:`_Layout.derivatives`)
     at each accepted iterate; trial points cost F alone.  ``converged``
     means max |grad| <= ``CONVERGED_GRADIENT`` (1e-6) at exit.
@@ -456,9 +463,13 @@ def fit_ml(model: SemModel, S: np.ndarray, n: int) -> SemFit:
         # unbounded, so every entry is free and H is the whole information
         return grad, lambda free: info
 
-    result = newton_minimise(
-        _objective_factory(layout, S, logdet_s), derivatives, default_start_values(layout, S)
-    )
+    objective = _objective_factory(layout, S, logdet_s)
+    theta0 = default_start_values(layout, S)
+    if start is not None:
+        warm = np.array([start.get(prm.name, default) for prm, default in zip(layout.free, theta0)])
+        if objective(warm)[1] is not None:
+            theta0 = warm
+    result = newton_minimise(objective, derivatives, theta0)
     theta = result.x
     A, Smat, sigma, B, H = last
 

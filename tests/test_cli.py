@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_LINES, sem_population_covariance
+from conftest import EFA_VARIABLE_NAMES, FIXTURE_LINES, efa_population_correlation, sem_population_covariance
 from oss_health import cli, dataset, factor, metrics, projects, sem
 from oss_health.cli import PipelineConfig, UserError, load_config, parse_config_text
 from oss_health import store as store_module
@@ -168,6 +168,16 @@ class TestConfig:
 
     def test_digest_changes_with_values(self):
         assert PipelineConfig(seed=0).digest() != PipelineConfig(seed=1).digest()
+
+    def test_reports_do_not_depend_on_paths(self, tmp_path):
+        reports = []
+        for out, archives in ((tmp_path / "a", tmp_path / "archives"), (tmp_path / "b", tmp_path / "unused")):
+            write_synthetic_metrics(out)
+            paths = ["--out", str(out), "--archives", str(archives)]
+            assert cli.main(["efa", "--cross-validate", *paths]) == 0
+            assert cli.main(["sem", "--model", MODEL_FILE, "--compare", REDUCED_MODEL_FILE, *paths]) == 0
+            reports.append([(out / name).read_bytes() for name in ("efa_report.json", "sem_report.json")])
+        assert reports[0] == reports[1]
 
 
 class TestIngest:
@@ -961,6 +971,27 @@ class TestEfa:
         )
         assert run(workspace, "efa") == 1
         assert f"{out / 'metrics.csv'}, line 11, column '{column}': {message}" in caplog.text
+
+    def test_warm_reliability_omega_equals_a_cold_fit(self):
+        # each factor's one-factor fit runs on the block's own R from the
+        # m-factor uniquenesses; the reference refits its members' data cold
+        chol = np.linalg.cholesky(efa_population_correlation())
+        config = PipelineConfig(factors="2")
+        compared = 0
+        for seed in range(20):
+            X = np.random.default_rng(seed).standard_normal((384, 9)) @ chol.T
+            matrix = dataset.MetricMatrix([f"r{i}" for i in range(384)], list(EFA_VARIABLE_NAMES), X)
+            R = factor.correlation_matrix(X)
+            block = cli._efa_block(matrix, R, factor.parallel_analysis([(R, 384)])[0], config)
+            for j, members in block["assignment"].items():
+                if len(members) >= 2:
+                    sub = matrix.select(members).values
+                    cold, _ = factor.efa_ml(factor.correlation_matrix(sub), n=384, m=1)
+                    omega = factor.mcdonald_omega(cold.loadings[:, 0], cold.uniquenesses)
+                    assert abs(block["reliability"][j]["omega"] - omega) <= 1e-7, (seed, j)
+                    assert block["reliability"][j]["alpha"] == factor.cronbach_alpha(sub)
+                    compared += 1
+        assert compared == 40
 
     def test_rerun_is_byte_identical(self, workspace):
         write_synthetic_metrics(workspace / "out")

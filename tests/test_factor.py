@@ -164,6 +164,15 @@ class TestParallelAnalysis:
         assert np.array_equal(result.simulated_mean_eigenvalues, mean)
         assert np.array_equal(result.simulated_quantile_eigenvalues, qtl)
 
+    @pytest.mark.parametrize("n", [384, 77, 3])
+    def test_gram_form_equals_corrcoef_per_draw(self, n):
+        # the draws are a view into a longer buffer, as parallel_analysis slices them
+        noise = np.random.default_rng(n).standard_normal((PA_CHUNK, 400, 9))[:, :n]
+        R = _noise_correlations(noise)
+        for draw, Rk in zip(noise, R):
+            np.testing.assert_allclose(Rk, np.corrcoef(draw, rowvar=False), rtol=0, atol=1e-14)
+            assert np.array_equal(Rk, Rk.T) and np.all(np.diag(Rk) == 1.0)
+
     def test_peak_memory_is_one_chunk_of_noise(self):
         n, p = 3000, 9
         X = self._factor_data(3, n=n)
@@ -174,7 +183,7 @@ class TestParallelAnalysis:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the chunk buffer plus one centred copy of it, far below all simulations' noise
+        # the chunk buffer plus the correlations' temporaries, far below all simulations' noise
         assert peak < 3 * PA_CHUNK * n * p * 8 < PA_SIMULATIONS * n * p * 8
 
     def test_blocks_on_different_variables_rejected(self):
@@ -195,6 +204,15 @@ class TestEfaMl:
     def test_identification_error(self):
         with pytest.raises(IdentificationError):
             efa_ml(one_factor_population(), n=100, m=3)
+
+    @pytest.mark.parametrize("seed, m", [(0, 2), (1, 2), (2, 1), (3, 3)])
+    def test_start_at_a_cold_solution_returns_it(self, seed, m):
+        X = np.random.default_rng(seed).standard_normal((384, 9))
+        R = correlation_matrix(X @ np.linalg.cholesky(efa_population_correlation()).T)
+        cold, _ = efa_ml(R, n=384, m=m)
+        warm, _ = efa_ml(R, n=384, m=m, start=cold.uniquenesses)
+        assert warm.minimum.converged and warm.minimum.iterations <= 2
+        np.testing.assert_allclose(warm.uniquenesses, cold.uniquenesses, rtol=0, atol=1e-6)
 
     def test_communality_identity(self):
         solution, _ = efa_ml(efa_population_correlation(), n=384, m=2)

@@ -14,6 +14,8 @@ from conftest import (
     sem_generator_params,
     sem_population_covariance,
 )
+from oss_health import sem as sem_module
+from oss_health.factor import newton_minimise
 from oss_health.sem import (
     CONVERGED_GRADIENT,
     SemModel,
@@ -21,6 +23,7 @@ from oss_health.sem import (
     SemSpecError,
     _Layout,
     compare_models,
+    default_start_values,
     fit_indices,
     fit_ml,
     format_fit_report,
@@ -323,16 +326,21 @@ class TestJacobian:
         assert np.max(np.abs(information - numeric)) < 1e-6
 
 
+def sampled_covariance(seed):
+    """Sample covariance of 384 draws from the reference generator."""
+    chol = np.linalg.cholesky(sem_population_covariance())
+    rng = np.random.default_rng(seed)
+    return np.cov(rng.standard_normal((384, 11)) @ chol.T, rowvar=False)
+
+
 @pytest.fixture(scope="module")
 def sampled_fits():
     """Full and reduced fits on the acceptance criteria's sampling, n = 384."""
     full = parse_model(SEM_MODEL_TEXT)
     reduced = parse_model(SEM_REDUCED_MODEL_TEXT)
-    chol = np.linalg.cholesky(sem_population_covariance())
     fits = []
     for seed in range(100):
-        rng = np.random.default_rng(seed)
-        S = np.cov(rng.standard_normal((384, 11)) @ chol.T, rowvar=False)
+        S = sampled_covariance(seed)
         fits.append((fit_ml(full, S, 384), fit_ml(reduced, S, 384)))
     return fits
 
@@ -379,6 +387,60 @@ class TestOptimiser:
         se = np.sqrt(np.diag(np.linalg.inv(383 / 2.0 * H)))
         assert fit.converged
         assert [fit.estimates[prm.name].se for prm in layout.free] == se.tolist()
+
+
+def free_estimates(fit):
+    return {name: est.value for name, est in fit.estimates.items() if est.free}
+
+
+class TestWarmStart:
+    def test_reduced_fit_from_full_estimates_equals_cold_fit(self, sampled_fits):
+        reduced = parse_model(SEM_REDUCED_MODEL_TEXT)
+        warm_evaluations = cold_evaluations = 0
+        for seed, (full, cold) in enumerate(sampled_fits[:40]):
+            warm = fit_ml(reduced, sampled_covariance(seed), 384, start=free_estimates(full))
+            assert warm.converged, seed
+            assert abs(warm.minimum.value - cold.minimum.value) <= 1e-12, seed
+            for name, est in cold.estimates.items():
+                assert abs(warm.estimates[name].value - est.value) <= 1e-6, (seed, name)
+            warm_evaluations += warm.minimum.evaluations
+            cold_evaluations += cold.minimum.evaluations
+        assert warm_evaluations < cold_evaluations
+
+    def test_start_sets_only_the_model_free_parameters_it_names(self, monkeypatch):
+        model = parse_model(SMALL_MODEL)
+        S = implied_covariance(model, SMALL_TRUE)
+        layout = _Layout(model)
+        seen = []
+
+        def spy(objective, derivatives, x, *args):
+            seen.append(x.copy())
+            return newton_minimise(objective, derivatives, x, *args)
+
+        monkeypatch.setattr(sem_module, "newton_minimise", spy)
+        # a fixed loading and a name the model lacks are ignored; the rest keep their defaults
+        fit_ml(model, S, 384, start={"F2~F1": 0.5, "F1=~a": 3.0, "F3~F1": 2.0})
+        expected = default_start_values(layout, S)
+        expected[[prm.name for prm in layout.free].index("F2~F1")] = 0.5
+        assert np.array_equal(seen[0], expected)
+
+    @pytest.mark.parametrize(
+        "start",
+        [{}, {"F3~F1": 2.0, "F1=~a": 3.0}, "defaults", {"var(F1)": -5.0}],
+        ids=["empty", "unknown-names", "defaults", "indefinite"],
+    )
+    def test_start_that_sets_nothing_gives_the_cold_fit_bitwise(self, start):
+        # an indefinite implied covariance at the start falls back to the defaults
+        model = parse_model(SMALL_MODEL)
+        S = sampled_covariance(3)[:6, :6]
+        layout = _Layout(model)
+        if start == "defaults":
+            start = dict(zip((prm.name for prm in layout.free), default_start_values(layout, S)))
+        cold, warm = fit_ml(model, S, 384), fit_ml(model, S, 384, start=start)
+        assert warm.minimum.x.tobytes() == cold.minimum.x.tobytes()
+        assert warm.minimum.evaluations == cold.minimum.evaluations
+        # repr: the fixed parameters' NaN z and p compare unequal to themselves
+        assert repr((warm.estimates, warm.fit)) == repr((cold.estimates, cold.fit))
 
 
 class TestHeywood:
