@@ -151,8 +151,17 @@ def _parse_as_of(value: str) -> int:
     return int(parsed.timestamp())
 
 
-def _report_envelope(config: PipelineConfig, kind: str) -> dict:
-    return {"artifact_version": __version__, "config_hash": config.digest(), "kind": kind}
+def _report_envelope(config: PipelineConfig, kind: str, digests: dict[str, str] | None = None) -> dict:
+    """The keys every report opens with; ``digests`` (role -> sha256 of the
+    bytes read) becomes its ``inputs`` block."""
+    envelope = {"artifact_version": __version__, "config_hash": config.digest(), "kind": kind}
+    if digests is not None:
+        envelope["inputs"] = digests
+    return envelope
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -365,9 +374,12 @@ def cmd_metrics(config: PipelineConfig) -> int:
 # EFA
 
 
-def _prepared_matrix(metrics_csv: Path) -> dataset.MetricMatrix:
-    """The prepared analysis matrix of ``metrics.csv``; an empty cell is absent."""
-    return dataset.prepare(dataset.read_matrix_csv(_input_path(metrics_csv, "metrics file")))
+def _prepared_matrix(metrics_csv: Path) -> tuple[dataset.MetricMatrix, str]:
+    """The prepared analysis matrix of ``metrics.csv``, an empty cell absent,
+    and the sha256 of the bytes it was parsed from."""
+    path = _input_path(metrics_csv, "metrics file")
+    data = path.read_bytes()
+    return dataset.prepare(dataset.parse_matrix_csv(data, path)), _sha256(data)
 
 
 def _correlations(matrix: dataset.MetricMatrix) -> np.ndarray:
@@ -474,7 +486,7 @@ def cmd_efa(config: PipelineConfig, cross_validate: bool = False) -> int:
 
     Parallel analysis runs once for all blocks, on one shared noise draw.
     """
-    matrix = _prepared_matrix(config.out_dir / "metrics.csv")
+    matrix, digest = _prepared_matrix(config.out_dir / "metrics.csv")
     blocks = {"full": matrix}
     if cross_validate:
         blocks["train"], blocks["test"] = dataset.split(matrix, config.split_fraction, config.seed)
@@ -483,7 +495,7 @@ def cmd_efa(config: PipelineConfig, cross_validate: bool = False) -> int:
         [(correlations[name], len(block.row_labels)) for name, block in blocks.items()],
         seed=config.seed,
     )
-    report = _report_envelope(config, "efa")
+    report = _report_envelope(config, "efa", {"metrics_csv": digest})
     for (name, block), pa in zip(blocks.items(), analyses):
         report[name] = _efa_block(block, correlations[name], pa, config)
     if cross_validate:
@@ -497,17 +509,19 @@ def cmd_efa(config: PipelineConfig, cross_validate: bool = False) -> int:
 # SEM
 
 
-def _read_model(path: Path) -> sem.SemModel:
+def _read_model(path: Path) -> tuple[sem.SemModel, str]:
+    """The model in the file ``path`` and the sha256 of its bytes."""
+    data = path.read_bytes()
     try:
-        return sem.parse_model(path.read_text(encoding="utf-8"))
+        return sem.parse_model(data.decode("utf-8")), _sha256(data)
     except (sem.SemParseError, sem.SemSpecError) as exc:
         raise UserError(f"{path}: {exc}") from None
 
 
 def cmd_sem(config: PipelineConfig, compare_model: str | None = None) -> int:
     model_path = _input_path(config.model, "model file", "model")
-    model = _read_model(model_path)
-    matrix = _prepared_matrix(config.out_dir / "metrics.csv")
+    model, model_digest = _read_model(model_path)
+    matrix, digest = _prepared_matrix(config.out_dir / "metrics.csv")
     missing = [v for v in model.observed if v not in matrix.column_names]
     if missing:
         raise UserError(f"indicator(s) absent from data: {', '.join(missing)}")
@@ -516,7 +530,7 @@ def cmd_sem(config: PipelineConfig, compare_model: str | None = None) -> int:
     n = len(data.row_labels)
     fit = sem.fit_ml(model, S, n)
 
-    report = _report_envelope(config, "sem")
+    report = _report_envelope(config, "sem", {"metrics_csv": digest, "model": model_digest})
     report["model_file"] = model_path.name
     report["n"] = n
     report["estimates"] = {
@@ -529,7 +543,7 @@ def cmd_sem(config: PipelineConfig, compare_model: str | None = None) -> int:
     report.update(_optimiser_fields(fit.minimum))
     if compare_model:
         other_path = _input_path(compare_model, "comparison model file")
-        other = _read_model(other_path)
+        other, report["inputs"]["compare_model"] = _read_model(other_path)
         if set(other.observed) != set(model.observed):
             raise UserError(f"{other_path}: indicators differ from those of {model_path}")
         # S is ordered by model.observed; the comparison needs its own order

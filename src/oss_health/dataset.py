@@ -13,6 +13,7 @@ through the shared input rules of :mod:`oss_health.inputs`.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -184,16 +185,37 @@ def split(
 
 
 def read_matrix_csv(path: str | Path) -> MetricMatrix:
+    """The matrix of the file ``path``, read by :func:`parse_matrix_csv`."""
+    return parse_matrix_csv(Path(path).read_bytes(), path)
+
+
+def parse_matrix_csv(data: bytes, path: str | Path) -> MetricMatrix:
     """Rows labelled by ``repo_id``, with the analysis columns present (at least 3,
-    in ``EFA_COLUMNS + ENGAGEMENT_COLUMNS`` order), read by the rules of
-    :mod:`oss_health.inputs`; an empty cell is absent (NaN)."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        header, rows = inputs.csv_table(handle, path, ("repo_id",), "repo_id")
-        keep = [c for c in EFA_COLUMNS + ENGAGEMENT_COLUMNS if c in header]
-        if len(keep) < 3:
-            raise ValueError(f"{path}, line 1: needs at least 3 analysis columns, found {len(keep)}")
-        cells = {label: inputs.number_cells(path, line, row, keep) for line, label, row in rows}
-    return MetricMatrix(list(cells), keep, np.array(list(cells.values())).reshape(len(cells), len(keep)))
+    in ``EFA_COLUMNS + ENGAGEMENT_COLUMNS`` order), from the UTF-8 bytes
+    ``data`` of the file ``path``, read by the rules of
+    :mod:`oss_health.inputs`; an empty cell is absent (NaN).
+
+    The table is read in one pass (:func:`inputs.number_table`); only one
+    that breaks a rule is read again row by row (:func:`_checked_table`),
+    which raises the error of its first fault.
+    """
+    text = data.decode("utf-8")
+    table = inputs.number_table(text, "repo_id", EFA_COLUMNS + ENGAGEMENT_COLUMNS)
+    if table is None or len(table[1]) < 3:
+        table = _checked_table(text, path)
+    labels, keep, values = table
+    return MetricMatrix(labels, keep, np.fromiter(values, float, len(values)).reshape(len(labels), len(keep)))
+
+
+def _checked_table(text: str, path: str | Path) -> tuple[list[str], list[str], list[float]]:
+    """:func:`inputs.number_table`'s table of ``text``, checked row by row as
+    it is read, so that a fault raises with its line and column."""
+    header, rows = inputs.csv_table(io.StringIO(text, newline=""), path, ("repo_id",), "repo_id")
+    keep = [c for c in EFA_COLUMNS + ENGAGEMENT_COLUMNS if c in header]
+    if len(keep) < 3:
+        raise ValueError(f"{path}, line 1: needs at least 3 analysis columns, found {len(keep)}")
+    cells = {label: [inputs.number_cell(path, line, row, c) for c in keep] for line, label, row in rows}
+    return list(cells), keep, [value for values in cells.values() for value in values]
 
 
 def write_audit_sidecar(path: str | Path, matrix: MetricMatrix, report: ExclusionReport) -> None:

@@ -323,6 +323,7 @@ CONVERGED_GRADIENT = 1e-6
 _MAX_ITERATIONS = 500
 _MAX_HALVINGS = 60
 _ARMIJO = 1e-4
+_ILL_CONDITIONED = math.sqrt(np.finfo(float).eps)  # a Cholesky step's reciprocal-condition floor
 
 
 @dataclass
@@ -337,6 +338,33 @@ class Minimum:
     converged: bool  # max_abs_gradient <= CONVERGED_GRADIENT
 
 
+def _newton_step(curvature: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The solution of H step = grad, H the first of ``curvature`` (a matrix,
+    or a stack of them in order of preference) that is finite and has a
+    Cholesky factor L, else the last; by two solves with L, or by least
+    squares when H has no factor or is ill-conditioned.
+
+    H counts as ill-conditioned when a pivot L_ii^2 is at most sqrt(eps)
+    max_j H_jj.  A pivot is at least H's smallest eigenvalue and max_j H_jj
+    at most its largest, so a factor is refused only where H's condition
+    number exceeds 1/sqrt(eps).  An H singular to working precision, on
+    whose null directions least squares takes no step, has a pivot near
+    eps max_j H_jj when rounding leaves it a factor at all.
+    """
+    stack = np.reshape(curvature, (-1, grad.size, grad.size))
+    for H in stack:
+        if not np.isfinite(H).all():
+            continue
+        try:
+            L = np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            continue
+        if np.diagonal(L).min() ** 2 > _ILL_CONDITIONED * np.diagonal(H).max():
+            return np.linalg.solve(L.T, np.linalg.solve(L, grad))
+        break
+    return np.linalg.lstsq(H, grad, rcond=None)[0]
+
+
 def newton_minimise(
     objective: Callable,
     derivatives: Callable,
@@ -348,11 +376,15 @@ def newton_minimise(
 
     ``objective(x)`` returns ``(F, extra)``; ``derivatives(x, extra)``
     returns ``(gradient, curvature)``, with ``curvature(free)`` the matrix
-    H on the boolean mask ``free``, so a caller can reuse the objective's
-    work and pay for H only when a step is taken.  An entry at a bound
-    whose gradient points out of the box is held; the rest are free.  Each
-    step solves H step = grad on the free entries by least squares (a
-    singular H still gives a step).  Iteration stops after 500 steps, when
+    H on the boolean mask ``free``, or a (k, f, f) stack of candidate H in
+    order of preference, so a caller can reuse the objective's work and
+    pay for H only when a step is taken.  An entry at a bound whose
+    gradient points out of the box is held; the rest are free.  Each step
+    solves H step = grad on the free entries (:func:`_newton_step`) with
+    the Cholesky factor of the first candidate that is finite and has
+    one; by least squares where none has one (then on the last) or the
+    chosen one is ill-conditioned, so a singular H still gives a step.
+    Iteration stops after 500 steps, when
     the largest free |grad| entry is below 1e-10, or when the predicted
     decrease grad.step/2 is below F's rounding floor 3e-15 (1 + |F|), each
     also on NaN; else the step is clipped to the box and halved until F <
@@ -371,7 +403,7 @@ def newton_minimise(
         if iterations == _MAX_ITERATIONS or not max_abs_gradient >= _GRADIENT_TOL:
             break
         step = np.zeros(x.size)
-        step[free] = np.linalg.lstsq(curvature(free), grad[free], rcond=None)[0]
+        step[free] = _newton_step(curvature(free), grad[free])
         if not float(grad @ step) / 2 >= _ROUNDING_FLOOR * (1 + abs(fmin)):
             break
         alpha = 1.0
@@ -445,16 +477,6 @@ def _curvatures(vals: np.ndarray, vecs: np.ndarray, m: int) -> tuple[np.ndarray,
     return hessian, P * P
 
 
-def _positive_definite(H: np.ndarray) -> bool:
-    if not np.isfinite(H).all():
-        return False
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def efa_ml(
     R: np.ndarray, n: int, m: int, start: np.ndarray | None = None
 ) -> tuple[FactorSolution, FitStatistics]:
@@ -466,7 +488,9 @@ def efa_ml(
     and else from (1 - m/2p) / diag(R^-1), either clipped to the box.
     The curvature is the exact Hessian where it is positive definite on
     the free uniquenesses and the expected information otherwise (Fisher
-    scoring; Jennrich & Robinson 1969, Joreskog 1967).
+    scoring; Jennrich & Robinson 1969, Joreskog 1967): both go to the
+    minimiser, whose Cholesky factorisation of the Hessian both decides
+    and solves.
 
     Returns the unrotated solution together with chi-square based fit
     statistics (Bartlett-corrected) and BIC = chi^2 - df*log(n).
@@ -485,9 +509,10 @@ def efa_ml(
         loadings, vals, vecs = _loadings_from_psi(R, psi, m)
 
         def curvature(free: np.ndarray) -> np.ndarray:
+            # the exact Hessian, and the information where it is not positive definite
             hessian, information = _curvatures(vals, vecs, m)
-            H = hessian[np.ix_(free, free)]
-            return H if _positive_definite(H) else information[np.ix_(free, free)]
+            at = np.ix_(free, free)
+            return np.stack((hessian[at], information[at]))
 
         return ((loadings**2).sum(axis=1) + psi - np.diag(R)) / psi, curvature
 

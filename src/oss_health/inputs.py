@@ -2,7 +2,8 @@
 
 In a line file (run config, overrides, criticality config, model) ``#``
 starts a comment and blank lines are skipped; the keyed CSV tables
-(project list, ranks file, ``metrics.csv``) are read by :func:`csv_table`.
+(project list, ranks file, ``metrics.csv``) are read by :func:`csv_table`,
+and a table of numbers first by :func:`number_table`.
 A key given twice is an error naming both lines, and every error is a
 ``ValueError`` naming the input and line, and for a CSV cell its column.
 """
@@ -10,6 +11,7 @@ A key given twice is an error naming both lines, and every error is a
 from __future__ import annotations
 
 import csv
+import io
 import math
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -82,18 +84,6 @@ def number_cell(path: str | Path, line: int, row: Row, column: str) -> float:
     raise ValueError(f"{path}, line {line}, column {column!r}: {text!r} is not a finite number")
 
 
-def number_cells(path: str | Path, line: int, row: Row, columns: Sequence[str]) -> list[float]:
-    """:func:`number_cell` of each of ``columns``, in one pass over a row whose cells are all finite numbers."""
-    cells, index = row
-    try:
-        values = [float(cells[index[column]]) for column in columns]
-        if math.isfinite(sum(values)):
-            return values
-    except (IndexError, ValueError):  # a short row, or a cell that is empty or not a number
-        pass
-    return [number_cell(path, line, row, column) for column in columns]
-
-
 def csv_table(
     handle: TextIO, path: str | Path, columns: Iterable[str], key: str, key_cell: Callable = text_cell
 ) -> tuple[list[str], Iterator[tuple[int, object, Row]]]:
@@ -121,3 +111,36 @@ def csv_table(
                 yield line, value, row
 
     return header, rows()
+
+
+def number_table(
+    text: str, key: str, columns: Sequence[str]
+) -> tuple[list[str], list[str], list[float]] | None:
+    """The keys of the CSV table ``text``, those of ``columns`` its header
+    names (in ``columns``' order), and their numbers row after row (an
+    empty cell is NaN); None when the header has no ``key`` column or a
+    row breaks a rule of :func:`csv_table` or :func:`number_cell` (a cell
+    missing, a key given twice, a present cell not a finite number).
+
+    One pass, for tables that keep the rules: one sweep of the csv module,
+    one ``float`` per cell, and each rule checked over the whole table.  A
+    caller that gets None reads the table row by row with
+    :func:`csv_table` and :func:`number_cell`, which raise the error of
+    the first fault with its line.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    index = {column: position for position, column in enumerate(next(reader, []))}
+    if key not in index:
+        return None
+    present = [column for column in columns if column in index]
+    positions = [index[column] for column in present]
+    rows = [row for row in reader if row]
+    try:
+        keys = [row[index[key]] for row in rows]
+        cells = [row[position] for row in rows for position in positions]
+        values = [float(cell or "nan") for cell in cells]
+    except (IndexError, ValueError):  # a short row, or a cell that is not a number
+        return None
+    # a sum is finite when every term is; else each non-finite value must be an empty cell's NaN
+    finite = math.isfinite(sum(values)) or sum(map(math.isfinite, values)) + cells.count("") == len(values)
+    return (keys, present, values) if finite and len(set(keys)) == len(keys) else None

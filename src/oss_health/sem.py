@@ -311,9 +311,12 @@ class _Layout:
         out[self.s_free] = d + off * d.transpose(0, 2, 1)
         return out
 
-    def derivatives(self, implied: tuple, sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def derivatives(
+        self, implied: tuple, sample: np.ndarray, chol: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Gradient and expected Hessian of F_ML against the sample
-        covariance S, at :meth:`implied`'s Sigma = L L^T.
+        covariance S, at :meth:`implied`'s Sigma = L L^T, with L its
+        Cholesky factor ``chol`` when the caller has it.
 
         Both come from the scaled Jacobian D_k = L^-1 Delta_k L^-T: the
         gradient <Sigma^-1 - Sigma^-1 S Sigma^-1, Delta_k> is
@@ -321,7 +324,7 @@ class _Layout:
         Delta_b) is <D_a, D_b>.
         """
         _, Smat, sigma, B = implied
-        root = np.linalg.inv(np.linalg.cholesky(sigma))
+        root = np.linalg.inv(np.linalg.cholesky(sigma) if chol is None else chol)
         scaled = (root @ self.delta(B, Smat) @ root.T).reshape(len(self.free), -1)
         residual = np.eye(self.p) - root @ sample @ root.T
         return scaled @ residual.ravel(), scaled @ scaled.T
@@ -382,8 +385,8 @@ def default_start_values(layout: _Layout, S: np.ndarray) -> np.ndarray:
 
 
 def _objective_factory(layout: _Layout, S_sample: np.ndarray, logdet_s: float):
-    """F_ML(theta), with :meth:`_Layout.implied`'s (A, S, Sigma, B) as the
-    minimiser's ``extra``."""
+    """F_ML(theta), with :meth:`_Layout.implied`'s (A, S, Sigma, B) and
+    the Cholesky factor of Sigma as the minimiser's ``extra``."""
     p = layout.p
 
     def objective(theta: np.ndarray) -> tuple[float, tuple | None]:
@@ -397,7 +400,7 @@ def _objective_factory(layout: _Layout, S_sample: np.ndarray, logdet_s: float):
             return 1e12, None
         logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
         value = logdet + float(np.trace(S_sample @ np.linalg.inv(sigma))) - logdet_s - p
-        return value, implied
+        return value, (implied, chol)
 
     return objective
 
@@ -458,8 +461,9 @@ def fit_ml(
 
     def derivatives(theta: np.ndarray, extra: tuple) -> tuple:
         nonlocal last
-        grad, info = layout.derivatives(extra, S)
-        last = (*extra, info)
+        implied, chol = extra
+        grad, info = layout.derivatives(implied, S, chol)
+        last = (*implied, info)
         # unbounded, so every entry is free and H is the whole information
         return grad, lambda free: info
 

@@ -2,6 +2,7 @@
 
 import csv
 import gzip
+import hashlib
 import importlib.util
 import json
 import logging
@@ -118,6 +119,10 @@ def write_synthetic_metrics(out_dir, n=250, seed=0):
         writer.writerow(["repo_id", *SEM_COLUMN_NAMES])
         for i, row in enumerate(X):
             writer.writerow([f"org/repo{i}", *row])
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class TestConfig:
@@ -848,6 +853,12 @@ class TestEfa:
         assert len(block["loadings"]) == len(block["columns"])
         assert (workspace / "out" / "efa_report.txt").is_file()
 
+    def test_inputs_name_the_metrics_bytes(self, workspace):
+        write_synthetic_metrics(workspace / "out")
+        assert run(workspace, "efa") == 0
+        report = json.loads((workspace / "out" / "efa_report.json").read_text())
+        assert report["inputs"] == {"metrics_csv": _sha256(workspace / "out" / "metrics.csv")}
+
     def test_factor_override(self, workspace):
         write_synthetic_metrics(workspace / "out")
         assert run(workspace, "efa", "--factors", "2") == 0
@@ -881,7 +892,7 @@ class TestEfa:
         assert run(workspace, "efa", "--cross-validate", "--seed", "5") == 0
         report = json.loads((workspace / "out" / "efa_report.json").read_text())
         config = load_config(str(workspace / "run.cfg"), {})
-        matrix = cli._prepared_matrix(workspace / "out" / "metrics.csv")
+        matrix = cli._prepared_matrix(workspace / "out" / "metrics.csv")[0]
         halves = dataset.split(matrix, config.split_fraction, 5)
         for name, half in zip(("train", "test"), halves):
             pa = factor.parallel_analysis(
@@ -919,7 +930,7 @@ class TestEfa:
     def test_csv_column_order_does_not_matter(self, workspace):
         out = workspace / "out"
         write_synthetic_metrics(out)
-        expected = cli._prepared_matrix(out / "metrics.csv")
+        expected = cli._prepared_matrix(out / "metrics.csv")[0]
         with open(out / "metrics.csv", newline="", encoding="utf-8") as handle:
             header, *rows = list(csv.reader(handle))
         order = list(reversed(range(len(header))))
@@ -927,7 +938,7 @@ class TestEfa:
             writer = csv.writer(handle)
             writer.writerow(["as_of", *(header[i] for i in order)])
             writer.writerows(["2017-01-01T00:00:00Z", *(row[i] for i in order)] for row in rows)
-        matrix = cli._prepared_matrix(out / "metrics.csv")
+        matrix = cli._prepared_matrix(out / "metrics.csv")[0]
         assert matrix.row_labels == expected.row_labels
         assert matrix.column_names == expected.column_names
         assert np.array_equal(matrix.values, expected.values)
@@ -1042,6 +1053,26 @@ class TestSem:
             assert 0.0 <= block["max_abs_gradient"] <= 1e-6
         # the reduced model is nested in the full one
         assert 0.0 <= report["fmin"] <= report["comparison"]["fmin"]
+
+    def test_inputs_name_the_bytes_read(self, workspace, tmp_path):
+        write_synthetic_metrics(workspace / "out")
+        model = tmp_path / "health.sem"
+        shutil.copy(MODEL_FILE, model)
+
+        def report():
+            assert run(workspace, "sem", "--model", str(model), "--compare", REDUCED_MODEL_FILE) == 0
+            return json.loads((workspace / "out" / "sem_report.json").read_text())
+
+        before = report()
+        assert before["inputs"] == {
+            "metrics_csv": _sha256(workspace / "out" / "metrics.csv"),
+            "model": _sha256(model),
+            "compare_model": _sha256(REDUCED_MODEL_FILE),
+        }
+        model.write_bytes(model.read_bytes().replace(b"# Reference", b"#_Reference"))  # one byte of a comment
+        after = report()
+        assert after["inputs"] == {**before["inputs"], "model": _sha256(model)} != before["inputs"]
+        assert {**after, "inputs": None} == {**before, "inputs": None}
 
     def test_comparison_fitted_in_its_own_indicator_order(self, workspace, tmp_path):
         write_synthetic_metrics(workspace / "out")

@@ -1,15 +1,18 @@
 """Dataset preparation: exclusions, reverse scoring, imputation, split."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from oss_health import dataset as dataset_module, inputs
 from oss_health.dataset import (
     MetricMatrix,
     apply_exclusions,
     matrix_from_metrics,
+    parse_matrix_csv,
     prepare,
     read_matrix_csv,
     reverse_score,
@@ -229,6 +232,41 @@ class TestSplit:
         assert not set(train.row_labels) & set(test.row_labels)
 
 
+#: Analysis columns for generated tables; the key and an ignored column join them.
+_CSV_ANALYSIS = ["stars", "forks", "mentions", "cmc_rank", "commits_3mo"]
+#: Mostly numbers or empty (absent); one cell in twenty is not a number,
+#: not finite, or text that needs quoting, with an embedded newline among them.
+_NUMBER_CELLS = st.sampled_from(range(20)).flatmap(
+    lambda k: st.sampled_from(["x", "inf", "-inf", "nan", "1e308", " 2 ", "a\nb", "c\r\nd", 'say "hi"', "1,5"])
+    if k == 0
+    else st.just("") if k == 1
+    else st.floats(allow_nan=False, allow_infinity=False).map(repr) if k % 2
+    else st.integers(-(10**6), 10**6).map(str)
+)
+_KEY_CELLS = st.sampled_from([f"r{i}" for i in range(30)] + ["r\n30", ""])
+
+
+@st.composite
+def _csv_header(draw):
+    """Usually the key, three to five analysis columns, maybe one of them
+    named twice and a column the analysis ignores; sometimes without the
+    key or with too few analysis columns."""
+    columns = draw(st.lists(st.sampled_from(_CSV_ANALYSIS), min_size=2, max_size=5, unique=True))
+    if len(columns) == 2 and draw(st.sampled_from([True] * 4 + [False])):
+        columns.append(draw(st.sampled_from([c for c in _CSV_ANALYSIS if c not in columns])))
+    if draw(st.sampled_from([True] * 9 + [False])):
+        columns.append("repo_id")
+    if draw(st.booleans()):
+        columns.append("notes")
+    if draw(st.sampled_from([False] * 4 + [True])):
+        columns.append(columns[0])
+    return draw(st.permutations(columns))
+
+
+def _csv_cell(cell):
+    return f'"{cell.replace(chr(34), chr(34) * 2)}"' if any(c in cell for c in ',"\r\n') else cell
+
+
 class TestPersistence:
     def test_csv_round_trip_with_absent_cells(self, tmp_path):
         names = ["geo_rmse", "longevity_days", "months_since_update"]
@@ -280,6 +318,43 @@ class TestPersistence:
         with pytest.raises(ValueError) as excinfo:
             read_matrix_csv(path)
         assert str(excinfo.value) == f"{path}, line 1: {message}"
+
+    def test_valid_table_is_read_in_one_pass(self, monkeypatch):
+        def checked(text, path):
+            raise AssertionError("read again row by row")
+
+        monkeypatch.setattr(dataset_module, "_checked_table", checked)
+        data = b"repo_id,stars,forks,notes,mentions\r\nr0,1,,\"a\nb\",3\r\n\r\nr1,4,5,,6\r\n"
+        matrix = parse_matrix_csv(data, "m.csv")
+        assert matrix.row_labels == ["r0", "r1"] and matrix.column_names == ["stars", "forks", "mentions"]
+        assert matrix.values.tobytes() == np.array([[1.0, np.nan, 3.0], [4.0, 5.0, 6.0]]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_pass_read_equals_the_checked_read(self, data):
+        header = data.draw(_csv_header())
+        rows = [header]
+        for _ in range(data.draw(st.integers(0, 8))):
+            if data.draw(st.sampled_from(range(6))) == 0:
+                rows.append([])  # a blank line
+                continue
+            row = [data.draw(_KEY_CELLS if column == "repo_id" else _NUMBER_CELLS) for column in header]
+            if data.draw(st.sampled_from(range(10))) == 0:  # a short row, or one with cells past the header
+                row = row[: data.draw(st.integers(0, len(row)))] + data.draw(st.lists(_NUMBER_CELLS, max_size=1))
+            rows.append(row)
+        newline = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = newline.join(",".join(map(_csv_cell, row)) for row in rows) + data.draw(st.sampled_from(["", newline]))
+
+        def read():
+            try:
+                matrix = parse_matrix_csv(text.encode("utf-8"), "m.csv")
+            except ValueError as exc:
+                return str(exc)
+            return matrix.row_labels, matrix.column_names, matrix.values.shape, matrix.values.tobytes()
+
+        one_pass = read()
+        with mock.patch.object(inputs, "number_table", lambda *_: None):  # row by row only
+            assert read() == one_pass
 
     def test_audit_sidecar(self, tmp_path):
         matrix = simple_matrix(

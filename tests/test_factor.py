@@ -22,6 +22,7 @@ from oss_health.factor import (
     IdentificationError,
     _curvatures,
     _loadings_from_psi,
+    _newton_step,
     _noise_correlations,
     _profiled_objective,
     _reduced_eigenvalues,
@@ -531,6 +532,65 @@ class TestNewtonMinimise:
         assert result.iterations == 3 and not result.converged
         assert result.x[0] == pytest.approx((2 / 3) ** 3)
         assert np.array_equal(last, result.x)
+
+
+def _symmetric(seed, spectrum):
+    """A symmetric matrix with eigenvalues ``spectrum`` in a random basis, and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((len(spectrum), len(spectrum))))[0]
+    H = (Q * spectrum) @ Q.T
+    return (H + H.T) / 2, rng.standard_normal(len(spectrum))
+
+
+def _lstsq(H, g):
+    return np.linalg.lstsq(H, g, rcond=None)[0]
+
+
+class TestNewtonStep:
+    """newton_minimise solves each step through a Cholesky factor and falls back to least squares."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_positive_definite_step_equals_least_squares(self, size, seed):
+        spectrum = np.exp(np.random.default_rng(seed).uniform(math.log(1e-2), math.log(1e2), size))
+        H, g = _symmetric(seed, spectrum)
+        expected = _lstsq(H, g)
+        step = _newton_step(H, g)
+        assert np.linalg.norm(step - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.sampled_from(["singular", "indefinite", "zero row"]))
+    def test_singular_or_indefinite_step_is_least_squares_exactly(self, size, seed, kind):
+        # a zero eigenvalue is singular in exact arithmetic only: rounding
+        # often leaves such an H a Cholesky factor, with a pivot near zero
+        rng = np.random.default_rng(seed)
+        spectrum = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), size))
+        chosen = rng.choice(size, rng.integers(1, size // 3 + 2), replace=False)
+        if kind == "singular":
+            spectrum[chosen] = 0.0
+        elif kind == "indefinite":
+            spectrum[chosen] *= -1.0
+        H, g = _symmetric(seed, spectrum)
+        if kind == "zero row":
+            H[chosen, :] = H[:, chosen] = 0.0
+        assert np.array_equal(_newton_step(H, g), _lstsq(H, g))
+
+    def test_first_factorable_candidate_solves(self):
+        H, g = _symmetric(1, np.linspace(0.5, 2.0, 5))
+        indefinite = _symmetric(2, np.linspace(-1.0, 2.0, 5))[0]
+        for bad in (indefinite, np.full_like(H, np.nan), np.where(np.eye(5) == 1, np.inf, H)):
+            assert np.array_equal(_newton_step(np.stack((bad, H)), g), _newton_step(H, g))
+            # with no candidate positive definite, the last one's least-squares step
+            assert np.array_equal(_newton_step(np.stack((bad, indefinite)), g), _lstsq(indefinite, g))
+
+    def test_ill_conditioned_candidate_with_a_factor_is_chosen_and_solved_by_least_squares(self):
+        # a Cholesky factor makes the candidate the one chosen, as a positive
+        # definite exact Hessian is chosen over the information; its pivot of
+        # 2^-40 makes the step least squares on it
+        nearly = np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-40]])
+        assert np.diagonal(np.linalg.cholesky(nearly)).min() ** 2 == 2.0**-40
+        g = np.array([1.0, -2.0])
+        assert np.array_equal(_newton_step(np.stack((nearly, np.eye(2))), g), _lstsq(nearly, g))
 
 
 class TestReliability:

@@ -15,13 +15,14 @@ from conftest import (
     sem_population_covariance,
 )
 from oss_health import sem as sem_module
-from oss_health.factor import newton_minimise
+from oss_health.factor import _newton_step, newton_minimise
 from oss_health.sem import (
     CONVERGED_GRADIENT,
     SemModel,
     SemParseError,
     SemSpecError,
     _Layout,
+    _objective_factory,
     compare_models,
     default_start_values,
     fit_indices,
@@ -325,12 +326,40 @@ class TestJacobian:
         information = layout.derivatives(layout.implied(theta), sigma)[1]
         assert np.max(np.abs(information - numeric)) < 1e-6
 
+    def test_derivatives_from_the_objective_factor_are_bitwise_its_own(self):
+        # the objective's Cholesky factor of Sigma serves the derivatives at that iterate
+        model = parse_model(SEM_MODEL_TEXT)
+        layout = _Layout(model)
+        S = sampled_covariance(7)
+        objective = _objective_factory(layout, S, np.linalg.slogdet(S)[1])
+        for theta in (default_start_values(layout, S), fit_ml(model, S, 384).minimum.x):
+            implied, chol = objective(theta)[1]
+            for own, reused in zip(layout.derivatives(implied, S), layout.derivatives(implied, S, chol)):
+                assert own.tobytes() == reused.tobytes()
+
 
 def sampled_covariance(seed):
     """Sample covariance of 384 draws from the reference generator."""
     chol = np.linalg.cholesky(sem_population_covariance())
     rng = np.random.default_rng(seed)
     return np.cov(rng.standard_normal((384, 11)) @ chol.T, rowvar=False)
+
+
+def test_singular_information_at_the_default_start_takes_the_least_squares_step():
+    # the information is singular at the default start; rounding leaves it a
+    # Cholesky factor, with a pivot below 4e-15, on about a third of the samples
+    layout = _Layout(parse_model(SEM_MODEL_TEXT))
+    factored = 0
+    for seed in range(40):
+        S = sampled_covariance(seed)
+        g, H = layout.derivatives(layout.implied(default_start_values(layout, S)), S)
+        assert np.linalg.eigvalsh(H)[0] < 1e-14 * np.linalg.eigvalsh(H)[-1]
+        try:
+            factored += np.diagonal(np.linalg.cholesky(H)).min() ** 2 < 4e-15
+        except np.linalg.LinAlgError:
+            pass
+        assert np.array_equal(_newton_step(H, g), np.linalg.lstsq(H, g, rcond=None)[0])
+    assert factored >= 5
 
 
 @pytest.fixture(scope="module")
