@@ -268,12 +268,13 @@ def cmd_metrics(config: PipelineConfig) -> int:
     resolves to, stay in memory.  Metrics see only events before ``as_of``.
     Without a configured ``as_of`` it is one second after the latest stored
     event, so every event counts, and finding it reads only the latest
-    month's partitions.
+    month's segment.
     Only when some retained project has no mentions in the ranks file is
     the push corpus tokenised, once: it is streamed month by month from
     the store's push-text log, and only the records no logged range
-    covers are decoded from their partitions.  How many texts came from
-    the log and how many partitions were decoded is logged.
+    covers are decoded from their segments, once for the whole stage.
+    How many texts came from the log and how many segments held records
+    the log does not cover is logged.
     """
     project_path = _input_path(config.projects, "project list", "projects")
     ranks = _load_ranks(config.ranks)
@@ -333,8 +334,8 @@ def cmd_metrics(config: PipelineConfig) -> int:
         aliases = [{repo_rank[r].name, repo_rank[r].symbol} for r in counted]
         mentions.update(zip(counted, metrics.mention_counts(corpus, aliases)))
         log.info(
-            "mentions: %d corpus texts from the push-text log, %d partitions decoded",
-            receipt.logged_texts, receipt.decoded_partitions,
+            "mentions: %d corpus texts from the push-text log, %d segments decoded",
+            receipt.logged_texts, receipt.decoded_segments,
         )
     rows = []
     for repo_id, histogram in zip(retained, histograms):
@@ -499,7 +500,9 @@ def cmd_efa(config: PipelineConfig, cross_validate: bool = False) -> int:
     for (name, block), pa in zip(blocks.items(), analyses):
         report[name] = _efa_block(block, correlations[name], pa, config)
     if cross_validate:
-        report["structure_equivalent"] = report["train"]["assignment"] == report["test"]["assignment"]
+        report["structure_equivalent"] = factor.same_partition(
+            *((report[name]["assignment"], report[name]["dropped"]) for name in ("train", "test"))
+        )
     _write_json(config.out_dir / "efa_report.json", report)
     (config.out_dir / "efa_report.txt").write_text(_efa_text(report["full"]), encoding="utf-8")
     return 0

@@ -652,6 +652,20 @@ def assign_indicators(
     return assignment, dropped
 
 
+def same_partition(
+    first: tuple[dict, Sequence[str]], second: tuple[dict, Sequence[str]]
+) -> bool:
+    """Whether two ``(assignment, dropped)`` results of ``assign_indicators``
+    split the indicators alike: the same sets of co-members, whatever the
+    order of the factors, and the same dropped set."""
+
+    def partition(result):
+        assignment, dropped = result
+        return {frozenset(members) for members in assignment.values() if members}, set(dropped)
+
+    return partition(first) == partition(second)
+
+
 def align_columns(reference: np.ndarray, loadings: np.ndarray) -> np.ndarray:
     """Best column permutation and signs of ``loadings`` against a reference.
 

@@ -1,36 +1,90 @@
 """Append-only on-disk event store.
 
-Layout: ``<root>/<owner>__<repo>/<YYYY-MM>.events``, one file per
-repository and month.  Each file starts with an 8-byte magic header
-(``OSHEVT`` + two-digit format version) followed by length-prefixed
-records: a big-endian uint32 byte length, then the record body.  A body
-is canonical JSON, ASCII only: one object with the members ``action``,
-``actor``, ``counts``, ``created_at``, ``event_type``, ``number``,
-``repo_id``, ``texts`` and ``tz_offset`` in that (sorted) order, ``,``
-and ``:`` as separators with no whitespace, and every character outside
-ASCII written as a ``\\uXXXX`` escape (a surrogate pair above U+FFFF).
-These are exactly the bytes of ``json.dumps(doc, sort_keys=True,
-separators=(",", ":"))``.  Appends are serialised per partition by the
-caller; readers are always safe.
+Layout, under the store's root:
+
+- ``months/<YYYY-MM>.events``, the month's segment: every stored record
+  whose ``created_at`` falls in that UTC month;
+- ``corpus/<YYYY-MM>.texts``, the month's log: the segment's index and
+  the texts of its push events;
+- ``archives.ledger``, the archives ingested whole.
+
+So a store holds two files per month and the ledger, however many
+repositories its archives touch.
+
+A segment starts with the 8-byte magic header ``OSHEVT02`` (``OSHEVT`` +
+two-digit format version), followed by length-prefixed records: a
+big-endian uint32 byte length, then the record body.  A body is canonical
+JSON, ASCII only: one object with the members ``action``, ``actor``,
+``counts``, ``created_at``, ``event_type``, ``number``, ``repo_id``,
+``texts`` and ``tz_offset`` in that (sorted) order, ``,`` and ``:`` as
+separators with no whitespace, and every character outside ASCII written
+as a ``\\uXXXX`` escape (a surrogate pair above U+FFFF).  These are
+exactly the bytes of ``json.dumps(doc, sort_keys=True, separators=(",",
+":"))``.  Appends are serialised by the caller; readers are always safe.
 
 Every append deduplicates on a 16-byte BLAKE2b digest of a record's stored
 bytes up to ``,"tz_offset":``, so re-ingesting the same archive is
 idempotent.  That prefix holds every field but ``tz_offset``, and the cut
 is exact: keys are sorted, so ``tz_offset`` is the last member, and ``,"``
-cannot occur inside a JSON string, where every ``"`` is escaped.  Keys
-live only in memory.  An ``EventStore`` reads each partition's keys at
-most once and keeps them, so it assumes it is the only writer under its
-root for as long as it lives.
+cannot occur inside a JSON string, where every ``"`` is escaped.  The
+prefix holds ``repo_id`` and ``created_at``, so one key set per segment
+skips exactly what a key set per repository and month would.  Keys live
+only in memory.  An ``EventStore`` reads each segment's keys at most once,
+from the whole segment, and keeps them, so it assumes it is the only
+writer under its root for as long as it lives.
 
-An append writes each partition it stores records in once: their
-length-prefixed records (the magic header first, for a new partition)
-encoded into one buffer, written by one unbuffered ``write`` call, which
-is repeated only after a short write.  An append interrupted part-way
-leaves a torn tail: a partial length prefix, record or magic header.
-Reads reject it; the next append to that partition cuts it back to the
-end of the last complete record before it writes.  Writes are not
-fsynced: what an append or the ledger wrote survives an interrupted
-process, but not a power loss or an OS crash.
+An append writes each month it stores records in once: their
+length-prefixed records (the magic header first, for a new segment)
+encoded into one buffer, each repository's new records contiguous,
+written by one unbuffered ``write`` call, which is repeated only after a
+short write.  An append interrupted part-way leaves a torn tail: a
+partial length prefix, record or magic header.  Reads reject it; the next
+append to that segment cuts it back to the end of the last complete
+record before it writes.  Writes are not fsynced: what an append or the
+ledger wrote survives an interrupted process, but not a power loss or an
+OS crash.
+
+The log is the segment's index.  A log file starts with the 8-byte magic
+``OSHTXT02``, followed by frames, one per append that stored records in
+the month: a big-endian uint32 byte length, then the body.  The body
+holds ``n`` entries, one per repository the append stored records of, in
+the order of its write, and the ``m`` push texts of those records.  Its
+index section comes first: the big-endian numbers (``struct`` format
+``>III``) ``n``, ``m`` and ``k``; then (``>{n + 1}Q``) the ``n + 1``
+increasing bounds of the append's write, entry ``i`` holding the bytes
+``[bounds[i], bounds[i + 1])`` of the segment; then ``k`` bytes of
+canonical JSON (spelt as a record's), the list of the entries'
+repository names (``owner__repo``: the ``/`` of the repository id as
+``__``).  The texts section follows: each entry's number of texts
+(``>{n}I``), each text's ``created_at`` (``>{m}q``), then the canonical
+JSON list of the texts.  So the index is read without reading a text.  An append writes one frame to each month's log once
+every segment it wrote to is closed.  A partial frame at the end of a log
+file (a torn tail) is ignored on read and cut off before this store first
+writes to that file; a whole frame that is not such a body raises naming
+the file and the byte offset.
+
+Reads find a repository's records through the month indexes: ``read``
+reads only the byte ranges the indexes list for it (one ``os.pread``
+each), never a whole segment.  An ``EventStore`` lists the months once,
+parses each month's index at most once, keeps its segment and log open
+for reading until the store is collected, and reads a month again only
+after this store appends to it.  The index it holds per month is about
+130 bytes per entry (its name, its bound and its place in the frame's
+name -> entry dict): 78 KB a month for months of four appends of 145
+repositories each.
+
+Records that no logged range covers are decoded from the segment once per
+``EventStore`` and grouped by repository: every record of a store whose
+log was removed, those of an append cut off between its segment write and
+its log write, and bytes appended behind the store's back.  So the
+segment alone is the source of truth, and the log only saves decoding it.
+A month whose logged ranges overlap or pass its segment's end had its
+segment replaced behind the store's back: it is decoded whole and its log
+is left out.
+
+A store of an older format, one with a repository directory (``*__*``)
+at its root or a log file of format ``OSHTXT01``, is refused with a
+``StoreError`` that names the root: ingest its archives into a new store.
 
 The ledger ``<root>/archives.ledger`` lists the archives ingested whole.
 It starts with the 8-byte magic ``OSHARC01``, then holds fixed-size
@@ -42,39 +96,9 @@ be skipped unparsed: re-parsing it could only store nothing and count
 every parsed event a duplicate.  A record is written only after the
 archive's append has returned.  A partial record at the end (a torn tail)
 is ignored on read and cut off before the next record is written; a
-partial magic header reads as an empty ledger.  The ledger's name has no
-``__``, so it is never taken for a repository directory.  The records
-hold what this version's parser makes of an archive: to re-parse the
-same archives with a changed parser, ingest into a new store.
-
-The push-text log holds the texts of the stored push events, so that
-counting mentions need not decode the store.  It is one file per month,
-``<root>/corpus/<YYYY-MM>.texts``, for the partitions of that month.  A
-file starts with the 8-byte magic ``OSHTXT01``, followed by frames, one
-per append that stored records in the month: a big-endian uint32 byte
-length, then the body.  The body holds ``n`` entries, one per partition
-the append wrote to, and the ``m`` push texts of the records it stored
-there, in partition order.  It starts with the big-endian numbers
-(``struct`` format ``>II``, then ``>{n}Q{n}Q{n}I{m}q``) ``n`` and ``m``;
-each entry's start ``S`` and end ``E``, the bytes ``[S, E)`` of the
-partition that the append wrote; each entry's number of texts; and each
-text's ``created_at``.  Canonical JSON (spelt as a record's) follows:
-``[names, texts]``, where ``names`` are the entries' repository
-directories (the month is the file's) and ``texts`` the texts.  An
-append writes one frame to each month file once every partition it
-wrote to is closed.  A partition's logged ranges cover it when they tile
-it from the end of its magic header to its end; then its texts come from
-the log alone.  Records that no range covers are decoded from the
-partition as ``read`` decodes them: every record of a store older than
-the log, those of an append cut off before its log write, and bytes
-appended behind the store's back.  A partition whose ranges overlap or
-pass its end was replaced behind the store's back: it is decoded whole
-and its logged texts are left out.  A partial frame at the end of a log
-file (a torn tail) is ignored on read and cut off before this store
-first writes to that file; a whole frame that is not such a body raises
-naming the file and the byte offset.  The directory's name has no
-``__``, so it is never taken for a repository.  A store written before
-the log still reads right, but counting its mentions decodes it whole.
+partial magic header reads as an empty ledger.  The records hold what
+this version's parser makes of an archive: to re-parse the same archives
+with a changed parser, ingest into a new store.
 """
 
 from __future__ import annotations
@@ -86,25 +110,30 @@ import json
 import os
 import struct
 import time
+import weakref
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .events import EventRecord, EventType, check_tz_offset, has_contribution
 
-MAGIC = b"OSHEVT01"
+MAGIC = b"OSHEVT02"
 _LEN = struct.Struct(">I")
+#: the segments' directory at the root, one ``<YYYY-MM>.events`` file per month
+SEGMENTS = "months"
 #: the ledger of archives ingested whole, at the store root
 LEDGER = "archives.ledger"
 LEDGER_MAGIC = b"OSHARC01"
 #: archive digest, then its parsed, type-skipped and malformed-skipped counts
 _LEDGER_RECORD = struct.Struct(">16sQQQ")
-#: the push-text log's directory at the root, one ``<YYYY-MM>.texts`` file per month
+#: the log's directory at the root, one ``<YYYY-MM>.texts`` file per month
 CORPUS = "corpus"
-CORPUS_MAGIC = b"OSHTXT01"
-#: a log frame's entry and text counts
-_LOG_HEAD = struct.Struct(">II")
+CORPUS_MAGIC = b"OSHTXT02"
+#: a log frame's entry count, text count and byte length of its names
+_LOG_HEAD = struct.Struct(">III")
+#: a log frame's length prefix and the head of its body
+_FRAME_HEAD = struct.Struct(">IIII")
 #: canonical record JSON; ``json.dumps`` with these arguments would build a
 #: new encoder on every call
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -118,6 +147,9 @@ _BODY = (
 #: one decoder call per stored record, without ``json.loads``' whitespace
 #: scans; the caller checks that it consumed the whole body
 _DECODE = json.JSONDecoder().raw_decode
+#: what ``_DECODE`` calls, without its wrapper: raises ``StopIteration`` where
+#: ``_DECODE`` raises its error
+_SCAN = json.JSONDecoder().scan_once
 #: where a stored record's last member starts; its dedup key ends there
 _TZ_MEMBER = b',"tz_offset":'
 #: stored ``event_type`` value -> kind, cheaper than ``EventType(value)``
@@ -134,7 +166,7 @@ class StoreWriteError(StoreError):
     """Raised when an append fails part-way.
 
     ``partial_count`` counts the records the append wrote whole before the
-    failure, in every partition; a record cut off in the failed write is a
+    failure, in every segment; a record cut off in the failed write is a
     torn tail, not counted.
     """
 
@@ -154,7 +186,7 @@ class CorpusReceipt:
     """Where ``EventStore.push_corpus`` took its texts from."""
 
     logged_texts: int = 0
-    decoded_partitions: int = 0
+    decoded_segments: int = 0
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -169,7 +201,8 @@ def _month_key(created_at: int) -> str:
     return _day_month(created_at // 86400)
 
 
-def _partition_dir_name(repo_id: str) -> str:
+def _log_name(repo_id: str) -> str:
+    """A repository's name in the log, and the order ``iter_repo_ids`` lists it in."""
     return repo_id.replace("/", "__")
 
 
@@ -222,10 +255,8 @@ def _read_ledger(path: str) -> tuple[dict[bytes, tuple[int, int, int]], int]:
             data = handle.read()
     except FileNotFoundError:
         return {}, 0
-    if not data.startswith(LEDGER_MAGIC):
-        if LEDGER_MAGIC.startswith(data):
-            return {}, 0
-        raise StoreError(f"{path}: bad magic header {data[: len(LEDGER_MAGIC)]!r}")
+    if not _has_magic(path, data, LEDGER_MAGIC):
+        return {}, 0
     end = len(data) - (len(data) - len(LEDGER_MAGIC)) % _LEDGER_RECORD.size
     records = _LEDGER_RECORD.iter_unpack(memoryview(data)[len(LEDGER_MAGIC) : end])
     return {digest: tuple(counts) for digest, *counts in records}, end
@@ -241,15 +272,34 @@ def dedup_key(record: EventRecord) -> bytes:
     return _key(_record_to_json(record))
 
 
+def _older_format(root: str, found: str) -> StoreError:
+    return StoreError(
+        f"{root}: holds {found}, of another store format; ingest the archives into a new store"
+    )
+
+
+def _has_magic(path: str | Path, head: bytes, magic: bytes) -> bool:
+    """Whether a file's first bytes ``head`` hold its whole ``magic`` header.
+
+    A partial header is False; another header raises, naming the store's
+    root when it is a segment or a log file in another format version.
+    """
+    if head.startswith(magic):
+        return True
+    if magic.startswith(head):
+        return False
+    if head[:6] == magic[:6] and magic != LEDGER_MAGIC:  # segments and logs lie below the root
+        raise _older_format(os.path.dirname(os.path.dirname(path)), f"{path}, format {head[:8]!r}")
+    raise StoreError(f"{path}: bad magic header {head[: len(magic)]!r}")
+
+
 def _frames(path: str | Path, data: bytes, magic: bytes = MAGIC) -> tuple[list[bytes], int]:
-    """Frame bodies of a partition's (or a log file's) bytes, and where the last whole one ends.
+    """Frame bodies of a segment's (or a log file's) bytes, and where the last whole one ends.
 
     A partial magic header ends at 0; any other bad header raises.
     """
-    if not data.startswith(magic):
-        if magic.startswith(data):
-            return [], 0
-        raise StoreError(f"{path}: bad magic header {data[: len(magic)]!r}")
+    if not _has_magic(path, data, magic):
+        return [], 0
     bodies = []
     size, head, unpack = len(data), _LEN.size, _LEN.unpack_from
     end = len(magic)
@@ -270,57 +320,58 @@ def _checked_fields(*fields) -> tuple:
     return fields
 
 
-def _partition_fields(
-    path: str | Path, covered: Sequence[tuple[int, int]] = (), build: Callable = _checked_fields
+def _records(
+    path: str, data: bytes, at: int, build: Callable = _checked_fields, logged: str = "", starts: list | None = None
 ) -> list:
-    """Every record of a partition, built by ``build`` from the arguments of its ``EventRecord``.
+    """The records of ``data``, the bytes of the segment ``path`` from byte
+    ``at``, each built by ``build`` from the arguments of its ``EventRecord``;
+    ``starts``, when given, gains the byte each starts at.
 
     ``read`` passes ``EventRecord``, whose ``__post_init__`` is then the one
     check of a record's ``tz_offset``; the default builds the argument
     tuple and makes that check itself.  Each record is built once, inside
     the checked loop.
-    With ``covered``, byte ranges ``[start, stop)`` of the partition, only
-    the records that start in none of them; a range that does not start
-    and stop on record boundaries raises.
-    The store's one checked decode, behind ``read``, ``latest_created_at``
-    and ``push_corpus``: a torn tail, a body that is not one JSON object,
-    a missing member, an unknown ``event_type`` or a ``tz_offset`` out of
-    range raises ``StoreError`` naming the partition and the byte offset.
+    The store's one checked decode, behind every reader: a body that is not
+    one JSON object, a missing member, an unknown ``event_type`` or a
+    ``tz_offset`` out of range raises ``StoreError`` naming the segment and
+    the byte offset, and so do bytes that are not whole records: a torn tail
+    at the segment's end, or else a ``logged`` (``"logged"`` or
+    ``"unlogged"``) range that is not whole records.
     """
-    with open(path, "rb", buffering=0) as handle:
-        data = handle.read()
-    bodies, end = _frames(path, data)
-    if not end or end < len(data):
-        raise StoreError(f"{path}: torn tail after byte {end}")
-    starts = None
-    if covered:
-        starts = list(accumulate((_LEN.size + len(body) for body in bodies), initial=len(MAGIC)))
-        bounds = set(starts)
-        for start, stop in covered:
-            if start not in bounds or stop not in bounds:
-                raise StoreError(f"{path}: logged range [{start}, {stop}) is not whole records")
-        kept = [i for i, at in enumerate(starts[:-1]) if not any(a <= at < b for a, b in covered)]
-        starts, bodies = [starts[i] for i in kept], [bodies[i] for i in kept]
     records = []
+    size, head, unpack, scan = len(data), _LEN.size, _LEN.unpack_from, _SCAN
+    end = 0
     try:
-        for body in bodies:
-            text = body.decode()
-            doc, stop = _DECODE(text)
-            if stop != len(text):
-                raise ValueError(f"extra data after char {stop}")
+        while end + head <= size:
+            (length,) = unpack(data, end)
+            stop = end + head + length
+            if stop > size:
+                break
+            text = data[end + head : stop].decode()
+            try:
+                doc, last = scan(text, 0)
+            except StopIteration:
+                _DECODE(text)  # raises the decoder's own error
+            if last != len(text):
+                raise ValueError(f"extra data after char {last}")
             records.append(build(
                 doc["repo_id"], _EVENT_TYPES[doc["event_type"]], doc["actor"], doc["created_at"],
                 doc["tz_offset"], doc["action"], doc["texts"], doc["counts"], doc["number"],
             ))
+            if starts is not None:
+                starts.append(at + end)
+            end = stop
     except (ValueError, KeyError, TypeError) as exc:
-        n = len(records)
-        at = starts[n] if starts else len(MAGIC) + sum(_LEN.size + len(body) for body in bodies[:n])
-        raise StoreError(f"{path}: record at byte {at}: {type(exc).__name__}: {exc}") from exc
+        raise StoreError(f"{path}: record at byte {at + end}: {type(exc).__name__}: {exc}") from exc
+    if end < size:
+        if logged:
+            raise StoreError(f"{path}: the {logged} range [{at}, {at + size}) is not whole records")
+        raise StoreError(f"{path}: torn tail after byte {at + end}")
     return records
 
 
 def _log_frames(path: str) -> tuple[list[bytes], int]:
-    """Frame bodies of a push-text log file, and where the last whole one ends.
+    """Frame bodies of a log file, and where the last whole one ends.
 
     An absent file or a partial magic header ends at 0.
     """
@@ -332,28 +383,105 @@ def _log_frames(path: str) -> tuple[list[bytes], int]:
     return _frames(path, data, CORPUS_MAGIC)
 
 
-def _log_numbers(entries: int, texts: int) -> struct.Struct:
-    """The numbers of a log frame of ``entries`` entries and ``texts`` texts."""
-    return struct.Struct(f">{entries}Q{entries}Q{entries}I{texts}q")
-
-
 def _log_frame(entries: list[tuple]) -> bytes:
     """One append's length-prefixed log frame for a month, from its
     ``(repository, start, end, created_at, texts)`` entries."""
     repositories, starts, ends, created, texts = zip(*entries)
     times = [at for batch in created for at in batch]
     counts = [len(batch) for batch in texts]
+    names = _JSON.encode(repositories).encode()
     body = b"".join((
-        _LOG_HEAD.pack(len(entries), len(times)),
-        _log_numbers(len(entries), len(times)).pack(*starts, *ends, *counts, *times),
-        _JSON.encode([repositories, [text for batch in texts for text in batch]]).encode(),
+        _LOG_HEAD.pack(len(entries), len(times), len(names)),
+        struct.pack(f">{len(entries) + 1}Q", *starts, ends[-1]),
+        names,
+        struct.pack(f">{len(entries)}I{len(times)}q", *counts, *times),
+        _JSON.encode([text for batch in texts for text in batch]).encode(),
     ))
     return _LEN.pack(len(body)) + body
 
 
-def _write_frames(path: str, frames: list[bytes], receipt: AppendReceipt) -> tuple[int, int]:
-    """Append length-prefixed records to a partition with one ``write``, the
-    magic header first when it is empty; return the byte range they fill.
+class _Frame(NamedTuple):
+    """A log frame's index section, and where its texts section lies in the log."""
+
+    names: list[str]
+    #: repository name -> its entry
+    entry: dict[str, int]
+    #: entry ``i`` holds the segment's bytes ``[bounds[i], bounds[i + 1])``
+    bounds: tuple[int, ...]
+    #: the number of texts
+    count: int
+    #: the frame's byte offset in the log, for errors
+    at: int
+    #: the texts section's byte offset and length in the log
+    texts: tuple[int, int]
+
+
+def _read_index(path: str, fd: int) -> list[_Frame]:
+    """The index sections of a log file's whole frames, read with two
+    ``os.pread`` calls per frame and no text read.
+
+    A torn tail is ignored; a whole frame whose index is not such a body
+    raises ``StoreError`` naming the file and the byte offset.
+    """
+    size = os.fstat(fd).st_size
+    if not _has_magic(path, os.pread(fd, len(CORPUS_MAGIC), 0), CORPUS_MAGIC):
+        return []
+    frames = []
+    at = len(CORPUS_MAGIC)
+    while at + _LEN.size <= size:
+        head = os.pread(fd, _FRAME_HEAD.size, at)
+        (length,) = _LEN.unpack_from(head)
+        if at + _LEN.size + length > size:
+            break
+        try:
+            if length < _LOG_HEAD.size:
+                raise ValueError(f"a body of {length} bytes has no head")
+            _, entries, count, k = _FRAME_HEAD.unpack(head)
+            index = 8 * (entries + 1) + k
+            if _LOG_HEAD.size + index + 4 * entries + 8 * count > length:
+                raise ValueError(f"{entries} entries and {count} texts pass the frame's end")
+            data = os.pread(fd, index, at + _FRAME_HEAD.size)
+            bounds = struct.unpack_from(f">{entries + 1}Q", data)
+            names = json.loads(data[index - k :].decode("ascii"))
+            if type(names) is not list:
+                raise TypeError("the names are not a list")
+            "".join(names)  # raise TypeError unless every item is a string
+            entry = dict(zip(names, range(entries)))
+            if not entries or len(entry) != entries or len(names) != entries:
+                raise ValueError("the names do not match their count")
+            if bounds[0] < len(MAGIC) or len(set(bounds)) <= entries or sorted(bounds) != list(bounds):
+                raise ValueError("the bounds do not increase from past the magic header")
+        except (ValueError, TypeError, struct.error) as exc:
+            raise StoreError(f"{path}: frame at byte {at}: {type(exc).__name__}: {exc}") from exc
+        offset = at + _FRAME_HEAD.size + index
+        frames.append(_Frame(names, entry, bounds, count, at, (offset, at + _LEN.size + length - offset)))
+        at += _LEN.size + length
+    return frames
+
+
+def _frame_texts(path: str, fd: int, frame: _Frame) -> tuple[tuple[int, ...], tuple[int, ...], list[str]]:
+    """A log frame's texts section: each entry's number of texts, each
+    text's ``created_at``, and the texts."""
+    offset, length = frame.texts
+    data = os.pread(fd, length, offset)
+    entries, count = len(frame.names), frame.count
+    try:
+        numbers = struct.unpack_from(f">{entries}I{count}q", data)
+        counts, created = numbers[:entries], numbers[entries:]
+        texts = json.loads(data[4 * entries + 8 * count :].decode("ascii"))
+        if type(texts) is not list:
+            raise TypeError("the texts are not a list")
+        "".join(texts)  # raise TypeError unless every item is a string
+        if len(texts) != count or sum(counts) != count:
+            raise ValueError("the texts do not match their counts")
+    except (ValueError, TypeError, struct.error) as exc:
+        raise StoreError(f"{path}: frame at byte {frame.at}: {type(exc).__name__}: {exc}") from exc
+    return counts, created, texts
+
+
+def _write_frames(path: str, frames: list[bytes], receipt: AppendReceipt) -> int:
+    """Append length-prefixed records to a segment with one ``write``, the
+    magic header first when it is empty; return the byte they start at.
 
     ``receipt.count`` gains the records written whole, also when the write
     fails part-way and leaves the rest as a torn tail.
@@ -370,7 +498,7 @@ def _write_frames(path: str, frames: list[bytes], receipt: AppendReceipt) -> tup
             receipt.count += bisect.bisect(list(accumulate(map(len, frames))), written - head)
             raise
     receipt.count += len(frames)
-    return start + head, start + written
+    return start + head
 
 
 def _append_cut(path: str, cut: int | None, magic: bytes, data: bytes) -> None:
@@ -385,69 +513,11 @@ def _append_cut(path: str, cut: int | None, magic: bytes, data: bytes) -> None:
         handle.write(data)
 
 
-def _read_log(path: str) -> tuple[dict[str, list[tuple[int, int]]], list[tuple[list, list, list, list]]]:
-    """A month's log: the logged byte ranges by repository directory, in
-    log order, and each frame's repository names, text counts, text
-    creation times and texts.
-
-    An absent file has none and a torn tail is ignored; a whole frame that
-    is not a log frame body raises ``StoreError`` naming the file and the
-    byte offset.
-    """
-    ranges: dict[str, list[tuple[int, int]]] = {}
-    frames = []
-    at = len(CORPUS_MAGIC)
-    for body in _log_frames(path)[0]:
-        try:
-            entries, count = _LOG_HEAD.unpack_from(body)
-            numbers = _log_numbers(entries, count)
-            if _LOG_HEAD.size + numbers.size > len(body):
-                raise ValueError(f"{entries} entries and {count} texts pass the frame's end")
-            values = numbers.unpack_from(body, _LOG_HEAD.size)
-            starts, ends = values[:entries], values[entries : 2 * entries]
-            counts, created = values[2 * entries : 3 * entries], values[3 * entries :]
-            repositories, texts = json.loads(body[_LOG_HEAD.size + numbers.size :].decode("ascii"))
-            if type(repositories) is not list or type(texts) is not list:
-                raise TypeError("the names and the texts are not two lists")
-            "".join(repositories), "".join(texts)  # raise TypeError unless every item is a string
-            if len(repositories) != entries or len(texts) != count or sum(counts) != count:
-                raise ValueError("the names or the texts do not match their counts")
-            if min(starts, default=len(MAGIC)) < len(MAGIC) or not all(map(int.__lt__, starts, ends)):
-                raise ValueError("a byte range is empty or starts in the magic header")
-        except (ValueError, TypeError, struct.error) as exc:
-            raise StoreError(f"{path}: frame at byte {at}: {type(exc).__name__}: {exc}") from exc
-        for repo_dir, bounds in zip(repositories, zip(starts, ends)):
-            ranges.setdefault(repo_dir, []).append(bounds)
-        frames.append((repositories, counts, created, texts))
-        at += _LEN.size + len(body)
-    return ranges, frames
-
-
-def _covered_bytes(ranges: Sequence[tuple[int, int]], size: int) -> int | None:
-    """How many bytes of a partition of ``size`` bytes its logged ``ranges``
-    cover; None when one starts before the last ends or passes its end."""
-    covered, stop = 0, len(MAGIC)
-    for start, end in ranges:
-        if start < stop:
-            return None
-        covered, stop = covered + end - start, end
-    return covered if stop <= size else None
-
-
-def _partition_names(repo_dir: str) -> list[str]:
-    """A repository directory's partition file names, in month order."""
-    try:
-        names = os.listdir(repo_dir)
-    except (FileNotFoundError, NotADirectoryError):
-        return []
-    return sorted(name for name in names if name.endswith(".events"))
-
-
 def _repair_tail(path: str) -> set[bytes]:
     """Cut ``path`` back to the end of its last complete record.
 
     Returns the dedup keys of the records kept.  An absent or (now) empty
-    partition has the empty key set, so a partition this store creates is
+    segment has the empty key set, so a segment this store creates is
     never read.
     """
     try:
@@ -465,14 +535,80 @@ def _repair_tail(path: str) -> set[bytes]:
         raise StoreError(f"{path}: a record has no tz_offset member to key it by") from exc
 
 
+class _Month:
+    """What a store has read of one month: its log's index, the covered
+    spans of its segment, and the records no logged range covers, by
+    repository name with the byte each starts at."""
+
+    __slots__ = ("segment", "fd", "log", "log_fd", "frames", "spans", "gaps", "uncovered")
+
+    def __init__(self, segment: str, fd: int, log: str, log_fd: int | None):
+        self.segment, self.fd, self.log, self.log_fd = segment, fd, log, log_fd
+        size = os.fstat(fd).st_size
+        if not _has_magic(segment, os.pread(fd, len(MAGIC), 0), MAGIC):
+            raise StoreError(f"{segment}: torn tail after byte 0")
+        self.frames = [] if log_fd is None else sorted(_read_index(log, log_fd), key=lambda frame: frame.bounds[0])
+        self.spans = [(frame.bounds[0], frame.bounds[-1]) for frame in self.frames]
+        stop = len(MAGIC)
+        self.gaps: list[tuple[int, int]] = []
+        for start, end in [*self.spans, (size, size)]:
+            if start < stop or end > size:  # the segment was replaced: decode it whole, leave its log out
+                self.frames, self.spans, self.gaps = [], [], [(len(MAGIC), size)] if size > len(MAGIC) else []
+                break
+            if stop < start:
+                self.gaps.append((stop, start))
+            stop = end
+        self.uncovered: dict[str, list[tuple[int, EventRecord]]] = {}
+        for start, stop in self.gaps:
+            logged = "" if stop == size else "unlogged"
+            starts: list[int] = []
+            records = _records(segment, os.pread(fd, stop - start, start), start, EventRecord, logged, starts)
+            for at, record in zip(starts, records):
+                if type(record.repo_id) is not str:
+                    raise StoreError(f"{segment}: record at byte {at}: repo_id {record.repo_id!r} is not a string")
+                self.uncovered.setdefault(_log_name(record.repo_id), []).append((at, record))
+
+    def names(self) -> set[str]:
+        """The repositories with records in the month."""
+        return set(self.uncovered).union(*(frame.names for frame in self.frames))
+
+    def read(self, name: str) -> list[EventRecord]:
+        """The records of the repository ``name``, in append order, which is
+        the order of their bytes: the frames are in that order already."""
+        pieces = [(at, [record]) for at, record in self.uncovered.get(name, ())]
+        records: list[EventRecord] = []
+        for frame in self.frames:
+            i = frame.entry.get(name)
+            if i is not None:
+                start, stop = frame.bounds[i], frame.bounds[i + 1]
+                logged = _records(self.segment, os.pread(self.fd, stop - start, start), start, EventRecord, "logged")
+                if pieces:
+                    pieces.append((start, logged))
+                else:
+                    records += logged
+        if pieces:
+            records = [record for _, piece in sorted(pieces, key=lambda piece: piece[0]) for record in piece]
+        return records
+
+
+def _close(fds: dict[str, int]) -> None:
+    for fd in fds.values():
+        os.close(fd)
+    fds.clear()
+
+
 class EventStore:
-    """Partitioned append-only store rooted at a directory."""
+    """Month-segmented append-only store rooted at a directory."""
 
     def __init__(self, root: str | Path):
         self._root = str(Path(root))
         os.makedirs(self._root, exist_ok=True)
-        self._repo_dirs: set[str] = set()
-        #: partitions appended to so far -> their dedup keys
+        with os.scandir(self._root) as entries:
+            older = sorted(entry.name for entry in entries if "__" in entry.name and entry.is_dir())
+        if older:
+            raise _older_format(self._root, f"the repository directory {older[0]}")
+        self._segments = f"{self._root}/{SEGMENTS}"
+        #: months appended to so far -> their segment's dedup keys
         self._keys: dict[str, set[bytes]] = {}
         self._ledger = f"{self._root}/{LEDGER}"
         #: the ledger's records, read at first use
@@ -480,51 +616,76 @@ class EventStore:
         #: where the ledger's last whole record ends, until this store first writes to it
         self._ledger_end: int | None = None
         self._corpus = f"{self._root}/{CORPUS}"
-        #: log files this store has written to, their torn tails cut
-        self._logs: set[str] = set()
+        #: months -> where their log's last whole frame ends, until this store first writes to it
+        self._log_ends: dict[str, int] = {}
+        #: the months with a segment, sorted, listed at first use
+        self._month_names: list[str] | None = None
+        #: months read so far
+        self._months: dict[str, _Month] = {}
+        #: the segments and logs open for reading, closed with the store
+        self._fds: dict[str, int] = {}
+        weakref.finalize(self, _close, self._fds)
 
     # -- write ---------------------------------------------------------
 
     def append(self, events: Iterable[EventRecord]) -> AppendReceipt:
-        """Append events, partitioned by (repo, month).
+        """Append events, each to the segment of its month.
 
         Every record is written before this returns, but not fsynced: it
         survives an interrupted process, not a power loss.  Records whose
-        dedup key already exists in the target partition are skipped and
+        dedup key already exists in the target segment are skipped and
         counted in the receipt; a batch of nothing but duplicates opens no
-        file.  Partitions are written in (repository, month) order, each
-        by one write of its new records.  Once every partition is written
-        and closed, the push texts of the records stored go to the
-        push-text log, one write per month.
+        file.  Segments are written in month order, each by one write of
+        its new records, repository by repository.  Once every segment is
+        written and closed, each month's log gets one frame: the byte
+        range of each repository's records and their push texts.
 
         A failed encode or write raises, once the records encoded before it
         are written: ``StoreWriteError`` for an ``OSError``, its
-        ``partial_count`` the records written whole.  The failed
-        partition's keys are dropped, so its next append re-reads them from
-        what is on disk.
+        ``partial_count`` the records written whole.  The failed segment's
+        keys are dropped, so its next append re-reads them from what is on
+        disk.
         """
         receipt = AppendReceipt()
-        by_partition: dict[tuple[str, str], list[EventRecord]] = {}
+        by_month_repo: dict[tuple[str, str], list[EventRecord]] = {}
         for event in events:
-            by_partition.setdefault((event.repo_id, _month_key(event.created_at)), []).append(event)
+            by_month_repo.setdefault((_month_key(event.created_at), event.repo_id), []).append(event)
 
-        push, blake2b = EventType.PUSH, hashlib.blake2b
-        logs: dict[str, list[tuple]] = {}
-        for (repo_id, month), batch in sorted(by_partition.items()):
-            name = _partition_dir_name(repo_id)
-            repo_dir = f"{self._root}/{name}"
-            path = f"{repo_dir}/{month}.events"
-            keys = self._keys.get(path)
-            if keys is None:
-                if repo_dir not in self._repo_dirs:
-                    os.makedirs(repo_dir, exist_ok=True)
-                    self._repo_dirs.add(repo_dir)
-                keys = self._keys[path] = _repair_tail(path)
-            frames: list[bytes] = []
-            created: list[int] = []
-            texts: list[str] = []
+        logs = []
+        for month, batches in groupby(sorted(by_month_repo.items()), key=lambda item: item[0][0]):
+            entries = self._append_month(month, batches, receipt)
+            if entries:
+                logs.append((month, entries))
+        for month, entries in logs:
+            path = f"{self._corpus}/{month}.texts"
+            cut = self._log_ends.get(month)
             try:
-                try:
+                if cut is not None:
+                    os.makedirs(self._corpus, exist_ok=True)
+                _append_cut(path, cut, CORPUS_MAGIC, _log_frame(entries))
+            except OSError as exc:
+                raise StoreWriteError(f"append to {path} failed: {exc}", receipt.count) from exc
+            self._log_ends.pop(month, None)
+        return receipt
+
+    def _append_month(self, month: str, batches: Iterable, receipt: AppendReceipt) -> list[tuple]:
+        """Write one month's new records, ``batches`` of ``((month, repo_id),
+        records)``; return the log entries of the repositories stored."""
+        path = f"{self._segments}/{month}.events"
+        keys = self._keys.get(month)
+        if keys is None:  # read before the first write, so an older log is refused before it
+            os.makedirs(self._segments, exist_ok=True)
+            self._log_ends[month] = _log_frames(f"{self._corpus}/{month}.texts")[1]
+            keys = self._keys[month] = _repair_tail(path)
+        push, blake2b = EventType.PUSH, hashlib.blake2b
+        frames: list[bytes] = []
+        entries = []
+        try:
+            try:
+                for (_, repo_id), batch in batches:
+                    first = len(frames)
+                    created: list[int] = []
+                    texts: list[str] = []
                     for record in batch:
                         blob = _record_to_json(record)
                         # the dedup key, inline: ``_key(blob)``
@@ -537,26 +698,26 @@ class EventStore:
                         if record.event_type is push:
                             created += [record.created_at] * len(record.texts)
                             texts += record.texts
-                finally:  # what was encoded before a failure is written too
-                    if frames:
-                        span = _write_frames(path, frames, receipt)
+                    if len(frames) > first:
+                        entries.append((_log_name(repo_id), first, len(frames), created, texts))
+            finally:  # what was encoded before a failure is written too
                 if frames:
-                    logs.setdefault(month, []).append((name, *span, created, texts))
-            except OSError as exc:
-                del self._keys[path]
-                raise StoreWriteError(f"append to {path} failed: {exc}", receipt.count) from exc
-        for month, entries in sorted(logs.items()):
-            path = f"{self._corpus}/{month}.texts"
-            try:
-                cut = None
-                if path not in self._logs:
-                    os.makedirs(self._corpus, exist_ok=True)
-                    cut = _log_frames(path)[1]
-                _append_cut(path, cut, CORPUS_MAGIC, _log_frame(entries))
-            except OSError as exc:
-                raise StoreWriteError(f"append to {path} failed: {exc}", receipt.count) from exc
-            self._logs.add(path)
-        return receipt
+                    self._forget(month)
+                    start = _write_frames(path, frames, receipt)
+        except OSError as exc:
+            del self._keys[month]
+            raise StoreWriteError(f"append to {path} failed: {exc}", receipt.count) from exc
+        if not frames:
+            return []
+        bounds = list(accumulate(map(len, frames), initial=start))
+        return [(name, bounds[first], bounds[stop], created, texts) for name, first, stop, created, texts in entries]
+
+    def _forget(self, month: str) -> None:
+        """Drop what this store read of ``month``, which it is about to append
+        to; its open files stay, as appends leave them the same files."""
+        if self._month_names is not None and month not in self._month_names:
+            bisect.insort(self._month_names, month)
+        self._months.pop(month, None)
 
     def ingested(self, digest: bytes) -> tuple[int, int, int] | None:
         """The ledger's (parsed, skipped_type, skipped_malformed) counts of the
@@ -579,89 +740,94 @@ class EventStore:
 
     # -- read ----------------------------------------------------------
 
-    def _repo_dir_names(self) -> list[str]:
-        """Names of the repository directories under the root, sorted."""
-        with os.scandir(self._root) as entries:
-            return sorted(entry.name for entry in entries if "__" in entry.name and entry.is_dir())
+    def _months_held(self) -> list[str]:
+        """The months with a segment, sorted; the directory is listed once."""
+        if self._month_names is None:
+            try:
+                names = os.listdir(self._segments)
+            except FileNotFoundError:
+                names = []
+            self._month_names = sorted(name[: -len(".events")] for name in names if name.endswith(".events"))
+        return self._month_names
+
+    def _month(self, month: str) -> _Month:
+        """The month's read state, read at first use."""
+        state = self._months.get(month)
+        if state is None:
+            segment, log = f"{self._segments}/{month}.events", f"{self._corpus}/{month}.texts"
+            state = self._months[month] = _Month(segment, self._open(segment), log, self._open(log, absent=True))
+        return state
+
+    def _open(self, path: str, absent: bool = False) -> int | None:
+        """A descriptor of ``path`` open for reading, opened once per store;
+        None for an absent file when ``absent``."""
+        fd = self._fds.get(path)
+        if fd is None:
+            try:
+                fd = self._fds[path] = os.open(path, os.O_RDONLY)
+            except FileNotFoundError:
+                if not absent:
+                    raise
+        return fd
 
     def read(self, repo_id: str) -> list[EventRecord]:
         """All events for one repository, in append order per month."""
-        repo_dir = f"{self._root}/{_partition_dir_name(repo_id)}"
-        paths = (f"{repo_dir}/{name}" for name in _partition_names(repo_dir))
-        return [e for path in paths for e in _partition_fields(path, build=EventRecord)]
+        name = _log_name(repo_id)
+        events: list[EventRecord] = []
+        for month in self._months_held():
+            events += self._month(month).read(name)
+        return events
 
     def push_corpus(self, repo_ids: Iterable[str], before: int, receipt: CorpusReceipt) -> Iterator[str]:
         """Texts of the push events before ``before`` of the repositories ``repo_ids``.
 
-        Each repository directory is listed once and each partition
-        stat'ed once.  Month by month, the texts of the records a
-        partition's logged ranges cover come from that month's log file,
-        read whole, and the other records are decoded from the partition
-        and checked as ``read`` does.  ``receipt`` counts the texts taken
-        from the log and the partitions decoded.
+        Month by month, the texts of the records the log covers come from
+        the log's texts sections, one frame at a time, and those of the
+        other records from their decode, shared with ``read``.  ``receipt``
+        counts the texts taken from the log and the segments with records
+        the log does not cover.
         """
-        months: dict[str, list[str]] = {}
-        for repo_id in repo_ids:
-            repo_dir = _partition_dir_name(repo_id)
-            for name in _partition_names(f"{self._root}/{repo_dir}"):
-                months.setdefault(name[: -len(".events")], []).append(repo_dir)
-        for month in sorted(months):
-            yield from self._month_texts(month, months[month], before, receipt)
-
-    def _month_texts(
-        self, month: str, repo_dirs: list[str], before: int, receipt: CorpusReceipt
-    ) -> Iterator[str]:
-        """``push_corpus`` of one month's partitions, those of ``repo_dirs``.
-
-        The month's log is held only while this runs, so the corpus read
-        holds one month at a time.
-        """
-        ranges, frames = _read_log(f"{self._corpus}/{month}.texts")
-        dropped = set(ranges).difference(repo_dirs)  # logged partitions deleted since
-        for repo_dir in repo_dirs:
-            path = f"{self._root}/{repo_dir}/{month}.events"
-            size = os.stat(path).st_size
-            logged = ranges.get(repo_dir, ())
-            covered = _covered_bytes(logged, size)
-            if covered is None:  # the partition was replaced: decode it whole
-                dropped.add(repo_dir)
-                logged, covered = (), 0
-            if covered != size - len(MAGIC):
-                receipt.decoded_partitions += 1
-                for _, kind, _, created_at, _, _, texts, _, _ in _partition_fields(path, logged):
-                    if kind is EventType.PUSH and created_at < before:
-                        yield from texts
-        for repositories, counts, created, texts in frames:
-            if dropped or created and not max(created) < before:
-                owners = (repo_dir for repo_dir, count in zip(repositories, counts) for _ in range(count))
-                texts = [
-                    text for owner, at, text in zip(owners, created, texts) if at < before and owner not in dropped
-                ]
-            receipt.logged_texts += len(texts)
-            yield from texts
+        wanted = {_log_name(repo_id) for repo_id in repo_ids}
+        for month in self._months_held():
+            state = self._month(month)
+            if state.gaps:
+                receipt.decoded_segments += 1
+            for name, records in state.uncovered.items():
+                if name in wanted:
+                    for _, record in records:
+                        if record.event_type is EventType.PUSH and record.created_at < before:
+                            yield from record.texts
+            for frame in state.frames:
+                counts, created, texts = _frame_texts(state.log, state.log_fd, frame)
+                if not wanted.issuperset(frame.names) or created and not max(created) < before:
+                    owners = (name for name, count in zip(frame.names, counts) for _ in range(count))
+                    texts = [text for owner, at, text in zip(owners, created, texts) if at < before and owner in wanted]
+                receipt.logged_texts += len(texts)
+                yield from texts
 
     def latest_created_at(self) -> int | None:
         """``created_at`` of the latest stored event; ``None`` for an empty store.
 
-        Partitions are UTC months, so only the latest month's partitions are
-        read, and the next month down's when those hold no complete record.
-        Records are decoded and checked as ``read`` does, but not built.
+        Segments are UTC months, so only the latest month's segment is
+        read, and the next month down's when it holds no complete record.
+        Its logged records are decoded and checked as ``read`` does, but not
+        built.
         """
-        months: dict[str, list[str]] = {}
-        for repo_dir in self._repo_dir_names():
-            for name in _partition_names(f"{self._root}/{repo_dir}"):
-                months.setdefault(name[: -len(".events")], []).append(f"{self._root}/{repo_dir}/{name}")
-        for month in sorted(months, reverse=True):
-            latest = max(
-                (created_at for path in months[month] for _, _, _, created_at, *_ in _partition_fields(path)),
-                default=None,
-            )
+        for month in reversed(self._months_held()):
+            state = self._month(month)
+            latest = max((record.created_at for records in state.uncovered.values() for _, record in records), default=None)
+            for start, stop in state.spans:
+                for fields in _records(state.segment, os.pread(state.fd, stop - start, start), start):
+                    if latest is None or fields[3] > latest:
+                        latest = fields[3]
             if latest is not None:
                 return latest
         return None
 
     def iter_repo_ids(self) -> Iterator[str]:
-        for name in self._repo_dir_names():
+        """Every stored repository, sorted by its name in the log."""
+        names = set().union(*(self._month(month).names() for month in self._months_held()))
+        for name in sorted(names):
             yield name.replace("__", "/", 1)
 
     def has_history(self, repo_id: str) -> bool:

@@ -54,10 +54,46 @@ def _extra_repo_line(actor, created, event_type="WatchEvent", payload=None, repo
     )
 
 
-def _log_body(numbers=(8, 90, 1, 1), tail=b'[["someone__else"],["bitcoin"]]'):
-    """A push-text log frame body of one entry and one text: its start, end,
-    text count and text time, then the JSON of its names and texts."""
-    return struct.pack(">II", 1, 1) + struct.pack(">QQIq", *numbers) + tail
+def _log_body(start, stop, count=1, names=b'["someone__else"]', tail=b'["bitcoin"]'):
+    """A log frame body of one entry and one text: the entry's range
+    ``[start, stop)`` and the JSON of its names, then its text count, the
+    text's time and the JSON of the texts."""
+    head = struct.pack(">III", 1, 1, len(names)) + struct.pack(">QQ", start, stop)
+    return head + names + struct.pack(">Iq", count, 0) + tail
+
+
+def _stored_bytes(store_dir, repo_ids):
+    """The bytes of the records of ``repo_ids`` in each segment, by its file name."""
+    store, sizes = EventStore(store_dir), {}
+    for repo_id in repo_ids:
+        for event in store.read(repo_id):
+            name = f"{store_module._month_key(event.created_at)}.events"
+            sizes[name] = sizes.get(name, 0) + 4 + len(store_module._record_to_json(event))
+    return sizes
+
+
+def _decoded_once(decoded):
+    """The bytes decoded in each segment, from ``(name, start, stop)`` ranges
+    that must not overlap."""
+    sizes = {}
+    for name in {name for name, _, _ in decoded}:
+        ranges = sorted((start, stop) for other, start, stop in decoded if other == name)
+        assert all(a[1] <= b[0] for a, b in zip(ranges, ranges[1:])), f"{name}: a byte decoded twice"
+        sizes[name] = sum(stop - start for start, stop in ranges)
+    return sizes
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """``(segment name, start, stop)`` of every byte range the store decodes from here on."""
+    ranges, records = [], store_module._records
+
+    def counted(path, data, at, *args):
+        ranges.append((Path(path).name, at, at + len(data)))
+        return records(path, data, at, *args)
+
+    monkeypatch.setattr(store_module, "_records", counted)
+    return ranges
 
 
 @pytest.fixture
@@ -253,6 +289,53 @@ class TestIngest:
         store = EventStore(workspace / "out" / "store")
         held = sum(len(store.read(repo_id)) for repo_id in store.iter_repo_ids())
         assert report["stored_events"] == held == 12
+
+    @pytest.mark.parametrize("repositories", [1, 7, 40])
+    def test_store_files_grow_with_months_not_repositories(self, workspace, repositories):
+        archives = workspace / "spread"
+        archives.mkdir()
+        months = ["2016-10", "2016-11", "2016-12"]
+        for month in months:
+            lines = [_extra_repo_line("zoe", f"{month}-05T09:00:00Z", repo=f"owner{i}/repo") for i in range(repositories)]
+            (archives / f"{month}-05-09.json").write_text("\n".join(lines) + "\n")
+        assert run(workspace, "ingest", "--archives", str(archives)) == 0
+        store_dir = workspace / "out" / "store"
+        files = sorted(p.relative_to(store_dir).as_posix() for p in store_dir.rglob("*") if p.is_file())
+        logs, segments = [f"corpus/{m}.texts" for m in months], [f"months/{m}.events" for m in months]
+        assert files == [LEDGER, *logs, *segments]
+        assert len(list(EventStore(store_dir).iter_repo_ids())) == repositories
+
+    @pytest.mark.parametrize("command", ["ingest", "metrics"])
+    def test_older_store_refused(self, workspace, caplog, command):
+        store_dir = workspace / "out" / "store"
+        (store_dir / "bitcoin__bitcoin").mkdir(parents=True)
+        (store_dir / "bitcoin__bitcoin" / "2016-12.events").write_bytes(b"OSHEVT01")
+        assert run(workspace, command) == 1
+        assert (
+            f"error: {store_dir}: holds the repository directory bitcoin__bitcoin, of another store format; "
+            "ingest the archives into a new store"
+        ) in caplog.text
+
+    @pytest.mark.parametrize("command", ["ingest", "metrics"])
+    def test_older_log_refused(self, workspace, caplog, command):
+        assert run(workspace, "ingest") == 0
+        store_dir = workspace / "out" / "store"
+        log_path = store_dir / "corpus" / "2016-12.texts"
+        log_path.write_bytes(b"OSHTXT01" + log_path.read_bytes()[8:])
+        later = _extra_repo_line("zed", "2016-12-20T00:00:00Z")  # an archive that appends to the month
+        (workspace / "archives" / "2016-12-20-00.json").write_text(later + "\n")
+        assert run(workspace, command) == 1
+        assert (
+            f"error: {store_dir}: holds {log_path}, format b'OSHTXT01', of another store format; "
+            "ingest the archives into a new store"
+        ) in caplog.text
+
+    def test_store_of_the_ledger_and_month_files_accepted(self, workspace):
+        assert run(workspace, "ingest") == 0
+        store_dir = workspace / "out" / "store"
+        assert sorted(p.name for p in store_dir.iterdir()) == [LEDGER, "corpus", "months"]
+        assert run(workspace, "ingest") == 0
+        assert run(workspace, "metrics") == 0
 
     @staticmethod
     def _parsed(monkeypatch):
@@ -540,32 +623,58 @@ class TestMetrics:
             handle.write(line + "\n")
 
     @pytest.mark.parametrize("supplied", [True, False])
-    def test_one_pass_over_the_store(self, workspace, monkeypatch, supplied):
+    def test_one_pass_over_the_store(self, workspace, monkeypatch, decoded, supplied):
         self._corpus_only_push(workspace, "2016-12-10T09:00:00Z")
         if not supplied:
             (workspace / "ranks.csv").write_text("repo_id,cmc_rank,alexa_rank\n")
         run(workspace, "ingest")
         store_dir = workspace / "out" / "store"
-        opened, lists = [], []
-        partition_fields, iter_repo_ids = store_module._partition_fields, EventStore.iter_repo_ids
-
-        def counted_fields(path, *args, **kwargs):
-            opened.append(Path(path).relative_to(store_dir).as_posix())
-            return partition_fields(path, *args, **kwargs)
+        listed_owners = _stored_bytes(store_dir, ["bitcoin/bitcoin", "ethereum/go-ethereum"])
+        decoded.clear()
+        lists, iter_repo_ids = [], EventStore.iter_repo_ids
 
         def counted_iter(self):
             lists.append(1)
             return iter_repo_ids(self)
 
-        monkeypatch.setattr(store_module, "_partition_fields", counted_fields)
         monkeypatch.setattr(EventStore, "iter_repo_ids", counted_iter)
         assert run(workspace, "metrics") == 0
         assert len(lists) == 1
         # the push-text log covers the store, so counted mentions decode no
-        # partition: counted and supplied mentions open the listed owners' only
-        listed_owners = {"bitcoin__bitcoin", "ethereum__go-ethereum"}
-        stored = [p.relative_to(store_dir).as_posix() for p in store_dir.glob("*/*.events")]
-        assert sorted(opened) == sorted(p for p in stored if p.split("/", 1)[0] in listed_owners)
+        # record: counted and supplied mentions decode the listed owners' records, each once
+        assert _decoded_once(decoded) == listed_owners
+
+    def test_supplied_mentions_open_each_segment_once_and_read_the_candidates_ranges(self, workspace, monkeypatch):
+        self._corpus_only_push(workspace, "2016-12-10T09:00:00Z")
+        for created in ("2016-11-20T09:00:00Z", "2017-01-02T09:00:00Z"):
+            self._corpus_only_push(workspace, created, "zcash")
+        run(workspace, "ingest")
+        store_dir = workspace / "out" / "store"
+        candidates = _stored_bytes(store_dir, ["bitcoin/bitcoin", "ethereum/go-ethereum"])
+        opened, read, names = [], [], {}
+        os_open, pread = store_module.os.open, store_module.os.pread
+
+        def counted_open(path, flags, *args):
+            fd = os_open(path, flags, *args)
+            opened.append(Path(path).name)
+            names[fd] = Path(path).name
+            return fd
+
+        def counted_pread(fd, length, offset):
+            data = pread(fd, length, offset)
+            read.append((names[fd], offset, offset + len(data)))
+            return data
+
+        monkeypatch.setattr(store_module.os, "open", counted_open)
+        monkeypatch.setattr(store_module.os, "pread", counted_pread)
+        assert run(workspace, "metrics") == 0
+        segments = sorted(p.name for p in (store_dir / "months").iterdir())
+        assert segments == ["2016-11.events", "2016-12.events", "2017-01.events"]
+        assert sorted(name for name in opened if name.endswith(".events")) == segments
+        headers = [(name, 0, len(MAGIC)) for name in segments]
+        assert sorted(r for r in read if r[0].endswith(".events") and r[1] == 0) == headers
+        # past the magic headers, only the candidate repositories' records are read, each byte once
+        assert _decoded_once([r for r in read if r[0].endswith(".events") and r[1] > 0]) == candidates
 
     def test_each_timezone_histogram_computed_once(self, workspace, monkeypatch):
         run(workspace, "ingest")
@@ -588,7 +697,7 @@ class TestMetrics:
         self._corpus_only_push(workspace, "2016-12-10T09:00:00Z")
         run(workspace, "ingest")
         store_dir = workspace / "out" / "store"
-        path = store_dir / "someone__else" / "2016-12.events"
+        path = store_dir / "months" / "2016-12.events"
         offset = path.stat().st_size
         doc = json.loads(store_module._record_to_json(EventStore(store_dir).read("someone/else")[0]))
         if corrupt == "unknown_event_type":
@@ -604,7 +713,10 @@ class TestMetrics:
         where = "torn tail after byte" if corrupt == "torn_tail" else "record at byte"
         assert str(expected.value).startswith(f"{path}: {where} {offset}")
 
-        assert run(workspace, "metrics") == 0  # supplied mentions never read the corpus
+        # which repository an unlogged record holds is known only once it is
+        # decoded, so supplied mentions fail as well as counted ones
+        assert run(workspace, "metrics") == 1
+        assert f"error: {expected.value}" in caplog.text
         caplog.clear()
         (workspace / "ranks.csv").write_text("repo_id,cmc_rank,alexa_rank\n")
         assert run(workspace, "metrics") == 1
@@ -618,7 +730,7 @@ class TestMetrics:
         # two fixture pushes mention the whole token; the corpus-only push a second early adds one
         assert int(self._rows(workspace)["bitcoin/bitcoin"]["mentions"]) == 3
         # the log holds the push at as_of, and leaves it out as the decode does
-        assert "from the push-text log, 0 partitions decoded" in caplog.text
+        assert "from the push-text log, 0 segments decoded" in caplog.text
         logged = self._metrics_outputs(workspace)
         shutil.rmtree(workspace / "out" / "store" / "corpus")
         assert self._metrics_outputs(workspace) == logged
@@ -644,7 +756,7 @@ class TestMetrics:
 
     @staticmethod
     def _decoded(caplog) -> int:
-        """The number of partitions the last metrics run logged it decoded to count mentions."""
+        """The number of segments the last metrics run logged it decoded to count mentions."""
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("mentions: ")]
         return int(lines[-1].split(", ")[1].split()[0])
 
@@ -694,7 +806,7 @@ class TestMetrics:
         monkeypatch.setattr(store_module, "_append_cut", cut_off)
         assert run(counted, "ingest") == 1
         monkeypatch.undo()
-        path = counted / "out" / "store" / "someone__else" / "2016-12.events"
+        path = counted / "out" / "store" / "months" / "2016-12.events"
         path.write_bytes(path.read_bytes()[:-5])
         assert run(counted, "ingest") == 0  # keeps the first record, appends the second again
         outputs = self._metrics_outputs(counted)
@@ -711,6 +823,14 @@ class TestMetrics:
         shutil.rmtree(counted / "out" / "store" / "corpus")  # a store older than the log
         assert self._metrics_outputs(counted) == logged
         assert self._decoded(caplog) == len(list((counted / "out" / "store").glob("*/*.events")))
+
+    def test_store_without_the_log_decoded_once(self, counted, decoded):
+        assert run(counted, "ingest") == 0
+        shutil.rmtree(counted / "out" / "store" / "corpus")
+        assert run(counted, "metrics") == 0
+        # the stage's reads and the corpus share one decode of each segment
+        segments = (counted / "out" / "store" / "months").iterdir()
+        assert _decoded_once(decoded) == {p.name: p.stat().st_size - len(MAGIC) for p in segments}
 
     def test_reingest_without_ledger_does_not_double(self, counted):
         assert run(counted, "ingest") == 0
@@ -741,23 +861,32 @@ class TestMetrics:
     @pytest.mark.parametrize(
         "body",
         [
-            _log_body(tail=b"{oops"),
-            struct.pack(">II", 1000, 0) + b"[[],[]]",
-            _log_body(numbers=(8, 8, 1, 1)),
-            _log_body(numbers=(4, 90, 1, 1)),
-            _log_body(numbers=(8, 90, 2, 1)),
-            _log_body(tail=b'[["someone__else"],[2]]'),
-            _log_body(tail=b'["someone__else",["bitcoin"]]'),
+            lambda start, stop: _log_body(start, stop, names=b"{oops"),
+            lambda start, stop: _log_body(start, stop, tail=b"{oops"),
+            lambda start, stop: struct.pack(">III", 1000, 0, 2) + b"[]",
+            lambda start, stop: _log_body(start, start),
+            lambda start, stop: _log_body(4, stop),
+            lambda start, stop: _log_body(start, stop, count=2),
+            lambda start, stop: _log_body(start, stop, tail=b"[2]"),
+            lambda start, stop: _log_body(start, stop, names=b'"someone__else"'),
+            lambda start, stop: struct.pack(">IIIQQQ", 2, 0, 9, start, stop, start + 4) + b'["a","b"]'
+            + struct.pack(">II", 0, 0),
         ],
-        ids=["not_json", "counts_pass_the_end", "empty_range", "range_in_magic_header", "count_mismatch",
-             "text_not_a_string", "names_not_a_list"],
+        ids=["not_json", "texts_not_json", "counts_pass_the_end", "empty_range", "range_in_magic_header",
+             "count_mismatch", "text_not_a_string", "names_not_a_list", "bounds_not_increasing"],
     )
     def test_malformed_log_frame_fails_counted_mentions(self, counted, caplog, body):
         assert run(counted, "ingest") == 0
-        log_path = counted / "out" / "store" / "corpus" / "2016-12.texts"
+        store_dir = counted / "out" / "store"
+        segment, log_path = store_dir / "months" / "2016-12.events", store_dir / "corpus" / "2016-12.texts"
+        record = store_module._record_to_json(EventStore(store_dir).read("someone/else")[0])
+        start = segment.stat().st_size
+        with open(segment, "ab") as handle:  # a whole record for the frame to cover
+            handle.write(len(record).to_bytes(4, "big") + record)
         offset = log_path.stat().st_size
+        frame = body(start, segment.stat().st_size)
         with open(log_path, "ab") as handle:
-            handle.write(len(body).to_bytes(4, "big") + body)
+            handle.write(len(frame).to_bytes(4, "big") + frame)
         caplog.clear()
         assert run(counted, "metrics") == 1
         assert f"error: {log_path}: frame at byte {offset}: " in caplog.text
@@ -781,7 +910,7 @@ class TestMetrics:
         assert sorted(logs[0]) == ["2016-11.texts", "2016-12.texts", "2017-01.texts"]
         assert logs[0] == logs[1]
 
-    def test_derived_as_of_reads_only_the_latest_month(self, workspace, monkeypatch):
+    def test_derived_as_of_reads_only_the_latest_month(self, workspace, decoded):
         other = json.dumps(
             {
                 "type": "WatchEvent",
@@ -796,28 +925,17 @@ class TestMetrics:
             handle.write("\n".join(late) + "\n")
         run(workspace, "ingest")
         store_dir = workspace / "out" / "store"
-        # a later month whose only partition holds no record: the month below decides
-        (store_dir / "bitcoin__bitcoin" / "2017-02.events").write_bytes(MAGIC)
-        reads = []
-        partition_fields = store_module._partition_fields
-
-        def counted_read(path, *args, **kwargs):
-            reads.append(Path(path).relative_to(store_dir).as_posix())
-            return partition_fields(path, *args, **kwargs)
-
-        monkeypatch.setattr(store_module, "_partition_fields", counted_read)
+        # a later month whose segment holds no record: the month below decides
+        (store_dir / "months" / "2017-02.events").write_bytes(MAGIC)
+        stage = _stored_bytes(store_dir, ["bitcoin/bitcoin", "ethereum/go-ethereum"])
+        latest = (store_dir / "months" / "2017-01.events").stat().st_size - len(MAGIC)
+        decoded.clear()
         assert run(workspace, "metrics", "--as-of", "") == 0
-        stage = [
-            p.relative_to(store_dir).as_posix()
-            for owner in ("bitcoin", "ethereum")
-            for p in store_dir.glob(f"{owner}__*/*.events")
-        ]
-        latest = [
-            "bitcoin__bitcoin/2017-02.events",
-            "ethereum__go-ethereum/2017-01.events",
-            "someone__else/2017-01.events",
-        ]
-        assert sorted(reads) == sorted(stage + latest)
+        totals = {}
+        for name, start, stop in decoded:
+            totals[name] = totals.get(name, 0) + stop - start
+        # the latest month with a record is decoded whole, then the stage reads its candidates' records
+        assert totals == {**stage, "2017-01.events": latest + stage["2017-01.events"]}
         with open(workspace / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
             assert {row["as_of"] for row in csv.DictReader(handle)} == {"2017-01-06T09:00:01Z"}
 
@@ -873,6 +991,48 @@ class TestEfa:
         report = json.loads((workspace / "out" / "efa_report.json").read_text())
         assert report["train"]["n"] + report["test"]["n"] == 250
         assert isinstance(report["structure_equivalent"], bool)
+
+    def test_structure_equivalent_ignores_factor_order(self, workspace, monkeypatch):
+        write_synthetic_metrics(workspace / "out")
+        rotate, calls = factor.rotate_solution, []
+
+        def reversed_in_the_test_half(solution):
+            rotated = rotate(solution)
+            calls.append(1)
+            if len(calls) == 3:  # full, train, test
+                rotated.loadings = rotated.loadings[:, ::-1].copy()
+            return rotated
+
+        assert run(workspace, "efa", "--cross-validate", "--factors", "3") == 0
+        report = json.loads((workspace / "out" / "efa_report.json").read_text())
+        monkeypatch.setattr(factor, "rotate_solution", reversed_in_the_test_half)
+        assert run(workspace, "efa", "--cross-validate", "--factors", "3") == 0
+        permuted = json.loads((workspace / "out" / "efa_report.json").read_text())
+        assert permuted["test"]["assignment"] != report["test"]["assignment"]
+        assert sorted(permuted["test"]["assignment"].values()) == sorted(report["test"]["assignment"].values())
+        assert permuted["structure_equivalent"] is report["structure_equivalent"] is True
+
+    def test_same_partition(self):
+        halves = ({0: ["a", "b"], 1: ["c"], 2: []}, ["d"]), ({0: ["c"], 1: [], 2: ["b", "a"]}, ["d"])
+        assert factor.same_partition(*halves)
+        assert not factor.same_partition(halves[0], ({0: ["a"], 1: ["b", "c"]}, ["d"]))
+        assert not factor.same_partition(halves[0], ({0: ["a", "b"], 1: ["c", "d"]}, []))
+
+    def test_halves_agree_on_the_generator(self, tmp_path):
+        """The halves of the models generator's files at m = 3 and cutoff
+        0.1 split the indicators alike on at least 95 of 100 splits."""
+        agree = 0
+        for data_seed in range(5):
+            write_synthetic_metrics(tmp_path, n=384, seed=data_seed)
+            matrix, _ = cli._prepared_matrix(tmp_path / "metrics.csv")
+            for split_seed in range(20):
+                halves = []
+                for block in dataset.split(matrix, PipelineConfig.split_fraction, split_seed):
+                    solution, _ = factor.efa_ml(cli._correlations(block), n=len(block.row_labels), m=3)
+                    rotated = factor.rotate_solution(solution)
+                    halves.append(factor.assign_indicators(rotated.loadings, block.column_names, 0.1))
+                agree += factor.same_partition(*halves)
+        assert agree >= 95
 
     def test_optimiser_diagnostics_in_every_block(self, workspace):
         write_synthetic_metrics(workspace / "out")

@@ -612,7 +612,7 @@ class TestEventStore:
         with tempfile.TemporaryDirectory() as root:
             store = EventStore(root)
             store.append(before)
-            path = Path(root) / "bitcoin__bitcoin" / "2016-12.events"
+            path = Path(root) / "months" / "2016-12.events"
             intact = path.stat().st_size if existing else 0
             with self._partition_writes(cut_off), pytest.raises(StoreWriteError) as failure:
                 store.append(batch)
@@ -626,8 +626,10 @@ class TestEventStore:
 
     def test_partition_layout(self, tmp_path):
         store = EventStore(tmp_path / "store")
-        store.append([make_event(created_at=AS_OF - DAY)])  # 2016-12-31
-        assert (tmp_path / "store" / "bitcoin__bitcoin" / "2016-12.events").is_file()
+        store.append([make_event(created_at=AS_OF - DAY), make_event(repo_id="a/b", created_at=AS_OF - DAY)])
+        root = tmp_path / "store"
+        files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+        assert files == ["corpus/2016-12.texts", "months/2016-12.events"]  # one segment for both repositories
 
     def test_iter_repo_ids(self, tmp_path):
         store = EventStore(tmp_path / "store")
@@ -641,6 +643,7 @@ class TestEventStore:
         (tmp_path / "store" / "loose__file").write_text("")
         (tmp_path / "store" / "no-separator").mkdir()
         assert list(store.iter_repo_ids()) == ["A/z", "a/b", "a/b-c", "a/b_c"]
+        assert list(EventStore(tmp_path / "store").iter_repo_ids()) == ["A/z", "a/b", "a/b-c", "a/b_c"]
 
     def test_read_absent_repository_is_empty(self, tmp_path):
         store = EventStore(tmp_path / "store")
@@ -651,11 +654,12 @@ class TestEventStore:
         store = EventStore(tmp_path / "store")
         events = self._events(3)
         store.append(events)
-        repo_dir = tmp_path / "store" / "bitcoin__bitcoin"
-        (repo_dir / "notes.txt").write_text("not a partition")
-        (repo_dir / "2016-12.events.tmp").write_bytes(b"garbage")
-        (repo_dir / "scratch").mkdir()
-        assert store.read("bitcoin/bitcoin") == events
+        months = tmp_path / "store" / "months"
+        (months / "notes.txt").write_text("not a segment")
+        (months / "2016-12.events.tmp").write_bytes(b"garbage")
+        (months / "scratch").mkdir()
+        (tmp_path / "store" / "corpus" / "2017-01.texts").write_bytes(b"a log without a segment")
+        assert EventStore(tmp_path / "store").read("bitcoin/bitcoin") == events
 
     def test_latest_created_at_latest_month_wins(self, tmp_path):
         store = EventStore(tmp_path / "store")
@@ -667,21 +671,21 @@ class TestEventStore:
     def test_latest_created_at_skips_a_month_of_magic_only(self, tmp_path):
         store = EventStore(tmp_path / "store")
         store.append([make_event(created_at=AS_OF - 2 * DAY), make_event(repo_id="b/b", created_at=AS_OF - DAY)])
-        (tmp_path / "store" / "bitcoin__bitcoin" / "2017-02.events").write_bytes(MAGIC)
+        (tmp_path / "store" / "months" / "2017-02.events").write_bytes(MAGIC)
         assert store.latest_created_at() == AS_OF - DAY
 
     def test_latest_created_at_of_empty_store_is_none(self, tmp_path):
         store = EventStore(tmp_path / "store")
         assert store.latest_created_at() is None
-        path = tmp_path / "store" / "bitcoin__bitcoin" / "2017-01.events"
+        path = tmp_path / "store" / "months" / "2017-01.events"
         path.parent.mkdir()
         path.write_bytes(MAGIC)
-        assert store.latest_created_at() is None
+        assert EventStore(tmp_path / "store").latest_created_at() is None
 
     def test_latest_created_at_torn_partition_named(self, tmp_path):
         store = EventStore(tmp_path / "store")
         store.append([make_event()])
-        path = tmp_path / "store" / "bitcoin__bitcoin" / "2017-01.events"
+        path = tmp_path / "store" / "months" / "2017-01.events"
         path.write_bytes(MAGIC + b"\x00\x00")
         with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: torn tail after byte {len(MAGIC)}$"):
             store.latest_created_at()
@@ -720,7 +724,7 @@ class TestEventStore:
         def no_decode(path):
             raise AssertionError(f"keying decoded {path}")
 
-        monkeypatch.setattr(store_module, "_partition_fields", no_decode)
+        monkeypatch.setattr(store_module, "_records", no_decode)
         monkeypatch.setattr(store_module, "open", counted_open, raising=False)
         store = EventStore(tmp_path / "store")
         events = self._events()
@@ -733,9 +737,85 @@ class TestEventStore:
         opened.clear()
         receipt = EventStore(tmp_path / "store").append(events)
         assert (receipt.count, receipt.duplicates_skipped) == (0, 10)
-        assert opened == [("events", "r+b")]  # a second store reads the partition's keys once
+        # a second store reads the end of the month's log and the segment's keys once
+        assert opened == [("texts", "rb"), ("events", "r+b")]
         monkeypatch.undo()
         assert store.read("bitcoin/bitcoin") == events
+
+    def test_reader_opens_each_file_once_and_reads_each_byte_once(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        events = self._events()
+        writer = EventStore(root)
+        for i in range(0, 10, 2):  # five frames in the month's log
+            writer.append(events[i : i + 2] + [replace(e, repo_id="other/repo") for e in events[i : i + 2]])
+        size = (root / "months" / "2016-12.events").stat().st_size
+        opened, read = [], []
+        os_open, pread = store_module.os.open, store_module.os.pread
+        names = {}
+
+        def counted_open(path, flags, *args):
+            fd = os_open(path, flags, *args)
+            opened.append(Path(path).name)
+            names[fd] = Path(path).name
+            return fd
+
+        def counted_pread(fd, length, offset):
+            data = pread(fd, length, offset)
+            read.append((names[fd], offset, offset + len(data)))
+            return data
+
+        monkeypatch.setattr(store_module.os, "open", counted_open)
+        monkeypatch.setattr(store_module.os, "pread", counted_pread)
+        store = EventStore(root)
+        assert store.read("bitcoin/bitcoin") == events
+        assert list(store.iter_repo_ids()) == ["bitcoin/bitcoin", "other/repo"]
+        assert store.read("other/repo") == [replace(e, repo_id="other/repo") for e in events]
+        assert sorted(store.push_corpus(["bitcoin/bitcoin"], AS_OF, CorpusReceipt())) == sorted(
+            text for e in events for text in e.texts
+        )
+        assert sorted(opened) == ["2016-12.events", "2016-12.texts"]
+        segment = sorted((start, stop) for name, start, stop in read if name == "2016-12.events")
+        log = sorted((start, stop) for name, start, stop in read if name == "2016-12.texts")
+        # the magic header, then each range once: they tile the segment
+        assert [start for start, _ in segment] == [0, *(stop for _, stop in segment[:-1])]
+        assert segment[-1][1] == size
+        assert all(a[1] <= b[0] for a, b in zip(log[1:], log[2:]))  # no log byte read twice
+        assert len(log) == 1 + 3 * 5  # the magic header, then each frame's head, index and texts
+
+    def test_append_cut_off_before_its_log_write_read_once(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        events = self._events(4)
+        others = [replace(e, repo_id="other/repo", texts=[f"other {e.actor}"]) for e in events]
+        EventStore(root).append(events[:2])
+        logged = (root / "months" / "2016-12.events").stat().st_size
+
+        def interrupted(path, cut, magic, data):
+            raise OSError("interrupted")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(store_module, "_append_cut", interrupted)
+            with pytest.raises(StoreWriteError, match="2016-12.texts failed: interrupted"):
+                EventStore(root).append(events[2:] + others)
+        size = (root / "months" / "2016-12.events").stat().st_size
+        decoded, records = [], store_module._records
+
+        def counted(path, data, at, *args):
+            decoded.append((at, at + len(data)))
+            return records(path, data, at, *args)
+
+        monkeypatch.setattr(store_module, "_records", counted)
+        store, receipt = EventStore(root), CorpusReceipt()
+        assert list(store.iter_repo_ids()) == ["bitcoin/bitcoin", "other/repo"]
+        assert store.read("bitcoin/bitcoin") == events
+        assert store.read("other/repo") == others
+        texts = sorted(store.push_corpus(store.iter_repo_ids(), AS_OF, receipt))
+        assert texts == sorted(text for e in events + others for text in e.texts)
+        assert (receipt.logged_texts, receipt.decoded_segments) == (len(events[0].texts) * 2, 1)
+        # the unlogged bytes once, for every reader, then the logged range ``read`` asked for
+        assert decoded == [(logged, size), (len(MAGIC), logged)]
+        receipt = EventStore(root).append(events + others)
+        assert (receipt.count, receipt.duplicates_skipped) == (0, 8)
+        assert EventStore(root).read("other/repo") == others
 
     def test_failed_append_rereads_partition(self, tmp_path, monkeypatch):
         store = EventStore(tmp_path / "store")
@@ -767,7 +847,7 @@ class TestEventStore:
         store = EventStore(tmp_path / "store")
         good, bad = self._events(2)
         store.append([good])
-        path = tmp_path / "store" / "bitcoin__bitcoin" / "2016-12.events"
+        path = tmp_path / "store" / "months" / "2016-12.events"
         offset = path.stat().st_size
         blob = store_module._record_to_json(bad)
         doc = json.loads(blob)
@@ -807,14 +887,14 @@ class TestEventStore:
 
     @staticmethod
     def _corpus(root):
-        """The sorted push corpus of the store at ``root``, and the partitions it decoded."""
+        """The sorted push corpus of the store at ``root``, and the segments it decoded."""
         store, receipt = EventStore(root), CorpusReceipt()
-        return sorted(store.push_corpus(store.iter_repo_ids(), AS_OF, receipt)), receipt.decoded_partitions
+        return sorted(store.push_corpus(store.iter_repo_ids(), AS_OF, receipt)), receipt.decoded_segments
 
     @pytest.mark.parametrize("change", ["deleted_and_rewritten", "restored_shorter"])
     def test_push_corpus_decodes_a_replaced_partition_whole(self, tmp_path, change):
         events = [replace(e, texts=[e.actor]) for e in self._events(6)]
-        root, path = tmp_path / "store", tmp_path / "store" / "bitcoin__bitcoin" / "2016-12.events"
+        root, path = tmp_path / "store", tmp_path / "store" / "months" / "2016-12.events"
         store = EventStore(root)
         store.append(events[:2])
         size = path.stat().st_size
@@ -831,15 +911,22 @@ class TestEventStore:
     def test_push_corpus_rejects_a_range_off_record_boundaries(self, tmp_path):
         root = tmp_path / "store"
         EventStore(root).append(self._events(2))
-        frame = store_module._log_frame([["bitcoin__bitcoin", len(MAGIC), 20, [], []]])
-        (root / "corpus" / "2016-12.texts").write_bytes(CORPUS_MAGIC + frame)
-        path = root / "bitcoin__bitcoin" / "2016-12.events"
-        message = f"^{re.escape(str(path))}: logged range \\[8, 20\\) is not whole records"
-        with pytest.raises(StoreError, match=message):
+        path, log = root / "months" / "2016-12.events", root / "corpus" / "2016-12.texts"
+        # the records after the logged range are decoded from a byte inside the first record
+        log.write_bytes(CORPUS_MAGIC + store_module._log_frame([["bitcoin__bitcoin", len(MAGIC), 20, [], []]]))
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: torn tail after byte 20$"):
             self._corpus(root)
+        # ranges that tile the segment, the first ending inside a record
+        size = path.stat().st_size
+        frame = store_module._log_frame([["bitcoin__bitcoin", len(MAGIC), 20, [], []], ["x__y", 20, size, [], []]])
+        log.write_bytes(CORPUS_MAGIC + frame)
+        assert self._corpus(root) == ([], 0)  # the texts come from the log alone
+        message = f"^{re.escape(str(path))}: the logged range \\[8, 20\\) is not whole records$"
+        with pytest.raises(StoreError, match=message):
+            EventStore(root).read("bitcoin/bitcoin")
 
     def test_unkeyable_record_names_partition(self, tmp_path):
-        path = tmp_path / "store" / "bitcoin__bitcoin" / "2016-12.events"
+        path = tmp_path / "store" / "months" / "2016-12.events"
         path.parent.mkdir(parents=True)
         path.write_bytes(MAGIC + (5).to_bytes(4, "big") + b"{oops")
         with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: "):
@@ -851,7 +938,7 @@ class TestEventStore:
         kept, torn, new = events[:5], events[5], events[6:]
         writer = EventStore(tmp_path / "store")
         writer.append(kept)
-        path = tmp_path / "store" / "bitcoin__bitcoin" / "2016-12.events"
+        path = tmp_path / "store" / "months" / "2016-12.events"
         intact = path.stat().st_size
         writer.append([torn])
         full = path.read_bytes()
@@ -924,7 +1011,7 @@ class TestEventStore:
         assert (again.count, again.duplicates_skipped) == (0, 2 * len(events))
         for path in root.glob("*/*.events"):
             bodies, _ = _frames(path, path.read_bytes())
-            records = [EventRecord(*fields) for fields in store_module._partition_fields(path)]
+            records = [EventRecord(*fields) for fields in store_module._records(path, path.read_bytes()[8:], 8)]
             assert [_key(body) for body in bodies] == [dedup_key(r) for r in records]
 
     @given(st.integers(min_value=EPOCH_MIN, max_value=EPOCH_END - 1))
