@@ -270,9 +270,10 @@ def cmd_metrics(config: PipelineConfig) -> int:
     event, so every event counts, and finding it reads only the latest
     month's segment.
     Only when some retained project has no mentions in the ranks file is
-    the push corpus tokenised, once: it is streamed month by month from
-    the store's push-text log, and only the records no logged range
-    covers are decoded from their segments, once for the whole stage.
+    the push corpus, the push texts of every stored repository, tokenised
+    once: it is streamed month by month from the store's push-text log,
+    and only the records no logged range covers are decoded from their
+    segments, once for the whole stage.
     How many texts came from the log and how many segments held records
     the log does not cover is logged.
     """
@@ -293,9 +294,8 @@ def cmd_metrics(config: PipelineConfig) -> int:
     else:
         as_of = latest + 1
     read = _stage_reader(store, as_of)
-    repo_ids = list(store.iter_repo_ids())
     owner_repos: dict[str, list[str]] = {}
-    for repo_id in repo_ids:
+    for repo_id in store.iter_repo_ids():
         owner_repos.setdefault(repo_id.split("/", 1)[0].lower(), []).append(repo_id)
 
     entries = projects.load_project_list(project_path)
@@ -330,7 +330,7 @@ def cmd_metrics(config: PipelineConfig) -> int:
     counted = [repo_id for repo_id in retained if mentions[repo_id] is None]
     if counted:
         receipt = CorpusReceipt()
-        corpus = store.push_corpus(repo_ids, as_of, receipt)
+        corpus = store.push_corpus(as_of, receipt)
         aliases = [{repo_rank[r].name, repo_rank[r].symbol} for r in counted]
         mentions.update(zip(counted, metrics.mention_counts(corpus, aliases)))
         log.info(

@@ -45,7 +45,7 @@ ledger wrote survives an interrupted process, but not a power loss or an
 OS crash.
 
 The log is the segment's index.  A log file starts with the 8-byte magic
-``OSHTXT02``, followed by frames, one per append that stored records in
+``OSHTXT03``, followed by frames, one per append that stored records in
 the month: a big-endian uint32 byte length, then the body.  The body
 holds ``n`` entries, one per repository the append stored records of, in
 the order of its write, and the ``m`` push texts of those records.  Its
@@ -53,11 +53,10 @@ index section comes first: the big-endian numbers (``struct`` format
 ``>III``) ``n``, ``m`` and ``k``; then (``>{n + 1}Q``) the ``n + 1``
 increasing bounds of the append's write, entry ``i`` holding the bytes
 ``[bounds[i], bounds[i + 1])`` of the segment; then ``k`` bytes of
-canonical JSON (spelt as a record's), the list of the entries'
-repository names (``owner__repo``: the ``/`` of the repository id as
-``__``).  The texts section follows: each entry's number of texts
-(``>{n}I``), each text's ``created_at`` (``>{m}q``), then the canonical
-JSON list of the texts.  So the index is read without reading a text.  An append writes one frame to each month's log once
+canonical JSON (spelt as a record's), the list of the entries' repository
+ids.  The texts section follows: each text's ``created_at`` (``>{m}q``),
+then the canonical JSON list of the texts.  So the index is read without
+reading a text.  An append writes one frame to each month's log once
 every segment it wrote to is closed.  A partial frame at the end of a log
 file (a torn tail) is ignored on read and cut off before this store first
 writes to that file; a whole frame that is not such a body raises naming
@@ -68,10 +67,7 @@ reads only the byte ranges the indexes list for it (one ``os.pread``
 each), never a whole segment.  An ``EventStore`` lists the months once,
 parses each month's index at most once, keeps its segment and log open
 for reading until the store is collected, and reads a month again only
-after this store appends to it.  The index it holds per month is about
-130 bytes per entry (its name, its bound and its place in the frame's
-name -> entry dict): 78 KB a month for months of four appends of 145
-repositories each.
+after this store appends to it.
 
 Records that no logged range covers are decoded from the segment once per
 ``EventStore`` and grouped by repository: every record of a store whose
@@ -83,8 +79,9 @@ segment replaced behind the store's back: it is decoded whole and its log
 is left out.
 
 A store of an older format, one with a repository directory (``*__*``)
-at its root or a log file of format ``OSHTXT01``, is refused with a
-``StoreError`` that names the root: ingest its archives into a new store.
+at its root or a log file of format ``OSHTXT01`` or ``OSHTXT02``, is
+refused with a ``StoreError`` that names the root: ingest its archives
+into a new store.
 
 The ledger ``<root>/archives.ledger`` lists the archives ingested whole.
 It starts with the 8-byte magic ``OSHARC01``, then holds fixed-size
@@ -114,9 +111,9 @@ import weakref
 from dataclasses import dataclass
 from itertools import accumulate, groupby
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .events import EventRecord, EventType, check_tz_offset, has_contribution
+from .events import EventRecord, EventType, has_contribution
 
 MAGIC = b"OSHEVT02"
 _LEN = struct.Struct(">I")
@@ -129,7 +126,7 @@ LEDGER_MAGIC = b"OSHARC01"
 _LEDGER_RECORD = struct.Struct(">16sQQQ")
 #: the log's directory at the root, one ``<YYYY-MM>.texts`` file per month
 CORPUS = "corpus"
-CORPUS_MAGIC = b"OSHTXT02"
+CORPUS_MAGIC = b"OSHTXT03"
 #: a log frame's entry count, text count and byte length of its names
 _LOG_HEAD = struct.Struct(">III")
 #: a log frame's length prefix and the head of its body
@@ -199,11 +196,6 @@ def _day_month(day: int) -> str:
 def _month_key(created_at: int) -> str:
     """UTC month of ``created_at``, memoised by UTC day, as UTC days nest in UTC months."""
     return _day_month(created_at // 86400)
-
-
-def _log_name(repo_id: str) -> str:
-    """A repository's name in the log, and the order ``iter_repo_ids`` lists it in."""
-    return repo_id.replace("/", "__")
 
 
 def _json_int(value) -> str:
@@ -313,24 +305,12 @@ def _frames(path: str | Path, data: bytes, magic: bytes = MAGIC) -> tuple[list[b
     return bodies, end
 
 
-def _checked_fields(*fields) -> tuple:
-    """``EventRecord``'s argument tuple, its ``tz_offset`` checked as
-    ``EventRecord`` checks it, for readers that build no record."""
-    check_tz_offset(fields[4])
-    return fields
-
-
-def _records(
-    path: str, data: bytes, at: int, build: Callable = _checked_fields, logged: str = "", starts: list | None = None
-) -> list:
+def _records(path: str, data: bytes, at: int, logged: str = "", starts: list | None = None) -> list[EventRecord]:
     """The records of ``data``, the bytes of the segment ``path`` from byte
-    ``at``, each built by ``build`` from the arguments of its ``EventRecord``;
-    ``starts``, when given, gains the byte each starts at.
+    ``at``; ``starts``, when given, gains the byte each starts at.
 
-    ``read`` passes ``EventRecord``, whose ``__post_init__`` is then the one
-    check of a record's ``tz_offset``; the default builds the argument
-    tuple and makes that check itself.  Each record is built once, inside
-    the checked loop.
+    Each record is built once, inside the checked loop, and
+    ``EventRecord.__post_init__`` is the one check of its ``tz_offset``.
     The store's one checked decode, behind every reader: a body that is not
     one JSON object, a missing member, an unknown ``event_type`` or a
     ``tz_offset`` out of range raises ``StoreError`` naming the segment and
@@ -354,7 +334,7 @@ def _records(
                 _DECODE(text)  # raises the decoder's own error
             if last != len(text):
                 raise ValueError(f"extra data after char {last}")
-            records.append(build(
+            records.append(EventRecord(
                 doc["repo_id"], _EVENT_TYPES[doc["event_type"]], doc["actor"], doc["created_at"],
                 doc["tz_offset"], doc["action"], doc["texts"], doc["counts"], doc["number"],
             ))
@@ -385,16 +365,15 @@ def _log_frames(path: str) -> tuple[list[bytes], int]:
 
 def _log_frame(entries: list[tuple]) -> bytes:
     """One append's length-prefixed log frame for a month, from its
-    ``(repository, start, end, created_at, texts)`` entries."""
-    repositories, starts, ends, created, texts = zip(*entries)
+    ``(repo_id, start, end, created_at, texts)`` entries."""
+    repo_ids, starts, ends, created, texts = zip(*entries)
     times = [at for batch in created for at in batch]
-    counts = [len(batch) for batch in texts]
-    names = _JSON.encode(repositories).encode()
+    names = _JSON.encode(repo_ids).encode()
     body = b"".join((
         _LOG_HEAD.pack(len(entries), len(times), len(names)),
         struct.pack(f">{len(entries) + 1}Q", *starts, ends[-1]),
         names,
-        struct.pack(f">{len(entries)}I{len(times)}q", *counts, *times),
+        struct.pack(f">{len(times)}q", *times),
         _JSON.encode([text for batch in texts for text in batch]).encode(),
     ))
     return _LEN.pack(len(body)) + body
@@ -404,7 +383,7 @@ class _Frame(NamedTuple):
     """A log frame's index section, and where its texts section lies in the log."""
 
     names: list[str]
-    #: repository name -> its entry
+    #: repository id -> its entry
     entry: dict[str, int]
     #: entry ``i`` holds the segment's bytes ``[bounds[i], bounds[i + 1])``
     bounds: tuple[int, ...]
@@ -438,7 +417,7 @@ def _read_index(path: str, fd: int) -> list[_Frame]:
                 raise ValueError(f"a body of {length} bytes has no head")
             _, entries, count, k = _FRAME_HEAD.unpack(head)
             index = 8 * (entries + 1) + k
-            if _LOG_HEAD.size + index + 4 * entries + 8 * count > length:
+            if _LOG_HEAD.size + index + 8 * count > length:
                 raise ValueError(f"{entries} entries and {count} texts pass the frame's end")
             data = os.pread(fd, index, at + _FRAME_HEAD.size)
             bounds = struct.unpack_from(f">{entries + 1}Q", data)
@@ -459,24 +438,22 @@ def _read_index(path: str, fd: int) -> list[_Frame]:
     return frames
 
 
-def _frame_texts(path: str, fd: int, frame: _Frame) -> tuple[tuple[int, ...], tuple[int, ...], list[str]]:
-    """A log frame's texts section: each entry's number of texts, each
-    text's ``created_at``, and the texts."""
+def _frame_texts(path: str, fd: int, frame: _Frame) -> tuple[tuple[int, ...], list[str]]:
+    """A log frame's texts section: each text's ``created_at``, and the texts."""
     offset, length = frame.texts
     data = os.pread(fd, length, offset)
-    entries, count = len(frame.names), frame.count
+    count = frame.count
     try:
-        numbers = struct.unpack_from(f">{entries}I{count}q", data)
-        counts, created = numbers[:entries], numbers[entries:]
-        texts = json.loads(data[4 * entries + 8 * count :].decode("ascii"))
+        created = struct.unpack_from(f">{count}q", data)
+        texts = json.loads(data[8 * count :].decode("ascii"))
         if type(texts) is not list:
             raise TypeError("the texts are not a list")
         "".join(texts)  # raise TypeError unless every item is a string
-        if len(texts) != count or sum(counts) != count:
-            raise ValueError("the texts do not match their counts")
+        if len(texts) != count:
+            raise ValueError("the texts do not match their count")
     except (ValueError, TypeError, struct.error) as exc:
         raise StoreError(f"{path}: frame at byte {frame.at}: {type(exc).__name__}: {exc}") from exc
-    return counts, created, texts
+    return created, texts
 
 
 def _write_frames(path: str, frames: list[bytes], receipt: AppendReceipt) -> int:
@@ -538,7 +515,7 @@ def _repair_tail(path: str) -> set[bytes]:
 class _Month:
     """What a store has read of one month: its log's index, the covered
     spans of its segment, and the records no logged range covers, by
-    repository name with the byte each starts at."""
+    repository id with the byte each starts at."""
 
     __slots__ = ("segment", "fd", "log", "log_fd", "frames", "spans", "gaps", "uncovered")
 
@@ -562,26 +539,26 @@ class _Month:
         for start, stop in self.gaps:
             logged = "" if stop == size else "unlogged"
             starts: list[int] = []
-            records = _records(segment, os.pread(fd, stop - start, start), start, EventRecord, logged, starts)
+            records = _records(segment, os.pread(fd, stop - start, start), start, logged, starts)
             for at, record in zip(starts, records):
                 if type(record.repo_id) is not str:
                     raise StoreError(f"{segment}: record at byte {at}: repo_id {record.repo_id!r} is not a string")
-                self.uncovered.setdefault(_log_name(record.repo_id), []).append((at, record))
+                self.uncovered.setdefault(record.repo_id, []).append((at, record))
 
     def names(self) -> set[str]:
         """The repositories with records in the month."""
         return set(self.uncovered).union(*(frame.names for frame in self.frames))
 
-    def read(self, name: str) -> list[EventRecord]:
-        """The records of the repository ``name``, in append order, which is
-        the order of their bytes: the frames are in that order already."""
-        pieces = [(at, [record]) for at, record in self.uncovered.get(name, ())]
+    def read(self, repo_id: str) -> list[EventRecord]:
+        """The records of ``repo_id``, in append order, which is the order of
+        their bytes: the frames are in that order already."""
+        pieces = [(at, [record]) for at, record in self.uncovered.get(repo_id, ())]
         records: list[EventRecord] = []
         for frame in self.frames:
-            i = frame.entry.get(name)
+            i = frame.entry.get(repo_id)
             if i is not None:
                 start, stop = frame.bounds[i], frame.bounds[i + 1]
-                logged = _records(self.segment, os.pread(self.fd, stop - start, start), start, EventRecord, "logged")
+                logged = _records(self.segment, os.pread(self.fd, stop - start, start), start, "logged")
                 if pieces:
                     pieces.append((start, logged))
                 else:
@@ -699,7 +676,7 @@ class EventStore:
                             created += [record.created_at] * len(record.texts)
                             texts += record.texts
                     if len(frames) > first:
-                        entries.append((_log_name(repo_id), first, len(frames), created, texts))
+                        entries.append((repo_id, first, len(frames), created, texts))
             finally:  # what was encoded before a failure is written too
                 if frames:
                     self._forget(month)
@@ -772,14 +749,13 @@ class EventStore:
 
     def read(self, repo_id: str) -> list[EventRecord]:
         """All events for one repository, in append order per month."""
-        name = _log_name(repo_id)
         events: list[EventRecord] = []
         for month in self._months_held():
-            events += self._month(month).read(name)
+            events += self._month(month).read(repo_id)
         return events
 
-    def push_corpus(self, repo_ids: Iterable[str], before: int, receipt: CorpusReceipt) -> Iterator[str]:
-        """Texts of the push events before ``before`` of the repositories ``repo_ids``.
+    def push_corpus(self, before: int, receipt: CorpusReceipt) -> Iterator[str]:
+        """Texts of every stored push event before ``before``.
 
         Month by month, the texts of the records the log covers come from
         the log's texts sections, one frame at a time, and those of the
@@ -787,21 +763,18 @@ class EventStore:
         counts the texts taken from the log and the segments with records
         the log does not cover.
         """
-        wanted = {_log_name(repo_id) for repo_id in repo_ids}
         for month in self._months_held():
             state = self._month(month)
             if state.gaps:
                 receipt.decoded_segments += 1
-            for name, records in state.uncovered.items():
-                if name in wanted:
-                    for _, record in records:
-                        if record.event_type is EventType.PUSH and record.created_at < before:
-                            yield from record.texts
+            for records in state.uncovered.values():
+                for _, record in records:
+                    if record.event_type is EventType.PUSH and record.created_at < before:
+                        yield from record.texts
             for frame in state.frames:
-                counts, created, texts = _frame_texts(state.log, state.log_fd, frame)
-                if not wanted.issuperset(frame.names) or created and not max(created) < before:
-                    owners = (name for name, count in zip(frame.names, counts) for _ in range(count))
-                    texts = [text for owner, at, text in zip(owners, created, texts) if at < before and owner in wanted]
+                created, texts = _frame_texts(state.log, state.log_fd, frame)
+                if created and not max(created) < before:
+                    texts = [text for at, text in zip(created, texts) if at < before]
                 receipt.logged_texts += len(texts)
                 yield from texts
 
@@ -810,25 +783,22 @@ class EventStore:
 
         Segments are UTC months, so only the latest month's segment is
         read, and the next month down's when it holds no complete record.
-        Its logged records are decoded and checked as ``read`` does, but not
-        built.
+        Its records are decoded and built as ``read`` builds them.
         """
         for month in reversed(self._months_held()):
             state = self._month(month)
             latest = max((record.created_at for records in state.uncovered.values() for _, record in records), default=None)
             for start, stop in state.spans:
-                for fields in _records(state.segment, os.pread(state.fd, stop - start, start), start):
-                    if latest is None or fields[3] > latest:
-                        latest = fields[3]
+                for record in _records(state.segment, os.pread(state.fd, stop - start, start), start):
+                    if latest is None or record.created_at > latest:
+                        latest = record.created_at
             if latest is not None:
                 return latest
         return None
 
     def iter_repo_ids(self) -> Iterator[str]:
-        """Every stored repository, sorted by its name in the log."""
-        names = set().union(*(self._month(month).names() for month in self._months_held()))
-        for name in sorted(names):
-            yield name.replace("__", "/", 1)
+        """Every stored repository, sorted by its id."""
+        yield from sorted(set().union(*(self._month(month).names() for month in self._months_held())))
 
     def has_history(self, repo_id: str) -> bool:
         return has_contribution(self.read(repo_id))

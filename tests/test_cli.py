@@ -54,12 +54,12 @@ def _extra_repo_line(actor, created, event_type="WatchEvent", payload=None, repo
     )
 
 
-def _log_body(start, stop, count=1, names=b'["someone__else"]', tail=b'["bitcoin"]'):
-    """A log frame body of one entry and one text: the entry's range
-    ``[start, stop)`` and the JSON of its names, then its text count, the
-    text's time and the JSON of the texts."""
-    head = struct.pack(">III", 1, 1, len(names)) + struct.pack(">QQ", start, stop)
-    return head + names + struct.pack(">Iq", count, 0) + tail
+def _log_body(start, stop, count=1, names=b'["someone/else"]', tail=b'["bitcoin"]'):
+    """A log frame body of one entry and ``count`` texts: the entry's range
+    ``[start, stop)`` and the JSON of its repository ids, then each text's
+    time and the JSON of the texts."""
+    head = struct.pack(">III", 1, count, len(names)) + struct.pack(">QQ", start, stop)
+    return head + names + struct.pack(f">{count}q", *[0] * count) + tail
 
 
 def _stored_bytes(store_dir, repo_ids):
@@ -316,17 +316,18 @@ class TestIngest:
             "ingest the archives into a new store"
         ) in caplog.text
 
+    @pytest.mark.parametrize("magic", ["OSHTXT01", "OSHTXT02"])
     @pytest.mark.parametrize("command", ["ingest", "metrics"])
-    def test_older_log_refused(self, workspace, caplog, command):
+    def test_older_log_refused(self, workspace, caplog, command, magic):
         assert run(workspace, "ingest") == 0
         store_dir = workspace / "out" / "store"
         log_path = store_dir / "corpus" / "2016-12.texts"
-        log_path.write_bytes(b"OSHTXT01" + log_path.read_bytes()[8:])
+        log_path.write_bytes(magic.encode() + log_path.read_bytes()[8:])
         later = _extra_repo_line("zed", "2016-12-20T00:00:00Z")  # an archive that appends to the month
         (workspace / "archives" / "2016-12-20-00.json").write_text(later + "\n")
         assert run(workspace, command) == 1
         assert (
-            f"error: {store_dir}: holds {log_path}, format b'OSHTXT01', of another store format; "
+            f"error: {store_dir}: holds {log_path}, format b'{magic}', of another store format; "
             "ingest the archives into a new store"
         ) in caplog.text
 
@@ -772,7 +773,7 @@ class TestMetrics:
         append_cut = store_module._append_cut
 
         def fail_on_corpus_push(path, cut, magic, data):
-            if magic == CORPUS_MAGIC and b"someone__else" in data:
+            if magic == CORPUS_MAGIC and b"someone/else" in data:
                 raise OSError("disk full")
             append_cut(path, cut, magic, data)
 
@@ -859,23 +860,23 @@ class TestMetrics:
         assert self._metrics_outputs(counted) == self._clean_outputs(counted)
 
     @pytest.mark.parametrize(
-        "body",
+        "body, reason",
         [
-            lambda start, stop: _log_body(start, stop, names=b"{oops"),
-            lambda start, stop: _log_body(start, stop, tail=b"{oops"),
-            lambda start, stop: struct.pack(">III", 1000, 0, 2) + b"[]",
-            lambda start, stop: _log_body(start, start),
-            lambda start, stop: _log_body(4, stop),
-            lambda start, stop: _log_body(start, stop, count=2),
-            lambda start, stop: _log_body(start, stop, tail=b"[2]"),
-            lambda start, stop: _log_body(start, stop, names=b'"someone__else"'),
-            lambda start, stop: struct.pack(">IIIQQQ", 2, 0, 9, start, stop, start + 4) + b'["a","b"]'
-            + struct.pack(">II", 0, 0),
+            (lambda start, stop: _log_body(start, stop, names=b"{oops"), "JSONDecodeError: Expecting property name"),
+            (lambda start, stop: _log_body(start, stop, tail=b"{oops"), "JSONDecodeError: Expecting property name"),
+            (lambda start, stop: struct.pack(">III", 1000, 0, 2) + b"[]", "1000 entries and 0 texts pass the"),
+            (lambda start, stop: _log_body(start, start), "the bounds do not increase"),
+            (lambda start, stop: _log_body(4, stop), "the bounds do not increase"),
+            (lambda start, stop: _log_body(start, stop, count=2), "the texts do not match their count"),
+            (lambda start, stop: _log_body(start, stop, tail=b"[2]"), "TypeError: sequence item 0: expected str"),
+            (lambda start, stop: _log_body(start, stop, names=b'"someone/else"'), "the names are not a list"),
+            (lambda start, stop: struct.pack(">IIIQQQ", 2, 0, 9, start, stop, start + 4) + b'["a","b"]' + b"[]",
+             "the bounds do not increase"),
         ],
         ids=["not_json", "texts_not_json", "counts_pass_the_end", "empty_range", "range_in_magic_header",
              "count_mismatch", "text_not_a_string", "names_not_a_list", "bounds_not_increasing"],
     )
-    def test_malformed_log_frame_fails_counted_mentions(self, counted, caplog, body):
+    def test_malformed_log_frame_fails_counted_mentions(self, counted, caplog, body, reason):
         assert run(counted, "ingest") == 0
         store_dir = counted / "out" / "store"
         segment, log_path = store_dir / "months" / "2016-12.events", store_dir / "corpus" / "2016-12.texts"
@@ -890,6 +891,7 @@ class TestMetrics:
         caplog.clear()
         assert run(counted, "metrics") == 1
         assert f"error: {log_path}: frame at byte {offset}: " in caplog.text
+        assert reason in caplog.text
 
     def test_log_bytes_independent_of_hash_seed(self, counted):
         for created in ("2016-11-20T09:00:00Z", "2017-01-02T09:00:00Z"):

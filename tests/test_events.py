@@ -636,14 +636,31 @@ class TestEventStore:
         store.append([make_event(repo_id="b/b"), make_event(repo_id="a/a")])
         assert list(store.iter_repo_ids()) == ["a/a", "b/b"]
 
-    def test_iter_repo_ids_sorted_by_directory_name(self, tmp_path):
+    def test_iter_repo_ids_sorted_by_repository_id(self, tmp_path):
         store = EventStore(tmp_path / "store")
-        repos = ["a/b_c", "a/b", "A/z", "a/b-c"]
+        # ``a/x`` sorts before ``a0/x`` by id, after it as ``a__x`` and ``a0__x``
+        repos = ["a/b_c", "a0/x", "a/b", "A/z", "a/x", "a/b-c"]
         store.append([make_event(repo_id=repo) for repo in repos])
         (tmp_path / "store" / "loose__file").write_text("")
         (tmp_path / "store" / "no-separator").mkdir()
-        assert list(store.iter_repo_ids()) == ["A/z", "a/b", "a/b-c", "a/b_c"]
-        assert list(EventStore(tmp_path / "store").iter_repo_ids()) == ["A/z", "a/b", "a/b-c", "a/b_c"]
+        expected = ["A/z", "a/b", "a/b-c", "a/b_c", "a/x", "a0/x"]
+        assert list(store.iter_repo_ids()) == expected
+        assert list(EventStore(tmp_path / "store").iter_repo_ids()) == expected
+
+    @pytest.mark.parametrize("appends", [1, 2])
+    def test_ids_that_shared_a_directory_name_kept_apart(self, tmp_path, appends):
+        # both ids were once spelt ``a__b__c``
+        ours, theirs = make_event(repo_id="a__b/c"), make_event(repo_id="a/b__c", actor="bob")
+        store = EventStore(tmp_path / "store")
+        if appends == 1:
+            store.append([ours, theirs])
+        else:
+            store.append([ours])
+            store.append([theirs])
+        fresh = EventStore(tmp_path / "store")
+        assert list(fresh.iter_repo_ids()) == ["a/b__c", "a__b/c"]
+        assert fresh.read("a__b/c") == [ours]
+        assert fresh.read("a/b__c") == [theirs]
 
     def test_read_absent_repository_is_empty(self, tmp_path):
         store = EventStore(tmp_path / "store")
@@ -770,8 +787,8 @@ class TestEventStore:
         assert store.read("bitcoin/bitcoin") == events
         assert list(store.iter_repo_ids()) == ["bitcoin/bitcoin", "other/repo"]
         assert store.read("other/repo") == [replace(e, repo_id="other/repo") for e in events]
-        assert sorted(store.push_corpus(["bitcoin/bitcoin"], AS_OF, CorpusReceipt())) == sorted(
-            text for e in events for text in e.texts
+        assert sorted(store.push_corpus(AS_OF, CorpusReceipt())) == sorted(
+            text for e in events for text in e.texts * 2
         )
         assert sorted(opened) == ["2016-12.events", "2016-12.texts"]
         segment = sorted((start, stop) for name, start, stop in read if name == "2016-12.events")
@@ -808,7 +825,7 @@ class TestEventStore:
         assert list(store.iter_repo_ids()) == ["bitcoin/bitcoin", "other/repo"]
         assert store.read("bitcoin/bitcoin") == events
         assert store.read("other/repo") == others
-        texts = sorted(store.push_corpus(store.iter_repo_ids(), AS_OF, receipt))
+        texts = sorted(store.push_corpus(AS_OF, receipt))
         assert texts == sorted(text for e in events + others for text in e.texts)
         assert (receipt.logged_texts, receipt.decoded_segments) == (len(events[0].texts) * 2, 1)
         # the unlogged bytes once, for every reader, then the logged range ``read`` asked for
@@ -866,7 +883,7 @@ class TestEventStore:
             store.read("bitcoin/bitcoin")
         # the bytes lie outside the range the log covers, so counting mentions decodes them
         with pytest.raises(StoreError) as push_failure:
-            list(store.push_corpus(["bitcoin/bitcoin"], AS_OF, CorpusReceipt()))
+            list(store.push_corpus(AS_OF, CorpusReceipt()))
         assert str(push_failure.value) == str(failure.value)
 
     def test_read_checks_each_tz_offset_once(self, tmp_path, monkeypatch):
@@ -881,7 +898,6 @@ class TestEventStore:
 
         check = events_module.check_tz_offset
         monkeypatch.setattr(events_module, "check_tz_offset", counted)
-        monkeypatch.setattr(store_module, "check_tz_offset", counted)
         assert store.read("bitcoin/bitcoin") == events
         assert len(calls) == len(events)
 
@@ -889,7 +905,7 @@ class TestEventStore:
     def _corpus(root):
         """The sorted push corpus of the store at ``root``, and the segments it decoded."""
         store, receipt = EventStore(root), CorpusReceipt()
-        return sorted(store.push_corpus(store.iter_repo_ids(), AS_OF, receipt)), receipt.decoded_segments
+        return sorted(store.push_corpus(AS_OF, receipt)), receipt.decoded_segments
 
     @pytest.mark.parametrize("change", ["deleted_and_rewritten", "restored_shorter"])
     def test_push_corpus_decodes_a_replaced_partition_whole(self, tmp_path, change):
@@ -913,12 +929,12 @@ class TestEventStore:
         EventStore(root).append(self._events(2))
         path, log = root / "months" / "2016-12.events", root / "corpus" / "2016-12.texts"
         # the records after the logged range are decoded from a byte inside the first record
-        log.write_bytes(CORPUS_MAGIC + store_module._log_frame([["bitcoin__bitcoin", len(MAGIC), 20, [], []]]))
+        log.write_bytes(CORPUS_MAGIC + store_module._log_frame([["bitcoin/bitcoin", len(MAGIC), 20, [], []]]))
         with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: torn tail after byte 20$"):
             self._corpus(root)
         # ranges that tile the segment, the first ending inside a record
         size = path.stat().st_size
-        frame = store_module._log_frame([["bitcoin__bitcoin", len(MAGIC), 20, [], []], ["x__y", 20, size, [], []]])
+        frame = store_module._log_frame([["bitcoin/bitcoin", len(MAGIC), 20, [], []], ["x/y", 20, size, [], []]])
         log.write_bytes(CORPUS_MAGIC + frame)
         assert self._corpus(root) == ([], 0)  # the texts come from the log alone
         message = f"^{re.escape(str(path))}: the logged range \\[8, 20\\) is not whole records$"
@@ -1011,7 +1027,7 @@ class TestEventStore:
         assert (again.count, again.duplicates_skipped) == (0, 2 * len(events))
         for path in root.glob("*/*.events"):
             bodies, _ = _frames(path, path.read_bytes())
-            records = [EventRecord(*fields) for fields in store_module._records(path, path.read_bytes()[8:], 8)]
+            records = store_module._records(path, path.read_bytes()[8:], 8)
             assert [_key(body) for body in bodies] == [dedup_key(r) for r in records]
 
     @given(st.integers(min_value=EPOCH_MIN, max_value=EPOCH_END - 1))
