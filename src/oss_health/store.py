@@ -11,27 +11,27 @@ Layout, under the store's root:
 So a store holds two files per month and the ledger, however many
 repositories its archives touch.
 
-A segment starts with the 8-byte magic header ``OSHEVT02`` (``OSHEVT`` +
+A segment starts with the 8-byte magic header ``OSHEVT03`` (``OSHEVT`` +
 two-digit format version), followed by length-prefixed records: a
 big-endian uint32 byte length, then the record body.  A body is canonical
-JSON, ASCII only: one object with the members ``action``, ``actor``,
-``counts``, ``created_at``, ``event_type``, ``number``, ``repo_id``,
-``texts`` and ``tz_offset`` in that (sorted) order, ``,`` and ``:`` as
-separators with no whitespace, and every character outside ASCII written
-as a ``\\uXXXX`` escape (a surrogate pair above U+FFFF).  These are
-exactly the bytes of ``json.dumps(doc, sort_keys=True, separators=(",",
-":"))``.  Appends are serialised by the caller; readers are always safe.
+JSON, ASCII only: one array of the nine fields ``[repo_id, event_type,
+actor, created_at, action, texts, counts, number, tz_offset]`` in that
+order, ``,`` as the separator with no whitespace, and every character
+outside ASCII written as a ``\\uXXXX`` escape (a surrogate pair above
+U+FFFF).  These are exactly the bytes of ``json.dumps(fields,
+separators=(",", ":"))``.  Appends are serialised by the caller; readers
+are always safe.
 
 Every append deduplicates on a 16-byte BLAKE2b digest of a record's stored
-bytes up to ``,"tz_offset":``, so re-ingesting the same archive is
+bytes up to its last ``,``, so re-ingesting the same archive is
 idempotent.  That prefix holds every field but ``tz_offset``, and the cut
-is exact: keys are sorted, so ``tz_offset`` is the last member, and ``,"``
-cannot occur inside a JSON string, where every ``"`` is escaped.  The
-prefix holds ``repo_id`` and ``created_at``, so one key set per segment
-skips exactly what a key set per repository and month would.  Keys live
-only in memory.  An ``EventStore`` reads each segment's keys at most once,
-from the whole segment, and keeps them, so it assumes it is the only
-writer under its root for as long as it lives.
+is exact: ``tz_offset`` is the last element, and its JSON (``null``, or an
+in-range int, float or bool) holds no ``,``.  The prefix holds ``repo_id``
+and ``created_at``, so one key set per segment skips exactly what a key
+set per repository and month would.  Keys live only in memory.  An
+``EventStore`` reads each segment's keys at most once, from the whole
+segment, and keeps them, so it assumes it is the only writer under its
+root for as long as it lives.
 
 An append writes each month it stores records in once: their
 length-prefixed records (the magic header first, for a new segment)
@@ -79,9 +79,11 @@ segment replaced behind the store's back: it is decoded whole and its log
 is left out.
 
 A store of an older format, one with a repository directory (``*__*``)
-at its root or a log file of format ``OSHTXT01`` or ``OSHTXT02``, is
-refused with a ``StoreError`` that names the root: ingest its archives
-into a new store.
+at its root, a segment of format ``OSHEVT02`` or a log file of format
+``OSHTXT01`` or ``OSHTXT02``, is refused with a ``StoreError`` that names
+the root: ingest its archives into a new store.  An ``EventStore``'s
+first append reads every segment's and log's magic header before it
+writes anything, so such a store is refused with nothing written.
 
 The ledger ``<root>/archives.ledger`` lists the archives ingested whole.
 It starts with the 8-byte magic ``OSHARC01``, then holds fixed-size
@@ -115,7 +117,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .events import EventRecord, EventType, has_contribution
 
-MAGIC = b"OSHEVT02"
+MAGIC = b"OSHEVT03"
 _LEN = struct.Struct(">I")
 #: the segments' directory at the root, one ``<YYYY-MM>.events`` file per month
 SEGMENTS = "months"
@@ -136,19 +138,16 @@ _FRAME_HEAD = struct.Struct(">IIII")
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 #: a JSON string literal, non-ASCII as ``\\uXXXX``: what ``_JSON`` writes for a ``str``
 _STRING = json.encoder.encode_basestring_ascii
-#: a record body with its members in sorted order
-_BODY = (
-    '{"action":%s,"actor":%s,"counts":%s,"created_at":%s,"event_type":%s,'
-    '"number":%s,"repo_id":%s,"texts":%s,"tz_offset":%s}'
-)
+#: a record body: its fields in stored order, ``tz_offset`` last
+_BODY = "[%s,%s,%s,%s,%s,%s,%s,%s,%s]"
 #: one decoder call per stored record, without ``json.loads``' whitespace
 #: scans; the caller checks that it consumed the whole body
 _DECODE = json.JSONDecoder().raw_decode
 #: what ``_DECODE`` calls, without its wrapper: raises ``StopIteration`` where
 #: ``_DECODE`` raises its error
 _SCAN = json.JSONDecoder().scan_once
-#: where a stored record's last member starts; its dedup key ends there
-_TZ_MEMBER = b',"tz_offset":'
+#: the separator before a stored record's last element; its dedup key ends there
+_LAST_SEPARATOR = b","
 #: stored ``event_type`` value -> kind, cheaper than ``EventType(value)``
 _EVENT_TYPES = {kind.value: kind for kind in EventType}
 #: kind -> its stored ``event_type`` JSON, without ``Enum.value``'s Python-level lookup
@@ -222,12 +221,12 @@ def _record_to_json(record: EventRecord) -> bytes:
 
     The ``type(...) is`` tests keep a bool (``int.__repr__(True)`` is
     ``1``), a float or a subclass on ``_JSON``, so the result always equals
-    ``_JSON.encode(doc)`` of the record's fields.
+    ``_JSON.encode(fields)`` of the record's fields in stored order.
     """
     return (_BODY % (
-        _json_str(record.action), _json_str(record.actor), _json_int(record.counts),
-        _json_int(record.created_at), _KIND_JSON[record.event_type], _json_int(record.number),
-        _json_str(record.repo_id), _json_texts(record.texts), _json_int(record.tz_offset),
+        _json_str(record.repo_id), _KIND_JSON[record.event_type], _json_str(record.actor),
+        _json_int(record.created_at), _json_str(record.action), _json_texts(record.texts),
+        _json_int(record.counts), _json_int(record.number), _json_int(record.tz_offset),
     )).encode()
 
 
@@ -256,7 +255,7 @@ def _read_ledger(path: str) -> tuple[dict[bytes, tuple[int, int, int]], int]:
 
 def _key(blob: bytes) -> bytes:
     """Dedup key of a stored record body."""
-    return hashlib.blake2b(blob[: blob.rindex(_TZ_MEMBER)], digest_size=16).digest()
+    return hashlib.blake2b(blob[: blob.rindex(_LAST_SEPARATOR)], digest_size=16).digest()
 
 
 def dedup_key(record: EventRecord) -> bytes:
@@ -312,7 +311,7 @@ def _records(path: str, data: bytes, at: int, logged: str = "", starts: list | N
     Each record is built once, inside the checked loop, and
     ``EventRecord.__post_init__`` is the one check of its ``tz_offset``.
     The store's one checked decode, behind every reader: a body that is not
-    one JSON object, a missing member, an unknown ``event_type`` or a
+    one JSON array of nine elements, an unknown ``event_type`` or a
     ``tz_offset`` out of range raises ``StoreError`` naming the segment and
     the byte offset, and so do bytes that are not whole records: a torn tail
     at the segment's end, or else a ``logged`` (``"logged"`` or
@@ -334,9 +333,11 @@ def _records(path: str, data: bytes, at: int, logged: str = "", starts: list | N
                 _DECODE(text)  # raises the decoder's own error
             if last != len(text):
                 raise ValueError(f"extra data after char {last}")
+            if type(doc) is not list:
+                raise TypeError(f"the body is not an array: {type(doc).__name__}")
+            repo_id, kind, actor, created_at, action, texts, counts, number, tz_offset = doc
             records.append(EventRecord(
-                doc["repo_id"], _EVENT_TYPES[doc["event_type"]], doc["actor"], doc["created_at"],
-                doc["tz_offset"], doc["action"], doc["texts"], doc["counts"], doc["number"],
+                repo_id, _EVENT_TYPES[kind], actor, created_at, tz_offset, action, texts, counts, number,
             ))
             if starts is not None:
                 starts.append(at + end)
@@ -509,7 +510,7 @@ def _repair_tail(path: str) -> set[bytes]:
     try:
         return {_key(body) for body in bodies}
     except ValueError as exc:
-        raise StoreError(f"{path}: a record has no tz_offset member to key it by") from exc
+        raise StoreError(f"{path}: a record has no last element to key it by") from exc
 
 
 class _Month:
@@ -587,6 +588,8 @@ class EventStore:
         self._segments = f"{self._root}/{SEGMENTS}"
         #: months appended to so far -> their segment's dedup keys
         self._keys: dict[str, set[bytes]] = {}
+        #: whether every segment's and log's magic header was checked, at the first append
+        self._formats_checked = False
         self._ledger = f"{self._root}/{LEDGER}"
         #: the ledger's records, read at first use
         self._archives: dict[bytes, tuple[int, int, int]] | None = None
@@ -617,12 +620,15 @@ class EventStore:
         written and closed, each month's log gets one frame: the byte
         range of each repository's records and their push texts.
 
-        A failed encode or write raises, once the records encoded before it
-        are written: ``StoreWriteError`` for an ``OSError``, its
-        ``partial_count`` the records written whole.  The failed segment's
-        keys are dropped, so its next append re-reads them from what is on
-        disk.
+        This store's first append refuses a store of another format before
+        it writes anything.  A failed encode or write raises, once the
+        records encoded before it are written: ``StoreWriteError`` for an
+        ``OSError``, its ``partial_count`` the records written whole.  The
+        failed segment's keys are dropped, so its next append re-reads them
+        from what is on disk.
         """
+        if not self._formats_checked:
+            self._check_formats()
         receipt = AppendReceipt()
         by_month_repo: dict[tuple[str, str], list[EventRecord]] = {}
         for event in events:
@@ -645,12 +651,30 @@ class EventStore:
             self._log_ends.pop(month, None)
         return receipt
 
+    def _check_formats(self) -> None:
+        """Refuse a root whose segments or logs are of another format before
+        this store first writes: one ``os.pread`` of each file's magic header."""
+        for directory, suffix, magic in ((self._segments, ".events", MAGIC), (self._corpus, ".texts", CORPUS_MAGIC)):
+            try:
+                names = sorted(os.listdir(directory))
+            except FileNotFoundError:
+                names = []
+            for name in names:
+                if name.endswith(suffix):
+                    path = f"{directory}/{name}"
+                    fd = os.open(path, os.O_RDONLY)
+                    try:
+                        _has_magic(path, os.pread(fd, len(magic), 0), magic)
+                    finally:
+                        os.close(fd)
+        self._formats_checked = True
+
     def _append_month(self, month: str, batches: Iterable, receipt: AppendReceipt) -> list[tuple]:
         """Write one month's new records, ``batches`` of ``((month, repo_id),
         records)``; return the log entries of the repositories stored."""
         path = f"{self._segments}/{month}.events"
         keys = self._keys.get(month)
-        if keys is None:  # read before the first write, so an older log is refused before it
+        if keys is None:  # where the log ends, read before the first write to the month
             os.makedirs(self._segments, exist_ok=True)
             self._log_ends[month] = _log_frames(f"{self._corpus}/{month}.texts")[1]
             keys = self._keys[month] = _repair_tail(path)
@@ -666,7 +690,7 @@ class EventStore:
                     for record in batch:
                         blob = _record_to_json(record)
                         # the dedup key, inline: ``_key(blob)``
-                        key = blake2b(blob[: blob.rindex(_TZ_MEMBER)], digest_size=16).digest()
+                        key = blake2b(blob[: blob.rindex(_LAST_SEPARATOR)], digest_size=16).digest()
                         if key in keys:
                             receipt.duplicates_skipped += 1
                             continue

@@ -331,6 +331,25 @@ class TestIngest:
             "ingest the archives into a new store"
         ) in caplog.text
 
+    @pytest.mark.parametrize(
+        "older, magic", [("months/2016-12.events", "OSHEVT02"), ("corpus/2016-12.texts", "OSHTXT02")]
+    )
+    def test_older_store_refused_before_ingest_writes(self, workspace, caplog, older, magic):
+        assert run(workspace, "ingest") == 0
+        store_dir = workspace / "out" / "store"
+        path = store_dir / older
+        path.write_bytes(magic.encode() + path.read_bytes()[8:])
+        files = {p: p.read_bytes() for p in store_dir.rglob("*") if p.is_file()}
+        assert not any("2017-03" in p.name for p in files)
+        later = _extra_repo_line("zed", "2017-03-01T00:00:00Z")  # an archive whose one month is new
+        (workspace / "archives" / "2017-03-01-00.json").write_text(later + "\n")
+        assert run(workspace, "ingest") == 1
+        assert (
+            f"error: {store_dir}: holds {path}, format b'{magic}', of another store format; "
+            "ingest the archives into a new store"
+        ) in caplog.text
+        assert {p: p.read_bytes() for p in store_dir.rglob("*") if p.is_file()} == files
+
     def test_store_of_the_ledger_and_month_files_accepted(self, workspace):
         assert run(workspace, "ingest") == 0
         store_dir = workspace / "out" / "store"
@@ -700,12 +719,12 @@ class TestMetrics:
         store_dir = workspace / "out" / "store"
         path = store_dir / "months" / "2016-12.events"
         offset = path.stat().st_size
-        doc = json.loads(store_module._record_to_json(EventStore(store_dir).read("someone/else")[0]))
+        fields = json.loads(store_module._record_to_json(EventStore(store_dir).read("someone/else")[0]))
         if corrupt == "unknown_event_type":
-            doc["event_type"] = "Bogus"
+            fields[1] = "Bogus"  # event_type
         elif corrupt == "tz_offset_out_of_range":
-            doc["tz_offset"] = 841
-        body = b"{oops" if corrupt == "not_json" else json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+            fields[-1] = 841  # tz_offset
+        body = b"[oops" if corrupt == "not_json" else json.dumps(fields, separators=(",", ":")).encode()
         frame = len(body).to_bytes(4, "big") + body
         with open(path, "ab") as handle:
             handle.write(frame[:14] if corrupt == "torn_tail" else frame)

@@ -1,6 +1,7 @@
 """Archive parsing, event windows, and the on-disk event store."""
 
 import gzip
+import hashlib
 import io
 import json
 import logging
@@ -431,10 +432,10 @@ class TestApplyEventWindow:
         )
 
 
-#: texts built from JSON's awkward characters and the literal the dedup key is cut at
+#: texts built from JSON's awkward characters and the separators a body's dedup key is cut at
 _TRICKY_TEXT = st.lists(
     st.one_of(
-        st.sampled_from(['"', "\\", "\U0001F600", ',"tz_offset":', r'\","tz_offset":0}']),
+        st.sampled_from(['"', "\\", "\U0001F600", ",", "]", '",', '\\",']),
         st.text(max_size=3),
     ),
     max_size=4,
@@ -445,7 +446,7 @@ _TRICKY_TEXT = st.lists(
 _ANY_TEXT = st.one_of(
     st.text(st.characters(exclude_categories=()), max_size=6),
     st.lists(
-        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\U0001F600", ',"tz_offset":']),
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\U0001F600", ",", "]", '",', '\\",']),
         max_size=4,
     ).map("".join),
 )
@@ -455,41 +456,62 @@ _ANY_NUMBER = st.one_of(
 )
 
 
+#: a stored body's fields in their order, ``tz_offset`` last
+_FIELD_NAMES = ("repo_id", "event_type", "actor", "created_at", "action", "texts", "counts", "number", "tz_offset")
+
+
+def _fields(record: EventRecord, **changed) -> list:
+    """A record's fields in their stored order, with ``changed`` ones replaced."""
+    fields = {**asdict(record), "event_type": record.event_type.value, **changed}
+    return [fields[name] for name in _FIELD_NAMES]
+
+
+def _dumps(doc) -> bytes:
+    """Canonical JSON, as ``json.dumps`` spells it."""
+    return json.dumps(doc, separators=(",", ":")).encode()
+
+
 def _canonical_json(record: EventRecord) -> bytes:
-    doc = {
-        "repo_id": record.repo_id,
-        "event_type": record.event_type.value,
-        "actor": record.actor,
-        "created_at": record.created_at,
-        "tz_offset": record.tz_offset,
-        "action": record.action,
-        "texts": record.texts,
-        "counts": record.counts,
-        "number": record.number,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    return _dumps(_fields(record))
+
+
+#: any record fields ``EventRecord`` accepts
+_ANY_FIELDS = dict(
+    repo_id=_ANY_TEXT,
+    kind=st.sampled_from(list(EventType)),
+    actor=_ANY_TEXT,
+    created_at=_ANY_NUMBER,
+    tz_offset=st.one_of(
+        st.none(), st.booleans(), st.integers(TZ_OFFSET_MIN, TZ_OFFSET_MAX),
+        st.floats(TZ_OFFSET_MIN, TZ_OFFSET_MAX),
+    ),
+    action=st.one_of(st.none(), _ANY_TEXT),
+    texts=st.lists(_ANY_TEXT, max_size=4),
+    counts=_ANY_NUMBER,
+    number=_ANY_NUMBER,
+)
 
 
 class TestRecordToJson:
-    @given(
-        repo_id=_ANY_TEXT,
-        kind=st.sampled_from(list(EventType)),
-        actor=_ANY_TEXT,
-        created_at=_ANY_NUMBER,
-        tz_offset=st.one_of(st.none(), st.booleans(), st.integers(TZ_OFFSET_MIN, TZ_OFFSET_MAX)),
-        action=st.one_of(st.none(), _ANY_TEXT),
-        texts=st.lists(_ANY_TEXT, max_size=4),
-        counts=_ANY_NUMBER,
-        number=_ANY_NUMBER,
-    )
+    @given(**_ANY_FIELDS)
     @example("a/b", EventType.PUSH, "a", 1, None, None, [], True, None)
     @example("a/b", EventType.ISSUES, "a", False, True, "opened", [], None, 10**40)
-    @example("a/b", EventType.PUSH, "a", 1.5, None, None, ['\\","tz_offset":0}'], float("nan"), -0.0)
+    @example("a/b", EventType.PUSH, "a", 1.5, None, None, ['\\",null]'], float("nan"), -0.0)
     def test_matches_json_dumps(
         self, repo_id, kind, actor, created_at, tz_offset, action, texts, counts, number
     ):
         record = EventRecord(repo_id, kind, actor, created_at, tz_offset, action, texts, counts, number)
         assert store_module._record_to_json(record) == _canonical_json(record)
+
+    @given(**_ANY_FIELDS)
+    @example("a/b", EventType.PUSH, "a,b", 1, 1e-05, "x,", ["]", ",", '\\",'], None, None)
+    def test_dedup_key_is_the_digest_of_the_first_eight_fields(
+        self, repo_id, kind, actor, created_at, tz_offset, action, texts, counts, number
+    ):
+        record = EventRecord(repo_id, kind, actor, created_at, tz_offset, action, texts, counts, number)
+        head = _dumps(_fields(record)[:8])
+        assert head.endswith(b"]")
+        assert dedup_key(record) == hashlib.blake2b(head[:-1], digest_size=16).digest()
 
     @pytest.mark.parametrize(
         "texts", [("tuple", "of texts"), ["a", 1], ["a", None], [["nested"]], "not a list", None]
@@ -497,6 +519,13 @@ class TestRecordToJson:
     def test_texts_of_another_shape_match_json_dumps(self, texts):
         record = make_event(texts=texts)
         assert store_module._record_to_json(record) == _canonical_json(record)
+
+
+def test_readme_names_the_store_formats():
+    """A format bump that leaves the README naming the old magic fails here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for magic in (MAGIC, CORPUS_MAGIC, LEDGER_MAGIC):
+        assert f"`{magic.decode()}`" in readme, magic
 
 
 class TestEventStore:
@@ -856,10 +885,21 @@ class TestEventStore:
         assert (receipt.count, receipt.duplicates_skipped) == (2, 1)
         assert store.read("bitcoin/bitcoin") == events
 
-    @pytest.mark.parametrize(
-        "corrupt",
-        ["invalid_json", "trailing_data", "missing_field", "unknown_event_type", "tz_offset_out_of_range"],
-    )
+    #: each corrupt body's reason in the error
+    _CORRUPT = {
+        "invalid_json": "JSONDecodeError: ",
+        "trailing_data": "ValueError: extra data after char ",
+        "missing_field": "ValueError: not enough values to unpack (expected 9, got 8)",
+        "unknown_event_type": "KeyError: 'Bogus'",
+        "tz_offset_out_of_range": "ValueError: tz_offset -721 outside ",
+        "object_body": "TypeError: the body is not an array: dict",
+        "eight_elements": "ValueError: not enough values to unpack (expected 9, got 8)",
+        "ten_elements": "ValueError: too many values to unpack (expected 9",
+        "string_body": "TypeError: the body is not an array: str",
+        "number_body": "TypeError: the body is not an array: int",
+    }
+
+    @pytest.mark.parametrize("corrupt", list(_CORRUPT))
     def test_corrupt_record_names_partition_and_offset(self, tmp_path, corrupt):
         store = EventStore(tmp_path / "store")
         good, bad = self._events(2)
@@ -867,20 +907,26 @@ class TestEventStore:
         path = tmp_path / "store" / "months" / "2016-12.events"
         offset = path.stat().st_size
         blob = store_module._record_to_json(bad)
-        doc = json.loads(blob)
-        del doc["repo_id"]
+        fields = _fields(bad)
         body = {
-            "invalid_json": b"{oops",
-            "trailing_data": blob + b"{}",
-            "missing_field": json.dumps(doc).encode(),
-            "unknown_event_type": blob.replace(b'"event_type":"Push"', b'"event_type":"Bogus"'),
-            "tz_offset_out_of_range": blob.replace(b'"tz_offset":null', b'"tz_offset":-721'),
+            "invalid_json": b"[oops",
+            "trailing_data": blob + b"[]",
+            "missing_field": _dumps(fields[1:]),
+            "unknown_event_type": _dumps(_fields(bad, event_type="Bogus")),
+            "tz_offset_out_of_range": _dumps(_fields(bad, tz_offset=-721)),
+            # the body an ``OSHEVT02`` segment held: the nine members in sorted order
+            "object_body": json.dumps(dict(zip(_FIELD_NAMES, fields)), sort_keys=True, separators=(",", ":")).encode(),
+            "eight_elements": _dumps(fields[:8]),
+            "ten_elements": _dumps(fields + [None]),
+            "string_body": b'"123456789"',  # nine characters: unpacked, they would fill nine fields
+            "number_body": b"9",
         }[corrupt]
         assert body != blob
         with open(path, "ab") as handle:
             handle.write(len(body).to_bytes(4, "big") + body)
         with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: record at byte {offset}: ") as failure:
             store.read("bitcoin/bitcoin")
+        assert self._CORRUPT[corrupt] in str(failure.value)
         # the bytes lie outside the range the log covers, so counting mentions decodes them
         with pytest.raises(StoreError) as push_failure:
             list(store.push_corpus(AS_OF, CorpusReceipt()))
