@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataset, factor, inputs, metrics, projects, sem
-from .events import EventRecord, has_contribution, parse_archive_file
+from .events import has_contribution, parse_archive_file
 from .store import CorpusReceipt, EventStore, archive_digest
 
 log = logging.getLogger("oss_health")
@@ -243,32 +243,17 @@ def _load_ranks(path: str) -> dict[str, dict]:
         }
 
 
-def _stage_reader(store: EventStore, before: int):
-    """``read(repo_id)``: one repository's events before ``before``.
-
-    ``read`` reads each repository from the store at most once per reader
-    and keeps its events for later calls.
-    """
-    kept: dict[str, list[EventRecord]] = {}
-
-    def read(repo_id: str) -> list[EventRecord]:
-        events = kept.get(repo_id)
-        if events is None:
-            events = kept[repo_id] = [e for e in store.read(repo_id) if e.created_at < before]
-        return events
-
-    return read
-
-
 def cmd_metrics(config: PipelineConfig) -> int:
     """Write ``metrics.csv`` and its audit sidecar in one pass over the store.
 
-    The store is listed once and each repository read at most once; only
-    the repositories under a listed project's owner, and those a project
-    resolves to, stay in memory.  Metrics see only events before ``as_of``.
-    Without a configured ``as_of`` it is one second after the latest stored
-    event, so every event counts, and finding it reads only the latest
-    month's segment.
+    The store is listed once.  The repositories under a listed project's
+    owner are read as columns in one batch, and those a project resolves
+    to by override in a second; only they stay in memory.  Candidate star
+    counts, contribution checks, histograms and rows all come from those
+    columns, so no record the log's columns cover is decoded.  Metrics see
+    only events before ``as_of``.  Without a configured ``as_of`` it is one
+    second after the latest stored event, so every event counts, and
+    finding it reads only the latest month's columns.
     Only when some retained project has no mentions in the ranks file is
     the push corpus, the push texts of every stored repository, tokenised
     once: it is streamed month by month from the store's push-text log,
@@ -293,22 +278,20 @@ def cmd_metrics(config: PipelineConfig) -> int:
         raise UserError("event store is empty and no as_of timestamp configured")
     else:
         as_of = latest + 1
-    read = _stage_reader(store, as_of)
     owner_repos: dict[str, list[str]] = {}
     for repo_id in store.iter_repo_ids():
         owner_repos.setdefault(repo_id.split("/", 1)[0].lower(), []).append(repo_id)
 
     entries = projects.load_project_list(project_path)
+    owned = [owner_repos.get(projects.source_owner(entry.source_location), []) for entry in entries]
+    events = store.columns([repo_id for repo_ids in owned for repo_id in repo_ids], as_of)
     resolutions = [
         projects.resolve_repo(
             entry,
-            [
-                projects.Candidate(repo_id, metrics.count_stars(read(repo_id)))
-                for repo_id in owner_repos.get(projects.source_owner(entry.source_location), [])
-            ],
+            [projects.Candidate(repo_id, metrics.count_stars(events[repo_id])) for repo_id in repo_ids],
             overrides,
         )
-        for entry in entries
+        for entry, repo_ids in zip(entries, owned)
     ]
     resolutions = projects.mark_duplicates(resolutions)
     repo_rank = {
@@ -316,7 +299,8 @@ def cmd_metrics(config: PipelineConfig) -> int:
         for res in resolutions
         if res.status is projects.ResolutionStatus.RESOLVED and res.repo_id
     }
-    histories = {repo_id: has_contribution(read(repo_id)) for repo_id in repo_rank}
+    events.update(store.columns([repo_id for repo_id in repo_rank if repo_id not in events], as_of))
+    histories = {repo_id: has_contribution(events[repo_id]) for repo_id in repo_rank}
     retained, report = dataset.apply_exclusions(resolutions, histories)
     log.info("exclusions: %s", report.as_dict())
     if not retained:
@@ -324,7 +308,7 @@ def cmd_metrics(config: PipelineConfig) -> int:
         raise UserError(f"no project left after exclusions ({counts})")
 
     window = (as_of - 6 * metrics.MONTH_SECONDS, as_of)
-    histograms = [metrics.timezone_histogram(read(repo_id), window) for repo_id in retained]
+    histograms = [metrics.timezone_histogram(events[repo_id], window) for repo_id in retained]
     reference = metrics.median_distribution(histograms)
     mentions = {repo_id: ranks.get(repo_id, {}).get("mentions") for repo_id in retained}
     counted = [repo_id for repo_id in retained if mentions[repo_id] is None]
@@ -348,7 +332,7 @@ def cmd_metrics(config: PipelineConfig) -> int:
         )
         rows.append(
             metrics.build_metrics_row(
-                repo_id, read(repo_id), externals, reference, as_of, crit_config, histogram=histogram
+                repo_id, events[repo_id], externals, reference, as_of, crit_config, histogram=histogram
             )
         )
 

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -371,6 +373,109 @@ def apply_event_window(
     return [e for e in events if start <= e.created_at < end]
 
 
-def has_contribution(events: Iterable[EventRecord]) -> bool:
+#: kind code -> kind: a kind's code is its index here
+KINDS = tuple(EventType)
+#: kind -> its code
+KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+#: the null sentinels of the int64 columns (``created_at``, ``counts``,
+#: ``number``) and of the int16 ``tz_offset`` column: each dtype's minimum
+INT_NULL = -(1 << 63)
+TZ_NULL = -(1 << 15)
+_INT_OR_NONE = {int, type(None)}
+#: an int column's dtype -> its null sentinel, the minimum, and its maximum
+_LIMITS = {np.int64: (INT_NULL, (1 << 63) - 1), np.int16: (TZ_NULL, (1 << 15) - 1)}
+#: each column's null sentinel, in the order of ``Columns``; None for a column with none
+NULLS = (None, INT_NULL, TZ_NULL, INT_NULL, INT_NULL, None, None)
+
+
+class Columns(NamedTuple):
+    """Events as plain per-column arrays, row ``i`` holding event ``i``.
+
+    ``kind`` holds ``KIND_CODES`` (uint8).  ``created_at``, ``counts`` and
+    ``number`` are int64 with ``INT_NULL`` for None, ``tz_offset`` int16
+    with ``TZ_NULL`` for None; a column holding a value that does not fit
+    (a bool, a float, an int out of range, or one equal to the sentinel) is
+    an object column instead, its values exact and None for None.
+    ``actor`` and ``action`` are object columns of the values themselves.
+    """
+
+    kind: np.ndarray
+    created_at: np.ndarray
+    tz_offset: np.ndarray
+    counts: np.ndarray
+    number: np.ndarray
+    actor: np.ndarray
+    action: np.ndarray
+
+
+def int_column(values: list, dtype: type) -> np.ndarray:
+    """``values`` as a ``dtype`` column, the dtype's minimum for None, or as
+    an object column when a value is not an int in ``(minimum, maximum]``."""
+    types = set(map(type, values))
+    if types <= _INT_OR_NONE:
+        null, top = _LIMITS[dtype]
+        present = list(filter(None, values)) if type(None) in types else values  # a 0 is always in range
+        if not present or null < min(present) and max(present) <= top:
+            filled = values if present is values else map({None: null}.get, values, values)
+            return np.fromiter(filled, dtype, len(values))
+    return np.fromiter(values, object, len(values))
+
+
+def from_records(records: Sequence[EventRecord]) -> Columns:
+    """``records`` as columns, in their order, every value held exactly."""
+    n = len(records)
+    return Columns(
+        np.fromiter(map(KIND_CODES.__getitem__, [r.event_type for r in records]), np.uint8, n),
+        int_column([r.created_at for r in records], np.int64),
+        int_column([r.tz_offset for r in records], np.int16),
+        int_column([r.counts for r in records], np.int64),
+        int_column([r.number for r in records], np.int64),
+        np.fromiter([r.actor for r in records], object, n),
+        np.fromiter([r.action for r in records], object, n),
+    )
+
+
+def take(events: Columns, rows) -> Columns:
+    """The ``rows`` (an index array or a slice) of ``events``."""
+    return Columns(*(column[rows] for column in events))
+
+
+def concatenate(blocks: Sequence[Columns]) -> Columns:
+    """The rows of ``blocks``, one after another.
+
+    Where one block holds an object column, that column is an object
+    column throughout, None for the other blocks' sentinels.
+    """
+    if not blocks:
+        return from_records([])
+    columns = []
+    for parts, null in zip(zip(*blocks), NULLS):
+        if null is not None and any(part.dtype == object for part in parts):
+            parts = [part if part.dtype == object else _with_none(part, null) for part in parts]
+        columns.append(np.concatenate(parts))
+    return Columns(*columns)
+
+
+def _with_none(column: np.ndarray, null: int) -> np.ndarray:
+    values = column.astype(object)
+    values[column == null] = None
+    return values
+
+
+def kind_table(kinds: Iterable[EventType]) -> np.ndarray:
+    """Whether each kind code is one of ``kinds``: ``kind_table(kinds)[columns.kind]`` masks their rows."""
+    kinds = set(kinds)
+    return np.array([kind in kinds for kind in KINDS])
+
+
+def as_columns(events: Columns | Iterable[EventRecord]) -> Columns:
+    """``events`` as columns; records go through :func:`from_records`."""
+    return events if isinstance(events, Columns) else from_records(list(events))
+
+
+_CONTRIBUTION = kind_table(CONTRIBUTION_TYPES)
+
+
+def has_contribution(events: Columns | Iterable[EventRecord]) -> bool:
     """Whether any event is contribution activity (``CONTRIBUTION_TYPES``)."""
-    return any(e.event_type in CONTRIBUTION_TYPES for e in events)
+    return bool(_CONTRIBUTION[as_columns(events).kind].any())

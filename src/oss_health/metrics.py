@@ -2,10 +2,13 @@
 
 All operations are pure given their inputs.  Date arithmetic uses a fixed
 month length of 30.44 days so that month-based metrics are recomputable
-without calendar context.  Each operation counts only the event kinds
-it names and ignores the rest, so :func:`build_metrics_row` splits a
-project's events by kind once and hands each operation only the kinds it
-reads.  A criticality config is checked once, by
+without calendar context.  Each operation reads a project's events as
+:class:`~oss_health.events.Columns` (records are converted by
+:func:`~oss_health.events.from_records`) and counts only the event kinds
+it names, through masks over the kind column.  Every float comes from
+the Python expression a record-by-record computation uses, on Python
+ints (``statistics``, ``/ 3.0``, ``/ 12.0``, float64 bin counts divided
+by the total), so a row does not depend on where its columns came from.  A criticality config is checked once, by
 :func:`parse_criticality_config`, through the shared input rules of
 :mod:`oss_health.inputs`.
 """
@@ -17,16 +20,21 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .events import (
     COMMENT_TYPES,
     CONTRIBUTION_TYPES,
+    INT_NULL,
+    KIND_CODES,
+    TZ_NULL,
+    Columns,
     EventRecord,
     EventType,
-    apply_event_window,
+    as_columns,
+    kind_table,
 )
 from .inputs import key_value_lines
 
@@ -39,6 +47,36 @@ _TOKEN_BYTES = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 f
 #: texts per tokenisation in ``mention_counts``: one call per text costs
 #: more than the scan, one call over the corpus holds all its tokens at once
 _CHUNK_TEXTS = 512
+
+#: what the operations read: columns, or records to convert
+Events = Union[Columns, Sequence[EventRecord]]
+_WATCH, _FORK, _PUSH, _PULL_REQUEST, _ISSUES = (
+    KIND_CODES[kind]
+    for kind in (EventType.WATCH, EventType.FORK, EventType.PUSH, EventType.PULL_REQUEST, EventType.ISSUES)
+)
+#: kind code -> whether it is a contribution, a comment, an update
+_IS_CONTRIBUTION = kind_table(CONTRIBUTION_TYPES)
+_IS_COMMENT = kind_table(COMMENT_TYPES)
+_IS_UPDATE = kind_table((EventType.PUSH, EventType.PULL_REQUEST))
+
+
+def _window(events: Columns, start: int, end: int) -> np.ndarray:
+    """Mask of the events with ``start <= created_at < end``."""
+    if start > end:
+        raise ValueError(f"window start {start} after end {end}")
+    return (events.created_at >= start) & (events.created_at < end)
+
+
+def _present(column: np.ndarray, null: int) -> np.ndarray:
+    """Mask of the rows whose value is not None."""
+    return np.not_equal(column, None) if column.dtype == object else column != null
+
+
+def _commits(counts: np.ndarray) -> int:
+    """``sum(count or 0 for count in counts)``, on Python ints."""
+    if counts.dtype == object:
+        return sum(count or 0 for count in counts.tolist())
+    return sum(counts[counts != INT_NULL].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -57,24 +95,14 @@ class TimezoneHistogram:
     total: int = 0
 
 
-def _offset_bucket(tz_offset_minutes: int) -> int:
-    # half-hour offsets round toward zero
-    hour = int(tz_offset_minutes / 60)
-    return (hour + 12) % 24
-
-
-def timezone_histogram(
-    events: Iterable[EventRecord], window: tuple[int, int]
-) -> TimezoneHistogram:
+def timezone_histogram(events: Events, window: tuple[int, int]) -> TimezoneHistogram:
     """Histogram of event timezone offsets inside ``[start, end)``."""
-    start, end = window
-    counts = np.zeros(24)
-    total = 0
-    for event in apply_event_window(events, start, end):
-        if event.tz_offset is None:
-            continue
-        counts[_offset_bucket(event.tz_offset)] += 1
-        total += 1
+    events = as_columns(events)
+    offsets = events.tz_offset[_window(events, *window) & _present(events.tz_offset, TZ_NULL)]
+    # half-hour offsets round toward zero, as ``int(offset / 60)`` does
+    hours = np.trunc(offsets.astype(np.float64) / 60).astype(np.int64)
+    counts = np.bincount((hours + 12) % 24, minlength=24).astype(np.float64)
+    total = len(offsets)
     if total > 0:
         counts /= total
     return TimezoneHistogram(bins=counts, total=total)
@@ -111,12 +139,12 @@ def geo_rmse(project: TimezoneHistogram, reference: TimezoneHistogram) -> float:
 # simple counts
 
 
-def count_stars(events: Iterable[EventRecord]) -> int:
-    return sum(1 for e in events if e.event_type is EventType.WATCH)
+def count_stars(events: Events) -> int:
+    return int(np.count_nonzero(as_columns(events).kind == _WATCH))
 
 
-def count_forks(events: Iterable[EventRecord]) -> int:
-    return sum(1 for e in events if e.event_type is EventType.FORK)
+def count_forks(events: Events) -> int:
+    return int(np.count_nonzero(as_columns(events).kind == _FORK))
 
 
 def _tokens(text: str) -> list[bytes]:
@@ -232,17 +260,15 @@ def criticality_score(values: Mapping[str, float], config: Mapping[str, tuple[fl
     return total / weight_sum
 
 
-def criticality_signals(events: Sequence[EventRecord], as_of: int) -> dict[str, float]:
+def criticality_signals(events: Events, as_of: int) -> dict[str, float]:
     """Event-store-derived stand-ins for the signals of ``DEFAULT_CRITICALITY_CONFIG``."""
-    year = apply_event_window(events, as_of - 12 * MONTH_SECONDS, as_of)
-    commits = sum(e.counts or 0 for e in year if e.event_type is EventType.PUSH)
-    recent = sum(
-        1
-        for e in apply_event_window(events, as_of - 90 * DAY_SECONDS, as_of)
-        if e.event_type is EventType.PUSH
-    )
-    contributors = len({e.actor for e in events if e.event_type in CONTRIBUTION_TYPES})
-    comments = sum(1 for e in year if e.event_type in COMMENT_TYPES)
+    events = as_columns(events)
+    year = _window(events, as_of - 12 * MONTH_SECONDS, as_of)
+    push = events.kind == _PUSH
+    commits = _commits(events.counts[year & push])
+    recent = int(np.count_nonzero(_window(events, as_of - 90 * DAY_SECONDS, as_of) & push))
+    contributors = len(set(events.actor[_IS_CONTRIBUTION[events.kind]].tolist()))
+    comments = int(np.count_nonzero(year & _IS_COMMENT[events.kind]))
     return {
         "commit_frequency": commits / 12.0,
         "recent_activity": float(recent),
@@ -255,80 +281,74 @@ def criticality_signals(events: Sequence[EventRecord], as_of: int) -> dict[str, 
 # longevity / recency / responsiveness
 
 
-def longevity(events: Iterable[EventRecord]) -> float:
+def longevity(events: Events) -> float:
     """Mean per-actor active span in days over contribution events."""
-    first: dict[str, int] = {}
-    last: dict[str, int] = {}
-    for event in events:
-        if event.event_type not in CONTRIBUTION_TYPES:
-            continue
-        actor, at = event.actor, event.created_at
-        if actor not in first:
-            first[actor] = last[actor] = at
-        elif at < first[actor]:
-            first[actor] = at
-        elif at > last[actor]:
-            last[actor] = at
-    if not first:
+    events = as_columns(events)
+    rows = _IS_CONTRIBUTION[events.kind]
+    actors, times = events.actor[rows].tolist(), events.created_at[rows]
+    if not actors:
         return 0.0
-    return float(statistics.mean((last[actor] - at) / DAY_SECONDS for actor, at in first.items()))
+    codes = {actor: code for code, actor in enumerate(dict.fromkeys(actors))}
+    actors = np.fromiter(map(codes.__getitem__, actors), np.int64, len(actors))
+    order = np.lexsort((times, actors))  # each actor's events together, by time
+    actors, times = actors[order], times[order]
+    first = np.flatnonzero(np.diff(actors, prepend=-1))  # each actor's first row; codes are not negative
+    last = np.append(first[1:], len(actors)) - 1
+    return float(statistics.mean(
+        (end - start) / DAY_SECONDS for start, end in zip(times[first].tolist(), times[last].tolist())
+    ))
 
 
-def months_since_update(events: Iterable[EventRecord], as_of: int) -> int | None:
+def months_since_update(events: Events, as_of: int) -> int | None:
     """Whole 30.44-day months since the latest push or pull request.
 
     ``None`` means the repository has never been updated; the dataset
     stage excludes such repositories as dead.
     """
-    latest: int | None = None
-    for event in events:
-        if event.event_type in (EventType.PUSH, EventType.PULL_REQUEST):
-            if latest is None or event.created_at > latest:
-                latest = event.created_at
-    if latest is None:
+    events = as_columns(events)
+    updates = events.created_at[_IS_UPDATE[events.kind]].tolist()
+    if not updates:
         return None
+    latest = max(updates)
     if latest > as_of:
         raise ValueError("as_of precedes an update event")
     return int((as_of - latest) / DAY_SECONDS // MONTH_DAYS)
 
 
-def issue_response_times(events: Iterable[EventRecord]) -> tuple[float, float]:
+def issue_response_times(events: Events) -> tuple[float, float]:
     """(median, mean) days from an issue's open to its first close."""
+    events = as_columns(events)
+    rows = np.flatnonzero((events.kind == _ISSUES) & _present(events.number, INT_NULL))
+    rows = rows[np.argsort(events.created_at[rows], kind="stable")]  # by time, ties in stored order
     opened: dict[int, int] = {}
     deltas: list[float] = []
     closed: set[int] = set()
-    for event in sorted(events, key=lambda e: e.created_at):
-        if event.event_type is not EventType.ISSUES or event.number is None:
-            continue
-        if event.action == "opened":
-            opened.setdefault(event.number, event.created_at)
-        elif event.action == "closed":
-            if event.number in opened and event.number not in closed:
-                deltas.append((event.created_at - opened[event.number]) / DAY_SECONDS)
-                closed.add(event.number)  # re-opened issues count the first close only
+    for number, action, at in zip(
+        events.number[rows].tolist(), events.action[rows].tolist(), events.created_at[rows].tolist()
+    ):
+        if action == "opened":
+            opened.setdefault(number, at)
+        elif action == "closed":
+            if number in opened and number not in closed:
+                deltas.append((at - opened[number]) / DAY_SECONDS)
+                closed.add(number)  # re-opened issues count the first close only
     if not deltas:
         return 0.0, 0.0
     return float(statistics.median(deltas)), float(statistics.mean(deltas))
 
 
-def engagement_metrics(
-    events: Iterable[EventRecord], as_of: int
-) -> tuple[float, float, float, float]:
+def engagement_metrics(events: Events, as_of: int) -> tuple[float, float, float, float]:
     """Monthly averages over the previous three months.
 
     Returns (commits, comments, pull requests opened, distinct authors),
     each divided by three.
     """
-    window = apply_event_window(events, as_of - 3 * MONTH_SECONDS, as_of)
-    commits = sum(e.counts or 0 for e in window if e.event_type is EventType.PUSH)
-    comments = sum(1 for e in window if e.event_type in COMMENT_TYPES)
-    pull_requests = sum(
-        1
-        for e in window
-        if e.event_type is EventType.PULL_REQUEST and e.action == "opened"
-    )
-    contributing = [e for e in window if e.event_type in CONTRIBUTION_TYPES]
-    authors = len({e.actor for e in contributing})
+    events = as_columns(events)
+    window, kind = _window(events, as_of - 3 * MONTH_SECONDS, as_of), events.kind
+    commits = _commits(events.counts[window & (kind == _PUSH)])
+    comments = int(np.count_nonzero(window & _IS_COMMENT[kind]))
+    pull_requests = int(np.count_nonzero(events.action[window & (kind == _PULL_REQUEST)] == "opened"))
+    authors = len(set(events.actor[window & _IS_CONTRIBUTION[kind]].tolist()))
     return commits / 3.0, comments / 3.0, pull_requests / 3.0, authors / 3.0
 
 
@@ -388,29 +408,9 @@ EFA_COLUMNS = [
 ENGAGEMENT_COLUMNS = ["commits_3mo", "comments_3mo", "pull_requests_3mo", "authors_3mo"]
 
 
-def _split(events: Iterable[EventRecord]) -> tuple[list[EventRecord], list[EventRecord], int, int]:
-    """A project's contribution events and issue events, each in stored
-    order, and its star and fork counts, in one walk over ``events``."""
-    contribution: list[EventRecord] = []
-    issues: list[EventRecord] = []
-    stars = forks = 0
-    watch, fork, issue = EventType.WATCH, EventType.FORK, EventType.ISSUES
-    for event in events:
-        kind = event.event_type
-        if kind in CONTRIBUTION_TYPES:
-            contribution.append(event)
-        elif kind is watch:
-            stars += 1
-        elif kind is fork:
-            forks += 1
-        elif kind is issue:
-            issues.append(event)
-    return contribution, issues, stars, forks
-
-
 def build_metrics_row(
     repo_id: str,
-    events: Sequence[EventRecord],
+    events: Events,
     externals: ExternalInputs,
     reference: TimezoneHistogram,
     as_of: int,
@@ -418,38 +418,31 @@ def build_metrics_row(
     *,
     histogram: TimezoneHistogram | None = None,
 ) -> ProjectMetrics:
-    """Assemble one metrics row by delegating to the individual operations.
+    """Assemble one metrics row by delegating to the individual operations,
+    each on the same columns.
 
     ``histogram`` is the events' :func:`timezone_histogram` over the six
     months before ``as_of``; it is computed from them all unless the
     caller, which needs it for the reference too, passes it in.
-    The events are split once, in stored order:
-    :func:`issue_response_times` reads the Issues events;
-    :func:`engagement_metrics`, :func:`criticality_signals`,
-    :func:`longevity` and :func:`months_since_update` read the contribution
-    events (``CONTRIBUTION_TYPES``), which hold every push, pull request
-    and comment they count; stars and forks are counted in the split.
-    Each operation ignores the kinds it is not given, so the row is the one
-    the operations give on the whole list.
     Criticality weighs :func:`criticality_signals` by ``criticality_config``,
     or by ``DEFAULT_CRITICALITY_CONFIG`` when it is None or empty.
     """
-    contribution, issues, stars, forks = _split(events)
+    events = as_columns(events)
     if histogram is None:
         histogram = timezone_histogram(events, (as_of - 6 * MONTH_SECONDS, as_of))
-    median_days, average_days = issue_response_times(issues)
-    commits, comments, pull_requests, authors = engagement_metrics(contribution, as_of)
+    median_days, average_days = issue_response_times(events)
+    commits, comments, pull_requests, authors = engagement_metrics(events, as_of)
     return ProjectMetrics(
         repo_id=repo_id,
-        stars=stars,
-        forks=forks,
+        stars=count_stars(events),
+        forks=count_forks(events),
         mentions=externals.mentions if externals.mentions is not None else 0,
         criticality=criticality_score(
-            criticality_signals(contribution, as_of), criticality_config or DEFAULT_CRITICALITY_CONFIG
+            criticality_signals(events, as_of), criticality_config or DEFAULT_CRITICALITY_CONFIG
         ),
         geo_rmse=geo_rmse(histogram, reference),
-        longevity_days=longevity(contribution),
-        months_since_update=months_since_update(contribution, as_of),
+        longevity_days=longevity(events),
+        months_since_update=months_since_update(events, as_of),
         median_response_days=median_days,
         average_response_days=average_days,
         cmc_rank=externals.cmc_rank,

@@ -45,43 +45,64 @@ ledger wrote survives an interrupted process, but not a power loss or an
 OS crash.
 
 The log is the segment's index.  A log file starts with the 8-byte magic
-``OSHTXT03``, followed by frames, one per append that stored records in
+``OSHTXT04``, followed by frames, one per append that stored records in
 the month: a big-endian uint32 byte length, then the body.  The body
 holds ``n`` entries, one per repository the append stored records of, in
-the order of its write, and the ``m`` push texts of those records.  Its
-index section comes first: the big-endian numbers (``struct`` format
-``>III``) ``n``, ``m`` and ``k``; then (``>{n + 1}Q``) the ``n + 1``
-increasing bounds of the append's write, entry ``i`` holding the bytes
-``[bounds[i], bounds[i + 1])`` of the segment; then ``k`` bytes of
-canonical JSON (spelt as a record's), the list of the entries' repository
-ids.  The texts section follows: each text's ``created_at`` (``>{m}q``),
-then the canonical JSON list of the texts.  So the index is read without
-reading a text.  An append writes one frame to each month's log once
-every segment it wrote to is closed.  A partial frame at the end of a log
-file (a torn tail) is ignored on read and cut off before this store first
-writes to that file; a whole frame that is not such a body raises naming
-the file and the byte offset.
+the order of its write, the ``r`` records of that write as columns, and
+the ``m`` push texts of those records.  Its index section comes first:
+the big-endian numbers (``struct`` format ``>IIIII``) ``n``, ``m``,
+``k``, ``r`` and ``s``; then (``>{n + 1}Q``) the ``n + 1`` increasing
+bounds of the append's write, entry ``i`` holding the bytes ``[bounds[i],
+bounds[i + 1])`` of the segment; then ``k`` bytes of canonical JSON
+(spelt as a record's), the list of the entries' repository ids; then the
+columns.  They are little-endian: the ``n + 1`` row bounds (``<u4``),
+entry ``i`` holding the rows ``[rows[i], rows[i + 1])``, from 0 up to
+``r``; then, one column after another, each of ``r`` values in the order
+of the write, ``created_at``, ``counts`` and ``number`` (``<i8``, the
+minimum ``-2**63`` for None), ``tz_offset`` (``<i2``, ``-2**15`` for
+None), the kind (``u1``, the index of its ``EventType`` in declaration
+order), ``actor`` and ``action`` (``<u4``, an index into the string
+table, ``2**32 - 1`` for None); then ``s`` bytes of canonical JSON, the
+string table: each distinct actor and action string once.  A record
+whose ``created_at``, ``counts`` or ``number`` is not an int (a bool is
+not), or is out of its column's range or equal to its sentinel, or whose
+``tz_offset`` is not such an int, or whose actor or action is neither a
+string nor None, does not fit: its append writes that frame without
+columns, ``r`` and ``s`` 0, and readers decode its ranges from the
+segment.  The texts section follows: each text's ``created_at``
+(``>{m}q``), then the canonical JSON list of the texts.  So the index is
+read without reading a column or a text.  An append writes one frame to
+each month's log once every segment it wrote to is closed.  A partial
+frame at the end of a log file (a torn tail) is ignored on read and cut
+off before this store first writes to that file; a whole frame that is
+not such a body raises naming the file and the byte offset, and so does a
+row ``columns`` reads with an unknown kind code, a ``tz_offset`` out of
+range or a string index past its table.
 
 Reads find a repository's records through the month indexes: ``read``
 reads only the byte ranges the indexes list for it (one ``os.pread``
-each), never a whole segment.  An ``EventStore`` lists the months once,
-parses each month's index at most once, keeps its segment and log open
-for reading until the store is collected, and reads a month again only
-after this store appends to it.
+each), never a whole segment.  ``columns`` reads the columns of only the
+frames holding a wanted entry, one ``os.pread`` each, selects their rows
+with one index array per frame, and decodes no record a frame's columns
+cover.  An ``EventStore`` lists the months once, parses each month's
+index at most once and each frame's columns at most once, keeps its
+segment and log open for reading until the store is collected, and reads
+a month again only after this store appends to it.
 
 Records that no logged range covers are decoded from the segment once per
 ``EventStore`` and grouped by repository: every record of a store whose
 log was removed, those of an append cut off between its segment write and
-its log write, and bytes appended behind the store's back.  So the
-segment alone is the source of truth, and the log only saves decoding it.
-A month whose logged ranges overlap or pass its segment's end had its
-segment replaced behind the store's back: it is decoded whole and its log
-is left out.
+its log write, and bytes appended behind the store's back.  ``columns``
+turns them, and the records of a frame without columns, into the same
+columns through ``from_records``.  So the segment alone is the source of
+truth, and the log only saves decoding it.  A month whose logged ranges
+overlap or pass its segment's end had its segment replaced behind the
+store's back: it is decoded whole and its log is left out.
 
 A store of an older format, one with a repository directory (``*__*``)
 at its root, a segment of format ``OSHEVT02`` or a log file of format
-``OSHTXT01`` or ``OSHTXT02``, is refused with a ``StoreError`` that names
-the root: ingest its archives into a new store.  An ``EventStore``'s
+``OSHTXT01``, ``OSHTXT02`` or ``OSHTXT03``, is refused with a
+``StoreError`` that names the root: ingest its archives into a new store.  An ``EventStore``'s
 first append reads every segment's and log's magic header before it
 writes anything, so such a store is refused with nothing written.
 
@@ -106,16 +127,33 @@ import bisect
 import functools
 import hashlib
 import json
+import operator
 import os
 import struct
 import time
 import weakref
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .events import EventRecord, EventType, has_contribution
+import numpy as np
+
+from .events import (
+    KIND_CODES,
+    KINDS,
+    TZ_NULL,
+    TZ_OFFSET_MAX,
+    TZ_OFFSET_MIN,
+    Columns,
+    EventRecord,
+    EventType,
+    concatenate,
+    from_records,
+    has_contribution,
+    int_column,
+    take,
+)
 
 MAGIC = b"OSHEVT03"
 _LEN = struct.Struct(">I")
@@ -128,11 +166,17 @@ LEDGER_MAGIC = b"OSHARC01"
 _LEDGER_RECORD = struct.Struct(">16sQQQ")
 #: the log's directory at the root, one ``<YYYY-MM>.texts`` file per month
 CORPUS = "corpus"
-CORPUS_MAGIC = b"OSHTXT03"
-#: a log frame's entry count, text count and byte length of its names
-_LOG_HEAD = struct.Struct(">III")
+CORPUS_MAGIC = b"OSHTXT04"
+#: a log frame's entry count, text count, byte length of its names, row
+#: count (0 for a frame without columns) and byte length of its string table
+_LOG_HEAD = struct.Struct(">IIIII")
 #: a log frame's length prefix and the head of its body
-_FRAME_HEAD = struct.Struct(">IIII")
+_FRAME_HEAD = struct.Struct(">IIIIII")
+#: bytes per row of a frame's columns: ``created_at``, ``counts`` and
+#: ``number`` (i8), ``tz_offset`` (i2), the kind (u1), ``actor`` and ``action`` (u4)
+_ROW_BYTES = 3 * 8 + 2 + 1 + 2 * 4
+#: the null sentinel of the u4 ``actor`` and ``action`` columns
+_U4_NULL = (1 << 32) - 1
 #: canonical record JSON; ``json.dumps`` with these arguments would build a
 #: new encoder on every call
 _JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -364,16 +408,57 @@ def _log_frames(path: str) -> tuple[list[bytes], int]:
     return _frames(path, data, CORPUS_MAGIC)
 
 
-def _log_frame(entries: list[tuple]) -> bytes:
+def _columns_block(records: list[EventRecord], rows: list[int]) -> tuple[bytes, bytes] | None:
+    """A log frame's columns of ``records``, entry ``i`` holding the rows
+    ``[rows[i], rows[i + 1])``, and its string table; None when a value
+    does not fit a column, as ``from_records`` would hold it in an object
+    column, or an actor or action is neither a string nor None.
+
+    The block is the row bounds (``<u4``), then one little-endian column
+    after another: ``created_at``, ``counts``, ``number`` (``<i8``),
+    ``tz_offset`` (``<i2``), the kind code (``u1``), ``actor`` and
+    ``action`` (``<u4``, each value's index in the string table).
+    """
+    numbers = [
+        int_column([r.created_at for r in records], np.int64),
+        int_column([r.counts for r in records], np.int64),
+        int_column([r.number for r in records], np.int64),
+        int_column([r.tz_offset for r in records], np.int16),
+    ]
+    strings = [r.actor for r in records] + [r.action for r in records]
+    index = dict.fromkeys(strings)
+    index.pop(None, None)
+    if any(column.dtype == object for column in numbers) or set(map(type, index)) - {str}:
+        return None
+    table = list(index)
+    index.update(zip(table, range(len(table))))
+    index[None] = _U4_NULL
+    block = b"".join((
+        np.array(rows, "<u4").tobytes(),
+        *(column.astype("<i8").tobytes() for column in numbers[:3]),
+        numbers[3].astype("<i2").tobytes(),
+        bytes(map(KIND_CODES.__getitem__, [r.event_type for r in records])),
+        np.fromiter(map(index.__getitem__, strings), "<u4", len(strings)).tobytes(),  # actors, then actions
+    ))
+    return block, ("[" + ",".join(map(_STRING, table)) + "]").encode()
+
+
+def _log_frame(entries: list[tuple], records: list[EventRecord] | None = None) -> bytes:
     """One append's length-prefixed log frame for a month, from its
-    ``(repo_id, start, end, created_at, texts)`` entries."""
-    repo_ids, starts, ends, created, texts = zip(*entries)
+    ``(repo_id, start, end, first_row, created_at, texts)`` entries and
+    the records of its write, in order; without them, or when a value does
+    not fit a column, the frame has no columns."""
+    repo_ids, starts, ends, firsts, created, texts = zip(*entries)
     times = [at for batch in created for at in batch]
     names = _JSON.encode(repo_ids).encode()
+    columns = None if records is None else _columns_block(records, [*firsts, len(records)])
+    rows, block, table = (0, b"", b"") if columns is None else (len(records), *columns)
     body = b"".join((
-        _LOG_HEAD.pack(len(entries), len(times), len(names)),
+        _LOG_HEAD.pack(len(entries), len(times), len(names), rows, len(table)),
         struct.pack(f">{len(entries) + 1}Q", *starts, ends[-1]),
         names,
+        block,
+        table,
         struct.pack(f">{len(times)}q", *times),
         _JSON.encode([text for batch in texts for text in batch]).encode(),
     ))
@@ -381,7 +466,7 @@ def _log_frame(entries: list[tuple]) -> bytes:
 
 
 class _Frame(NamedTuple):
-    """A log frame's index section, and where its texts section lies in the log."""
+    """A log frame's index section, and where its columns and its texts section lie in the log."""
 
     names: list[str]
     #: repository id -> its entry
@@ -392,13 +477,17 @@ class _Frame(NamedTuple):
     count: int
     #: the frame's byte offset in the log, for errors
     at: int
+    #: the number of rows of its columns; 0 for a frame without columns
+    rows: int
+    #: the columns' byte offset and length in the log
+    columns: tuple[int, int]
     #: the texts section's byte offset and length in the log
     texts: tuple[int, int]
 
 
 def _read_index(path: str, fd: int) -> list[_Frame]:
     """The index sections of a log file's whole frames, read with two
-    ``os.pread`` calls per frame and no text read.
+    ``os.pread`` calls per frame: no column and no text is read.
 
     A torn tail is ignored; a whole frame whose index is not such a body
     raises ``StoreError`` naming the file and the byte offset.
@@ -416,27 +505,103 @@ def _read_index(path: str, fd: int) -> list[_Frame]:
         try:
             if length < _LOG_HEAD.size:
                 raise ValueError(f"a body of {length} bytes has no head")
-            _, entries, count, k = _FRAME_HEAD.unpack(head)
+            _, entries, count, k, rows, table = _FRAME_HEAD.unpack(head)
             index = 8 * (entries + 1) + k
-            if _LOG_HEAD.size + index + 8 * count > length:
-                raise ValueError(f"{entries} entries and {count} texts pass the frame's end")
+            if table and not rows:
+                raise ValueError("a frame without columns has a string table")
+            columns = 4 * (entries + 1) + _ROW_BYTES * rows + table if rows else 0
+            if _LOG_HEAD.size + index + columns + 8 * count > length:
+                raise ValueError(f"{entries} entries, {rows} rows and {count} texts pass the frame's end")
             data = os.pread(fd, index, at + _FRAME_HEAD.size)
             bounds = struct.unpack_from(f">{entries + 1}Q", data)
             names = json.loads(data[index - k :].decode("ascii"))
             if type(names) is not list:
                 raise TypeError("the names are not a list")
-            "".join(names)  # raise TypeError unless every item is a string
+            if set(map(type, names)) - {str}:
+                raise TypeError("a name is not a string")
             entry = dict(zip(names, range(entries)))
             if not entries or len(entry) != entries or len(names) != entries:
                 raise ValueError("the names do not match their count")
-            if bounds[0] < len(MAGIC) or len(set(bounds)) <= entries or sorted(bounds) != list(bounds):
+            if bounds[0] < len(MAGIC) or not all(map(operator.lt, bounds, bounds[1:])):
                 raise ValueError("the bounds do not increase from past the magic header")
         except (ValueError, TypeError, struct.error) as exc:
             raise StoreError(f"{path}: frame at byte {at}: {type(exc).__name__}: {exc}") from exc
         offset = at + _FRAME_HEAD.size + index
-        frames.append(_Frame(names, entry, bounds, count, at, (offset, at + _LEN.size + length - offset)))
+        frames.append(_Frame(
+            names, entry, bounds, count, at, rows, (offset, columns),
+            (offset + columns, at + _LEN.size + length - offset - columns),
+        ))
         at += _LEN.size + length
     return frames
+
+
+class _Parsed(NamedTuple):
+    """A log frame's columns as read: ``events.actor`` and ``events.action``
+    hold indexes into ``strings``, ``_U4_NULL`` for None."""
+
+    #: each entry's number of rows, the entries' rows one after another
+    lengths: np.ndarray
+    events: Columns
+    #: the string table
+    strings: np.ndarray
+
+
+def _frame_columns(path: str, fd: int, frame: _Frame) -> _Parsed:
+    """A log frame's columns, read with one ``os.pread``.
+
+    Row bounds that do not run from 0 up to the row count, or a string
+    table that is not a list of strings, raise ``StoreError`` naming the
+    file and the frame's byte offset.  ``EventStore.columns`` checks the
+    other columns of the rows it reads.
+    """
+    offset, length = frame.columns
+    data = os.pread(fd, length, offset)
+    n, r = len(frame.names) + 1, frame.rows
+    try:
+        rows = np.frombuffer(data, "<u4", n)
+        at = 4 * n
+        created, counts, number = (np.frombuffer(data, "<i8", r, at + 8 * r * i) for i in range(3))
+        at += 24 * r
+        tz = np.frombuffer(data, "<i2", r, at)
+        kind = np.frombuffer(data, np.uint8, r, at + 2 * r)
+        actor, action = (np.frombuffer(data, "<u4", r, at + 3 * r + 4 * r * i) for i in range(2))
+        table = json.loads(data[at + 11 * r :].decode("ascii"))
+        if type(table) is not list or set(map(type, table)) - {str}:
+            raise TypeError("the string table is not a list of strings")
+        lengths = np.diff(rows.astype(np.int64))
+        if rows[0] != 0 or rows[-1] != r or lengths.min() <= 0:
+            raise ValueError("the row bounds do not increase from 0 to the row count")
+    except (ValueError, TypeError) as exc:
+        raise StoreError(f"{path}: frame at byte {frame.at}: {type(exc).__name__}: {exc}") from exc
+    strings = np.empty(len(table), object)
+    strings[:] = table
+    return _Parsed(lengths, Columns(kind, created, tz, counts, number, actor, action), strings)
+
+
+class _Piece(NamedTuple):
+    """Rows ``EventStore.columns`` reads: ``index`` selects them from
+    ``events``, whose ``actor`` and ``action`` hold indexes into
+    ``strings`` (``_U4_NULL`` for None), and ``owners`` holds the code of
+    each one's repository."""
+
+    events: Columns
+    strings: np.ndarray
+    index: np.ndarray
+    owners: np.ndarray
+    #: ``"<log>: frame at byte <offset>"`` of columns read from the log, for
+    #: errors; None for records decoded from the segment, already checked
+    frame: str | None
+
+
+def _decoded(records: list[EventRecord], owners: np.ndarray) -> _Piece:
+    """Decoded records as a piece of all their rows, through ``from_records``."""
+    events = from_records(records)
+    m = len(records)
+    indexes = np.arange(2 * m)
+    return _Piece(
+        events._replace(actor=indexes[:m], action=indexes[m:]),
+        np.concatenate((events.actor, events.action)), np.arange(m), owners, None,
+    )
 
 
 def _frame_texts(path: str, fd: int, frame: _Frame) -> tuple[tuple[int, ...], list[str]]:
@@ -515,10 +680,10 @@ def _repair_tail(path: str) -> set[bytes]:
 
 class _Month:
     """What a store has read of one month: its log's index, the covered
-    spans of its segment, and the records no logged range covers, by
-    repository id with the byte each starts at."""
+    spans of its segment, the records no logged range covers, by
+    repository id with the byte each starts at, and the columns read."""
 
-    __slots__ = ("segment", "fd", "log", "log_fd", "frames", "spans", "gaps", "uncovered")
+    __slots__ = ("segment", "fd", "log", "log_fd", "frames", "spans", "gaps", "unlogged", "uncovered", "loose", "parsed")
 
     def __init__(self, segment: str, fd: int, log: str, log_fd: int | None):
         self.segment, self.fd, self.log, self.log_fd = segment, fd, log, log_fd
@@ -536,7 +701,8 @@ class _Month:
             if stop < start:
                 self.gaps.append((stop, start))
             stop = end
-        self.uncovered: dict[str, list[tuple[int, EventRecord]]] = {}
+        #: the records no logged range covers, in byte order, with the byte each starts at
+        self.unlogged: list[tuple[int, EventRecord]] = []
         for start, stop in self.gaps:
             logged = "" if stop == size else "unlogged"
             starts: list[int] = []
@@ -544,7 +710,14 @@ class _Month:
             for at, record in zip(starts, records):
                 if type(record.repo_id) is not str:
                     raise StoreError(f"{segment}: record at byte {at}: repo_id {record.repo_id!r} is not a string")
-                self.uncovered.setdefault(record.repo_id, []).append((at, record))
+                self.unlogged.append((at, record))
+        self.uncovered: dict[str, list[tuple[int, EventRecord]]] = {}
+        for at, record in self.unlogged:
+            self.uncovered.setdefault(record.repo_id, []).append((at, record))
+        #: the unlogged records as one piece, their repository ids and start bytes, built at first use
+        self.loose: tuple[_Piece, list[str], np.ndarray] | None = None
+        #: frame byte offset -> its columns, read at first use
+        self.parsed: dict[int, _Parsed] = {}
 
     def names(self) -> set[str]:
         """The repositories with records in the month."""
@@ -568,11 +741,102 @@ class _Month:
             records = [record for _, piece in sorted(pieces, key=lambda piece: piece[0]) for record in piece]
         return records
 
+    def frame_columns(self, frame: _Frame) -> _Parsed:
+        """A frame's columns, its log bytes read once per month read."""
+        parsed = self.parsed.get(frame.at)
+        if parsed is None:
+            parsed = self.parsed[frame.at] = _frame_columns(self.log, self.log_fd, frame)
+        return parsed
+
+    def _logged(self, frame: _Frame, hits: list[tuple[int, int]]) -> _Piece:
+        """The rows of a frame's entries ``hits``, ``(entry, code)`` pairs:
+        selected from its columns by one index array, or decoded from the
+        segment when it has none."""
+        if not frame.rows:
+            records: list[EventRecord] = []
+            codes: list[int] = []
+            for i, code in sorted(hits):
+                start, stop = frame.bounds[i], frame.bounds[i + 1]
+                piece = _records(self.segment, os.pread(self.fd, stop - start, start), start, "logged")
+                records += piece
+                codes += [code] * len(piece)
+            return _decoded(records, np.array(codes, np.int64))
+        lengths, events, strings = self.frame_columns(frame)
+        entries = np.full(len(frame.names), -1)
+        entries[[i for i, _ in hits]] = [code for _, code in hits]
+        owners = np.repeat(entries, lengths)
+        index = np.flatnonzero(owners >= 0)
+        return _Piece(events, strings, index, owners[index], f"{self.log}: frame at byte {frame.at}")
+
+    def columns(self, codes: dict[str, int]) -> Iterator[_Piece]:
+        """Pieces of the rows of the repositories ``codes`` maps to their
+        codes, in byte order, so each repository's rows come in ``read``
+        order."""
+        if self.unlogged:
+            if self.loose is None:
+                records = [record for _, record in self.unlogged]
+                starts = np.array([at for at, _ in self.unlogged], np.int64)
+                self.loose = _decoded(records, np.zeros(0, np.int64)), [record.repo_id for record in records], starts
+            loose, names, starts = self.loose
+            owners = np.fromiter(map(codes.get, names, repeat(-1)), np.int64, len(names))
+            wanted = np.flatnonzero(owners >= 0)
+            # the unlogged rows before each frame, then those after the last
+            cuts = [*np.searchsorted(starts[wanted], [frame.bounds[0] for frame in self.frames]).tolist(), len(wanted)]
+        else:
+            cuts = [0] * (len(self.frames) + 1)
+        done = 0
+        for frame, cut in zip([*self.frames, None], cuts):
+            if cut > done:
+                run = wanted[done:cut]
+                yield loose._replace(index=run, owners=owners[run])
+                done = cut
+            if frame is not None:
+                if len(codes) < len(frame.names):
+                    hits = [(i, code) for repo_id, code in codes.items() if (i := frame.entry.get(repo_id)) is not None]
+                else:
+                    hits = [(i, code) for i, repo_id in enumerate(frame.names) if (code := codes.get(repo_id)) is not None]
+                if hits:
+                    yield self._logged(frame, hits)
+
+    def latest_created_at(self) -> int | None:
+        """The largest ``created_at`` of the month, None when it holds no
+        record: taken from the columns, decoding only what they do not cover."""
+        times = [record.created_at for _, record in self.unlogged]
+        for frame in self.frames:
+            if frame.rows:
+                times.append(self.frame_columns(frame).events.created_at.max().item())
+            else:
+                start, stop = frame.bounds[0], frame.bounds[-1]
+                records = _records(self.segment, os.pread(self.fd, stop - start, start), start, "logged")
+                times.append(max(record.created_at for record in records))
+        return max(times, default=None)
+
 
 def _close(fds: dict[str, int]) -> None:
     for fd in fds.values():
         os.close(fd)
     fds.clear()
+
+
+def _check_rows(events: Columns, lengths: np.ndarray, frames: list[str | None], source: np.ndarray) -> None:
+    """Raise ``StoreError`` naming the log frame of the first row read with
+    an unknown kind code, a ``tz_offset`` out of range, or an ``actor`` or
+    ``action`` index not below its string table's length in ``lengths``;
+    row ``i`` came from the piece ``source[i]`` of ``frames``."""
+    tz = events.tz_offset
+    if tz.dtype == object:  # a decoded record made it so: check the ints the frames gave, None for their nulls
+        logged = np.array([frame is not None for frame in frames])[source]
+        tz = np.where(logged & np.not_equal(tz, None), tz, 0).astype(np.int64)
+    problems = [
+        ("kind code", events.kind >= len(KINDS), events.kind),
+        ("tz_offset", (tz != TZ_NULL) & ((tz < TZ_OFFSET_MIN) | (tz > TZ_OFFSET_MAX)), tz),
+        *((f"{name} index", (column != _U4_NULL) & (column >= lengths), column)
+          for name, column in (("actor", events.actor), ("action", events.action))),
+    ]
+    for what, bad, column in problems:
+        if bad.any():
+            row = int(bad.argmax())
+            raise StoreError(f"{frames[source[row]]}: ValueError: {what} {column[row]} is out of range")
 
 
 class EventStore:
@@ -636,16 +900,16 @@ class EventStore:
 
         logs = []
         for month, batches in groupby(sorted(by_month_repo.items()), key=lambda item: item[0][0]):
-            entries = self._append_month(month, batches, receipt)
+            entries, stored = self._append_month(month, batches, receipt)
             if entries:
-                logs.append((month, entries))
-        for month, entries in logs:
+                logs.append((month, entries, stored))
+        for month, entries, stored in logs:
             path = f"{self._corpus}/{month}.texts"
             cut = self._log_ends.get(month)
             try:
                 if cut is not None:
                     os.makedirs(self._corpus, exist_ok=True)
-                _append_cut(path, cut, CORPUS_MAGIC, _log_frame(entries))
+                _append_cut(path, cut, CORPUS_MAGIC, _log_frame(entries, stored))
             except OSError as exc:
                 raise StoreWriteError(f"append to {path} failed: {exc}", receipt.count) from exc
             self._log_ends.pop(month, None)
@@ -669,9 +933,10 @@ class EventStore:
                         os.close(fd)
         self._formats_checked = True
 
-    def _append_month(self, month: str, batches: Iterable, receipt: AppendReceipt) -> list[tuple]:
+    def _append_month(self, month: str, batches: Iterable, receipt: AppendReceipt) -> tuple[list[tuple], list]:
         """Write one month's new records, ``batches`` of ``((month, repo_id),
-        records)``; return the log entries of the repositories stored."""
+        records)``; return the log entries of the repositories stored, and
+        the records written, in order."""
         path = f"{self._segments}/{month}.events"
         keys = self._keys.get(month)
         if keys is None:  # where the log ends, read before the first write to the month
@@ -680,6 +945,7 @@ class EventStore:
             keys = self._keys[month] = _repair_tail(path)
         push, blake2b = EventType.PUSH, hashlib.blake2b
         frames: list[bytes] = []
+        stored: list[EventRecord] = []
         entries = []
         try:
             try:
@@ -696,6 +962,7 @@ class EventStore:
                             continue
                         keys.add(key)
                         frames.append(_LEN.pack(len(blob)) + blob)
+                        stored.append(record)
                         if record.event_type is push:
                             created += [record.created_at] * len(record.texts)
                             texts += record.texts
@@ -709,9 +976,11 @@ class EventStore:
             del self._keys[month]
             raise StoreWriteError(f"append to {path} failed: {exc}", receipt.count) from exc
         if not frames:
-            return []
+            return [], stored
         bounds = list(accumulate(map(len, frames), initial=start))
-        return [(name, bounds[first], bounds[stop], created, texts) for name, first, stop, created, texts in entries]
+        return [
+            (name, bounds[first], bounds[stop], first, created, texts) for name, first, stop, created, texts in entries
+        ], stored
 
     def _forget(self, month: str) -> None:
         """Drop what this store read of ``month``, which it is about to append
@@ -802,20 +1071,58 @@ class EventStore:
                 receipt.logged_texts += len(texts)
                 yield from texts
 
+    def columns(self, repo_ids: Iterable[str], before: int) -> dict[str, Columns]:
+        """Each repository's events before ``before`` as columns, its rows in
+        ``read`` order, for every id in ``repo_ids``.
+
+        Only the columns of the log frames holding a wanted entry are read,
+        each frame's once per month read, and their rows selected by one
+        index array per frame.  The records no logged range covers and
+        those of a frame without columns become the same columns through
+        ``from_records``.  No record a frame's columns cover is decoded.
+        A row read with an unknown kind code, a ``tz_offset`` out of range
+        or a string index past its table raises ``StoreError`` naming the
+        log file and the frame's byte offset.
+        """
+        codes = {repo_id: code for code, repo_id in enumerate(dict.fromkeys(repo_ids))}
+        pieces = [piece for month in self._months_held() for piece in self._month(month).columns(codes)]
+        if not pieces:
+            return {repo_id: from_records([]) for repo_id in codes}
+        # each distinct piece's columns and strings once, one after another
+        distinct = list({id(piece.events): piece for piece in pieces}.values())
+        keys = [id(piece.events) for piece in distinct]
+        row_at = dict(zip(keys, accumulate((len(piece.events.kind) for piece in distinct), initial=0)))
+        string_at = dict(zip(keys, accumulate((len(piece.strings) for piece in distinct), initial=0)))
+        events = concatenate([piece.events for piece in distinct])
+        strings = np.concatenate([*(piece.strings for piece in distinct), np.full(1, None)])  # None last
+        # the rows read: each one's row in ``events``, its repository's code and its piece
+        index = np.concatenate([piece.index + row_at[id(piece.events)] for piece in pieces])
+        owner = np.concatenate([piece.owners for piece in pieces])
+        source = np.repeat(np.arange(len(pieces)), [len(piece.index) for piece in pieces])
+        kept = np.flatnonzero(events.created_at[index] < before)
+        order = kept[np.argsort(owner[kept], kind="stable")]  # by repository, each in byte order
+        index, owner, source = index[order], owner[order], source[order]
+        events = take(events, index)
+        tables = np.array([(string_at[id(piece.events)], len(piece.strings)) for piece in pieces], np.int64)[source]
+        _check_rows(events, tables[:, 1], [piece.frame for piece in pieces], source)
+        # a string index -> the string, ``_U4_NULL`` -> None
+        events = events._replace(**{
+            name: strings.take(np.where(column == _U4_NULL, len(strings) - 1, column + tables[:, 0]))
+            for name, column in (("actor", events.actor), ("action", events.action))
+        })
+        bounds = np.searchsorted(owner, np.arange(len(codes) + 1)).tolist()
+        return {repo_id: take(events, slice(bounds[code], bounds[code + 1])) for repo_id, code in codes.items()}
+
     def latest_created_at(self) -> int | None:
         """``created_at`` of the latest stored event; ``None`` for an empty store.
 
-        Segments are UTC months, so only the latest month's segment is
-        read, and the next month down's when it holds no complete record.
-        Its records are decoded and built as ``read`` builds them.
+        Segments are UTC months, so only the latest month is read, and the
+        next month down when it holds no complete record: the maximum of its
+        log frames' ``created_at`` columns and of the records no column
+        covers, which are decoded as ``read`` decodes them.
         """
         for month in reversed(self._months_held()):
-            state = self._month(month)
-            latest = max((record.created_at for records in state.uncovered.values() for _, record in records), default=None)
-            for start, stop in state.spans:
-                for record in _records(state.segment, os.pread(state.fd, stop - start, start), start):
-                    if latest is None or record.created_at > latest:
-                        latest = record.created_at
+            latest = self._month(month).latest_created_at()
             if latest is not None:
                 return latest
         return None

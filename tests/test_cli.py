@@ -14,6 +14,7 @@ import subprocess
 import sys
 from datetime import datetime
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,21 +56,11 @@ def _extra_repo_line(actor, created, event_type="WatchEvent", payload=None, repo
 
 
 def _log_body(start, stop, count=1, names=b'["someone/else"]', tail=b'["bitcoin"]'):
-    """A log frame body of one entry and ``count`` texts: the entry's range
-    ``[start, stop)`` and the JSON of its repository ids, then each text's
-    time and the JSON of the texts."""
-    head = struct.pack(">III", 1, count, len(names)) + struct.pack(">QQ", start, stop)
+    """A log frame body of one entry, no columns and ``count`` texts: the
+    entry's range ``[start, stop)`` and the JSON of its repository ids, then
+    each text's time and the JSON of the texts."""
+    head = struct.pack(">IIIII", 1, count, len(names), 0, 0) + struct.pack(">QQ", start, stop)
     return head + names + struct.pack(f">{count}q", *[0] * count) + tail
-
-
-def _stored_bytes(store_dir, repo_ids):
-    """The bytes of the records of ``repo_ids`` in each segment, by its file name."""
-    store, sizes = EventStore(store_dir), {}
-    for repo_id in repo_ids:
-        for event in store.read(repo_id):
-            name = f"{store_module._month_key(event.created_at)}.events"
-            sizes[name] = sizes.get(name, 0) + 4 + len(store_module._record_to_json(event))
-    return sizes
 
 
 def _decoded_once(decoded):
@@ -94,6 +85,30 @@ def decoded(monkeypatch):
 
     monkeypatch.setattr(store_module, "_records", counted)
     return ranges
+
+
+@pytest.fixture
+def preads(monkeypatch):
+    """From here on, ``preads.ranges``: the ``(file name, start, stop)`` of
+    every byte range the store reads with ``os.pread``; ``preads.opened``:
+    the name of each file it opens."""
+    reads, names = SimpleNamespace(ranges=[], opened=[]), {}
+    os_open, pread = store_module.os.open, store_module.os.pread
+
+    def counted_open(path, flags, *args):
+        fd = os_open(path, flags, *args)
+        reads.opened.append(Path(path).name)
+        names[fd] = Path(path).name
+        return fd
+
+    def counted_pread(fd, length, offset):
+        data = pread(fd, length, offset)
+        reads.ranges.append((names[fd], offset, offset + len(data)))
+        return data
+
+    monkeypatch.setattr(store_module.os, "open", counted_open)
+    monkeypatch.setattr(store_module.os, "pread", counted_pread)
+    return reads
 
 
 @pytest.fixture
@@ -316,7 +331,7 @@ class TestIngest:
             "ingest the archives into a new store"
         ) in caplog.text
 
-    @pytest.mark.parametrize("magic", ["OSHTXT01", "OSHTXT02"])
+    @pytest.mark.parametrize("magic", ["OSHTXT01", "OSHTXT02", "OSHTXT03"])
     @pytest.mark.parametrize("command", ["ingest", "metrics"])
     def test_older_log_refused(self, workspace, caplog, command, magic):
         assert run(workspace, "ingest") == 0
@@ -490,13 +505,14 @@ class TestMetrics:
         with gzip.open(workspace / "archives" / "2016-12-05-09.json.gz", "wt") as handle:
             handle.write(_extra_repo_line("quinn", "2016-12-05T09:00:00Z", repo="foreign/node") + "\n")
         run(workspace, "ingest")
-        reads, read = [], EventStore.read
+        reads, columns = [], EventStore.columns
 
-        def spied_read(self, repo_id):
-            reads.append(repo_id)
-            return read(self, repo_id)
+        def spied_columns(self, repo_ids, before):
+            repo_ids = list(repo_ids)
+            reads.extend(repo_ids)
+            return columns(self, repo_ids, before)
 
-        monkeypatch.setattr(EventStore, "read", spied_read)
+        monkeypatch.setattr(EventStore, "columns", spied_columns)
         assert run(workspace, "metrics") == 0
         assert "foreign/node" not in reads
         assert sorted(set(reads)) == ["bitcoin/bitcoin", "ethereum/go-ethereum"]
@@ -643,14 +659,13 @@ class TestMetrics:
             handle.write(line + "\n")
 
     @pytest.mark.parametrize("supplied", [True, False])
-    def test_one_pass_over_the_store(self, workspace, monkeypatch, decoded, supplied):
+    def test_one_pass_over_the_store(self, workspace, monkeypatch, decoded, preads, supplied):
         self._corpus_only_push(workspace, "2016-12-10T09:00:00Z")
         if not supplied:
             (workspace / "ranks.csv").write_text("repo_id,cmc_rank,alexa_rank\n")
         run(workspace, "ingest")
-        store_dir = workspace / "out" / "store"
-        listed_owners = _stored_bytes(store_dir, ["bitcoin/bitcoin", "ethereum/go-ethereum"])
         decoded.clear()
+        preads.ranges.clear()
         lists, iter_repo_ids = [], EventStore.iter_repo_ids
 
         def counted_iter(self):
@@ -660,41 +675,29 @@ class TestMetrics:
         monkeypatch.setattr(EventStore, "iter_repo_ids", counted_iter)
         assert run(workspace, "metrics") == 0
         assert len(lists) == 1
-        # the push-text log covers the store, so counted mentions decode no
-        # record: counted and supplied mentions decode the listed owners' records, each once
-        assert _decoded_once(decoded) == listed_owners
+        # the log's columns cover every record, so neither counted nor
+        # supplied mentions decode one, and no log byte is read twice
+        assert decoded == []
+        assert _decoded_once([r for r in preads.ranges if r[0].endswith(".texts")])
 
-    def test_supplied_mentions_open_each_segment_once_and_read_the_candidates_ranges(self, workspace, monkeypatch):
+    def test_supplied_mentions_open_each_segment_once_and_read_the_candidates_ranges(self, workspace, preads):
         self._corpus_only_push(workspace, "2016-12-10T09:00:00Z")
         for created in ("2016-11-20T09:00:00Z", "2017-01-02T09:00:00Z"):
             self._corpus_only_push(workspace, created, "zcash")
         run(workspace, "ingest")
         store_dir = workspace / "out" / "store"
-        candidates = _stored_bytes(store_dir, ["bitcoin/bitcoin", "ethereum/go-ethereum"])
-        opened, read, names = [], [], {}
-        os_open, pread = store_module.os.open, store_module.os.pread
-
-        def counted_open(path, flags, *args):
-            fd = os_open(path, flags, *args)
-            opened.append(Path(path).name)
-            names[fd] = Path(path).name
-            return fd
-
-        def counted_pread(fd, length, offset):
-            data = pread(fd, length, offset)
-            read.append((names[fd], offset, offset + len(data)))
-            return data
-
-        monkeypatch.setattr(store_module.os, "open", counted_open)
-        monkeypatch.setattr(store_module.os, "pread", counted_pread)
+        preads.ranges.clear()
+        preads.opened.clear()
         assert run(workspace, "metrics") == 0
         segments = sorted(p.name for p in (store_dir / "months").iterdir())
         assert segments == ["2016-11.events", "2016-12.events", "2017-01.events"]
-        assert sorted(name for name in opened if name.endswith(".events")) == segments
-        headers = [(name, 0, len(MAGIC)) for name in segments]
-        assert sorted(r for r in read if r[0].endswith(".events") and r[1] == 0) == headers
-        # past the magic headers, only the candidate repositories' records are read, each byte once
-        assert _decoded_once([r for r in read if r[0].endswith(".events") and r[1] > 0]) == candidates
+        assert sorted(name for name in preads.opened if name.endswith(".events")) == segments
+        # of the segments only the magic headers are read: the candidates'
+        # rows come from the log's columns, and no log byte is read twice
+        assert sorted(r for r in preads.ranges if r[0].endswith(".events")) == [
+            (name, 0, len(MAGIC)) for name in segments
+        ]
+        assert _decoded_once([r for r in preads.ranges if r[0].endswith(".texts")])
 
     def test_each_timezone_histogram_computed_once(self, workspace, monkeypatch):
         run(workspace, "ingest")
@@ -883,13 +886,14 @@ class TestMetrics:
         [
             (lambda start, stop: _log_body(start, stop, names=b"{oops"), "JSONDecodeError: Expecting property name"),
             (lambda start, stop: _log_body(start, stop, tail=b"{oops"), "JSONDecodeError: Expecting property name"),
-            (lambda start, stop: struct.pack(">III", 1000, 0, 2) + b"[]", "1000 entries and 0 texts pass the"),
+            (lambda start, stop: struct.pack(">IIIII", 1000, 0, 2, 0, 0) + b"[]",
+             "1000 entries, 0 rows and 0 texts pass the"),
             (lambda start, stop: _log_body(start, start), "the bounds do not increase"),
             (lambda start, stop: _log_body(4, stop), "the bounds do not increase"),
             (lambda start, stop: _log_body(start, stop, count=2), "the texts do not match their count"),
             (lambda start, stop: _log_body(start, stop, tail=b"[2]"), "TypeError: sequence item 0: expected str"),
             (lambda start, stop: _log_body(start, stop, names=b'"someone/else"'), "the names are not a list"),
-            (lambda start, stop: struct.pack(">IIIQQQ", 2, 0, 9, start, stop, start + 4) + b'["a","b"]' + b"[]",
+            (lambda start, stop: struct.pack(">IIIIIQQQ", 2, 0, 9, 0, 0, start, stop, start + 4) + b'["a","b"]' + b"[]",
              "the bounds do not increase"),
         ],
         ids=["not_json", "texts_not_json", "counts_pass_the_end", "empty_range", "range_in_magic_header",
@@ -931,7 +935,7 @@ class TestMetrics:
         assert sorted(logs[0]) == ["2016-11.texts", "2016-12.texts", "2017-01.texts"]
         assert logs[0] == logs[1]
 
-    def test_derived_as_of_reads_only_the_latest_month(self, workspace, decoded):
+    def test_derived_as_of_reads_only_the_latest_month(self, workspace, monkeypatch, decoded, preads):
         other = json.dumps(
             {
                 "type": "WatchEvent",
@@ -948,15 +952,25 @@ class TestMetrics:
         store_dir = workspace / "out" / "store"
         # a later month whose segment holds no record: the month below decides
         (store_dir / "months" / "2017-02.events").write_bytes(MAGIC)
-        stage = _stored_bytes(store_dir, ["bitcoin/bitcoin", "ethereum/go-ethereum"])
-        latest = (store_dir / "months" / "2017-01.events").stat().st_size - len(MAGIC)
-        decoded.clear()
+        found, latest_created_at = [], EventStore.latest_created_at
+
+        def spied(self):
+            decoded.clear()
+            preads.ranges.clear()
+            latest = latest_created_at(self)
+            found.append((list(decoded), list(preads.ranges)))
+            return latest
+
+        monkeypatch.setattr(EventStore, "latest_created_at", spied)
         assert run(workspace, "metrics", "--as-of", "") == 0
-        totals = {}
-        for name, start, stop in decoded:
-            totals[name] = totals.get(name, 0) + stop - start
-        # the latest month with a record is decoded whole, then the stage reads its candidates' records
-        assert totals == {**stage, "2017-01.events": latest + stage["2017-01.events"]}
+        [(records, reads)] = found
+        # only those two months are touched: their segments' magic headers and
+        # the lower one's log, whose columns cover its records, so none is decoded
+        assert records == []
+        assert {name for name, _, _ in reads} == {"2017-02.events", "2017-01.events", "2017-01.texts"}
+        assert sorted(r for r in reads if r[0].endswith(".events")) == [
+            ("2017-01.events", 0, len(MAGIC)), ("2017-02.events", 0, len(MAGIC))
+        ]
         with open(workspace / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
             assert {row["as_of"] for row in csv.DictReader(handle)} == {"2017-01-06T09:00:01Z"}
 

@@ -7,10 +7,11 @@ import json
 import logging
 import pickle
 import re
+import shutil
 import tempfile
 import time
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from itertools import accumulate
@@ -26,6 +27,9 @@ from oss_health.events import (
     CONTRIBUTION_TYPES,
     EPOCH_END,
     EPOCH_MIN,
+    INT_NULL,
+    KINDS,
+    NULLS,
     TZ_OFFSET_MAX,
     TZ_OFFSET_MIN,
     ArchiveStreamError,
@@ -34,6 +38,7 @@ from oss_health.events import (
     MalformedLineError,
     ParseStats,
     apply_event_window,
+    from_records,
     parse_archive_file,
     parse_archive_stream,
     parse_event_line,
@@ -975,12 +980,12 @@ class TestEventStore:
         EventStore(root).append(self._events(2))
         path, log = root / "months" / "2016-12.events", root / "corpus" / "2016-12.texts"
         # the records after the logged range are decoded from a byte inside the first record
-        log.write_bytes(CORPUS_MAGIC + store_module._log_frame([["bitcoin/bitcoin", len(MAGIC), 20, [], []]]))
+        log.write_bytes(CORPUS_MAGIC + store_module._log_frame([["bitcoin/bitcoin", len(MAGIC), 20, 0, [], []]]))
         with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: torn tail after byte 20$"):
             self._corpus(root)
         # ranges that tile the segment, the first ending inside a record
         size = path.stat().st_size
-        frame = store_module._log_frame([["bitcoin/bitcoin", len(MAGIC), 20, [], []], ["x/y", 20, size, [], []]])
+        frame = store_module._log_frame([["bitcoin/bitcoin", len(MAGIC), 20, 0, [], []], ["x/y", 20, size, 1, [], []]])
         log.write_bytes(CORPUS_MAGIC + frame)
         assert self._corpus(root) == ([], 0)  # the texts come from the log alone
         message = f"^{re.escape(str(path))}: the logged range \\[8, 20\\) is not whole records$"
@@ -1108,6 +1113,134 @@ class TestEventStore:
     def test_month_key_equals_gmtime_spelling(self, created_at):
         utc = time.gmtime(created_at)
         assert _month_key(created_at) == f"{utc.tm_year:04d}-{utc.tm_mon:02d}"
+
+
+def _rows(columns):
+    """Each row of ``columns`` as ``(kind, created_at, tz_offset, counts,
+    number, actor, action)``, None for a null, whatever the dtypes."""
+    values = [
+        column.tolist() if null is None or column.dtype == object
+        else [None if value == null else value for value in column.tolist()]
+        for column, null in zip(columns, NULLS)
+    ]
+    return list(zip(map(KINDS.__getitem__, values[0]), *values[1:]))
+
+
+class TestColumns:
+    """The log frames' columns, read by ``EventStore.columns``, hold what ``read`` decodes."""
+
+    @staticmethod
+    def _frame_rows(root, month):
+        """The row count of each of the month's log frames; 0 for a frame without columns."""
+        return [frame.rows for frame in EventStore(root)._month(month).frames]
+
+    @staticmethod
+    def _fits(value, bits=64):
+        """Whether an ``int | None`` value fits a column of ``bits``-bit ints: not its sentinel, the minimum."""
+        return value is None or type(value) is int and -(1 << bits - 1) < value < 1 << bits - 1
+
+    @given(created_at=_ANY_NUMBER, counts=_ANY_NUMBER, number=_ANY_NUMBER, tz_offset=_ANY_FIELDS["tz_offset"])
+    @example(created_at=AS_OF, counts=INT_NULL, number=None, tz_offset=None)  # a sentinel's value
+    @example(created_at=AS_OF, counts=None, number=1 << 63, tz_offset=0)  # past int64
+    @example(created_at=AS_OF, counts=True, number=None, tz_offset=None)
+    @example(created_at=AS_OF, counts=None, number=None, tz_offset=60.0)
+    @example(created_at=float(AS_OF), counts=None, number=None, tz_offset=None)
+    @example(created_at=AS_OF, counts=(1 << 63) - 1, number=-(1 << 63) + 1, tz_offset=TZ_OFFSET_MIN)
+    def test_a_value_that_does_not_fit_leaves_its_frame_without_columns(
+        self, tmp_path_factory, created_at, counts, number, tz_offset
+    ):
+        try:
+            month = _month_key(created_at)
+        except (TypeError, ValueError, OverflowError, OSError):
+            assume(False)  # a time with no month: the store refuses the record, as it always did
+        record = EventRecord("a/b", EventType.ISSUES, "alice", created_at, tz_offset, "opened", [], counts, number)
+        root = tmp_path_factory.mktemp("store")
+        assert EventStore(root).append([record]).count == 1
+        fits = self._fits(created_at) and self._fits(counts) and self._fits(number) and self._fits(tz_offset, 16)
+        assert self._frame_rows(root, month) == [1 if fits else 0]
+        plain = EventRecord("a/b", EventType.PUSH, "bob", AS_OF - DAY, None, None, [], 3, None)  # a frame with columns
+        EventStore(root).append([plain])
+        store = EventStore(root)
+        read = store.read("a/b")
+        appended = [r for _, _, r in sorted([(month, 0, record), (_month_key(plain.created_at), 1, plain)])]
+        assert [_canonical_json(r) for r in read] == [_canonical_json(r) for r in appended]
+        # the decoded record keeps its exact values beside the other frame's columns
+        assert repr(_rows(store.columns(["a/b"], float("inf"))["a/b"])) == repr(_rows(from_records(appended)))
+
+    #: records of three repositories over four months, every nullable field sometimes None
+    _RECORDS = st.lists(
+        st.builds(
+            EventRecord,
+            repo_id=st.sampled_from(["a/b", "a/c", "x/y"]),
+            event_type=st.sampled_from(list(EventType)),
+            actor=_TRICKY_TEXT,
+            created_at=st.integers(AS_OF - 70 * DAY, AS_OF + 40 * DAY),
+            tz_offset=st.one_of(st.none(), st.integers(TZ_OFFSET_MIN, TZ_OFFSET_MAX)),
+            action=st.one_of(st.none(), _TRICKY_TEXT),
+            texts=st.lists(_TRICKY_TEXT, max_size=2),
+            counts=st.one_of(st.none(), st.integers(INT_NULL + 1, -INT_NULL - 1)),
+            number=st.one_of(st.none(), st.integers(0, 3)),
+        ),
+        max_size=8,
+    )
+
+    @given(
+        appends=st.lists(_RECORDS, min_size=1, max_size=3),
+        change=st.sampled_from(["none", "last_append_cut_off_before_its_log", "log_removed", "segment_replaced"]),
+        before=st.integers(AS_OF - 70 * DAY, AS_OF + 41 * DAY),
+    )
+    def test_columns_equal_the_records_read(self, tmp_path_factory, appends, change, before):
+        root = tmp_path_factory.mktemp("store")
+        for i, batch in enumerate(appends):
+            if change == "last_append_cut_off_before_its_log" and i == len(appends) - 1:
+                with mock.patch.object(store_module, "_append_cut", side_effect=OSError("interrupted")):
+                    with suppress(StoreWriteError):
+                        EventStore(root).append(batch)
+            else:
+                EventStore(root).append(batch)
+        segments = sorted((root / "months").glob("*.events"))
+        if change == "log_removed":
+            shutil.rmtree(root / "corpus", ignore_errors=True)
+        elif change == "segment_replaced" and segments:  # its new ranges overlap the log's old ones
+            segments[0].unlink()
+            EventStore(root).append(appends[-1] + appends[0])
+        store = EventStore(root)
+        repos = ["a/b", "a/c", "x/y", "no/such"]
+        columns = store.columns(repos, before)
+        for repo in repos:
+            expected = from_records([record for record in store.read(repo) if record.created_at < before])
+            assert _rows(columns[repo]) == _rows(expected), repo
+
+    #: a frame's columns block, by the byte offset of each part from its start, and what each broken part says
+    _BROKEN = {
+        "row_bounds": (lambda n, r: 0, b"\x01", "the row bounds do not increase from 0"),
+        "kind": (lambda n, r: 4 * n + 26 * r, b"\x09", "ValueError: kind code 9 is out of range"),
+        "tz_offset": (lambda n, r: 4 * n + 24 * r, (TZ_OFFSET_MAX + 1).to_bytes(2, "little"), "ValueError: tz_offset 841 is out of range"),
+        "actor": (lambda n, r: 4 * n + 27 * r, (1000).to_bytes(4, "little"), "ValueError: actor index 1000 is out of range"),
+        # the table was ``["user1","user2"]``
+        "string_table": (lambda n, r: 4 * n + 35 * r, b"[1234567,", "the string table is not a list of strings"),
+    }
+
+    @pytest.mark.parametrize("part", list(_BROKEN))
+    @pytest.mark.parametrize("beside", ["columns", "a_frame_without_columns"])
+    def test_broken_columns_name_the_log_and_the_frame(self, tmp_path, part, beside):
+        root, log = tmp_path / "store", tmp_path / "store" / "corpus" / "2016-12.texts"
+        events = [make_event(actor=f"user{i}", created_at=AS_OF - (3 - i) * DAY, event_type=EventType.PUSH) for i in range(3)]
+        if beside == "a_frame_without_columns":  # its float ``tz_offset`` makes the rows read an object column
+            events.insert(0, replace(events[0], actor="float", tz_offset=60.0))
+            EventStore(root).append(events[:1])
+        EventStore(root).append(events[-3:-2])
+        EventStore(root).append(events[-2:])
+        frame = EventStore(root)._month("2016-12").frames[-1]
+        at, broken, reason = self._BROKEN[part]
+        offset = frame.columns[0] + at(len(frame.names) + 1, frame.rows)
+        data = bytearray(log.read_bytes())
+        data[offset : offset + len(broken)] = broken
+        log.write_bytes(bytes(data))
+        with pytest.raises(StoreError, match=f"^{re.escape(str(log))}: frame at byte {frame.at}: ") as failure:
+            EventStore(root).columns(["bitcoin/bitcoin"], AS_OF)
+        assert reason in str(failure.value)
+        assert EventStore(root).read("bitcoin/bitcoin") == events  # the segment alone still reads
 
 
 class TestArchiveLedger:

@@ -2,16 +2,20 @@
 
 import math
 import re
+import statistics
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import AS_OF, DAY, make_event
-from oss_health.events import EventType
+from oss_health.events import COMMENT_TYPES, CONTRIBUTION_TYPES, EventType, apply_event_window, from_records
 from oss_health.metrics import (
+    DAY_SECONDS,
     DEFAULT_CRITICALITY_CONFIG,
     ExternalInputs,
+    MONTH_DAYS,
     MONTH_SECONDS,
     ProjectMetrics,
     _CHUNK_TEXTS,
@@ -34,6 +38,116 @@ from oss_health.metrics import (
 )
 
 WINDOW = (AS_OF - 6 * MONTH_SECONDS, AS_OF)
+
+
+class PerRecord:
+    """The metrics computed record by record, as they were before the
+    columnar implementation: the reference it must equal, float for float."""
+
+    @staticmethod
+    def timezone_histogram(events, window):
+        counts, total = np.zeros(24), 0
+        for event in apply_event_window(events, *window):
+            if event.tz_offset is not None:
+                counts[(int(event.tz_offset / 60) + 12) % 24] += 1  # half-hour offsets round toward zero
+                total += 1
+        if total > 0:
+            counts /= total
+        return TimezoneHistogram(bins=counts, total=total)
+
+    @staticmethod
+    def criticality_signals(events, as_of):
+        year = apply_event_window(events, as_of - 12 * MONTH_SECONDS, as_of)
+        commits = sum(e.counts or 0 for e in year if e.event_type is EventType.PUSH)
+        recent = sum(
+            1 for e in apply_event_window(events, as_of - 90 * DAY_SECONDS, as_of) if e.event_type is EventType.PUSH
+        )
+        contributors = len({e.actor for e in events if e.event_type in CONTRIBUTION_TYPES})
+        comments = sum(1 for e in year if e.event_type in COMMENT_TYPES)
+        return {
+            "commit_frequency": commits / 12.0,
+            "recent_activity": float(recent),
+            "contributor_count": float(contributors),
+            "comment_frequency": comments / 12.0,
+        }
+
+    @staticmethod
+    def longevity(events):
+        first, last = {}, {}
+        for event in events:
+            if event.event_type in CONTRIBUTION_TYPES:
+                actor, at = event.actor, event.created_at
+                if actor not in first:
+                    first[actor] = last[actor] = at
+                elif at < first[actor]:
+                    first[actor] = at
+                elif at > last[actor]:
+                    last[actor] = at
+        if not first:
+            return 0.0
+        return float(statistics.mean((last[actor] - at) / DAY_SECONDS for actor, at in first.items()))
+
+    @staticmethod
+    def months_since_update(events, as_of):
+        latest = None
+        for event in events:
+            if event.event_type in (EventType.PUSH, EventType.PULL_REQUEST):
+                if latest is None or event.created_at > latest:
+                    latest = event.created_at
+        if latest is None:
+            return None
+        return int((as_of - latest) / DAY_SECONDS // MONTH_DAYS)
+
+    @staticmethod
+    def issue_response_times(events):
+        opened, deltas, closed = {}, [], set()
+        for event in sorted(events, key=lambda e: e.created_at):
+            if event.event_type is not EventType.ISSUES or event.number is None:
+                continue
+            if event.action == "opened":
+                opened.setdefault(event.number, event.created_at)
+            elif event.action == "closed" and event.number in opened and event.number not in closed:
+                deltas.append((event.created_at - opened[event.number]) / DAY_SECONDS)
+                closed.add(event.number)  # re-opened issues count the first close only
+        if not deltas:
+            return 0.0, 0.0
+        return float(statistics.median(deltas)), float(statistics.mean(deltas))
+
+    @staticmethod
+    def engagement_metrics(events, as_of):
+        window = apply_event_window(events, as_of - 3 * MONTH_SECONDS, as_of)
+        commits = sum(e.counts or 0 for e in window if e.event_type is EventType.PUSH)
+        comments = sum(1 for e in window if e.event_type in COMMENT_TYPES)
+        pull_requests = sum(
+            1 for e in window if e.event_type is EventType.PULL_REQUEST and e.action == "opened"
+        )
+        authors = len({e.actor for e in window if e.event_type in CONTRIBUTION_TYPES})
+        return commits / 3.0, comments / 3.0, pull_requests / 3.0, authors / 3.0
+
+    @classmethod
+    def row(cls, repo_id, events, externals, reference, as_of):
+        median_days, average_days = cls.issue_response_times(events)
+        commits, comments, pull_requests, authors = cls.engagement_metrics(events, as_of)
+        histogram = cls.timezone_histogram(events, (as_of - 6 * MONTH_SECONDS, as_of))
+        return ProjectMetrics(
+            repo_id=repo_id,
+            stars=sum(1 for e in events if e.event_type is EventType.WATCH),
+            forks=sum(1 for e in events if e.event_type is EventType.FORK),
+            mentions=externals.mentions if externals.mentions is not None else 0,
+            criticality=criticality_score(cls.criticality_signals(events, as_of), DEFAULT_CRITICALITY_CONFIG),
+            geo_rmse=geo_rmse(histogram, reference),
+            longevity_days=cls.longevity(events),
+            months_since_update=cls.months_since_update(events, as_of),
+            median_response_days=median_days,
+            average_response_days=average_days,
+            cmc_rank=externals.cmc_rank,
+            alexa_rank=externals.alexa_rank,
+            commits_3mo=commits,
+            comments_3mo=comments,
+            pull_requests_3mo=pull_requests,
+            authors_3mo=authors,
+            as_of=as_of,
+        )
 
 
 class TestCounts:
@@ -453,3 +567,53 @@ class TestBuildMetricsRow:
         reference = TimezoneHistogram(bins=np.full(24, 1 / 24), total=24)
         row = build_metrics_row("a/b", events, externals, reference, AS_OF)
         assert row == self._row_from_parts("a/b", events, externals, reference, AS_OF)
+
+    #: ``_EVENTS`` with six actors, then Issues events of three numbers at
+    #: two shared times, shuffled together
+    _WIDE_EVENTS = st.tuples(
+        st.lists(
+            st.builds(
+                make_event,
+                event_type=st.sampled_from(list(EventType)),
+                actor=st.sampled_from(["alice", "bob", "carol", "dave", "erin", "frank"]),
+                created_at=_TIMES,
+                tz_offset=st.sampled_from([None, -720, -690, -30, 0, 30, 330, 345, 840]),
+                action=st.sampled_from([None, "opened", "closed", "reopened"]),
+                counts=st.one_of(st.none(), st.integers(min_value=0, max_value=5)),
+                number=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
+            ),
+            max_size=40,
+        ),
+        st.lists(
+            st.builds(
+                make_event,
+                event_type=st.just(EventType.ISSUES),
+                actor=st.sampled_from(["alice", "bob"]),
+                created_at=st.sampled_from([AS_OF - 5 * DAY, AS_OF - DAY]),
+                action=st.sampled_from(["opened", "closed", "reopened"]),
+                number=st.integers(min_value=1, max_value=3),
+            ),
+            max_size=12,
+        ),
+    ).flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
+
+    @given(events=_WIDE_EVENTS, mentions=st.one_of(st.none(), st.integers(min_value=0, max_value=9)))
+    @example(
+        events=[
+            make_event(event_type=EventType.ISSUES, action="closed", number=1, created_at=AS_OF - DAY),
+            make_event(event_type=EventType.ISSUES, action="opened", number=1, created_at=AS_OF - DAY),
+            make_event(event_type=EventType.ISSUES, action="opened", number=2, created_at=AS_OF - 2 * DAY),
+            make_event(event_type=EventType.ISSUES, action="closed", number=2, created_at=AS_OF - DAY),
+            make_event(event_type=EventType.ISSUES, action="closed", number=2, created_at=AS_OF - DAY),
+        ],
+        mentions=None,
+    )
+    def test_columnar_row_equals_the_per_record_reference(self, events, mentions):
+        externals = ExternalInputs(cmc_rank=3, alexa_rank=None, mentions=mentions)
+        reference = TimezoneHistogram(bins=np.full(24, 1 / 24), total=24)
+        row = build_metrics_row("a/b", from_records(events), externals, reference, AS_OF)
+        expected = PerRecord.row("a/b", events, externals, reference, AS_OF)
+        for field in fields(ProjectMetrics):
+            value, wanted = getattr(row, field.name), getattr(expected, field.name)
+            # equal floats of one type, so metrics.csv spells them alike
+            assert (value, type(value)) == (wanted, type(wanted)), field.name
