@@ -39,6 +39,12 @@ TZ_OFFSET_MAX = 840
 #: and so that of ``created_at``, is ``EPOCH_MIN <= t < EPOCH_END``
 EPOCH_MIN = -62_135_596_800
 EPOCH_END = 253_402_300_800
+#: the null sentinels of the int64 columns (``created_at``, ``counts``,
+#: ``number``) and of the int16 ``tz_offset`` column: each dtype's minimum,
+#: which no record holds
+INT_NULL = -(1 << 63)
+INT_MAX = (1 << 63) - 1
+TZ_NULL = -(1 << 15)
 
 
 class EventType(Enum):
@@ -109,13 +115,42 @@ class EventRecord:
     number: int | None = None  # issue / pull request number, when carried
 
     def __post_init__(self) -> None:
-        check_tz_offset(self.tz_offset)
+        """The one check of what each field may hold, passed by every parsed
+        and decoded record: ``repo_id`` and ``actor`` are strings,
+        ``event_type`` an ``EventType``, ``created_at`` an int in
+        ``[EPOCH_MIN, EPOCH_END)``, ``tz_offset`` None or an int in range,
+        ``action`` None or a string, ``texts`` a list of strings, ``counts``
+        and ``number`` None or an int in ``(INT_NULL, INT_MAX]``.  A bool is
+        not an int.  Another type raises ``TypeError``, an int out of range
+        ``ValueError``."""
+        if type(self.repo_id) is not str:
+            raise TypeError(f"repo_id {self.repo_id!r} is not a string")
+        if type(self.actor) is not str:
+            raise TypeError(f"actor {self.actor!r} is not a string")
+        if type(self.event_type) is not EventType:
+            raise TypeError(f"event_type {self.event_type!r} is not an EventType")
+        _check_int("created_at", self.created_at, EPOCH_MIN, EPOCH_END - 1)
+        if self.tz_offset is not None:
+            _check_int("tz_offset", self.tz_offset, TZ_OFFSET_MIN, TZ_OFFSET_MAX)
+        if self.action is not None and type(self.action) is not str:
+            raise TypeError(f"action {self.action!r} is not a string")
+        if type(self.texts) is not list:
+            raise TypeError(f"texts {self.texts!r} is not a list")
+        for text in self.texts:
+            if type(text) is not str:
+                raise TypeError(f"texts item {text!r} is not a string")
+        if self.counts is not None:
+            _check_int("counts", self.counts, INT_NULL + 1, INT_MAX)
+        if self.number is not None:
+            _check_int("number", self.number, INT_NULL + 1, INT_MAX)
 
 
-def check_tz_offset(tz_offset: int | None) -> None:
-    """Raise ``ValueError`` unless ``tz_offset`` is ``None`` or in range."""
-    if tz_offset is not None and not (TZ_OFFSET_MIN <= tz_offset <= TZ_OFFSET_MAX):
-        raise ValueError(f"tz_offset {tz_offset} outside [{TZ_OFFSET_MIN}, {TZ_OFFSET_MAX}]")
+def _check_int(name: str, value, low: int, high: int) -> None:
+    """Raise unless ``value`` is an int (not a bool) in ``[low, high]``."""
+    if type(value) is not int:
+        raise TypeError(f"{name} {value!r} is not an int")
+    if not low <= value <= high:
+        raise ValueError(f"{name} {value} outside [{low}, {high}]")
 
 
 @dataclass
@@ -212,9 +247,15 @@ def _push_details(payload: dict) -> tuple[list[str], int, int | None]:
     else:
         count = 0
     size = payload.get("size")
-    if type(size) is int and size >= 0:  # not a bool, which is an int too
+    if type(size) is int and 0 <= size <= INT_MAX:  # not a bool, which is an int too
         count = max(count, size)
     return texts, count, tz
+
+
+def _is_number(value) -> bool:
+    """Whether an issue or pull request ``number`` is carried: an int (not a
+    bool) that an int64 column holds, as ``EventRecord`` requires."""
+    return type(value) is int and INT_NULL < value <= INT_MAX
 
 
 def parse_event_line(line: str) -> EventRecord | None:
@@ -260,13 +301,10 @@ def parse_event_line(line: str) -> EventRecord | None:
         if isinstance(comment, dict) and isinstance(comment.get("body"), str):
             texts = [comment["body"]]
     elif event_type in (EventType.ISSUES, EventType.PULL_REQUEST):
-        for key in ("issue", "pull_request"):
-            ref = payload.get(key)
-            if isinstance(ref, dict) and type(ref.get("number")) is int:  # not a bool
+        for ref in (payload.get("issue"), payload.get("pull_request"), payload):
+            if isinstance(ref, dict) and _is_number(ref.get("number")):
                 number = ref["number"]
                 break
-        if number is None and type(payload.get("number")) is int:
-            number = payload["number"]
 
     if tz_offset is not None and not (TZ_OFFSET_MIN <= tz_offset <= TZ_OFFSET_MAX):
         tz_offset = None
@@ -377,15 +415,8 @@ def apply_event_window(
 KINDS = tuple(EventType)
 #: kind -> its code
 KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
-#: the null sentinels of the int64 columns (``created_at``, ``counts``,
-#: ``number``) and of the int16 ``tz_offset`` column: each dtype's minimum
-INT_NULL = -(1 << 63)
-TZ_NULL = -(1 << 15)
-_INT_OR_NONE = {int, type(None)}
-#: an int column's dtype -> its null sentinel, the minimum, and its maximum
-_LIMITS = {np.int64: (INT_NULL, (1 << 63) - 1), np.int16: (TZ_NULL, (1 << 15) - 1)}
-#: each column's null sentinel, in the order of ``Columns``; None for a column with none
-NULLS = (None, INT_NULL, TZ_NULL, INT_NULL, INT_NULL, None, None)
+#: an int column's dtype -> its null sentinel
+_NULL = {np.int64: INT_NULL, np.int16: TZ_NULL}
 
 
 class Columns(NamedTuple):
@@ -393,10 +424,9 @@ class Columns(NamedTuple):
 
     ``kind`` holds ``KIND_CODES`` (uint8).  ``created_at``, ``counts`` and
     ``number`` are int64 with ``INT_NULL`` for None, ``tz_offset`` int16
-    with ``TZ_NULL`` for None; a column holding a value that does not fit
-    (a bool, a float, an int out of range, or one equal to the sentinel) is
-    an object column instead, its values exact and None for None.
-    ``actor`` and ``action`` are object columns of the values themselves.
+    with ``TZ_NULL`` for None: ``EventRecord`` holds every value to one
+    of them.  ``actor`` and ``action`` are object columns of the values
+    themselves.
     """
 
     kind: np.ndarray
@@ -408,17 +438,10 @@ class Columns(NamedTuple):
     action: np.ndarray
 
 
-def int_column(values: list, dtype: type) -> np.ndarray:
-    """``values`` as a ``dtype`` column, the dtype's minimum for None, or as
-    an object column when a value is not an int in ``(minimum, maximum]``."""
-    types = set(map(type, values))
-    if types <= _INT_OR_NONE:
-        null, top = _LIMITS[dtype]
-        present = list(filter(None, values)) if type(None) in types else values  # a 0 is always in range
-        if not present or null < min(present) and max(present) <= top:
-            filled = values if present is values else map({None: null}.get, values, values)
-            return np.fromiter(filled, dtype, len(values))
-    return np.fromiter(values, object, len(values))
+def _int_column(values: list, dtype: type) -> np.ndarray:
+    """``values``, ints or None in a record's domain, as a ``dtype`` column,
+    the dtype's sentinel for None."""
+    return np.fromiter(map({None: _NULL[dtype]}.get, values, values), dtype, len(values))
 
 
 def from_records(records: Sequence[EventRecord]) -> Columns:
@@ -426,10 +449,10 @@ def from_records(records: Sequence[EventRecord]) -> Columns:
     n = len(records)
     return Columns(
         np.fromiter(map(KIND_CODES.__getitem__, [r.event_type for r in records]), np.uint8, n),
-        int_column([r.created_at for r in records], np.int64),
-        int_column([r.tz_offset for r in records], np.int16),
-        int_column([r.counts for r in records], np.int64),
-        int_column([r.number for r in records], np.int64),
+        _int_column([r.created_at for r in records], np.int64),
+        _int_column([r.tz_offset for r in records], np.int16),
+        _int_column([r.counts for r in records], np.int64),
+        _int_column([r.number for r in records], np.int64),
         np.fromiter([r.actor for r in records], object, n),
         np.fromiter([r.action for r in records], object, n),
     )
@@ -438,28 +461,6 @@ def from_records(records: Sequence[EventRecord]) -> Columns:
 def take(events: Columns, rows) -> Columns:
     """The ``rows`` (an index array or a slice) of ``events``."""
     return Columns(*(column[rows] for column in events))
-
-
-def concatenate(blocks: Sequence[Columns]) -> Columns:
-    """The rows of ``blocks``, one after another.
-
-    Where one block holds an object column, that column is an object
-    column throughout, None for the other blocks' sentinels.
-    """
-    if not blocks:
-        return from_records([])
-    columns = []
-    for parts, null in zip(zip(*blocks), NULLS):
-        if null is not None and any(part.dtype == object for part in parts):
-            parts = [part if part.dtype == object else _with_none(part, null) for part in parts]
-        columns.append(np.concatenate(parts))
-    return Columns(*columns)
-
-
-def _with_none(column: np.ndarray, null: int) -> np.ndarray:
-    values = column.astype(object)
-    values[column == null] = None
-    return values
 
 
 def kind_table(kinds: Iterable[EventType]) -> np.ndarray:

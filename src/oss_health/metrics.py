@@ -67,15 +67,8 @@ def _window(events: Columns, start: int, end: int) -> np.ndarray:
     return (events.created_at >= start) & (events.created_at < end)
 
 
-def _present(column: np.ndarray, null: int) -> np.ndarray:
-    """Mask of the rows whose value is not None."""
-    return np.not_equal(column, None) if column.dtype == object else column != null
-
-
 def _commits(counts: np.ndarray) -> int:
     """``sum(count or 0 for count in counts)``, on Python ints."""
-    if counts.dtype == object:
-        return sum(count or 0 for count in counts.tolist())
     return sum(counts[counts != INT_NULL].tolist())
 
 
@@ -98,7 +91,7 @@ class TimezoneHistogram:
 def timezone_histogram(events: Events, window: tuple[int, int]) -> TimezoneHistogram:
     """Histogram of event timezone offsets inside ``[start, end)``."""
     events = as_columns(events)
-    offsets = events.tz_offset[_window(events, *window) & _present(events.tz_offset, TZ_NULL)]
+    offsets = events.tz_offset[_window(events, *window) & (events.tz_offset != TZ_NULL)]
     # half-hour offsets round toward zero, as ``int(offset / 60)`` does
     hours = np.trunc(offsets.astype(np.float64) / 60).astype(np.int64)
     counts = np.bincount((hours + 12) % 24, minlength=24).astype(np.float64)
@@ -318,7 +311,7 @@ def months_since_update(events: Events, as_of: int) -> int | None:
 def issue_response_times(events: Events) -> tuple[float, float]:
     """(median, mean) days from an issue's open to its first close."""
     events = as_columns(events)
-    rows = np.flatnonzero((events.kind == _ISSUES) & _present(events.number, INT_NULL))
+    rows = np.flatnonzero((events.kind == _ISSUES) & (events.number != INT_NULL))
     rows = rows[np.argsort(events.created_at[rows], kind="stable")]  # by time, ties in stored order
     opened: dict[int, int] = {}
     deltas: list[float] = []

@@ -25,8 +25,8 @@ are always safe.
 Every append deduplicates on a 16-byte BLAKE2b digest of a record's stored
 bytes up to its last ``,``, so re-ingesting the same archive is
 idempotent.  That prefix holds every field but ``tz_offset``, and the cut
-is exact: ``tz_offset`` is the last element, and its JSON (``null``, or an
-in-range int, float or bool) holds no ``,``.  The prefix holds ``repo_id``
+is exact: ``tz_offset`` is the last element, and its JSON (``null`` or an
+in-range int) holds no ``,``.  The prefix holds ``repo_id``
 and ``created_at``, so one key set per segment skips exactly what a key
 set per repository and month would.  Keys live only in memory.  An
 ``EventStore`` reads each segment's keys at most once, from the whole
@@ -63,21 +63,18 @@ minimum ``-2**63`` for None), ``tz_offset`` (``<i2``, ``-2**15`` for
 None), the kind (``u1``, the index of its ``EventType`` in declaration
 order), ``actor`` and ``action`` (``<u4``, an index into the string
 table, ``2**32 - 1`` for None); then ``s`` bytes of canonical JSON, the
-string table: each distinct actor and action string once.  A record
-whose ``created_at``, ``counts`` or ``number`` is not an int (a bool is
-not), or is out of its column's range or equal to its sentinel, or whose
-``tz_offset`` is not such an int, or whose actor or action is neither a
-string nor None, does not fit: its append writes that frame without
-columns, ``r`` and ``s`` 0, and readers decode its ranges from the
-segment.  The texts section follows: each text's ``created_at``
-(``>{m}q``), then the canonical JSON list of the texts.  So the index is
-read without reading a column or a text.  An append writes one frame to
-each month's log once every segment it wrote to is closed.  A partial
-frame at the end of a log file (a torn tail) is ignored on read and cut
-off before this store first writes to that file; a whole frame that is
-not such a body raises naming the file and the byte offset, and so does a
-row ``columns`` reads with an unknown kind code, a ``tz_offset`` out of
-range or a string index past its table.
+string table: each distinct actor and action string once.  Every value
+``EventRecord`` admits fits its column, so every frame has columns, at
+least one row per entry.  The texts section follows: each text's
+``created_at`` (``>{m}q``), then the canonical JSON list of the texts.
+So the index is read without reading a column or a text.  An append
+writes one frame to each month's log once every segment it wrote to is
+closed.  A partial frame at the end of a log file (a torn tail) is
+ignored on read and cut off before this store first writes to that file;
+a whole frame that is not such a body, a frame without columns among
+them, raises naming the file and the byte offset, and so does a frame
+whose columns, when first read, hold an unknown kind code, a
+``tz_offset`` out of range or a string index past its table.
 
 Reads find a repository's records through the month indexes: ``read``
 reads only the byte ranges the indexes list for it (one ``os.pread``
@@ -93,8 +90,7 @@ Records that no logged range covers are decoded from the segment once per
 ``EventStore`` and grouped by repository: every record of a store whose
 log was removed, those of an append cut off between its segment write and
 its log write, and bytes appended behind the store's back.  ``columns``
-turns them, and the records of a frame without columns, into the same
-columns through ``from_records``.  So the segment alone is the source of
+turns them into the same columns through ``from_records``.  So the segment alone is the source of
 truth, and the log only saves decoding it.  A month whose logged ranges
 overlap or pass its segment's end had its segment replaced behind the
 store's back: it is decoded whole and its log is left out.
@@ -140,7 +136,6 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .events import (
-    KIND_CODES,
     KINDS,
     TZ_NULL,
     TZ_OFFSET_MAX,
@@ -148,10 +143,8 @@ from .events import (
     Columns,
     EventRecord,
     EventType,
-    concatenate,
     from_records,
     has_contribution,
-    int_column,
     take,
 )
 
@@ -168,7 +161,7 @@ _LEDGER_RECORD = struct.Struct(">16sQQQ")
 CORPUS = "corpus"
 CORPUS_MAGIC = b"OSHTXT04"
 #: a log frame's entry count, text count, byte length of its names, row
-#: count (0 for a frame without columns) and byte length of its string table
+#: count and byte length of its string table
 _LOG_HEAD = struct.Struct(">IIIII")
 #: a log frame's length prefix and the head of its body
 _FRAME_HEAD = struct.Struct(">IIIIII")
@@ -241,35 +234,19 @@ def _month_key(created_at: int) -> str:
     return _day_month(created_at // 86400)
 
 
-def _json_int(value) -> str:
-    """JSON of an ``int | None`` field; another type is spelt by ``_JSON``."""
-    return "null" if value is None else int.__repr__(value) if type(value) is int else _JSON.encode(value)
-
-
-def _json_str(value) -> str:
-    """JSON of a ``str | None`` field; another type is spelt by ``_JSON``."""
-    return _STRING(value) if type(value) is str else "null" if value is None else _JSON.encode(value)
-
-
-def _json_texts(texts) -> str:
-    if type(texts) is list:
-        try:
-            return "[" + ",".join(map(_STRING, texts)) + "]"
-        except TypeError:  # an item that is not a string
-            pass
-    return _JSON.encode(texts)
+def _json_int(value: int | None) -> str:
+    return "null" if value is None else int.__repr__(value)
 
 
 def _record_to_json(record: EventRecord) -> bytes:
-    """The record's stored body, spelt field by field.
-
-    The ``type(...) is`` tests keep a bool (``int.__repr__(True)`` is
-    ``1``), a float or a subclass on ``_JSON``, so the result always equals
-    ``_JSON.encode(fields)`` of the record's fields in stored order.
+    """The record's stored body, spelt field by field: ``EventRecord`` holds
+    each field to its domain, so the result equals ``_JSON.encode(fields)``
+    of the record's fields in stored order.
     """
     return (_BODY % (
-        _json_str(record.repo_id), _KIND_JSON[record.event_type], _json_str(record.actor),
-        _json_int(record.created_at), _json_str(record.action), _json_texts(record.texts),
+        _STRING(record.repo_id), _KIND_JSON[record.event_type], _STRING(record.actor),
+        int.__repr__(record.created_at), "null" if record.action is None else _STRING(record.action),
+        "[" + ",".join(map(_STRING, record.texts)) + "]",
         _json_int(record.counts), _json_int(record.number), _json_int(record.tz_offset),
     )).encode()
 
@@ -353,11 +330,11 @@ def _records(path: str, data: bytes, at: int, logged: str = "", starts: list | N
     ``at``; ``starts``, when given, gains the byte each starts at.
 
     Each record is built once, inside the checked loop, and
-    ``EventRecord.__post_init__`` is the one check of its ``tz_offset``.
+    ``EventRecord.__post_init__`` is the one check of its fields.
     The store's one checked decode, behind every reader: a body that is not
-    one JSON array of nine elements, an unknown ``event_type`` or a
-    ``tz_offset`` out of range raises ``StoreError`` naming the segment and
-    the byte offset, and so do bytes that are not whole records: a torn tail
+    one JSON array of nine elements, an unknown ``event_type`` or a field
+    outside ``EventRecord``'s domain raises ``StoreError`` naming the
+    segment and the byte offset, and so do bytes that are not whole records: a torn tail
     at the segment's end, or else a ``logged`` (``"logged"`` or
     ``"unlogged"``) range that is not whole records.
     """
@@ -408,53 +385,42 @@ def _log_frames(path: str) -> tuple[list[bytes], int]:
     return _frames(path, data, CORPUS_MAGIC)
 
 
-def _columns_block(records: list[EventRecord], rows: list[int]) -> tuple[bytes, bytes] | None:
+def _columns_block(records: list[EventRecord], rows: list[int]) -> tuple[bytes, bytes]:
     """A log frame's columns of ``records``, entry ``i`` holding the rows
-    ``[rows[i], rows[i + 1])``, and its string table; None when a value
-    does not fit a column, as ``from_records`` would hold it in an object
-    column, or an actor or action is neither a string nor None.
+    ``[rows[i], rows[i + 1])``, and its string table.
 
     The block is the row bounds (``<u4``), then one little-endian column
     after another: ``created_at``, ``counts``, ``number`` (``<i8``),
     ``tz_offset`` (``<i2``), the kind code (``u1``), ``actor`` and
     ``action`` (``<u4``, each value's index in the string table).
     """
-    numbers = [
-        int_column([r.created_at for r in records], np.int64),
-        int_column([r.counts for r in records], np.int64),
-        int_column([r.number for r in records], np.int64),
-        int_column([r.tz_offset for r in records], np.int16),
-    ]
+    events = from_records(records)
     strings = [r.actor for r in records] + [r.action for r in records]
     index = dict.fromkeys(strings)
     index.pop(None, None)
-    if any(column.dtype == object for column in numbers) or set(map(type, index)) - {str}:
-        return None
     table = list(index)
     index.update(zip(table, range(len(table))))
     index[None] = _U4_NULL
     block = b"".join((
         np.array(rows, "<u4").tobytes(),
-        *(column.astype("<i8").tobytes() for column in numbers[:3]),
-        numbers[3].astype("<i2").tobytes(),
-        bytes(map(KIND_CODES.__getitem__, [r.event_type for r in records])),
+        *(column.astype("<i8").tobytes() for column in (events.created_at, events.counts, events.number)),
+        events.tz_offset.astype("<i2").tobytes(),
+        events.kind.tobytes(),
         np.fromiter(map(index.__getitem__, strings), "<u4", len(strings)).tobytes(),  # actors, then actions
     ))
     return block, ("[" + ",".join(map(_STRING, table)) + "]").encode()
 
 
-def _log_frame(entries: list[tuple], records: list[EventRecord] | None = None) -> bytes:
+def _log_frame(entries: list[tuple], records: list[EventRecord]) -> bytes:
     """One append's length-prefixed log frame for a month, from its
     ``(repo_id, start, end, first_row, created_at, texts)`` entries and
-    the records of its write, in order; without them, or when a value does
-    not fit a column, the frame has no columns."""
+    the records of its write, in order."""
     repo_ids, starts, ends, firsts, created, texts = zip(*entries)
     times = [at for batch in created for at in batch]
     names = _JSON.encode(repo_ids).encode()
-    columns = None if records is None else _columns_block(records, [*firsts, len(records)])
-    rows, block, table = (0, b"", b"") if columns is None else (len(records), *columns)
+    block, table = _columns_block(records, [*firsts, len(records)])
     body = b"".join((
-        _LOG_HEAD.pack(len(entries), len(times), len(names), rows, len(table)),
+        _LOG_HEAD.pack(len(entries), len(times), len(names), len(records), len(table)),
         struct.pack(f">{len(entries) + 1}Q", *starts, ends[-1]),
         names,
         block,
@@ -477,7 +443,7 @@ class _Frame(NamedTuple):
     count: int
     #: the frame's byte offset in the log, for errors
     at: int
-    #: the number of rows of its columns; 0 for a frame without columns
+    #: the number of rows of its columns
     rows: int
     #: the columns' byte offset and length in the log
     columns: tuple[int, int]
@@ -489,8 +455,9 @@ def _read_index(path: str, fd: int) -> list[_Frame]:
     """The index sections of a log file's whole frames, read with two
     ``os.pread`` calls per frame: no column and no text is read.
 
-    A torn tail is ignored; a whole frame whose index is not such a body
-    raises ``StoreError`` naming the file and the byte offset.
+    A torn tail is ignored; a whole frame whose index is not such a body,
+    or that has fewer rows than entries (no columns), raises
+    ``StoreError`` naming the file and the byte offset.
     """
     size = os.fstat(fd).st_size
     if not _has_magic(path, os.pread(fd, len(CORPUS_MAGIC), 0), CORPUS_MAGIC):
@@ -507,11 +474,11 @@ def _read_index(path: str, fd: int) -> list[_Frame]:
                 raise ValueError(f"a body of {length} bytes has no head")
             _, entries, count, k, rows, table = _FRAME_HEAD.unpack(head)
             index = 8 * (entries + 1) + k
-            if table and not rows:
-                raise ValueError("a frame without columns has a string table")
-            columns = 4 * (entries + 1) + _ROW_BYTES * rows + table if rows else 0
+            columns = 4 * (entries + 1) + _ROW_BYTES * rows + table
             if _LOG_HEAD.size + index + columns + 8 * count > length:
                 raise ValueError(f"{entries} entries, {rows} rows and {count} texts pass the frame's end")
+            if rows < entries:  # each entry holds a row at least: a frame without columns is no body
+                raise ValueError(f"{entries} entries have {rows} rows of columns")
             data = os.pread(fd, index, at + _FRAME_HEAD.size)
             bounds = struct.unpack_from(f">{entries + 1}Q", data)
             names = json.loads(data[index - k :].decode("ascii"))
@@ -536,23 +503,21 @@ def _read_index(path: str, fd: int) -> list[_Frame]:
 
 
 class _Parsed(NamedTuple):
-    """A log frame's columns as read: ``events.actor`` and ``events.action``
-    hold indexes into ``strings``, ``_U4_NULL`` for None."""
+    """A log frame's columns as read."""
 
     #: each entry's number of rows, the entries' rows one after another
     lengths: np.ndarray
     events: Columns
-    #: the string table
-    strings: np.ndarray
 
 
 def _frame_columns(path: str, fd: int, frame: _Frame) -> _Parsed:
-    """A log frame's columns, read with one ``os.pread``.
+    """A log frame's columns, read with one ``os.pread``, each ``actor``
+    and ``action`` index replaced by its string.
 
-    Row bounds that do not run from 0 up to the row count, or a string
-    table that is not a list of strings, raise ``StoreError`` naming the
-    file and the frame's byte offset.  ``EventStore.columns`` checks the
-    other columns of the rows it reads.
+    Row bounds that do not run from 0 up to the row count, a string table
+    that is not a list of strings, an unknown kind code, a ``tz_offset``
+    out of range or a string index past the table raise ``StoreError``
+    naming the file and the frame's byte offset.
     """
     offset, length = frame.columns
     data = os.pread(fd, length, offset)
@@ -571,37 +536,30 @@ def _frame_columns(path: str, fd: int, frame: _Frame) -> _Parsed:
         lengths = np.diff(rows.astype(np.int64))
         if rows[0] != 0 or rows[-1] != r or lengths.min() <= 0:
             raise ValueError("the row bounds do not increase from 0 to the row count")
+        if kind.max() >= len(KINDS):
+            raise ValueError(f"kind code {kind.max()} is out of range")
+        bad = (tz != TZ_NULL) & ((tz < TZ_OFFSET_MIN) | (tz > TZ_OFFSET_MAX))
+        if bad.any():
+            raise ValueError(f"tz_offset {tz[bad.argmax()]} is out of range")
+        # each string's index + 1 in ``strings``, ``_U4_NULL`` wrapping round to None's 0
+        actor, action = actor + np.uint32(1), action + np.uint32(1)
+        for name, column in (("actor", actor), ("action", action)):
+            if column.max() > len(table):
+                raise ValueError(f"{name} index {column.max() - 1} is out of range")
     except (ValueError, TypeError) as exc:
         raise StoreError(f"{path}: frame at byte {frame.at}: {type(exc).__name__}: {exc}") from exc
-    strings = np.empty(len(table), object)
-    strings[:] = table
-    return _Parsed(lengths, Columns(kind, created, tz, counts, number, actor, action), strings)
+    strings = np.empty(len(table) + 1, object)  # None first
+    strings[1:] = table
+    return _Parsed(lengths, Columns(kind, created, tz, counts, number, strings.take(actor), strings.take(action)))
 
 
 class _Piece(NamedTuple):
     """Rows ``EventStore.columns`` reads: ``index`` selects them from
-    ``events``, whose ``actor`` and ``action`` hold indexes into
-    ``strings`` (``_U4_NULL`` for None), and ``owners`` holds the code of
-    each one's repository."""
+    ``events``, and ``owners`` holds the code of each one's repository."""
 
     events: Columns
-    strings: np.ndarray
     index: np.ndarray
     owners: np.ndarray
-    #: ``"<log>: frame at byte <offset>"`` of columns read from the log, for
-    #: errors; None for records decoded from the segment, already checked
-    frame: str | None
-
-
-def _decoded(records: list[EventRecord], owners: np.ndarray) -> _Piece:
-    """Decoded records as a piece of all their rows, through ``from_records``."""
-    events = from_records(records)
-    m = len(records)
-    indexes = np.arange(2 * m)
-    return _Piece(
-        events._replace(actor=indexes[:m], action=indexes[m:]),
-        np.concatenate((events.actor, events.action)), np.arange(m), owners, None,
-    )
 
 
 def _frame_texts(path: str, fd: int, frame: _Frame) -> tuple[tuple[int, ...], list[str]]:
@@ -707,15 +665,12 @@ class _Month:
             logged = "" if stop == size else "unlogged"
             starts: list[int] = []
             records = _records(segment, os.pread(fd, stop - start, start), start, logged, starts)
-            for at, record in zip(starts, records):
-                if type(record.repo_id) is not str:
-                    raise StoreError(f"{segment}: record at byte {at}: repo_id {record.repo_id!r} is not a string")
-                self.unlogged.append((at, record))
+            self.unlogged += zip(starts, records)
         self.uncovered: dict[str, list[tuple[int, EventRecord]]] = {}
         for at, record in self.unlogged:
             self.uncovered.setdefault(record.repo_id, []).append((at, record))
-        #: the unlogged records as one piece, their repository ids and start bytes, built at first use
-        self.loose: tuple[_Piece, list[str], np.ndarray] | None = None
+        #: the unlogged records as columns, their repository ids and start bytes, built at first use
+        self.loose: tuple[Columns, list[str], np.ndarray] | None = None
         #: frame byte offset -> its columns, read at first use
         self.parsed: dict[int, _Parsed] = {}
 
@@ -749,24 +704,14 @@ class _Month:
         return parsed
 
     def _logged(self, frame: _Frame, hits: list[tuple[int, int]]) -> _Piece:
-        """The rows of a frame's entries ``hits``, ``(entry, code)`` pairs:
-        selected from its columns by one index array, or decoded from the
-        segment when it has none."""
-        if not frame.rows:
-            records: list[EventRecord] = []
-            codes: list[int] = []
-            for i, code in sorted(hits):
-                start, stop = frame.bounds[i], frame.bounds[i + 1]
-                piece = _records(self.segment, os.pread(self.fd, stop - start, start), start, "logged")
-                records += piece
-                codes += [code] * len(piece)
-            return _decoded(records, np.array(codes, np.int64))
-        lengths, events, strings = self.frame_columns(frame)
+        """The rows of a frame's entries ``hits``, ``(entry, code)`` pairs,
+        selected from its columns by one index array."""
+        lengths, events = self.frame_columns(frame)
         entries = np.full(len(frame.names), -1)
         entries[[i for i, _ in hits]] = [code for _, code in hits]
         owners = np.repeat(entries, lengths)
         index = np.flatnonzero(owners >= 0)
-        return _Piece(events, strings, index, owners[index], f"{self.log}: frame at byte {frame.at}")
+        return _Piece(events, index, owners[index])
 
     def columns(self, codes: dict[str, int]) -> Iterator[_Piece]:
         """Pieces of the rows of the repositories ``codes`` maps to their
@@ -776,7 +721,7 @@ class _Month:
             if self.loose is None:
                 records = [record for _, record in self.unlogged]
                 starts = np.array([at for at, _ in self.unlogged], np.int64)
-                self.loose = _decoded(records, np.zeros(0, np.int64)), [record.repo_id for record in records], starts
+                self.loose = from_records(records), [record.repo_id for record in records], starts
             loose, names, starts = self.loose
             owners = np.fromiter(map(codes.get, names, repeat(-1)), np.int64, len(names))
             wanted = np.flatnonzero(owners >= 0)
@@ -788,7 +733,7 @@ class _Month:
         for frame, cut in zip([*self.frames, None], cuts):
             if cut > done:
                 run = wanted[done:cut]
-                yield loose._replace(index=run, owners=owners[run])
+                yield _Piece(loose, run, owners[run])
                 done = cut
             if frame is not None:
                 if len(codes) < len(frame.names):
@@ -802,13 +747,7 @@ class _Month:
         """The largest ``created_at`` of the month, None when it holds no
         record: taken from the columns, decoding only what they do not cover."""
         times = [record.created_at for _, record in self.unlogged]
-        for frame in self.frames:
-            if frame.rows:
-                times.append(self.frame_columns(frame).events.created_at.max().item())
-            else:
-                start, stop = frame.bounds[0], frame.bounds[-1]
-                records = _records(self.segment, os.pread(self.fd, stop - start, start), start, "logged")
-                times.append(max(record.created_at for record in records))
+        times += [self.frame_columns(frame).events.created_at.max().item() for frame in self.frames]
         return max(times, default=None)
 
 
@@ -816,27 +755,6 @@ def _close(fds: dict[str, int]) -> None:
     for fd in fds.values():
         os.close(fd)
     fds.clear()
-
-
-def _check_rows(events: Columns, lengths: np.ndarray, frames: list[str | None], source: np.ndarray) -> None:
-    """Raise ``StoreError`` naming the log frame of the first row read with
-    an unknown kind code, a ``tz_offset`` out of range, or an ``actor`` or
-    ``action`` index not below its string table's length in ``lengths``;
-    row ``i`` came from the piece ``source[i]`` of ``frames``."""
-    tz = events.tz_offset
-    if tz.dtype == object:  # a decoded record made it so: check the ints the frames gave, None for their nulls
-        logged = np.array([frame is not None for frame in frames])[source]
-        tz = np.where(logged & np.not_equal(tz, None), tz, 0).astype(np.int64)
-    problems = [
-        ("kind code", events.kind >= len(KINDS), events.kind),
-        ("tz_offset", (tz != TZ_NULL) & ((tz < TZ_OFFSET_MIN) | (tz > TZ_OFFSET_MAX)), tz),
-        *((f"{name} index", (column != _U4_NULL) & (column >= lengths), column)
-          for name, column in (("actor", events.actor), ("action", events.action))),
-    ]
-    for what, bad, column in problems:
-        if bad.any():
-            row = int(bad.argmax())
-            raise StoreError(f"{frames[source[row]]}: ValueError: {what} {column[row]} is out of range")
 
 
 class EventStore:
@@ -1077,40 +995,25 @@ class EventStore:
 
         Only the columns of the log frames holding a wanted entry are read,
         each frame's once per month read, and their rows selected by one
-        index array per frame.  The records no logged range covers and
-        those of a frame without columns become the same columns through
-        ``from_records``.  No record a frame's columns cover is decoded.
-        A row read with an unknown kind code, a ``tz_offset`` out of range
-        or a string index past its table raises ``StoreError`` naming the
-        log file and the frame's byte offset.
+        index array per frame, before they are concatenated.  The records
+        no logged range covers become the same columns through
+        ``from_records``.  No record a frame's columns cover is decoded.  A
+        frame whose columns hold an unknown kind code, a ``tz_offset`` out
+        of range or a string index past its table raises ``StoreError``
+        naming the log file and the frame's byte offset.
         """
         codes = {repo_id: code for code, repo_id in enumerate(dict.fromkeys(repo_ids))}
-        pieces = [piece for month in self._months_held() for piece in self._month(month).columns(codes)]
-        if not pieces:
-            return {repo_id: from_records([]) for repo_id in codes}
-        # each distinct piece's columns and strings once, one after another
-        distinct = list({id(piece.events): piece for piece in pieces}.values())
-        keys = [id(piece.events) for piece in distinct]
-        row_at = dict(zip(keys, accumulate((len(piece.events.kind) for piece in distinct), initial=0)))
-        string_at = dict(zip(keys, accumulate((len(piece.strings) for piece in distinct), initial=0)))
-        events = concatenate([piece.events for piece in distinct])
-        strings = np.concatenate([*(piece.strings for piece in distinct), np.full(1, None)])  # None last
-        # the rows read: each one's row in ``events``, its repository's code and its piece
-        index = np.concatenate([piece.index + row_at[id(piece.events)] for piece in pieces])
-        owner = np.concatenate([piece.owners for piece in pieces])
-        source = np.repeat(np.arange(len(pieces)), [len(piece.index) for piece in pieces])
-        kept = np.flatnonzero(events.created_at[index] < before)
-        order = kept[np.argsort(owner[kept], kind="stable")]  # by repository, each in byte order
-        index, owner, source = index[order], owner[order], source[order]
-        events = take(events, index)
-        tables = np.array([(string_at[id(piece.events)], len(piece.strings)) for piece in pieces], np.int64)[source]
-        _check_rows(events, tables[:, 1], [piece.frame for piece in pieces], source)
-        # a string index -> the string, ``_U4_NULL`` -> None
-        events = events._replace(**{
-            name: strings.take(np.where(column == _U4_NULL, len(strings) - 1, column + tables[:, 0]))
-            for name, column in (("actor", events.actor), ("action", events.action))
-        })
-        bounds = np.searchsorted(owner, np.arange(len(codes) + 1)).tolist()
+        # each piece's rows read: the empty block first, so there is one
+        blocks, owners = [from_records([])], [np.zeros(0, np.int64)]
+        for month in self._months_held():
+            for piece in self._month(month).columns(codes):
+                kept = piece.events.created_at[piece.index] < before
+                blocks.append(take(piece.events, piece.index[kept]))
+                owners.append(piece.owners[kept])
+        owner = np.concatenate(owners)
+        order = np.argsort(owner, kind="stable")  # by repository, each in byte order
+        events = take(Columns(*map(np.concatenate, zip(*blocks))), order)
+        bounds = np.searchsorted(owner[order], np.arange(len(codes) + 1)).tolist()
         return {repo_id: take(events, slice(bounds[code], bounds[code + 1])) for repo_id, code in codes.items()}
 
     def latest_created_at(self) -> int | None:

@@ -22,6 +22,7 @@ import pytest
 from conftest import EFA_VARIABLE_NAMES, FIXTURE_LINES, efa_population_correlation, sem_population_covariance
 from oss_health import cli, dataset, factor, metrics, projects, sem
 from oss_health.cli import PipelineConfig, UserError, load_config, parse_config_text
+from oss_health.events import EventRecord, EventType
 from oss_health import store as store_module
 from oss_health.store import CORPUS_MAGIC, LEDGER, MAGIC, EventStore, StoreError
 
@@ -55,12 +56,16 @@ def _extra_repo_line(actor, created, event_type="WatchEvent", payload=None, repo
     )
 
 
-def _log_body(start, stop, count=1, names=b'["someone/else"]', tail=b'["bitcoin"]'):
-    """A log frame body of one entry, no columns and ``count`` texts: the
-    entry's range ``[start, stop)`` and the JSON of its repository ids, then
+def _log_body(*bounds, count=1, names=b'["someone/else"]', tail=b'["bitcoin"]', rows=True):
+    """A log frame body of an entry per range of ``bounds``, and of
+    ``count`` texts: the bounds and the JSON of the repository ids, then
+    the columns of one Watch row per entry (none unless ``rows``), then
     each text's time and the JSON of the texts."""
-    head = struct.pack(">IIIII", 1, count, len(names), 0, 0) + struct.pack(">QQ", start, stop)
-    return head + names + struct.pack(f">{count}q", *[0] * count) + tail
+    n = len(bounds) - 1
+    watch = EventRecord("someone/else", EventType.WATCH, "someone", 0)
+    columns, table = store_module._columns_block([watch] * n, list(range(n + 1))) if rows else (b"", b"")
+    head = struct.pack(">IIIII", n, count, len(names), n if rows else 0, len(table)) + struct.pack(f">{n + 1}Q", *bounds)
+    return head + names + columns + table + struct.pack(f">{count}q", *[0] * count) + tail
 
 
 def _decoded_once(decoded):
@@ -893,11 +898,12 @@ class TestMetrics:
             (lambda start, stop: _log_body(start, stop, count=2), "the texts do not match their count"),
             (lambda start, stop: _log_body(start, stop, tail=b"[2]"), "TypeError: sequence item 0: expected str"),
             (lambda start, stop: _log_body(start, stop, names=b'"someone/else"'), "the names are not a list"),
-            (lambda start, stop: struct.pack(">IIIIIQQQ", 2, 0, 9, 0, 0, start, stop, start + 4) + b'["a","b"]' + b"[]",
+            (lambda start, stop: _log_body(start, stop, start + 4, count=0, names=b'["a","b"]', tail=b"[]"),
              "the bounds do not increase"),
+            (lambda start, stop: _log_body(start, stop, rows=False), "1 entries have 0 rows of columns"),
         ],
         ids=["not_json", "texts_not_json", "counts_pass_the_end", "empty_range", "range_in_magic_header",
-             "count_mismatch", "text_not_a_string", "names_not_a_list", "bounds_not_increasing"],
+             "count_mismatch", "text_not_a_string", "names_not_a_list", "bounds_not_increasing", "no_columns"],
     )
     def test_malformed_log_frame_fails_counted_mentions(self, counted, caplog, body, reason):
         assert run(counted, "ingest") == 0

@@ -18,6 +18,7 @@ from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
@@ -27,9 +28,10 @@ from oss_health.events import (
     CONTRIBUTION_TYPES,
     EPOCH_END,
     EPOCH_MIN,
+    INT_MAX,
     INT_NULL,
     KINDS,
-    NULLS,
+    TZ_NULL,
     TZ_OFFSET_MAX,
     TZ_OFFSET_MIN,
     ArchiveStreamError,
@@ -160,6 +162,33 @@ class TestParseEventLine:
             }
         )
         assert parse_event_line(line).number is None
+
+    @pytest.mark.parametrize("number", [2**63, -(2**63)])
+    @pytest.mark.parametrize("key", ["issue", "pull_request", None])
+    def test_number_no_int64_column_holds_is_no_number(self, key, number):
+        payload = {"number": number} if key is None else {key: {"number": number}}
+        line = json.dumps(
+            {
+                "type": "IssuesEvent" if key != "pull_request" else "PullRequestEvent",
+                "repo": {"name": "a/b"},
+                "actor": {"login": "a"},
+                "created_at": "2016-12-01T12:00:00Z",
+                "payload": {"action": "opened", **payload},
+            }
+        )
+        assert parse_event_line(line).number is None
+
+    def test_size_past_int64_is_absent(self):
+        line = json.dumps(
+            {
+                "type": "PushEvent",
+                "repo": {"name": "a/b"},
+                "actor": {"login": "a"},
+                "created_at": "2016-12-01T12:00:00Z",
+                "payload": {"size": 2**64, "commits": [{"message": "m"}, {"message": "n"}]},
+            }
+        )
+        assert parse_event_line(line).counts == 2
 
     def test_unrecognisable_repository_is_malformed(self):
         with pytest.raises(MalformedLineError):
@@ -455,10 +484,8 @@ _ANY_TEXT = st.one_of(
         max_size=4,
     ).map("".join),
 )
-#: what an ``int | None`` field may hold: bools, floats and huge ints too
-_ANY_NUMBER = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(min_value=2**64), st.floats(),
-)
+#: what an ``int | None`` field may hold: None or an int an int64 column holds, its sentinel excluded
+_ANY_NUMBER = st.one_of(st.none(), st.integers(INT_NULL + 1, INT_MAX))
 
 
 #: a stored body's fields in their order, ``tz_offset`` last
@@ -485,11 +512,8 @@ _ANY_FIELDS = dict(
     repo_id=_ANY_TEXT,
     kind=st.sampled_from(list(EventType)),
     actor=_ANY_TEXT,
-    created_at=_ANY_NUMBER,
-    tz_offset=st.one_of(
-        st.none(), st.booleans(), st.integers(TZ_OFFSET_MIN, TZ_OFFSET_MAX),
-        st.floats(TZ_OFFSET_MIN, TZ_OFFSET_MAX),
-    ),
+    created_at=st.integers(EPOCH_MIN, EPOCH_END - 1),
+    tz_offset=st.one_of(st.none(), st.integers(TZ_OFFSET_MIN, TZ_OFFSET_MAX)),
     action=st.one_of(st.none(), _ANY_TEXT),
     texts=st.lists(_ANY_TEXT, max_size=4),
     counts=_ANY_NUMBER,
@@ -499,9 +523,9 @@ _ANY_FIELDS = dict(
 
 class TestRecordToJson:
     @given(**_ANY_FIELDS)
-    @example("a/b", EventType.PUSH, "a", 1, None, None, [], True, None)
-    @example("a/b", EventType.ISSUES, "a", False, True, "opened", [], None, 10**40)
-    @example("a/b", EventType.PUSH, "a", 1.5, None, None, ['\\",null]'], float("nan"), -0.0)
+    @example("a/b", EventType.PUSH, "a", EPOCH_MIN, TZ_OFFSET_MIN, None, [], INT_MAX, INT_NULL + 1)
+    @example("a/b", EventType.ISSUES, "a", EPOCH_END - 1, TZ_OFFSET_MAX, "opened", [], None, 0)
+    @example("a/b", EventType.PUSH, "a", 1, None, None, ['\\",null]'], -1, None)
     def test_matches_json_dumps(
         self, repo_id, kind, actor, created_at, tz_offset, action, texts, counts, number
     ):
@@ -509,7 +533,7 @@ class TestRecordToJson:
         assert store_module._record_to_json(record) == _canonical_json(record)
 
     @given(**_ANY_FIELDS)
-    @example("a/b", EventType.PUSH, "a,b", 1, 1e-05, "x,", ["]", ",", '\\",'], None, None)
+    @example("a/b", EventType.PUSH, "a,b", 1, -1, "x,", ["]", ",", '\\",'], None, None)
     def test_dedup_key_is_the_digest_of_the_first_eight_fields(
         self, repo_id, kind, actor, created_at, tz_offset, action, texts, counts, number
     ):
@@ -518,12 +542,41 @@ class TestRecordToJson:
         assert head.endswith(b"]")
         assert dedup_key(record) == hashlib.blake2b(head[:-1], digest_size=16).digest()
 
-    @pytest.mark.parametrize(
-        "texts", [("tuple", "of texts"), ["a", 1], ["a", None], [["nested"]], "not a list", None]
-    )
-    def test_texts_of_another_shape_match_json_dumps(self, texts):
-        record = make_event(texts=texts)
-        assert store_module._record_to_json(record) == _canonical_json(record)
+
+#: a field and a value outside its domain, by test id: each is refused by ``EventRecord``
+_OUT_OF_DOMAIN = {
+    "bool_created_at": ("created_at", True, TypeError),
+    "float_created_at": ("created_at", float(AS_OF), TypeError),
+    "created_at_past_year_9999": ("created_at", EPOCH_END, ValueError),
+    "bool_counts": ("counts", False, TypeError),
+    "float_counts": ("counts", 3.0, TypeError),
+    "counts_past_int64": ("counts", 2**63, ValueError),
+    "counts_at_the_sentinel": ("counts", INT_NULL, ValueError),
+    "number_past_int64": ("number", 2**63, ValueError),
+    "number_at_the_sentinel": ("number", INT_NULL, ValueError),
+    "bool_tz_offset": ("tz_offset", True, TypeError),
+    "float_tz_offset": ("tz_offset", 60.0, TypeError),
+    "tz_offset_out_of_range": ("tz_offset", TZ_OFFSET_MAX + 1, ValueError),
+    "actor_not_a_string": ("actor", 7, TypeError),
+    "actor_none": ("actor", None, TypeError),
+    "repo_id_bytes": ("repo_id", b"a/b", TypeError),
+    "action_not_a_string": ("action", 1, TypeError),
+    "event_type_a_string": ("event_type", "Push", TypeError),
+    "texts_a_tuple": ("texts", ("tuple", "of texts"), TypeError),
+    "texts_a_string": ("texts", "not a list", TypeError),
+    "texts_none": ("texts", None, TypeError),
+    "text_not_a_string": ("texts", ["a", 1], TypeError),
+    "text_none": ("texts", ["a", None], TypeError),
+    "text_a_list": ("texts", [["nested"]], TypeError),
+}
+
+
+@pytest.mark.parametrize("name, value, error", list(_OUT_OF_DOMAIN.values()), ids=list(_OUT_OF_DOMAIN))
+def test_record_refuses_a_value_outside_its_domain(name, value, error):
+    fields = asdict(make_event(event_type=EventType.PUSH, counts=1, number=1, tz_offset=0, action="a", texts=["t"]))
+    EventRecord(**fields)  # the domain's values
+    with pytest.raises(error, match=f"^{name} "):
+        EventRecord(**{**fields, name: value})
 
 
 def test_readme_names_the_store_formats():
@@ -897,6 +950,10 @@ class TestEventStore:
         "missing_field": "ValueError: not enough values to unpack (expected 9, got 8)",
         "unknown_event_type": "KeyError: 'Bogus'",
         "tz_offset_out_of_range": "ValueError: tz_offset -721 outside ",
+        "float_created_at": "TypeError: created_at 1483142400.0 is not an int",
+        "bool_counts": "TypeError: counts True is not an int",
+        "number_past_int64": "ValueError: number 9223372036854775808 outside ",
+        "text_not_a_string": "TypeError: texts item 1 is not a string",
         "object_body": "TypeError: the body is not an array: dict",
         "eight_elements": "ValueError: not enough values to unpack (expected 9, got 8)",
         "ten_elements": "ValueError: too many values to unpack (expected 9",
@@ -919,6 +976,10 @@ class TestEventStore:
             "missing_field": _dumps(fields[1:]),
             "unknown_event_type": _dumps(_fields(bad, event_type="Bogus")),
             "tz_offset_out_of_range": _dumps(_fields(bad, tz_offset=-721)),
+            "float_created_at": _dumps(_fields(bad, created_at=float(bad.created_at))),
+            "bool_counts": _dumps(_fields(bad, counts=True)),
+            "number_past_int64": _dumps(_fields(bad, number=2**63)),
+            "text_not_a_string": _dumps(_fields(bad, texts=["a", 1])),
             # the body an ``OSHEVT02`` segment held: the nine members in sorted order
             "object_body": json.dumps(dict(zip(_FIELD_NAMES, fields)), sort_keys=True, separators=(",", ":")).encode(),
             "eight_elements": _dumps(fields[:8]),
@@ -932,25 +993,28 @@ class TestEventStore:
         with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: record at byte {offset}: ") as failure:
             store.read("bitcoin/bitcoin")
         assert self._CORRUPT[corrupt] in str(failure.value)
-        # the bytes lie outside the range the log covers, so counting mentions decodes them
+        # the bytes lie outside the range the log covers, so counting mentions and reading columns decode them
         with pytest.raises(StoreError) as push_failure:
             list(store.push_corpus(AS_OF, CorpusReceipt()))
         assert str(push_failure.value) == str(failure.value)
+        with pytest.raises(StoreError) as columns_failure:
+            store.columns(["bitcoin/bitcoin"], AS_OF)
+        assert str(columns_failure.value) == str(failure.value)
 
-    def test_read_checks_each_tz_offset_once(self, tmp_path, monkeypatch):
+    def test_read_checks_each_record_once(self, tmp_path, monkeypatch):
         store = EventStore(tmp_path / "store")
         events = self._events()
         store.append(events)
         calls = []
 
-        def counted(tz_offset):
-            calls.append(tz_offset)
-            return check(tz_offset)
+        def counted(record):
+            calls.append(record.actor)
+            return check(record)
 
-        check = events_module.check_tz_offset
-        monkeypatch.setattr(events_module, "check_tz_offset", counted)
+        check = EventRecord.__post_init__
+        monkeypatch.setattr(EventRecord, "__post_init__", counted)
         assert store.read("bitcoin/bitcoin") == events
-        assert len(calls) == len(events)
+        assert calls == [event.actor for event in events]
 
     @staticmethod
     def _corpus(root):
@@ -976,16 +1040,16 @@ class TestEventStore:
             assert self._corpus(root) == ([e.actor for e in events[:2]], 1)
 
     def test_push_corpus_rejects_a_range_off_record_boundaries(self, tmp_path):
-        root = tmp_path / "store"
-        EventStore(root).append(self._events(2))
+        root, events = tmp_path / "store", self._events(2)
+        EventStore(root).append(events)
         path, log = root / "months" / "2016-12.events", root / "corpus" / "2016-12.texts"
         # the records after the logged range are decoded from a byte inside the first record
-        log.write_bytes(CORPUS_MAGIC + store_module._log_frame([["bitcoin/bitcoin", len(MAGIC), 20, 0, [], []]]))
+        log.write_bytes(CORPUS_MAGIC + store_module._log_frame([["bitcoin/bitcoin", len(MAGIC), 20, 0, [], []]], events[:1]))
         with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: torn tail after byte 20$"):
             self._corpus(root)
         # ranges that tile the segment, the first ending inside a record
         size = path.stat().st_size
-        frame = store_module._log_frame([["bitcoin/bitcoin", len(MAGIC), 20, 0, [], []], ["x/y", 20, size, 1, [], []]])
+        frame = store_module._log_frame([["bitcoin/bitcoin", len(MAGIC), 20, 0, [], []], ["x/y", 20, size, 1, [], []]], events)
         log.write_bytes(CORPUS_MAGIC + frame)
         assert self._corpus(root) == ([], 0)  # the texts come from the log alone
         message = f"^{re.escape(str(path))}: the logged range \\[8, 20\\) is not whole records$"
@@ -1054,8 +1118,8 @@ class TestEventStore:
                 st.one_of(st.none(), _TRICKY_TEXT),
                 st.lists(_TRICKY_TEXT, max_size=3),
                 st.one_of(st.none(), st.integers(TZ_OFFSET_MIN, TZ_OFFSET_MAX)),
-                st.one_of(st.none(), st.integers()),
-                st.one_of(st.none(), st.integers()),
+                _ANY_NUMBER,
+                _ANY_NUMBER,
             ),
             min_size=1,
             max_size=12,
@@ -1115,57 +1179,23 @@ class TestEventStore:
         assert _month_key(created_at) == f"{utc.tm_year:04d}-{utc.tm_mon:02d}"
 
 
+#: each column's dtype and null sentinel, in the order of ``Columns``; None for a column with none
+_DTYPES = (np.uint8, np.int64, np.int16, np.int64, np.int64, object, object)
+_NULLS = (None, INT_NULL, TZ_NULL, INT_NULL, INT_NULL, None, None)
+
+
 def _rows(columns):
     """Each row of ``columns`` as ``(kind, created_at, tz_offset, counts,
-    number, actor, action)``, None for a null, whatever the dtypes."""
+    number, actor, action)``, None for a null."""
     values = [
-        column.tolist() if null is None or column.dtype == object
-        else [None if value == null else value for value in column.tolist()]
-        for column, null in zip(columns, NULLS)
+        column.tolist() if null is None else [None if value == null else value for value in column.tolist()]
+        for column, null in zip(columns, _NULLS)
     ]
     return list(zip(map(KINDS.__getitem__, values[0]), *values[1:]))
 
 
 class TestColumns:
     """The log frames' columns, read by ``EventStore.columns``, hold what ``read`` decodes."""
-
-    @staticmethod
-    def _frame_rows(root, month):
-        """The row count of each of the month's log frames; 0 for a frame without columns."""
-        return [frame.rows for frame in EventStore(root)._month(month).frames]
-
-    @staticmethod
-    def _fits(value, bits=64):
-        """Whether an ``int | None`` value fits a column of ``bits``-bit ints: not its sentinel, the minimum."""
-        return value is None or type(value) is int and -(1 << bits - 1) < value < 1 << bits - 1
-
-    @given(created_at=_ANY_NUMBER, counts=_ANY_NUMBER, number=_ANY_NUMBER, tz_offset=_ANY_FIELDS["tz_offset"])
-    @example(created_at=AS_OF, counts=INT_NULL, number=None, tz_offset=None)  # a sentinel's value
-    @example(created_at=AS_OF, counts=None, number=1 << 63, tz_offset=0)  # past int64
-    @example(created_at=AS_OF, counts=True, number=None, tz_offset=None)
-    @example(created_at=AS_OF, counts=None, number=None, tz_offset=60.0)
-    @example(created_at=float(AS_OF), counts=None, number=None, tz_offset=None)
-    @example(created_at=AS_OF, counts=(1 << 63) - 1, number=-(1 << 63) + 1, tz_offset=TZ_OFFSET_MIN)
-    def test_a_value_that_does_not_fit_leaves_its_frame_without_columns(
-        self, tmp_path_factory, created_at, counts, number, tz_offset
-    ):
-        try:
-            month = _month_key(created_at)
-        except (TypeError, ValueError, OverflowError, OSError):
-            assume(False)  # a time with no month: the store refuses the record, as it always did
-        record = EventRecord("a/b", EventType.ISSUES, "alice", created_at, tz_offset, "opened", [], counts, number)
-        root = tmp_path_factory.mktemp("store")
-        assert EventStore(root).append([record]).count == 1
-        fits = self._fits(created_at) and self._fits(counts) and self._fits(number) and self._fits(tz_offset, 16)
-        assert self._frame_rows(root, month) == [1 if fits else 0]
-        plain = EventRecord("a/b", EventType.PUSH, "bob", AS_OF - DAY, None, None, [], 3, None)  # a frame with columns
-        EventStore(root).append([plain])
-        store = EventStore(root)
-        read = store.read("a/b")
-        appended = [r for _, _, r in sorted([(month, 0, record), (_month_key(plain.created_at), 1, plain)])]
-        assert [_canonical_json(r) for r in read] == [_canonical_json(r) for r in appended]
-        # the decoded record keeps its exact values beside the other frame's columns
-        assert repr(_rows(store.columns(["a/b"], float("inf"))["a/b"])) == repr(_rows(from_records(appended)))
 
     #: records of three repositories over four months, every nullable field sometimes None
     _RECORDS = st.lists(
@@ -1210,6 +1240,7 @@ class TestColumns:
         for repo in repos:
             expected = from_records([record for record in store.read(repo) if record.created_at < before])
             assert _rows(columns[repo]) == _rows(expected), repo
+            assert [column.dtype for column in columns[repo]] == list(map(np.dtype, _DTYPES)), repo
 
     #: a frame's columns block, by the byte offset of each part from its start, and what each broken part says
     _BROKEN = {
@@ -1222,15 +1253,17 @@ class TestColumns:
     }
 
     @pytest.mark.parametrize("part", list(_BROKEN))
-    @pytest.mark.parametrize("beside", ["columns", "a_frame_without_columns"])
+    @pytest.mark.parametrize("beside", ["columns", "unlogged_records"])
     def test_broken_columns_name_the_log_and_the_frame(self, tmp_path, part, beside):
         root, log = tmp_path / "store", tmp_path / "store" / "corpus" / "2016-12.texts"
         events = [make_event(actor=f"user{i}", created_at=AS_OF - (3 - i) * DAY, event_type=EventType.PUSH) for i in range(3)]
-        if beside == "a_frame_without_columns":  # its float ``tz_offset`` makes the rows read an object column
-            events.insert(0, replace(events[0], actor="float", tz_offset=60.0))
-            EventStore(root).append(events[:1])
-        EventStore(root).append(events[-3:-2])
-        EventStore(root).append(events[-2:])
+        EventStore(root).append(events[:1])
+        EventStore(root).append(events[1:])
+        if beside == "unlogged_records":  # bytes written behind the store's back, decoded beside the frames' columns
+            events.append(make_event(actor="unlogged", created_at=AS_OF - DAY // 2))
+            body = store_module._record_to_json(events[-1])
+            with open(root / "months" / "2016-12.events", "ab") as handle:
+                handle.write(len(body).to_bytes(4, "big") + body)
         frame = EventStore(root)._month("2016-12").frames[-1]
         at, broken, reason = self._BROKEN[part]
         offset = frame.columns[0] + at(len(frame.names) + 1, frame.rows)
