@@ -250,17 +250,14 @@ def cmd_metrics(config: PipelineConfig) -> int:
     owner are read as columns in one batch, and those a project resolves
     to by override in a second; only they stay in memory.  Candidate star
     counts, contribution checks, histograms and rows all come from those
-    columns, so no record the log's columns cover is decoded.  Metrics see
+    columns, so no text is read.  Metrics see
     only events before ``as_of``.  Without a configured ``as_of`` it is one
     second after the latest stored event, so every event counts, and
     finding it reads only the latest month's columns.
     Only when some retained project has no mentions in the ranks file is
     the push corpus, the push texts of every stored repository, tokenised
-    once: it is streamed month by month from the store's push-text log,
-    and only the records no logged range covers are decoded from their
-    segments, once for the whole stage.
-    How many texts came from the log and how many segments held records
-    the log does not cover is logged.
+    once: it is streamed month by month from the frames' push texts, and
+    how many texts it held is logged.
     """
     project_path = _input_path(config.projects, "project list", "projects")
     ranks = _load_ranks(config.ranks)
@@ -317,10 +314,7 @@ def cmd_metrics(config: PipelineConfig) -> int:
         corpus = store.push_corpus(as_of, receipt)
         aliases = [{repo_rank[r].name, repo_rank[r].symbol} for r in counted]
         mentions.update(zip(counted, metrics.mention_counts(corpus, aliases)))
-        log.info(
-            "mentions: %d corpus texts from the push-text log, %d segments decoded",
-            receipt.logged_texts, receipt.decoded_segments,
-        )
+        log.info("mentions: %d corpus texts from the month files' push texts", receipt.texts)
     rows = []
     for repo_id, histogram in zip(retained, histograms):
         entry = repo_rank[repo_id]

@@ -7,7 +7,8 @@ without calendar context.  Each operation reads a project's events as
 :func:`~oss_health.events.from_records`) and counts only the event kinds
 it names, through masks over the kind column.  Every float comes from
 the Python expression a record-by-record computation uses, on Python
-ints (``statistics``, ``/ 3.0``, ``/ 12.0``, float64 bin counts divided
+ints (``statistics``, or the exact sum over the count rounded once that
+``statistics.mean`` gives, ``/ 3.0``, ``/ 12.0``, float64 bin counts divided
 by the total), so a row does not depend on where its columns came from.  A criticality config is checked once, by
 :func:`parse_criticality_config`, through the shared input rules of
 :mod:`oss_health.inputs`.
@@ -287,9 +288,11 @@ def longevity(events: Events) -> float:
     actors, times = actors[order], times[order]
     first = np.flatnonzero(np.diff(actors, prepend=-1))  # each actor's first row; codes are not negative
     last = np.append(first[1:], len(actors)) - 1
-    return float(statistics.mean(
-        (end - start) / DAY_SECONDS for start, end in zip(times[first].tolist(), times[last].tolist())
-    ))
+    spans = (times[last] - times[first]) / DAY_SECONDS  # exact int64 -> float64, one rounding each
+    # ``statistics.mean`` of the spans, the exact sum over the count rounded
+    # once: a nonzero span is at least 1 / 86400 > 2**-17, so each is a whole
+    # multiple of 2**-69, and int / int true division rounds once
+    return sum(map(int, (spans * 2.0**69).tolist())) / (len(spans) << 69)
 
 
 def months_since_update(events: Events, as_of: int) -> int | None:

@@ -1,9 +1,10 @@
-"""Shared fixtures: the 12-line archive, generator matrices, SEM helpers."""
+"""Shared fixtures: the 12-line archive, store frames, generator matrices, SEM helpers."""
 
 from __future__ import annotations
 
 import gzip
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,41 @@ def make_event(
     **kwargs,
 ) -> EventRecord:
     return EventRecord(repo_id, event_type, actor, created_at, **kwargs)
+
+
+#: a frame body's sections after its head, in order, and each one's byte length from ``(n, m, k, r, s, t)``
+_SECTIONS = (
+    ("rows", lambda n, m, k, r, s, t: 4 * (n + 1)),
+    ("names", lambda n, m, k, r, s, t: k),
+    ("columns", lambda n, m, k, r, s, t: 39 * r),
+    ("table", lambda n, m, k, r, s, t: s),
+    ("times", lambda n, m, k, r, s, t: 8 * m),
+    ("texts", lambda n, m, k, r, s, t: t),
+)
+
+
+def frame_sections(frame: bytes) -> tuple[tuple, dict[str, bytes]]:
+    """A length-prefixed frame's head, ``(n, m, k, r, s, t)``, and its
+    sections by name: those of ``_SECTIONS``, then ``others``."""
+    head = struct.unpack_from(">IIIIII", frame, 4)
+    parts, at = {}, 4 + 24
+    for name, size in _SECTIONS:
+        parts[name] = frame[at : at + size(*head)]
+        at += size(*head)
+    parts["others"] = frame[at:]
+    return head, parts
+
+
+def reframed(frame: bytes, n=None, m=None, r=None, **sections) -> bytes:
+    """A length-prefixed frame: ``frame``'s sections, with ``sections``
+    and the counts ``n``, ``m`` and ``r`` replaced, and the lengths in the
+    head fitted to them."""
+    head, parts = frame_sections(frame)
+    parts.update(sections)
+    n, m, r = (head[i] if value is None else value for i, value in ((0, n), (1, m), (3, r)))
+    body = struct.pack(">IIIIII", n, m, len(parts["names"]), r, len(parts["table"]), len(parts["texts"]))
+    body += b"".join(parts[name] for name, _ in _SECTIONS) + parts["others"]
+    return len(body).to_bytes(4, "big") + body
 
 
 def _line(event_type: str, *, actor="alice", created="2016-12-01T12:00:00Z", payload=None):

@@ -19,12 +19,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import EFA_VARIABLE_NAMES, FIXTURE_LINES, efa_population_correlation, sem_population_covariance
+from conftest import (
+    EFA_VARIABLE_NAMES, FIXTURE_LINES, efa_population_correlation, frame_sections, reframed, sem_population_covariance,
+)
 from oss_health import cli, dataset, factor, metrics, projects, sem
 from oss_health.cli import PipelineConfig, UserError, load_config, parse_config_text
-from oss_health.events import EventRecord, EventType
+from oss_health.events import EventRecord
 from oss_health import store as store_module
-from oss_health.store import CORPUS_MAGIC, LEDGER, MAGIC, EventStore, StoreError
+from oss_health.store import LEDGER, MAGIC, EventStore, StoreError
 
 MODEL_FILE = "models/health.sem"
 REDUCED_MODEL_FILE = "models/health_reduced.sem"
@@ -56,20 +58,8 @@ def _extra_repo_line(actor, created, event_type="WatchEvent", payload=None, repo
     )
 
 
-def _log_body(*bounds, count=1, names=b'["someone/else"]', tail=b'["bitcoin"]', rows=True):
-    """A log frame body of an entry per range of ``bounds``, and of
-    ``count`` texts: the bounds and the JSON of the repository ids, then
-    the columns of one Watch row per entry (none unless ``rows``), then
-    each text's time and the JSON of the texts."""
-    n = len(bounds) - 1
-    watch = EventRecord("someone/else", EventType.WATCH, "someone", 0)
-    columns, table = store_module._columns_block([watch] * n, list(range(n + 1))) if rows else (b"", b"")
-    head = struct.pack(">IIIII", n, count, len(names), n if rows else 0, len(table)) + struct.pack(f">{n + 1}Q", *bounds)
-    return head + names + columns + table + struct.pack(f">{count}q", *[0] * count) + tail
-
-
 def _decoded_once(decoded):
-    """The bytes decoded in each segment, from ``(name, start, stop)`` ranges
+    """The bytes read of each file, from ``(name, start, stop)`` ranges
     that must not overlap."""
     sizes = {}
     for name in {name for name, _, _ in decoded}:
@@ -81,15 +71,15 @@ def _decoded_once(decoded):
 
 @pytest.fixture
 def decoded(monkeypatch):
-    """``(segment name, start, stop)`` of every byte range the store decodes from here on."""
-    ranges, records = [], store_module._records
+    """``(month file name, frame offset)`` of every frame the store builds records of from here on."""
+    frames, fields = [], store_module._frame_fields
 
-    def counted(path, data, at, *args):
-        ranges.append((Path(path).name, at, at + len(data)))
-        return records(path, data, at, *args)
+    def counted(path, fd, frame, *args):
+        frames.append((Path(path).name, frame.at))
+        return fields(path, fd, frame, *args)
 
-    monkeypatch.setattr(store_module, "_records", counted)
-    return ranges
+    monkeypatch.setattr(store_module, "_frame_fields", counted)
+    return frames
 
 
 @pytest.fixture
@@ -321,8 +311,7 @@ class TestIngest:
         assert run(workspace, "ingest", "--archives", str(archives)) == 0
         store_dir = workspace / "out" / "store"
         files = sorted(p.relative_to(store_dir).as_posix() for p in store_dir.rglob("*") if p.is_file())
-        logs, segments = [f"corpus/{m}.texts" for m in months], [f"months/{m}.events" for m in months]
-        assert files == [LEDGER, *logs, *segments]
+        assert files == [LEDGER, *(f"months/{m}.events" for m in months)]
         assert len(list(EventStore(store_dir).iter_repo_ids())) == repositories
 
     @pytest.mark.parametrize("command", ["ingest", "metrics"])
@@ -341,31 +330,49 @@ class TestIngest:
     def test_older_log_refused(self, workspace, caplog, command, magic):
         assert run(workspace, "ingest") == 0
         store_dir = workspace / "out" / "store"
-        log_path = store_dir / "corpus" / "2016-12.texts"
-        log_path.write_bytes(magic.encode() + log_path.read_bytes()[8:])
+        log_path = store_dir / "corpus" / "2016-12.texts"  # the log directory of an older store
+        log_path.parent.mkdir()
+        log_path.write_bytes(magic.encode())
         later = _extra_repo_line("zed", "2016-12-20T00:00:00Z")  # an archive that appends to the month
         (workspace / "archives" / "2016-12-20-00.json").write_text(later + "\n")
         assert run(workspace, command) == 1
         assert (
-            f"error: {store_dir}: holds {log_path}, format b'{magic}', of another store format; "
+            f"error: {store_dir}: holds the log directory corpus, of another store format; "
+            "ingest the archives into a new store"
+        ) in caplog.text
+
+    @pytest.mark.parametrize("command", ["ingest", "metrics"])
+    def test_older_month_file_refused(self, workspace, caplog, command):
+        assert run(workspace, "ingest") == 0
+        store_dir = workspace / "out" / "store"
+        path = store_dir / "months" / "2016-12.events"
+        path.write_bytes(b"OSHEVT03" + path.read_bytes()[8:])
+        later = _extra_repo_line("zed", "2016-12-20T00:00:00Z")  # an archive that appends to the month
+        (workspace / "archives" / "2016-12-20-00.json").write_text(later + "\n")
+        assert run(workspace, command) == 1
+        assert (
+            f"error: {store_dir}: holds {path}, format b'OSHEVT03', of another store format; "
             "ingest the archives into a new store"
         ) in caplog.text
 
     @pytest.mark.parametrize(
-        "older, magic", [("months/2016-12.events", "OSHEVT02"), ("corpus/2016-12.texts", "OSHTXT02")]
+        "older, magic",
+        [("months/2016-12.events", "OSHEVT02"), ("months/2016-12.events", "OSHEVT03"), ("corpus/2016-12.texts", "OSHTXT02")],
     )
     def test_older_store_refused_before_ingest_writes(self, workspace, caplog, older, magic):
         assert run(workspace, "ingest") == 0
         store_dir = workspace / "out" / "store"
         path = store_dir / older
-        path.write_bytes(magic.encode() + path.read_bytes()[8:])
+        path.parent.mkdir(exist_ok=True)
+        path.write_bytes(magic.encode() + (path.read_bytes()[8:] if path.exists() else b""))
         files = {p: p.read_bytes() for p in store_dir.rglob("*") if p.is_file()}
         assert not any("2017-03" in p.name for p in files)
         later = _extra_repo_line("zed", "2017-03-01T00:00:00Z")  # an archive whose one month is new
         (workspace / "archives" / "2017-03-01-00.json").write_text(later + "\n")
         assert run(workspace, "ingest") == 1
+        found = "the log directory corpus" if older.startswith("corpus") else f"{path}, format b'{magic}'"
         assert (
-            f"error: {store_dir}: holds {path}, format b'{magic}', of another store format; "
+            f"error: {store_dir}: holds {found}, of another store format; "
             "ingest the archives into a new store"
         ) in caplog.text
         assert {p: p.read_bytes() for p in store_dir.rglob("*") if p.is_file()} == files
@@ -373,7 +380,7 @@ class TestIngest:
     def test_store_of_the_ledger_and_month_files_accepted(self, workspace):
         assert run(workspace, "ingest") == 0
         store_dir = workspace / "out" / "store"
-        assert sorted(p.name for p in store_dir.iterdir()) == [LEDGER, "corpus", "months"]
+        assert sorted(p.name for p in store_dir.iterdir()) == [LEDGER, "months"]
         assert run(workspace, "ingest") == 0
         assert run(workspace, "metrics") == 0
 
@@ -680,10 +687,18 @@ class TestMetrics:
         monkeypatch.setattr(EventStore, "iter_repo_ids", counted_iter)
         assert run(workspace, "metrics") == 0
         assert len(lists) == 1
-        # the log's columns cover every record, so neither counted nor
-        # supplied mentions decode one, and no log byte is read twice
+        # the metrics come from the columns, so neither counted nor supplied
+        # mentions build a record, and no byte is read twice
         assert decoded == []
-        assert _decoded_once([r for r in preads.ranges if r[0].endswith(".texts")])
+        assert _decoded_once([r for r in preads.ranges if r[0].endswith(".events")])
+
+    @staticmethod
+    def _texts_sections(store_dir):
+        """``(month file name, offset)`` of each frame's texts section."""
+        store = EventStore(store_dir)
+        return {
+            (f"{month}.events", frame.texts[0]) for month in store._months_held() for frame in store._month(month).frames
+        }
 
     def test_supplied_mentions_open_each_segment_once_and_read_the_candidates_ranges(self, workspace, preads):
         self._corpus_only_push(workspace, "2016-12-10T09:00:00Z")
@@ -691,18 +706,17 @@ class TestMetrics:
             self._corpus_only_push(workspace, created, "zcash")
         run(workspace, "ingest")
         store_dir = workspace / "out" / "store"
+        texts = self._texts_sections(store_dir)
         preads.ranges.clear()
         preads.opened.clear()
         assert run(workspace, "metrics") == 0
-        segments = sorted(p.name for p in (store_dir / "months").iterdir())
-        assert segments == ["2016-11.events", "2016-12.events", "2017-01.events"]
-        assert sorted(name for name in preads.opened if name.endswith(".events")) == segments
-        # of the segments only the magic headers are read: the candidates'
-        # rows come from the log's columns, and no log byte is read twice
-        assert sorted(r for r in preads.ranges if r[0].endswith(".events")) == [
-            (name, 0, len(MAGIC)) for name in segments
-        ]
-        assert _decoded_once([r for r in preads.ranges if r[0].endswith(".texts")])
+        months = sorted(p.name for p in (store_dir / "months").iterdir())
+        assert months == ["2016-11.events", "2016-12.events", "2017-01.events"]
+        assert sorted(preads.opened) == months
+        # the candidates' rows come from the frames' columns: no text is
+        # read, and no byte twice
+        assert not {(name, start) for name, start, _ in preads.ranges} & texts
+        assert _decoded_once(preads.ranges)
 
     def test_each_timezone_histogram_computed_once(self, workspace, monkeypatch):
         run(workspace, "ingest")
@@ -718,37 +732,40 @@ class TestMetrics:
         with open(workspace / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
             assert len(calls) == len(list(csv.DictReader(handle)))  # one per retained project
 
-    @pytest.mark.parametrize(
-        "corrupt", ["torn_tail", "not_json", "unknown_event_type", "tz_offset_out_of_range"]
-    )
+    @pytest.mark.parametrize("corrupt", ["not_json", "unknown_event_type", "tz_offset_out_of_range"])
     def test_corrupt_corpus_record_fails_counted_mentions(self, workspace, caplog, corrupt):
         self._corpus_only_push(workspace, "2016-12-10T09:00:00Z")
         run(workspace, "ingest")
         store_dir = workspace / "out" / "store"
         path = store_dir / "months" / "2016-12.events"
         offset = path.stat().st_size
-        fields = json.loads(store_module._record_to_json(EventStore(store_dir).read("someone/else")[0]))
-        if corrupt == "unknown_event_type":
-            fields[1] = "Bogus"  # event_type
-        elif corrupt == "tz_offset_out_of_range":
-            fields[-1] = 841  # tz_offset
-        body = b"[oops" if corrupt == "not_json" else json.dumps(fields, separators=(",", ":")).encode()
-        frame = len(body).to_bytes(4, "big") + body
+        push = EventStore(store_dir).read("someone/else")[0]
+        push = EventRecord("bitcoin/bitcoin", push.event_type, push.actor, push.created_at + 1, texts=["bitcoin"])
+        frame = store_module._frame([push.repo_id], [0, 1], [push])
+        if corrupt == "not_json":
+            frame = reframed(frame, texts=b"[oops")
+        else:  # the kind code (u1 at 26) or tz_offset (i2 at 24) of the one row
+            columns = bytearray(frame_sections(frame)[1]["columns"])
+            if corrupt == "unknown_event_type":
+                columns[26] = 9
+            else:
+                columns[24:26] = (841).to_bytes(2, "little")
+            frame = reframed(frame, columns=bytes(columns))
         with open(path, "ab") as handle:
-            handle.write(frame[:14] if corrupt == "torn_tail" else frame)
+            handle.write(frame)
         with pytest.raises(StoreError) as expected:
-            EventStore(store_dir).read("someone/else")
-        where = "torn tail after byte" if corrupt == "torn_tail" else "record at byte"
-        assert str(expected.value).startswith(f"{path}: {where} {offset}")
+            EventStore(store_dir).read("bitcoin/bitcoin")
+        assert str(expected.value).startswith(f"{path}: frame at byte {offset}: ")
 
-        # which repository an unlogged record holds is known only once it is
-        # decoded, so supplied mentions fail as well as counted ones
-        assert run(workspace, "metrics") == 1
-        assert f"error: {expected.value}" in caplog.text
-        caplog.clear()
+        supplied = (workspace / "ranks.csv").read_text()
         (workspace / "ranks.csv").write_text("repo_id,cmc_rank,alexa_rank\n")
         assert run(workspace, "metrics") == 1
         assert f"error: {expected.value}" in caplog.text
+        caplog.clear()
+        # a listed repository's columns are read for supplied mentions as well; its texts are not
+        (workspace / "ranks.csv").write_text(supplied)
+        assert run(workspace, "metrics") == (0 if corrupt == "not_json" else 1)
+        assert (f"error: {expected.value}" in caplog.text) == (corrupt != "not_json")
 
     def test_corpus_push_at_as_of_not_counted(self, workspace, caplog):
         caplog.set_level(logging.INFO, logger="oss_health")
@@ -757,11 +774,8 @@ class TestMetrics:
         self._corpus_only_push(workspace, "2017-01-01T00:00:00Z")  # the configured as_of
         # two fixture pushes mention the whole token; the corpus-only push a second early adds one
         assert int(self._rows(workspace)["bitcoin/bitcoin"]["mentions"]) == 3
-        # the log holds the push at as_of, and leaves it out as the decode does
-        assert "from the push-text log, 0 segments decoded" in caplog.text
-        logged = self._metrics_outputs(workspace)
-        shutil.rmtree(workspace / "out" / "store" / "corpus")
-        assert self._metrics_outputs(workspace) == logged
+        # the month file holds the push at as_of, and the corpus leaves it out
+        assert "mentions: 5 corpus texts from the month files' push texts" in caplog.text
         # a derived as_of is one second after the latest stored event, so that push counts too
         assert run(workspace, "metrics", "--as-of", "") == 0
         with open(workspace / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
@@ -776,17 +790,17 @@ class TestMetrics:
         assert run(workspace, "metrics", "--out", str(out)) == 0
         return [(out / name).read_bytes() for name in ("metrics.csv", "metrics_audit.jsonl")]
 
+    @staticmethod
+    def _mentions(workspace):
+        """``bitcoin/bitcoin``'s mentions in the last metrics run's ``metrics.csv``."""
+        with open(workspace / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
+            return int({row["repo_id"]: row for row in csv.DictReader(handle)}["bitcoin/bitcoin"]["mentions"])
+
     def _clean_outputs(self, workspace):
         """``_metrics_outputs`` of a fresh store ingested from the archives in one uninterrupted run."""
         clean = workspace / "clean"
         assert run(workspace, "ingest", "--out", str(clean)) == 0
         return self._metrics_outputs(workspace, clean)
-
-    @staticmethod
-    def _decoded(caplog) -> int:
-        """The number of segments the last metrics run logged it decoded to count mentions."""
-        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("mentions: ")]
-        return int(lines[-1].split(", ")[1].split()[0])
 
     @pytest.fixture
     def counted(self, workspace, caplog):
@@ -800,18 +814,20 @@ class TestMetrics:
         append_cut = store_module._append_cut
 
         def fail_on_corpus_push(path, cut, magic, data):
-            if magic == CORPUS_MAGIC and b"someone/else" in data:
+            if b"someone/else" in data:  # a torn frame
+                append_cut(path, cut, magic, data[: len(data) // 2])
                 raise OSError("disk full")
             append_cut(path, cut, magic, data)
 
         monkeypatch.setattr(store_module, "_append_cut", fail_on_corpus_push)
         assert run(counted, "ingest") == 1
-        assert f"{counted / 'out' / 'store' / 'corpus' / '2016-12.texts'} failed: disk full" in caplog.text
+        assert f"{counted / 'out' / 'store' / 'months' / '2016-12.events'} failed: disk full" in caplog.text
         monkeypatch.undo()
-        outputs = self._metrics_outputs(counted)
-        assert self._decoded(caplog) == 1  # the partition written before the failed log write
-        assert outputs == self._clean_outputs(counted)
-        assert self._decoded(caplog) == 0
+        self._metrics_outputs(counted)
+        assert self._mentions(counted) == 2  # the torn frame is ignored
+        assert run(counted, "ingest") == 0  # cuts the torn frame and appends the push again
+        assert self._metrics_outputs(counted) == self._clean_outputs(counted)
+        assert self._mentions(counted) == 3
 
     def test_torn_append_counted_once_after_reingest(self, counted, monkeypatch, caplog):
         assert run(counted, "ingest") == 0
@@ -823,103 +839,79 @@ class TestMetrics:
         ]
         with gzip.open(counted / "archives" / "2016-12-11-09.json.gz", "wt") as handle:
             handle.write("\n".join(lines) + "\n")
-        # an ingest cut off inside its second record, before its log write
+        # an ingest cut off 5 bytes before the end of its frame
         append_cut = store_module._append_cut
 
         def cut_off(path, cut, magic, data):
-            if magic == CORPUS_MAGIC:
-                raise OSError("interrupted")
-            append_cut(path, cut, magic, data)
+            append_cut(path, cut, magic, data[:-5])
+            raise OSError("interrupted")
 
         monkeypatch.setattr(store_module, "_append_cut", cut_off)
         assert run(counted, "ingest") == 1
         monkeypatch.undo()
-        path = counted / "out" / "store" / "months" / "2016-12.events"
-        path.write_bytes(path.read_bytes()[:-5])
-        assert run(counted, "ingest") == 0  # keeps the first record, appends the second again
+        assert run(counted, "ingest") == 0  # cuts the torn frame, appends both records again
         outputs = self._metrics_outputs(counted)
-        assert self._decoded(caplog) == 1
-        with open(counted / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
-            rows = {row["repo_id"]: row for row in csv.DictReader(handle)}
-        assert int(rows["bitcoin/bitcoin"]["mentions"]) == 5  # 2 fixture pushes and 3 corpus-only ones
+        assert self._mentions(counted) == 5  # 2 fixture pushes and 3 corpus-only ones
         assert outputs == self._clean_outputs(counted)
-
-    def test_metrics_without_the_log_identical(self, counted, caplog):
-        assert run(counted, "ingest") == 0
-        logged = self._metrics_outputs(counted)
-        assert self._decoded(caplog) == 0
-        shutil.rmtree(counted / "out" / "store" / "corpus")  # a store older than the log
-        assert self._metrics_outputs(counted) == logged
-        assert self._decoded(caplog) == len(list((counted / "out" / "store").glob("*/*.events")))
-
-    def test_store_without_the_log_decoded_once(self, counted, decoded):
-        assert run(counted, "ingest") == 0
-        shutil.rmtree(counted / "out" / "store" / "corpus")
-        assert run(counted, "metrics") == 0
-        # the stage's reads and the corpus share one decode of each segment
-        segments = (counted / "out" / "store" / "months").iterdir()
-        assert _decoded_once(decoded) == {p.name: p.stat().st_size - len(MAGIC) for p in segments}
 
     def test_reingest_without_ledger_does_not_double(self, counted):
         assert run(counted, "ingest") == 0
-        corpus = counted / "out" / "store" / "corpus"
-        logged = self._metrics_outputs(counted), sorted(p.read_bytes() for p in corpus.iterdir())
+        months = counted / "out" / "store" / "months"
+        stored = self._metrics_outputs(counted), sorted(p.read_bytes() for p in months.iterdir())
         (counted / "out" / "store" / LEDGER).unlink()
         assert run(counted, "ingest") == 0  # every event a duplicate: nothing appended
-        assert (self._metrics_outputs(counted), sorted(p.read_bytes() for p in corpus.iterdir())) == logged
+        assert (self._metrics_outputs(counted), sorted(p.read_bytes() for p in months.iterdir())) == stored
 
     def test_torn_log_tail_ignored_then_cut(self, counted, caplog):
         assert run(counted, "ingest") == 0
-        log_path = counted / "out" / "store" / "corpus" / "2016-12.texts"
-        intact = log_path.read_bytes()
-        logged = self._metrics_outputs(counted)
-        with open(log_path, "ab") as handle:
+        path = counted / "out" / "store" / "months" / "2016-12.events"
+        intact = path.read_bytes()
+        stored = self._metrics_outputs(counted)
+        with open(path, "ab") as handle:
             handle.write((100).to_bytes(4, "big") + b'{"end":')
-        assert self._metrics_outputs(counted) == logged
-        assert self._decoded(caplog) == 0
+        assert self._metrics_outputs(counted) == stored
         self._corpus_only_push(counted, "2016-12-12T09:00:00Z")
         assert run(counted, "ingest") == 0
-        data = log_path.read_bytes()
-        assert data.startswith(intact)
-        assert store_module._frames(log_path, data, CORPUS_MAGIC)[1] == len(data) > len(intact)
-        self._metrics_outputs(counted)
-        assert self._decoded(caplog) == 0
+        data = path.read_bytes()
+        assert data.startswith(intact) and len(data) > len(intact)
+        with open(path, "rb") as handle:
+            assert store_module._read_index(str(path), handle.fileno())[1] == len(data)  # whole frames only
         assert self._metrics_outputs(counted) == self._clean_outputs(counted)
 
     @pytest.mark.parametrize(
-        "body, reason",
+        "changed, reason",
         [
-            (lambda start, stop: _log_body(start, stop, names=b"{oops"), "JSONDecodeError: Expecting property name"),
-            (lambda start, stop: _log_body(start, stop, tail=b"{oops"), "JSONDecodeError: Expecting property name"),
-            (lambda start, stop: struct.pack(">IIIII", 1000, 0, 2, 0, 0) + b"[]",
-             "1000 entries, 0 rows and 0 texts pass the"),
-            (lambda start, stop: _log_body(start, start), "the bounds do not increase"),
-            (lambda start, stop: _log_body(4, stop), "the bounds do not increase"),
-            (lambda start, stop: _log_body(start, stop, count=2), "the texts do not match their count"),
-            (lambda start, stop: _log_body(start, stop, tail=b"[2]"), "TypeError: sequence item 0: expected str"),
-            (lambda start, stop: _log_body(start, stop, names=b'"someone/else"'), "the names are not a list"),
-            (lambda start, stop: _log_body(start, stop, start + 4, count=0, names=b'["a","b"]', tail=b"[]"),
-             "the bounds do not increase"),
-            (lambda start, stop: _log_body(start, stop, rows=False), "1 entries have 0 rows of columns"),
+            (dict(names=b"{oops"), "JSONDecodeError: Expecting property name"),
+            (dict(texts=b"{oops"), "JSONDecodeError: Expecting property name"),
+            (None, "1000 entries, 0 rows and 0 texts pass the"),
+            (dict(rows=struct.pack(">II", 0, 0)), "the row bounds do not increase"),
+            (dict(rows=struct.pack(">II", 1, 1)), "the row bounds do not increase"),
+            (dict(m=2, times=bytes(16)), "the texts do not match their count"),
+            (dict(texts=b"[2]"), "TypeError: sequence item 0: expected str"),
+            (dict(names=b'"someone/else"'), "the names are not a list"),
+            (dict(n=2, names=b'["a","b"]', rows=struct.pack(">III", 0, 1, 1)), "the row bounds do not increase"),
+            (dict(r=0, rows=struct.pack(">II", 0, 0), columns=b""), "the row bounds do not increase"),
         ],
         ids=["not_json", "texts_not_json", "counts_pass_the_end", "empty_range", "range_in_magic_header",
              "count_mismatch", "text_not_a_string", "names_not_a_list", "bounds_not_increasing", "no_columns"],
     )
-    def test_malformed_log_frame_fails_counted_mentions(self, counted, caplog, body, reason):
+    def test_malformed_log_frame_fails_counted_mentions(self, counted, caplog, changed, reason):
         assert run(counted, "ingest") == 0
         store_dir = counted / "out" / "store"
-        segment, log_path = store_dir / "months" / "2016-12.events", store_dir / "corpus" / "2016-12.texts"
-        record = store_module._record_to_json(EventStore(store_dir).read("someone/else")[0])
-        start = segment.stat().st_size
-        with open(segment, "ab") as handle:  # a whole record for the frame to cover
-            handle.write(len(record).to_bytes(4, "big") + record)
-        offset = log_path.stat().st_size
-        frame = body(start, segment.stat().st_size)
-        with open(log_path, "ab") as handle:
-            handle.write(len(frame).to_bytes(4, "big") + frame)
+        path = store_dir / "months" / "2016-12.events"
+        push = EventStore(store_dir).read("someone/else")[0]
+        frame = store_module._frame(["someone/else"], [0, 1], [push])
+        if changed is None:  # a head whose counts pass the frame's end
+            body = struct.pack(">IIIIII", 1000, 0, 2, 0, 0, 0) + b"[]"
+            frame = len(body).to_bytes(4, "big") + body
+        else:
+            frame = reframed(frame, **changed)
+        offset = path.stat().st_size
+        with open(path, "ab") as handle:
+            handle.write(frame)
         caplog.clear()
         assert run(counted, "metrics") == 1
-        assert f"error: {log_path}: frame at byte {offset}: " in caplog.text
+        assert f"error: {path}: frame at byte {offset}: " in caplog.text
         assert reason in caplog.text
 
     def test_log_bytes_independent_of_hash_seed(self, counted):
@@ -927,7 +919,7 @@ class TestMetrics:
             self._corpus_only_push(counted, created, "zcash")
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        logs = []
+        stored = []
         for seed in ("1", "2"):
             out = counted / f"out-{seed}"
             result = subprocess.run(
@@ -937,9 +929,9 @@ class TestMetrics:
                 capture_output=True, text=True, timeout=120,
             )
             assert result.returncode == 0, result.stderr
-            logs.append({p.name: p.read_bytes() for p in (out / "store" / "corpus").glob("*.texts")})
-        assert sorted(logs[0]) == ["2016-11.texts", "2016-12.texts", "2017-01.texts"]
-        assert logs[0] == logs[1]
+            stored.append({p.name: p.read_bytes() for p in (out / "store" / "months").glob("*.events")})
+        assert sorted(stored[0]) == ["2016-11.events", "2016-12.events", "2017-01.events"]
+        assert stored[0] == stored[1]
 
     def test_derived_as_of_reads_only_the_latest_month(self, workspace, monkeypatch, decoded, preads):
         other = json.dumps(
@@ -956,8 +948,9 @@ class TestMetrics:
             handle.write("\n".join(late) + "\n")
         run(workspace, "ingest")
         store_dir = workspace / "out" / "store"
-        # a later month whose segment holds no record: the month below decides
+        # a later month whose file holds no frame: the month below decides
         (store_dir / "months" / "2017-02.events").write_bytes(MAGIC)
+        texts = self._texts_sections(store_dir)
         found, latest_created_at = [], EventStore.latest_created_at
 
         def spied(self):
@@ -970,13 +963,12 @@ class TestMetrics:
         monkeypatch.setattr(EventStore, "latest_created_at", spied)
         assert run(workspace, "metrics", "--as-of", "") == 0
         [(records, reads)] = found
-        # only those two months are touched: their segments' magic headers and
-        # the lower one's log, whose columns cover its records, so none is decoded
+        # only those two months are touched: the upper one's magic header and
+        # the lower one's index and columns; no text is read, no record built
         assert records == []
-        assert {name for name, _, _ in reads} == {"2017-02.events", "2017-01.events", "2017-01.texts"}
-        assert sorted(r for r in reads if r[0].endswith(".events")) == [
-            ("2017-01.events", 0, len(MAGIC)), ("2017-02.events", 0, len(MAGIC))
-        ]
+        assert {name for name, _, _ in reads} == {"2017-02.events", "2017-01.events"}
+        assert [r for r in reads if r[0] == "2017-02.events"] == [("2017-02.events", 0, len(MAGIC))]
+        assert not {(name, start) for name, start, _ in reads} & texts
         with open(workspace / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
             assert {row["as_of"] for row in csv.DictReader(handle)} == {"2017-01-06T09:00:01Z"}
 

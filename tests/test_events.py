@@ -1,20 +1,19 @@
 """Archive parsing, event windows, and the on-disk event store."""
 
 import gzip
-import hashlib
 import io
 import json
 import logging
 import pickle
 import re
-import shutil
+import struct
+import sys
 import tempfile
 import time
 import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
-from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from conftest import AS_OF, DAY, FIXTURE_LINES, make_event
+from conftest import AS_OF, DAY, FIXTURE_LINES, frame_sections, make_event, reframed
 from oss_health.events import (
     COMMENT_TYPES,
     CONTRIBUTION_TYPES,
@@ -47,7 +46,6 @@ from oss_health.events import (
 )
 from oss_health import cli, events as events_module, store as store_module
 from oss_health.store import (
-    CORPUS_MAGIC,
     LEDGER,
     LEDGER_MAGIC,
     MAGIC,
@@ -56,8 +54,6 @@ from oss_health.store import (
     EventStore,
     StoreError,
     StoreWriteError,
-    _frames,
-    _key,
     _month_key,
     archive_digest,
     dedup_key,
@@ -466,7 +462,7 @@ class TestApplyEventWindow:
         )
 
 
-#: texts built from JSON's awkward characters and the separators a body's dedup key is cut at
+#: texts built from JSON's awkward characters and separators
 _TRICKY_TEXT = st.lists(
     st.one_of(
         st.sampled_from(['"', "\\", "\U0001F600", ",", "]", '",', '\\",']),
@@ -474,73 +470,81 @@ _TRICKY_TEXT = st.lists(
     ),
     max_size=4,
 ).map("".join)
-
-
-#: any text, lone surrogates included, or pieces JSON escapes specially
-_ANY_TEXT = st.one_of(
-    st.text(st.characters(exclude_categories=()), max_size=6),
-    st.lists(
-        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "\U0001F600", ",", "]", '",', '\\",']),
-        max_size=4,
-    ).map("".join),
-)
 #: what an ``int | None`` field may hold: None or an int an int64 column holds, its sentinel excluded
 _ANY_NUMBER = st.one_of(st.none(), st.integers(INT_NULL + 1, INT_MAX))
 
 
-#: a stored body's fields in their order, ``tz_offset`` last
-_FIELD_NAMES = ("repo_id", "event_type", "actor", "created_at", "action", "texts", "counts", "number", "tz_offset")
+def _copy(text):
+    """An equal string built at run time: another object, not interned,
+    unless CPython caches it (the empty string and single characters)."""
+    return "".join(list(text))
 
 
-def _fields(record: EventRecord, **changed) -> list:
-    """A record's fields in their stored order, with ``changed`` ones replaced."""
-    fields = {**asdict(record), "event_type": record.event_type.value, **changed}
-    return [fields[name] for name in _FIELD_NAMES]
+#: strings that collide often: a lone surrogate, non-ASCII, an interned string and an equal one built at run time
+_POOL_STRINGS = ["", "a", "ab", "\ud800", "\udfff", "é", "\U0001F600", sys.intern("owner/repo"), "".join(["owner", "/repo"])]
+#: ints that collide often, at the ends of what a column holds and at marshal's 32-bit boundary
+_POOL_INTS = [None, 0, 1, -1, INT_NULL + 1, INT_MAX, 2**31 - 1, 2**31, -(2**31), -(2**31) - 1]
+#: each field's values, few so that equal fields are common
+_POOL_VALUES = {
+    "repo_id": _POOL_STRINGS,
+    "event_type": [EventType.PUSH, EventType.ISSUES],
+    "actor": _POOL_STRINGS,
+    "created_at": [AS_OF - DAY, AS_OF - DAY + 1, EPOCH_MIN, EPOCH_END - 1],
+    "tz_offset": [None, TZ_OFFSET_MIN, 0, TZ_OFFSET_MAX],
+    "action": [None, *_POOL_STRINGS],
+    "texts": [[], [""], ["a"], ["\ud800"], ["a", "ab"], ["ab", "a"], ["owner/repo"]],
+    "counts": _POOL_INTS,
+    "number": _POOL_INTS,
+}
+_POOL_RECORD = st.builds(EventRecord, **{name: st.sampled_from(values) for name, values in _POOL_VALUES.items()})
 
 
-def _dumps(doc) -> bytes:
-    """Canonical JSON, as ``json.dumps`` spells it."""
-    return json.dumps(doc, separators=(",", ":")).encode()
+def _identity(record: EventRecord) -> tuple:
+    """Every field of a record but ``tz_offset``."""
+    return (record.repo_id, record.event_type, record.actor, record.created_at, record.action,
+            tuple(record.texts), record.counts, record.number)
 
 
-def _canonical_json(record: EventRecord) -> bytes:
-    return _dumps(_fields(record))
+def _twin(record: EventRecord, tz_offset) -> EventRecord:
+    """An equal record, but for ``tz_offset``, whose strings are other objects."""
+    return replace(
+        record, repo_id=_copy(record.repo_id), actor=_copy(record.actor), tz_offset=tz_offset,
+        action=None if record.action is None else _copy(record.action), texts=list(map(_copy, record.texts)),
+    )
 
 
-#: any record fields ``EventRecord`` accepts
-_ANY_FIELDS = dict(
-    repo_id=_ANY_TEXT,
-    kind=st.sampled_from(list(EventType)),
-    actor=_ANY_TEXT,
-    created_at=st.integers(EPOCH_MIN, EPOCH_END - 1),
-    tz_offset=st.one_of(st.none(), st.integers(TZ_OFFSET_MIN, TZ_OFFSET_MAX)),
-    action=st.one_of(st.none(), _ANY_TEXT),
-    texts=st.lists(_ANY_TEXT, max_size=4),
-    counts=_ANY_NUMBER,
-    number=_ANY_NUMBER,
-)
-
-
-class TestRecordToJson:
-    @given(**_ANY_FIELDS)
-    @example("a/b", EventType.PUSH, "a", EPOCH_MIN, TZ_OFFSET_MIN, None, [], INT_MAX, INT_NULL + 1)
-    @example("a/b", EventType.ISSUES, "a", EPOCH_END - 1, TZ_OFFSET_MAX, "opened", [], None, 0)
-    @example("a/b", EventType.PUSH, "a", 1, None, None, ['\\",null]'], -1, None)
-    def test_matches_json_dumps(
-        self, repo_id, kind, actor, created_at, tz_offset, action, texts, counts, number
-    ):
-        record = EventRecord(repo_id, kind, actor, created_at, tz_offset, action, texts, counts, number)
-        assert store_module._record_to_json(record) == _canonical_json(record)
-
-    @given(**_ANY_FIELDS)
-    @example("a/b", EventType.PUSH, "a,b", 1, -1, "x,", ["]", ",", '\\",'], None, None)
-    def test_dedup_key_is_the_digest_of_the_first_eight_fields(
-        self, repo_id, kind, actor, created_at, tz_offset, action, texts, counts, number
-    ):
-        record = EventRecord(repo_id, kind, actor, created_at, tz_offset, action, texts, counts, number)
-        head = _dumps(_fields(record)[:8])
-        assert head.endswith(b"]")
-        assert dedup_key(record) == hashlib.blake2b(head[:-1], digest_size=16).digest()
+class TestDedupKey:
+    @given(
+        st.lists(_POOL_RECORD, min_size=1, max_size=6),
+        st.lists(st.tuples(st.sampled_from(sorted(_POOL_VALUES)), st.integers(0, 99)), max_size=6),
+    )
+    @example(
+        [EventRecord("\ud800", EventType.PUSH, "a", AS_OF, None, None, ["\udfff"], INT_MAX, INT_NULL + 1)],
+        [("counts", _POOL_INTS.index(INT_NULL + 1)), ("number", _POOL_INTS.index(INT_MAX)), ("texts", 3)],
+    )
+    def test_dedup_key_is_every_field_but_tz_offset(self, records, changes):
+        """Two records share a key exactly when every field but ``tz_offset``
+        is equal, whether the key comes from the record or, in a store of
+        another ``EventStore``, from the frames it was written to.  Beside
+        the records: their twins, equal but for ``tz_offset`` and held in
+        other string objects, and neighbours with one field changed."""
+        twins = [_twin(r, None if r.tz_offset else 60) for r in records]
+        neighbours = [
+            replace(records[i % len(records)], **{name: _POOL_VALUES[name][k % len(_POOL_VALUES[name])]})
+            for i, (name, k) in enumerate(changes)
+        ]
+        every = records + twins + neighbours
+        for a in every:
+            for b in every:
+                assert (dedup_key(a) == dedup_key(b)) == (_identity(a) == _identity(b))
+        with tempfile.TemporaryDirectory() as root:
+            first = EventStore(root).append(records + neighbours)
+            distinct = {_identity(r): r for r in records + neighbours}
+            assert (first.count, first.duplicates_skipped) == (len(distinct), len(records + neighbours) - len(distinct))
+            again = EventStore(root).append(twins)
+            assert (again.count, again.duplicates_skipped) == (0, len(twins))
+            stored = [r for repo in EventStore(root).iter_repo_ids() for r in EventStore(root).read(repo)]
+            assert sorted(map(dedup_key, stored)) == sorted(map(dedup_key, distinct.values()))
 
 
 #: a field and a value outside its domain, by test id: each is refused by ``EventRecord``
@@ -582,7 +586,7 @@ def test_record_refuses_a_value_outside_its_domain(name, value, error):
 def test_readme_names_the_store_formats():
     """A format bump that leaves the README naming the old magic fails here."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    for magic in (MAGIC, CORPUS_MAGIC, LEDGER_MAGIC):
+    for magic in (MAGIC, LEDGER_MAGIC):
         assert f"`{magic.decode()}`" in readme, magic
 
 
@@ -632,7 +636,7 @@ class TestEventStore:
     @staticmethod
     @contextmanager
     def _partition_writes(write=lambda handle, data: handle.write(data)):
-        """Route every write to a partition through ``write(handle, data)``;
+        """Route every write to a month file through ``write(handle, data)``;
         yield the ``(path, data)`` of each write call."""
         calls = []
 
@@ -680,21 +684,15 @@ class TestEventStore:
     def test_cut_write_leaves_a_torn_tail_the_next_append_cuts(self, existing, k, fraction, fresh):
         events = self._events(6 + k)
         before, batch = (events[:6], events[6:]) if existing else ([], events[6:])
-        ends = list(accumulate(4 + len(store_module._record_to_json(e)) for e in batch))
+        frame = len(store_module._frame(["bitcoin/bitcoin"], [0, k], batch))
         head = 0 if existing else len(MAGIC)
-        cut = int(fraction * (head + ends[-1]))
-        whole = sum(end <= cut - head for end in ends)
-        left = cut
+        cut = int(fraction * (head + frame))
 
         def cut_off(handle, data):
-            """A short write of the first ``cut`` bytes, then a write that raises
-            having written nothing, as ``write(2)`` does."""
-            nonlocal left
-            if not left:
-                raise OSError("disk full")
-            written = handle.write(data[:left])
-            left -= written
-            return written
+            """A write that stops after the first ``cut`` bytes and raises, as on a full disk."""
+            handle.write(data[:cut])
+            handle.flush()
+            raise OSError("disk full")
 
         with tempfile.TemporaryDirectory() as root:
             store = EventStore(root)
@@ -703,12 +701,14 @@ class TestEventStore:
             intact = path.stat().st_size if existing else 0
             with self._partition_writes(cut_off), pytest.raises(StoreWriteError) as failure:
                 store.append(batch)
-            assert failure.value.partial_count == whole
+            assert failure.value.partial_count == 0  # the one frame is torn
             assert path.stat().st_size == intact + cut
+            assert EventStore(root).read("bitcoin/bitcoin") == before  # the torn frame is ignored
             with self._partition_writes() as calls:
                 receipt = (EventStore(root) if fresh else store).append(batch)
-            assert len(calls) == (whole < k)
-            assert (receipt.count, receipt.duplicates_skipped) == (k - whole, whole)
+            assert len(calls) == 1
+            assert (receipt.count, receipt.duplicates_skipped) == (k, 0)
+            assert path.stat().st_size == (intact or len(MAGIC)) + frame
             assert EventStore(root).read("bitcoin/bitcoin") == before + batch
 
     def test_partition_layout(self, tmp_path):
@@ -716,7 +716,7 @@ class TestEventStore:
         store.append([make_event(created_at=AS_OF - DAY), make_event(repo_id="a/b", created_at=AS_OF - DAY)])
         root = tmp_path / "store"
         files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
-        assert files == ["corpus/2016-12.texts", "months/2016-12.events"]  # one segment for both repositories
+        assert files == ["months/2016-12.events"]  # one file for both repositories
 
     def test_iter_repo_ids(self, tmp_path):
         store = EventStore(tmp_path / "store")
@@ -759,10 +759,10 @@ class TestEventStore:
         events = self._events(3)
         store.append(events)
         months = tmp_path / "store" / "months"
-        (months / "notes.txt").write_text("not a segment")
+        (months / "notes.txt").write_text("not a month file")
         (months / "2016-12.events.tmp").write_bytes(b"garbage")
         (months / "scratch").mkdir()
-        (tmp_path / "store" / "corpus" / "2017-01.texts").write_bytes(b"a log without a segment")
+        (tmp_path / "store" / "notes").mkdir()
         assert EventStore(tmp_path / "store").read("bitcoin/bitcoin") == events
 
     def test_latest_created_at_latest_month_wins(self, tmp_path):
@@ -786,13 +786,11 @@ class TestEventStore:
         path.write_bytes(MAGIC)
         assert EventStore(tmp_path / "store").latest_created_at() is None
 
-    def test_latest_created_at_torn_partition_named(self, tmp_path):
+    def test_latest_created_at_ignores_a_torn_frame(self, tmp_path):
         store = EventStore(tmp_path / "store")
         store.append([make_event()])
-        path = tmp_path / "store" / "months" / "2017-01.events"
-        path.write_bytes(MAGIC + b"\x00\x00")
-        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: torn tail after byte {len(MAGIC)}$"):
-            store.latest_created_at()
+        (tmp_path / "store" / "months" / "2017-01.events").write_bytes(MAGIC + b"\x00\x00")
+        assert EventStore(tmp_path / "store").latest_created_at() == AS_OF - DAY
 
     def test_has_history_needs_contribution_events(self, tmp_path):
         store = EventStore(tmp_path / "store")
@@ -825,34 +823,35 @@ class TestEventStore:
             opened.append((str(file).rsplit(".", 1)[1], mode))
             return handle
 
-        def no_decode(path):
+        def no_decode(path, *args):
             raise AssertionError(f"keying decoded {path}")
 
-        monkeypatch.setattr(store_module, "_records", no_decode)
         monkeypatch.setattr(store_module, "open", counted_open, raising=False)
         store = EventStore(tmp_path / "store")
         events = self._events()
-        receipts = [store.append(events[i : i + 4]) for i in range(0, 10, 2)]
+        with monkeypatch.context() as patched:
+            patched.setattr(store_module, "_frame_fields", no_decode)
+            receipts = [store.append(events[i : i + 4]) for i in range(0, 10, 2)]
         assert [r.count for r in receipts] == [4, 2, 2, 2, 0]
         assert [r.duplicates_skipped for r in receipts] == [0, 2, 2, 2, 2]
-        # the store created this partition and its month's log file (which it
-        # then never reads again), and the all-duplicate batch opens nothing
-        assert opened == [("events", "ab"), ("texts", "ab")] * 4
+        # the store created this month file, which it then never reads again,
+        # and the all-duplicate batch opens nothing
+        assert opened == [("events", "ab")] * 4
         opened.clear()
         receipt = EventStore(tmp_path / "store").append(events)
         assert (receipt.count, receipt.duplicates_skipped) == (0, 10)
-        # a second store reads the end of the month's log and the segment's keys once
-        assert opened == [("texts", "rb"), ("events", "r+b")]
+        # a second store reads the month file's keys once
+        assert opened == [("events", "rb")]
         monkeypatch.undo()
         assert store.read("bitcoin/bitcoin") == events
 
-    def test_reader_opens_each_file_once_and_reads_each_byte_once(self, tmp_path, monkeypatch):
+    def test_reader_opens_each_file_once_and_reads_index_and_columns_once(self, tmp_path, monkeypatch):
         root = tmp_path / "store"
-        events = self._events()
+        events = [replace(e, texts=[e.actor]) for e in self._events()]
+        others = [replace(e, repo_id="other/repo", event_type=EventType.ISSUE_COMMENT) for e in events]
         writer = EventStore(root)
-        for i in range(0, 10, 2):  # five frames in the month's log
-            writer.append(events[i : i + 2] + [replace(e, repo_id="other/repo") for e in events[i : i + 2]])
-        size = (root / "months" / "2016-12.events").stat().st_size
+        for i in range(0, 10, 2):  # five frames in the month file
+            writer.append(events[i : i + 2] + others[i : i + 2])
         opened, read = [], []
         os_open, pread = store_module.os.open, store_module.os.pread
         names = {}
@@ -865,7 +864,7 @@ class TestEventStore:
 
         def counted_pread(fd, length, offset):
             data = pread(fd, length, offset)
-            read.append((names[fd], offset, offset + len(data)))
+            read.append((offset, offset + len(data)))
             return data
 
         monkeypatch.setattr(store_module.os, "open", counted_open)
@@ -873,133 +872,122 @@ class TestEventStore:
         store = EventStore(root)
         assert store.read("bitcoin/bitcoin") == events
         assert list(store.iter_repo_ids()) == ["bitcoin/bitcoin", "other/repo"]
-        assert store.read("other/repo") == [replace(e, repo_id="other/repo") for e in events]
-        assert sorted(store.push_corpus(AS_OF, CorpusReceipt())) == sorted(
-            text for e in events for text in e.texts * 2
-        )
-        assert sorted(opened) == ["2016-12.events", "2016-12.texts"]
-        segment = sorted((start, stop) for name, start, stop in read if name == "2016-12.events")
-        log = sorted((start, stop) for name, start, stop in read if name == "2016-12.texts")
-        # the magic header, then each range once: they tile the segment
-        assert [start for start, _ in segment] == [0, *(stop for _, stop in segment[:-1])]
-        assert segment[-1][1] == size
-        assert all(a[1] <= b[0] for a, b in zip(log[1:], log[2:]))  # no log byte read twice
-        assert len(log) == 1 + 3 * 5  # the magic header, then each frame's head, index and texts
+        assert store.columns(["other/repo"], AS_OF)["other/repo"].actor.tolist() == [e.actor for e in others]
+        assert store.read("other/repo") == others
+        assert sorted(store.push_corpus(AS_OF, CorpusReceipt())) == sorted(text for e in events for text in e.texts)
+        assert opened == ["2016-12.events"]
+        frames = store._month("2016-12").frames
+        end = (root / "months" / "2016-12.events").stat().st_size
+        # the magic header, then each frame's head, index and columns once; its
+        # texts once per ``read``, and its push texts once for the corpus
+        expected = [(0, len(MAGIC))]
+        for frame, stop in zip(frames, [frame.at for frame in frames[1:]] + [end]):
+            offset, length = frame.columns
+            expected += [(frame.at, frame.at + 28), (frame.at + 28, offset), (offset, offset + length)]
+            expected += [(frame.texts[0], stop)] * 2 + [(frame.texts[0], sum(frame.texts))]
+        assert sorted(read) == sorted(expected)
 
-    def test_append_cut_off_before_its_log_write_read_once(self, tmp_path, monkeypatch):
+    def test_interrupted_append_leaves_the_month_readable(self, tmp_path, monkeypatch):
         root = tmp_path / "store"
-        events = self._events(4)
-        others = [replace(e, repo_id="other/repo", texts=[f"other {e.actor}"]) for e in events]
-        EventStore(root).append(events[:2])
-        logged = (root / "months" / "2016-12.events").stat().st_size
+        december = [replace(e, texts=[e.actor]) for e in self._events(4)]
+        january = [replace(e, created_at=e.created_at + 31 * DAY) for e in december]
+        EventStore(root).append(december[:2] + january[:1])
+        append_cut = store_module._append_cut
 
         def interrupted(path, cut, magic, data):
-            raise OSError("interrupted")
+            if path.endswith("2017-01.events"):
+                append_cut(path, cut, magic, data[: len(data) // 2])  # a torn frame
+                raise OSError("interrupted")
+            append_cut(path, cut, magic, data)
 
         with monkeypatch.context() as patched:
             patched.setattr(store_module, "_append_cut", interrupted)
-            with pytest.raises(StoreWriteError, match="2016-12.texts failed: interrupted"):
-                EventStore(root).append(events[2:] + others)
-        size = (root / "months" / "2016-12.events").stat().st_size
-        decoded, records = [], store_module._records
-
-        def counted(path, data, at, *args):
-            decoded.append((at, at + len(data)))
-            return records(path, data, at, *args)
-
-        monkeypatch.setattr(store_module, "_records", counted)
-        store, receipt = EventStore(root), CorpusReceipt()
-        assert list(store.iter_repo_ids()) == ["bitcoin/bitcoin", "other/repo"]
-        assert store.read("bitcoin/bitcoin") == events
-        assert store.read("other/repo") == others
-        texts = sorted(store.push_corpus(AS_OF, receipt))
-        assert texts == sorted(text for e in events + others for text in e.texts)
-        assert (receipt.logged_texts, receipt.decoded_segments) == (len(events[0].texts) * 2, 1)
-        # the unlogged bytes once, for every reader, then the logged range ``read`` asked for
-        assert decoded == [(logged, size), (len(MAGIC), logged)]
-        receipt = EventStore(root).append(events + others)
-        assert (receipt.count, receipt.duplicates_skipped) == (0, 8)
-        assert EventStore(root).read("other/repo") == others
+            with pytest.raises(StoreWriteError, match="2017-01.events failed: interrupted") as failure:
+                EventStore(root).append(december + january)
+        assert failure.value.partial_count == 2  # december's frame, written whole
+        store = EventStore(root)
+        assert store.read("bitcoin/bitcoin") == december + january[:1]
+        texts = sorted(store.push_corpus(AS_OF + 40 * DAY, CorpusReceipt()))
+        assert texts == sorted(e.actor for e in december + january[:1])
+        assert store.latest_created_at() == january[0].created_at
+        receipt = EventStore(root).append(december + january)
+        assert (receipt.count, receipt.duplicates_skipped) == (3, 5)
+        assert EventStore(root).read("bitcoin/bitcoin") == december + january
 
     def test_failed_append_rereads_partition(self, tmp_path, monkeypatch):
         store = EventStore(tmp_path / "store")
         events = self._events(6)
         store.append(events[:3])
-        encode = store_module._record_to_json
-        calls = []
 
-        def fail_second(record):
-            calls.append(record)
-            if len(calls) == 2:
-                raise OSError("disk full")
-            return encode(record)
+        def fail(*args):
+            raise OSError("disk full")
 
-        monkeypatch.setattr(store_module, "_record_to_json", fail_second)
-        with pytest.raises(StoreWriteError) as failure:
-            store.append(events[3:])
-        assert failure.value.partial_count == 1
-        monkeypatch.setattr(store_module, "_record_to_json", encode)
+        with monkeypatch.context() as patched:
+            patched.setattr(store_module, "_frame", fail)
+            with pytest.raises(StoreWriteError, match="disk full") as failure:
+                store.append(events[3:])
+        assert failure.value.partial_count == 0
+        # the keys the failed append added are dropped with the rest: read again from disk
         receipt = store.append(events[3:])
-        assert (receipt.count, receipt.duplicates_skipped) == (2, 1)
+        assert (receipt.count, receipt.duplicates_skipped) == (3, 0)
         assert store.read("bitcoin/bitcoin") == events
 
-    #: each corrupt body's reason in the error
+    #: each corruption of a frame holding one push: its parts replaced, the
+    #: reason in the error, and the readers besides ``read`` that fail on it
     _CORRUPT = {
-        "invalid_json": "JSONDecodeError: ",
-        "trailing_data": "ValueError: extra data after char ",
-        "missing_field": "ValueError: not enough values to unpack (expected 9, got 8)",
-        "unknown_event_type": "KeyError: 'Bogus'",
-        "tz_offset_out_of_range": "ValueError: tz_offset -721 outside ",
-        "float_created_at": "TypeError: created_at 1483142400.0 is not an int",
-        "bool_counts": "TypeError: counts True is not an int",
-        "number_past_int64": "ValueError: number 9223372036854775808 outside ",
-        "text_not_a_string": "TypeError: texts item 1 is not a string",
-        "object_body": "TypeError: the body is not an array: dict",
-        "eight_elements": "ValueError: not enough values to unpack (expected 9, got 8)",
-        "ten_elements": "ValueError: too many values to unpack (expected 9",
-        "string_body": "TypeError: the body is not an array: str",
-        "number_body": "TypeError: the body is not an array: int",
+        "invalid_json": (dict(texts=b"[oops"), "JSONDecodeError: ", {"push_corpus"}),
+        "trailing_data": (dict(texts=b'["fix"][]'), "JSONDecodeError: Extra data", {"push_corpus"}),
+        "missing_field": (dict(names=b"[]"), "ValueError: the names do not match their count", {"columns", "push_corpus"}),
+        "unknown_event_type": (dict(kind=9), "ValueError: kind code 9 is out of range", {"columns"}),
+        "tz_offset_out_of_range": (dict(tz=-721), "ValueError: tz_offset -721 is out of range", {"columns"}),
+        "created_at_past_year_9999": (dict(created_at=EPOCH_END), f"ValueError: created_at {EPOCH_END} outside ", set()),
+        "text_not_a_string": (dict(texts=b"[1]"), "TypeError: sequence item 0: expected str", {"push_corpus"}),
+        "object_body": (dict(texts=b'{"texts":["fix"]}'), "TypeError: the texts are not a list", {"push_corpus"}),
+        "eight_elements": (dict(texts=b"[]"), "ValueError: the texts do not match their count", {"push_corpus"}),
+        "ten_elements": (dict(texts=b'["fix","fix"]'), "ValueError: the texts do not match their count", {"push_corpus"}),
+        "string_body": (dict(texts=b'"fix"'), "TypeError: the texts are not a list", {"push_corpus"}),
+        "number_body": (dict(texts=b"9"), "TypeError: the texts are not a list", {"push_corpus"}),
+        # the texts of the records other than pushes, which only ``read`` reads
+        "other_texts_invalid_json": (dict(others=b"[oops"), "JSONDecodeError: ", set()),
+        "other_text_not_a_string": (dict(others=b'["a",1]'), "TypeError: sequence item 1: expected str", set()),
     }
 
     @pytest.mark.parametrize("corrupt", list(_CORRUPT))
     def test_corrupt_record_names_partition_and_offset(self, tmp_path, corrupt):
         store = EventStore(tmp_path / "store")
         good, bad = self._events(2)
+        bad = replace(bad, texts=["fix"])
         store.append([good])
         path = tmp_path / "store" / "months" / "2016-12.events"
         offset = path.stat().st_size
-        blob = store_module._record_to_json(bad)
-        fields = _fields(bad)
-        body = {
-            "invalid_json": b"[oops",
-            "trailing_data": blob + b"[]",
-            "missing_field": _dumps(fields[1:]),
-            "unknown_event_type": _dumps(_fields(bad, event_type="Bogus")),
-            "tz_offset_out_of_range": _dumps(_fields(bad, tz_offset=-721)),
-            "float_created_at": _dumps(_fields(bad, created_at=float(bad.created_at))),
-            "bool_counts": _dumps(_fields(bad, counts=True)),
-            "number_past_int64": _dumps(_fields(bad, number=2**63)),
-            "text_not_a_string": _dumps(_fields(bad, texts=["a", 1])),
-            # the body an ``OSHEVT02`` segment held: the nine members in sorted order
-            "object_body": json.dumps(dict(zip(_FIELD_NAMES, fields)), sort_keys=True, separators=(",", ":")).encode(),
-            "eight_elements": _dumps(fields[:8]),
-            "ten_elements": _dumps(fields + [None]),
-            "string_body": b'"123456789"',  # nine characters: unpacked, they would fill nine fields
-            "number_body": b"9",
-        }[corrupt]
-        assert body != blob
+        frame = store_module._frame(["bitcoin/bitcoin"], [0, 1], [bad])
+        changed, reason, failing = self._CORRUPT[corrupt]
+        changed = dict(changed)
+        columns = bytearray(frame_sections(frame)[1]["columns"])  # one row: each column one value
+        for name, at, size, dtype in (("created_at", 0, 8, "<i8"), ("tz", 24, 2, "<i2"), ("kind", 26, 1, "u1")):
+            if name in changed:
+                columns[at : at + size] = np.array(changed.pop(name), dtype).tobytes()
+                changed["columns"] = bytes(columns)
+        corrupted = reframed(frame, **changed)
+        assert corrupted != frame
         with open(path, "ab") as handle:
-            handle.write(len(body).to_bytes(4, "big") + body)
-        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: record at byte {offset}: ") as failure:
-            store.read("bitcoin/bitcoin")
-        assert self._CORRUPT[corrupt] in str(failure.value)
-        # the bytes lie outside the range the log covers, so counting mentions and reading columns decode them
-        with pytest.raises(StoreError) as push_failure:
-            list(store.push_corpus(AS_OF, CorpusReceipt()))
-        assert str(push_failure.value) == str(failure.value)
-        with pytest.raises(StoreError) as columns_failure:
-            store.columns(["bitcoin/bitcoin"], AS_OF)
-        assert str(columns_failure.value) == str(failure.value)
+            handle.write(corrupted)
+        message = f"^{re.escape(str(path))}: frame at byte {offset}: "
+        with pytest.raises(StoreError, match=message) as failure:
+            EventStore(tmp_path / "store").read("bitcoin/bitcoin")
+        assert reason in str(failure.value)
+        # the columns and the push texts are read apart: each reader fails on what it reads
+        readers = {
+            "columns": lambda fresh: fresh.columns(["bitcoin/bitcoin"], AS_OF),
+            "push_corpus": lambda fresh: list(fresh.push_corpus(AS_OF, CorpusReceipt())),
+        }
+        for name, reader in readers.items():
+            if name in failing:
+                with pytest.raises(StoreError) as other_failure:
+                    reader(EventStore(tmp_path / "store"))
+                assert str(other_failure.value) == str(failure.value)
+            else:
+                reader(EventStore(tmp_path / "store"))
 
     def test_read_checks_each_record_once(self, tmp_path, monkeypatch):
         store = EventStore(tmp_path / "store")
@@ -1018,9 +1006,8 @@ class TestEventStore:
 
     @staticmethod
     def _corpus(root):
-        """The sorted push corpus of the store at ``root``, and the segments it decoded."""
-        store, receipt = EventStore(root), CorpusReceipt()
-        return sorted(store.push_corpus(AS_OF, receipt)), receipt.decoded_segments
+        """The sorted push corpus of the store at ``root``."""
+        return sorted(EventStore(root).push_corpus(AS_OF, CorpusReceipt()))
 
     @pytest.mark.parametrize("change", ["deleted_and_rewritten", "restored_shorter"])
     def test_push_corpus_decodes_a_replaced_partition_whole(self, tmp_path, change):
@@ -1030,29 +1017,31 @@ class TestEventStore:
         store.append(events[:2])
         size = path.stat().st_size
         store.append(events[2:4])
-        assert self._corpus(root) == ([e.actor for e in events[:4]], 0)
-        if change == "deleted_and_rewritten":  # its new range overlaps the old ones
+        assert self._corpus(root) == [e.actor for e in events[:4]]
+        if change == "deleted_and_rewritten":  # a new file: its frames are read as they stand
             path.unlink()
             EventStore(root).append(events[3:])
-            assert self._corpus(root) == ([e.actor for e in events[3:]], 1)
-        else:  # the last range passes its end
+            assert self._corpus(root) == [e.actor for e in events[3:]]
+        else:  # its first frame alone
             path.write_bytes(path.read_bytes()[:size])
-            assert self._corpus(root) == ([e.actor for e in events[:2]], 1)
+            assert self._corpus(root) == [e.actor for e in events[:2]]
+        assert EventStore(root).read("bitcoin/bitcoin") == [e for e in events if e.actor in self._corpus(root)]
 
     def test_push_corpus_rejects_a_range_off_record_boundaries(self, tmp_path):
-        root, events = tmp_path / "store", self._events(2)
-        EventStore(root).append(events)
-        path, log = root / "months" / "2016-12.events", root / "corpus" / "2016-12.texts"
-        # the records after the logged range are decoded from a byte inside the first record
-        log.write_bytes(CORPUS_MAGIC + store_module._log_frame([["bitcoin/bitcoin", len(MAGIC), 20, 0, [], []]], events[:1]))
-        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: torn tail after byte 20$"):
+        root, events = tmp_path / "store", [replace(e, texts=[e.actor]) for e in self._events(2)]
+        path = root / "months" / "2016-12.events"
+        frame = store_module._frame(["bitcoin/bitcoin"], [0, 2], events)
+        # a push text count that is not the push texts' count
+        path.parent.mkdir(parents=True)
+        path.write_bytes(MAGIC + reframed(frame, m=1, times=struct.pack(">q", events[0].created_at)))
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: frame at byte 8: .*the texts do not match their count$"):
             self._corpus(root)
-        # ranges that tile the segment, the first ending inside a record
-        size = path.stat().st_size
-        frame = store_module._log_frame([["bitcoin/bitcoin", len(MAGIC), 20, 0, [], []], ["x/y", 20, size, 1, [], []]], events)
-        log.write_bytes(CORPUS_MAGIC + frame)
-        assert self._corpus(root) == ([], 0)  # the texts come from the log alone
-        message = f"^{re.escape(str(path))}: the logged range \\[8, 20\\) is not whole records$"
+        # text counts that split the texts off the records' boundaries: the first record holds both
+        columns = bytearray(frame_sections(frame)[1]["columns"])
+        columns[35 * 2 : 39 * 2] = struct.pack("<II", 2, 1)
+        path.write_bytes(MAGIC + reframed(frame, columns=bytes(columns)))
+        assert self._corpus(root) == ["user0", "user1"]  # the corpus reads the push texts alone
+        message = f"^{re.escape(str(path))}: frame at byte 8: ValueError: the text counts do not match the texts$"
         with pytest.raises(StoreError, match=message):
             EventStore(root).read("bitcoin/bitcoin")
 
@@ -1060,7 +1049,7 @@ class TestEventStore:
         path = tmp_path / "store" / "months" / "2016-12.events"
         path.parent.mkdir(parents=True)
         path.write_bytes(MAGIC + (5).to_bytes(4, "big") + b"{oops")
-        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: "):
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: frame at byte 8: "):
             EventStore(tmp_path / "store").append(self._events(1))
 
     @pytest.mark.parametrize("cut", ["record_body", "length_prefix", "magic_header", "empty"])
@@ -1080,12 +1069,12 @@ class TestEventStore:
         else:
             kept = []
             path.write_bytes(MAGIC[:5] if cut == "magic_header" else b"")
-        with pytest.raises(StoreError):
-            EventStore(tmp_path / "store").read("bitcoin/bitcoin")
+        assert EventStore(tmp_path / "store").read("bitcoin/bitcoin") == kept  # reads ignore the torn tail
         store = EventStore(tmp_path / "store")
         receipt = store.append(new)
         assert receipt.count == len(new)
         assert store.read("bitcoin/bitcoin") == kept + new
+        assert path.read_bytes().startswith(full[:intact] if kept else MAGIC)
 
     @given(
         st.lists(
@@ -1107,7 +1096,6 @@ class TestEventStore:
         distinct = list({dedup_key(e): e for e in events}.values())
         read_back = store.read("owner/repo")
         assert sorted(read_back, key=dedup_key) == sorted(distinct, key=dedup_key)
-
 
     @given(
         st.lists(
@@ -1140,10 +1128,8 @@ class TestEventStore:
         twins = [replace(e, tz_offset=None if e.tz_offset else 60) for e in events]
         again = EventStore(root).append(events + twins)
         assert (again.count, again.duplicates_skipped) == (0, 2 * len(events))
-        for path in root.glob("*/*.events"):
-            bodies, _ = _frames(path, path.read_bytes())
-            records = store_module._records(path, path.read_bytes()[8:], 8)
-            assert [_key(body) for body in bodies] == [dedup_key(r) for r in records]
+        keys = set().union(*(store_module._month_keys(str(path))[0] for path in root.glob("months/*.events")))
+        assert keys == set(map(dedup_key, events))  # the keys read from the frames are the records'
 
     @given(st.integers(min_value=EPOCH_MIN, max_value=EPOCH_END - 1))
     @example(EPOCH_MIN)
@@ -1179,6 +1165,35 @@ class TestEventStore:
         assert _month_key(created_at) == f"{utc.tm_year:04d}-{utc.tm_mon:02d}"
 
 
+def test_store_layout_guard(tmp_path):
+    """Every stored byte lies in a month file or the ledger, and a month's
+    records live in its file alone: deleting it removes them from ``read``
+    and ``columns``, and from nothing else.  So a byte count or digest of
+    ``months/*.events`` covers every record of the store."""
+    archives = tmp_path / "archives"
+    archives.mkdir()
+    lines = [
+        _watch_line(f'"{month}-0{day}T09:00:00Z"').replace('"a/b"', f'"a/{repo}"')
+        for month in ("2016-11", "2016-12", "2017-01") for day in (1, 2) for repo in ("b", "c")
+    ]
+    (archives / "2016-12-01-0.json").write_text("\n".join(lines) + "\n")
+    assert cli.main(["ingest", "--archives", str(archives), "--out", str(tmp_path / "out")]) == 0
+    root = tmp_path / "out" / "store"
+    files = sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+    assert files == [LEDGER, "months/2016-11.events", "months/2016-12.events", "months/2017-01.events"]
+    assert sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_dir()) == ["months"]
+    before = EventStore(root)
+    repos = list(before.iter_repo_ids())
+    records = {repo: before.read(repo) for repo in repos}
+    (root / "months" / "2016-12.events").unlink()
+    after = EventStore(root)
+    columns = after.columns(repos, AS_OF + 40 * DAY)
+    for repo in repos:
+        left = [r for r in records[repo] if _month_key(r.created_at) != "2016-12"]
+        assert len(left) == 4 and after.read(repo) == left
+        assert columns[repo].created_at.tolist() == [r.created_at for r in left]
+
+
 #: each column's dtype and null sentinel, in the order of ``Columns``; None for a column with none
 _DTYPES = (np.uint8, np.int64, np.int16, np.int64, np.int64, object, object)
 _NULLS = (None, INT_NULL, TZ_NULL, INT_NULL, INT_NULL, None, None)
@@ -1195,7 +1210,7 @@ def _rows(columns):
 
 
 class TestColumns:
-    """The log frames' columns, read by ``EventStore.columns``, hold what ``read`` decodes."""
+    """The frames' columns, read by ``EventStore.columns``, hold what ``read`` builds."""
 
     #: records of three repositories over four months, every nullable field sometimes None
     _RECORDS = st.lists(
@@ -1216,23 +1231,27 @@ class TestColumns:
 
     @given(
         appends=st.lists(_RECORDS, min_size=1, max_size=3),
-        change=st.sampled_from(["none", "last_append_cut_off_before_its_log", "log_removed", "segment_replaced"]),
+        change=st.sampled_from(["none", "last_append_torn", "month_file_replaced"]),
         before=st.integers(AS_OF - 70 * DAY, AS_OF + 41 * DAY),
     )
     def test_columns_equal_the_records_read(self, tmp_path_factory, appends, change, before):
         root = tmp_path_factory.mktemp("store")
+        append_cut = store_module._append_cut
+
+        def torn(path, cut, magic, data):
+            append_cut(path, cut, magic, data[: len(data) // 2])
+            raise OSError("interrupted")
+
         for i, batch in enumerate(appends):
-            if change == "last_append_cut_off_before_its_log" and i == len(appends) - 1:
-                with mock.patch.object(store_module, "_append_cut", side_effect=OSError("interrupted")):
+            if change == "last_append_torn" and i == len(appends) - 1:
+                with mock.patch.object(store_module, "_append_cut", torn):
                     with suppress(StoreWriteError):
                         EventStore(root).append(batch)
             else:
                 EventStore(root).append(batch)
-        segments = sorted((root / "months").glob("*.events"))
-        if change == "log_removed":
-            shutil.rmtree(root / "corpus", ignore_errors=True)
-        elif change == "segment_replaced" and segments:  # its new ranges overlap the log's old ones
-            segments[0].unlink()
+        months = sorted((root / "months").glob("*.events"))
+        if change == "month_file_replaced" and months:
+            months[0].unlink()
             EventStore(root).append(appends[-1] + appends[0])
         store = EventStore(root)
         repos = ["a/b", "a/c", "x/y", "no/such"]
@@ -1242,38 +1261,41 @@ class TestColumns:
             assert _rows(columns[repo]) == _rows(expected), repo
             assert [column.dtype for column in columns[repo]] == list(map(np.dtype, _DTYPES)), repo
 
-    #: a frame's columns block, by the byte offset of each part from its start, and what each broken part says
+    #: a frame's part, by its byte offset in the file from the frame, and what each broken part says
     _BROKEN = {
-        "row_bounds": (lambda n, r: 0, b"\x01", "the row bounds do not increase from 0"),
-        "kind": (lambda n, r: 4 * n + 26 * r, b"\x09", "ValueError: kind code 9 is out of range"),
-        "tz_offset": (lambda n, r: 4 * n + 24 * r, (TZ_OFFSET_MAX + 1).to_bytes(2, "little"), "ValueError: tz_offset 841 is out of range"),
-        "actor": (lambda n, r: 4 * n + 27 * r, (1000).to_bytes(4, "little"), "ValueError: actor index 1000 is out of range"),
+        "row_bounds": (lambda frame, r: frame.at + 28 + 3, b"\x01", "the row bounds do not increase from 0"),
+        "kind": (lambda frame, r: frame.columns[0] + 26 * r, b"\x09", "ValueError: kind code 9 is out of range"),
+        "tz_offset": (lambda frame, r: frame.columns[0] + 24 * r, (TZ_OFFSET_MAX + 1).to_bytes(2, "little"),
+                      "ValueError: tz_offset 841 is out of range"),
+        "actor": (lambda frame, r: frame.columns[0] + 27 * r, (1000).to_bytes(4, "little"),
+                  "ValueError: actor index 1000 is out of range"),
         # the table was ``["user1","user2"]``
-        "string_table": (lambda n, r: 4 * n + 35 * r, b"[1234567,", "the string table is not a list of strings"),
+        "string_table": (lambda frame, r: frame.columns[0] + 39 * r, b"[1234567,", "the string table is not a list of strings"),
     }
 
     @pytest.mark.parametrize("part", list(_BROKEN))
     @pytest.mark.parametrize("beside", ["columns", "unlogged_records"])
     def test_broken_columns_name_the_log_and_the_frame(self, tmp_path, part, beside):
-        root, log = tmp_path / "store", tmp_path / "store" / "corpus" / "2016-12.texts"
+        root, path = tmp_path / "store", tmp_path / "store" / "months" / "2016-12.events"
         events = [make_event(actor=f"user{i}", created_at=AS_OF - (3 - i) * DAY, event_type=EventType.PUSH) for i in range(3)]
         EventStore(root).append(events[:1])
         EventStore(root).append(events[1:])
-        if beside == "unlogged_records":  # bytes written behind the store's back, decoded beside the frames' columns
-            events.append(make_event(actor="unlogged", created_at=AS_OF - DAY // 2))
-            body = store_module._record_to_json(events[-1])
-            with open(root / "months" / "2016-12.events", "ab") as handle:
-                handle.write(len(body).to_bytes(4, "big") + body)
         frame = EventStore(root)._month("2016-12").frames[-1]
+        if beside == "unlogged_records":  # records no whole frame holds: a torn frame after the broken one
+            torn = store_module._frame(["bitcoin/bitcoin"], [0, 1], [make_event(actor="unlogged", created_at=AS_OF - DAY // 2)])
+            with open(path, "ab") as handle:
+                handle.write(torn[:-1])
         at, broken, reason = self._BROKEN[part]
-        offset = frame.columns[0] + at(len(frame.names) + 1, frame.rows)
-        data = bytearray(log.read_bytes())
+        offset = at(frame, frame.rows[-1])
+        data = bytearray(path.read_bytes())
         data[offset : offset + len(broken)] = broken
-        log.write_bytes(bytes(data))
-        with pytest.raises(StoreError, match=f"^{re.escape(str(log))}: frame at byte {frame.at}: ") as failure:
+        path.write_bytes(bytes(data))
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: frame at byte {frame.at}: ") as failure:
             EventStore(root).columns(["bitcoin/bitcoin"], AS_OF)
         assert reason in str(failure.value)
-        assert EventStore(root).read("bitcoin/bitcoin") == events  # the segment alone still reads
+        with pytest.raises(StoreError) as read_failure:  # the records are built from the same columns
+            EventStore(root).read("bitcoin/bitcoin")
+        assert str(read_failure.value) == str(failure.value)
 
 
 class TestArchiveLedger:

@@ -384,6 +384,24 @@ class TestLongevity:
         events = [make_event(event_type=EventType.WATCH, created_at=AS_OF - 50 * DAY)]
         assert longevity(events) == 0.0
 
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(-5 * 10**10, 5 * 10**10), st.integers(0, 15 * 10**10)),
+                    min_size=1, max_size=12))
+    @example([(0, 0, 1), (1, 0, 0), (2, 0, 15 * 10**10)])
+    def test_mean_is_the_exact_mean_rounded_once(self, spans):
+        """Each actor's span in days, then their mean as ``statistics.mean``
+        gives it: the exact sum over the count, rounded once."""
+        events, first = [], {}
+        for actor, start, length in spans:
+            start = first.setdefault(actor, start)  # one span per actor: from its first event
+            events += [make_event(actor=f"a{actor}", event_type=EventType.PUSH, created_at=at)
+                       for at in (start, start + length)]
+        by_actor = {}
+        for event in events:
+            low, high = by_actor.get(event.actor, (event.created_at, event.created_at))
+            by_actor[event.actor] = min(low, event.created_at), max(high, event.created_at)
+        expected = statistics.mean((high - low) / DAY for low, high in by_actor.values())
+        assert longevity(events) == expected
+
 
 class TestMonthsSinceUpdate:
     def test_same_day_is_zero(self):
