@@ -469,14 +469,10 @@ def kind_table(kinds: Iterable[EventType]) -> np.ndarray:
     return np.array([kind in kinds for kind in KINDS])
 
 
-def as_columns(events: Columns | Iterable[EventRecord]) -> Columns:
-    """``events`` as columns; records go through :func:`from_records`."""
-    return events if isinstance(events, Columns) else from_records(list(events))
+#: kind code -> whether it is contribution activity (``CONTRIBUTION_TYPES``)
+IS_CONTRIBUTION = kind_table(CONTRIBUTION_TYPES)
 
 
-_CONTRIBUTION = kind_table(CONTRIBUTION_TYPES)
-
-
-def has_contribution(events: Columns | Iterable[EventRecord]) -> bool:
+def has_contribution(events: Columns) -> bool:
     """Whether any event is contribution activity (``CONTRIBUTION_TYPES``)."""
-    return bool(_CONTRIBUTION[as_columns(events).kind].any())
+    return bool(IS_CONTRIBUTION[events.kind].any())

@@ -3,13 +3,14 @@
 All operations are pure given their inputs.  Date arithmetic uses a fixed
 month length of 30.44 days so that month-based metrics are recomputable
 without calendar context.  Each operation reads a project's events as
-:class:`~oss_health.events.Columns` (records are converted by
-:func:`~oss_health.events.from_records`) and counts only the event kinds
-it names, through masks over the kind column.  Every float comes from
-the Python expression a record-by-record computation uses, on Python
-ints (``statistics``, or the exact sum over the count rounded once that
-``statistics.mean`` gives, ``/ 3.0``, ``/ 12.0``, float64 bin counts divided
-by the total), so a row does not depend on where its columns came from.  A criticality config is checked once, by
+:class:`~oss_health.events.Columns`, as the store's ``columns`` gives them
+(:func:`~oss_health.events.from_records` builds them from records), and
+counts only the event kinds it names, through masks over the kind column.
+Every float comes from the Python expression a record-by-record
+computation uses, on Python ints (``statistics``, or the exact sum over
+the count rounded once that ``statistics.mean`` gives, ``/ 3.0``,
+``/ 12.0``, float64 bin counts divided by the total), so a row does not
+depend on where its columns came from.  A criticality config is checked once, by
 :func:`parse_criticality_config`, through the shared input rules of
 :mod:`oss_health.inputs`.
 """
@@ -21,20 +22,18 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from itertools import islice
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .events import (
     COMMENT_TYPES,
-    CONTRIBUTION_TYPES,
     INT_NULL,
+    IS_CONTRIBUTION,
     KIND_CODES,
     TZ_NULL,
     Columns,
-    EventRecord,
     EventType,
-    as_columns,
     kind_table,
 )
 from .inputs import key_value_lines
@@ -49,14 +48,11 @@ _TOKEN_BYTES = bytes(b if b in b"0123456789abcdefghijklmnopqrstuvwxyz" else 32 f
 #: more than the scan, one call over the corpus holds all its tokens at once
 _CHUNK_TEXTS = 512
 
-#: what the operations read: columns, or records to convert
-Events = Union[Columns, Sequence[EventRecord]]
 _WATCH, _FORK, _PUSH, _PULL_REQUEST, _ISSUES = (
     KIND_CODES[kind]
     for kind in (EventType.WATCH, EventType.FORK, EventType.PUSH, EventType.PULL_REQUEST, EventType.ISSUES)
 )
-#: kind code -> whether it is a contribution, a comment, an update
-_IS_CONTRIBUTION = kind_table(CONTRIBUTION_TYPES)
+#: kind code -> whether it is a comment, an update
 _IS_COMMENT = kind_table(COMMENT_TYPES)
 _IS_UPDATE = kind_table((EventType.PUSH, EventType.PULL_REQUEST))
 
@@ -89,9 +85,8 @@ class TimezoneHistogram:
     total: int = 0
 
 
-def timezone_histogram(events: Events, window: tuple[int, int]) -> TimezoneHistogram:
+def timezone_histogram(events: Columns, window: tuple[int, int]) -> TimezoneHistogram:
     """Histogram of event timezone offsets inside ``[start, end)``."""
-    events = as_columns(events)
     offsets = events.tz_offset[_window(events, *window) & (events.tz_offset != TZ_NULL)]
     # half-hour offsets round toward zero, as ``int(offset / 60)`` does
     hours = np.trunc(offsets.astype(np.float64) / 60).astype(np.int64)
@@ -133,12 +128,12 @@ def geo_rmse(project: TimezoneHistogram, reference: TimezoneHistogram) -> float:
 # simple counts
 
 
-def count_stars(events: Events) -> int:
-    return int(np.count_nonzero(as_columns(events).kind == _WATCH))
+def count_stars(events: Columns) -> int:
+    return int(np.count_nonzero(events.kind == _WATCH))
 
 
-def count_forks(events: Events) -> int:
-    return int(np.count_nonzero(as_columns(events).kind == _FORK))
+def count_forks(events: Columns) -> int:
+    return int(np.count_nonzero(events.kind == _FORK))
 
 
 def _tokens(text: str) -> list[bytes]:
@@ -254,14 +249,13 @@ def criticality_score(values: Mapping[str, float], config: Mapping[str, tuple[fl
     return total / weight_sum
 
 
-def criticality_signals(events: Events, as_of: int) -> dict[str, float]:
+def criticality_signals(events: Columns, as_of: int) -> dict[str, float]:
     """Event-store-derived stand-ins for the signals of ``DEFAULT_CRITICALITY_CONFIG``."""
-    events = as_columns(events)
     year = _window(events, as_of - 12 * MONTH_SECONDS, as_of)
     push = events.kind == _PUSH
     commits = _commits(events.counts[year & push])
     recent = int(np.count_nonzero(_window(events, as_of - 90 * DAY_SECONDS, as_of) & push))
-    contributors = len(set(events.actor[_IS_CONTRIBUTION[events.kind]].tolist()))
+    contributors = len(set(events.actor[IS_CONTRIBUTION[events.kind]].tolist()))
     comments = int(np.count_nonzero(year & _IS_COMMENT[events.kind]))
     return {
         "commit_frequency": commits / 12.0,
@@ -275,10 +269,9 @@ def criticality_signals(events: Events, as_of: int) -> dict[str, float]:
 # longevity / recency / responsiveness
 
 
-def longevity(events: Events) -> float:
+def longevity(events: Columns) -> float:
     """Mean per-actor active span in days over contribution events."""
-    events = as_columns(events)
-    rows = _IS_CONTRIBUTION[events.kind]
+    rows = IS_CONTRIBUTION[events.kind]
     actors, times = events.actor[rows].tolist(), events.created_at[rows]
     if not actors:
         return 0.0
@@ -295,13 +288,12 @@ def longevity(events: Events) -> float:
     return sum(map(int, (spans * 2.0**69).tolist())) / (len(spans) << 69)
 
 
-def months_since_update(events: Events, as_of: int) -> int | None:
+def months_since_update(events: Columns, as_of: int) -> int | None:
     """Whole 30.44-day months since the latest push or pull request.
 
     ``None`` means the repository has never been updated; the dataset
     stage excludes such repositories as dead.
     """
-    events = as_columns(events)
     updates = events.created_at[_IS_UPDATE[events.kind]].tolist()
     if not updates:
         return None
@@ -311,9 +303,8 @@ def months_since_update(events: Events, as_of: int) -> int | None:
     return int((as_of - latest) / DAY_SECONDS // MONTH_DAYS)
 
 
-def issue_response_times(events: Events) -> tuple[float, float]:
+def issue_response_times(events: Columns) -> tuple[float, float]:
     """(median, mean) days from an issue's open to its first close."""
-    events = as_columns(events)
     rows = np.flatnonzero((events.kind == _ISSUES) & (events.number != INT_NULL))
     rows = rows[np.argsort(events.created_at[rows], kind="stable")]  # by time, ties in stored order
     opened: dict[int, int] = {}
@@ -333,18 +324,17 @@ def issue_response_times(events: Events) -> tuple[float, float]:
     return float(statistics.median(deltas)), float(statistics.mean(deltas))
 
 
-def engagement_metrics(events: Events, as_of: int) -> tuple[float, float, float, float]:
+def engagement_metrics(events: Columns, as_of: int) -> tuple[float, float, float, float]:
     """Monthly averages over the previous three months.
 
     Returns (commits, comments, pull requests opened, distinct authors),
     each divided by three.
     """
-    events = as_columns(events)
     window, kind = _window(events, as_of - 3 * MONTH_SECONDS, as_of), events.kind
     commits = _commits(events.counts[window & (kind == _PUSH)])
     comments = int(np.count_nonzero(window & _IS_COMMENT[kind]))
     pull_requests = int(np.count_nonzero(events.action[window & (kind == _PULL_REQUEST)] == "opened"))
-    authors = len(set(events.actor[window & _IS_CONTRIBUTION[kind]].tolist()))
+    authors = len(set(events.actor[window & IS_CONTRIBUTION[kind]].tolist()))
     return commits / 3.0, comments / 3.0, pull_requests / 3.0, authors / 3.0
 
 
@@ -406,7 +396,7 @@ ENGAGEMENT_COLUMNS = ["commits_3mo", "comments_3mo", "pull_requests_3mo", "autho
 
 def build_metrics_row(
     repo_id: str,
-    events: Events,
+    events: Columns,
     externals: ExternalInputs,
     reference: TimezoneHistogram,
     as_of: int,
@@ -423,7 +413,6 @@ def build_metrics_row(
     Criticality weighs :func:`criticality_signals` by ``criticality_config``,
     or by ``DEFAULT_CRITICALITY_CONFIG`` when it is None or empty.
     """
-    events = as_columns(events)
     if histogram is None:
         histogram = timezone_histogram(events, (as_of - 6 * MONTH_SECONDS, as_of))
     median_days, average_days = issue_response_times(events)

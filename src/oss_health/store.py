@@ -45,12 +45,11 @@ alone, where versions 3 and up add references to objects seen before and
 tag interned strings, which depend on object identity; it writes strings
 as length-prefixed UTF-8 with lone surrogates passed through, and tags
 ints and None apart, so two records share a key exactly when those fields
-are equal.  The key
-holds ``repo_id`` and ``created_at``, so one key set per month skips
-exactly what a key set per repository and month would.  Keys live only in
-memory.  An ``EventStore`` computes a month's keys from its frames once,
-at its first append to the month, and keeps them, so it assumes it is the
-only writer under its root for as long as it lives.
+are equal.  The key holds ``repo_id`` and ``created_at``, so one key set
+per month skips exactly what a key set per repository and month would.
+Keys live only in memory.  An ``EventStore`` computes a month's keys from
+its frames once, at its first append to the month, and keeps them, so it
+assumes it is the only writer under its root for as long as it lives.
 
 An append writes one frame to each month it stores records in, with one
 ``write`` call, the magic header first for a new month file.  An append
@@ -70,19 +69,21 @@ reads the columns of only the frames holding a wanted entry, one
 ``os.pread`` each, selects their rows with one index array per frame, and
 only then resolves their ``actor`` and ``action`` strings.  ``read``
 builds the records of a repository from the same columns and from the
-texts of those frames, read again on every call.  An ``EventStore`` lists
-the months once, parses each month's index at most once and each frame's
-columns at most once, keeps its month files open for reading until the
-store is collected, and reads a month again only after this store
-appends to it.
+texts of those frames, read again on every call.  An ``EventStore``
+lists the months once, when it is made, opens each month file, which it
+keeps open until it is collected, and reads its magic header then; a
+partial header holds no record.  A new month is listed once a write to it
+succeeds.  ``_Month`` is the one reader of a month's frames, for appends
+(the dedup keys and the cut) as for reads: it parses the month's index
+at most once, and each frame's columns at most once, until this store
+appends to the month.
 
 A store of an older format, one with a repository directory (``*__*``)
-or a ``corpus`` log directory at its root, or a month file of format
-``OSHEVT02`` or ``OSHEVT03``, is refused with a ``StoreError`` that names
-the root: ingest its archives into a new store.  The directories are
-refused when an ``EventStore`` is made; its first append reads every
-month file's magic header before it writes anything, so such a store is
-refused with nothing written.
+or a ``corpus`` log directory at its root, or a month file of another
+format (``OSHEVT02``, ``OSHEVT03``) or with a garbage header, is refused
+when an ``EventStore`` is made, before anything is read or written, with
+a ``StoreError`` that names the root (the file, for a garbage header):
+ingest its archives into a new store.
 
 The ledger ``<root>/archives.ledger`` lists the archives ingested whole.
 It starts with the 8-byte magic ``OSHARC01``, then holds fixed-size
@@ -119,6 +120,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .events import (
+    EPOCH_END,
     INT_NULL,
     KIND_CODES,
     KINDS,
@@ -260,6 +262,11 @@ def _has_magic(path: str | Path, head: bytes, magic: bytes) -> bool:
     raise StoreError(f"{path}: bad magic header {head[: len(magic)]!r}")
 
 
+def _corrupt(path: str, at: int, exc: Exception) -> StoreError:
+    """The error for the frame at byte ``at`` of the month file ``path`` that ``exc`` found corrupt."""
+    return StoreError(f"{path}: frame at byte {at}: {type(exc).__name__}: {exc}")
+
+
 def _frame(repo_ids: list[str], rows: list[int], records: list[EventRecord]) -> bytes:
     """One append's length-prefixed frame for a month: entry ``i`` holds
     ``repo_ids[i]``'s records ``records[rows[i]:rows[i + 1]]``."""
@@ -313,16 +320,14 @@ class _Frame(NamedTuple):
 
 
 def _read_index(path: str, fd: int) -> tuple[list[_Frame], int]:
-    """The index sections of a month file's whole frames, read with two
-    ``os.pread`` calls per frame, no column and no text read; and where
-    the last whole frame ends, 0 for a partial magic header.
+    """The index sections of the whole frames of a month file with a whole
+    magic header, read with two ``os.pread`` calls per frame, no column
+    and no text read; and where the last whole frame ends.
 
     A torn tail is ignored; a whole frame whose index is not such a body
     raises ``StoreError`` naming the file and the byte offset.
     """
     size = os.fstat(fd).st_size
-    if not _has_magic(path, os.pread(fd, len(MAGIC), 0), MAGIC):
-        return [], 0
     frames = []
     at = len(MAGIC)
     while at + _LEN.size <= size:
@@ -352,7 +357,7 @@ def _read_index(path: str, fd: int) -> tuple[list[_Frame], int]:
             if bounds[0] != 0 or bounds[-1] != rows or not all(map(operator.lt, bounds, bounds[1:])):
                 raise ValueError("the row bounds do not increase from 0 to the row count")
         except (ValueError, TypeError, struct.error) as exc:
-            raise StoreError(f"{path}: frame at byte {at}: {type(exc).__name__}: {exc}") from exc
+            raise _corrupt(path, at, exc) from exc
         offset = at + _FRAME_HEAD.size + index
         pushed = offset + columns
         frames.append(_Frame(
@@ -403,7 +408,7 @@ def _frame_columns(path: str, fd: int, frame: _Frame) -> _Parsed:
             if column.max() > len(table):
                 raise ValueError(f"{name} index {column.max() - 1} is out of range")
     except (ValueError, TypeError) as exc:
-        raise StoreError(f"{path}: frame at byte {frame.at}: {type(exc).__name__}: {exc}") from exc
+        raise _corrupt(path, frame.at, exc) from exc
     strings = np.empty(len(table) + 1, object)  # None first
     strings[1:] = table
     return _Parsed(Columns(kind, created, tz, counts, number, actor, action), strings, texts)
@@ -432,7 +437,7 @@ def _frame_texts(path: str, fd: int, frame: _Frame, others: bool = False):
             raise ValueError("the texts do not match their count")
         rest = _text_list(data[length:], "other texts") if others else None
     except (ValueError, TypeError, struct.error) as exc:
-        raise StoreError(f"{path}: frame at byte {frame.at}: {type(exc).__name__}: {exc}") from exc
+        raise _corrupt(path, frame.at, exc) from exc
     return created, texts, rest
 
 
@@ -453,7 +458,7 @@ def _frame_fields(path: str, fd: int, frame: _Frame, parsed: _Parsed, start: int
     pushed = events.kind == _PUSH
     push_ends, other_ends = np.cumsum(np.where(pushed, counts, 0)), np.cumsum(np.where(pushed, 0, counts))
     if push_ends[-1] != len(push) or other_ends[-1] != len(other):
-        raise StoreError(f"{path}: frame at byte {frame.at}: ValueError: the text counts do not match the texts")
+        raise _corrupt(path, frame.at, ValueError("the text counts do not match the texts"))
     rows = slice(start, stop)
     ends = np.where(pushed, push_ends, other_ends)[rows].tolist()
     texts = [
@@ -482,34 +487,28 @@ def _append_cut(path: str, cut: int | None, magic: bytes, data: bytes) -> None:
         handle.write(data)
 
 
-def _month_keys(path: str) -> tuple[set[bytes], int]:
-    """The dedup keys of a month file's whole frames, and where the last
-    one ends: the cut before this store first writes to it.  An absent
-    file has no keys and ends at 0."""
-    try:
-        handle = open(path, "rb", buffering=0)
-    except FileNotFoundError:
-        return set(), 0
-    with handle:
-        fd = handle.fileno()
-        frames, end = _read_index(path, fd)
-        keys = set()
-        for frame in frames:
-            fields = _frame_fields(path, fd, frame, _frame_columns(path, fd, frame), 0, frame.rows[-1])
-            keys.update(_digest(row[:-1]) for row in fields)
-    return keys, end
-
-
 class _Month:
-    """What a store has read of one month: its index, and the columns read."""
+    """What a store has read of one month: its index, and the columns read.
+    The one reader of a month file's frames, for appends as for reads."""
 
-    __slots__ = ("path", "fd", "frames", "parsed")
+    __slots__ = ("path", "fd", "frames", "end", "parsed")
 
-    def __init__(self, path: str, fd: int):
+    def __init__(self, path: str, fd: int | None):
+        """``fd`` is None for a month with no whole magic header: it holds
+        no frame, and the next append cuts it to nothing."""
         self.path, self.fd = path, fd
-        self.frames = _read_index(path, fd)[0]
+        #: the whole frames, and where the last one ends: the cut before an append
+        self.frames, self.end = _read_index(path, fd) if fd is not None else ([], 0)
         #: frame byte offset -> its columns, read at first use
         self.parsed: dict[int, _Parsed] = {}
+
+    def keys(self) -> set[bytes]:
+        """The dedup keys of the month's records."""
+        keys = set()
+        for frame in self.frames:
+            fields = _frame_fields(self.path, self.fd, frame, self.frame_columns(frame), 0, frame.rows[-1])
+            keys.update(_digest(row[:-1]) for row in fields)
+        return keys
 
     def names(self) -> set[str]:
         """The repositories with records in the month."""
@@ -528,7 +527,7 @@ class _Month:
                         for repo, kind, actor, created_at, action, texts, counts, number, tz_offset in fields
                     ]
                 except ValueError as exc:  # a ``created_at`` outside the years 1-9999
-                    raise StoreError(f"{self.path}: frame at byte {frame.at}: ValueError: {exc}") from exc
+                    raise _corrupt(self.path, frame.at, exc) from exc
         return records
 
     def frame_columns(self, frame: _Frame) -> _Parsed:
@@ -580,22 +579,32 @@ class EventStore:
         self._months_dir = f"{self._root}/{MONTHS}"
         #: months appended to so far -> their dedup keys
         self._keys: dict[str, set[bytes]] = {}
-        #: months -> where their last whole frame ends, until this store first writes to them
-        self._cuts: dict[str, int] = {}
-        #: whether every month file's magic header was checked, at the first append
-        self._formats_checked = False
         self._ledger = f"{self._root}/{LEDGER}"
         #: the ledger's records, read at first use
         self._archives: dict[bytes, tuple[int, int, int]] | None = None
         #: where the ledger's last whole record ends, until this store first writes to it
         self._ledger_end: int | None = None
-        #: the months with a file, sorted, listed at first use
-        self._month_names: list[str] | None = None
         #: months read so far
         self._months: dict[str, _Month] = {}
-        #: the month files open for reading, closed with the store
+        #: the month files open for reading, by month, closed with the store
         self._fds: dict[str, int] = {}
-        weakref.finalize(self, _close, self._fds)
+        close = weakref.finalize(self, _close, self._fds)
+        #: the months whose file has a whole magic header, sorted; a month
+        #: without one joins once a write of this store to it succeeds
+        self._month_names: list[str] = []
+        try:
+            months = sorted(name[: -len(".events")] for name in os.listdir(self._months_dir) if name.endswith(".events"))
+        except FileNotFoundError:
+            months = []
+        try:
+            for month in months:
+                path = f"{self._months_dir}/{month}.events"
+                fd = self._fds[month] = os.open(path, os.O_RDONLY)
+                if _has_magic(path, os.pread(fd, len(MAGIC), 0), MAGIC):
+                    self._month_names.append(month)
+        except BaseException:
+            close()
+            raise
 
     # -- write ---------------------------------------------------------
 
@@ -609,15 +618,12 @@ class EventStore:
         file.  Months are written in order, each by one write of one
         frame of its new records, repository by repository.
 
-        This store's first append refuses a store of another format before
-        it writes anything.  A failed encode or write raises, with the
-        months before it written: ``StoreWriteError`` for an ``OSError``,
-        its ``partial_count`` the records of those months.  The failed
-        month's keys are dropped, so its next append reads them again from
-        what is on disk.
+        A failed encode or write raises, with the months before it
+        written: ``StoreWriteError`` for an ``OSError``, its
+        ``partial_count`` the records of those months.  The failed month's
+        keys are dropped, so its next append reads them again from what is
+        on disk.
         """
-        if not self._formats_checked:
-            self._check_formats()
         receipt = AppendReceipt()
         by_month_repo: dict[tuple[str, str], list[EventRecord]] = {}
         for event in events:
@@ -626,27 +632,16 @@ class EventStore:
             self._append_month(month, batches, receipt)
         return receipt
 
-    def _check_formats(self) -> None:
-        """Refuse a root whose month files are of another format before this
-        store first writes: one ``os.pread`` of each file's magic header."""
-        for month in self._months_held():
-            path = f"{self._months_dir}/{month}.events"
-            fd = os.open(path, os.O_RDONLY)
-            try:
-                _has_magic(path, os.pread(fd, len(MAGIC), 0), MAGIC)
-            finally:
-                os.close(fd)
-        self._formats_checked = True
-
     def _append_month(self, month: str, batches: Iterable, receipt: AppendReceipt) -> None:
         """Write one frame of a month's new records, ``batches`` of ``((month,
         repo_id), records)``."""
         path = f"{self._months_dir}/{month}.events"
-        keys = self._keys.get(month)
+        keys, cut = self._keys.get(month), None
         if keys is None:
             os.makedirs(self._months_dir, exist_ok=True)
-            keys, self._cuts[month] = _month_keys(path)
-            self._keys[month] = keys
+            state = self._month(month)
+            keys = self._keys[month] = state.keys()
+            cut = state.end
         codes, blake2b, dumps = KIND_CODES, hashlib.blake2b, marshal.dumps
         repo_ids: list[str] = []
         rows, stored = [0], []
@@ -667,22 +662,16 @@ class EventStore:
             return
         try:
             data = _frame(repo_ids, rows, stored)
-            self._forget(month)
-            _append_cut(path, self._cuts.get(month), MAGIC, data)
+            self._months.pop(month, None)  # its file changes: read it again at next use
+            _append_cut(path, cut, MAGIC, data)
         except BaseException as exc:
             del self._keys[month]
             if isinstance(exc, OSError):
                 raise StoreWriteError(f"append to {path} failed: {exc}", receipt.count) from exc
             raise
-        self._cuts.pop(month, None)
-        receipt.count += len(stored)
-
-    def _forget(self, month: str) -> None:
-        """Drop what this store read of ``month``, which it is about to append
-        to; its open file stays, as appends leave it the same file."""
-        if self._month_names is not None and month not in self._month_names:
+        if month not in self._month_names:  # listed once a write to it succeeded
             bisect.insort(self._month_names, month)
-        self._months.pop(month, None)
+        receipt.count += len(stored)
 
     def ingested(self, digest: bytes) -> tuple[int, int, int] | None:
         """The ledger's (parsed, skipped_type, skipped_malformed) counts of the
@@ -705,31 +694,22 @@ class EventStore:
 
     # -- read ----------------------------------------------------------
 
-    def _months_held(self) -> list[str]:
-        """The months with a file, sorted; the directory is listed once."""
-        if self._month_names is None:
-            try:
-                names = os.listdir(self._months_dir)
-            except FileNotFoundError:
-                names = []
-            self._month_names = sorted(name[: -len(".events")] for name in names if name.endswith(".events"))
-        return self._month_names
-
     def _month(self, month: str) -> _Month:
-        """The month's read state, read at first use."""
+        """The month's read state, read at first use; a month not listed holds no frame."""
         state = self._months.get(month)
         if state is None:
-            path = f"{self._months_dir}/{month}.events"
-            fd = self._fds.get(path)
-            if fd is None:
-                fd = self._fds[path] = os.open(path, os.O_RDONLY)
+            path, fd = f"{self._months_dir}/{month}.events", None
+            if month in self._month_names:
+                fd = self._fds.get(month)
+                if fd is None:  # a file this store made
+                    fd = self._fds[month] = os.open(path, os.O_RDONLY)
             state = self._months[month] = _Month(path, fd)
         return state
 
     def read(self, repo_id: str) -> list[EventRecord]:
         """All events for one repository, in append order per month."""
         events: list[EventRecord] = []
-        for month in self._months_held():
+        for month in self._month_names:
             events += self._month(month).read(repo_id)
         return events
 
@@ -739,7 +719,7 @@ class EventStore:
         Month by month, one frame at a time, they come from the frames'
         push texts, and no other text is read.  ``receipt`` counts them.
         """
-        for month in self._months_held():
+        for month in self._month_names:
             state = self._month(month)
             for frame in state.frames:
                 created, texts, _ = _frame_texts(state.path, state.fd, frame)
@@ -763,7 +743,7 @@ class EventStore:
         codes = {repo_id: code for code, repo_id in enumerate(dict.fromkeys(repo_ids))}
         # each piece's rows read: the empty block first, so there is one
         blocks, owners = [from_records([])], [np.zeros(0, np.int64)]
-        for month in self._months_held():
+        for month in self._month_names:
             for (events, strings, _), index, owner in self._month(month).columns(codes):
                 kept = events.created_at[index] < before
                 block = take(events, index[kept])
@@ -782,7 +762,7 @@ class EventStore:
         the next month down when it holds no whole frame: the maximum of
         its frames' ``created_at`` columns.
         """
-        for month in reversed(self._months_held()):
+        for month in reversed(self._month_names):
             latest = self._month(month).latest_created_at()
             if latest is not None:
                 return latest
@@ -790,7 +770,8 @@ class EventStore:
 
     def iter_repo_ids(self) -> Iterator[str]:
         """Every stored repository, sorted by its id."""
-        yield from sorted(set().union(*(self._month(month).names() for month in self._months_held())))
+        yield from sorted(set().union(*(self._month(month).names() for month in self._month_names)))
 
     def has_history(self, repo_id: str) -> bool:
-        return has_contribution(self.read(repo_id))
+        """Whether the repository has any contribution event, from its columns alone."""
+        return has_contribution(self.columns([repo_id], EPOCH_END)[repo_id])

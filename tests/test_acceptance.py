@@ -41,7 +41,7 @@ from conftest import (
     sem_population_covariance,
 )
 from oss_health import cli, factor, sem
-from oss_health.events import EventType, parse_archive_file
+from oss_health.events import EventType, from_records, parse_archive_file
 from oss_health.metrics import (
     TimezoneHistogram,
     count_forks,
@@ -321,8 +321,8 @@ def test_criterion_12_ingest_and_metric_fixtures(tmp_path):
     counts_ok = (
         stats.records_out == 10 and stats.type_skipped == 1 and stats.malformed_skipped == 1
     )
-    stars = count_stars(records)
-    forks = count_forks(records)
+    stars = count_stars(from_records(records))
+    forks = count_forks(from_records(records))
     issues = []
     t0 = AS_OF - 30 * DAY
     for number, delta in ((1, 1), (2, 2), (3, 9)):
@@ -337,7 +337,7 @@ def test_criterion_12_ingest_and_metric_fixtures(tmp_path):
                 number=number,
             )
         )
-    response = issue_response_times(issues)
+    response = issue_response_times(from_records(issues))
     point = np.zeros(24)
     point[0] = 1.0
     rmse = geo_rmse(

@@ -697,7 +697,7 @@ class TestMetrics:
         """``(month file name, offset)`` of each frame's texts section."""
         store = EventStore(store_dir)
         return {
-            (f"{month}.events", frame.texts[0]) for month in store._months_held() for frame in store._month(month).frames
+            (f"{month}.events", frame.texts[0]) for month in store._month_names for frame in store._month(month).frames
         }
 
     def test_supplied_mentions_open_each_segment_once_and_read_the_candidates_ranges(self, workspace, preads):
@@ -951,7 +951,13 @@ class TestMetrics:
         # a later month whose file holds no frame: the month below decides
         (store_dir / "months" / "2017-02.events").write_bytes(MAGIC)
         texts = self._texts_sections(store_dir)
-        found, latest_created_at = [], EventStore.latest_created_at
+        made, found = [], []
+        init, latest_created_at = EventStore.__init__, EventStore.latest_created_at
+
+        def spied_init(self, root):
+            preads.ranges.clear()
+            init(self, root)
+            made.append(list(preads.ranges))
 
         def spied(self):
             decoded.clear()
@@ -960,14 +966,17 @@ class TestMetrics:
             found.append((list(decoded), list(preads.ranges)))
             return latest
 
+        monkeypatch.setattr(EventStore, "__init__", spied_init)
         monkeypatch.setattr(EventStore, "latest_created_at", spied)
         assert run(workspace, "metrics", "--as-of", "") == 0
+        # the store reads each month file's magic header once, when it is made
+        months = sorted(p.name for p in (store_dir / "months").iterdir())
+        assert made == [[(name, 0, len(MAGIC)) for name in months]]
         [(records, reads)] = found
-        # only those two months are touched: the upper one's magic header and
-        # the lower one's index and columns; no text is read, no record built
+        # the upper month holds no frame, so only the lower one is read, its
+        # index and columns; no text is read, no record built
         assert records == []
-        assert {name for name, _, _ in reads} == {"2017-02.events", "2017-01.events"}
-        assert [r for r in reads if r[0] == "2017-02.events"] == [("2017-02.events", 0, len(MAGIC))]
+        assert {name for name, _, _ in reads} == {"2017-01.events"}
         assert not {(name, start) for name, start, _ in reads} & texts
         with open(workspace / "out" / "metrics.csv", newline="", encoding="utf-8") as handle:
             assert {row["as_of"] for row in csv.DictReader(handle)} == {"2017-01-06T09:00:01Z"}

@@ -127,10 +127,11 @@ class TestReverseScore:
         # reverse_score leaves a zero-range column unchanged, so its sign cannot flip
         if np.ptp(x) == 0 or np.ptp(y) == 0:
             return
-        before = np.corrcoef(x, y)[0, 1]
-        if not np.isfinite(before):  # e.g. x = [0, 0, 9.9e-191] underflows to NaN
-            return
-        after = np.corrcoef(reverse_score(x), y)[0, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):  # tiny spreads underflow
+            before = np.corrcoef(x, y)[0, 1]
+            if not np.isfinite(before):  # e.g. x = [0, 0, 9.9e-191] underflows to NaN
+                return
+            after = np.corrcoef(reverse_score(x), y)[0, 1]
         assert after == pytest.approx(-before, abs=1e-9)
 
 

@@ -4,6 +4,7 @@ import gzip
 import io
 import json
 import logging
+import os
 import pickle
 import re
 import struct
@@ -816,17 +817,22 @@ class TestEventStore:
         assert store.read("bitcoin/bitcoin") == [a, b]
 
     def test_partition_read_at_most_once_per_store(self, tmp_path, monkeypatch):
-        opened = []
+        opened, os_open = [], store_module.os.open
 
         def counted_open(file, mode="r", *args, **kwargs):
             handle = open(file, mode, *args, **kwargs)
             opened.append((str(file).rsplit(".", 1)[1], mode))
             return handle
 
+        def counted_os_open(path, flags, *args):
+            opened.append((str(path).rsplit(".", 1)[1], "os.open"))
+            return os_open(path, flags, *args)
+
         def no_decode(path, *args):
             raise AssertionError(f"keying decoded {path}")
 
         monkeypatch.setattr(store_module, "open", counted_open, raising=False)
+        monkeypatch.setattr(store_module.os, "open", counted_os_open)
         store = EventStore(tmp_path / "store")
         events = self._events()
         with monkeypatch.context() as patched:
@@ -840,8 +846,9 @@ class TestEventStore:
         opened.clear()
         receipt = EventStore(tmp_path / "store").append(events)
         assert (receipt.count, receipt.duplicates_skipped) == (0, 10)
-        # a second store reads the month file's keys once
-        assert opened == [("events", "rb")]
+        # a second store opens the month file once, when it is made, and
+        # reads its keys through that descriptor
+        assert opened == [("events", "os.open")]
         monkeypatch.undo()
         assert store.read("bitcoin/bitcoin") == events
 
@@ -943,8 +950,8 @@ class TestEventStore:
         "created_at_past_year_9999": (dict(created_at=EPOCH_END), f"ValueError: created_at {EPOCH_END} outside ", set()),
         "text_not_a_string": (dict(texts=b"[1]"), "TypeError: sequence item 0: expected str", {"push_corpus"}),
         "object_body": (dict(texts=b'{"texts":["fix"]}'), "TypeError: the texts are not a list", {"push_corpus"}),
-        "eight_elements": (dict(texts=b"[]"), "ValueError: the texts do not match their count", {"push_corpus"}),
-        "ten_elements": (dict(texts=b'["fix","fix"]'), "ValueError: the texts do not match their count", {"push_corpus"}),
+        "too_few_texts": (dict(texts=b"[]"), "ValueError: the texts do not match their count", {"push_corpus"}),
+        "too_many_texts": (dict(texts=b'["fix","fix"]'), "ValueError: the texts do not match their count", {"push_corpus"}),
         "string_body": (dict(texts=b'"fix"'), "TypeError: the texts are not a list", {"push_corpus"}),
         "number_body": (dict(texts=b"9"), "TypeError: the texts are not a list", {"push_corpus"}),
         # the texts of the records other than pushes, which only ``read`` reads
@@ -1010,7 +1017,7 @@ class TestEventStore:
         return sorted(EventStore(root).push_corpus(AS_OF, CorpusReceipt()))
 
     @pytest.mark.parametrize("change", ["deleted_and_rewritten", "restored_shorter"])
-    def test_push_corpus_decodes_a_replaced_partition_whole(self, tmp_path, change):
+    def test_a_replaced_month_file_is_read_as_it_stands(self, tmp_path, change):
         events = [replace(e, texts=[e.actor]) for e in self._events(6)]
         root, path = tmp_path / "store", tmp_path / "store" / "months" / "2016-12.events"
         store = EventStore(root)
@@ -1044,6 +1051,39 @@ class TestEventStore:
         message = f"^{re.escape(str(path))}: frame at byte 8: ValueError: the text counts do not match the texts$"
         with pytest.raises(StoreError, match=message):
             EventStore(root).read("bitcoin/bitcoin")
+
+    @pytest.mark.parametrize("header", [b"GARBAGE!", b"OSHEVT03"])
+    def test_another_format_refused_when_the_store_is_made(self, tmp_path, monkeypatch, header):
+        root = tmp_path / "store"
+        december, january = self._events(2)
+        EventStore(root).append([december, replace(january, created_at=january.created_at + 31 * DAY)])
+        path = root / "months" / "2017-01.events"  # the later month: the earlier one is opened first
+        path.write_bytes(header + path.read_bytes()[len(MAGIC) :])
+
+        def tree():
+            """Every path under the root, with a file's bytes."""
+            return {p: p.is_file() and p.read_bytes() for p in root.rglob("*")}
+
+        files, opened, os_open = tree(), [], store_module.os.open
+
+        def counted_open(path, flags, *args):
+            opened.append(os_open(path, flags, *args))
+            return opened[-1]
+
+        monkeypatch.setattr(store_module.os, "open", counted_open)
+        with pytest.raises(StoreError) as failure:
+            EventStore(root)
+        if header.startswith(b"OSHEVT"):
+            assert str(failure.value) == (
+                f"{root}: holds {path}, format {header!r}, of another store format; ingest the archives into a new store"
+            )
+        else:
+            assert str(failure.value) == f"{path}: bad magic header {header!r}"
+        assert len(opened) == 2
+        for fd in opened:  # the refused store closes the files it opened
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        assert tree() == files  # nothing written
 
     def test_unkeyable_record_names_partition(self, tmp_path):
         path = tmp_path / "store" / "months" / "2016-12.events"
@@ -1128,7 +1168,8 @@ class TestEventStore:
         twins = [replace(e, tz_offset=None if e.tz_offset else 60) for e in events]
         again = EventStore(root).append(events + twins)
         assert (again.count, again.duplicates_skipped) == (0, 2 * len(events))
-        keys = set().union(*(store_module._month_keys(str(path))[0] for path in root.glob("months/*.events")))
+        store = EventStore(root)
+        keys = set().union(*(store._month(month).keys() for month in store._month_names))
         assert keys == set(map(dedup_key, events))  # the keys read from the frames are the records'
 
     @given(st.integers(min_value=EPOCH_MIN, max_value=EPOCH_END - 1))
@@ -1274,15 +1315,15 @@ class TestColumns:
     }
 
     @pytest.mark.parametrize("part", list(_BROKEN))
-    @pytest.mark.parametrize("beside", ["columns", "unlogged_records"])
+    @pytest.mark.parametrize("beside", ["columns", "torn_frame_after"])
     def test_broken_columns_name_the_log_and_the_frame(self, tmp_path, part, beside):
         root, path = tmp_path / "store", tmp_path / "store" / "months" / "2016-12.events"
         events = [make_event(actor=f"user{i}", created_at=AS_OF - (3 - i) * DAY, event_type=EventType.PUSH) for i in range(3)]
         EventStore(root).append(events[:1])
         EventStore(root).append(events[1:])
         frame = EventStore(root)._month("2016-12").frames[-1]
-        if beside == "unlogged_records":  # records no whole frame holds: a torn frame after the broken one
-            torn = store_module._frame(["bitcoin/bitcoin"], [0, 1], [make_event(actor="unlogged", created_at=AS_OF - DAY // 2)])
+        if beside == "torn_frame_after":  # records no whole frame holds: a torn frame after the broken one
+            torn = store_module._frame(["bitcoin/bitcoin"], [0, 1], [make_event(actor="torn", created_at=AS_OF - DAY // 2)])
             with open(path, "ab") as handle:
                 handle.write(torn[:-1])
         at, broken, reason = self._BROKEN[part]

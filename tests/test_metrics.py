@@ -152,15 +152,15 @@ class PerRecord:
 
 class TestCounts:
     def test_empty(self):
-        assert count_stars([]) == 0
-        assert count_forks([]) == 0
+        assert count_stars(from_records([])) == 0
+        assert count_forks(from_records([])) == 0
 
     def test_fixture_mixture(self):
         events = [make_event(event_type=EventType.WATCH) for _ in range(3)] + [
             make_event(event_type=EventType.FORK) for _ in range(2)
         ]
-        assert count_stars(events) == 3
-        assert count_forks(events) == 2
+        assert count_stars(from_records(events)) == 3
+        assert count_forks(from_records(events)) == 2
 
 
 class TestMentions:
@@ -281,13 +281,13 @@ class TestCriticality:
 
 class TestTimezoneHistogram:
     def test_no_events(self):
-        hist = timezone_histogram([], WINDOW)
+        hist = timezone_histogram(from_records([]), WINDOW)
         assert hist.total == 0
         assert not hist.bins.any()
 
     def test_all_utc(self):
         events = [make_event(event_type=EventType.PUSH, tz_offset=0) for _ in range(4)]
-        hist = timezone_histogram(events, WINDOW)
+        hist = timezone_histogram(from_records(events), WINDOW)
         assert hist.bins[12] == 1.0
         assert hist.bins.sum() == pytest.approx(1.0)
 
@@ -296,12 +296,12 @@ class TestTimezoneHistogram:
             make_event(tz_offset=-300),
             make_event(tz_offset=-300),
         ]
-        hist = timezone_histogram(events, WINDOW)
+        hist = timezone_histogram(from_records(events), WINDOW)
         assert hist.bins[13] == 0.5  # UTC+1
         assert hist.bins[7] == 0.5  # UTC-5
 
     def test_offsetless_events_contribute_nothing(self):
-        hist = timezone_histogram([make_event(tz_offset=None)], WINDOW)
+        hist = timezone_histogram(from_records([make_event(tz_offset=None)]), WINDOW)
         assert hist.total == 0
 
 
@@ -363,14 +363,14 @@ class TestGeoRmse:
 
 class TestLongevity:
     def test_no_events(self):
-        assert longevity([]) == 0.0
+        assert longevity(from_records([])) == 0.0
 
     def test_single_actor_span(self):
         events = [
             make_event(event_type=EventType.PUSH, created_at=AS_OF - 10 * DAY),
             make_event(event_type=EventType.PUSH, created_at=AS_OF),
         ]
-        assert longevity(events) == pytest.approx(10.0)
+        assert longevity(from_records(events)) == pytest.approx(10.0)
 
     def test_mean_over_actors(self):
         events = [
@@ -378,11 +378,11 @@ class TestLongevity:
             make_event(actor="a", event_type=EventType.PUSH, created_at=AS_OF),
             make_event(actor="b", event_type=EventType.PUSH, created_at=AS_OF),
         ]
-        assert longevity(events) == pytest.approx(15.0)
+        assert longevity(from_records(events)) == pytest.approx(15.0)
 
     def test_non_contribution_events_ignored(self):
         events = [make_event(event_type=EventType.WATCH, created_at=AS_OF - 50 * DAY)]
-        assert longevity(events) == 0.0
+        assert longevity(from_records(events)) == 0.0
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(-5 * 10**10, 5 * 10**10), st.integers(0, 15 * 10**10)),
                     min_size=1, max_size=12))
@@ -400,21 +400,21 @@ class TestLongevity:
             low, high = by_actor.get(event.actor, (event.created_at, event.created_at))
             by_actor[event.actor] = min(low, event.created_at), max(high, event.created_at)
         expected = statistics.mean((high - low) / DAY for low, high in by_actor.values())
-        assert longevity(events) == expected
+        assert longevity(from_records(events)) == expected
 
 
 class TestMonthsSinceUpdate:
     def test_same_day_is_zero(self):
         events = [make_event(event_type=EventType.PUSH, created_at=AS_OF)]
-        assert months_since_update(events, AS_OF) == 0
+        assert months_since_update(from_records(events), AS_OF) == 0
 
     def test_65_days_is_two_months(self):
         events = [make_event(event_type=EventType.PUSH, created_at=AS_OF - 65 * DAY)]
-        assert months_since_update(events, AS_OF) == 2
+        assert months_since_update(from_records(events), AS_OF) == 2
 
     def test_never_updated_is_none(self):
         events = [make_event(event_type=EventType.WATCH)]
-        assert months_since_update(events, AS_OF) is None
+        assert months_since_update(from_records(events), AS_OF) is None
 
 
 class TestIssueResponseTimes:
@@ -424,7 +424,7 @@ class TestIssueResponseTimes:
         )
 
     def test_no_issues(self):
-        assert issue_response_times([]) == (0.0, 0.0)
+        assert issue_response_times(from_records([])) == (0.0, 0.0)
 
     def test_hand_median_and_mean(self):
         t0 = AS_OF - 30 * DAY
@@ -432,7 +432,7 @@ class TestIssueResponseTimes:
         for number, delta in ((1, 1), (2, 2), (3, 9)):
             events.append(self._issue(number, "opened", t0))
             events.append(self._issue(number, "closed", t0 + delta * DAY))
-        assert issue_response_times(events) == (2.0, 4.0)
+        assert issue_response_times(from_records(events)) == (2.0, 4.0)
 
     def test_reopened_issue_counts_first_close_only(self):
         t0 = AS_OF - 30 * DAY
@@ -442,15 +442,15 @@ class TestIssueResponseTimes:
             self._issue(1, "reopened", t0 + 2 * DAY),
             self._issue(1, "closed", t0 + 9 * DAY),
         ]
-        assert issue_response_times(events) == (1.0, 1.0)
+        assert issue_response_times(from_records(events)) == (1.0, 1.0)
 
     def test_close_without_open_ignored(self):
-        assert issue_response_times([self._issue(5, "closed", AS_OF)]) == (0.0, 0.0)
+        assert issue_response_times(from_records([self._issue(5, "closed", AS_OF)])) == (0.0, 0.0)
 
 
 class TestEngagementMetrics:
     def test_empty_window(self):
-        assert engagement_metrics([], AS_OF) == (0.0, 0.0, 0.0, 0.0)
+        assert engagement_metrics(from_records([]), AS_OF) == (0.0, 0.0, 0.0, 0.0)
 
     def test_hand_division(self):
         t = AS_OF - 10 * DAY
@@ -473,17 +473,17 @@ class TestEngagementMetrics:
                 for _ in range(3)
             ]
         )
-        assert engagement_metrics(events, AS_OF) == (3.0, 2.0, 1.0, 1.0)
+        assert engagement_metrics(from_records(events), AS_OF) == (3.0, 2.0, 1.0, 1.0)
 
     def test_events_outside_window_excluded(self):
         old = [make_event(event_type=EventType.PUSH, created_at=AS_OF - 4 * MONTH_SECONDS, counts=9)]
-        assert engagement_metrics(old, AS_OF) == (0.0, 0.0, 0.0, 0.0)
+        assert engagement_metrics(from_records(old), AS_OF) == (0.0, 0.0, 0.0, 0.0)
 
     def test_closed_pull_requests_not_counted_as_opened(self):
         events = [
             make_event(event_type=EventType.PULL_REQUEST, action="closed", created_at=AS_OF - DAY)
         ]
-        assert engagement_metrics(events, AS_OF)[2] == 0.0
+        assert engagement_metrics(from_records(events), AS_OF)[2] == 0.0
 
 
 class TestBuildMetricsRow:
@@ -492,17 +492,17 @@ class TestBuildMetricsRow:
 
     def test_all_empty_inputs(self):
         row = build_metrics_row(
-            "a/b", [], ExternalInputs(cmc_rank=5), self._reference(), AS_OF
+            "a/b", from_records([]), ExternalInputs(cmc_rank=5), self._reference(), AS_OF
         )
         assert row.stars == 0 and row.forks == 0
         assert row.months_since_update is None
         assert row.criticality == 0.0
 
     def test_composition_matches_parts(self):
-        events = [
+        events = from_records([
             make_event(event_type=EventType.WATCH),
             make_event(event_type=EventType.PUSH, counts=3, tz_offset=0),
-        ]
+        ])
         externals = ExternalInputs(cmc_rank=1, alexa_rank=100, mentions=7)
         row = build_metrics_row("a/b", events, externals, self._reference(), AS_OF)
         assert row.stars == count_stars(events)
@@ -513,7 +513,7 @@ class TestBuildMetricsRow:
         )
 
     def test_idempotent(self):
-        events = [make_event(event_type=EventType.PUSH, counts=1)]
+        events = from_records([make_event(event_type=EventType.PUSH, counts=1)])
         externals = ExternalInputs(cmc_rank=1)
         first = build_metrics_row("a/b", events, externals, self._reference(), AS_OF)
         second = build_metrics_row("a/b", events, externals, self._reference(), AS_OF)
@@ -583,6 +583,7 @@ class TestBuildMetricsRow:
     def test_split_row_equals_row_from_whole_list(self, events, mentions):
         externals = ExternalInputs(cmc_rank=3, alexa_rank=None, mentions=mentions)
         reference = TimezoneHistogram(bins=np.full(24, 1 / 24), total=24)
+        events = from_records(events)
         row = build_metrics_row("a/b", events, externals, reference, AS_OF)
         assert row == self._row_from_parts("a/b", events, externals, reference, AS_OF)
 
